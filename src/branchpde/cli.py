@@ -112,7 +112,15 @@ def cmd_solve(args) -> int:
             x = [float(v) for v in row["x"]]
             if len(x) != problem.d:
                 raise ConfigError(f"point {row} has wrong dimension for d={problem.d}")
+            if not 0 <= t <= T:
+                raise ConfigError(f"point {row} has t outside [0, T] = [0, {T}]")
             parsed_points.append((t, x))
+        offsets = cfg.get("seed_offsets", [0] * len(parsed_points))
+        if not isinstance(offsets, list) or len(offsets) != len(parsed_points):
+            raise ConfigError(
+                f"config field 'seed_offsets' must list one offset per point ({len(parsed_points)})"
+            )
+        offsets = [int(off) for off in offsets]
         n = int(cfg["n"])
         seed = int(cfg["seed"])
         workers = int(cfg["workers"])
@@ -133,7 +141,6 @@ def cmd_solve(args) -> int:
 
     setup = ProblemSetup(oracle=problem.oracle, model=model, d=problem.d)
     rows = []
-    offsets = cfg.get("seed_offsets", [0] * len(parsed_points))
     try:
         for (t, x), off in zip(parsed_points, offsets):
             if estimator_kind == "mean":
@@ -306,10 +313,10 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     results = run_suite(fault=getattr(args, "inject_fault", False))
-    width = max(len(name) for name, _ in results)
-    for name, ok in results:
-        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}")
-    n_fail = sum(1 for _, ok in results if not ok)
+    width = max(len(name) for name, _, _ in results)
+    for name, ok, error in results:
+        print(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}" + (f"  {error}" if error else ""))
+    n_fail = sum(1 for _, ok, _ in results if not ok)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     return 0 if n_fail == 0 else 1
 

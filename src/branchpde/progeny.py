@@ -2,8 +2,19 @@
 progeny law, the weighted-progeny recursion A, the dominating recursion
 A-hat with its closed forms, convergence radii, and bound evaluation.
 
-All recursion-equivalence paths run in exact rationals when the inputs are
-rational; the float/log-gamma backend is reserved for large-k radius and
+A and A-hat are recursions over multi-indices, but in both growth regimes
+their coefficients are A_nu(k) = H(|nu|, k)/nu! for one scalar recursion
+in m = |nu|:
+
+    H(m, 0)   = G(m),
+    H(m, k+1) = 1/(k+1) sum_{b<=m} C(m,b) sum_{l<=k}
+                [a H(m-b,l) H(b,k-l) + c H(m-b+1,l) H(b+1,k-l)],
+
+with a = 0, c = d, G(m) = g(m e_1) m! for A-hat and a = delta2,
+c = d delta2/2, G(m) = kappa sigma_boundary(m e_1, j) m! for A under the
+preset weights.  a_recursion and ahat_recursion solve it with one engine,
+in integers for rational inputs and in floats otherwise, and refuse inputs
+not of that form.  The log-gamma closed forms serve large-k radius and
 bound evaluation.
 """
 
@@ -12,7 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional
+
+import numpy as np
 
 from .combinatorics import gamma_ratio_exact, log_gamma_ratio, pochhammer_falling
 from .mechanism import index_product
@@ -67,66 +81,45 @@ def a_recursion(
 
     A(0) is the inflated boundary weight kappa*sigma_boundary; A(k+1)
     convolves the two subtree coefficient sequences through the offspring
-    law.  With j-independent weights, collapse_j=True drops the j axis (the
-    values then do not depend on j, which tests verify on small grids).
+    law.  The weights must have the preset form of stability.build_weights,
+
+        kappa sigma_boundary(nu, j') = G(|nu|)/nu!,
+        sigma_inner(nu, j', 0)       = a (d+1) prod(1+nu),
+        sigma_inner(nu, j', i)       = s (d+1)/6 (2+nu_i)(3+nu_i) prod(1+nu),
+
+    with constants a and s (the preset has a = delta2, s = delta2/2), at
+    every entry of the table; otherwise, and for j = -1 with kmax >= 1, it
+    raises ValueError.  Then A_nu(k) = H(|nu|, k)/nu! for the scalar
+    recursion of the module docstring with c = d s.
+
+    The table holds every entry the multi-index recursion reads, the
+    level-0 ones being kappa*sigma_boundary itself.  With collapse_j=True
+    the keys are (alpha, l) for l <= kmax and (nu, l) for
+    l <= kmax - max(e, 1), e = sum_i max(0, nu_i - alpha_i), nu = 0
+    included; the values do not depend on j, which tests verify.  Otherwise
+    the keys are (nu, j', l) over the nodes of _j_levels.  as_float converts
+    the weights to floats first.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     alpha = tuple(alpha)
-    memo: dict = {}
-
-    def boundary(al, jj):
-        v = w.boundary_dominating(al, jj)
-        return float(v) if as_float else v
-
-    def inner(al, jj, kind):
-        v = w.sigma_inner(al, jj, kind)
-        return float(v) if as_float else v
-
-    def q0(al):
-        q = Fraction(1, (d + 1) * index_product(al))
-        return float(q) if as_float else q
-
-    def qi(al, beta, i):
-        q = Fraction(
-            6 * (1 + beta[i - 1]) * (1 + al[i - 1] - beta[i - 1]),
-            (d + 1) * (2 + al[i - 1]) * (3 + al[i - 1]) * index_product(al),
-        )
-        return float(q) if as_float else q
-
-    def value(al, jj, k):
-        key = (al, k) if collapse_j else (al, jj, k)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            out = boundary(al, jj)
-        else:
-            total = 0
-            for beta in mi_enumerate_below(al):
-                gamma = mi_sub(al, beta)
-                conv0 = sum(
-                    value(gamma, 0, l1) * value(beta, jj + 1, k - 1 - l1)
-                    for l1 in range(k)
-                )
-                total += inner(al, jj, 0) * q0(al) * conv0
-                for i in range(1, d + 1):
-                    gp = mi_add_unit(gamma, i)
-                    bp = mi_add_unit(beta, i)
-                    convi = sum(
-                        value(gp, 0, l1) * value(bp, jj + 1, k - 1 - l1)
-                        for l1 in range(k)
-                    )
-                    total += inner(al, jj, i) * qi(al, beta, i) * convi
-            out = total / k if as_float else total / Fraction(k)
-        memo[key] = out
-        return out
-
-    for k in range(kmax + 1):
-        value(alpha, j, k)
-    backend = "float" if as_float else "exact"
+    if collapse_j:
+        nodes = {(nu, j): top for nu, top in _table_levels(alpha, kmax, True).items()}
+    else:
+        nodes = _j_levels(alpha, j, kmax)
+    conv = float if as_float else (lambda v: v)
+    base = {node: conv(w.boundary_dominating(*node)) for node in nodes}
+    a, s = _preset_constants(w, d, [node for node, top in nodes.items() if top >= 1], conv)
+    coef = _series_coefficients(_sizes((nu, v) for (nu, _), v in base.items()), a, d * s, kmax)
+    values: dict = {}
+    for (nu, jj), top in nodes.items():
+        key = (nu,) if collapse_j else (nu, jj)
+        values[key + (0,)] = base[nu, jj]
+        for l in range(1, top + 1):
+            values[key + (l,)] = coef(nu, l)
     return SeriesTable(
-        backend=backend,
-        values=memo,
+        backend="float" if as_float else "exact",
+        values=values,
         d=d,
         meta={"alpha": alpha, "j": j, "kmax": kmax, "collapsed": collapse_j},
     )
@@ -141,43 +134,172 @@ def ahat_recursion(
     """Dominating coefficients: A'(0) = g(alpha) and
 
     A'_alpha(k+1) = 1/(k+1) sum_{beta+gamma=alpha} sum_{l1+l2=k}
-                    sum_i (1+gamma_i)(1+beta_i) A'_{gamma+1_i}(l1) A'_{beta+1_i}(l2),
+                    sum_i (1+gamma_i)(1+beta_i) A'_{gamma+1_i}(l1) A'_{beta+1_i}(l2).
 
-    exact in the arithmetic of g's values."""
+    g must have the form g(nu) = G(|nu|)/nu!, as g_factorial and
+    g_exponential do, at every nu of the table, else ValueError.  Then
+    A'_nu(k) = H(|nu|, k)/nu! for the scalar recursion of the module
+    docstring with a = 0 and c = d, exact in the arithmetic of g's values.
+    The table holds every entry the multi-index recursion reads: (alpha, l)
+    for l <= kmax and (nu, l) for nu != 0 and l <= kmax - max(e, 1),
+    e = sum_i max(0, nu_i - alpha_i), with the level-0 entries g(nu) itself.
+    """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     alpha = tuple(alpha)
-    memo: dict = {}
-
-    def value(al, k):
-        key = (al, k)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            out = g(al)
-        else:
-            total = 0
-            for beta in mi_enumerate_below(al):
-                gamma = mi_sub(al, beta)
-                for i in range(1, d + 1):
-                    gp = mi_add_unit(gamma, i)
-                    bp = mi_add_unit(beta, i)
-                    coeff = (1 + gamma[i - 1]) * (1 + beta[i - 1])
-                    total += coeff * sum(
-                        value(gp, l1) * value(bp, k - 1 - l1) for l1 in range(k)
-                    )
-            out = total / Fraction(k) if isinstance(total, (int, Fraction)) else total / k
-        memo[key] = out
-        return out
-
-    for k in range(kmax + 1):
-        value(alpha, k)
+    levels = _table_levels(alpha, kmax, False)
+    base = {nu: g(nu) for nu in levels}
+    coef = _series_coefficients(_sizes(base.items()), 0, d, kmax)
+    values: dict = {}
+    for nu, top in levels.items():
+        values[(nu, 0)] = base[nu]
+        for l in range(1, top + 1):
+            values[(nu, l)] = coef(nu, l)
     return SeriesTable(
-        backend="exact" if isinstance(memo[(alpha, 0)], (int, Fraction)) else "float",
-        values=memo,
+        backend="exact" if _is_exact(base[alpha]) else "float",
+        values=values,
         d=d,
         meta={"alpha": alpha, "kmax": kmax},
     )
+
+
+def _series_coefficients(G: list, a, c, kmax: int) -> Callable[[MultiIndex, int], object]:
+    """(nu, l) -> H(|nu|, l)/nu! for 1 <= l <= kmax and |nu| + l < len(G),
+    H being the scalar recursion of the module docstring with H(m, 0) = G[m].
+
+    That recursion is the coefficient form of dG/ds = a G^2 + c (dG/dy)^2
+    in one variable y.  The multinomial Vandermonde sum
+    sum_{beta<=nu} C(nu,beta) f(|nu-beta|) h(|beta|) = sum_b C(|nu|,b) f(|nu|-b) h(b)
+    collapses the multi-index recursions to it when g(nu) = G(|nu|)/nu!.
+    Exact when G, a and c are ints and Fractions, else in floats.
+    """
+    M = len(G) - 1
+    if all(map(_is_exact, (*G, a, c))):
+        # In integers: with Q G, L a and L c integral, H'(m, l) = Q (QL)^l
+        # H(m, l) solves the recursion with a' = L a, c' = L c, and
+        # J(m, l) = l! H'(m, l) turns its 1/(k+1) into (k+1)!/(l! (k-l)!)
+        # = (k+1) C(k, l), which leaves no division at all.
+        Q = math.lcm(*(v.denominator for v in G))
+        L = math.lcm(a.denominator, c.denominator)
+        a, c = int(a * L), int(c * L)
+        J = [[int(v * Q) for v in G]]
+        for k in range(kmax):
+            row = []
+            for m in range(M - k):
+                binom = [math.comb(m, b) for b in range(m + 1)]
+                total = 0
+                for l in range(k + 1):
+                    x, y = J[l], J[k - l]
+                    s = c * sum(cb * x[m - b + 1] * y[b + 1] for b, cb in enumerate(binom))
+                    if a:
+                        s += a * sum(cb * x[m - b] * y[b] for b, cb in enumerate(binom))
+                    total += math.comb(k, l) * s
+                row.append(total)
+            J.append(row)
+        return lambda nu, l: Fraction(
+            J[l][sum(nu)], math.factorial(l) * Q * (Q * L) ** l * mi_factorial(nu)
+        )
+
+    # F(m, l) = H(m, l)/m! turns the binomial sum into a convolution in m,
+    # and D(m, l) = (m+1) F(m+1, l) is its derivative in y
+    F = np.zeros((kmax + 1, M + 2))
+    F[0, : M + 1] = [float(v / math.factorial(m)) for m, v in enumerate(G)]
+    D = np.zeros((kmax + 1, M + 1))
+    up = np.arange(1, M + 2)
+    D[0] = F[0, 1:] * up
+    for k in range(kmax):
+        acc = np.zeros(M + 1)
+        for l in range((k + 2) // 2):
+            # the l and k-l terms are equal, the middle one (l = k-l) counts once
+            twice = 1.0 if 2 * l == k else 2.0
+            acc += twice * c * np.convolve(D[l], D[k - l])[: M + 1]
+            if a:
+                acc += twice * a * np.convolve(F[l, : M + 1], F[k - l, : M + 1])[: M + 1]
+        F[k + 1, : M + 1] = acc / (k + 1)
+        D[k + 1] = F[k + 1, 1:] * up
+    return lambda nu, l: float(F[l, sum(nu)]) * (math.factorial(sum(nu)) // mi_factorial(nu))
+
+
+def _table_levels(alpha: MultiIndex, kmax: int, with_zero: bool) -> dict:
+    """{nu: top level} of the table the multi-index recursion fills from
+    (alpha, l) for l <= kmax: alpha up to kmax, and every other nu up to
+    kmax - max(e, 1), where e = sum_i max(0, nu_i - alpha_i) is its excess
+    over alpha.  nu = 0 is in only with_zero (A reads it, A-hat does not)."""
+    levels = {alpha: kmax}
+    for nu in product(*(range(a + kmax + 1) for a in alpha)):
+        top = kmax - max(sum(max(0, n - a) for n, a in zip(nu, alpha)), 1)
+        if top >= 0 and nu != alpha and (with_zero or any(nu)):
+            levels[nu] = top
+    return levels
+
+
+def _j_levels(alpha: MultiIndex, j: int, kmax: int) -> dict:
+    """{(nu, j'): top level} of the nodes the multi-index recursion for
+    A_{alpha,j} reads, found without arithmetic: node (nu, j') at level k
+    reads (gamma, 0), (beta, j'+1), (gamma+1_i, 0) and (beta+1_i, j'+1) for
+    every beta + gamma = nu at every level below k."""
+    top = {(alpha, j): kmax}
+    frontier = [(alpha, j)]
+    for level in range(kmax - 1, -1, -1):
+        reached = []
+        for nu, jj in frontier:
+            for beta in mi_enumerate_below(nu):
+                gamma = mi_sub(nu, beta)
+                children = [(gamma, 0), (beta, jj + 1)]
+                for i in range(1, len(nu) + 1):
+                    children += [(mi_add_unit(gamma, i), 0), (mi_add_unit(beta, i), jj + 1)]
+                for child in children:
+                    if child not in top:
+                        top[child] = level
+                        reached.append(child)
+        frontier = reached
+    return top
+
+
+def _sizes(entries) -> list:
+    """[G(0), ..., G(max |nu|)] from (nu, g(nu)) pairs, with G(|nu|) =
+    g(nu) nu!; ValueError unless that depends on |nu| only.  A size no
+    entry has (0, in an A-hat table with alpha != 0) reads 0: the A-hat
+    recursion never uses it."""
+    G: dict = {}
+    for nu, v in entries:
+        x = v * mi_factorial(nu)
+        if not _same(G.setdefault(sum(nu), x), x):
+            raise ValueError(f"the level-0 value at {nu} is not G(|nu|)/nu!")
+    return [G.get(m, 0) for m in range(max(G) + 1)]
+
+
+def _preset_constants(w: WeightSpec, d: int, nodes: list, conv) -> tuple:
+    """(a, s) with sigma_inner(nu, j, 0) = a (d+1) prod(1+nu) and
+    sigma_inner(nu, j, i) = s (d+1)/6 (2+nu_i)(3+nu_i) prod(1+nu) at every
+    (nu, j) in nodes; ValueError unless a and s are constant."""
+    zeros, units = [], []
+    for nu, jj in nodes:
+        p = (d + 1) * index_product(nu)
+        zeros.append(_ratio(conv(w.sigma_inner(nu, jj, 0)), p))
+        units += [
+            _ratio(6 * conv(w.sigma_inner(nu, jj, i)), p * (2 + nu[i - 1]) * (3 + nu[i - 1]))
+            for i in range(1, d + 1)
+        ]
+    for kind, xs in (("0", zeros), ("i", units)):
+        if any(not _same(xs[0], x) for x in xs):
+            raise ValueError(f"sigma_inner(nu, j, {kind}) is not of the preset form")
+    return (zeros[0], units[0]) if nodes else (0, 0)
+
+
+def _is_exact(v) -> bool:
+    return isinstance(v, (int, Fraction))
+
+
+def _ratio(x, n: int):
+    return Fraction(x, n) if _is_exact(x) else x / n
+
+
+def _same(x, y) -> bool:
+    """Equal: exactly for ints and Fractions, to a relative 1e-12 for floats."""
+    if _is_exact(x) and _is_exact(y):
+        return x == y
+    return math.isclose(x, y, rel_tol=1e-12)
 
 
 def g_factorial(theta, r) -> Callable[[MultiIndex], Fraction]:

@@ -5,6 +5,7 @@ solve, sized to finish in a couple of minutes.
 
 from __future__ import annotations
 
+import logging
 import math
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from .mechanism import Code, offspring_prob, offspring_set
 from .multiindex import mi_abs, mi_enumerate_below
 from . import problems, progeny, stability
 from .tree import dominating_weighted_progeny, sample_dominating_tree, total_progeny
+
+log = logging.getLogger("branchpde")
 
 
 def _check_identities(fault: bool) -> bool:
@@ -112,7 +115,9 @@ def _check_mild_solution() -> bool:
     return problems.mild_solution_check(problem, Code((0,), -1), 0.0, (0.0,)) <= 5e-4
 
 
-def run_suite(fault: bool = False) -> list[tuple[str, bool]]:
+def run_suite(fault: bool = False) -> list[tuple[str, bool, str]]:
+    """(name, passed, error) per check; error is "Type: message" for a check
+    that raised (and so failed), else ""."""
     checks = [
         ("exact-identities", lambda: _check_identities(fault)),
         ("offspring-normalization", _check_offspring_normalization),
@@ -126,7 +131,8 @@ def run_suite(fault: bool = False) -> list[tuple[str, bool]]:
     results = []
     for name, fn in checks:
         try:
-            results.append((name, bool(fn())))
-        except Exception:  # a crash is a failure, not an abort
-            results.append((name, False))
+            results.append((name, bool(fn()), ""))
+        except Exception as exc:  # a crash is a failure, not an abort
+            log.debug("check %s raised", name, exc_info=True)
+            results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results

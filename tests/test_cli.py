@@ -1,0 +1,56 @@
+import json
+
+import pytest
+
+from branchpde import cli, verify
+
+
+def run_solve(tmp_path, capsys, **fields):
+    cfg = {"problem": "b2", "T": 0.1, "n": 200, "points": [{"t": 0.0, "x": [0.0]}]}
+    cfg.update(fields)
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["solve", "--config", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_solve_writes_one_row_per_point(tmp_path, capsys):
+    points = [{"t": 0.0, "x": [0.0]}, {"t": 0.05, "x": [0.5]}]
+    code, out, _ = run_solve(tmp_path, capsys, points=points, seed_offsets=[0, 1])
+    assert code == 0
+    assert len(out.splitlines()) == 1 + len(points)
+
+
+@pytest.mark.parametrize("offsets", [[0], [0, 1, 2], 0])
+def test_solve_refuses_seed_offsets_not_matching_points(tmp_path, capsys, offsets):
+    points = [{"t": 0.0, "x": [0.0]}, {"t": 0.05, "x": [0.5]}]
+    code, out, err = run_solve(tmp_path, capsys, points=points, seed_offsets=offsets)
+    assert code == 3
+    assert out == "" and "seed_offsets" in err
+
+
+@pytest.mark.parametrize("t", [0.2, -0.01])
+def test_solve_refuses_point_outside_horizon(tmp_path, capsys, t):
+    code, out, err = run_solve(tmp_path, capsys, points=[{"t": t, "x": [0.0]}])
+    assert code == 3
+    assert out == "" and "outside [0, T]" in err
+
+
+def test_verify_prints_why_a_check_crashed(monkeypatch, capsys):
+    for name in dir(verify):
+        if name.startswith("_check_"):
+            monkeypatch.setattr(verify, name, lambda *args: True)
+
+    def crash():
+        raise ZeroDivisionError("division by zero in the check")
+
+    monkeypatch.setattr(verify, "_check_radius", crash)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "7/8 checks passed"
+    [failed] = [line for line in lines if "FAIL" in line]
+    assert failed.split() == [
+        "radius-ratio", "FAIL", "ZeroDivisionError:", "division", "by", "zero", "in", "the", "check"
+    ]
+    assert all(line.endswith("PASS") for line in lines[:-1] if line is not failed)

@@ -1,0 +1,291 @@
+"""The scalar series engine behind a_recursion and ahat_recursion, checked
+against the multi-index recursions it replaced.
+
+reference_a_recursion and reference_ahat_recursion are those recursions,
+kept verbatim as test-only oracles.  They cost O(prod(1+nu)) work per entry,
+so the grids below stop at K = 6 where d <= 2 and at smaller K where d = 3.
+"""
+
+from __future__ import annotations
+
+import functools
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from branchpde import progeny, stability
+from branchpde.mechanism import index_product
+from branchpde.multiindex import MultiIndex, mi_add_unit, mi_enumerate_below, mi_sub
+from branchpde.progeny import SeriesTable, a_recursion, ahat_recursion
+from branchpde.tree import WeightSpec
+
+
+def reference_a_recursion(
+    w: WeightSpec,
+    d: int,
+    alpha: MultiIndex,
+    j: int,
+    kmax: int,
+    collapse_j: bool = False,
+    as_float: bool = False,
+) -> SeriesTable:
+    """Weighted-progeny coefficients A_{alpha,j}(k) for k <= kmax.
+
+    A(0) is the inflated boundary weight kappa*sigma_boundary; A(k+1)
+    convolves the two subtree coefficient sequences through the offspring
+    law.  With j-independent weights, collapse_j=True drops the j axis (the
+    values then do not depend on j, which tests verify on small grids).
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    alpha = tuple(alpha)
+    memo: dict = {}
+
+    def boundary(al, jj):
+        v = w.boundary_dominating(al, jj)
+        return float(v) if as_float else v
+
+    def inner(al, jj, kind):
+        v = w.sigma_inner(al, jj, kind)
+        return float(v) if as_float else v
+
+    def q0(al):
+        q = Fraction(1, (d + 1) * index_product(al))
+        return float(q) if as_float else q
+
+    def qi(al, beta, i):
+        q = Fraction(
+            6 * (1 + beta[i - 1]) * (1 + al[i - 1] - beta[i - 1]),
+            (d + 1) * (2 + al[i - 1]) * (3 + al[i - 1]) * index_product(al),
+        )
+        return float(q) if as_float else q
+
+    def value(al, jj, k):
+        key = (al, k) if collapse_j else (al, jj, k)
+        if key in memo:
+            return memo[key]
+        if k == 0:
+            out = boundary(al, jj)
+        else:
+            total = 0
+            for beta in mi_enumerate_below(al):
+                gamma = mi_sub(al, beta)
+                conv0 = sum(
+                    value(gamma, 0, l1) * value(beta, jj + 1, k - 1 - l1)
+                    for l1 in range(k)
+                )
+                total += inner(al, jj, 0) * q0(al) * conv0
+                for i in range(1, d + 1):
+                    gp = mi_add_unit(gamma, i)
+                    bp = mi_add_unit(beta, i)
+                    convi = sum(
+                        value(gp, 0, l1) * value(bp, jj + 1, k - 1 - l1)
+                        for l1 in range(k)
+                    )
+                    total += inner(al, jj, i) * qi(al, beta, i) * convi
+            out = total / k if as_float else total / Fraction(k)
+        memo[key] = out
+        return out
+
+    for k in range(kmax + 1):
+        value(alpha, j, k)
+    backend = "float" if as_float else "exact"
+    return SeriesTable(
+        backend=backend,
+        values=memo,
+        d=d,
+        meta={"alpha": alpha, "j": j, "kmax": kmax, "collapsed": collapse_j},
+    )
+
+
+def reference_ahat_recursion(
+    g: Callable[[MultiIndex], Fraction],
+    d: int,
+    alpha: MultiIndex,
+    kmax: int,
+) -> SeriesTable:
+    """Dominating coefficients: A'(0) = g(alpha) and
+
+    A'_alpha(k+1) = 1/(k+1) sum_{beta+gamma=alpha} sum_{l1+l2=k}
+                    sum_i (1+gamma_i)(1+beta_i) A'_{gamma+1_i}(l1) A'_{beta+1_i}(l2),
+
+    exact in the arithmetic of g's values."""
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    alpha = tuple(alpha)
+    memo: dict = {}
+
+    def value(al, k):
+        key = (al, k)
+        if key in memo:
+            return memo[key]
+        if k == 0:
+            out = g(al)
+        else:
+            total = 0
+            for beta in mi_enumerate_below(al):
+                gamma = mi_sub(al, beta)
+                for i in range(1, d + 1):
+                    gp = mi_add_unit(gamma, i)
+                    bp = mi_add_unit(beta, i)
+                    coeff = (1 + gamma[i - 1]) * (1 + beta[i - 1])
+                    total += coeff * sum(
+                        value(gp, l1) * value(bp, k - 1 - l1) for l1 in range(k)
+                    )
+            out = total / Fraction(k) if isinstance(total, (int, Fraction)) else total / k
+        memo[key] = out
+        return out
+
+    for k in range(kmax + 1):
+        value(alpha, k)
+    return SeriesTable(
+        backend="exact" if isinstance(memo[(alpha, 0)], (int, Fraction)) else "float",
+        values=memo,
+        d=d,
+        meta={"alpha": alpha, "kmax": kmax},
+    )
+
+
+def alphas_upto(total, d):
+    return [a for a in product(range(total + 1), repeat=d) if sum(a) <= total]
+
+
+THETA, R = Fraction(3, 2), Fraction(1)
+GROWTH = {  # name -> (g, regime of the matching preset weights)
+    "factorial": (progeny.g_factorial(THETA, R), stability.Factorial(THETA, R)),
+    "exponential": (progeny.g_exponential(THETA), stability.Exponential(THETA)),
+}
+
+
+def cached_weights(regime, d):
+    """Preset weights with delta1 = delta2 = 6/5 (so kappa = 6/5), memoised
+    so that the references spend their time in the recursion."""
+    w = stability.GrowthParams(regime, Fraction(6, 5), Fraction(6, 5), 1.0, 0.1, d).build_weights()
+    return WeightSpec(functools.cache(w.sigma_boundary), functools.cache(w.sigma_inner), w.kappa)
+
+
+def assert_same_table(new, ref):
+    assert new.values.keys() == ref.values.keys()
+    assert new == ref
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+@pytest.mark.parametrize("d,kmax", [(1, 6), (2, 6), (3, 3)])
+def test_ahat_recursion_matches_reference(name, d, kmax):
+    g = functools.cache(GROWTH[name][0])
+    for alpha in alphas_upto(3, d):
+        for k in range(kmax + 1):
+            new = ahat_recursion(g, d, alpha, k)
+            assert_same_table(new, reference_ahat_recursion(g, d, alpha, k))
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+@pytest.mark.parametrize("d,kmax", [(1, 6), (2, 5), (3, 3)])
+def test_a_recursion_collapsed_matches_reference(name, d, kmax):
+    w = cached_weights(GROWTH[name][1], d)
+    for alpha in alphas_upto(3, d):
+        for k in range(kmax + 1):
+            for j in (0, 1, 2) if d == 1 else (0,):
+                new = a_recursion(w, d, alpha, j, k, collapse_j=True)
+                assert_same_table(new, reference_a_recursion(w, d, alpha, j, k, collapse_j=True))
+
+
+@pytest.mark.parametrize(
+    "d,kmax,j", [(d, kmax, j) for d, kmax in ((1, 6), (2, 3)) for j in (0, 1, 2)] + [(3, 2, 2)]
+)
+def test_a_recursion_j_axis_matches_reference(d, kmax, j):
+    w = cached_weights(GROWTH["factorial"][1], d)
+    for alpha in alphas_upto(3, d):
+        for k in range(kmax + 1):
+            new = a_recursion(w, d, alpha, j, k)
+            assert_same_table(new, reference_a_recursion(w, d, alpha, j, k))
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+@pytest.mark.parametrize("d,alpha,kmax", [(1, (2,), 30), (2, (0, 0), 12), (2, (1, 2), 10)])
+def test_float_path_matches_exact_path(name, d, alpha, kmax):
+    g, regime = GROWTH[name]
+    w = cached_weights(regime, d)
+    exact = a_recursion(w, d, alpha, 0, kmax, collapse_j=True)
+    floats = a_recursion(w, d, alpha, 0, kmax, collapse_j=True, as_float=True)
+    assert floats.backend == "float" and floats.values.keys() == exact.values.keys()
+    for key, v in exact.values.items():
+        assert floats.values[key] == pytest.approx(float(v), rel=1e-12, abs=0)
+    exact = ahat_recursion(g, d, alpha, kmax)
+    floats = ahat_recursion(lambda nu: float(g(nu)), d, alpha, kmax)
+    assert floats.backend == "float" and floats.values.keys() == exact.values.keys()
+    for key, v in exact.values.items():
+        assert floats.values[key] == pytest.approx(float(v), rel=1e-12, abs=0)
+
+
+def test_float_path_matches_reference_float_path():
+    w = cached_weights(GROWTH["factorial"][1], 1)
+    new = a_recursion(w, 1, (2,), 0, 12, collapse_j=True, as_float=True)
+    ref = reference_a_recursion(w, 1, (2,), 0, 12, collapse_j=True, as_float=True)
+    assert new.values.keys() == ref.values.keys()
+    for key, v in ref.values.items():
+        assert new.values[key] == pytest.approx(v, rel=1e-12, abs=0)
+
+
+def test_refuses_g_not_of_size_form():
+    # g = 1 gives g(nu) nu! = nu!, which is not a function of |nu| at d = 2
+    with pytest.raises(ValueError, match="G"):
+        ahat_recursion(lambda nu: Fraction(1), 2, (1, 1), 1)
+    # at d = 1 every g has the form; the table is then the reference's
+    one = lambda nu: Fraction(1)
+    assert_same_table(ahat_recursion(one, 1, (1,), 4), reference_ahat_recursion(one, 1, (1,), 4))
+
+
+def test_float_g_compared_to_relative_1e12():
+    g = GROWTH["exponential"][0]
+
+    def nudged(eps):
+        return lambda nu: float(g(nu)) * (1.0 + eps if nu == (2, 0) else 1.0)
+
+    ahat_recursion(nudged(1e-15), 2, (1, 1), 2)
+    with pytest.raises(ValueError, match="G"):
+        ahat_recursion(nudged(1e-9), 2, (1, 1), 2)
+
+
+def _tampered(w, boundary=None, inner=None):
+    return WeightSpec(
+        sigma_boundary=boundary or w.sigma_boundary,
+        sigma_inner=inner or w.sigma_inner,
+        kappa=w.kappa,
+    )
+
+
+@pytest.mark.parametrize("as_float", [False, True])
+def test_refuses_weights_not_of_preset_form(as_float):
+    w = cached_weights(GROWTH["factorial"][1], 2)
+
+    def inner_times(factor):
+        return lambda nu, j, kind: w.sigma_inner(nu, j, kind) * factor(nu, kind)
+
+    bad = [
+        (_tampered(w, boundary=lambda nu, j: Fraction(1)), "G"),
+        (_tampered(w, inner=inner_times(lambda nu, kind: 1 + sum(nu) if kind == 0 else 1)), "preset"),
+        (_tampered(w, inner=inner_times(lambda nu, kind: 1 + nu[kind - 1] if kind else 1)), "preset"),
+        (_tampered(w, inner=inner_times(lambda nu, kind: 2 if kind == 2 else 1)), "preset"),
+    ]
+    for spec, match in bad:
+        for collapse_j in (True, False):
+            with pytest.raises(ValueError, match=match):
+                a_recursion(spec, 2, (1, 0), 0, 2, collapse_j=collapse_j, as_float=as_float)
+
+
+def test_j_minus_one():
+    w = cached_weights(GROWTH["factorial"][1], 1)
+    for collapse_j in (True, False):
+        with pytest.raises(ValueError):
+            a_recursion(w, 1, (1,), -1, 1, collapse_j=collapse_j)
+        table = a_recursion(w, 1, (1,), -1, 0, collapse_j=collapse_j)
+        assert list(table.values.values()) == [w.boundary_dominating((1,), -1)]
+
+
+def test_canonical_weights_satisfy_the_multi_index_identity():
+    # contact_hj_consistency checks the multi-index HJ identity on tables the
+    # scalar engine built, which cross-checks the collapse independently
+    g = progeny.g_exponential(THETA)
+    assert progeny.contact_hj_consistency(g, 3, kmax=3, alphamax=2)
