@@ -15,21 +15,20 @@ import argparse
 import io
 import json
 import logging
-import math
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .estimator import (
     AllSamplesCapped,
     AssumptionHViolated,
-    Estimate,
     ProblemSetup,
     estimate_u,
     median_of_means,
     write_csv,
 )
-from .lifetimes import model_from_config, validate_assumption_h
+from .lifetimes import model_from_config
 from .mechanism import Code
 from .tree import Caps
 from . import problems, progeny, stability
@@ -147,17 +146,8 @@ def cmd_solve(args) -> int:
                 est = estimate_u(code, t, x, T, setup, n, seed + off, caps, workers)
             else:
                 est = median_of_means(
-                    code, t, x, T, setup, n, int(cfg["groups"]), seed + off, caps
+                    code, t, x, T, setup, n, int(cfg["groups"]), seed + off, caps, workers
                 )
-                plain = estimate_u(code, t, x, T, setup, n, seed + off, caps, workers)
-                gap = abs(est.mean - plain.mean)
-                scale = max(est.std_error, plain.std_error, 1e-300)
-                if gap > 5.0 * scale:
-                    log.warning(
-                        "median-of-means %.6g and mean %.6g disagree by %.1f SE "
-                        "at (t=%s, x=%s); the functional may be heavy-tailed",
-                        est.mean, plain.mean, gap / scale, t, x,
-                    )
             rows.append((t, tuple(x), est))
     except AssumptionHViolated as exc:
         print(f"lifetime model fails validation: {exc}", file=sys.stderr)
@@ -183,6 +173,7 @@ def cmd_solve(args) -> int:
                         "std_error": est.std_error,
                         "n": est.n_samples,
                         "n_capped": est.n_capped,
+                        "stats": asdict(est.stats) if est.stats is not None else None,
                     }
                     for t, x, est in rows
                 ],

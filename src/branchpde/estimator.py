@@ -1,9 +1,16 @@
 """Monte Carlo aggregation of the path functional over independent trees.
 
 The sample mean of the functional over trees started at (t, x) with a given
-code estimates the corresponding component of the PDE solution.  Sample i
-always uses RNG substream (seed, i), so results are bit-identical for any
-worker count; workers only partition the index range.
+code estimates the corresponding component of the PDE solution.
+
+Reproducibility: sample i's tree is a pure function of (seed, i, label),
+because every draw of a branch is a counter-based hash of a key derived
+from (seed, i, label) (see `tree`).  The trees of an index range are grown
+together as one `TreeBatch`; a range whose trees outgrow the frontier
+budget is sampled again as two halves, workers partition the index range
+between processes, and median-of-means groups partition it again, yet no
+sample's value depends on which other samples share its batch.  Results are
+therefore bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -14,13 +21,13 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .lifetimes import LifetimeModel, validate_assumption_h
 from .mechanism import Code
-from .tree import CapExceeded, Caps, evaluate_functional, sample_tree
+from .tree import Caps, FrontierFull, TreeBatch, evaluate_batch
 
 log = logging.getLogger("branchpde")
 
@@ -37,7 +44,12 @@ class AllSamplesCapped(RuntimeError):
 class CodeOracle:
     """Evaluator of terminal code values: (code, point) -> the normalized
     derivative alpha!^{-1} d^alpha phi(x) (j=-1) or
-    alpha!^{-1} d^alpha [f^{(j)}(phi)](x) (j>=0)."""
+    alpha!^{-1} d^alpha [f^{(j)}(phi)](x) (j>=0).
+
+    The point is one point (a length-d sequence), and the evaluator returns
+    a float; or it is an (m, d) array of points, and the evaluator returns
+    the (m,) array of their values, or one float that stands for all of
+    them.  The estimator calls it with arrays, once per code."""
 
     evaluator: Callable[[Code, Sequence[float]], float]
 
@@ -55,12 +67,32 @@ class ProblemSetup:
 
 
 @dataclass(frozen=True)
+class TreeStats:
+    """Sizes of the uncapped trees behind an estimate."""
+
+    branches_mean: float
+    branches_p99: int      # nearest-rank 99th percentile
+    branches_max: int
+    max_generation: int
+
+
+@dataclass(frozen=True)
 class Estimate:
     mean: float
     std_error: float
     n_samples: int
     n_capped: int
     elapsed: float
+    stats: Optional[TreeStats] = None  # None when no tree was sampled (t = T)
+
+
+class _Samples(NamedTuple):
+    """Per-index results over a range of sample indices."""
+
+    values: np.ndarray    # path functional, NaN where capped
+    capped: np.ndarray
+    branches: np.ndarray  # branches per tree
+    depth: np.ndarray     # largest generation per tree
 
 
 def _sample_values(
@@ -72,27 +104,81 @@ def _sample_values(
     indices: range,
     seed: int,
     caps: Caps,
-) -> tuple[np.ndarray, int]:
-    values = np.empty(len(indices))
-    m = 0
-    capped = 0
-    for i in indices:
+) -> _Samples:
+    """Grow and evaluate the trees of `indices` as one batch, or as two
+    halves (and so on) when the batch outgrows the frontier budget."""
+    parts, pending = [], [indices]
+    while pending:
+        r = pending.pop()
+        batch = TreeBatch(c, t, x, T, setup.model, setup.d, seed, r, caps)
         try:
-            tree = sample_tree(c, t, x, T, setup.model, setup.d, seed, i, caps)
-        except CapExceeded:
-            capped += 1
+            values = evaluate_batch(batch, setup.oracle, setup.model, T)
+        except FrontierFull:
+            mid = r.start + len(r) // 2
+            pending += [range(mid, r.stop), range(r.start, mid)]
             continue
-        values[m] = evaluate_functional(tree, setup.oracle, setup.model, T)
-        m += 1
-    return values[:m], capped
+        parts.append(_Samples(values, batch.capped, batch.branches, batch.depth))
+    return _concat(parts)
+
+
+def _concat(parts: Sequence[_Samples]) -> _Samples:
+    return _Samples(*(np.concatenate(column) for column in zip(*parts)))
 
 
 _FORK_JOB = None  # set in the parent right before forking workers
 
 
-def _fork_chunk(bounds: tuple[int, int]) -> tuple[np.ndarray, int]:
+def _fork_chunk(bounds: tuple[int, int]) -> _Samples:
     setup, c, t, x, T, seed, caps = _FORK_JOB
     return _sample_values(setup, c, t, x, T, range(*bounds), seed, caps)
+
+
+def _check_model(setup: ProblemSetup, t: float, T: float) -> None:
+    report = validate_assumption_h(setup.model, T if T > t else max(T, 1e-12))
+    if not report.ok:
+        raise AssumptionHViolated("; ".join(report.failures))
+
+
+def _draw(
+    c: Code, t: float, x, T: float, setup: ProblemSetup, n: int, seed: int,
+    caps: Caps, workers: int,
+) -> _Samples:
+    """Samples 0..n-1, the index range split among `workers` processes."""
+    x = tuple(float(v) for v in x)
+    if workers <= 1:
+        return _sample_values(setup, c, t, x, T, range(n), seed, caps)
+    global _FORK_JOB
+    _FORK_JOB = (setup, c, t, x, T, seed, caps)
+    chunks = _split_range(n, workers)
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(workers) as pool:
+            parts = pool.map(_fork_chunk, chunks)
+    except ValueError:
+        log.warning("fork start method unavailable; running sequentially")
+        parts = [_fork_chunk(ch) for ch in chunks]
+    finally:
+        _FORK_JOB = None
+    return _concat(parts)
+
+
+def _mean(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error, by numpy pairwise summation."""
+    mean = float(np.sum(values)) / values.size
+    if values.size < 2:
+        return mean, float("inf")
+    var = float(np.sum((values - mean) ** 2)) / (values.size - 1)
+    return mean, math.sqrt(var / values.size)
+
+
+def _tree_stats(s: _Samples) -> TreeStats:
+    sizes = np.sort(s.branches[~s.capped])
+    return TreeStats(
+        branches_mean=float(np.sum(sizes)) / sizes.size,
+        branches_p99=int(sizes[max(math.ceil(0.99 * sizes.size) - 1, 0)]),
+        branches_max=int(sizes[-1]),
+        max_generation=int(np.max(s.depth[~s.capped])),
+    )
 
 
 def estimate_u(
@@ -110,48 +196,23 @@ def estimate_u(
 
     Capped samples are excluded from the mean and reported in n_capped
     (truncating them instead would bias silently).  Aggregation uses numpy
-    pairwise summation, so the result does not depend on chunking.
+    pairwise summation over the samples in index order, so the result does
+    not depend on chunking.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     start = time.perf_counter()
-    report = validate_assumption_h(setup.model, T if T > t else max(T, 1e-12))
-    if not report.ok:
-        raise AssumptionHViolated("; ".join(report.failures))
+    _check_model(setup, t, T)
     if t == T:
         # degenerate: no tree, the estimate is the terminal oracle value
         value = setup.oracle(c, tuple(float(v) for v in x))
         return Estimate(value, 0.0, n, 0, time.perf_counter() - start)
-
-    if workers > 1:
-        chunks = _split_range(n, workers)
-        global _FORK_JOB
-        _FORK_JOB = (setup, c, t, tuple(float(v) for v in x), T, seed, caps)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                parts = pool.map(_fork_chunk, chunks)
-        except ValueError:
-            log.warning("fork start method unavailable; running sequentially")
-            parts = [_fork_chunk(ch) for ch in chunks]
-        finally:
-            _FORK_JOB = None
-        values = np.concatenate([p[0] for p in parts])
-        capped = sum(p[1] for p in parts)
-    else:
-        values, capped = _sample_values(
-            setup, c, t, tuple(float(v) for v in x), T, range(n), seed, caps
-        )
-
+    s = _draw(c, t, x, T, setup, n, seed, caps, workers)
+    values = s.values[~s.capped]
     if values.size == 0:
         raise AllSamplesCapped(f"all {n} samples exceeded caps {caps}")
-    mean = float(np.sum(values)) / values.size
-    if values.size >= 2:
-        var = float(np.sum((values - mean) ** 2)) / (values.size - 1)
-        se = math.sqrt(var / values.size)
-    else:
-        se = float("inf")
-    return Estimate(mean, se, n, capped, time.perf_counter() - start)
+    mean, se = _mean(values)
+    return Estimate(mean, se, n, n - values.size, time.perf_counter() - start, _tree_stats(s))
 
 
 def _split_range(n: int, workers: int) -> list[tuple[int, int]]:
@@ -201,34 +262,31 @@ def median_of_means(
     groups: int,
     seed: int,
     caps: Caps = Caps(),
+    workers: int = 1,
 ) -> Estimate:
     """Median of per-group means over a contiguous partition of the sample
     index range; heavy-tail mitigation for the product functional.
 
     groups=1 reduces to the plain mean.  The reported std_error is the
     asymptotic median factor sqrt(pi/2) times the spread of group means; it
-    is a diagnostic, not a guarantee.
+    is a diagnostic, not a guarantee.  The plain mean of the same samples is
+    computed too, and a warning is logged when the two disagree by more
+    than 5 standard errors.
     """
     if groups < 1 or (groups > 1 and (groups % 2 == 0 or groups < 3)):
         raise ValueError("groups must be 1 or an odd integer >= 3")
     start = time.perf_counter()
     if t == T or groups == 1:
-        est = estimate_u(c, t, x, T, setup, n, seed, caps)
+        est = estimate_u(c, t, x, T, setup, n, seed, caps, workers)
         return Estimate(
             est.mean, est.std_error, est.n_samples, est.n_capped,
-            time.perf_counter() - start,
+            time.perf_counter() - start, est.stats,
         )
-    bounds = _split_range(n, groups)
+    _check_model(setup, t, T)
+    s = _draw(c, t, x, T, setup, n, seed, caps, workers)
     means = []
-    capped = 0
-    report = validate_assumption_h(setup.model, T)
-    if not report.ok:
-        raise AssumptionHViolated("; ".join(report.failures))
-    for lo, hi in bounds:
-        values, c_ = _sample_values(
-            setup, c, t, tuple(float(v) for v in x), T, range(lo, hi), seed, caps
-        )
-        capped += c_
+    for lo, hi in _split_range(n, groups):
+        values = s.values[lo:hi][~s.capped[lo:hi]]
         if values.size == 0:
             raise AllSamplesCapped(f"group {lo}:{hi} entirely capped")
         means.append(float(np.sum(values)) / values.size)
@@ -237,7 +295,17 @@ def median_of_means(
         se = math.sqrt(math.pi / 2) * float(np.std(means, ddof=1)) / math.sqrt(len(means))
     else:
         se = float("inf")
-    return Estimate(med, se, n, capped, time.perf_counter() - start)
+    plain, plain_se = _mean(s.values[~s.capped])
+    gap = abs(med - plain)
+    scale = max(se, plain_se, 1e-300)
+    if gap > 5.0 * scale:
+        log.warning(
+            "median-of-means %.6g and mean %.6g disagree by %.1f SE "
+            "at (t=%s, x=%s); the functional may be heavy-tailed",
+            med, plain, gap / scale, t, x,
+        )
+    capped = int(np.count_nonzero(s.capped))
+    return Estimate(med, se, n, capped, time.perf_counter() - start, _tree_stats(s))
 
 
 def write_csv(

@@ -4,12 +4,18 @@ derivatives of composed univariate functions.
 A jet stores coefficients a_0..a_M with a_m = f^{(m)}(x0)/m!, so the
 m-th normalized derivative used by derivative codes is literally a_m.
 Supported closed operations: +, -, *, reciprocal, exp, log(1+.), powers.
+
+Coefficients are floats, or numpy arrays of one shape holding the jets of
+many expansion points at once; every operation acts elementwise on them, so
+each element equals the float computation at that point.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 
 class Jet:
@@ -49,7 +55,7 @@ class Jet:
         if isinstance(other, Jet):
             return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
         out = self.coeffs.copy()
-        out[0] += other
+        out[0] = out[0] + other  # not +=, which would write into a shared array
         return Jet(out)
 
     __radd__ = __add__
@@ -69,7 +75,7 @@ class Jet:
         M = self.order
         out = [0.0] * (M + 1)
         for i, ai in enumerate(self.coeffs):
-            if ai == 0.0:
+            if not isinstance(ai, np.ndarray) and ai == 0.0:
                 continue
             for k in range(M + 1 - i):
                 out[i + k] += ai * other.coeffs[k]
@@ -79,7 +85,7 @@ class Jet:
 
     def reciprocal(self) -> "Jet":
         a = self.coeffs
-        if a[0] == 0.0:
+        if np.any(a[0] == 0.0):
             raise ZeroDivisionError("reciprocal of a jet with zero constant term")
         M = self.order
         b = [0.0] * (M + 1)
@@ -92,29 +98,29 @@ class Jet:
         a = self.coeffs
         M = self.order
         e = [0.0] * (M + 1)
-        e[0] = math.exp(a[0])
+        e[0] = np.exp(a[0])
         for n in range(1, M + 1):
             e[n] = sum(k * a[k] * e[n - k] for k in range(1, n + 1)) / n
         return Jet(e)
 
     def log(self) -> "Jet":
         a = self.coeffs
-        if a[0] <= 0.0:
+        if np.any(a[0] <= 0.0):
             raise ValueError("log of a jet with non-positive constant term")
         M = self.order
         l = [0.0] * (M + 1)
-        l[0] = math.log(a[0])
+        l[0] = np.log(a[0])
         for n in range(1, M + 1):
             s = a[n]
             for k in range(1, n):
-                s -= (k / n) * l[k] * a[n - k]
+                s = s - (k / n) * l[k] * a[n - k]
             l[n] = s / a[0]
         return Jet(l)
 
 
 def exp_jet(x0: float, order: int) -> Jet:
     """Jet of e^x at x0: coefficients e^{x0}/m!."""
-    ex = math.exp(x0)
+    ex = np.exp(x0)
     return Jet([ex / math.factorial(m) for m in range(order + 1)])
 
 

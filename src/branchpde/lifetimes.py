@@ -9,14 +9,20 @@ Required properties (checked by `validate_assumption_h`):
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class LifetimeModel:
+    """A lifetime law.  `density`, `survival` and `inverse_cdf` are
+    elementwise: each takes a float and returns a float, or takes an array
+    and returns the array of its elements' values, equal element by element
+    to the float calls."""
+
     kind: str
     lam: float                                # rate in rho_bar(r) >= exp(-lam r)
     density: Callable[[float], float]         # rho
@@ -34,12 +40,22 @@ def exponential_model(lam: float) -> LifetimeModel:
     holds with equality."""
     if lam <= 0:
         raise ValueError(f"rate lambda must be > 0, got {lam}")
+
+    # [()] turns the 0-d result of a float argument back into a scalar
+    def density(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s >= 0, lam * np.exp(-lam * np.maximum(s, 0.0)), 0.0)[()]
+
+    def survival(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r >= 0, np.exp(-lam * np.maximum(r, 0.0)), 1.0)[()]
+
     return LifetimeModel(
         kind="exponential",
         lam=lam,
-        density=lambda s: lam * math.exp(-lam * s) if s >= 0 else 0.0,
-        survival=lambda r: math.exp(-lam * r) if r >= 0 else 1.0,
-        inverse_cdf=lambda u: -math.log1p(-u) / lam,
+        density=density,
+        survival=survival,
+        inverse_cdf=lambda u: -np.log1p(-np.asarray(u, dtype=float))[()] / lam,
         _rho_star=lambda T: lam * math.exp(-lam * T),
     )
 
@@ -69,37 +85,37 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
     cdf = [0.0]
     for i in range(len(rs) - 1):
         cdf.append(cdf[-1] + 0.5 * (vs[i] + vs[i + 1]) * (rs[i + 1] - rs[i]))
+    rs_a, vs_a, cdf_a = np.array(rs), np.array(vs), np.array(cdf)
 
-    def density(s: float) -> float:
-        if s < 0 or s > rs[-1]:
-            return 0.0
-        i = min(bisect.bisect_right(rs, s), len(rs) - 1) - 1
-        i = max(i, 0)
-        t = (s - rs[i]) / (rs[i + 1] - rs[i])
-        return vs[i] + t * (vs[i + 1] - vs[i])
+    def segment(knots: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Index i of the knot segment [knots[i], knots[i+1]] holding s."""
+        return np.maximum(np.minimum(np.searchsorted(knots, s, side="right"), len(knots) - 1) - 1, 0)
 
-    def cdf_at(s: float) -> float:
-        if s <= 0:
-            return 0.0
-        if s >= rs[-1]:
-            return 1.0
-        i = max(min(bisect.bisect_right(rs, s), len(rs) - 1) - 1, 0)
-        h = s - rs[i]
-        slope = (vs[i + 1] - vs[i]) / (rs[i + 1] - rs[i])
-        return cdf[i] + vs[i] * h + 0.5 * slope * h * h
+    def density(s):
+        s = np.asarray(s, dtype=float)
+        i = segment(rs_a, s)
+        t = (s - rs_a[i]) / (rs_a[i + 1] - rs_a[i])
+        inside = (s >= 0) & (s <= rs[-1])
+        return np.where(inside, vs_a[i] + t * (vs_a[i + 1] - vs_a[i]), 0.0)[()]
 
-    def inverse_cdf(u: float) -> float:
-        if not 0.0 <= u < 1.0:
+    def cdf_at(s: np.ndarray) -> np.ndarray:
+        i = segment(rs_a, s)
+        h = s - rs_a[i]
+        slope = (vs_a[i + 1] - vs_a[i]) / (rs_a[i + 1] - rs_a[i])
+        inner = cdf_a[i] + vs_a[i] * h + 0.5 * slope * h * h
+        return np.where(s <= 0, 0.0, np.where(s >= rs[-1], 1.0, inner))
+
+    def inverse_cdf(u):
+        u = np.asarray(u, dtype=float)
+        if np.any(~((u >= 0.0) & (u < 1.0))):
             raise ValueError("uniform variate must lie in [0, 1)")
-        i = max(min(bisect.bisect_right(cdf, u), len(cdf) - 1) - 1, 0)
-        lo, hi = rs[i], rs[i + 1]
+        i = segment(cdf_a, u)
+        lo, hi = rs_a[i], rs_a[i + 1]
         for _ in range(60):  # bisection: monotone piecewise-quadratic segment
             mid = 0.5 * (lo + hi)
-            if cdf_at(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            below = cdf_at(mid) < u
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return (0.5 * (lo + hi))[()]
 
     def rho_star(T: float) -> float:
         # linear pieces attain extrema at segment endpoints
@@ -112,7 +128,7 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
         kind="tabulated",
         lam=lam,
         density=density,
-        survival=lambda r: max(1.0 - cdf_at(r), 0.0),
+        survival=lambda r: np.maximum(1.0 - cdf_at(np.asarray(r, dtype=float)), 0.0)[()],
         inverse_cdf=inverse_cdf,
         _rho_star=rho_star,
     )
@@ -150,14 +166,15 @@ def validate_assumption_h(
         failures.append(f"rho_*({T}) = {rho_star} is not > 0")
     hi = 10.0 / model.lam
     tol = 1e-12
-    for i in range(grid_points):
-        r = hi * i / (grid_points - 1)
-        if model.survival(r) < math.exp(-model.lam * r) - tol:
-            failures.append(
-                f"survival({r:.6g}) = {model.survival(r):.6g} < "
-                f"exp(-lambda r) = {math.exp(-model.lam * r):.6g}"
-            )
-            break
+    r = hi * np.arange(grid_points) / (grid_points - 1)
+    survival, bound = model.survival(r), np.exp(-model.lam * r)
+    bad = np.flatnonzero(survival < bound - tol)
+    if bad.size:
+        i = bad[0]
+        failures.append(
+            f"survival({r[i]:.6g}) = {survival[i]:.6g} < "
+            f"exp(-lambda r) = {bound[i]:.6g}"
+        )
     return AssumptionReport(
         rho_star=rho_star, lam=model.lam, ok=not failures, failures=tuple(failures)
     )

@@ -21,6 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
+import numpy as np
+
 from .multiindex import (
     MultiIndex,
     mi_add_unit,
@@ -183,6 +185,46 @@ def sample_offspring(c: Code, d: int, u: float) -> MechanismEntry:
                 acc += w
         beta.append(val)
     return _entry(c, d, i, tuple(beta))
+
+
+def sample_offspring_indices(alpha: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
+    """`sample_offspring` over rows: for codes (alpha[r], j >= 0) and
+    uniforms u[r], the index in offspring_set of the entry that
+    sample_offspring picks, by the same digit walk with the same float
+    arithmetic.  alpha is an (n, d) integer array."""
+    alpha = np.asarray(alpha, dtype=np.int64).reshape(-1, d)
+    if np.any(~((u >= 0.0) & (u < 1.0))):
+        raise ValueError("uniform variates must lie in [0, 1)")
+    v = u * (d + 1)
+    kind = np.minimum(v.astype(np.int64), d)
+    frac = np.minimum(v - kind, 1.0)
+    total = np.prod(alpha + 1, axis=1)
+    rank0 = np.minimum((frac * total).astype(np.int64), total - 1)
+    rank = np.zeros(alpha.shape[0], dtype=np.int64)
+    for pos in range(1, d + 1):
+        a = alpha[:, pos - 1]
+        # uniform digit
+        scaled = frac * (a + 1)
+        val = np.minimum(scaled.astype(np.int64), a)
+        next_frac = np.minimum(scaled - val, 1.0)
+        # weighted digit: weights (1+l)(1+a-l), l = 0..a, on coordinate `kind`
+        weighted = np.flatnonzero(kind == pos)
+        aw, fw = a[weighted], frac[weighted]
+        target = fw * ((aw + 1) * (aw + 2) * (aw + 3) // 6)
+        vw, acc = aw.copy(), np.zeros_like(aw)
+        open_ = np.ones(weighted.size, dtype=bool)
+        for l in range(int(aw.max(initial=-1)) + 1):
+            w = (1 + l) * (1 + aw - l)
+            hit = open_ & (l <= aw) & (target < acc + w)
+            vw[hit] = l
+            fw[hit] = np.minimum((target[hit] - acc[hit]) / w[hit], 1.0)
+            open_ &= ~hit
+            acc = acc + w
+        val[weighted] = vw
+        next_frac[weighted] = fw
+        rank = rank * (a + 1) + val
+        frac = next_frac
+    return np.where(kind == 0, rank0, kind * total + rank)
 
 
 # Dominating mechanism: binary, no pure-derivative children, same offspring

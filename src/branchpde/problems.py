@@ -31,6 +31,11 @@ _HERMGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 @dataclass(frozen=True)
 class Problem:
+    """A problem with its code oracle.  The built-in oracles follow the
+    array contract of `CodeOracle`: they take one point or an (m, d) array
+    of points, and a code whose value does not depend on the point returns
+    one float for all of them."""
+
     name: str
     d: int
     T: float
@@ -40,6 +45,11 @@ class Problem:
     exact_solution: Optional[Callable[[float, Sequence[float]], float]] = None
     # jet of u(t, .) restricted to the first coordinate, when available
     solution_code_jet: Optional[Callable[[float, float, int, int], Jet]] = None
+
+
+def _first_coordinate(x) -> np.ndarray:
+    """x_1 of one point (a 0-d array) or of each row of an (m, d) array."""
+    return np.asarray(x, dtype=float)[..., 0]
 
 
 # --- the functional-nonlinearity problem -----------------------------------
@@ -72,15 +82,17 @@ def _b2_psi_jet(j: int, x: float, order: int) -> Jet:
 
 
 def b2_phi(x: float) -> float:
-    return 2.0 * math.log((2.0 + math.exp(x)) / (1.0 + math.exp(x)))
+    """phi(x), elementwise for an array x."""
+    return 2.0 * np.log((2.0 + np.exp(x)) / (1.0 + np.exp(x)))
 
 
 def b2_f_family(j: int, u: float) -> float:
+    """f^{(j)}(u), elementwise for an array u."""
     out = (
-        4.0 * (-1.0) ** j * math.exp(-u)
-        - 10.0 * (-0.5) ** j * math.exp(-0.5 * u)
-        + 0.5**j * math.exp(0.5 * u)
-        - math.exp(u)
+        4.0 * (-1.0) ** j * np.exp(-u)
+        - 10.0 * (-0.5) ** j * np.exp(-0.5 * u)
+        + 0.5**j * np.exp(0.5 * u)
+        - np.exp(u)
     )
     return out + 6.0 if j == 0 else out
 
@@ -92,7 +104,7 @@ def b2_problem(T: float) -> Problem:
 
     def oracle_fn(code: Code, x) -> float:
         (m,) = code.alpha
-        x0 = float(x[0])
+        x0 = _first_coordinate(x)
         if code.j < 0:
             return b2_phi(x0) if m == 0 else _b2_phi_jet(x0, m).coefficient(m)
         if m == 0:
@@ -191,7 +203,7 @@ def zero_f_cosine_problem(T: float, d: int = 1) -> Problem:
         if any(a > 0 for a in code.alpha[1:]):
             return 0.0
         # d^m cos = cos(x + m pi/2)
-        return math.cos(float(x[0]) + m1 * math.pi / 2.0) / math.factorial(m1)
+        return np.cos(_first_coordinate(x) + m1 * math.pi / 2.0) / math.factorial(m1)
 
     return Problem(
         name="zero-f-cosine",

@@ -2,19 +2,34 @@
 chain; evaluation of the path functional and of multiplicative weighted
 progenies.
 
-Reproducibility contract: every branch draws from its own generator derived
-from (seed, sample_index, label) via SeedSequence spawn keys, so the tree is
-a pure function of those values regardless of traversal or worker order.
-Per-branch draw order is: lifetime uniform, displacement normals (spatial
-trees only), offspring uniform.
+Reproducibility contract: every random draw is a counter-based hash, in the
+manner of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+(SC'11).  Each branch has a 64-bit key derived from (seed, sample_index,
+label): the root's key is mix(mix(seed), sample_index), and child k of a
+branch with key K has key mix(K, k).  Draw c of a branch is hash(K, c), the
+(c+1)-th output of a splitmix64 stream started at K, read as a uniform in
+[0, 1) with 53 random bits.  A tree is therefore a pure function of (seed,
+sample_index, label), whatever the order, batch or worker in which its
+branches are drawn.  The per-branch draw order is fixed by counter: the
+lifetime uniform is draw 0, the d displacement normals (Box-Muller on the
+consecutive pairs of draws 1, 2, ..., one pair per two normals) follow, and
+the offspring uniform comes right after them.  Branches of the dominating
+chain take the lifetime uniform (draw 0) and the offspring uniform (draw 1).
+
+Two samplers share these draws.  `sample_tree` grows one tree branch by
+branch through `branch_rng` and records every branch; it is the reference
+that `dump_jsonl` and the tests use.  `TreeBatch` grows the trees of a range
+of sample indices together, one generation at a time, as arrays, and
+`evaluate_batch` computes their path functionals; the estimator runs on
+these two.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,10 +37,11 @@ from .lifetimes import LifetimeModel
 from .mechanism import (
     Code,
     MechanismEntry,
-    dominating_offspring_prob,
     offspring_prob,
+    offspring_set,
     sample_dominating_offspring,
     sample_offspring,
+    sample_offspring_indices,
 )
 
 Label = tuple[int, ...]
@@ -82,10 +98,87 @@ class WeightSpec:
         return self.kappa * self.sigma_boundary(alpha, j)
 
 
-def branch_rng(seed: int, sample_index: int, label: Label) -> np.random.Generator:
-    """Independent substream for one branch of one sample, counter-derived."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(sample_index,) + label)
-    return np.random.Generator(np.random.PCG64(ss))
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's stream increment
+
+# The helpers below take keys either as Python ints (one branch) or as 1-d
+# uint64 arrays (a generation of branches), with the same arithmetic.
+
+
+def _fmix(z):
+    """splitmix64's output function."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _hash(key, counter):
+    """hash(key, counter): output counter + 1 of a splitmix64 stream started
+    at the key."""
+    return _fmix((key + (((counter + 1) * _GAMMA) & _MASK)) & _MASK)
+
+
+def _mix(key, k):
+    """mix(key, k): the key of child k of a branch with this key."""
+    return _hash(_fmix(key), k)
+
+
+def _root_keys(seed: int, sample_indices):
+    """mix(mix(seed), i) for sample index i, or for each of an array of them."""
+    if isinstance(sample_indices, np.ndarray):
+        sample_indices = sample_indices.astype(np.uint64)
+    return _mix(_fmix(seed & _MASK), sample_indices)
+
+
+def _uniforms(key, counter: int):
+    """Draw `counter` of the key as a float in [0, 1) with 53 random bits."""
+    return (_hash(key, counter) >> 11) * 2.0**-53
+
+
+def _normal_draws(d: int) -> int:
+    """Number of draws that d standard normals take: two per pair."""
+    return d + d % 2
+
+
+def _normals(key, counter: int, d: int) -> list:
+    """The d standard normals of the key, from the draws counter,
+    counter + 1, ...: Box-Muller on consecutive pairs of uniforms."""
+    out = []
+    for p in range(0, d, 2):
+        radius = np.sqrt(-2.0 * np.log1p(-_uniforms(key, counter + p)))
+        angle = (2.0 * np.pi) * _uniforms(key, counter + p + 1)
+        out += [radius * np.cos(angle), radius * np.sin(angle)]
+    return out[:d]
+
+
+class BranchStream:
+    """The draws of one branch, taken in counter order: one at a time, the
+    values `TreeBatch` draws for that branch."""
+
+    __slots__ = ("_key", "_counter")
+
+    def __init__(self, key: int):
+        self._key = key
+        self._counter = 0
+
+    def random(self) -> float:
+        u = _uniforms(self._key, self._counter)
+        self._counter += 1
+        return u
+
+    def standard_normal(self, d: int) -> np.ndarray:
+        z = np.array(_normals(self._key, self._counter, d))
+        self._counter += _normal_draws(d)
+        return z
+
+
+def branch_rng(seed: int, sample_index: int, label: Label) -> BranchStream:
+    """Draw stream of one branch of one sample, keyed by (seed,
+    sample_index, label)."""
+    key = _root_keys(seed, sample_index)
+    for k in label:
+        key = _mix(key, k)
+    return BranchStream(key)
 
 
 def _finish(records: list[BranchRecord], T: float) -> TreeSample:
@@ -226,6 +319,213 @@ def evaluate_functional(tree: TreeSample, oracle, model: LifetimeModel, T: float
             q = offspring_prob(rec.code, rec.offspring_entry, len(rec.code.alpha))
             out *= float(rec.offspring_entry.weight) / (model.density(tau) * float(q))
     return out
+
+
+class CodeTable:
+    """Codes interned to small ids, each with its offspring set laid out as
+    float rows the first time a branch of that code dies.
+
+    Row first[c] + e holds entry e of offspring_set(codes[c], d), in the
+    canonical order: its z1/q as a float (`ratio`), its number of children
+    (`nchild`) and their code ids (`child`, -1 past the last child).
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self.codes: list[Code] = []
+        self._ids: dict[Code, int] = {}
+        self._first: list[int] = []
+        self._ratio: list[float] = []
+        self._child: list[tuple[int, int]] = []
+        self._refresh()
+
+    def intern(self, code: Code) -> int:
+        cid = self._ids.get(code)
+        if cid is None:
+            cid = self._ids[code] = len(self.codes)
+            self.codes.append(code)
+            self._first.append(-1)
+        return cid
+
+    def build(self, ids: np.ndarray) -> None:
+        """Lay out the rows of every code in ids that has none yet."""
+        for cid in np.unique(ids).tolist():
+            if self._first[cid] >= 0:
+                continue
+            code = self.codes[cid]
+            self._first[cid] = len(self._ratio)
+            for entry in offspring_set(code, self.d):
+                kids = [self.intern(child) for child in entry.children] + [-1]
+                self._ratio.append(float(entry.weight / offspring_prob(code, entry, self.d)))
+                self._child.append((kids[0], kids[1]))
+        if self.alpha.shape[0] != len(self.codes) or self.ratio.size != len(self._ratio):
+            self._refresh()
+
+    def _refresh(self) -> None:
+        self.alpha = np.array([c.alpha for c in self.codes], dtype=np.int64).reshape(-1, self.d)
+        self.j = np.array([c.j for c in self.codes], dtype=np.int64)
+        self.first = np.array(self._first, dtype=np.int64)
+        self.ratio = np.array(self._ratio, dtype=float)
+        self.child = np.array(self._child, dtype=np.int64).reshape(-1, 2)
+        self.nchild = np.count_nonzero(self.child >= 0, axis=1)
+
+    def sample_entries(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Index in its code's offspring set of the entry that each uniform
+        picks, as `sample_offspring` picks it; the codes must be built."""
+        return np.where(self.j[ids] < 0, 0, sample_offspring_indices(self.alpha[ids], self.d, u))
+
+
+FRONTIER_BUDGET = 1 << 18  # branch rows a batch holds at once
+
+
+class FrontierFull(RuntimeError):
+    """A generation of a batch of more than one tree passed FRONTIER_BUDGET
+    branches; sample its halves apart."""
+
+
+class Generation(NamedTuple):
+    """One generation of a `TreeBatch`, one row per branch; the rows of a
+    tree are in label order."""
+
+    sample: np.ndarray    # offset of the branch's tree in the batch
+    parent: np.ndarray    # row of the parent in the previous generation, -1 at the root
+    child: np.ndarray     # k, the last entry of the label (0 at the root)
+    code: np.ndarray      # id in the batch's CodeTable
+    birth: np.ndarray
+    tau: np.ndarray       # lifetime; the branch died iff birth + tau <= T
+    died: np.ndarray
+    position: np.ndarray  # (rows, d): terminal position if survived, else death position
+    entry: np.ndarray     # index of the sampled entry in offspring_set(code) if died, else -1
+
+
+class TreeBatch:
+    """The trees of the samples in `indices`, all started at (t, x, c0) and
+    grown together one generation at a time: iterating yields each
+    `Generation` in turn.
+
+    Row for row, a generation holds what `sample_tree` records for the same
+    branches, from the same draws.  Caps apply per tree with sample_tree's
+    predicate: a tree is capped once it has more than caps.max_branches
+    branches or a branch of generation above caps.max_generation, and it
+    stops growing at once.  Once iterated, `capped`, `branches` (branches
+    per tree) and `depth` (largest generation per tree) hold per-tree
+    results; for a capped tree the last two count what grew before the cap.
+    A batch of more than one tree raises FrontierFull when a generation has
+    more than FRONTIER_BUDGET branches, which bounds its memory: no tree
+    depends on which others share its batch, so the caller samples the
+    halves apart.
+    """
+
+    def __init__(
+        self,
+        c0: Code,
+        t: float,
+        x: Sequence[float],
+        T: float,
+        model: LifetimeModel,
+        d: int,
+        seed: int,
+        indices: range,
+        caps: Caps = Caps(),
+    ):
+        if not 0 <= t <= T:
+            raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
+        if len(x) != d:
+            raise ValueError(f"start point has dimension {len(x)}, expected {d}")
+        self.c0, self.t, self.x, self.T = c0, float(t), np.asarray(x, dtype=float), T
+        self.model, self.d, self.seed, self.indices, self.caps = model, d, seed, indices, caps
+        self.codes = CodeTable(d)
+        n = len(indices)
+        self.branches = np.ones(n, dtype=np.int64)
+        self.depth = np.zeros(n, dtype=np.int64)
+        self.capped = np.full(n, caps.max_branches < 1 or caps.max_generation < 0)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __iter__(self) -> Iterator[Generation]:
+        T, d, model, codes, caps = self.T, self.d, self.model, self.codes, self.caps
+        sample = np.flatnonzero(~self.capped)
+        indices = np.arange(self.indices.start, self.indices.stop, self.indices.step)
+        key = _root_keys(self.seed, indices[sample])
+        parent = np.full(sample.size, -1)
+        child = np.zeros(sample.size, dtype=np.int64)
+        code = np.full(sample.size, codes.intern(self.c0))
+        birth = np.full(sample.size, self.t)
+        pos = np.tile(self.x, (sample.size, 1))
+        generation = 0
+        while sample.size:
+            if sample.size > FRONTIER_BUDGET and len(self) > 1:
+                raise FrontierFull(f"a generation of {len(self)} trees passed {FRONTIER_BUDGET} branches")
+            tau = model.inverse_cdf(_uniforms(key, 0))
+            death = birth + tau
+            died = death <= T
+            scale = np.sqrt(np.where(died, tau, T - birth))
+            position = pos + np.stack(_normals(key, 1, d), axis=1) * scale[:, None]
+            dead = np.flatnonzero(died)
+            codes.build(code[dead])
+            entry = np.full(sample.size, -1)
+            entry[dead] = codes.sample_entries(code[dead], _uniforms(key[dead], 1 + _normal_draws(d)))
+            yield Generation(sample, parent, child, code, birth, tau, died, position, entry)
+
+            rows = codes.first[code[dead]] + entry[dead]
+            nchild = codes.nchild[rows]
+            parent = np.repeat(dead, nchild)
+            child = np.arange(1, parent.size + 1) - np.repeat(np.cumsum(nchild) - nchild, nchild)
+            code = codes.child[np.repeat(rows, nchild), child - 1]
+            sample = sample[parent]
+            generation += 1
+            np.add.at(self.branches, sample, 1)
+            self.depth[sample] = generation
+            self.capped[sample] |= (self.branches[sample] > caps.max_branches) | (
+                generation > caps.max_generation
+            )
+            keep = np.flatnonzero(~self.capped[sample])
+            parent, child, code, sample = parent[keep], child[keep], code[keep], sample[keep]
+            key = _mix(key[parent], child.astype(np.uint64))
+            birth = death[parent]
+            pos = position[parent]
+
+
+def evaluate_batch(batch: TreeBatch, oracle, model: LifetimeModel, T: float) -> np.ndarray:
+    """Path functional of every tree of a batch, NaN where capped, from
+    evaluate_functional's factors: (z1/q)/rho(tau) over died branches, z1/q
+    read from the code table, and oracle(code)(X_T)/rho_bar(T - birth) over
+    survived ones.  Survivors are held and evaluated together, calling the
+    oracle once per code on all their terminal positions, until they pass
+    FRONTIER_BUDGET rows.  Each tree multiplies its died factors and its
+    survived factors apart, each in generation and then label order, so its
+    value does not depend on the other trees of the batch."""
+    died = np.ones(len(batch))
+    survived = np.ones(len(batch))
+    held: list[tuple[np.ndarray, ...]] = []
+    for gen in batch:
+        dead = gen.died
+        rows = batch.codes.first[gen.code[dead]] + gen.entry[dead]
+        np.multiply.at(died, gen.sample[dead], batch.codes.ratio[rows] / model.density(gen.tau[dead]))
+        alive = ~dead
+        held.append((gen.sample[alive], gen.code[alive], gen.birth[alive], gen.position[alive]))
+        if sum(part[0].size for part in held) > FRONTIER_BUDGET:
+            _multiply_survivors(survived, held, batch.codes, oracle, model, T)
+    _multiply_survivors(survived, held, batch.codes, oracle, model, T)
+    values = died * survived
+    values[batch.capped] = np.nan
+    return values
+
+
+def _multiply_survivors(product, held, codes: CodeTable, oracle, model, T) -> None:
+    """Multiply the held survivors' factors into their trees' products, in
+    held order, and empty `held`."""
+    if not held:
+        return
+    sample, code, birth, position = (np.concatenate(part) for part in zip(*held))
+    held.clear()
+    value = np.empty(sample.size)
+    order = np.argsort(code, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+        if group.size:
+            value[group] = oracle(codes.codes[code[group[0]]], position[group])
+    np.multiply.at(product, sample, value / model.survival(T - birth))
 
 
 def weighted_progeny(tree: TreeSample, w: WeightSpec) -> float:

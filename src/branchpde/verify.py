@@ -9,15 +9,13 @@ import logging
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .combinatorics import polylog_neg_half, tree_identity_check
 from .estimator import ProblemSetup, estimate_u
 from .lifetimes import exponential_model
 from .mechanism import Code, offspring_prob, offspring_set
-from .multiindex import mi_abs, mi_enumerate_below
+from .multiindex import mi_abs
 from . import problems, progeny, stability
-from .tree import dominating_weighted_progeny, sample_dominating_tree, total_progeny
+from .tree import sample_dominating_tree, total_progeny
 
 log = logging.getLogger("branchpde")
 

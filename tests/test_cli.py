@@ -54,3 +54,42 @@ def test_verify_prints_why_a_check_crashed(monkeypatch, capsys):
         "radius-ratio", "FAIL", "ZeroDivisionError:", "division", "by", "zero", "in", "the", "check"
     ]
     assert all(line.endswith("PASS") for line in lines[:-1] if line is not failed)
+
+
+def test_solve_mom_samples_each_index_once_per_point(tmp_path, capsys, monkeypatch):
+    from branchpde import estimator
+
+    sampled = []
+    original = estimator._sample_values
+
+    def recording(setup, c, t, x, T, indices, seed, caps):
+        sampled.append((seed, indices))
+        return original(setup, c, t, x, T, indices, seed, caps)
+
+    monkeypatch.setattr(estimator, "_sample_values", recording)
+    points = [{"t": 0.0, "x": [0.0]}, {"t": 0.05, "x": [0.5]}]
+    code, out, _ = run_solve(
+        tmp_path, capsys, points=points, seed_offsets=[0, 1], seed=5, n=90,
+        estimator="mom", groups=3,
+    )
+    assert code == 0 and len(out.splitlines()) == 3
+    for seed in (5, 6):
+        indices = sorted(i for s, r in sampled if s == seed for i in r)
+        assert indices == list(range(90))
+
+
+@pytest.mark.parametrize("kind", ["mean", "mom"])
+def test_solve_json_rows_carry_tree_stats(tmp_path, capsys, kind):
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps({
+        "problem": "b2", "T": 0.5, "n": 300, "estimator": kind, "groups": 3,
+        "code": {"alpha": [3], "j": 0}, "lifetime": {"kind": "exponential", "lambda": 2.0},
+        "points": [{"t": 0.0, "x": [0.0]}, {"t": 0.5, "x": [0.0]}],
+    }))
+    assert cli.main(["solve", "--config", str(path), "--format", "json"]) == 0
+    inner, terminal = json.loads(capsys.readouterr().out)["rows"]
+    stats = inner["stats"]
+    assert set(stats) == {"branches_mean", "branches_p99", "branches_max", "max_generation"}
+    assert 1.0 <= stats["branches_mean"] <= stats["branches_p99"] <= stats["branches_max"]
+    assert stats["max_generation"] >= 1
+    assert terminal["stats"] is None  # t = T: no tree is sampled

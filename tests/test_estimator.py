@@ -167,3 +167,79 @@ def test_write_csv_layout():
     fields = lines[1].split(",")
     assert fields[0] == "0.0" and fields[2] == "0" and fields[3] == "-1"
     assert int(fields[6]) == 500 and int(fields[8]) == 11
+
+
+# --- batched sampling: range splits, workers, telemetry ---------------------
+
+from branchpde import estimator, tree
+from branchpde.tree import sample_tree
+
+
+def _same_samples(a, b):
+    assert np.array_equal(a.values, b.values, equal_nan=True)
+    assert np.array_equal(a.capped, b.capped)
+    assert np.array_equal(a.branches, b.branches)
+    assert np.array_equal(a.depth, b.depth)
+
+
+@pytest.mark.parametrize("code, T, caps", [
+    (Code((3,), 0), 0.5, Caps()),
+    (Code((0,), 0), 2.5, Caps(max_branches=48, max_generation=200)),
+])
+def test_per_sample_values_do_not_depend_on_the_split(monkeypatch, code, T, caps):
+    problem = b2_problem(T)
+    setup = ProblemSetup(problem.oracle, exponential_model(2.0 if T < 1 else 1.0), 1)
+    n, seed = 601, 13
+    whole = estimator._sample_values(setup, code, 0.0, (0.0,), T, range(n), seed, caps)
+    parts = [
+        estimator._sample_values(setup, code, 0.0, (0.0,), T, range(lo, hi), seed, caps)
+        for lo, hi in ((0, 1), (1, 7), (7, 300), (300, 301), (301, n))
+    ]
+    _same_samples(estimator._concat(parts), whole)
+    for workers in (1, 2, 3):
+        drawn = estimator._draw(code, 0.0, (0.0,), T, setup, n, seed, caps, workers)
+        _same_samples(drawn, whole)
+    # a small budget splits the range and evaluates survivors in several passes
+    sizes = []
+
+    def recording_batch(c, t, x, T_, model, d, seed_, indices, caps_):
+        sizes.append(len(indices))
+        return tree.TreeBatch(c, t, x, T_, model, d, seed_, indices, caps_)
+
+    monkeypatch.setattr(tree, "FRONTIER_BUDGET", 300)
+    monkeypatch.setattr(estimator, "TreeBatch", recording_batch)
+    split = estimator._sample_values(setup, code, 0.0, (0.0,), T, range(n), seed, caps)
+    _same_samples(split, whole)
+    assert min(sizes) < n // 2
+
+
+def test_estimate_stats_count_the_trees_of_sample_tree():
+    T, caps, n, seed = 2.5, Caps(max_branches=48, max_generation=200), 300, 17
+    problem, setup = b2_setup(T)
+    est = estimate_u(Code((0,), 0), 0.0, (0.0,), T, setup, n=n, seed=seed, caps=caps)
+    sizes, depths = [], []
+    for i in range(n):
+        try:
+            ref = sample_tree(Code((0,), 0), 0.0, (0.0,), T, setup.model, 1, seed, i, caps)
+        except tree.CapExceeded:
+            continue
+        sizes.append(len(ref))
+        depths.append(max(ref.generation_counts))
+    sizes.sort()
+    assert est.n_capped == n - len(sizes) > 0
+    assert est.stats.branches_mean == pytest.approx(sum(sizes) / len(sizes), rel=1e-15)
+    assert est.stats.branches_p99 == sizes[math.ceil(0.99 * len(sizes)) - 1]
+    assert est.stats.branches_max == sizes[-1]
+    assert est.stats.max_generation == max(depths)
+    mom = median_of_means(Code((0,), 0), 0.0, (0.0,), T, setup, n, 3, seed, caps)
+    assert mom.stats == est.stats
+    # positional construction without stats still works
+    assert estimator.Estimate(1.0, 0.1, 10, 0, 0.0).stats is None
+
+
+def test_median_of_means_honours_workers():
+    T = 0.1
+    _, setup = b2_setup(T)
+    one = median_of_means(ID, 0.0, (0.0,), T, setup, n=3000, groups=5, seed=4)
+    two = median_of_means(ID, 0.0, (0.0,), T, setup, n=3000, groups=5, seed=4, workers=2)
+    assert (one.mean, one.std_error, one.n_capped) == (two.mean, two.std_error, two.n_capped)

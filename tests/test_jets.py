@@ -58,3 +58,28 @@ def test_reciprocal_of_zero_constant_term():
         Jet([0.0, 1.0]).reciprocal()
     with pytest.raises(ValueError):
         Jet([-1.0, 1.0]).log()
+
+
+def test_array_jets_equal_float_jets_elementwise():
+    import numpy as np
+
+    xs = np.array([-1.5, 0.0, 0.3, 2.0])
+    order = 5
+
+    def composite(x0):
+        x = Jet.variable(x0, order)
+        return ((exp_jet(x0, order) + 1.0).reciprocal() * x + 2.0).log() * (x * 3.0 - 1.0)
+
+    batched = composite(xs)
+    for i, x0 in enumerate(xs.tolist()):
+        single = composite(x0)
+        assert [float(c[i]) for c in batched.coeffs] == [float(c) for c in single.coeffs]
+    # adding a float makes a new constant term, it does not write into the old one
+    j = Jet([xs.copy(), np.ones(4)])
+    before = j.coeffs[0].copy()
+    _ = j + 1.0
+    assert (j.coeffs[0] == before).all()
+    with pytest.raises(ZeroDivisionError):
+        Jet([np.array([1.0, 0.0]), np.ones(2)]).reciprocal()
+    with pytest.raises(ValueError):
+        Jet([np.array([1.0, -1.0]), np.ones(2)]).log()

@@ -89,3 +89,20 @@ def test_model_from_config():
     assert m2.kind == "tabulated"
     with pytest.raises(ValueError):
         model_from_config({"kind": "weibull", "lambda": 1.0})
+
+
+@pytest.mark.parametrize(
+    "model",
+    [exponential_model(0.7), tabulated_model([(0.0, 1.0), (1.0, 0.5), (3.0, 0.2)], lam=1.0)],
+    ids=["exponential", "tabulated"],
+)
+def test_array_calls_agree_with_scalar_calls(model):
+    times = np.concatenate([[-1.0, 0.0, 1.0, 3.0, 7.5], np.linspace(-0.5, 4.0, 61)])
+    uniforms = np.concatenate([[0.0, 0.5, math.nextafter(1.0, 0.0)], np.linspace(0.0, 0.99, 45)])
+    for fn, points in (
+        (model.density, times), (model.survival, times), (model.inverse_cdf, uniforms)
+    ):
+        got = fn(points)
+        assert got.shape == points.shape
+        assert got.tolist() == [fn(float(p)) for p in points]
+        assert isinstance(fn(float(points[1])), float)

@@ -15,6 +15,7 @@ from branchpde.mechanism import (
     offspring_set,
     sample_dominating_offspring,
     sample_offspring,
+    sample_offspring_indices,
 )
 from branchpde.multiindex import mi_abs
 
@@ -176,3 +177,35 @@ def test_dominating_sampler_mirrors_original_layout():
         dom = sample_dominating_offspring((2, 1), 0, 2, float(u))
         assert dom.kind == orig.kind
         assert dom.beta == orig.beta
+
+
+def _boundary_grid(c, d):
+    """Uniforms at, just below and just above every cumulative offspring
+    mass of c in canonical order (every kind and digit boundary), plus the
+    middle of each entry's interval."""
+    entries = offspring_set(c, d)
+    cuts = [Fraction(0)]
+    for e in entries:
+        cuts.append(cuts[-1] + offspring_prob(c, e, d))
+    grid = set()
+    for lo, hi in zip(cuts, cuts[1:]):
+        for v in (float(lo), float((lo + hi) / 2)):
+            grid |= {v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)}
+    return sorted(u for u in grid if 0.0 <= u < 1.0) + [math.nextafter(1.0, 0.0)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_entry_choice_matches_sample_offspring(d):
+    alphas = [a for a in product(range(3), repeat=d) if sum(a) <= 4]
+    rows, us, expected = [], [], []
+    for alpha in alphas:
+        c = Code(alpha, 0)
+        entries = offspring_set(c, d)
+        for u in _boundary_grid(c, d):
+            rows.append(alpha)
+            us.append(u)
+            expected.append(entries.index(sample_offspring(c, d, u)))
+    got = sample_offspring_indices(np.array(rows), d, np.array(us))
+    assert got.tolist() == expected
+    with pytest.raises(ValueError):
+        sample_offspring_indices(np.array([alphas[0]]), d, np.array([1.0]))

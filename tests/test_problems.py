@@ -194,3 +194,19 @@ def test_registry():
     assert make_problem("zero-f-cosine", 0.2).name == "zero-f-cosine"
     with pytest.raises(KeyError):
         make_problem("unknown", 0.2)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [b2_problem(0.5), constant_problem(0.5), zero_f_cosine_problem(0.5), zero_f_cosine_problem(0.5, d=2)],
+    ids=["b2", "constant", "zero-f-cosine-d1", "zero-f-cosine-d2"],
+)
+def test_oracle_array_calls_agree_with_point_calls(problem):
+    from itertools import product
+
+    points = np.random.default_rng(0).uniform(-3.0, 3.0, size=(7, problem.d))
+    for alpha in product(range(4), repeat=problem.d):
+        for j in (-1, 0, 1, 2):
+            code = Code(alpha, j)
+            got = np.broadcast_to(problem.oracle(code, points), (len(points),))
+            assert got.tolist() == [problem.oracle(code, tuple(p)) for p in points]

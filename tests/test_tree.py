@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from branchpde.lifetimes import exponential_model
-from branchpde.mechanism import Code, offspring_prob, offspring_set
-from branchpde.estimator import CodeOracle
+from branchpde.mechanism import Code, offspring_prob, offspring_set, sample_offspring
+from branchpde.estimator import CodeOracle, ProblemSetup, _sample_values
 from branchpde import stability
 from branchpde.tree import (
     BranchRecord,
@@ -307,3 +307,130 @@ def test_dump_jsonl_roundtrip():
     first = json.loads(lines[0])
     assert first["label"] == []
     assert first["alpha"] == [1] and first["j"] == 0
+
+
+# --- the batched sampler against the one-tree reference ---------------------
+
+from branchpde import tree as tree_module
+from branchpde.lifetimes import tabulated_model
+from branchpde.problems import b2_problem, constant_problem, zero_f_cosine_problem
+from branchpde.tree import TreeBatch, evaluate_batch
+
+BATCH_CONFIGS = {  # (problem, lifetime model, root code, start point, trees)
+    "b2-shallow": (b2_problem(0.1), exponential_model(1.0), Code((0,), -1), (0.0,), 2000),
+    "b2-deep": (b2_problem(0.5), exponential_model(2.0), Code((3,), 0), (0.0,), 2000),
+    "constant": (constant_problem(0.6), exponential_model(1.0), Code((0,), 0), (0.0,), 2000),
+    "zero-f-cosine-d1": (
+        zero_f_cosine_problem(0.5), exponential_model(1.0), Code((1,), 0), (0.3,), 2000
+    ),
+    "zero-f-cosine-d2": (
+        zero_f_cosine_problem(0.3, d=2), exponential_model(1.0), Code((1, 1), 0), (0.3, -0.2), 2000
+    ),
+    # the tabulated model's scalar inverse CDF is slow, hence fewer trees
+    "tabulated": (
+        constant_problem(0.6),
+        tabulated_model([(0.0, 1.0), (1.0, 0.5), (3.0, 0.2)], lam=1.0),
+        Code((0,), 0),
+        (0.0,),
+        200,
+    ),
+}
+
+
+def batch_records(batch):
+    """Per tree of a batch: label -> (code, birth, death, position, entry),
+    rebuilt from the generations through the parent rows."""
+    trees = [{} for _ in range(len(batch))]
+    previous = []
+    for gen in batch:
+        labels = [
+            () if parent < 0 else previous[parent] + (int(k),)
+            for parent, k in zip(gen.parent.tolist(), gen.child.tolist())
+        ]
+        for row, label in enumerate(labels):
+            code = batch.codes.codes[gen.code[row]]
+            entry = offspring_set(code, batch.d)[gen.entry[row]] if gen.died[row] else None
+            trees[gen.sample[row]][label] = (
+                code,
+                gen.birth[row],
+                gen.birth[row] + gen.tau[row],
+                tuple(gen.position[row]),
+                entry,
+            )
+        previous = labels
+    return trees
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
+def test_batch_grows_the_trees_of_sample_tree(name):
+    problem, model, c0, x, n = BATCH_CONFIGS[name]
+    T, d, seed = problem.T, problem.d, 17
+    batch = TreeBatch(c0, 0.0, x, T, model, d, seed, range(n))
+    trees = batch_records(batch)
+    values = evaluate_batch(
+        TreeBatch(c0, 0.0, x, T, model, d, seed, range(n)), problem.oracle, model, T
+    )
+    assert not batch.capped.any()
+    for i in range(n):
+        ref = sample_tree(c0, 0.0, x, T, model, d, seed, i)
+        got = trees[i]
+        assert sorted(got) == [r.label for r in ref.branches]
+        assert batch.branches[i] == len(ref)
+        assert batch.depth[i] == max(ref.generation_counts)
+        for r in ref.branches:
+            code, birth, death, position, entry = got[r.label]
+            assert code == r.code
+            assert (birth, death) == (r.birth_time, r.death_time)
+            if r.offspring_entry is None:
+                assert entry is None and position == r.terminal_position
+            else:
+                assert (entry.kind, entry.beta) == (r.offspring_entry.kind, r.offspring_entry.beta)
+                assert entry == r.offspring_entry
+        expected = evaluate_functional(ref, problem.oracle, model, T)
+        assert values[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_branch_rng_draws_what_the_batch_draws():
+    # a root's draws in order: lifetime uniform, d normals, offspring uniform
+    model, c0, T = exponential_model(1.0), Code((1, 0), 0), 1.0
+    gen = next(iter(TreeBatch(c0, 0.0, (0.0, 0.0), T, model, 2, 4, range(3, 40))))
+    assert 0 < gen.died.sum() < gen.died.size
+    for row, i in enumerate(range(3, 40)):
+        rng = branch_rng(4, i, ())
+        tau = model.inverse_cdf(rng.random())
+        assert tau == gen.tau[row]
+        scale = math.sqrt(tau if gen.died[row] else T)
+        assert tuple(rng.standard_normal(2) * scale) == tuple(gen.position[row])
+        if gen.died[row]:
+            entry = sample_offspring(c0, 2, rng.random())
+            assert offspring_set(c0, 2)[gen.entry[row]] == entry
+
+
+@pytest.mark.parametrize(
+    "T, caps, budget, splits",
+    [(2.5, Caps(48, 200), tree_module.FRONTIER_BUDGET, False), (4.0, Caps(200, 10), 1000, True)],
+)
+def test_batch_caps_the_trees_sample_tree_refuses(monkeypatch, T, caps, budget, splits):
+    # the second config is supercritical, and its trees pass the frontier
+    # budget set here, so the estimator samples the index range in parts
+    monkeypatch.setattr(tree_module, "FRONTIER_BUDGET", budget)
+    problem, model, c0, seed, n = b2_problem(T), exponential_model(1.0), Code((0,), 0), 3, 300
+    refused = set()
+    for i in range(n):
+        try:
+            sample_tree(c0, 0.0, (0.0,), T, model, 1, seed, i, caps)
+        except CapExceeded:
+            refused.add(i)
+    try:
+        for _ in TreeBatch(c0, 0.0, (0.0,), T, model, 1, seed, range(n), caps):
+            pass
+        split = False
+    except tree_module.FrontierFull:
+        split = True
+    assert split == splits
+    setup = ProblemSetup(problem.oracle, model, 1)
+    samples = _sample_values(setup, c0, 0.0, (0.0,), T, range(n), seed, caps)
+    assert 0 < len(refused) < n
+    assert set(np.flatnonzero(samples.capped).tolist()) == refused
+    assert np.isnan(samples.values[samples.capped]).all()
+    assert np.isfinite(samples.values[~samples.capped]).all()
