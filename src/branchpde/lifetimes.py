@@ -65,7 +65,7 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
 
     The table must start at r=0 and is normalized to unit mass; the density
     is 0 beyond the last knot.  Sampling inverts the piecewise-quadratic CDF
-    by bisection on the knots plus a quadratic solve on the segment.
+    by a binary search over the knots plus a quadratic solve on the segment.
     """
     if lam <= 0:
         raise ValueError(f"rate lambda must be > 0, got {lam}")
@@ -110,12 +110,15 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
         if np.any(~((u >= 0.0) & (u < 1.0))):
             raise ValueError("uniform variate must lie in [0, 1)")
         i = segment(cdf_a, u)
-        lo, hi = rs_a[i], rs_a[i + 1]
-        for _ in range(60):  # bisection: monotone piecewise-quadratic segment
-            mid = 0.5 * (lo + hi)
-            below = cdf_at(mid) < u
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        return (0.5 * (lo + hi))[()]
+        width = rs_a[i + 1] - rs_a[i]
+        v0, c = vs_a[i], u - cdf_a[i]
+        slope = (vs_a[i + 1] - v0) / width
+        # h solves v0 h + slope h^2/2 = c on the segment.  This form of the
+        # root has no cancellation and stays finite at slope 0; den is 0
+        # only on a segment with no mass, whose left knot is the answer.
+        den = v0 + np.sqrt(np.maximum(v0 * v0 + 2.0 * slope * c, 0.0))
+        h = np.where(den > 0, 2.0 * c / np.where(den > 0, den, 1.0), 0.0)
+        return (rs_a[i] + np.clip(h, 0.0, width))[()]
 
     def rho_star(T: float) -> float:
         # linear pieces attain extrema at segment endpoints

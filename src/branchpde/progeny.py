@@ -14,8 +14,14 @@ with a = 0, c = d, G(m) = g(m e_1) m! for A-hat and a = delta2,
 c = d delta2/2, G(m) = kappa sigma_boundary(m e_1, j) m! for A under the
 preset weights.  a_recursion and ahat_recursion solve it with one engine,
 in integers for rational inputs and in floats otherwise, and refuse inputs
-not of that form.  The log-gamma closed forms serve large-k radius and
-bound evaluation.
+not of that form.
+
+For |nu| >= 1 both regimes have closed forms for A'_nu(k).  ahat_log_terms
+evaluates their logarithms for k = 0..K as one numpy array (log k! as a
+cumulative sum of logs, the factorial regime's Gamma ratio through
+math.lgamma); the series, sup and tail evaluations behind the bounds read
+their terms from it, and ahat_value_log is the scalar reference.  The
+closed forms run along the first axis, and A'_nu = (|nu|!/nu!) A'_{|nu| e_1}.
 """
 
 from __future__ import annotations
@@ -304,16 +310,23 @@ def _same(x, y) -> bool:
 
 def g_factorial(theta, r) -> Callable[[MultiIndex], Fraction]:
     """Growth sequence (|a|+r-1)_{|a|} theta^{|a|}/a!  (series of (1-theta<x>)^-r)."""
-    def g(alpha):
-        m = mi_abs(alpha)
-        return pochhammer_falling(m, r) * theta**m / Fraction(mi_factorial(alpha))
-    return g
+    return _growth_sequence(lambda m: pochhammer_falling(m, r) * theta**m)
 
 
 def g_exponential(theta) -> Callable[[MultiIndex], Fraction]:
     """Growth sequence theta^{|a|}/a!  (series of exp(theta<x>))."""
+    return _growth_sequence(lambda m: theta**m)
+
+
+def _growth_sequence(G: Callable[[int], Fraction]) -> Callable[[MultiIndex], Fraction]:
+    """a -> G(|a|)/a!, building each G(m) once."""
+    memo: dict = {}
+
     def g(alpha):
-        return theta ** mi_abs(alpha) / Fraction(mi_factorial(alpha))
+        m = mi_abs(alpha)
+        if m not in memo:
+            memo[m] = G(m)
+        return memo[m] / Fraction(mi_factorial(alpha))
     return g
 
 
@@ -515,24 +528,54 @@ def ahat_value_log(params, alpha_abs: int, k: int) -> float:
     return ahat_log_exponential(params.theta, params.d, al, k)
 
 
+def ahat_log_terms(params, alpha_abs: int, kmax: int) -> np.ndarray:
+    """ahat_value_log(params, alpha_abs, k) for k = 0..kmax, as one array.
+
+    log k! is a cumulative sum of logs, and the factorial regime's Gamma
+    ratio maps math.lgamma over the array of its arguments.
+    """
+    m = alpha_abs
+    if m < 1:
+        raise ValueError("closed form requires |alpha| >= 1")
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    k = np.arange(kmax + 1, dtype=float)
+    # log j! for j = 0..kmax+1
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, kmax + 2)))))
+    logs = (
+        k * math.log(2 * params.d)
+        + (2 * k + m) * math.log(float(params.theta))
+        - math.log(math.factorial(m))
+    )
+    if params.regime_name == "exponential":
+        return logs - log_fact[:-1] + (k + m - 2) * np.log(k + 1)
+    r = float(params.r)
+    return (
+        logs
+        + (k + 1) * math.log(r)
+        + _lgamma((r + 2) * k + r + m)
+        - _lgamma((r + 1) * (k + 1))
+        - log_fact[1:]
+    )
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x), dtype=float, count=len(x))
+
+
 def ahat0_scaled_series(params, s: float, kmax: int) -> list[float]:
     """Terms A'_0(k) s^k for k <= kmax, via the alpha=0 convolution
     A'_0(k+1) = d/(k+1) sum_{l1+l2=k} A'_{1}(l1) A'_{1}(l2), computed in
     scaled space to avoid overflow."""
     if s < 0:
         raise ValueError("s must be >= 0")
-    e1 = (1,) + (0,) * (params.d - 1)
-    if params.regime_name == "factorial":
-        logs = [ahat_log_factorial(params.theta, params.r, params.d, e1, l) for l in range(kmax)]
+    if s > 0:
+        b = np.exp(ahat_log_terms(params, 1, kmax)[:kmax] + np.arange(kmax) * math.log(s))
     else:
-        logs = [ahat_log_exponential(params.theta, params.d, e1, l) for l in range(kmax)]
-    b = [math.exp(lv + l * math.log(s)) if s > 0 else (math.exp(lv) if l == 0 else 0.0)
-         for l, lv in enumerate(logs)]
-    terms = [1.0]  # A'_0(0) = g(0) = 1 in both regimes
-    for k in range(kmax):
-        conv = sum(b[l1] * b[k - l1] for l1 in range(k + 1))
-        terms.append(params.d * s * conv / (k + 1))
-    return terms
+        b = np.zeros(kmax)  # every term past k = 0 carries a factor s
+    conv = np.convolve(b, b)[:kmax]
+    # A'_0(0) = g(0) = 1 in both regimes
+    return [1.0] + (params.d * s * conv / np.arange(1, kmax + 1)).tolist()
 
 
 def expected_weighted_progeny(
@@ -575,9 +618,9 @@ def expected_weighted_progeny(
     if xa == 0:
         q_trunc, ratio = 0.0, 0.0
     elif m >= 1:
-        log_a = ahat_value_log(params, m, ktrunc)
-        q_trunc = math.exp(log_a + ktrunc * math.log(xa))
-        ratio = xa * math.exp(ahat_value_log(params, m, ktrunc + 1) - log_a)
+        log_a = ahat_log_terms(params, m, ktrunc + 1)[ktrunc:]
+        q_trunc = _spread(alpha) * math.exp(log_a[0] + ktrunc * math.log(xa))
+        ratio = xa * math.exp(log_a[1] - log_a[0])
     else:
         terms = ahat0_scaled_series(params, xa, ktrunc + 1)
         q_trunc = terms[ktrunc]
@@ -610,22 +653,28 @@ def _geometric_tail(ratio: float, limit: float) -> float:
 
 
 def _log_sup_terms(params, alpha_abs: int, ys, k_probe: int = 2000) -> list[float]:
-    """log sup_k A'_alpha(k) y^{k+1} for each y in ys (0 < y < R), |alpha| >= 1.
+    """log sup_k A'_alpha(k) y^{k+1} for each y in ys (0 < y < R), |alpha| >= 1,
+    alpha along the first axis.
 
     One table of log A'(k) serves every y.  It stops at the first k where
     max(y) max(1/R, A'(k+1)/A'(k)) <= 1: the term ratios are monotone with
-    limit 1/R, so no later term exceeds the k-th at any y in ys.
+    limit 1/R, so no later term exceeds the k-th at any y in ys.  The table
+    is built for k <= 16 and doubled, up to k_probe, until some k qualifies.
     """
     y_top = max(ys)
     inv_R = 1.0 / params.radius()
-    logs = [ahat_value_log(params, alpha_abs, 0)]
-    for k in range(k_probe):
-        logs.append(ahat_value_log(params, alpha_abs, k + 1))
-        if y_top * max(inv_R, math.exp(logs[k + 1] - logs[k])) <= 1.0:
+    kmax = min(16, k_probe)
+    while True:
+        logs = ahat_log_terms(params, alpha_abs, kmax)
+        stop = np.flatnonzero(y_top * np.maximum(inv_R, np.exp(np.diff(logs))) <= 1.0)
+        if stop.size:
             break
-    else:
-        raise ValueError(f"the terms at y = {y_top:.6g} still grow at k = {k_probe}")
-    return [max(lv + (k + 1) * math.log(y) for k, lv in enumerate(logs)) for y in ys]
+        if kmax == k_probe:
+            raise ValueError(f"the terms at y = {y_top:.6g} still grow at k = {k_probe}")
+        kmax = min(2 * kmax, k_probe)
+    logs = logs[: stop[0] + 2]
+    powers = np.arange(1, len(logs) + 1)
+    return [float(np.max(logs + powers * math.log(y))) for y in ys]
 
 
 def tracked_constant(params, alpha_abs: int, k_probe: int = 2000) -> float:
@@ -694,6 +743,7 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
     theta = float(params.theta)
     delta1 = float(params.delta1)
     R = params.radius()
+    spread = _spread(alpha)
     out = {
         "alpha": alpha,
         "regime": params.regime_name,
@@ -709,7 +759,7 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
         logs = _log_sup_terms(params, m, ys)
         y, log_sup = min(zip(ys, logs), key=lambda yl: yl[1] - math.log(yl[0] - x))
         formula = (2 * theta * params.d) ** m * decay * delta1 / (y - x)
-        C = math.exp(log_sup - m * math.log(2 * theta * params.d))
+        C = spread * math.exp(log_sup - m * math.log(2 * theta * params.d))
         out.update(
             path="geometric-series",
             y=y,
@@ -735,7 +785,7 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
     else:
         # pointwise constant: the true series value split against the
         # displayed (d/log(R/x))^{|alpha|-1} factor
-        series = _ghat_series_value(params, m, x)
+        series = spread * _ghat_series_value(params, m, x)
         disp = (params.d / math.log(R / x)) ** (m - 1) if x > 0 else 1.0
         out.update(
             path="polylog-series",
@@ -747,17 +797,22 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
 
 
 def _ghat_series_value(params, alpha_abs: int, x: float, ktrunc: int = 400) -> float:
-    """sum_k A'_alpha(k) x^k for |alpha| >= 1 with geometric tail closure."""
+    """sum_k A'_alpha(k) x^k for |alpha| >= 1, alpha along the first axis,
+    with geometric tail closure."""
     R = params.radius()
     if not x < R:
         raise OutsideRadius(f"x = {x:.6g} >= R = {R:.6g}")
+    logs = ahat_log_terms(params, alpha_abs, ktrunc + 1)
     if x == 0:
-        return math.exp(ahat_value_log(params, alpha_abs, 0))
-    logs = [ahat_value_log(params, alpha_abs, k) for k in range(ktrunc + 2)]
-    total = sum(math.exp(lv + k * math.log(x)) for k, lv in enumerate(logs[:-1]))
-    last = math.exp(logs[ktrunc] + ktrunc * math.log(x))
+        return math.exp(logs[0])
+    terms = np.exp(logs + np.arange(ktrunc + 2) * math.log(x))
     ratio = x * math.exp(logs[ktrunc + 1] - logs[ktrunc])
-    return total + last * _geometric_tail(ratio, x / R)
+    return float(terms[:-1].sum() + terms[ktrunc] * _geometric_tail(ratio, x / R))
+
+
+def _spread(alpha: MultiIndex) -> int:
+    """|alpha|!/alpha!, the factor A'_alpha(k)/A'_{|alpha| e_1}(k)."""
+    return math.factorial(mi_abs(alpha)) // mi_factorial(alpha)
 
 
 def contact_hj_consistency(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .combinatorics import bell_complete, pochhammer_falling
 from .lifetimes import LifetimeModel
 from .mechanism import Code, index_product
-from .multiindex import mi_abs, mi_enumerate_below, mi_factorial
+from .multiindex import mi_abs, mi_enumerate_below
 from . import progeny
 from .tree import WeightSpec
 
@@ -132,18 +132,15 @@ def build_weights(p: GrowthParams) -> WeightSpec:
     Arithmetic follows the parameter types: Fraction parameters give exact
     Fraction weights.
     """
-    th = p.regime.theta
-    rr = p.regime.r if isinstance(p.regime, Factorial) else None
+    if isinstance(p.regime, Factorial):
+        g = progeny.g_factorial(p.regime.theta, p.regime.r)
+    else:
+        g = progeny.g_exponential(p.regime.theta)
     d1, d2 = p.delta1, p.delta2
     d2v1 = d2 if float(d2) > 1 else (Fraction(1) if isinstance(d2, (int, Fraction)) else 1.0)
 
-    def g_over_factorial(alpha):
-        m = mi_abs(alpha)
-        poch = pochhammer_falling(m, rr) if rr is not None else 1
-        return poch * th**m / Fraction(mi_factorial(alpha))
-
     def sigma_boundary(alpha, j):
-        base = d1 * g_over_factorial(alpha)
+        base = d1 * g(alpha)
         return base if j < 0 else base / d2v1
 
     def sigma_inner(alpha, j, kind):

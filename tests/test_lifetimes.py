@@ -106,3 +106,12 @@ def test_array_calls_agree_with_scalar_calls(model):
         assert got.shape == points.shape
         assert got.tolist() == [fn(float(p)) for p in points]
         assert isinstance(fn(float(points[1])), float)
+
+
+def test_tabulated_inverse_cdf_round_trip():
+    # rising from a zero density, flat, falling, and falling to zero
+    m = tabulated_model([(0.0, 0.0), (1.0, 2.0), (2.0, 2.0), (3.0, 0.5), (4.0, 0.0)], lam=1.0)
+    s = np.array([knot + frac for knot in range(4) for frac in (0.0, 0.1, 0.5, 0.9)])
+    u = 1.0 - m.survival(s)
+    np.testing.assert_allclose(m.inverse_cdf(u), s, rtol=0.0, atol=1e-12)
+    assert [m.inverse_cdf(float(v)) for v in u] == m.inverse_cdf(u).tolist()

@@ -2,13 +2,14 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchpde import progeny, stability
-from branchpde.combinatorics import fuss_catalan
+from branchpde.combinatorics import fuss_catalan, pochhammer_falling
 from branchpde.mechanism import index_product
-from branchpde.multiindex import mi_abs, mi_add_unit, mi_enumerate_below, mi_sub
+from branchpde.multiindex import mi_abs, mi_add_unit, mi_enumerate_below, mi_factorial, mi_sub
 from branchpde.progeny import (
     OutsideRadius,
     a_recursion,
@@ -415,3 +416,103 @@ def test_contact_hj_consistency():
     # instead that tampering with the table breaks the identity
     w_tampered = ahat_recursion(gf, 1, (0,), 2)
     assert w_tampered.values[((0,), 1)] != w_tampered.values[((0,), 2)]
+
+
+@pytest.mark.parametrize(
+    "regime, T",
+    [(stability.Exponential(1.5), 0.001), (stability.Factorial(1.5, 1), 0.005)],
+    ids=["exponential", "factorial"],
+)
+def test_bound_report_scales_mixed_alpha_by_multinomial(regime, T):
+    # A'_alpha = H(|alpha|, k)/alpha!, so off one axis the bound and the
+    # tail carry |alpha|!/alpha! against the axis-aligned alpha of the same
+    # order; at exponential (1, 1) the value 2.749 exceeds the axis bound 1.385
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, T, 2)
+    for alpha, spread in (((1, 1), 2), ((2, 1), 3), ((1, 2), 3)):
+        axis = (mi_abs(alpha), 0)
+        rep = bound_report(alpha, p, 1.0, T)
+        out = expected_weighted_progeny(alpha, 0, 1.0, T, p, ktrunc=60)
+        assert out["value"] + out["tail_bound"] <= rep["wh_bound"]
+        assert rep["wh_bound"] == pytest.approx(
+            spread * bound_report(axis, p, 1.0, T)["wh_bound"], rel=1e-12, abs=0
+        )
+        axis_tail = expected_weighted_progeny(axis, 0, 1.0, T, p, ktrunc=60)["tail_bound"]
+        assert out["tail_bound"] == pytest.approx(spread * axis_tail, rel=1e-12, abs=0)
+
+
+ARRAY_PARAMS = [
+    (stability.Factorial(Fraction(3, 2), Fraction(1)), "factorial-r1"),
+    (stability.Factorial(0.7, 2.5), "factorial-r2.5"),
+    (stability.Exponential(1.5), "exponential"),
+]
+
+
+@pytest.mark.parametrize("regime", [r for r, _ in ARRAY_PARAMS], ids=[i for _, i in ARRAY_PARAMS])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ahat_log_terms_match_scalar_reference(regime, d):
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
+    for m in range(1, 6):
+        scalar = [progeny.ahat_value_log(p, m, k) for k in range(2001)]
+        np.testing.assert_allclose(progeny.ahat_log_terms(p, m, 2000), scalar, rtol=1e-12, atol=0)
+
+
+def scalar_series_value(p, m, x, ktrunc):
+    """_ghat_series_value as a scalar loop over ahat_value_log."""
+    if x == 0:
+        return math.exp(progeny.ahat_value_log(p, m, 0))
+    logs = [progeny.ahat_value_log(p, m, k) for k in range(ktrunc + 2)]
+    total = sum(math.exp(lv + k * math.log(x)) for k, lv in enumerate(logs[:-1]))
+    last = math.exp(logs[ktrunc] + ktrunc * math.log(x))
+    rho = max(x * math.exp(logs[ktrunc + 1] - logs[ktrunc]), x / p.radius())
+    return total + last * rho / (1.0 - rho)
+
+
+def scalar_tracked_constant(p, m):
+    """tracked_constant as scalar loops: the sup of A'(k) y^{k+1} up to the
+    first k past which no term grows, or the alpha = 0 convolution."""
+    y = 2.0 ** -(float(p.r) + 2) * p.radius()
+    log_pref = -m * math.log(2 * float(p.theta) * p.d)
+    if m >= 1:
+        logs = [progeny.ahat_value_log(p, m, 0)]
+        for k in range(2000):
+            logs.append(progeny.ahat_value_log(p, m, k + 1))
+            if y * max(1.0 / p.radius(), math.exp(logs[k + 1] - logs[k])) <= 1.0:
+                break
+        return math.exp(max(lv + (k + 1) * math.log(y) for k, lv in enumerate(logs)) + log_pref)
+    b = [math.exp(progeny.ahat_value_log(p, 1, l) + l * math.log(y)) for l in range(400)]
+    terms = [1.0] + [
+        p.d * y * sum(b[l] * b[k - l] for l in range(k + 1)) / (k + 1) for k in range(400)
+    ]
+    return math.exp(max(math.log(t) + math.log(y) + log_pref for t in terms if t > 0))
+
+
+@pytest.mark.parametrize("regime", [r for r, _ in ARRAY_PARAMS], ids=[i for _, i in ARRAY_PARAMS])
+@pytest.mark.parametrize("d", [1, 2])
+def test_series_value_and_tracked_constant_match_scalar_loops(regime, d):
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
+    for m in range(1, 6):
+        for frac in (0.0, 0.3, 0.9):
+            x = frac * p.radius()
+            assert progeny._ghat_series_value(p, m, x) == pytest.approx(
+                scalar_series_value(p, m, x, 400), rel=1e-12, abs=0
+            )
+    if p.regime_name == "factorial":
+        for m in range(6):
+            assert progeny.tracked_constant(p, m) == pytest.approx(
+                scalar_tracked_constant(p, m), rel=1e-12, abs=0
+            )
+
+
+@pytest.mark.parametrize("theta, r", [(Fraction(3, 2), Fraction(1)), (0.7, 2.5)])
+def test_growth_sequences_build_each_order_once_with_the_same_values(theta, r):
+    gf, ge = g_factorial(theta, r), g_exponential(theta)
+    w = stability.GrowthParams(stability.Factorial(theta, r), 1.2, 2.0, 1.0, 0.01, 2).build_weights()
+    for _ in range(2):  # the second pass reads the memo
+        for alpha in alphas_upto(6, 2):
+            m = mi_abs(alpha)
+            fac = Fraction(mi_factorial(alpha))
+            want = pochhammer_falling(m, r) * theta**m / fac
+            assert gf(alpha) == want and type(gf(alpha)) is type(want)
+            assert ge(alpha) == theta**m / fac
+            assert w.sigma_boundary(alpha, -1) == 1.2 * want
+            assert w.sigma_boundary(alpha, 0) == 1.2 * want / 2.0
