@@ -121,8 +121,12 @@ def cmd_solve(args) -> int:
             )
         offsets = [int(off) for off in offsets]
         n = int(cfg["n"])
+        if n < 1:
+            raise ConfigError(f"config field 'n' must be >= 1, got {n}")
         seed = int(cfg["seed"])
         workers = int(cfg["workers"])
+        if workers < 1:
+            raise ConfigError(f"config field 'workers' (or --workers) must be >= 1, got {workers}")
         caps = Caps(
             max_branches=int(cfg["caps"]["max_branches"]),
             max_generation=int(cfg["caps"]["max_generation"]),
@@ -130,6 +134,11 @@ def cmd_solve(args) -> int:
         estimator_kind = cfg["estimator"]
         if estimator_kind not in ("mean", "mom"):
             raise ConfigError(f"config field 'estimator' must be mean|mom")
+        groups = int(cfg["groups"]) if estimator_kind == "mom" else 1
+        if groups < 1 or groups % 2 == 0 or groups > n:
+            raise ConfigError(
+                f"config field 'groups' must be odd and between 1 and n = {n}, got {groups}"
+            )
     except ConfigError as exc:
         log.error("%s", exc)
         print(f"config error: {exc}", file=sys.stderr)
@@ -146,7 +155,7 @@ def cmd_solve(args) -> int:
                 est = estimate_u(code, t, x, T, setup, n, seed + off, caps, workers)
             else:
                 est = median_of_means(
-                    code, t, x, T, setup, n, int(cfg["groups"]), seed + off, caps, workers
+                    code, t, x, T, setup, n, groups, seed + off, caps, workers
                 )
             rows.append((t, tuple(x), est))
     except AssumptionHViolated as exc:

@@ -149,10 +149,10 @@ def _draw(
         return _sample_values(setup, c, t, x, T, range(n), seed, caps)
     global _FORK_JOB
     _FORK_JOB = (setup, c, t, x, T, seed, caps)
-    chunks = _split_range(n, workers)
+    chunks = _split_range(n, min(workers, n))  # no empty chunk
     try:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(workers) as pool:
+        with ctx.Pool(len(chunks)) as pool:
             parts = pool.map(_fork_chunk, chunks)
     except ValueError:
         log.warning("fork start method unavailable; running sequentially")
@@ -215,9 +215,11 @@ def estimate_u(
     return Estimate(mean, se, n, n - values.size, time.perf_counter() - start, _tree_stats(s))
 
 
-def _split_range(n: int, workers: int) -> list[tuple[int, int]]:
-    step = (n + workers - 1) // workers
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _split_range(n: int, parts: int) -> list[tuple[int, int]]:
+    """0..n-1 as `parts` contiguous (lo, hi) ranges, lo_i = i n // parts,
+    whose sizes differ by at most one; some are empty when n < parts."""
+    bounds = [i * n // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def estimate_grid(
@@ -265,7 +267,8 @@ def median_of_means(
     workers: int = 1,
 ) -> Estimate:
     """Median of per-group means over a contiguous partition of the sample
-    index range; heavy-tail mitigation for the product functional.
+    index range into `groups` parts whose sizes differ by at most one;
+    heavy-tail mitigation for the product functional.
 
     groups=1 reduces to the plain mean.  The reported std_error is the
     asymptotic median factor sqrt(pi/2) times the spread of group means; it
@@ -273,8 +276,10 @@ def median_of_means(
     computed too, and a warning is logged when the two disagree by more
     than 5 standard errors.
     """
-    if groups < 1 or (groups > 1 and (groups % 2 == 0 or groups < 3)):
+    if groups < 1 or groups % 2 == 0:
         raise ValueError("groups must be 1 or an odd integer >= 3")
+    if n < groups:
+        raise ValueError(f"need n >= groups, got n={n}, groups={groups}")
     start = time.perf_counter()
     if t == T or groups == 1:
         est = estimate_u(c, t, x, T, setup, n, seed, caps, workers)

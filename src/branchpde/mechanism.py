@@ -207,24 +207,36 @@ def sample_offspring_indices(alpha: np.ndarray, d: int, u: np.ndarray) -> np.nda
         scaled = frac * (a + 1)
         val = np.minimum(scaled.astype(np.int64), a)
         next_frac = np.minimum(scaled - val, 1.0)
-        # weighted digit: weights (1+l)(1+a-l), l = 0..a, on coordinate `kind`
+        # weighted digit: weights (1+l)(1+a-l), l = 0..a, on coordinate
+        # `kind`.  The walk stops at the first l whose cumulative weight
+        # cum(l) exceeds the target, so the digit is the number of l < a
+        # with cum(l) <= target.  The target stays below cum(a), the total,
+        # unless frac = 1, where both give the digit a and next frac 1.
         weighted = np.flatnonzero(kind == pos)
-        aw, fw = a[weighted], frac[weighted]
-        target = fw * ((aw + 1) * (aw + 2) * (aw + 3) // 6)
-        vw, acc = aw.copy(), np.zeros_like(aw)
-        open_ = np.ones(weighted.size, dtype=bool)
-        for l in range(int(aw.max(initial=-1)) + 1):
-            w = (1 + l) * (1 + aw - l)
-            hit = open_ & (l <= aw) & (target < acc + w)
-            vw[hit] = l
-            fw[hit] = np.minimum((target[hit] - acc[hit]) / w[hit], 1.0)
-            open_ &= ~hit
-            acc = acc + w
+        aw = a[weighted]
+        target = frac[weighted] * ((aw + 1) * (aw + 2) * (aw + 3) // 6)
+        vw = np.count_nonzero(_cumulative_weights(aw) <= target[:, None], axis=1)
+        acc = _cumulative_weight(aw, vw - 1)
         val[weighted] = vw
-        next_frac[weighted] = fw
+        next_frac[weighted] = np.minimum((target - acc) / ((1 + vw) * (1 + aw - vw)), 1.0)
         rank = rank * (a + 1) + val
         frac = next_frac
     return np.where(kind == 0, rank0, kind * total + rank)
+
+
+def _cumulative_weight(a, l):
+    """sum_{m=0..l} (1+m)(1+a-m), exact in integers; 0 at l = -1."""
+    return (a + 2) * (l + 1) * (l + 2) // 2 - (l + 1) * (l + 2) * (2 * l + 3) // 6
+
+
+def _cumulative_weights(a: np.ndarray) -> np.ndarray:
+    """Row r: the cumulative weights cum(l) of digit bound a[r] for
+    l = 0..max(a)-1, as floats, +inf where l >= a[r]."""
+    bound = np.arange(int(a.max(initial=0)) + 1)[:, None]
+    l = np.arange(bound.size - 1)
+    table = _cumulative_weight(bound, l).astype(float)
+    table[l >= bound] = np.inf
+    return table[a]
 
 
 # Dominating mechanism: binary, no pure-derivative children, same offspring

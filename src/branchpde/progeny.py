@@ -798,16 +798,28 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
 
 def _ghat_series_value(params, alpha_abs: int, x: float, ktrunc: int = 400) -> float:
     """sum_k A'_alpha(k) x^k for |alpha| >= 1, alpha along the first axis,
-    with geometric tail closure."""
+    with geometric tail closure.
+
+    The sum runs to K = 64, doubled up to ktrunc until the closure of the
+    tail past K is below 1e-17 of the partial sum, and keeps that closure,
+    so it stays an upper bound.  A table of terms costs nearly the same at
+    any length up to a few hundred, so K starts where one table serves
+    most calls.
+    """
     R = params.radius()
     if not x < R:
         raise OutsideRadius(f"x = {x:.6g} >= R = {R:.6g}")
-    logs = ahat_log_terms(params, alpha_abs, ktrunc + 1)
     if x == 0:
-        return math.exp(logs[0])
-    terms = np.exp(logs + np.arange(ktrunc + 2) * math.log(x))
-    ratio = x * math.exp(logs[ktrunc + 1] - logs[ktrunc])
-    return float(terms[:-1].sum() + terms[ktrunc] * _geometric_tail(ratio, x / R))
+        return math.exp(ahat_log_terms(params, alpha_abs, 0)[0])
+    K = min(64, ktrunc)
+    while True:
+        logs = ahat_log_terms(params, alpha_abs, K + 1)
+        terms = np.exp(logs[:-1] + np.arange(K + 1) * math.log(x))
+        ratio = x * math.exp(logs[K + 1] - logs[K])
+        closure = float(terms[K] * _geometric_tail(ratio, x / R))
+        if closure < 1e-17 * terms.sum() or K == ktrunc:
+            return math.fsum([*terms.tolist(), closure])
+        K = min(2 * K, ktrunc)
 
 
 def _spread(alpha: MultiIndex) -> int:

@@ -17,11 +17,14 @@ the offspring uniform comes right after them.  Branches of the dominating
 chain take the lifetime uniform (draw 0) and the offspring uniform (draw 1).
 
 Two samplers share these draws.  `sample_tree` grows one tree branch by
-branch through `branch_rng` and records every branch; it is the reference
-that `dump_jsonl` and the tests use.  `TreeBatch` grows the trees of a range
-of sample indices together, one generation at a time, as arrays, and
-`evaluate_batch` computes their path functionals; the estimator runs on
-these two.
+branch through `branch_rng` and records every branch, and
+`evaluate_functional` multiplies its factors with the exact Fraction
+mechanism (`offspring_prob`); they are the reference that `dump_jsonl` and
+the tests use.  `TreeBatch` grows the trees of a range of sample indices
+together, one generation at a time, as arrays, and `evaluate_batch`
+computes their path functionals; the estimator runs on these two.  The
+batch reads each code's offspring entries from a `CodeTable`, whose rows
+come from the closed form of z1/q and make no Fraction.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ from .lifetimes import LifetimeModel
 from .mechanism import (
     Code,
     MechanismEntry,
+    index_product,
     offspring_prob,
-    offspring_set,
     sample_dominating_offspring,
     sample_offspring,
     sample_offspring_indices,
 )
+from .multiindex import mi_enumerate_below
 
 Label = tuple[int, ...]
 
@@ -102,11 +106,19 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's stream increment
 
 # The helpers below take keys either as Python ints (one branch) or as 1-d
-# uint64 arrays (a generation of branches), with the same arithmetic.
+# uint64 arrays (a generation of branches), with the same arithmetic mod
+# 2^64: Python ints are masked, uint64 arrays wrap on their own.
 
 
 def _fmix(z):
     """splitmix64's output function."""
+    if isinstance(z, np.ndarray):
+        z = z ^ (z >> 30)  # a new array, worked on in place from here
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        return z
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -115,7 +127,13 @@ def _fmix(z):
 def _hash(key, counter):
     """hash(key, counter): output counter + 1 of a splitmix64 stream started
     at the key."""
-    return _fmix((key + (((counter + 1) * _GAMMA) & _MASK)) & _MASK)
+    if isinstance(counter, np.ndarray):
+        step = counter + 1
+        step *= _GAMMA
+    else:
+        step = ((counter + 1) * _GAMMA) & _MASK
+    z = key + step
+    return _fmix(z if isinstance(z, np.ndarray) else z & _MASK)
 
 
 def _mix(key, k):
@@ -132,7 +150,11 @@ def _root_keys(seed: int, sample_indices):
 
 def _uniforms(key, counter: int):
     """Draw `counter` of the key as a float in [0, 1) with 53 random bits."""
-    return (_hash(key, counter) >> 11) * 2.0**-53
+    bits = _hash(key, counter)
+    if isinstance(bits, np.ndarray):
+        bits >>= 11
+        return bits * 2.0**-53
+    return (bits >> 11) * 2.0**-53
 
 
 def _normal_draws(d: int) -> int:
@@ -147,8 +169,10 @@ def _normals(key, counter: int, d: int) -> list:
     for p in range(0, d, 2):
         radius = np.sqrt(-2.0 * np.log1p(-_uniforms(key, counter + p)))
         angle = (2.0 * np.pi) * _uniforms(key, counter + p + 1)
-        out += [radius * np.cos(angle), radius * np.sin(angle)]
-    return out[:d]
+        out.append(radius * np.cos(angle))
+        if p + 1 < d:  # for odd d the last pair's sine is not used
+            out.append(radius * np.sin(angle))
+    return out
 
 
 class BranchStream:
@@ -327,16 +351,24 @@ class CodeTable:
 
     Row first[c] + e holds entry e of offspring_set(codes[c], d), in the
     canonical order: its z1/q as a float (`ratio`), its number of children
-    (`nchild`) and their code ids (`child`, -1 past the last child).
+    (`nchild`) and their code ids (`child`, -1 past the last child).  The
+    rows come from the closed form of z1/q, which does not depend on beta:
+    (d+1) prod(1+alpha_k) for kind 0, -(d+1)(2+alpha_i)(3+alpha_i)
+    prod(1+alpha_k)/12 for kind i, and 1 for the single entry of a j = -1
+    code.  Each is an integer or one division of Python ints, both rounded
+    correctly, so it equals float(entry.weight / offspring_prob(code, entry,
+    d)) of the exact Fraction mechanism, which stays the reference.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.codes: list[Code] = []
         self._ids: dict[Code, int] = {}
+        self._alpha: list[int] = []  # flat, d per code
+        self._j: list[int] = []
         self._first: list[int] = []
         self._ratio: list[float] = []
-        self._child: list[tuple[int, int]] = []
+        self._child: list[int] = []  # flat, two per row
         self._refresh()
 
     def intern(self, code: Code) -> int:
@@ -344,26 +376,54 @@ class CodeTable:
         if cid is None:
             cid = self._ids[code] = len(self.codes)
             self.codes.append(code)
+            self._alpha += code.alpha
+            self._j.append(code.j)
             self._first.append(-1)
         return cid
 
     def build(self, ids: np.ndarray) -> None:
         """Lay out the rows of every code in ids that has none yet."""
-        for cid in np.unique(ids).tolist():
-            if self._first[cid] >= 0:
-                continue
-            code = self.codes[cid]
-            self._first[cid] = len(self._ratio)
-            for entry in offspring_set(code, self.d):
-                kids = [self.intern(child) for child in entry.children] + [-1]
-                self._ratio.append(float(entry.weight / offspring_prob(code, entry, self.d)))
-                self._child.append((kids[0], kids[1]))
-        if self.alpha.shape[0] != len(self.codes) or self.ratio.size != len(self._ratio):
+        if self.first.size < len(self.codes):  # interned outside build: the root
             self._refresh()
+        present = np.zeros(self.first.size, dtype=bool)
+        present[ids] = True
+        fresh = np.flatnonzero(present & (self.first < 0))
+        if not fresh.size:
+            return
+        for cid in fresh.tolist():
+            self._lay_out(cid)
+        self._refresh()
+
+    def _lay_out(self, cid: int) -> None:
+        """Append the rows of code cid, in offspring_set's order."""
+        alpha, j = self.codes[cid]
+        d = self.d
+        self._first[cid] = len(self._ratio)
+        if j < 0:
+            self._add_row(1.0, Code(alpha, 0))
+            return
+        prod = index_product(alpha)
+        betas = mi_enumerate_below(alpha)
+        rests = [tuple(a - b for a, b in zip(alpha, beta)) for beta in betas]
+        ratio = float((d + 1) * prod)
+        for beta, rest in zip(betas, rests):
+            self._add_row(ratio, Code(rest, 0), Code(beta, j + 1))
+        for i in range(d):
+            ratio = -(d + 1) * (2 + alpha[i]) * (3 + alpha[i]) * prod / 12
+            for beta, rest in zip(betas, rests):
+                self._add_row(
+                    ratio,
+                    Code(rest[:i] + (rest[i] + 1,) + rest[i + 1:], -1),
+                    Code(beta[:i] + (beta[i] + 1,) + beta[i + 1:], j + 1),
+                )
+
+    def _add_row(self, ratio: float, first: Code, second: Optional[Code] = None) -> None:
+        self._ratio.append(ratio)
+        self._child += (self.intern(first), -1 if second is None else self.intern(second))
 
     def _refresh(self) -> None:
-        self.alpha = np.array([c.alpha for c in self.codes], dtype=np.int64).reshape(-1, self.d)
-        self.j = np.array([c.j for c in self.codes], dtype=np.int64)
+        self.alpha = np.array(self._alpha, dtype=np.int64).reshape(-1, self.d)
+        self.j = np.array(self._j, dtype=np.int64)
         self.first = np.array(self._first, dtype=np.int64)
         self.ratio = np.array(self._ratio, dtype=float)
         self.child = np.array(self._child, dtype=np.int64).reshape(-1, 2)
@@ -463,12 +523,14 @@ class TreeBatch:
             scale = np.sqrt(np.where(died, tau, T - birth))
             position = pos + np.stack(_normals(key, 1, d), axis=1) * scale[:, None]
             dead = np.flatnonzero(died)
-            codes.build(code[dead])
+            dead_code = code[dead]
+            codes.build(dead_code)
+            dead_entry = codes.sample_entries(dead_code, _uniforms(key[dead], 1 + _normal_draws(d)))
             entry = np.full(sample.size, -1)
-            entry[dead] = codes.sample_entries(code[dead], _uniforms(key[dead], 1 + _normal_draws(d)))
+            entry[dead] = dead_entry
             yield Generation(sample, parent, child, code, birth, tau, died, position, entry)
 
-            rows = codes.first[code[dead]] + entry[dead]
+            rows = codes.first[dead_code] + dead_entry
             nchild = codes.nchild[rows]
             parent = np.repeat(dead, nchild)
             child = np.arange(1, parent.size + 1) - np.repeat(np.cumsum(nchild) - nchild, nchild)
@@ -477,11 +539,15 @@ class TreeBatch:
             generation += 1
             np.add.at(self.branches, sample, 1)
             self.depth[sample] = generation
-            self.capped[sample] |= (self.branches[sample] > caps.max_branches) | (
-                generation > caps.max_generation
-            )
-            keep = np.flatnonzero(~self.capped[sample])
-            parent, child, code, sample = parent[keep], child[keep], code[keep], sample[keep]
+            # the rows of a tree that passes a cap here all go; trees capped
+            # earlier have no rows left
+            over = self.branches[sample] > caps.max_branches
+            if generation > caps.max_generation:
+                over[:] = True
+            if over.any():
+                self.capped[sample[over]] = True
+                keep = np.flatnonzero(~over)
+                parent, child, code, sample = parent[keep], child[keep], code[keep], sample[keep]
             key = _mix(key[parent], child.astype(np.uint64))
             birth = death[parent]
             pos = position[parent]
@@ -500,10 +566,10 @@ def evaluate_batch(batch: TreeBatch, oracle, model: LifetimeModel, T: float) -> 
     survived = np.ones(len(batch))
     held: list[tuple[np.ndarray, ...]] = []
     for gen in batch:
-        dead = gen.died
+        dead = np.flatnonzero(gen.died)
+        alive = np.flatnonzero(~gen.died)
         rows = batch.codes.first[gen.code[dead]] + gen.entry[dead]
         np.multiply.at(died, gen.sample[dead], batch.codes.ratio[rows] / model.density(gen.tau[dead]))
-        alive = ~dead
         held.append((gen.sample[alive], gen.code[alive], gen.birth[alive], gen.position[alive]))
         if sum(part[0].size for part in held) > FRONTIER_BUDGET:
             _multiply_survivors(survived, held, batch.codes, oracle, model, T)
@@ -521,7 +587,8 @@ def _multiply_survivors(product, held, codes: CodeTable, oracle, model, T) -> No
     sample, code, birth, position = (np.concatenate(part) for part in zip(*held))
     held.clear()
     value = np.empty(sample.size)
-    order = np.argsort(code, kind="stable")
+    # a stable sort of small unsigned ints is a radix sort
+    order = np.argsort(code.astype(np.min_scalar_type(len(codes.codes))), kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
         if group.size:
             value[group] = oracle(codes.codes[code[group[0]]], position[group])

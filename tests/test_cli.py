@@ -93,3 +93,33 @@ def test_solve_json_rows_carry_tree_stats(tmp_path, capsys, kind):
     assert 1.0 <= stats["branches_mean"] <= stats["branches_p99"] <= stats["branches_max"]
     assert stats["max_generation"] >= 1
     assert terminal["stats"] is None  # t = T: no tree is sampled
+
+
+@pytest.mark.parametrize("fields", [
+    {"estimator": "mom", "groups": 4},
+    {"estimator": "mom", "groups": -3},
+    {"estimator": "mom", "groups": 5, "n": 3},
+    {"n": 0},
+    {"n": -5},
+    {"workers": 0},
+    {"workers": -2},
+], ids=["mom-even-groups", "mom-negative-groups", "mom-more-groups-than-n", "n-0", "n-negative",
+        "workers-0", "workers-negative"])
+def test_solve_refuses_bad_estimator_config(tmp_path, capsys, fields):
+    code, out, err = run_solve(tmp_path, capsys, **fields)
+    assert code == 3
+    assert out == "" and "config error:" in err
+    assert "Traceback" not in err
+
+
+def test_solve_refuses_workers_below_one_on_the_command_line(tmp_path, capsys):
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps({"problem": "b2", "T": 0.1, "n": 50, "points": [{"t": 0.0, "x": [0.0]}]}))
+    assert cli.main(["solve", "--config", str(path), "--workers", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "config error:" in err and "workers" in err
+
+
+def test_solve_mean_ignores_groups(tmp_path, capsys):
+    code, out, _ = run_solve(tmp_path, capsys, groups=4)
+    assert code == 0 and len(out.splitlines()) == 2

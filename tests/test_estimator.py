@@ -243,3 +243,51 @@ def test_median_of_means_honours_workers():
     one = median_of_means(ID, 0.0, (0.0,), T, setup, n=3000, groups=5, seed=4)
     two = median_of_means(ID, 0.0, (0.0,), T, setup, n=3000, groups=5, seed=4, workers=2)
     assert (one.mean, one.std_error, one.n_capped) == (two.mean, two.std_error, two.n_capped)
+
+
+@pytest.mark.parametrize("n, groups, bounds", [
+    (7, 5, [(0, 1), (1, 2), (2, 4), (4, 5), (5, 7)]),
+    (10, 3, [(0, 3), (3, 6), (6, 10)]),
+    (9, 9, [(i, i + 1) for i in range(9)]),
+])
+def test_median_of_means_forms_exactly_the_groups_asked(n, groups, bounds):
+    # groups contiguous parts, lo_i = i n // groups, sizes differing by at most one
+    T, seed = 0.1, 3
+    _, setup = b2_setup(T)
+    values = estimator._sample_values(setup, ID, 0.0, (0.0,), T, range(n), seed, Caps()).values
+    means = [float(np.sum(values[lo:hi])) / (hi - lo) for lo, hi in bounds]
+    mom = median_of_means(ID, 0.0, (0.0,), T, setup, n=n, groups=groups, seed=seed)
+    assert mom.mean == float(np.median(means))
+    assert mom.mean == sorted(means)[groups // 2]
+    for workers in (2, 3):
+        again = median_of_means(ID, 0.0, (0.0,), T, setup, n=n, groups=groups, seed=seed, workers=workers)
+        assert (again.mean, again.std_error) == (mom.mean, mom.std_error)
+
+
+def test_median_of_means_refuses_fewer_samples_than_groups():
+    T = 0.1
+    _, setup = b2_setup(T)
+    with pytest.raises(ValueError, match="n >= groups"):
+        median_of_means(ID, 0.0, (0.0,), T, setup, n=4, groups=5, seed=0)
+
+
+def test_more_workers_than_samples_fork_no_empty_chunk(monkeypatch):
+    T = 0.1
+    _, setup = b2_setup(T)
+    seen = []
+    original = estimator._sample_values
+
+    def recording(setup_, c, t, x, T_, indices, seed, caps):
+        seen.append(len(indices))
+        return original(setup_, c, t, x, T_, indices, seed, caps)
+
+    monkeypatch.setattr(estimator, "_sample_values", recording)
+    one = estimate_u(ID, 0.0, (0.0,), T, setup, n=2, seed=1)
+
+    def no_fork(method):  # run the chunks here, where they are recorded
+        raise ValueError(f"no {method} start method")
+
+    monkeypatch.setattr(estimator.multiprocessing, "get_context", no_fork)
+    three = estimate_u(ID, 0.0, (0.0,), T, setup, n=2, seed=1, workers=3)
+    assert seen == [2, 1, 1]
+    assert (three.mean, three.std_error) == (one.mean, one.std_error)

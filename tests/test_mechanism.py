@@ -209,3 +209,21 @@ def test_batched_entry_choice_matches_sample_offspring(d):
     assert got.tolist() == expected
     with pytest.raises(ValueError):
         sample_offspring_indices(np.array([alphas[0]]), d, np.array([1.0]))
+
+
+@pytest.mark.parametrize("d, top", [(1, 9), (2, 5)])
+def test_batched_entry_choice_matches_sample_offspring_for_larger_alpha(d, top):
+    # the weighted digit counts cumulative weights through a table; check it
+    # past the small orders above, at every boundary and on random uniforms
+    alphas = [a for a in product(range(top + 1), repeat=d) if sum(a) <= top + 2]
+    rng = np.random.default_rng(7)
+    rows, us, expected = [], [], []
+    for alpha in alphas:
+        c = Code(alpha, 1)
+        entries = offspring_set(c, d)
+        for u in _boundary_grid(c, d) + rng.random(20).tolist():
+            rows.append(alpha)
+            us.append(u)
+            expected.append(entries.index(sample_offspring(c, d, u)))
+    got = sample_offspring_indices(np.array(rows), d, np.array(us))
+    assert got.tolist() == expected

@@ -516,3 +516,34 @@ def test_growth_sequences_build_each_order_once_with_the_same_values(theta, r):
             assert ge(alpha) == theta**m / fac
             assert w.sigma_boundary(alpha, -1) == 1.2 * want
             assert w.sigma_boundary(alpha, 0) == 1.2 * want / 2.0
+
+
+@pytest.mark.parametrize("regime", [r for r, _ in ARRAY_PARAMS], ids=[i for _, i in ARRAY_PARAMS])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_series_value_stops_early_and_stays_an_upper_bound(monkeypatch, regime, d):
+    # the sum stops once the tail's closure is below 1e-17 of the partial
+    # sum and keeps that closure; near the radius it runs to ktrunc
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
+    R = p.radius()
+    for m in range(1, 4):
+        for frac in (0.1, 0.5, 0.9, 0.99):
+            x = frac * R
+            got = progeny._ghat_series_value(p, m, x)
+            # the fixed 400-term sum with its closure, on the same array terms
+            logs = progeny.ahat_log_terms(p, m, 401)
+            terms = np.exp(logs + np.arange(402) * math.log(x))
+            rho = max(x * math.exp(logs[401] - logs[400]), x / R)
+            full = float(terms[:401].sum() + terms[400] * rho / (1.0 - rho))
+            assert got == pytest.approx(full, rel=1e-14, abs=0)
+            assert got >= math.fsum(terms[:401].tolist())
+    # well inside the radius one table of 65 terms serves
+    sizes = []
+    original = progeny.ahat_log_terms
+
+    def recording(params, alpha_abs, kmax):
+        sizes.append(kmax)
+        return original(params, alpha_abs, kmax)
+
+    monkeypatch.setattr(progeny, "ahat_log_terms", recording)
+    progeny._ghat_series_value(p, 2, 0.3 * R)
+    assert max(sizes) <= 65

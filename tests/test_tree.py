@@ -434,3 +434,90 @@ def test_batch_caps_the_trees_sample_tree_refuses(monkeypatch, T, caps, budget, 
     assert set(np.flatnonzero(samples.capped).tolist()) == refused
     assert np.isnan(samples.values[samples.capped]).all()
     assert np.isfinite(samples.values[~samples.capped]).all()
+
+
+# --- the code table's closed form and the array draws -----------------------
+
+from itertools import product
+
+from branchpde import mechanism
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_code_table_rows_equal_the_fraction_mechanism(d):
+    table = tree_module.CodeTable(d)
+    for alpha in product(range(5), repeat=d):
+        for j in (-1, 0, 2):
+            c = Code(alpha, j)
+            cid = table.intern(c)
+            table.build(np.array([cid]))
+            first = table.first[cid]
+            entries = offspring_set(c, d)
+            got = [
+                (table.ratio[row], tuple(table.codes[k] for k in table.child[row] if k >= 0))
+                for row in range(first, first + len(entries))
+            ]
+            expected = [(float(e.weight / offspring_prob(c, e, d)), e.children) for e in entries]
+            assert got == expected
+            assert table.nchild[first:first + len(entries)].tolist() == [len(e.children) for e in entries]
+
+
+def test_array_hash_equals_int_hash_at_edge_keys():
+    mask = (1 << 64) - 1
+    gamma = 0x9E3779B97F4A7C15
+    # 0, the largest key, and keys whose sum with the counter's increment
+    # (counter + 1) * gamma mod 2^64 wraps past 2^64
+    keys = [0, 1, mask, mask - 1, (1 << 63), (1 << 64) - gamma, (1 << 64) - gamma + 1,
+            (1 << 64) - 2 * gamma % (1 << 64), 0x0123456789ABCDEF]
+    for counter in (0, 1, 2, 7):
+        step = ((counter + 1) * gamma) & mask
+        assert any(k + step > mask for k in keys)
+        got = tree_module._hash(np.array(keys, dtype=np.uint64), counter)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [tree_module._hash(k, counter) for k in keys]
+        # the key array is left as it was
+        assert tree_module._hash(np.array(keys, dtype=np.uint64), counter).tolist() == got.tolist()
+    counters = np.array([0, 1, mask - 1, mask], dtype=np.uint64)
+    for key in keys:
+        assert tree_module._hash(key, counters).tolist() == [
+            tree_module._hash(key, int(c)) for c in counters
+        ]
+        array = np.array([key] * 4, dtype=np.uint64)
+        assert tree_module._mix(array, counters).tolist() == [
+            tree_module._mix(key, int(c)) for c in counters
+        ]
+        assert array.tolist() == [key] * 4
+    assert tree_module._fmix(np.array(keys, dtype=np.uint64)).tolist() == [
+        tree_module._fmix(k) for k in keys
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_normals_of_a_key_array_equal_the_one_key_normals(d):
+    keys = tree_module._root_keys(5, np.arange(40))
+    columns = tree_module._normals(keys, 1, d)
+    assert len(columns) == d
+    for row, key in enumerate(keys.tolist()):
+        assert [c[row] for c in columns] == tree_module._normals(key, 1, d)
+
+
+@pytest.mark.parametrize("name", ["b2-deep", "zero-f-cosine-d2"])
+def test_batch_builds_its_code_table_without_the_fraction_mechanism(monkeypatch, name):
+    problem, model, c0, x, n = BATCH_CONFIGS[name]
+    T, d, seed = problem.T, problem.d, 23
+
+    def run():
+        batch = TreeBatch(c0, 0.0, x, T, model, d, seed, range(n))
+        return evaluate_batch(batch, problem.oracle, model, T), batch
+
+    reference, _ = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the batched sampler used the Fraction mechanism")
+
+    for module in (tree_module, mechanism):
+        for fn in ("offspring_prob", "offspring_set"):
+            monkeypatch.setattr(module, fn, refuse, raising=False)
+    values, batch = run()
+    assert len(batch.codes.codes) > 1
+    assert np.array_equal(values, reference)
