@@ -21,9 +21,7 @@ from .tree import (
     TreeSample,
     WeightSpec,
     evaluate_functional,
-    sample_dominating_tree,
     sample_tree,
-    total_progeny,
     weighted_progeny,
 )
 

@@ -69,6 +69,13 @@ def _positive(cfg: dict, field: str) -> float:
     return value
 
 
+def _at_least(cfg: dict, field: str, default: int, low: int) -> int:
+    value = int(cfg.get(field, default))
+    if value < low:
+        raise ConfigError(f"config field {field!r} must be >= {low}, got {value}")
+    return value
+
+
 def _resolve_solve_config(cfg: dict, args) -> dict:
     resolved = dict(cfg)
     if args.seed is not None:
@@ -212,15 +219,17 @@ def cmd_stability(args) -> int:
         else:
             raise ConfigError("regime.kind must be factorial|exponential")
         lam = _positive(cfg, "lambda")
-        d = int(cfg.get("d", 1))
+        d = _at_least(cfg, "d", 1, 1)
         delta1 = _positive(cfg, "delta1")
         delta2 = _positive(cfg, "delta2")
-        m_max = int(cfg.get("m_max", 3))
-        sweep = cfg.get("sweep_T")
+        m_max = _at_least(cfg, "m_max", 3, 0)
+        sweep = [float(TT) for TT in cfg.get("sweep_T") or []]
         T = float(cfg["T"]) if "T" in cfg else None
         if T is None and not sweep:
             raise ConfigError("config needs either 'T' or 'sweep_T'")
-    except ConfigError as exc:
+        if not all(TT >= 0 for TT in sweep + ([] if T is None else [T])):
+            raise ConfigError("horizons 'T' and 'sweep_T' must be >= 0")
+    except (ConfigError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
@@ -261,7 +270,7 @@ def cmd_stability(args) -> int:
         report["t_max"] = horizon.t_max
         report["lambda_free_envelope"] = horizon.lambda_free_envelope
     if sweep:
-        report["sweep"] = [conditions_at(float(TT)) for TT in sweep]
+        report["sweep"] = [conditions_at(TT) for TT in sweep]
 
     report["pass"] = overall
     _emit(args.out, json.dumps(report, indent=2) + "\n")
@@ -272,14 +281,18 @@ def cmd_progeny(args) -> int:
     cfg = _load_config(args.config)
     try:
         kind = _require(cfg, "regime", dict).get("kind", "factorial")
+        if kind not in ("factorial", "exponential"):
+            raise ConfigError("regime.kind must be factorial|exponential")
         theta_raw = _require(cfg["regime"], "theta", (int, float, str))
         theta = Fraction(str(theta_raw))
         r = Fraction(str(cfg["regime"]["r"])) if kind == "factorial" else None
-        d = int(cfg.get("d", 1))
-        kmax = int(cfg.get("kmax", 6))
-        alpha_max = int(cfg.get("alpha_max", 3))
+        if theta <= 0 or (r is not None and r <= 0):
+            raise ConfigError("regime.theta and regime.r must be > 0")
+        d = _at_least(cfg, "d", 1, 1)
+        kmax = _at_least(cfg, "kmax", 6, 0)
+        alpha_max = _at_least(cfg, "alpha_max", 3, 0)
         exact = bool(cfg.get("exact", True))
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 

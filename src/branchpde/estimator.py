@@ -27,7 +27,7 @@ import numpy as np
 
 from .lifetimes import LifetimeModel, validate_assumption_h
 from .mechanism import Code
-from .tree import Caps, FrontierFull, TreeBatch, evaluate_batch
+from .tree import Caps, TreeBatch, evaluate_batch, evaluate_in_parts
 
 log = logging.getLogger("branchpde")
 
@@ -105,20 +105,14 @@ def _sample_values(
     seed: int,
     caps: Caps,
 ) -> _Samples:
-    """Grow and evaluate the trees of `indices` as one batch, or as two
-    halves (and so on) when the batch outgrows the frontier budget."""
-    parts, pending = [], [indices]
-    while pending:
-        r = pending.pop()
-        batch = TreeBatch(c, t, x, T, setup.model, setup.d, seed, r, caps)
-        try:
-            values = evaluate_batch(batch, setup.oracle, setup.model, T)
-        except FrontierFull:
-            mid = r.start + len(r) // 2
-            pending += [range(mid, r.stop), range(r.start, mid)]
-            continue
-        parts.append(_Samples(values, batch.capped, batch.branches, batch.depth))
-    return _concat(parts)
+    """Grow and evaluate the trees of `indices` as one batch, or in parts
+    when the batch outgrows the frontier budget."""
+    parts = evaluate_in_parts(
+        lambda r: TreeBatch(c, t, x, T, setup.model, setup.d, seed, r, caps),
+        lambda batch: evaluate_batch(batch, setup.oracle, setup.model, T),
+        indices,
+    )
+    return _concat([_Samples(values, b.capped, b.branches, b.depth) for b, values in parts])
 
 
 def _concat(parts: Sequence[_Samples]) -> _Samples:
@@ -205,7 +199,7 @@ def estimate_u(
     _check_model(setup, t, T)
     if t == T:
         # degenerate: no tree, the estimate is the terminal oracle value
-        value = setup.oracle(c, tuple(float(v) for v in x))
+        value = float(setup.oracle(c, tuple(float(v) for v in x)))
         return Estimate(value, 0.0, n, 0, time.perf_counter() - start)
     s = _draw(c, t, x, T, setup, n, seed, caps, workers)
     values = s.values[~s.capped]

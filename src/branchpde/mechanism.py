@@ -14,6 +14,13 @@ The canonical entry order is: the kind-0 block with beta lexicographic, then
 the kind-1..d blocks each with beta lexicographic.  Inverse-CDF sampling is
 defined against this order and is evaluated lazily (per digit), never by
 materializing the whole set.
+
+The dominating mechanism of a code (alpha, j >= 0) has the same entries,
+order and probabilities, except that the first child of a kind-i entry is
+(alpha-beta+1_i, 0): every death spawns two children, none of them a pure
+derivative.  So one inverse-CDF layout samples both; `tree.CodeTable`
+holds either chain's rows, and `dominating_offspring_set` is the exact
+reference for the dominating one, as `offspring_set` is for the original.
 """
 
 from __future__ import annotations
@@ -112,6 +119,12 @@ def offspring_prob(c: Code, entry: MechanismEntry, d: int) -> Fraction:
             raise ValueError(f"entry {entry} not in the offspring set of {c}")
         return Fraction(1)
     _check_membership(c, entry, d)
+    return _prob(alpha, entry, d)
+
+
+def _prob(alpha: MultiIndex, entry: MechanismEntry, d: int) -> Fraction:
+    """The mass of an entry of kind entry.kind and index entry.beta in the
+    offspring law of a code (alpha, j >= 0), in either mechanism."""
     prod = index_product(alpha)
     if entry.kind == 0:
         return Fraction(1, (d + 1) * prod)
@@ -239,55 +252,17 @@ def _cumulative_weights(a: np.ndarray) -> np.ndarray:
     return table[a]
 
 
-# Dominating mechanism: binary, no pure-derivative children, same offspring
-# probabilities indexed by (kind, beta).
-
-def _dominating_entry(alpha: MultiIndex, j: int, d: int, kind: int, beta: MultiIndex) -> MechanismEntry:
-    if kind == 0:
-        return MechanismEntry(
-            weight=Fraction(1),
-            children=(Code(mi_sub(alpha, beta), 0), Code(beta, j + 1)),
-            kind=0,
-            beta=beta,
-        )
-    i = kind
-    w = Fraction(-(1 + beta[i - 1]) * (1 + alpha[i - 1] - beta[i - 1]), 2)
-    return MechanismEntry(
-        weight=w,
-        children=(
-            Code(mi_add_unit(mi_sub(alpha, beta), i), 0),
-            Code(mi_add_unit(beta, i), j + 1),
-        ),
-        kind=i,
-        beta=beta,
-    )
-
-
 def dominating_offspring_set(alpha: MultiIndex, j: int, d: int) -> list[MechanismEntry]:
-    """All entries of the dominating mechanism for code (alpha, j >= 0)."""
+    """All entries of the dominating mechanism for code (alpha, j >= 0):
+    offspring_set's, with the first child of each kind-i entry at j = 0."""
     if j < 0:
         raise ValueError("dominating chain codes have j >= 0")
-    out = []
-    for kind in range(d + 1):
-        for beta in mi_enumerate_below(alpha):
-            out.append(_dominating_entry(alpha, j, d, kind, beta))
-    return out
+    return [
+        e._replace(children=(e.children[0]._replace(j=0), e.children[1])) if e.kind else e
+        for e in offspring_set(Code(alpha, j), d)
+    ]
 
 
 def dominating_offspring_prob(alpha: MultiIndex, entry: MechanismEntry, d: int) -> Fraction:
     """Offspring law of the dominating mechanism (same masses as q_c)."""
-    prod = index_product(alpha)
-    if entry.kind == 0:
-        return Fraction(1, (d + 1) * prod)
-    i = entry.kind
-    bi, ai = entry.beta[i - 1], alpha[i - 1]
-    return Fraction(
-        6 * (1 + bi) * (1 + ai - bi),
-        (d + 1) * (2 + ai) * (3 + ai) * prod,
-    )
-
-
-def sample_dominating_offspring(alpha: MultiIndex, j: int, d: int, u: float) -> MechanismEntry:
-    """Inverse-CDF sample of the dominating offspring law, same layout as q_c."""
-    probe = sample_offspring(Code(alpha, max(j, 0)), d, u)
-    return _dominating_entry(alpha, j, d, probe.kind, probe.beta)
+    return _prob(alpha, entry, d)

@@ -137,11 +137,12 @@ def build_weights(p: GrowthParams) -> WeightSpec:
     else:
         g = progeny.g_exponential(p.regime.theta)
     d1, d2 = p.delta1, p.delta2
-    d2v1 = d2 if float(d2) > 1 else (Fraction(1) if isinstance(d2, (int, Fraction)) else 1.0)
+    one = Fraction(1) if isinstance(d2, (int, Fraction)) else 1.0
+    kappa = d2 if float(d2) > 1 else one  # delta2 v 1
 
     def sigma_boundary(alpha, j):
         base = d1 * g(alpha)
-        return base if j < 0 else base / d2v1
+        return base if j < 0 else base / kappa
 
     def sigma_inner(alpha, j, kind):
         if j < 0:
@@ -152,11 +153,8 @@ def build_weights(p: GrowthParams) -> WeightSpec:
         if kind == 0:
             return (p.d + 1) * d2 * prod
         ai = alpha[kind - 1]
-        return (p.d + 1) * d2 * (2 + ai) * (3 + ai) * prod / (
-            Fraction(12) if isinstance(d2, (int, Fraction)) else 12.0
-        )
+        return (p.d + 1) * d2 * (2 + ai) * (3 + ai) * prod / (12 * one)
 
-    kappa = d2 if float(d2) > 1 else (Fraction(1) if isinstance(d2, (int, Fraction)) else 1.0)
     return WeightSpec(sigma_boundary=sigma_boundary, sigma_inner=sigma_inner, kappa=kappa)
 
 

@@ -1,4 +1,4 @@
-"""Sampling of the coded branching diffusion and of the binary dominating
+"""Sampling of the coded branching diffusion and of its binary dominating
 chain; evaluation of the path functional and of multiplicative weighted
 progenies.
 
@@ -13,18 +13,24 @@ sample_index, label), whatever the order, batch or worker in which its
 branches are drawn.  The per-branch draw order is fixed by counter: the
 lifetime uniform is draw 0, the d displacement normals (Box-Muller on the
 consecutive pairs of draws 1, 2, ..., one pair per two normals) follow, and
-the offspring uniform comes right after them.  Branches of the dominating
-chain take the lifetime uniform (draw 0) and the offspring uniform (draw 1).
+the offspring uniform comes right after them.
 
-Two samplers share these draws.  `sample_tree` grows one tree branch by
-branch through `branch_rng` and records every branch, and
-`evaluate_functional` multiplies its factors with the exact Fraction
-mechanism (`offspring_prob`); they are the reference that `dump_jsonl` and
-the tests use.  `TreeBatch` grows the trees of a range of sample indices
-together, one generation at a time, as arrays, and `evaluate_batch`
-computes their path functionals; the estimator runs on these two.  The
-batch reads each code's offspring entries from a `CodeTable`, whose rows
-come from the closed form of z1/q and make no Fraction.
+Two samplers share these draws.  `sample_tree` grows one tree of the
+original chain branch by branch through `branch_rng` and records every
+branch; `evaluate_functional` (with the exact Fraction mechanism) and
+`weighted_progeny` multiply its factors.  They are the reference that
+`dump_jsonl` and the tests use.  `TreeBatch` grows the trees of a range of
+sample indices together, one generation at a time, as arrays, and
+`evaluate_batch` and `weighted_progeny_batch` compute their path
+functionals and weighted progenies.  The batch reads each code's offspring
+entries from a `CodeTable`, whose rows come from the closed form of z1/q.
+
+The batch grows either chain with one draw layout.  The dominating chain
+differs in one decision, which the `CodeTable` holds: the first child of a
+directional entry is (alpha-beta+1_i, 0), not (alpha-beta+1_i, -1), so
+every death spawns two children.  A dominating batch starts at a code
+(alpha, j >= 0) and 0 in R^d with exponential(lam) lifetimes, and ignores
+the positions it draws.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ from .mechanism import (
     MechanismEntry,
     index_product,
     offspring_prob,
-    sample_dominating_offspring,
     sample_offspring,
     sample_offspring_indices,
 )
@@ -287,48 +292,6 @@ def sample_tree(
     return _finish(records, T)
 
 
-def sample_dominating_tree(
-    alpha: tuple,
-    j: int,
-    t: float,
-    T: float,
-    lam: float,
-    d: int,
-    seed: int,
-    sample_index: int = 0,
-    caps: Caps = Caps(),
-) -> TreeSample:
-    """Sample the binary dominating chain: exponential(lam) lifetimes, every
-    death spawns exactly two children, no spatial component."""
-    if not 0 <= t <= T:
-        raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
-    if j < 0:
-        raise ValueError("dominating chain codes have j >= 0")
-    records: list[BranchRecord] = []
-    stack: list[tuple[Label, Code, float]] = [((), Code(tuple(alpha), j), t)]
-    while stack:
-        label, code, birth = stack.pop()
-        if len(label) > caps.max_generation:
-            raise CapExceeded(f"generation cap {caps.max_generation} exceeded")
-        if len(records) >= caps.max_branches:
-            raise CapExceeded(f"branch cap {caps.max_branches} exceeded")
-        rng = branch_rng(seed, sample_index, label)
-        tau = -math.log1p(-rng.random()) / lam
-        death = birth + tau
-        if death > T:
-            records.append(
-                BranchRecord(label, code, birth, death, None, None, None)
-            )
-        else:
-            entry = sample_dominating_offspring(code.alpha, code.j, d, rng.random())
-            records.append(
-                BranchRecord(label, code, birth, death, None, None, entry)
-            )
-            for k, child in enumerate(entry.children, start=1):
-                stack.append((label + (k,), child, death))
-    return _finish(records, T)
-
-
 def evaluate_functional(tree: TreeSample, oracle, model: LifetimeModel, T: float) -> float:
     """Path functional: product over survived branches of
     oracle(code)(X_T)/rho_bar(T - birth) times, over died branches, of
@@ -350,8 +313,11 @@ class CodeTable:
     float rows the first time a branch of that code dies.
 
     Row first[c] + e holds entry e of offspring_set(codes[c], d), in the
-    canonical order: its z1/q as a float (`ratio`), its number of children
-    (`nchild`) and their code ids (`child`, -1 past the last child).  The
+    canonical order: its z1/q as a float (`ratio`), its kind (`kind`), its
+    number of children (`nchild`) and their code ids (`child`, -1 past the
+    last child).  A `dominating` table holds the dominating chain instead:
+    the same rows, except that the first child of a kind-i entry is coded
+    (alpha-beta+1_i, 0), as in dominating_offspring_set.  The
     rows come from the closed form of z1/q, which does not depend on beta:
     (d+1) prod(1+alpha_k) for kind 0, -(d+1)(2+alpha_i)(3+alpha_i)
     prod(1+alpha_k)/12 for kind i, and 1 for the single entry of a j = -1
@@ -360,14 +326,15 @@ class CodeTable:
     d)) of the exact Fraction mechanism, which stays the reference.
     """
 
-    def __init__(self, d: int):
-        self.d = d
+    def __init__(self, d: int, dominating: bool = False):
+        self.d, self.dominating = d, dominating
         self.codes: list[Code] = []
         self._ids: dict[Code, int] = {}
         self._alpha: list[int] = []  # flat, d per code
         self._j: list[int] = []
         self._first: list[int] = []
         self._ratio: list[float] = []
+        self._kind: list[int] = []
         self._child: list[int] = []  # flat, two per row
         self._refresh()
 
@@ -400,25 +367,28 @@ class CodeTable:
         d = self.d
         self._first[cid] = len(self._ratio)
         if j < 0:
-            self._add_row(1.0, Code(alpha, 0))
+            self._add_row(1.0, 0, Code(alpha, 0))
             return
         prod = index_product(alpha)
         betas = mi_enumerate_below(alpha)
         rests = [tuple(a - b for a, b in zip(alpha, beta)) for beta in betas]
         ratio = float((d + 1) * prod)
         for beta, rest in zip(betas, rests):
-            self._add_row(ratio, Code(rest, 0), Code(beta, j + 1))
+            self._add_row(ratio, 0, Code(rest, 0), Code(beta, j + 1))
+        first_j = 0 if self.dominating else -1
         for i in range(d):
             ratio = -(d + 1) * (2 + alpha[i]) * (3 + alpha[i]) * prod / 12
             for beta, rest in zip(betas, rests):
                 self._add_row(
                     ratio,
-                    Code(rest[:i] + (rest[i] + 1,) + rest[i + 1:], -1),
+                    i + 1,
+                    Code(rest[:i] + (rest[i] + 1,) + rest[i + 1:], first_j),
                     Code(beta[:i] + (beta[i] + 1,) + beta[i + 1:], j + 1),
                 )
 
-    def _add_row(self, ratio: float, first: Code, second: Optional[Code] = None) -> None:
+    def _add_row(self, ratio: float, kind: int, first: Code, second: Optional[Code] = None) -> None:
         self._ratio.append(ratio)
+        self._kind.append(kind)
         self._child += (self.intern(first), -1 if second is None else self.intern(second))
 
     def _refresh(self) -> None:
@@ -426,6 +396,7 @@ class CodeTable:
         self.j = np.array(self._j, dtype=np.int64)
         self.first = np.array(self._first, dtype=np.int64)
         self.ratio = np.array(self._ratio, dtype=float)
+        self.kind = np.array(self._kind, dtype=np.int64)
         self.child = np.array(self._child, dtype=np.int64).reshape(-1, 2)
         self.nchild = np.count_nonzero(self.child >= 0, axis=1)
 
@@ -473,7 +444,8 @@ class TreeBatch:
     A batch of more than one tree raises FrontierFull when a generation has
     more than FRONTIER_BUDGET branches, which bounds its memory: no tree
     depends on which others share its batch, so the caller samples the
-    halves apart.
+    halves apart (`evaluate_in_parts`).  With dominating=True the batch
+    grows the dominating chain from the same draws (see `CodeTable`).
     """
 
     def __init__(
@@ -487,14 +459,17 @@ class TreeBatch:
         seed: int,
         indices: range,
         caps: Caps = Caps(),
+        dominating: bool = False,
     ):
         if not 0 <= t <= T:
             raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
         if len(x) != d:
             raise ValueError(f"start point has dimension {len(x)}, expected {d}")
+        if dominating and c0.j < 0:
+            raise ValueError("dominating chain codes have j >= 0")
         self.c0, self.t, self.x, self.T = c0, float(t), np.asarray(x, dtype=float), T
         self.model, self.d, self.seed, self.indices, self.caps = model, d, seed, indices, caps
-        self.codes = CodeTable(d)
+        self.codes = CodeTable(d, dominating)
         n = len(indices)
         self.branches = np.ones(n, dtype=np.int64)
         self.depth = np.zeros(n, dtype=np.int64)
@@ -553,6 +528,28 @@ class TreeBatch:
             pos = position[parent]
 
 
+def evaluate_in_parts(
+    make_batch: Callable[[range], TreeBatch],
+    evaluate: Callable[[TreeBatch], np.ndarray],
+    indices: range,
+) -> list[tuple[TreeBatch, np.ndarray]]:
+    """evaluate(make_batch(indices)), or the same on its two halves (and so
+    on) when the batch outgrows the frontier budget: (batch, values) per
+    part, in index order."""
+    parts, pending = [], [indices]
+    while pending:
+        r = pending.pop()
+        batch = make_batch(r)
+        try:
+            values = evaluate(batch)
+        except FrontierFull:
+            mid = r.start + len(r) // 2
+            pending += [range(mid, r.stop), range(r.start, mid)]
+            continue
+        parts.append((batch, values))
+    return parts
+
+
 def evaluate_batch(batch: TreeBatch, oracle, model: LifetimeModel, T: float) -> np.ndarray:
     """Path functional of every tree of a batch, NaN where capped, from
     evaluate_functional's factors: (z1/q)/rho(tau) over died branches, z1/q
@@ -595,6 +592,34 @@ def _multiply_survivors(product, held, codes: CodeTable, oracle, model, T) -> No
     np.multiply.at(product, sample, value / model.survival(T - birth))
 
 
+def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
+    """Multiplicative weighted progeny of every tree of a batch, NaN where
+    capped: sigma_inner(alpha, j, kind) over died branches times
+    sigma_boundary(alpha, j) over survived ones, kappa sigma_boundary on the
+    dominating chain.  Each weight is evaluated once per code and kind (died)
+    or per code (survived), and each tree multiplies its factors in
+    generation and then label order, so its value does not depend on the
+    other trees of the batch."""
+    codes, slots = batch.codes, batch.d + 2  # per code: survived, then died by kind
+    boundary = w.boundary_dominating if codes.dominating else w.sigma_boundary
+    weights: dict[int, float] = {}
+    product = np.ones(len(batch))
+    for gen in batch:
+        key = gen.code * slots
+        dead = np.flatnonzero(gen.died)
+        key[dead] += 1 + codes.kind[codes.first[gen.code[dead]] + gen.entry[dead]]
+        keys, inverse = np.unique(key, return_inverse=True)
+        for k in keys.tolist():
+            if k not in weights:
+                cid, slot = divmod(k, slots)
+                alpha, j = codes.codes[cid]
+                weights[k] = float(boundary(alpha, j) if slot == 0 else w.sigma_inner(alpha, j, slot - 1))
+        factor = np.array([weights[k] for k in keys.tolist()])[inverse]
+        np.multiply.at(product, gen.sample, factor)
+    product[batch.capped] = np.nan
+    return product
+
+
 def weighted_progeny(tree: TreeSample, w: WeightSpec) -> float:
     """Multiplicative progeny of an original tree: prod of inner weights over
     died branches times boundary weights over survived branches."""
@@ -606,24 +631,6 @@ def weighted_progeny(tree: TreeSample, w: WeightSpec) -> float:
         else:
             out *= float(w.sigma_inner(alpha, j, rec.offspring_entry.kind))
     return out
-
-
-def dominating_weighted_progeny(tree: TreeSample, w: WeightSpec) -> float:
-    """Multiplicative progeny of a dominating tree, with boundary weights
-    inflated by kappa."""
-    out = 1.0
-    for rec in tree.branches:
-        alpha, j = rec.code
-        if rec.offspring_entry is None:
-            out *= float(w.boundary_dominating(alpha, j))
-        else:
-            out *= float(w.sigma_inner(alpha, j, rec.offspring_entry.kind))
-    return out
-
-
-def total_progeny(tree: TreeSample) -> int:
-    """Number of branches ever alive."""
-    return len(tree.branches)
 
 
 def dump_jsonl(tree: TreeSample, fileobj) -> None:

@@ -9,13 +9,15 @@ import logging
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .combinatorics import polylog_neg_half, tree_identity_check
 from .estimator import ProblemSetup, estimate_u
 from .lifetimes import exponential_model
 from .mechanism import Code, offspring_prob, offspring_set
 from .multiindex import mi_abs
 from . import problems, progeny, stability
-from .tree import sample_dominating_tree, total_progeny
+from .tree import TreeBatch, evaluate_in_parts
 
 log = logging.getLogger("branchpde")
 
@@ -66,19 +68,27 @@ def _check_radius() -> bool:
 
 def _check_progeny_law() -> bool:
     lam, horizon = 1.0, math.log(2.0)
-    n = 20_000
-    counts: dict[int, int] = {}
-    for i in range(n):
-        tree = sample_dominating_tree((0,), 0, 0.0, horizon, lam, 1, seed=77, sample_index=i)
-        size = total_progeny(tree)
-        counts[size] = counts.get(size, 0) + 1
-    if any(k % 2 == 0 for k in counts):
+    n = 200_000
+    model = exponential_model(lam)
+    parts = evaluate_in_parts(
+        lambda r: TreeBatch(Code((0,), 0), 0.0, (0.0,), horizon, model, 1, 77, r, dominating=True),
+        _branches,
+        range(n),
+    )
+    sizes = np.concatenate([values for _, values in parts])
+    if np.any(sizes % 2 == 0):
         return False
     for m in range(5):
-        emp = counts.get(2 * m + 1, 0) / n
+        emp = np.count_nonzero(sizes == 2 * m + 1) / n
         if abs(emp - 0.5**(m + 1)) > 0.02:
             return False
     return True
+
+
+def _branches(batch: TreeBatch) -> np.ndarray:
+    for _ in batch:
+        pass
+    return batch.branches
 
 
 def _check_dominance_series() -> bool:

@@ -123,3 +123,61 @@ def test_solve_refuses_workers_below_one_on_the_command_line(tmp_path, capsys):
 def test_solve_mean_ignores_groups(tmp_path, capsys):
     code, out, _ = run_solve(tmp_path, capsys, groups=4)
     assert code == 0 and len(out.splitlines()) == 2
+
+
+def run_command(tmp_path, capsys, command, cfg):
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main([command, "--config", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+PROGENY = {"regime": {"kind": "factorial", "theta": 1.5, "r": 1}, "d": 1, "kmax": 3, "alpha_max": 2}
+
+
+@pytest.mark.parametrize("fields", [
+    {"regime": {"kind": "foo", "theta": 1.5}},
+    {"regime": {"kind": "factorial", "theta": 0, "r": 1}},
+    {"regime": {"kind": "exponential", "theta": -1}},
+    {"regime": {"kind": "factorial", "theta": 1.5, "r": 0}},
+    {"d": 0},
+    {"kmax": -1},
+    {"alpha_max": -1},
+], ids=["kind-foo", "theta-0", "theta-negative", "r-0", "d-0", "kmax-negative", "alpha_max-negative"])
+def test_progeny_refuses_bad_config(tmp_path, capsys, fields):
+    code, out, err = run_command(tmp_path, capsys, "progeny", {**PROGENY, **fields})
+    assert code == 3
+    assert out == "" and "config error:" in err
+
+
+def test_progeny_writes_every_alpha_and_order(tmp_path, capsys):
+    code, out, _ = run_command(tmp_path, capsys, "progeny", PROGENY)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 3 * 4  # header, |alpha| <= 2 by k <= 3
+
+
+STABILITY = {
+    "regime": {"kind": "factorial", "theta": 1.5, "r": 1},
+    "lambda": 1.0, "delta1": 1.2, "delta2": 1.2, "d": 1, "T": 0.001, "m_max": 2,
+}
+
+
+@pytest.mark.parametrize("fields", [
+    {"d": 0},
+    {"T": -0.1},
+    {"sweep_T": [0.001, -0.002]},
+    {"m_max": -1},
+], ids=["d-0", "T-negative", "sweep-negative", "m_max-negative"])
+def test_stability_refuses_bad_config(tmp_path, capsys, fields):
+    code, out, err = run_command(tmp_path, capsys, "stability", {**STABILITY, **fields})
+    assert code == 3
+    assert out == "" and "config error:" in err
+
+
+def test_stability_reports_every_horizon(tmp_path, capsys):
+    code, out, _ = run_command(tmp_path, capsys, "stability", {**STABILITY, "sweep_T": [0.0, 0.001]})
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    assert [row["T"] for row in report["sweep"]] == [0.0, 0.001]
+    assert len(report["hbound"]) == 3  # m_max = 2

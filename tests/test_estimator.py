@@ -158,8 +158,8 @@ def test_median_of_means():
 
 def test_write_csv_layout():
     T = 0.1
-    _, setup = b2_setup(T)
-    rows = estimate_grid(ID, [(0.0, (0.0,))], T, setup, n=500, seed=11)
+    problem, setup = b2_setup(T)
+    rows = estimate_grid(ID, [(0.0, (0.0,)), (T, (0.4,))], T, setup, n=500, seed=11)
     buf = io.StringIO()
     write_csv(buf, rows, ID, 500, 11)
     lines = buf.getvalue().strip().split("\n")
@@ -167,6 +167,9 @@ def test_write_csv_layout():
     fields = lines[1].split(",")
     assert fields[0] == "0.0" and fields[2] == "0" and fields[3] == "-1"
     assert int(fields[6]) == 500 and int(fields[8]) == 11
+    # a t = T row holds the terminal value, as a plain float
+    fields = lines[2].split(",")
+    assert fields[4] == repr(float(problem.phi((0.4,)))) and fields[5] == "0.0"
 
 
 # --- batched sampling: range splits, workers, telemetry ---------------------

@@ -13,11 +13,11 @@ from branchpde.mechanism import (
     index_product,
     offspring_prob,
     offspring_set,
-    sample_dominating_offspring,
     sample_offspring,
     sample_offspring_indices,
 )
 from branchpde.multiindex import mi_abs
+from branchpde.tree import CodeTable
 
 
 def alphas_upto(total, d):
@@ -172,9 +172,20 @@ def test_dominating_probabilities_sum_to_one():
 
 
 def test_dominating_sampler_mirrors_original_layout():
-    for u in np.linspace(0.0, 0.9999, 97):
-        orig = sample_offspring(Code((2, 1), 0), 2, float(u))
-        dom = sample_dominating_offspring((2, 1), 0, 2, float(u))
+    # the dominating code table picks, for each uniform, the entry that the
+    # original table picks
+    u = np.linspace(0.0, 0.9999, 97)
+    picks = []
+    for dominating in (False, True):
+        table = CodeTable(2, dominating)
+        ids = np.full(u.size, table.intern(Code((2, 1), 0)))
+        table.build(ids)
+        picks.append(table.sample_entries(ids, u))
+    assert picks[0].tolist() == picks[1].tolist()
+    entries = dominating_offspring_set((2, 1), 0, 2)
+    for v, pick in zip(u.tolist(), picks[1].tolist()):
+        orig = sample_offspring(Code((2, 1), 0), 2, v)
+        dom = entries[pick]
         assert dom.kind == orig.kind
         assert dom.beta == orig.beta
 

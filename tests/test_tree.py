@@ -5,23 +5,29 @@ import numpy as np
 import pytest
 
 from branchpde.lifetimes import exponential_model
-from branchpde.mechanism import Code, offspring_prob, offspring_set, sample_offspring
+from branchpde.mechanism import (
+    Code,
+    dominating_offspring_set,
+    offspring_prob,
+    offspring_set,
+    sample_offspring,
+)
 from branchpde.estimator import CodeOracle, ProblemSetup, _sample_values
-from branchpde import stability
+from branchpde import progeny, stability
 from branchpde.tree import (
     BranchRecord,
     CapExceeded,
     Caps,
+    TreeBatch,
     TreeSample,
     WeightSpec,
     branch_rng,
-    dominating_weighted_progeny,
     dump_jsonl,
     evaluate_functional,
-    sample_dominating_tree,
+    evaluate_in_parts,
     sample_tree,
-    total_progeny,
     weighted_progeny,
+    weighted_progeny_batch,
 )
 
 MODEL = exponential_model(1.0)
@@ -172,15 +178,33 @@ def test_functional_mean_is_one_for_zero_nonlinearity():
     assert abs(mean - 1.0) <= 3.0 * se
 
 
+def unit_weights():
+    return WeightSpec(
+        sigma_boundary=lambda a, j: 1.0, sigma_inner=lambda a, j, k: 1.0, kappa=1.0
+    )
+
+
+def batch_progeny(c0, T, model, d, seed, n, w=None, dominating=True):
+    """Branch counts and weighted progenies (unit weights by default) of the
+    trees of samples 0..n-1, grown from 0 in R^d on the batched sampler."""
+    w = w or unit_weights()
+    parts = evaluate_in_parts(
+        lambda r: TreeBatch(c0, 0.0, (0.0,) * d, T, model, d, seed, r, dominating=dominating),
+        lambda batch: weighted_progeny_batch(batch, w),
+        range(n),
+    )
+    return (
+        np.concatenate([batch.branches for batch, _ in parts]),
+        np.concatenate([values for _, values in parts]),
+    )
+
+
 def test_dominating_tree_progeny_odd_and_survival():
     lam, T = 1.0, 0.7
     n = 4000
-    survived_roots = 0
-    for i in range(n):
-        tree = sample_dominating_tree((1,), 0, 0.0, T, lam, 1, seed=11, sample_index=i)
-        assert total_progeny(tree) % 2 == 1
-        if len(tree) == 1:
-            survived_roots += 1
+    sizes, _ = batch_progeny(Code((1,), 0), T, exponential_model(lam), 1, 11, n)
+    assert np.all(sizes % 2 == 1)
+    survived_roots = np.count_nonzero(sizes == 1)
     p = math.exp(-lam * T)
     se = math.sqrt(p * (1 - p) / n)
     assert abs(survived_roots / n - p) <= 4.0 * se
@@ -188,36 +212,30 @@ def test_dominating_tree_progeny_odd_and_survival():
 
 def test_total_progeny_small_trees():
     # no branching -> 1; one branching -> 3 (binary chain)
-    seen = set()
-    for i in range(300):
-        tree = sample_dominating_tree((0,), 0, 0.0, 0.5, 1.0, 1, seed=2, sample_index=i)
-        seen.add(total_progeny(tree))
+    sizes, _ = batch_progeny(Code((0,), 0), 0.5, exponential_model(1.0), 1, 2, 300)
+    seen = set(sizes.tolist())
     assert 1 in seen and 3 in seen
     assert all(v % 2 == 1 for v in seen)
 
 
 def test_progeny_law_small():
     lam, horizon = 1.0, math.log(2.0)
-    n = 20_000
-    counts = {}
-    for i in range(n):
-        tree = sample_dominating_tree((0,), 0, 0.0, horizon, lam, 1, seed=77, sample_index=i)
-        counts[total_progeny(tree)] = counts.get(total_progeny(tree), 0) + 1
-    assert all(k % 2 == 1 for k in counts)
+    n = 200_000
+    sizes, _ = batch_progeny(Code((0,), 0), horizon, exponential_model(lam), 1, 77, n)
+    assert np.all(sizes % 2 == 1)
     for m in range(5):
-        emp = counts.get(2 * m + 1, 0) / n
+        emp = np.count_nonzero(sizes == 2 * m + 1) / n
         assert abs(emp - 0.5 ** (m + 1)) <= 0.02
-
-
-def unit_weights():
-    return WeightSpec(
-        sigma_boundary=lambda a, j: 1.0, sigma_inner=lambda a, j, k: 1.0, kappa=1.0
-    )
 
 
 def test_weighted_progeny_unit_weights():
     tree = sample_tree(Code((1,), 0), 0.0, (0.0,), 1.0, MODEL, 1, seed=4, sample_index=0)
     assert weighted_progeny(tree, unit_weights()) == 1.0
+    # on the batch, for both chains, whatever the trees' sizes
+    for dominating in (False, True):
+        sizes, values = batch_progeny(Code((1, 1), 0), 1.0, MODEL, 2, 4, 500, dominating=dominating)
+        assert sizes.max() > 1
+        assert np.all(values == 1.0)
 
 
 def test_weighted_progeny_single_survivor_and_depth_one():
@@ -275,24 +293,49 @@ def test_stochastic_dominance_of_weighted_progeny():
     )
     assert stability.verify_weight_dominance_algebra(p, alphamax=4, jmax=2)
     w = p.build_weights()
-    n = 8000
+    n = 80_000
     for alpha, j in (((0,), 0), ((1,), 0)):
-        n_vals = []
-        for i in range(n):
-            tree = sample_tree(
-                Code(alpha, j), 0.0, (0.0,), T, MODEL, 1, seed=100, sample_index=i
-            )
-            n_vals.append(weighted_progeny(tree, w))
-        nt_vals = []
-        for i in range(n):
-            tree = sample_dominating_tree(alpha, j, 0.0, T, lam, 1, seed=200, sample_index=i)
-            nt_vals.append(dominating_weighted_progeny(tree, w))
+        _, n_vals = batch_progeny(Code(alpha, j), T, MODEL, 1, 100, n, w, dominating=False)
+        _, nt_vals = batch_progeny(Code(alpha, j), T, exponential_model(lam), 1, 200, n, w)
         pooled = np.concatenate([n_vals, nt_vals])
         grid = np.quantile(pooled, np.linspace(0.02, 0.98, 20))
         eps = 2.0 * math.sqrt(math.log(2.0 / 0.01) / (2.0 * n))
         s_orig = _survival_curve(n_vals, grid)
         s_dom = _survival_curve(nt_vals, grid)
         assert np.all(s_orig <= s_dom + eps)
+
+
+# The batched dominating chain's mean weighted progeny against the series
+# expected_weighted_progeny sums, in units of its standard error, at n =
+# 10^5 and seed 5, at x/R = (1 - exp(-lam T)) delta1 delta2 / R <= 0.3 with
+# delta1 = delta2 = 1.  W~ is heavy-tailed, more so as x/R and the growth of
+# the weights rise: at factorial d = 2, x/R = 0.3, |alpha| = 3, z reached -6
+# over seeds 1-8, so factorial d = 2 stops at x/R = 0.1; at the points below
+# |z| stayed under 3 over seeds 1-12.  The mean depends on lam and T through
+# x alone, so lam changes with x.  The series terms fall at least as x/R:
+# ktrunc = 30 agrees with 60 to a relative 4e-16 here.
+SE_GATE = {
+    "factorial-d1": (stability.Factorial(1.0, 1.0), 1, [(0,), (1,), (3,)], (0.05, 0.1, 0.2)),
+    "factorial-d2": (stability.Factorial(1.5, 1.0), 2, [(0, 0), (1, 1), (2, 1)], (0.03, 0.06, 0.1)),
+    "exponential-d1": (stability.Exponential(1.5), 1, [(0,), (1,), (3,)], (0.1, 0.2, 0.3)),
+    "exponential-d2": (stability.Exponential(1.0), 2, [(0, 0), (1, 1), (2, 1)], (0.1, 0.2, 0.3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SE_GATE))
+def test_dominating_mean_weighted_progeny_matches_the_series(name):
+    regime, d, alphas, ratios = SE_GATE[name]
+    n = 100_000
+    for lam, ratio in zip((1.0, 2.0, 0.5), ratios):
+        x = ratio * stability.GrowthParams(regime, 1.0, 1.0, lam, 1.0, d).radius()
+        T = -math.log1p(-x) / lam
+        p = stability.GrowthParams(regime, 1.0, 1.0, lam, T, d)
+        w = p.build_weights()
+        for alpha in alphas:
+            series = progeny.expected_weighted_progeny(alpha, 0, lam, T, p, ktrunc=30)["value"]
+            _, values = batch_progeny(Code(alpha, 0), T, exponential_model(lam), d, 5, n, w)
+            z = (values.mean() - series) / (values.std(ddof=1) / math.sqrt(n))
+            assert abs(z) <= 4.0, (alpha, lam, T, z)
 
 
 def test_dump_jsonl_roundtrip():
@@ -337,6 +380,13 @@ BATCH_CONFIGS = {  # (problem, lifetime model, root code, start point, trees)
 }
 
 
+# weights that tell codes, kinds and survival apart
+SPREAD_WEIGHTS = WeightSpec(
+    sigma_boundary=lambda a, j: 1.0 + 0.25 * sum(a) + 0.125 * (j + 1),
+    sigma_inner=lambda a, j, k: 0.75 + 0.5 * k + 0.0625 * sum(a) * (j + 2),
+)
+
+
 def batch_records(batch):
     """Per tree of a batch: label -> (code, birth, death, position, entry),
     rebuilt from the generations through the parent rows."""
@@ -370,6 +420,7 @@ def test_batch_grows_the_trees_of_sample_tree(name):
     values = evaluate_batch(
         TreeBatch(c0, 0.0, x, T, model, d, seed, range(n)), problem.oracle, model, T
     )
+    progenies = weighted_progeny_batch(TreeBatch(c0, 0.0, x, T, model, d, seed, range(n)), SPREAD_WEIGHTS)
     assert not batch.capped.any()
     for i in range(n):
         ref = sample_tree(c0, 0.0, x, T, model, d, seed, i)
@@ -388,6 +439,31 @@ def test_batch_grows_the_trees_of_sample_tree(name):
                 assert entry == r.offspring_entry
         expected = evaluate_functional(ref, problem.oracle, model, T)
         assert values[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        expected = weighted_progeny(ref, SPREAD_WEIGHTS)
+        assert progenies[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_dominating_batch_spawns_the_entries_of_the_dominating_mechanism():
+    # the dominating chain takes the original chain's draws, and every death
+    # spawns the two children of its entry in dominating_offspring_set
+    c0, T, model, d, seed, n = Code((2, 1), 0), 0.5, exponential_model(2.0), 2, 9, 500
+    original = next(iter(TreeBatch(c0, 0.0, (0.0, 0.0), T, model, d, seed, range(n))))
+    batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, d, seed, range(n), dominating=True)
+    generations = list(batch)
+    assert np.array_equal(generations[0].tau, original.tau)
+    assert np.array_equal(generations[0].entry, original.entry)
+    directional = 0
+    for gen, children in zip(generations, generations[1:]):
+        for row in np.flatnonzero(gen.died).tolist():
+            alpha, j = batch.codes.codes[gen.code[row]]
+            entry = dominating_offspring_set(alpha, j, d)[gen.entry[row]]
+            spawned = tuple(batch.codes.codes[k] for k in children.code[children.parent == row])
+            assert spawned == entry.children
+            directional += entry.kind > 0
+    assert directional > 0
+    assert np.all(batch.branches % 2 == 1)
+    with pytest.raises(ValueError):
+        TreeBatch(Code((1,), -1), 0.0, (0.0,), T, model, 1, seed, range(n), dominating=True)
 
 
 def test_branch_rng_draws_what_the_batch_draws():
@@ -445,21 +521,36 @@ from branchpde import mechanism
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_code_table_rows_equal_the_fraction_mechanism(d):
+    codes = [Code(alpha, j) for alpha in product(range(5), repeat=d) for j in (-1, 0, 2)]
     table = tree_module.CodeTable(d)
-    for alpha in product(range(5), repeat=d):
-        for j in (-1, 0, 2):
-            c = Code(alpha, j)
-            cid = table.intern(c)
-            table.build(np.array([cid]))
-            first = table.first[cid]
-            entries = offspring_set(c, d)
-            got = [
-                (table.ratio[row], tuple(table.codes[k] for k in table.child[row] if k >= 0))
-                for row in range(first, first + len(entries))
-            ]
-            expected = [(float(e.weight / offspring_prob(c, e, d)), e.children) for e in entries]
-            assert got == expected
-            assert table.nchild[first:first + len(entries)].tolist() == [len(e.children) for e in entries]
+    dominating = tree_module.CodeTable(d, dominating=True)
+    for t in (table, dominating):
+        t.build(np.array([t.intern(c) for c in codes]))
+    for c in codes:
+        entries = offspring_set(c, d)
+        expected = [
+            (float(e.weight / offspring_prob(c, e, d)), e.kind, len(e.children), e.children)
+            for e in entries
+        ]
+        assert table_rows(table, c, len(entries)) == expected
+        if c.j >= 0:  # the dominating table: the same rows, recoded children
+            recoded = [e.children for e in dominating_offspring_set(c.alpha, c.j, d)]
+            got = table_rows(dominating, c, len(entries))
+            assert got == [row[:3] + (kids,) for row, kids in zip(expected, recoded)]
+
+
+def table_rows(table, c, count):
+    """(ratio, kind, nchild, children) of the rows of code c."""
+    first = table.first[table.intern(c)]
+    return [
+        (
+            table.ratio[row],
+            table.kind[row],
+            table.nchild[row],
+            tuple(table.codes[k] for k in table.child[row] if k >= 0),
+        )
+        for row in range(first, first + count)
+    ]
 
 
 def test_array_hash_equals_int_hash_at_edge_keys():
