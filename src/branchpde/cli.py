@@ -96,8 +96,8 @@ def _resolve_solve_config(cfg: dict, args) -> dict:
 
 
 def cmd_solve(args) -> int:
-    cfg = _resolve_solve_config(_load_config(args.config), args)
     try:
+        cfg = _resolve_solve_config(_load_config(args.config), args)
         name = _require(cfg, "problem", str)
         T = _positive(cfg, "T")
         lifetime_cfg = _require(cfg, "lifetime", dict)
@@ -206,8 +206,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cfg = _load_config(args.config)
     try:
+        cfg = _load_config(args.config)
         regime_cfg = _require(cfg, "regime", dict)
         kind = _require(regime_cfg, "kind", str)
         if kind == "factorial":
@@ -229,11 +229,11 @@ def cmd_stability(args) -> int:
             raise ConfigError("config needs either 'T' or 'sweep_T'")
         if not all(TT >= 0 for TT in sweep + ([] if T is None else [T])):
             raise ConfigError("horizons 'T' and 'sweep_T' must be >= 0")
-    except (ConfigError, TypeError, ValueError) as exc:
+        model = model_from_config(cfg.get("lifetime", {"kind": "exponential", "lambda": lam}))
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    model = model_from_config(cfg.get("lifetime", {"kind": "exponential", "lambda": lam}))
     report: dict = {"config": cfg}
     overall = True
 
@@ -278,8 +278,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_progeny(args) -> int:
-    cfg = _load_config(args.config)
     try:
+        cfg = _load_config(args.config)
         kind = _require(cfg, "regime", dict).get("kind", "factorial")
         if kind not in ("factorial", "exponential"):
             raise ConfigError("regime.kind must be factorial|exponential")

@@ -12,9 +12,14 @@ in m = |nu|:
 
 with a = 0, c = d, G(m) = g(m e_1) m! for A-hat and a = delta2,
 c = d delta2/2, G(m) = kappa sigma_boundary(m e_1, j) m! for A under the
-preset weights.  a_recursion and ahat_recursion solve it with one engine,
-in integers for rational inputs and in floats otherwise, and refuse inputs
-not of that form.
+preset weights.  a_recursion and ahat_recursion solve it with one engine
+and refuse inputs not of that form.  For rational inputs the engine runs in
+integers, summing each pair of terms l, k-l once.  Otherwise it runs in
+floats on F(m, k) = H(m, k)/m!, one matmul per level k over the sizes that
+level needs, so nothing factorial-sized is formed.  expected_weighted_progeny
+passes x a and x c for its series argument x, which makes the rows the
+series terms x^k F(m, k), and reads them along the one axis m = |alpha|
+without building a table.
 
 For |nu| >= 1 both regimes have closed forms for A'_nu(k).  ahat_log_terms
 evaluates their logarithms for k = 0..K as one numpy array (log k! as a
@@ -30,11 +35,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Callable
 
 import numpy as np
 
-from .combinatorics import gamma_ratio_exact, log_gamma_ratio, pochhammer_falling
+from .combinatorics import gamma_ratio_exact, log_gamma_ratio
 from .mechanism import index_product
 from .multiindex import (
     MultiIndex,
@@ -96,7 +102,8 @@ def a_recursion(
     with constants a and s (the preset has a = delta2, s = delta2/2), at
     every entry of the table; otherwise, and for j = -1 with kmax >= 1, it
     raises ValueError.  Then A_nu(k) = H(|nu|, k)/nu! for the scalar
-    recursion of the module docstring with c = d s.
+    recursion of the module docstring with c = d s, and each entry is read
+    off the engine's row for |nu|.
 
     The table holds every entry the multi-index recursion reads, the
     level-0 ones being kappa*sigma_boundary itself.  With collapse_j=True
@@ -104,19 +111,14 @@ def a_recursion(
     l <= kmax - max(e, 1), e = sum_i max(0, nu_i - alpha_i), nu = 0
     included; the values do not depend on j, which tests verify.  Otherwise
     the keys are (nu, j', l) over the nodes of _j_levels.  as_float converts
-    the weights to floats first.
+    the weights to floats first; the float engine carries H(m, k)/m!, so no
+    factorial-sized float arises at any kmax.  expected_weighted_progeny
+    reads only the entries (alpha, k), straight from the engine.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
     alpha = tuple(alpha)
-    if collapse_j:
-        nodes = {(nu, j): top for nu, top in _table_levels(alpha, kmax, True).items()}
-    else:
-        nodes = _j_levels(alpha, j, kmax)
     conv = float if as_float else (lambda v: v)
-    base = {node: conv(w.boundary_dominating(*node)) for node in nodes}
-    a, s = _preset_constants(w, d, [node for node, top in nodes.items() if top >= 1], conv)
-    coef = _series_coefficients(_sizes((nu, v) for (nu, _), v in base.items()), a, d * s, kmax)
+    nodes, base, F, a, s = _preset_series(w, d, alpha, j, kmax, collapse_j, conv)
+    coef = _series_coefficients(F, a, d * s, kmax)
     values: dict = {}
     for (nu, jj), top in nodes.items():
         key = (nu,) if collapse_j else (nu, jj)
@@ -169,61 +171,100 @@ def ahat_recursion(
     )
 
 
-def _series_coefficients(G: list, a, c, kmax: int) -> Callable[[MultiIndex, int], object]:
-    """(nu, l) -> H(|nu|, l)/nu! for 1 <= l <= kmax and |nu| + l < len(G),
-    H being the scalar recursion of the module docstring with H(m, 0) = G[m].
+def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[MultiIndex, int], object]:
+    """(nu, l) -> H(|nu|, l)/nu! for 1 <= l <= kmax and |nu| + l < len(F),
+    H being the scalar recursion of the module docstring with
+    H(m, 0) = m! F[m].
 
     That recursion is the coefficient form of dG/ds = a G^2 + c (dG/dy)^2
     in one variable y.  The multinomial Vandermonde sum
     sum_{beta<=nu} C(nu,beta) f(|nu-beta|) h(|beta|) = sum_b C(|nu|,b) f(|nu|-b) h(b)
     collapses the multi-index recursions to it when g(nu) = G(|nu|)/nu!.
-    Exact when G, a and c are ints and Fractions, else in floats.
+    Exact when F, a and c are ints and Fractions (_exact_series), else in
+    floats (_float_series).
     """
-    M = len(G) - 1
-    if all(map(_is_exact, (*G, a, c))):
-        # In integers: with Q G, L a and L c integral, H'(m, l) = Q (QL)^l
-        # H(m, l) solves the recursion with a' = L a, c' = L c, and
-        # J(m, l) = l! H'(m, l) turns its 1/(k+1) into (k+1)!/(l! (k-l)!)
-        # = (k+1) C(k, l), which leaves no division at all.
-        Q = math.lcm(*(v.denominator for v in G))
-        L = math.lcm(a.denominator, c.denominator)
-        a, c = int(a * L), int(c * L)
-        J = [[int(v * Q) for v in G]]
-        for k in range(kmax):
-            row = []
-            for m in range(M - k):
-                binom = [math.comb(m, b) for b in range(m + 1)]
-                total = 0
-                for l in range(k + 1):
-                    x, y = J[l], J[k - l]
-                    s = c * sum(cb * x[m - b + 1] * y[b + 1] for b, cb in enumerate(binom))
-                    if a:
-                        s += a * sum(cb * x[m - b] * y[b] for b, cb in enumerate(binom))
-                    total += math.comb(k, l) * s
-                row.append(total)
-            J.append(row)
-        return lambda nu, l: Fraction(
-            J[l][sum(nu)], math.factorial(l) * Q * (Q * L) ** l * mi_factorial(nu)
-        )
+    if all(map(_is_exact, (*F, a, c))):
+        J, scale = _exact_series(F, a, c, kmax)
+        return lambda nu, l: Fraction(J[l][sum(nu)], scale[l] * mi_factorial(nu))
+    rows = _float_series(F, a, c, kmax)
+    return lambda nu, l: float(rows[l, sum(nu)]) * _spread(nu)
 
-    # F(m, l) = H(m, l)/m! turns the binomial sum into a convolution in m,
-    # and D(m, l) = (m+1) F(m+1, l) is its derivative in y
-    F = np.zeros((kmax + 1, M + 2))
-    F[0, : M + 1] = [float(v / math.factorial(m)) for m, v in enumerate(G)]
-    D = np.zeros((kmax + 1, M + 1))
-    up = np.arange(1, M + 2)
-    D[0] = F[0, 1:] * up
+
+def _exact_series(F: list, a, c, kmax: int) -> tuple:
+    """(J, scale) with H(m, l) = J[l][m]/scale[l] in integers, for l <= kmax
+    and m < len(F) - l.
+
+    With G(m) = m! F[m] and Q G, L a and L c integral, H'(m, l) =
+    Q (QL)^l H(m, l) solves the recursion with a' = L a, c' = L c, and
+    J(m, l) = l! H'(m, l) turns its 1/(k+1) into (k+1)!/(l! (k-l)!) =
+    (k+1) C(k, l), which leaves no division at all.  The l and k-l terms
+    are equal (swap b and m-b as well), so each pair is summed once.
+    """
+    M = len(F) - 1
+    G = [f * math.factorial(m) for m, f in enumerate(F)]
+    Q = math.lcm(*(v.denominator for v in G))
+    L = math.lcm(a.denominator, c.denominator)
+    a, c = int(a * L), int(c * L)
+    binoms = [[math.comb(m, b) for b in range(m + 1)] for m in range(M)]
+    J = [[int(v * Q) for v in G]]
     for k in range(kmax):
-        acc = np.zeros(M + 1)
-        for l in range((k + 2) // 2):
-            # the l and k-l terms are equal, the middle one (l = k-l) counts once
-            twice = 1.0 if 2 * l == k else 2.0
-            acc += twice * c * np.convolve(D[l], D[k - l])[: M + 1]
-            if a:
-                acc += twice * a * np.convolve(F[l, : M + 1], F[k - l, : M + 1])[: M + 1]
-        F[k + 1, : M + 1] = acc / (k + 1)
-        D[k + 1] = F[k + 1, 1:] * up
-    return lambda nu, l: float(F[l, sum(nu)]) * (math.factorial(sum(nu)) // mi_factorial(nu))
+        # (J[l], J[k-l], weight) for l <= k-l; the middle term counts once
+        pairs = [
+            (J[l], J[k - l], (1 if 2 * l == k else 2) * math.comb(k, l))
+            for l in range(k // 2 + 1)
+        ]
+        row = []
+        for m in range(M - k):
+            binom = binoms[m]
+            total = 0
+            for x, y, weight in pairs:
+                s = c * sum(map(mul, binom, map(mul, x[m + 1 : 0 : -1], y[1 : m + 2])))
+                if a:
+                    s += a * sum(map(mul, binom, map(mul, x[m::-1], y[: m + 1])))
+                total += weight * s
+            row.append(total)
+        J.append(row)
+    scale = [math.factorial(l) * Q * (Q * L) ** l for l in range(kmax + 1)]
+    return J, scale
+
+
+def _float_series(F: list, a, c, kmax: int) -> np.ndarray:
+    """The array of H(m, l)/m! at [l, m] for l <= kmax and m < len(F) - l
+    (0 elsewhere), in floats.
+
+    F(m, l) = H(m, l)/m! turns the binomial sum into a convolution in m,
+    and D(m, l) = (m+1) F(m+1, l) is its derivative in y:
+
+        (k+1) F(., k+1) = sum_{l<=k} a F(., l) * F(., k-l) + c D(., l) * D(., k-l).
+
+    The l and k-l terms are equal, so level k stacks the rows l <= k/2
+    (doubled but for the middle one) against the rows k-l, over the
+    n = M - k sizes it needs, and one matmul P = X^T Y holds every product
+    F(i, l) F(b, k-l); the anti-diagonal sums of P over i + b = m are the
+    convolutions.  Carrying H/m! keeps factorial-sized numbers out.  Given
+    x a and x c in place of a and c, the rows are x^l H(m, l)/m!, the terms
+    of the series in x, which stay finite wherever it converges.
+    """
+    M = len(F) - 1
+    rows = np.zeros((kmax + 1, M + 1))
+    rows[0] = F
+    deriv = np.zeros((kmax + 1, M))
+    up = np.arange(1.0, M + 1)
+    deriv[0] = rows[0, 1:] * up
+    anti = np.add.outer(np.arange(M), np.arange(M))  # i + b
+    for k in range(kmax):
+        n, h = M - k, k // 2 + 1
+        weight = np.full((h, 1), 2.0)
+        if k % 2 == 0:
+            weight[-1] = 1.0
+        X, Y = [c * weight * deriv[:h, :n]], [deriv[k - h + 1 : k + 1][::-1, :n]]
+        if a:
+            X.append(a * weight * rows[:h, :n])
+            Y.append(rows[k - h + 1 : k + 1][::-1, :n])
+        P = np.concatenate(X).T @ np.concatenate(Y)
+        rows[k + 1, :n] = np.bincount(anti[:n, :n].ravel(), P.ravel())[:n] / (k + 1)
+        deriv[k + 1, : n - 1] = rows[k + 1, 1:n] * up[: n - 1]
+    return rows
 
 
 def _table_levels(alpha: MultiIndex, kmax: int, with_zero: bool) -> dict:
@@ -262,17 +303,43 @@ def _j_levels(alpha: MultiIndex, j: int, kmax: int) -> dict:
     return top
 
 
+def _preset_series(
+    w: WeightSpec, d: int, alpha: MultiIndex, j: int, kmax: int, collapse_j: bool, conv
+) -> tuple:
+    """(nodes, base, F, a, s): the checked inputs of the recursion for
+    A_{alpha,j} up to kmax.  nodes maps each (nu, j') the multi-index
+    recursion reads to its top level (j' = j throughout with collapse_j),
+    base[node] = conv(kappa sigma_boundary(node)), F = _sizes of base, and
+    a, s are the preset constants.  ValueError for kmax < 0, for j = -1 with
+    kmax >= 1 (such a code splits only through its pass-through entry), and
+    unless the weights have the preset form at every node.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    if j < 0 and kmax >= 1:
+        raise ValueError("a j = -1 code splits through its pass-through entry, not the preset form")
+    if collapse_j:
+        nodes = {(nu, j): top for nu, top in _table_levels(alpha, kmax, True).items()}
+    else:
+        nodes = _j_levels(alpha, j, kmax)
+    base = {node: conv(w.boundary_dominating(*node)) for node in nodes}
+    a, s = _preset_constants(w, d, [node for node, top in nodes.items() if top >= 1], conv)
+    return nodes, base, _sizes((nu, v) for (nu, _), v in base.items()), a, s
+
+
 def _sizes(entries) -> list:
-    """[G(0), ..., G(max |nu|)] from (nu, g(nu)) pairs, with G(|nu|) =
-    g(nu) nu!; ValueError unless that depends on |nu| only.  A size no
-    entry has (0, in an A-hat table with alpha != 0) reads 0: the A-hat
+    """[F(0), ..., F(max |nu|)] from (nu, g(nu)) pairs, with F(|nu|) =
+    g(nu)/(|nu|!/nu!), that is G(|nu|)/|nu|! for g(nu) = G(|nu|)/nu!;
+    ValueError unless that depends on |nu| only.  Dividing by the
+    multinomial keeps a float g clear of factorial-sized products.  A size
+    no entry has (0, in an A-hat table with alpha != 0) reads 0: the A-hat
     recursion never uses it."""
-    G: dict = {}
+    F: dict = {}
     for nu, v in entries:
-        x = v * mi_factorial(nu)
-        if not _same(G.setdefault(sum(nu), x), x):
+        x = _ratio(v, _spread(nu))
+        if not _same(F.setdefault(sum(nu), x), x):
             raise ValueError(f"the level-0 value at {nu} is not G(|nu|)/nu!")
-    return [G.get(m, 0) for m in range(max(G) + 1)]
+    return [F.get(m, 0) for m in range(max(F) + 1)]
 
 
 def _preset_constants(w: WeightSpec, d: int, nodes: list, conv) -> tuple:
@@ -309,8 +376,18 @@ def _same(x, y) -> bool:
 
 
 def g_factorial(theta, r) -> Callable[[MultiIndex], Fraction]:
-    """Growth sequence (|a|+r-1)_{|a|} theta^{|a|}/a!  (series of (1-theta<x>)^-r)."""
-    return _growth_sequence(lambda m: pochhammer_falling(m, r) * theta**m)
+    """Growth sequence (|a|+r-1)_{|a|} theta^{|a|}/a!  (series of (1-theta<x>)^-r).
+
+    The Pochhammer product (r)(r+1)...(r+m-1) grows by one factor per new m,
+    in the order pochhammer_falling multiplies, so each G(m) is the same
+    number."""
+    rising = [Fraction(1)]
+
+    def G(m):
+        while len(rising) <= m:
+            rising.append(rising[-1] * (r + len(rising) - 1))
+        return rising[m] * theta**m
+    return _growth_sequence(G)
 
 
 def g_exponential(theta) -> Callable[[MultiIndex], Fraction]:
@@ -593,6 +670,12 @@ def expected_weighted_progeny(
     with a geometric tail bound from the regime radius.  Requires
     (1-exp(-lam h)) delta1 delta2 < radius, else OutsideRadius.
 
+    The weights go through every check a_recursion makes (preset form at
+    each node of its collapsed table, the j = -1 refusal), but no table is
+    built: the float engine, given x a and x c, carries the x-scaled terms
+    x^k H(m, k)/m!, and the sum reads them along the one axis m = |alpha|.
+    Nothing factorial-sized arises, so any ktrunc is safe inside the radius.
+
     The tail bound rests on the domination A(k) <= delta1 (delta1 delta2)^k
     A'(k) at the parameters' own theta, so it is a bound only where the
     side-theta condition holds (bound_report raises theta instead).
@@ -608,13 +691,14 @@ def expected_weighted_progeny(
         raise OutsideRadius(
             f"(1-exp(-lam*h)) * delta1 * delta2 = {xa:.6g} >= radius {radius:.6g}"
         )
-    w = params.build_weights()
-    table = a_recursion(w, params.d, alpha, j, ktrunc, collapse_j=True, as_float=True)
-    value = math.exp(-lam * horizon) * sum(
-        x**k * table.values[(alpha, k)] for k in range(ktrunc + 1)
+    _, _, F, a, s = _preset_series(
+        params.build_weights(), params.d, alpha, j, ktrunc, True, float
     )
-    # tail: A(k) <= delta1 (delta1 delta2)^k A'(k), closed geometrically
+    # x^k A_alpha(k) = x^k H(|alpha|, k)/alpha!, read along the axis m = |alpha|
     m = mi_abs(alpha)
+    terms = _float_series(F, x * a, x * params.d * s, ktrunc)[:, m]
+    value = math.exp(-lam * horizon) * _spread(alpha) * math.fsum(terms.tolist())
+    # tail: A(k) <= delta1 (delta1 delta2)^k A'(k), closed geometrically
     if xa == 0:
         q_trunc, ratio = 0.0, 0.0
     elif m >= 1:

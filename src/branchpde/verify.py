@@ -109,6 +109,23 @@ def _check_dominance_series() -> bool:
     )
 
 
+def _check_series_engine() -> bool:
+    """The engine's float branch against its integer branch, through
+    a_recursion on the preset weights, to a relative 1e-12."""
+    regime = stability.Factorial(theta=Fraction(3, 2), r=Fraction(1))
+    for alpha in ((2,), (1, 1)):
+        d = len(alpha)
+        p = stability.GrowthParams(regime, Fraction(6, 5), Fraction(6, 5), 1.0, 0.1, d)
+        w = p.build_weights()
+        exact = progeny.a_recursion(w, d, alpha, 0, 12, collapse_j=True)
+        floats = progeny.a_recursion(w, d, alpha, 0, 12, collapse_j=True, as_float=True)
+        if floats.values.keys() != exact.values.keys() or not all(
+            math.isclose(floats[key], float(v), rel_tol=1e-12) for key, v in exact.values.items()
+        ):
+            return False
+    return True
+
+
 def _check_b2_solve() -> bool:
     T = 0.1
     problem = problems.b2_problem(T)
@@ -133,6 +150,7 @@ def run_suite(fault: bool = False) -> list[tuple[str, bool, str]]:
         ("radius-ratio", _check_radius),
         ("total-progeny-law", _check_progeny_law),
         ("series-domination", _check_dominance_series),
+        ("series-engine-branches", _check_series_engine),
         ("mild-solution", _check_mild_solution),
         ("b2-end-to-end", _check_b2_solve),
     ]

@@ -48,7 +48,7 @@ def test_verify_prints_why_a_check_crashed(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_check_radius", crash)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "7/8 checks passed"
+    assert lines[-1] == "8/9 checks passed"
     [failed] = [line for line in lines if "FAIL" in line]
     assert failed.split() == [
         "radius-ratio", "FAIL", "ZeroDivisionError:", "division", "by", "zero", "in", "the", "check"
@@ -181,3 +181,25 @@ def test_stability_reports_every_horizon(tmp_path, capsys):
     assert code == 0 and report["pass"]
     assert [row["T"] for row in report["sweep"]] == [0.0, 0.001]
     assert len(report["hbound"]) == 3  # m_max = 2
+
+
+@pytest.mark.parametrize("command", ["solve", "stability", "progeny"])
+@pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+def test_unreadable_config_exits_3(tmp_path, capsys, command, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main([command, "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "config error:" in err and "config.json" in err
+
+
+@pytest.mark.parametrize("lifetime", [
+    {"kind": "weird"},
+    {"kind": "exponential", "lambda": -1},
+    {"kind": "exponential"},
+], ids=["kind-weird", "lambda-negative", "lambda-missing"])
+def test_stability_refuses_bad_lifetime(tmp_path, capsys, lifetime):
+    code, out, err = run_command(tmp_path, capsys, "stability", {**STABILITY, "lifetime": lifetime})
+    assert code == 3
+    assert out == "" and "config error:" in err

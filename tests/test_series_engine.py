@@ -1,5 +1,6 @@
-"""The scalar series engine behind a_recursion and ahat_recursion, checked
-against the multi-index recursions it replaced.
+"""The scalar series engine behind a_recursion, ahat_recursion and
+expected_weighted_progeny, checked against the multi-index recursions it
+replaced, and its float branch against its integer branch.
 
 reference_a_recursion and reference_ahat_recursion are those recursions,
 kept verbatim as test-only oracles.  They cost O(prod(1+nu)) work per entry,
@@ -9,6 +10,7 @@ so the grids below stop at K = 6 where d <= 2 and at smaller K where d = 3.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -17,7 +19,7 @@ import pytest
 from branchpde import progeny, stability
 from branchpde.mechanism import index_product
 from branchpde.multiindex import MultiIndex, mi_add_unit, mi_enumerate_below, mi_sub
-from branchpde.progeny import SeriesTable, a_recursion, ahat_recursion
+from branchpde.progeny import SeriesTable, a_recursion, ahat_recursion, expected_weighted_progeny
 from branchpde.tree import WeightSpec
 
 
@@ -289,3 +291,91 @@ def test_canonical_weights_satisfy_the_multi_index_identity():
     # scalar engine built, which cross-checks the collapse independently
     g = progeny.g_exponential(THETA)
     assert progeny.contact_hj_consistency(g, 3, kmax=3, alphamax=2)
+
+
+# d -> (alphas, truncations); the exact d = 3 tables at ktrunc 30 hold
+# about 5000 nodes of Fractions each, so d = 3 stops at 6
+EWP_CASES = {
+    1: ([(0,), (1,), (3,)], (0, 1, 6, 30)),
+    2: ([(0, 0), (1, 1), (2, 1)], (0, 1, 6, 30)),
+    3: ([(0, 0, 0), (1, 1, 1)], (0, 1, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+@pytest.mark.parametrize("d", sorted(EWP_CASES))
+def test_expected_weighted_progeny_is_the_exact_table_summed(name, d):
+    # the collapsed exact table is the oracle for the axis read of the
+    # x-scaled float engine
+    lam, h = 1.0, 0.002
+    p = stability.GrowthParams(GROWTH[name][1], Fraction(6, 5), Fraction(6, 5), lam, h, d)
+    x = 1.0 - math.exp(-lam * h)
+    alphas, truncations = EWP_CASES[d]
+    for alpha in alphas:
+        exact = a_recursion(p.build_weights(), d, alpha, 0, max(truncations), collapse_j=True)
+        for ktrunc in truncations:
+            want = math.exp(-lam * h) * math.fsum(
+                x**k * float(exact[alpha, k]) for k in range(ktrunc + 1)
+            )
+            got = expected_weighted_progeny(alpha, 0, lam, h, p, ktrunc)["value"]
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (alpha, ktrunc)
+
+
+class _WithWeights:
+    """Growth parameters whose build_weights gives the weights passed in."""
+
+    def __init__(self, params, weights):
+        self.params, self.weights = params, weights
+
+    def build_weights(self):
+        return self.weights
+
+    def __getattr__(self, name):
+        return getattr(self.params, name)
+
+
+def test_expected_weighted_progeny_refuses_what_a_recursion_refuses():
+    p = stability.GrowthParams(GROWTH["factorial"][1], Fraction(6, 5), Fraction(6, 5), 1.0, 0.002, 2)
+    w = p.build_weights()
+
+    def boundary_off_at(node):
+        return lambda nu, j: w.sigma_boundary(nu, j) * (2 if nu == node else 1)
+
+    def inner_off_at(node):
+        return lambda nu, j, kind: w.sigma_inner(nu, j, kind) * (2 if nu == node else 1)
+
+    # (0, 2) has excess 2 over (1, 0), so it sits at level 0 only at ktrunc 2;
+    # (0, 1) reaches level 1, where it splits
+    bad = [
+        (_tampered(w, boundary=boundary_off_at((0, 2))), "G"),
+        (_tampered(w, inner=inner_off_at((0, 1))), "preset"),
+    ]
+    for spec, match in bad:
+        with pytest.raises(ValueError, match=match):
+            a_recursion(spec, 2, (1, 0), 0, 2, collapse_j=True, as_float=True)
+        with pytest.raises(ValueError, match=match):
+            expected_weighted_progeny((1, 0), 0, 1.0, 0.002, _WithWeights(p, spec), ktrunc=2)
+    with pytest.raises(ValueError, match="j = -1"):
+        expected_weighted_progeny((1, 0), -1, 1.0, 0.002, p, ktrunc=1)
+    out = expected_weighted_progeny((1, 0), -1, 1.0, 0.002, p, ktrunc=0)
+    assert out["value"] == pytest.approx(
+        math.exp(-0.002) * float(w.boundary_dominating((1, 0), -1)), rel=1e-15, abs=0
+    )
+
+
+def test_float_paths_do_not_overflow_at_large_truncation():
+    # factorial theta = r = 1, d = 1, alpha = (1,), T = 0.05: G(m) = m!
+    # passes the largest float at m = 171, where a float path that carried
+    # H(m, k) rather than H(m, k)/m! raised OverflowError
+    one = Fraction(1)
+    p = stability.GrowthParams(stability.Factorial(one, one), one, one, 1.0, 0.05, 1)
+    ref = expected_weighted_progeny((1,), 0, 1.0, 0.05, p, ktrunc=160)["value"]
+    assert ref == pytest.approx(1.1900, abs=1e-4)
+    for ktrunc in (180, 500):
+        value = expected_weighted_progeny((1,), 0, 1.0, 0.05, p, ktrunc)["value"]
+        assert math.isfinite(value) and value == pytest.approx(ref, rel=1e-12, abs=0)
+    w = p.build_weights()
+    floats = a_recursion(w, 1, (1,), 0, 200, collapse_j=True, as_float=True)
+    exact = a_recursion(w, 1, (1,), 0, 30, collapse_j=True)
+    for key, v in exact.values.items():
+        assert floats[key] == pytest.approx(float(v), rel=1e-12, abs=0)
