@@ -21,6 +21,17 @@ passes x a and x c for its series argument x, which makes the rows the
 series terms x^k F(m, k), and reads them along the one axis m = |alpha|
 without building a table.
 
+So an entry (nu, k) with k >= 1 depends on nu only through its class
+(|nu|, nu!), and a table holds far fewer values than entries: the ten
+A-hat tables at d = 2, kmax 12, |alpha| <= 3 have 5136 such entries in
+2915 (class, k) pairs.  Each value is built once per pair, and the one
+object serves every node of the class.  The inputs are still checked at
+every node, each against the expected value of its class: g(nu) (kappa
+sigma_boundary for A) against F(|nu|) |nu|!/nu!, and sigma_inner against
+the preset form.  Exact inputs are compared exactly, in integers, with no
+Fraction formed per node; floats to a relative 1e-12 of F(|nu|) (of the
+preset constant).  Nothing is cached across calls.
+
 For |nu| >= 1 both regimes have closed forms for A'_nu(k).  ahat_log_terms
 evaluates their logarithms for k = 0..K as one numpy array (log k! as a
 cumulative sum of logs, the factorial regime's Gamma ratio through
@@ -34,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from operator import mul
 from typing import Callable
 
@@ -117,14 +127,14 @@ def a_recursion(
     """
     alpha = tuple(alpha)
     conv = float if as_float else (lambda v: v)
-    nodes, base, F, a, s = _preset_series(w, d, alpha, j, kmax, collapse_j, conv)
-    coef = _series_coefficients(F, a, d * s, kmax)
+    levels, base, F, a, s = _preset_series(w, d, alpha, j, kmax, collapse_j, conv)
+    row = _series_coefficients(F, a, d * s, kmax)
     values: dict = {}
-    for (nu, jj), top in nodes.items():
+    for (nu, jj), (top, m, f) in levels.items():
         key = (nu,) if collapse_j else (nu, jj)
-        values[key + (0,)] = base[nu, jj]
-        for l in range(1, top + 1):
-            values[key + (l,)] = coef(nu, l)
+        values[key + (0,)] = conv(base[nu, jj])
+        for l, v in enumerate(row(m, f, top), 1):
+            values[key + (l,)] = v
     return SeriesTable(
         backend="float" if as_float else "exact",
         values=values,
@@ -151,18 +161,24 @@ def ahat_recursion(
     The table holds every entry the multi-index recursion reads: (alpha, l)
     for l <= kmax and (nu, l) for nu != 0 and l <= kmax - max(e, 1),
     e = sum_i max(0, nu_i - alpha_i), with the level-0 entries g(nu) itself.
+
+    g is called, and its value checked, at every node: against
+    F(|nu|) |nu|!/nu!, F(m) being g/(m!/nu!) at the first node of size m,
+    with an integer cross-multiplication for exact values and to a relative
+    1e-12 of F(|nu|) for floats.  The entries with l >= 1 are built once per
+    class (|nu|, nu!) and level, and nodes of one class share the object.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     alpha = tuple(alpha)
     levels = _table_levels(alpha, kmax, False)
     base = {nu: g(nu) for nu in levels}
-    coef = _series_coefficients(_sizes(base.items()), 0, d, kmax)
+    row = _series_coefficients(_sizes(levels, base), 0, d, kmax)
     values: dict = {}
-    for nu, top in levels.items():
+    for nu, (top, m, f) in levels.items():
         values[(nu, 0)] = base[nu]
-        for l in range(1, top + 1):
-            values[(nu, l)] = coef(nu, l)
+        for l, v in enumerate(row(m, f, top), 1):
+            values[(nu, l)] = v
     return SeriesTable(
         backend="exact" if _is_exact(base[alpha]) else "float",
         values=values,
@@ -171,23 +187,35 @@ def ahat_recursion(
     )
 
 
-def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[MultiIndex, int], object]:
-    """(nu, l) -> H(|nu|, l)/nu! for 1 <= l <= kmax and |nu| + l < len(F),
-    H being the scalar recursion of the module docstring with
-    H(m, 0) = m! F[m].
+def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int, int], list]:
+    """(m, f, top) -> [H(m, l)/f for l = 1..top], for 1 <= top <= kmax and
+    m + top < len(F), H being the scalar recursion of the module docstring
+    with H(m, 0) = m! F[m].  With m = |nu| and f = nu!, that is the row of
+    entries (nu, l) of every node nu of the class (|nu|, nu!).
 
     That recursion is the coefficient form of dG/ds = a G^2 + c (dG/dy)^2
     in one variable y.  The multinomial Vandermonde sum
     sum_{beta<=nu} C(nu,beta) f(|nu-beta|) h(|beta|) = sum_b C(|nu|,b) f(|nu|-b) h(b)
     collapses the multi-index recursions to it when g(nu) = G(|nu|)/nu!.
     Exact when F, a and c are ints and Fractions (_exact_series), else in
-    floats (_float_series).
+    floats (_float_series).  Each value is built once per (m, l, f) and the
+    same object serves every node of the class; the rows live only as long
+    as the returned function, one table.
     """
     if all(map(_is_exact, (*F, a, c))):
         J, scale = _exact_series(F, a, c, kmax)
-        return lambda nu, l: Fraction(J[l][sum(nu)], scale[l] * mi_factorial(nu))
-    rows = _float_series(F, a, c, kmax)
-    return lambda nu, l: float(rows[l, sum(nu)]) * _spread(nu)
+        value = lambda m, f, l: Fraction(J[l][m], scale[l] * f)
+    else:
+        H = _float_series(F, a, c, kmax)
+        value = lambda m, f, l: float(H[l, m]) * (math.factorial(m) // f)
+    rows: dict = {}
+
+    def row(m: int, f: int, top: int) -> list:
+        r = rows.setdefault((m, f), [])
+        while len(r) < top:
+            r.append(value(m, f, len(r) + 1))
+        return r[:top]
+    return row
 
 
 def _exact_series(F: list, a, c, kmax: int) -> tuple:
@@ -268,15 +296,25 @@ def _float_series(F: list, a, c, kmax: int) -> np.ndarray:
 
 
 def _table_levels(alpha: MultiIndex, kmax: int, with_zero: bool) -> dict:
-    """{nu: top level} of the table the multi-index recursion fills from
-    (alpha, l) for l <= kmax: alpha up to kmax, and every other nu up to
-    kmax - max(e, 1), where e = sum_i max(0, nu_i - alpha_i) is its excess
-    over alpha.  nu = 0 is in only with_zero (A reads it, A-hat does not)."""
-    levels = {alpha: kmax}
-    for nu in product(*(range(a + kmax + 1) for a in alpha)):
-        top = kmax - max(sum(max(0, n - a) for n, a in zip(nu, alpha)), 1)
-        if top >= 0 and nu != alpha and (with_zero or any(nu)):
-            levels[nu] = top
+    """{nu: (top level, |nu|, nu!)} of the table the multi-index recursion
+    fills from (alpha, l) for l <= kmax: alpha up to kmax, and every other
+    nu up to kmax - max(e, 1), where e = sum_i max(0, nu_i - alpha_i) is its
+    excess over alpha.  nu = 0 is in only with_zero (A reads it, A-hat does
+    not).  The nodes grow one axis at a time, each prefix carrying its
+    excess, size and factorial, and no prefix's excess passes kmax."""
+    fact = [math.factorial(n) for n in range(max(alpha, default=0) + kmax + 1)]
+    prefixes = [((), 0, 0, 1)]
+    for a in alpha:
+        prefixes = [
+            (nu + (n,), e + max(0, n - a), m + n, f * fact[n])
+            for nu, e, m, f in prefixes
+            for n in range(a + kmax - e + 1)
+        ]
+    levels = {alpha: (kmax, sum(alpha), mi_factorial(alpha))}
+    for nu, e, m, f in prefixes:
+        top = kmax - max(e, 1)
+        if top >= 0 and nu != alpha and (with_zero or m):
+            levels[nu] = (top, m, f)
     return levels
 
 
@@ -306,81 +344,114 @@ def _j_levels(alpha: MultiIndex, j: int, kmax: int) -> dict:
 def _preset_series(
     w: WeightSpec, d: int, alpha: MultiIndex, j: int, kmax: int, collapse_j: bool, conv
 ) -> tuple:
-    """(nodes, base, F, a, s): the checked inputs of the recursion for
-    A_{alpha,j} up to kmax.  nodes maps each (nu, j') the multi-index
-    recursion reads to its top level (j' = j throughout with collapse_j),
-    base[node] = conv(kappa sigma_boundary(node)), F = _sizes of base, and
-    a, s are the preset constants.  ValueError for kmax < 0, for j = -1 with
-    kmax >= 1 (such a code splits only through its pass-through entry), and
-    unless the weights have the preset form at every node.
+    """(levels, base, F, a, s): the checked inputs of the recursion for
+    A_{alpha,j} up to kmax.  levels maps each (nu, j') the multi-index
+    recursion reads to (top level, |nu|, nu!) (j' = j throughout with
+    collapse_j), base[node] = kappa sigma_boundary(node), F = _sizes of base
+    and a, s are the preset constants, the last three through conv.  The
+    checks run on the weights as given, before conv.  ValueError for
+    kmax < 0, for j = -1 with kmax >= 1 (such a code splits only through its
+    pass-through entry), and unless the weights have the preset form at
+    every node.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     if j < 0 and kmax >= 1:
         raise ValueError("a j = -1 code splits through its pass-through entry, not the preset form")
     if collapse_j:
-        nodes = {(nu, j): top for nu, top in _table_levels(alpha, kmax, True).items()}
+        levels = {(nu, j): v for nu, v in _table_levels(alpha, kmax, True).items()}
     else:
-        nodes = _j_levels(alpha, j, kmax)
-    base = {node: conv(w.boundary_dominating(*node)) for node in nodes}
-    a, s = _preset_constants(w, d, [node for node, top in nodes.items() if top >= 1], conv)
-    return nodes, base, _sizes((nu, v) for (nu, _), v in base.items()), a, s
+        levels = {
+            node: (top, sum(node[0]), mi_factorial(node[0]))
+            for node, top in _j_levels(alpha, j, kmax).items()
+        }
+    base = {node: w.boundary_dominating(*node) for node in levels}
+    a, s = _preset_constants(w, d, [node for node, v in levels.items() if v[0] >= 1], conv)
+    return levels, base, _sizes(levels, base, conv), a, s
 
 
-def _sizes(entries) -> list:
-    """[F(0), ..., F(max |nu|)] from (nu, g(nu)) pairs, with F(|nu|) =
-    g(nu)/(|nu|!/nu!), that is G(|nu|)/|nu|! for g(nu) = G(|nu|)/nu!;
-    ValueError unless that depends on |nu| only.  Dividing by the
-    multinomial keeps a float g clear of factorial-sized products.  A size
-    no entry has (0, in an A-hat table with alpha != 0) reads 0: the A-hat
-    recursion never uses it."""
-    F: dict = {}
-    for nu, v in entries:
-        x = _ratio(v, _spread(nu))
-        if not _same(F.setdefault(sum(nu), x), x):
-            raise ValueError(f"the level-0 value at {nu} is not G(|nu|)/nu!")
-    return [F.get(m, 0) for m in range(max(F) + 1)]
+def _sizes(levels: dict, base: dict, conv=None) -> list:
+    """[F(0), ..., F(max |nu|)] with F(|nu|) = g(nu)/(|nu|!/nu!), that is
+    G(|nu|)/|nu|! for g(nu) = G(|nu|)/nu!, from base[node] = g(nu) and
+    levels[node] = (top, |nu|, nu!); ValueError unless that depends on |nu|
+    only.  Every node is checked, against the expected value of its class
+    (|nu|, nu!) (see _Proportional).  F(m) is conv(g)/(m!/nu!) at the first node of size m;
+    dividing by the multinomial keeps a float g clear of factorial-sized
+    products.  A size no node has (0, in an A-hat table with alpha != 0)
+    reads 0: the A-hat recursion never uses it."""
+    sizes = _Proportional()
+    for node, (_, m, f) in levels.items():
+        if not sizes.holds(m, math.factorial(m) // f, base[node]):
+            raise ValueError(f"the level-0 value at {node} is not G(|nu|)/nu!")
+    return [sizes.ratio(m, conv) if m in sizes.first else 0 for m in range(max(sizes.first) + 1)]
 
 
 def _preset_constants(w: WeightSpec, d: int, nodes: list, conv) -> tuple:
-    """(a, s) with sigma_inner(nu, j, 0) = a (d+1) prod(1+nu) and
-    sigma_inner(nu, j, i) = s (d+1)/6 (2+nu_i)(3+nu_i) prod(1+nu) at every
-    (nu, j) in nodes; ValueError unless a and s are constant."""
-    zeros, units = [], []
+    """(a, s), through conv, with sigma_inner(nu, j, 0) = a (d+1) prod(1+nu)
+    and sigma_inner(nu, j, i) = s (d+1)/6 (2+nu_i)(3+nu_i) prod(1+nu) at
+    every (nu, j) in nodes; ValueError unless a and s are constant.  Each
+    node is checked against its class of equal factors (see _Proportional)."""
+    inner = _Proportional()
     for nu, jj in nodes:
         p = (d + 1) * index_product(nu)
-        zeros.append(_ratio(conv(w.sigma_inner(nu, jj, 0)), p))
-        units += [
-            _ratio(6 * conv(w.sigma_inner(nu, jj, i)), p * (2 + nu[i - 1]) * (3 + nu[i - 1]))
-            for i in range(1, d + 1)
-        ]
-    for kind, xs in (("0", zeros), ("i", units)):
-        if any(not _same(xs[0], x) for x in xs):
-            raise ValueError(f"sigma_inner(nu, j, {kind}) is not of the preset form")
-    return (zeros[0], units[0]) if nodes else (0, 0)
+        if not inner.holds("0", p, w.sigma_inner(nu, jj, 0)):
+            raise ValueError("sigma_inner(nu, j, 0) is not of the preset form")
+        for i in range(1, d + 1):
+            if not inner.holds("i", p * (2 + nu[i - 1]) * (3 + nu[i - 1]), w.sigma_inner(nu, jj, i)):
+                raise ValueError("sigma_inner(nu, j, i) is not of the preset form")
+    if not nodes:
+        return 0, 0
+    return inner.ratio("0", conv), inner.ratio("i", lambda v: 6 * conv(v))
+
+
+class _Proportional:
+    """Checks, node by node, that each value v is c n for an int n that the
+    node fixes, c = c(group) being v/n at the group's first node: exactly
+    for ints and Fractions, to a relative 1e-12 for floats.  The nodes with
+    one (group, n) form a class with the expected value c n.  An exact v is
+    compared with it in integers, v.numerator n0 v0.denominator ==
+    v0.numerator n v.denominator against the first node's v0, n0, so no
+    check builds a Fraction; a float v/n is compared with c itself, never
+    with a class representative, so no tolerance is chained."""
+
+    def __init__(self):
+        self.first: dict = {}  # group -> (v0, n0, v0 is exact, c)
+
+    def holds(self, group, n: int, v) -> bool:
+        exact = _is_exact(v)
+        ref = self.first.get(group)
+        if ref is None:
+            ref = self.first[group] = (v, n, exact, _ratio(v, n))
+        v0, n0, exact0, c = ref
+        if exact and exact0:
+            return v.numerator * n0 * v0.denominator == v0.numerator * n * v.denominator
+        return math.isclose(c, _ratio(v, n), rel_tol=1e-12)
+
+    def ratio(self, group, conv=None):
+        """c(group), or conv(v0)/n0 with conv given."""
+        v0, n0, _, c = self.first[group]
+        return c if conv is None else _ratio(conv(v0), n0)
 
 
 def _is_exact(v) -> bool:
-    return isinstance(v, (int, Fraction))
+    # a float is ruled out first: isinstance(v, Fraction) is an ABC check,
+    # slow for the floats that fail it
+    return not isinstance(v, float) and isinstance(v, (int, Fraction))
 
 
 def _ratio(x, n: int):
     return Fraction(x, n) if _is_exact(x) else x / n
 
 
-def _same(x, y) -> bool:
-    """Equal: exactly for ints and Fractions, to a relative 1e-12 for floats."""
-    if _is_exact(x) and _is_exact(y):
-        return x == y
-    return math.isclose(x, y, rel_tol=1e-12)
-
-
 def g_factorial(theta, r) -> Callable[[MultiIndex], Fraction]:
     """Growth sequence (|a|+r-1)_{|a|} theta^{|a|}/a!  (series of (1-theta<x>)^-r).
 
-    The Pochhammer product (r)(r+1)...(r+m-1) grows by one factor per new m,
-    in the order pochhammer_falling multiplies, so each G(m) is the same
-    number."""
+    With rational theta and r, the Pochhammer product (r)(r+1)...(r+m-1)
+    grows by one factor per new m, in the order pochhammer_falling
+    multiplies, so each G(m) is the same number.  Otherwise G(m)/m! grows
+    by the factor theta (r+m-1)/m (see _float_growth_sequence)."""
+    if not (_is_exact(theta) and _is_exact(r)):
+        return _float_growth_sequence(lambda m: theta * (r + m - 1) / m)
     rising = [Fraction(1)]
 
     def G(m):
@@ -391,7 +462,10 @@ def g_factorial(theta, r) -> Callable[[MultiIndex], Fraction]:
 
 
 def g_exponential(theta) -> Callable[[MultiIndex], Fraction]:
-    """Growth sequence theta^{|a|}/a!  (series of exp(theta<x>))."""
+    """Growth sequence theta^{|a|}/a!  (series of exp(theta<x>)); G(m)/m!
+    grows by theta/m for a float theta (see _float_growth_sequence)."""
+    if not _is_exact(theta):
+        return _float_growth_sequence(lambda m: theta / m)
     return _growth_sequence(lambda m: theta**m)
 
 
@@ -400,10 +474,25 @@ def _growth_sequence(G: Callable[[int], Fraction]) -> Callable[[MultiIndex], Fra
     memo: dict = {}
 
     def g(alpha):
-        m = mi_abs(alpha)
+        m = sum(alpha)
         if m not in memo:
             memo[m] = G(m)
-        return memo[m] / Fraction(mi_factorial(alpha))
+        return memo[m] / mi_factorial(alpha)
+    return g
+
+
+def _float_growth_sequence(factor: Callable[[int], float]) -> Callable[[MultiIndex], float]:
+    """a -> F(|a|) |a|!/a! in floats, F(m) = G(m)/m! = F(m-1) factor(m)
+    being built once per m.  Neither G(m) nor a! is formed, so g stays
+    finite where its value does; a float G(m) = m! theta^m passes the
+    largest float near m = 170."""
+    F = [1.0]
+
+    def g(alpha):
+        m = sum(alpha)
+        while len(F) <= m:
+            F.append(float(F[-1] * factor(len(F))))
+        return F[m] * _spread(alpha)
     return g
 
 
@@ -803,7 +892,11 @@ def bound_report(alpha: MultiIndex, params, lam: float, T: float, t: float = 0.0
                               / (y - x), with C(y) = sup_k A'(k) y^{k+1}
                               (2 theta d)^{-|alpha|}; the least over the
                               fixed set y in {2^{-(r+2)} R, R 2^{-j/2} for
-                              j = 1..6} with y > x, so valid for x < R/sqrt(2);
+                              j = 1..6} with y > x, so for x < R/sqrt(2);
+                              for R/sqrt(2) <= x < R the series bound
+                              delta1 exp(-lam h) (|alpha|!/alpha!)
+                              sum_k A'_{|alpha| e_1}(k) x^k with its tail
+                              closure (path "series");
     exponential, |alpha| = 0: delta1/2 e^{1-lam h}, valid for x < R;
     exponential, |alpha|>=1:  C_pt (d / log(R/x))^{|alpha|-1} delta1
                               exp(-lam h), valid for x < R,
@@ -839,7 +932,16 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
         fixed = {2.0 ** -(float(params.r) + 2) * R, *(R * 2.0 ** (-j / 2) for j in range(1, 7))}
         ys = sorted(y for y in fixed if y > x)
         if not ys:
-            raise OutsideRadius(f"x = {x:.6g} >= R/sqrt(2) = {R / math.sqrt(2.0):.6g}")
+            # past the largest y, R/sqrt(2): the series itself, whose value
+            # keeps its tail closure and so stays an upper bound
+            series = spread * _ghat_series_value(params, m, x)
+            out.update(
+                path="series",
+                formula_factor=delta1 * decay,
+                tracked_constant=series,
+                wh_bound=delta1 * decay * series,
+            )
+            return out
         logs = _log_sup_terms(params, m, ys)
         y, log_sup = min(zip(ys, logs), key=lambda yl: yl[1] - math.log(yl[0] - x))
         formula = (2 * theta * params.d) ** m * decay * delta1 / (y - x)

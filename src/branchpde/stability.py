@@ -139,6 +139,8 @@ def build_weights(p: GrowthParams) -> WeightSpec:
     d1, d2 = p.delta1, p.delta2
     one = Fraction(1) if isinstance(d2, (int, Fraction)) else 1.0
     kappa = d2 if float(d2) > 1 else one  # delta2 v 1
+    # the leading factors, formed once in the order the products below use
+    inner, twelve = (p.d + 1) * d2, 12 * one
 
     def sigma_boundary(alpha, j):
         base = d1 * g(alpha)
@@ -151,9 +153,9 @@ def build_weights(p: GrowthParams) -> WeightSpec:
             return d2
         prod = index_product(alpha)
         if kind == 0:
-            return (p.d + 1) * d2 * prod
+            return inner * prod
         ai = alpha[kind - 1]
-        return (p.d + 1) * d2 * (2 + ai) * (3 + ai) * prod / (12 * one)
+        return inner * (2 + ai) * (3 + ai) * prod / twelve
 
     return WeightSpec(sigma_boundary=sigma_boundary, sigma_inner=sigma_inner, kappa=kappa)
 

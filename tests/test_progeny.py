@@ -505,17 +505,29 @@ def test_series_value_and_tracked_constant_match_scalar_loops(regime, d):
 
 @pytest.mark.parametrize("theta, r", [(Fraction(3, 2), Fraction(1)), (0.7, 2.5)])
 def test_growth_sequences_build_each_order_once_with_the_same_values(theta, r):
+    # rational parameters give the exact G(m)/alpha!; float ones build
+    # G(m)/m! in floats, which stays within rounding of the exact value at
+    # the floats' own rationals
+    exact = isinstance(theta, Fraction)
     gf, ge = g_factorial(theta, r), g_exponential(theta)
     w = stability.GrowthParams(stability.Factorial(theta, r), 1.2, 2.0, 1.0, 0.01, 2).build_weights()
+    first = {}
     for _ in range(2):  # the second pass reads the memo
         for alpha in alphas_upto(6, 2):
             m = mi_abs(alpha)
             fac = Fraction(mi_factorial(alpha))
-            want = pochhammer_falling(m, r) * theta**m / fac
-            assert gf(alpha) == want and type(gf(alpha)) is type(want)
-            assert ge(alpha) == theta**m / fac
-            assert w.sigma_boundary(alpha, -1) == 1.2 * want
-            assert w.sigma_boundary(alpha, 0) == 1.2 * want / 2.0
+            want_f = pochhammer_falling(m, Fraction(r)) * Fraction(theta) ** m / fac
+            want_e = Fraction(theta) ** m / fac
+            got = first.setdefault(alpha, (gf(alpha), ge(alpha)))
+            assert (gf(alpha), ge(alpha)) == got
+            if exact:
+                assert got == (want_f, want_e) and type(got[0]) is type(got[1]) is Fraction
+            else:
+                assert type(got[0]) is type(got[1]) is float
+                assert got[0] == pytest.approx(float(want_f), rel=1e-14, abs=0)
+                assert got[1] == pytest.approx(float(want_e), rel=1e-14, abs=0)
+            assert w.sigma_boundary(alpha, -1) == 1.2 * got[0]
+            assert w.sigma_boundary(alpha, 0) == 1.2 * got[0] / 2.0
 
 
 @pytest.mark.parametrize("regime", [r for r, _ in ARRAY_PARAMS], ids=[i for _, i in ARRAY_PARAMS])
@@ -547,3 +559,34 @@ def test_series_value_stops_early_and_stays_an_upper_bound(monkeypatch, regime, 
     monkeypatch.setattr(progeny, "ahat_log_terms", recording)
     progeny._ghat_series_value(p, 2, 0.3 * R)
     assert max(sizes) <= 65
+
+
+def test_dominating_bound_between_r_over_sqrt2_and_r_is_the_series():
+    # factorial |alpha| >= 1: past the largest y, R/sqrt(2), the bound is the
+    # A' series with its tail closure instead of OutsideRadius
+    p = stability.GrowthParams(stability.Factorial(1.5, 1), 1.2, 1.2, 1.0, 0.01, 2)
+    R = p.with_side_theta().radius()
+    for alpha in [(1, 0), (1, 1), (2, 1)]:
+        for frac in (0.8, 0.95):
+            rep = progeny.dominating_bound(alpha, p, frac * R, 0.9)
+            series = progeny._spread(alpha) * progeny._ghat_series_value(p, sum(alpha), frac * R)
+            assert rep["path"] == "series" and math.isfinite(rep["wh_bound"])
+            assert rep["wh_bound"] == pytest.approx(1.2 * 0.9 * series, rel=1e-15, abs=0)
+            # and it bounds the mean weighted progeny at that argument
+            T = -math.log(1.0 - frac * R / 1.44)
+            out = expected_weighted_progeny(alpha, 0, 1.0, T, p, ktrunc=60)
+            assert out["value"] <= bound_report(alpha, p, 1.0, T)["wh_bound"]
+        for frac in (1.0, 1.2):
+            with pytest.raises(OutsideRadius):
+                progeny.dominating_bound(alpha, p, frac * R, 0.9)
+    # below R/sqrt(2) the geometric-series bound is as before
+    pinned = {
+        ((1, 0), 0.5): 5.531025971044413,
+        ((1, 0), 0.7): 161.18590898655233,
+        ((2, 1), 0.5): 39.110259710444126,
+        ((2, 1), 0.7): 1139.756492761088,
+    }
+    for (alpha, frac), want in pinned.items():
+        rep = progeny.dominating_bound(alpha, p, frac * R, 0.9)
+        assert rep["path"] == "geometric-series"
+        assert rep["wh_bound"] == pytest.approx(want, rel=1e-12, abs=0)

@@ -379,3 +379,100 @@ def test_float_paths_do_not_overflow_at_large_truncation():
     exact = a_recursion(w, 1, (1,), 0, 30, collapse_j=True)
     for key, v in exact.values.items():
         assert floats[key] == pytest.approx(float(v), rel=1e-12, abs=0)
+
+
+def test_float_parameter_growth_does_not_overflow():
+    # with float theta and r, g is built as G(m)/m! times |nu|!/nu!, so the
+    # weights stay finite where G(m) = m! theta^m passes the largest float
+    one = Fraction(1)
+    floats = stability.GrowthParams(stability.Factorial(1.0, 1.0), 1.0, 1.0, 1.0, 0.05, 1)
+    exact = stability.GrowthParams(stability.Factorial(one, one), one, one, 1.0, 0.05, 1)
+    got = expected_weighted_progeny((1,), 0, 1.0, 0.05, floats, 200)["value"]
+    want = expected_weighted_progeny((1,), 0, 1.0, 0.05, exact, 200)["value"]
+    assert want == pytest.approx(1.1900146, rel=1e-7, abs=0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    g = progeny.g_factorial(1.5, 2.0)
+    for nu in ((300,), (150, 150), (100, 100, 100)):
+        v = g(nu)
+        want = progeny.g_factorial(Fraction(3, 2), Fraction(2))(nu)
+        assert type(v) is float and v == pytest.approx(float(want), rel=1e-12, abs=0)
+    assert progeny.g_exponential(0.5)((400,)) == pytest.approx(
+        float(progeny.g_exponential(Fraction(1, 2))((400,))), rel=1e-12, abs=0
+    )
+
+
+# Every node is checked, also where another node of its class (|nu|, nu!)
+# passed already: (1, 2) comes before (2, 1) in a table and shares its class,
+# so a check run once per class would pass a value that is off at (2, 1).
+MIRRORED = [(2, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("node", MIRRORED, ids=["nu21", "nu12"])
+@pytest.mark.parametrize("as_float", [False, True])
+def test_ahat_recursion_checks_every_node_of_a_class(node, as_float):
+    g = GROWTH["factorial"][0]
+    off = 1.0 + 1e-9 if as_float else 1 + Fraction(1, 10**40)
+
+    def nudged(nu):
+        v = float(g(nu)) if as_float else g(nu)
+        return v * off if nu == node else v
+
+    keys = list(ahat_recursion(g, 2, (1, 1), 2).values)
+    assert keys.index(((1, 2), 0)) < keys.index(((2, 1), 0))
+    with pytest.raises(ValueError, match="G"):
+        ahat_recursion(nudged, 2, (1, 1), 2)
+
+
+def _off_at(w, node, where, off):
+    """w with the boundary weight (where = "boundary") or sigma_inner of kind
+    `where` times off at node alone."""
+    if where == "boundary":
+        return _tampered(w, boundary=lambda nu, j: w.sigma_boundary(nu, j) * (off if nu == node else 1))
+    return _tampered(
+        w, inner=lambda nu, j, k: w.sigma_inner(nu, j, k) * (off if (nu, k) == (node, where) else 1)
+    )
+
+
+# (1, 2) and (2, 1) reach level 1 in the tables of (1, 1) at kmax 2, so both
+# split and their sigma_inner is checked too
+@pytest.mark.parametrize("where", ["boundary", 0, 1, 2])
+@pytest.mark.parametrize("node", MIRRORED, ids=["nu21", "nu12"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_recursion_and_expected_weighted_progeny_check_every_node_of_a_class(exact, node, where):
+    delta = Fraction(6, 5) if exact else 1.2
+    regime = GROWTH["factorial"][1] if exact else stability.Factorial(1.5, 1.0)
+    p = stability.GrowthParams(regime, delta, delta, 1.0, 0.002, 2)
+    w = p.build_weights()
+    spec = _off_at(w, node, where, 1 + Fraction(1, 10**40) if exact else 1.0 + 1e-9)
+    match = "G" if where == "boundary" else "preset"
+    for collapse_j in (True, False):
+        for as_float in (False, True):
+            with pytest.raises(ValueError, match=match):
+                a_recursion(spec, 2, (1, 1), 0, 2, collapse_j=collapse_j, as_float=as_float)
+    with pytest.raises(ValueError, match=match):
+        expected_weighted_progeny((1, 1), 0, 1.0, 0.002, _WithWeights(p, spec), ktrunc=2)
+    # untampered, the same calls go through
+    a_recursion(w, 2, (1, 1), 0, 2, collapse_j=True)
+    expected_weighted_progeny((1, 1), 0, 1.0, 0.002, _WithWeights(p, w), ktrunc=2)
+
+
+def test_benchmark_shape_ahat_tables_equal_the_closed_form():
+    # the analyze-series shape: g_factorial(1, 1), d = 2, kmax 12, |alpha| <= 3
+    one = Fraction(1)
+    g = progeny.g_factorial(one, one)
+    entries = 0
+    for alpha in alphas_upto(3, 2):
+        table = ahat_recursion(g, 2, alpha, 12)
+        assert table.backend == "exact"
+        for (nu, k), v in table.values.items():
+            if sum(nu) >= 1:
+                assert type(v) is Fraction and v == progeny.ahat_closed_factorial(one, one, 2, nu, k)
+                entries += 1
+        # nodes of one class (|nu|, nu!) share each value past level 0, and
+        # a second call builds its own
+        again = ahat_recursion(g, 2, alpha, 12)
+        for k in range(1, 12):
+            if ((1, 2), k) in table.values and ((2, 1), k) in table.values:
+                assert table[(1, 2), k] is table[(2, 1), k]
+                assert again[(1, 2), k] == table[(1, 2), k] and again[(1, 2), k] is not table[(1, 2), k]
+    assert entries == 6289  # the 6302 entries the benchmark checks, less alpha = 0's own
