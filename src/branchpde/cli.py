@@ -30,6 +30,7 @@ from .estimator import (
 )
 from .lifetimes import model_from_config
 from .mechanism import Code
+from .multiindex import mi_upto
 from .tree import Caps
 from . import problems, progeny, stability
 
@@ -288,6 +289,7 @@ def cmd_progeny(args) -> int:
         r = Fraction(str(cfg["regime"]["r"])) if kind == "factorial" else None
         if theta <= 0 or (r is not None and r <= 0):
             raise ConfigError("regime.theta and regime.r must be > 0")
+        regime = stability.Exponential(theta) if r is None else stability.Factorial(theta, r)
         d = _at_least(cfg, "d", 1, 1)
         kmax = _at_least(cfg, "kmax", 6, 0)
         alpha_max = _at_least(cfg, "alpha_max", 3, 0)
@@ -296,19 +298,9 @@ def cmd_progeny(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    if kind == "factorial":
-        radius = progeny.radius_factorial(float(theta), float(r), d)
-        g = progeny.g_factorial(theta, r)
-    else:
-        radius = progeny.radius_exponential(float(theta), d)
-        g = progeny.g_exponential(theta)
-
+    radius, g = regime.radius(d), regime.g()
     lines = ["alpha,k,value_num,value_den,value_float,regime,radius"]
-    from itertools import product as iproduct
-
-    for alpha in iproduct(range(alpha_max + 1), repeat=d):
-        if sum(alpha) > alpha_max:
-            continue
+    for alpha in mi_upto(alpha_max, d):
         table = progeny.ahat_recursion(g, d, alpha, kmax)
         alpha_txt = "|".join(str(a) for a in alpha)
         for k in range(kmax + 1):
@@ -316,7 +308,7 @@ def cmd_progeny(args) -> int:
             frac = Fraction(v)
             num, den = (frac.numerator, frac.denominator) if exact else ("", "")
             lines.append(
-                f"{alpha_txt},{k},{num},{den},{float(v)!r},{kind},{radius!r}"
+                f"{alpha_txt},{k},{num},{den},{float(v)!r},{regime.name},{radius!r}"
             )
     _emit(args.out, "\n".join(lines) + "\n")
     return 0

@@ -68,6 +68,11 @@ def mi_enumerate_below(alpha: MultiIndex) -> list[MultiIndex]:
     return list(product(*(range(a + 1) for a in alpha)))
 
 
+def mi_upto(total: int, d: int) -> list[MultiIndex]:
+    """All alpha in d dimensions with |alpha| <= total, in lexicographic order."""
+    return [al for al in product(range(total + 1), repeat=d) if mi_abs(al) <= total]
+
+
 def mi_add_unit(alpha: MultiIndex, i: int) -> MultiIndex:
     """alpha + 1_i with 1-based coordinate index i."""
     if not 1 <= i <= len(alpha):

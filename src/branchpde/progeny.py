@@ -38,19 +38,21 @@ cumulative sum of logs, the factorial regime's Gamma ratio through
 math.lgamma); the series, sup and tail evaluations behind the bounds read
 their terms from it, and ahat_value_log is the scalar reference.  The
 closed forms run along the first axis, and A'_nu = (|nu|!/nu!) A'_{|nu| e_1}.
+Each regime's formulas (g, radius, closed-form terms) are methods of
+Factorial and Exponential.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from operator import mul
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from .combinatorics import gamma_ratio_exact, log_gamma_ratio
+from .combinatorics import gamma_ratio_exact, log_gamma_ratio, pochhammer_falling
 from .mechanism import index_product
 from .multiindex import (
     MultiIndex,
@@ -59,6 +61,7 @@ from .multiindex import (
     mi_enumerate_below,
     mi_factorial,
     mi_sub,
+    mi_upto,
 )
 from .tree import WeightSpec
 
@@ -510,7 +513,7 @@ def ahat_closed_factorial(theta, r, d: int, alpha: MultiIndex, k: int):
         raise ValueError("closed form requires |alpha| >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if isinstance(theta, (int, Fraction)) and isinstance(r, (int, Fraction)):
+    if _is_exact(theta) and _is_exact(r):
         base = Fraction((r + 1) * (k + 1))
         ratio = gamma_ratio_exact(base, k + m - 1)
         return (
@@ -521,23 +524,7 @@ def ahat_closed_factorial(theta, r, d: int, alpha: MultiIndex, k: int):
             * ratio
             / math.factorial(k + 1)
         )
-    return math.exp(ahat_log_factorial(theta, r, d, alpha, k))
-
-
-def ahat_log_factorial(theta, r, d: int, alpha: MultiIndex, k: int) -> float:
-    """log of the factorial-regime closed form; safe for large k."""
-    m = mi_abs(alpha)
-    if m < 1:
-        raise ValueError("closed form requires |alpha| >= 1")
-    theta, r = float(theta), float(r)
-    return (
-        k * math.log(2 * d)
-        + (k + 1) * math.log(r)
-        + (2 * k + m) * math.log(theta)
-        - math.log(mi_factorial(alpha))
-        + log_gamma_ratio((r + 2) * k + r + m, (r + 1) * (k + 1))
-        - math.lgamma(k + 2)
-    )
+    return math.exp(Factorial(theta, r).closed_log(d, alpha, k))
 
 
 def ahat_closed_exponential(theta, d: int, alpha: MultiIndex, k: int):
@@ -548,28 +535,14 @@ def ahat_closed_exponential(theta, d: int, alpha: MultiIndex, k: int):
         raise ValueError("closed form requires |alpha| >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if isinstance(theta, (int, Fraction)):
+    if _is_exact(theta):
         return (
             Fraction(2 * d) ** k
             * Fraction(theta) ** (2 * k + m)
             / (mi_factorial(alpha) * math.factorial(k))
             * Fraction(k + 1) ** (k + m - 2)
         )
-    return math.exp(ahat_log_exponential(theta, d, alpha, k))
-
-
-def ahat_log_exponential(theta, d: int, alpha: MultiIndex, k: int) -> float:
-    m = mi_abs(alpha)
-    if m < 1:
-        raise ValueError("closed form requires |alpha| >= 1")
-    theta = float(theta)
-    return (
-        k * math.log(2 * d)
-        + (2 * k + m) * math.log(theta)
-        - math.log(mi_factorial(alpha))
-        - math.lgamma(k + 1)
-        + (k + m - 2) * math.log(k + 1)
-    )
+    return math.exp(Exponential(theta).closed_log(d, alpha, k))
 
 
 def ahat_composition_form(g_star, d: int, alpha: MultiIndex, k: int):
@@ -602,62 +575,169 @@ def ahat_composition_form(g_star, d: int, alpha: MultiIndex, k: int):
     return prefactor * total
 
 
-def radius_factorial(theta: float, r: float, d: int) -> float:
-    """Radius of the factorial-regime generating function:
-    (r+1)^{r+1} / (2 theta^2 r (r+2)^{r+2} d)."""
-    if theta <= 0 or r <= 0 or d <= 0:
-        raise ValueError("need theta, r, d > 0")
-    theta, r = float(theta), float(r)
-    return (r + 1) ** (r + 1) / (2 * theta**2 * r * (r + 2) ** (r + 2) * d)
+class _Regime:
+    """What the two growth regimes share.  Each regime fixes the growth
+    sequence g, the radius R(d) of the A' generating function, the
+    horizon threshold, the closed-form A' terms, the alpha = 0 sup
+    constant and the exact ratio (1+alpha_i) A'_{alpha+1_i}(k)/A'_alpha(k).
+    side_scale is r (factorial) or 1 (exponential)."""
+
+    def side_lhs(self) -> float:
+        """theta side_scale, the left side of side-theta: side_lhs() >= sqrt(2/d)."""
+        return float(self.theta) * self.side_scale
 
 
-def radius_exponential(theta: float, d: int) -> float:
-    """Radius of the exponential-regime generating function: 1/(2 e theta^2 d)."""
-    if theta <= 0 or d <= 0:
-        raise ValueError("need theta, d > 0")
-    return 1.0 / (2.0 * math.e * float(theta) ** 2 * d)
+@dataclass(frozen=True)
+class Factorial(_Regime):
+    """Envelopes delta1 theta^m (r)(r+1)...(r+m-1) of the order-m derivatives."""
+
+    theta: float
+    r: float
+    name: ClassVar[str] = "factorial"
+
+    @property
+    def side_scale(self) -> float:
+        return float(self.r)
+
+    def g(self) -> Callable[[MultiIndex], Fraction]:
+        return g_factorial(self.theta, self.r)
+
+    def envelope(self, m: int):
+        """G(m) = theta^m (r)(r+1)...(r+m-1)."""
+        return self.theta**m * pochhammer_falling(m, self.r)
+
+    def radius(self, d: int) -> float:
+        """(r+1)^{r+1} / (2 theta^2 r (r+2)^{r+2} d)."""
+        if self.theta <= 0 or self.r <= 0 or d <= 0:
+            raise ValueError("need theta, r, d > 0")
+        theta, r = float(self.theta), float(self.r)
+        return (r + 1) ** (r + 1) / (2 * theta**2 * r * (r + 2) ** (r + 2) * d)
+
+    def horizon_threshold(self, d: int) -> float:
+        """2^-(r+2) R, the bound of the radius condition."""
+        return 2.0 ** (-(float(self.r) + 2)) * self.radius(d)
+
+    def sup0(self) -> float:
+        """sup of the alpha = 0 A' series over [0, R): 1/2 ((r+2)/(r+1))^{r+1}."""
+        r = float(self.r)
+        return 0.5 * ((r + 2) / (r + 1)) ** (r + 1)
+
+    def ratio(self, m: int, k: int):
+        """((r+2)k + r + |alpha|) theta, for |alpha| = m >= 1."""
+        return ((self.r + 2) * k + self.r + m) * self.theta
+
+    def closed_log(self, d: int, alpha: MultiIndex, k: int) -> float:
+        """log of the closed form of ahat_closed_factorial; safe for large k."""
+        m = mi_abs(alpha)
+        if m < 1:
+            raise ValueError("closed form requires |alpha| >= 1")
+        theta, r = float(self.theta), float(self.r)
+        return (
+            k * math.log(2 * d)
+            + (k + 1) * math.log(r)
+            + (2 * k + m) * math.log(theta)
+            - math.log(mi_factorial(alpha))
+            + log_gamma_ratio((r + 2) * k + r + m, (r + 1) * (k + 1))
+            - math.lgamma(k + 2)
+        )
+
+    def closed_log_terms(self, logs, m: int, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+        """logs plus the regime part of log A'_{m e_1}(k) over the array k,
+        given log j! for j <= max(k) + 1: the Gamma ratio, r^{k+1} and 1/(k+1)!."""
+        r = float(self.r)
+        return (
+            logs
+            + (k + 1) * math.log(r)
+            + _lgamma((r + 2) * k + r + m)
+            - _lgamma((r + 1) * (k + 1))
+            - log_fact[1:]
+        )
+
+
+@dataclass(frozen=True)
+class Exponential(_Regime):
+    """Envelopes delta1 theta^m of the order-m derivatives."""
+
+    theta: float
+    name: ClassVar[str] = "exponential"
+    side_scale: ClassVar[float] = 1.0
+
+    def g(self) -> Callable[[MultiIndex], Fraction]:
+        return g_exponential(self.theta)
+
+    def envelope(self, m: int):
+        """G(m) = theta^m."""
+        return self.theta**m
+
+    def radius(self, d: int) -> float:
+        """1/(2 e theta^2 d)."""
+        if self.theta <= 0 or d <= 0:
+            raise ValueError("need theta, d > 0")
+        return 1.0 / (2.0 * math.e * float(self.theta) ** 2 * d)
+
+    def horizon_threshold(self, d: int) -> float:
+        """R itself, the bound of the radius condition."""
+        return self.radius(d)
+
+    def sup0(self) -> float:
+        """sup of the alpha = 0 A' series over [0, R): e/2."""
+        return 0.5 * math.e
+
+    def ratio(self, m: int, k: int):
+        """(k+1) theta, for |alpha| = m >= 1."""
+        return (k + 1) * self.theta
+
+    def closed_log(self, d: int, alpha: MultiIndex, k: int) -> float:
+        """log of the closed form of ahat_closed_exponential; safe for large k."""
+        m = mi_abs(alpha)
+        if m < 1:
+            raise ValueError("closed form requires |alpha| >= 1")
+        theta = float(self.theta)
+        return (
+            k * math.log(2 * d)
+            + (2 * k + m) * math.log(theta)
+            - math.log(mi_factorial(alpha))
+            - math.lgamma(k + 1)
+            + (k + m - 2) * math.log(k + 1)
+        )
+
+    def closed_log_terms(self, logs, m: int, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+        """logs plus the regime part of log A'_{m e_1}(k) over the array k,
+        given log j! for j <= max(k) + 1: (k+1)^{k+m-2}/k!."""
+        return logs - log_fact[:-1] + (k + m - 2) * np.log(k + 1)
 
 
 @dataclass(frozen=True)
 class DominationReport:
     regime: str
-    lhs: float                 # r*theta (factorial) or theta (exponential)
+    lhs: float                 # regime.side_lhs()
     rhs: float                 # sqrt(2/d)
     passed: bool
     ratio_identity_checked: bool  # exact per-k ratio formula vs recursion values
 
 
 def check_domination_condition(
-    regime: str, theta, r=None, d: int = 1, grid_kmax: int = 4, grid_alphamax: int = 3
+    regime: Factorial | Exponential, d: int = 1, grid_kmax: int = 4, grid_alphamax: int = 3
 ) -> DominationReport:
     """Check (1+alpha_i) A'_{alpha+1_i}(k) >= sqrt(2/d) A'_alpha(k).
 
-    Uses the exact ratio formulas ((r+2)k+r+|alpha|)theta (factorial) and
-    (k+1)theta (exponential), whose minima over k, alpha are r*theta and
-    theta; also validates the ratio identity against recursion values on a
-    small grid, including alpha = 0 where the closed form does not apply.
+    Uses the regime's exact ratio formula (regime.ratio), whose minimum over
+    k and alpha is regime.side_lhs(), the left side of side-theta; also
+    validates the ratio identity against recursion values on a small grid,
+    in rationals (the regime's parameters are converted to Fractions),
+    including alpha = 0 where the closed form does not apply.
     """
     rhs = math.sqrt(2.0 / d)
-    th = Fraction(theta)
-    if regime == "factorial":
-        if r is None:
-            raise ValueError("factorial regime needs r")
-        rr = Fraction(r)
-        lhs = float(rr * th)
-        g = g_factorial(th, rr)
-    elif regime == "exponential":
-        lhs = float(th)
-        g = g_exponential(th)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
+    lhs = regime.side_lhs()
+    exact = replace(regime, **{f.name: Fraction(getattr(regime, f.name)) for f in fields(regime)})
 
     # exact grid validation of the ratio identity, plus the raw inequality
     # (the latter is only expected to hold when the analytic verdict passes)
     identity_ok = True
     grid_ok = True
     zero = tuple(0 for _ in range(d))
-    table = ahat_recursion(g, d, zero, grid_kmax)
-    for al in _alphas_upto(grid_alphamax, d):
+    table = ahat_recursion(exact.g(), d, zero, grid_kmax)
+    for al in mi_upto(grid_alphamax, d):
         for k in range(grid_kmax + 1):
             if (al, k) not in table.values:
                 continue
@@ -667,17 +747,12 @@ def check_domination_condition(
                 if (up, k) not in table.values:
                     continue
                 lhs_val = (1 + al[i - 1]) * table.values[(up, k)]
-                if mi_abs(al) >= 1:
-                    if regime == "factorial":
-                        expected = ((rr + 2) * k + rr + mi_abs(al)) * th * base
-                    else:
-                        expected = (k + 1) * th * base
-                    if lhs_val != expected:
-                        identity_ok = False
+                if mi_abs(al) >= 1 and lhs_val != exact.ratio(mi_abs(al), k) * base:
+                    identity_ok = False
                 if float(lhs_val) < rhs * float(base) - 1e-12:
                     grid_ok = False
     return DominationReport(
-        regime=regime,
+        regime=regime.name,
         lhs=lhs,
         rhs=rhs,
         passed=lhs >= rhs and grid_ok,
@@ -688,17 +763,14 @@ def check_domination_condition(
 def ahat_value_log(params, alpha_abs: int, k: int) -> float:
     """log A'_alpha(k) through the regime closed form, alpha of given order
     along the first coordinate; |alpha| >= 1."""
-    al = (alpha_abs,) + (0,) * (params.d - 1)
-    if params.regime_name == "factorial":
-        return ahat_log_factorial(params.theta, params.r, params.d, al, k)
-    return ahat_log_exponential(params.theta, params.d, al, k)
+    return params.regime.closed_log(params.d, (alpha_abs,) + (0,) * (params.d - 1), k)
 
 
 def ahat_log_terms(params, alpha_abs: int, kmax: int) -> np.ndarray:
     """ahat_value_log(params, alpha_abs, k) for k = 0..kmax, as one array.
 
-    log k! is a cumulative sum of logs, and the factorial regime's Gamma
-    ratio maps math.lgamma over the array of its arguments.
+    log k! is a cumulative sum of logs; the regime adds its own part of the
+    closed form (regime.closed_log_terms).
     """
     m = alpha_abs
     if m < 1:
@@ -710,19 +782,10 @@ def ahat_log_terms(params, alpha_abs: int, kmax: int) -> np.ndarray:
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, kmax + 2)))))
     logs = (
         k * math.log(2 * params.d)
-        + (2 * k + m) * math.log(float(params.theta))
+        + (2 * k + m) * math.log(float(params.regime.theta))
         - math.log(math.factorial(m))
     )
-    if params.regime_name == "exponential":
-        return logs - log_fact[:-1] + (k + m - 2) * np.log(k + 1)
-    r = float(params.r)
-    return (
-        logs
-        + (k + 1) * math.log(r)
-        + _lgamma((r + 2) * k + r + m)
-        - _lgamma((r + 1) * (k + 1))
-        - log_fact[1:]
-    )
+    return params.regime.closed_log_terms(logs, m, k, log_fact)
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
@@ -756,8 +819,8 @@ def expected_weighted_progeny(
 
         exp(-lam h) sum_{k<=ktrunc} (1-exp(-lam h))^k A_{alpha,j}(k),
 
-    with a geometric tail bound from the regime radius.  Requires
-    (1-exp(-lam h)) delta1 delta2 < radius, else OutsideRadius.
+    with a geometric tail bound.  Requires (1-exp(-lam h)) delta1 delta2 <
+    radius, R at the parameters' own theta, else OutsideRadius.
 
     The weights go through every check a_recursion makes (preset form at
     each node of its collapsed table, the j = -1 refusal), but no table is
@@ -766,11 +829,14 @@ def expected_weighted_progeny(
     Nothing factorial-sized arises, so any ktrunc is safe inside the radius.
 
     The tail bound rests on the domination A(k) <= delta1 (delta1 delta2)^k
-    A'(k) at the parameters' own theta, so it is a bound only where the
-    side-theta condition holds (bound_report raises theta instead).
+    A'(k), which is proven at theta* = params.with_side_theta(), the least
+    theta >= the given one where side-theta holds (as in bound_report).  A
+    is nondecreasing in theta coefficient by coefficient, so A at theta is
+    bounded by A' at theta*.  The tail is therefore taken at theta*: it is
+    infinite wherever R(theta*) <= (1-exp(-lam h)) delta1 delta2 < R(theta).
 
     `params` is a growth-parameter bundle exposing build_weights(), radius(),
-    delta1, delta2 (see stability.GrowthParams).
+    with_side_theta(), delta1, delta2 and d (see stability.GrowthParams).
     """
     alpha = tuple(alpha)
     x = 1.0 - math.exp(-lam * horizon)
@@ -787,19 +853,20 @@ def expected_weighted_progeny(
     m = mi_abs(alpha)
     terms = _float_series(F, x * a, x * params.d * s, ktrunc)[:, m]
     value = math.exp(-lam * horizon) * _spread(alpha) * math.fsum(terms.tolist())
-    # tail: A(k) <= delta1 (delta1 delta2)^k A'(k), closed geometrically
+    # tail: A(k) <= delta1 (delta1 delta2)^k A'(k) at theta*, closed geometrically
+    star = params.with_side_theta()
     if xa == 0:
         q_trunc, ratio = 0.0, 0.0
     elif m >= 1:
-        log_a = ahat_log_terms(params, m, ktrunc + 1)[ktrunc:]
+        log_a = ahat_log_terms(star, m, ktrunc + 1)[ktrunc:]
         q_trunc = _spread(alpha) * math.exp(log_a[0] + ktrunc * math.log(xa))
         ratio = xa * math.exp(log_a[1] - log_a[0])
     else:
-        terms = ahat0_scaled_series(params, xa, ktrunc + 1)
+        terms = ahat0_scaled_series(star, xa, ktrunc + 1)
         q_trunc = terms[ktrunc]
         ratio = terms[ktrunc + 1] / q_trunc if q_trunc > 0 else 0.0
     tail = math.exp(-lam * horizon) * float(params.delta1) * q_trunc * _geometric_tail(
-        ratio, xa / radius
+        ratio, xa / star.radius()
     )
     return {
         "value": value,
@@ -860,10 +927,9 @@ def tracked_constant(params, alpha_abs: int, k_probe: int = 2000) -> float:
     |alpha| >= 1 the sup is exact (see _log_sup_terms); for alpha = 0 it is
     taken over the first min(k_probe, 400) terms.
     """
-    R = params.radius()
-    y = 2.0 ** (-(float(params.r) + 2)) * R
+    y = params.scaled_radius()
     m = alpha_abs
-    log_pref = -m * math.log(2 * float(params.theta) * params.d)
+    log_pref = -m * math.log(2 * float(params.regime.theta) * params.d)
     if m >= 1:
         return math.exp(_log_sup_terms(params, m, [y], k_probe)[0] + log_pref)
     best = -math.inf
@@ -917,19 +983,19 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
     alpha = tuple(alpha)
     m = mi_abs(alpha)
     params = params.with_side_theta()
-    theta = float(params.theta)
+    theta = float(params.regime.theta)
     delta1 = float(params.delta1)
     R = params.radius()
     spread = _spread(alpha)
     out = {
         "alpha": alpha,
-        "regime": params.regime_name,
+        "regime": params.regime.name,
         "theta": theta,
         "series_argument": x,
         "radius": R,
     }
-    if params.regime_name == "factorial" and m >= 1:
-        fixed = {2.0 ** -(float(params.r) + 2) * R, *(R * 2.0 ** (-j / 2) for j in range(1, 7))}
+    if isinstance(params.regime, Factorial) and m >= 1:
+        fixed = {params.scaled_radius(), *(R * 2.0 ** (-j / 2) for j in range(1, 7))}
         ys = sorted(y for y in fixed if y > x)
         if not ys:
             # past the largest y, R/sqrt(2): the series itself, whose value
@@ -957,11 +1023,7 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
     if not x < R:
         raise OutsideRadius(f"x = {x:.6g} >= R = {R:.6g}")
     if m == 0:
-        if params.regime_name == "factorial":
-            r = float(params.r)
-            formula = 0.5 * ((r + 2) / (r + 1)) ** (r + 1) * decay
-        else:
-            formula = 0.5 * math.e * decay
+        formula = params.regime.sup0() * decay
         out.update(
             path="sup-of-generating-function",
             formula_factor=formula,
@@ -1045,7 +1107,7 @@ def contact_hj_consistency(
             values.update(a_recursion(w, d, al, 0, k, collapse_j=True).values)
         return values[(al, k)]
 
-    for al in _alphas_upto(alphamax, d):
+    for al in mi_upto(alphamax, d):
         for k in range(kmax):
             lhs = (k + 1) * A(al, k + 1)
             rhs = Fraction(0)
@@ -1063,25 +1125,3 @@ def contact_hj_consistency(
             if lhs != rhs:
                 return False
     return True
-
-
-def _alphas_upto(alphamax: int, d: int):
-    from itertools import product as iproduct
-
-    return [
-        al
-        for al in iproduct(range(alphamax + 1), repeat=d)
-        if mi_abs(al) <= alphamax
-    ]
-
-
-def fuss_catalan_ahat_identity(theta, r, d: int, k: int) -> tuple[Fraction, float]:
-    """Pair (A'_alpha(k) for |alpha|=1, (2d)^k theta^{2k+1} r^{k+1}
-    |F_k(-(r+1), -(r+1))|) for cross-checking the ballot-number connection."""
-    from .combinatorics import fuss_catalan
-
-    al = (1,) + (0,) * (d - 1)
-    exact = ahat_closed_factorial(theta, r, d, al, k)
-    fc = abs(fuss_catalan(k, -(float(r) + 1), -(float(r) + 1))) if k >= 1 else 1.0
-    approx = (2 * d) ** k * float(theta) ** (2 * k + 1) * float(r) ** (k + 1) * fc
-    return exact, approx

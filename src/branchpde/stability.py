@@ -7,6 +7,11 @@ the terminal data and nonlinearity may grow with the order |alpha|:
 
   factorial(theta, r):  envelope delta1 theta^{|alpha|} (r)(r+1)...(r+|alpha|-1)
   exponential(theta):   envelope delta1 theta^{|alpha|}
+
+Factorial and Exponential (defined in progeny, re-exported here) own every
+formula that depends on the regime alone: growth sequence, radius, horizon
+threshold, side-theta left side, envelope and closed-form A' terms.
+GrowthParams combines them with delta1, delta2, lambda, T and d.
 """
 
 from __future__ import annotations
@@ -16,31 +21,22 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .combinatorics import bell_complete, pochhammer_falling
 from .lifetimes import LifetimeModel
 from .mechanism import Code, index_product
-from .multiindex import mi_abs, mi_enumerate_below
+from .multiindex import mi_enumerate_below, mi_upto
 from . import progeny
+from .progeny import Exponential, Factorial
 from .tree import WeightSpec
 
 
 @dataclass(frozen=True)
-class Factorial:
-    theta: float
-    r: float
-
-
-@dataclass(frozen=True)
-class Exponential:
-    theta: float
-
-
-@dataclass(frozen=True)
 class GrowthParams:
-    """Everything the stability formulas consume.
+    """Everything the stability formulas consume: a regime (Factorial or
+    Exponential), the deltas, the lifetime rate lam, the horizon T and the
+    dimension d.
 
-    The side conditions theta*r >= sqrt(2/d) (resp. theta >= sqrt(2/d)) and
-    min(theta^2 r^2, 1) >= 1/((d+1) delta1 delta2) (resp. with theta^2) are
+    The side conditions regime.side_lhs() >= sqrt(2/d) (side_lhs is theta r,
+    resp. theta) and min(side_lhs^2, 1) >= 1/((d+1) delta1 delta2) are
     exposed as booleans and rechecked by check_conditions.
     """
 
@@ -55,40 +51,20 @@ class GrowthParams:
         if self.delta1 <= 0 or self.delta2 <= 0 or self.lam <= 0 or self.d < 1:
             raise ValueError("need delta1, delta2, lambda > 0 and d >= 1")
 
-    @property
-    def regime_name(self) -> str:
-        return "factorial" if isinstance(self.regime, Factorial) else "exponential"
-
-    @property
-    def theta(self):
-        return self.regime.theta
-
-    @property
-    def r(self):
-        return self.regime.r if isinstance(self.regime, Factorial) else None
-
     def radius(self) -> float:
-        if isinstance(self.regime, Factorial):
-            return progeny.radius_factorial(self.regime.theta, self.regime.r, self.d)
-        return progeny.radius_exponential(self.regime.theta, self.d)
+        return self.regime.radius(self.d)
 
     def scaled_radius(self) -> float:
         """The horizon-condition threshold: 2^-(r+2) R (factorial), R (exp)."""
-        if isinstance(self.regime, Factorial):
-            return 2.0 ** (-(float(self.regime.r) + 2)) * self.radius()
-        return self.radius()
+        return self.regime.horizon_threshold(self.d)
 
     def side_condition_theta(self) -> bool:
-        lhs = (
-            float(self.regime.theta) * float(self.regime.r)
-            if isinstance(self.regime, Factorial)
-            else float(self.regime.theta)
-        )
-        return lhs >= math.sqrt(2.0 / self.d)
+        return self.regime.side_lhs() >= math.sqrt(2.0 / self.d)
 
     def with_side_theta(self) -> GrowthParams:
         """These parameters with theta raised to theta* = max(theta,
-        sqrt(2/d)/r) (factorial) or max(theta, sqrt(2/d)) (exponential).
+        sqrt(2/d)/side_scale), side_scale being r (factorial) or 1
+        (exponential).
 
         theta* is the float nearest above the quotient at which
         side_condition_theta() holds, so the check passes at it exactly.
@@ -96,24 +72,15 @@ class GrowthParams:
         """
         if self.side_condition_theta():
             return self
-        r = float(self.regime.r) if isinstance(self.regime, Factorial) else 1.0
-        rhs = math.sqrt(2.0 / self.d)
-        theta = rhs / r
-        while theta * r < rhs:
+        scale, rhs = self.regime.side_scale, math.sqrt(2.0 / self.d)
+        theta = rhs / scale
+        while theta * scale < rhs:
             theta = math.nextafter(theta, math.inf)
         return replace(self, regime=replace(self.regime, theta=theta))
 
     def side_condition_delta(self) -> bool:
-        th = float(self.regime.theta)
-        sq = (th * float(self.regime.r)) ** 2 if isinstance(self.regime, Factorial) else th**2
-        return min(sq, 1.0) >= 1.0 / ((self.d + 1) * float(self.delta1) * float(self.delta2))
-
-    def growth_envelope(self, m: int):
-        """g(m) = theta^m (r)(r+1)...(r+m-1) / 1 (factorial) or theta^m."""
-        th = self.regime.theta
-        if isinstance(self.regime, Factorial):
-            return th**m * pochhammer_falling(m, self.regime.r)
-        return th**m
+        rhs = 1.0 / ((self.d + 1) * float(self.delta1) * float(self.delta2))
+        return min(self.regime.side_lhs() ** 2, 1.0) >= rhs
 
     def build_weights(self) -> WeightSpec:
         return build_weights(self)
@@ -132,12 +99,9 @@ def build_weights(p: GrowthParams) -> WeightSpec:
     Arithmetic follows the parameter types: Fraction parameters give exact
     Fraction weights.
     """
-    if isinstance(p.regime, Factorial):
-        g = progeny.g_factorial(p.regime.theta, p.regime.r)
-    else:
-        g = progeny.g_exponential(p.regime.theta)
+    g = p.regime.g()
     d1, d2 = p.delta1, p.delta2
-    one = Fraction(1) if isinstance(d2, (int, Fraction)) else 1.0
+    one = Fraction(1) if progeny._is_exact(d2) else 1.0
     kappa = d2 if float(d2) > 1 else one  # delta2 v 1
     # the leading factors, formed once in the order the products below use
     inner, twelve = (p.d + 1) * d2, 12 * one
@@ -201,15 +165,15 @@ def check_conditions(p: GrowthParams, model: LifetimeModel) -> ConditionReport:
         strict=False,
     )
     x = (1.0 - math.exp(-p.lam * p.T)) * float(p.delta1) * float(p.delta2)
+    threshold = p.scaled_radius()
     radius = Condition(
         "bound-radius",
         lhs=x,
-        rhs=p.scaled_radius(),
-        passed=x < p.scaled_radius(),
+        rhs=threshold,
+        passed=x < threshold,
         strict=True,
     )
-    th = float(p.regime.theta)
-    lhs_theta = th * float(p.regime.r) if isinstance(p.regime, Factorial) else th
+    lhs_theta = p.regime.side_lhs()
     side_theta = Condition(
         "side-theta",
         lhs=lhs_theta,
@@ -217,10 +181,9 @@ def check_conditions(p: GrowthParams, model: LifetimeModel) -> ConditionReport:
         passed=p.side_condition_theta(),
         strict=False,
     )
-    sq = lhs_theta**2
     side_delta = Condition(
         "side-delta",
-        lhs=min(sq, 1.0),
+        lhs=min(lhs_theta**2, 1.0),
         rhs=1.0 / ((p.d + 1) * float(p.delta1) * float(p.delta2)),
         passed=p.side_condition_delta(),
         strict=False,
@@ -246,8 +209,7 @@ def max_horizon(regime: Factorial, lam: float, d: int) -> HorizonReport:
         raise ValueError("max_horizon is defined for the factorial regime")
     if lam <= 0:
         raise ValueError("lambda must be > 0")
-    R = progeny.radius_factorial(regime.theta, regime.r, d)
-    y = 2.0 ** (-(float(regime.r) + 2)) * R
+    y = regime.horizon_threshold(d)
     t_max = math.log(0.5 + math.sqrt(0.25 + lam * y)) / lam
     return HorizonReport(t_max=t_max, lambda_free_envelope=y)
 
@@ -290,14 +252,7 @@ def verify_weight_dominance_algebra(
     def si(alpha, j, kind):
         return inner_scale * w.sigma_inner(alpha, j, kind)
 
-    from itertools import product as iproduct
-
-    alphas = [
-        al
-        for al in iproduct(range(alphamax + 1), repeat=p.d)
-        if mi_abs(al) <= alphamax
-    ]
-    for alpha in alphas:
+    for alpha in mi_upto(alphamax, p.d):
         if not w.sigma_boundary(alpha, -1) <= w.kappa * w.sigma_boundary(alpha, 0):
             return False
         if not si(alpha, -1, 0) <= w.kappa:
@@ -370,7 +325,7 @@ def verify_code_bounds(
     d2v1 = max(float(p.delta2), 1.0)
     rows = []
     for m in range(m_max + 1):
-        envelope = float(p.delta1) * float(p.growth_envelope(m))
+        envelope = float(p.delta1) * float(p.regime.envelope(m))
         fac = math.factorial(m)
         sup_phi = max(abs(oracle(Code((m,), -1), (x,))) * fac for x in grid)
         scaled = sup_phi / surv
@@ -395,18 +350,3 @@ def verify_code_bounds(
         },
     }
 
-
-def bell_growth_transfer(K: Sequence[float], sup_f: float, m_max: int) -> list[float]:
-    """Envelope transfer through composition: Theta(m) =
-    max(K(m), sup_f * B_m(K(1), ..., K(m))) for m = 1..m_max.
-
-    K is indexed from 1 (K[0] is K(1))."""
-    if len(K) < m_max:
-        raise ValueError(f"need K(1..{m_max}), got {len(K)} values")
-    if any(k <= 0 for k in K[:m_max]):
-        raise ValueError("K(m) must be positive")
-    out = []
-    for m in range(1, m_max + 1):
-        bell = bell_complete(m, K[:m])
-        out.append(max(float(K[m - 1]), float(sup_f) * float(bell)))
-    return out

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -157,6 +159,23 @@ def test_progeny_writes_every_alpha_and_order(tmp_path, capsys):
     assert len(out.splitlines()) == 1 + 3 * 4  # header, |alpha| <= 2 by k <= 3
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_progeny_exponential_rows_carry_regime_and_radius(tmp_path, capsys, d):
+    cfg = {**PROGENY, "regime": {"kind": "exponential", "theta": 1.5}, "d": d}
+    code, out, _ = run_command(tmp_path, capsys, "progeny", cfg)
+    header, *rows = out.splitlines()
+    assert code == 0 and header == "alpha,k,value_num,value_den,value_float,regime,radius"
+    assert len(rows) == {1: 3, 2: 6, 3: 10}[d] * 4  # |alpha| <= 2 by k <= 3
+    for row in rows:
+        alpha, k, num, den, _, regime, radius = row.split(",")
+        assert regime == "exponential"
+        assert float(radius) == pytest.approx(1.0 / (2.0 * math.e * 1.5**2 * d), rel=1e-15)
+        if k == "0":  # A'(0) = g(alpha) = theta^|alpha|/alpha!
+            orders = [int(a) for a in alpha.split("|")]
+            want = Fraction(3, 2) ** sum(orders) / math.prod(map(math.factorial, orders))
+            assert Fraction(int(num), int(den)) == want
+
+
 STABILITY = {
     "regime": {"kind": "factorial", "theta": 1.5, "r": 1},
     "lambda": 1.0, "delta1": 1.2, "delta2": 1.2, "d": 1, "T": 0.001, "m_max": 2,
@@ -181,6 +200,21 @@ def test_stability_reports_every_horizon(tmp_path, capsys):
     assert code == 0 and report["pass"]
     assert [row["T"] for row in report["sweep"]] == [0.0, 0.001]
     assert len(report["hbound"]) == 3  # m_max = 2
+
+
+@pytest.mark.parametrize("regime", [
+    {"kind": "factorial", "theta": 1.5, "r": 1},
+    {"kind": "exponential", "theta": 1.5},
+], ids=["factorial", "exponential"])
+def test_stability_reports_hbound_and_the_factorial_horizon(tmp_path, capsys, regime):
+    code, out, _ = run_command(tmp_path, capsys, "stability", {**STABILITY, "regime": regime})
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    assert [row["alpha_order"] for row in report["hbound"]] == [0, 1, 2]  # m_max = 2
+    assert all(row["regime"] == regime["kind"] for row in report["hbound"])
+    # t_max is defined for the factorial regime only
+    horizon = {"t_max", "lambda_free_envelope"}
+    assert horizon & set(report) == (horizon if regime["kind"] == "factorial" else set())
 
 
 @pytest.mark.parametrize("command", ["solve", "stability", "progeny"])

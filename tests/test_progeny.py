@@ -24,8 +24,6 @@ from branchpde.progeny import (
     g_exponential,
     g_factorial,
     progeny_pmf,
-    radius_exponential,
-    radius_factorial,
 )
 
 
@@ -162,10 +160,11 @@ def test_composition_form_matches_closed_forms():
 
 
 def test_radius_values():
-    assert radius_factorial(1.0, 1.0, 1) == pytest.approx(2.0 / 27.0, rel=1e-14)
-    assert radius_factorial(2.0, 1.0, 1) == pytest.approx(2.0 / 27.0 / 4.0, rel=1e-14)
-    assert radius_exponential(1.0, 1) == pytest.approx(1.0 / (2.0 * math.e), rel=1e-14)
-    assert radius_exponential(math.sqrt(2.0), 1) == pytest.approx(
+    Factorial, Exponential = stability.Factorial, stability.Exponential
+    assert Factorial(1.0, 1.0).radius(1) == pytest.approx(2.0 / 27.0, rel=1e-14)
+    assert Factorial(2.0, 1.0).radius(1) == pytest.approx(2.0 / 27.0 / 4.0, rel=1e-14)
+    assert Exponential(1.0).radius(1) == pytest.approx(1.0 / (2.0 * math.e), rel=1e-14)
+    assert Exponential(math.sqrt(2.0)).radius(1) == pytest.approx(
         1.0 / (4.0 * math.e), rel=1e-12
     )
 
@@ -184,13 +183,16 @@ def test_radius_ratio_at_k200():
 
 
 def test_domination_condition_reports():
-    rep = check_domination_condition("factorial", Fraction(2), Fraction(1), d=1)
-    assert rep.passed and rep.ratio_identity_checked
+    rep = check_domination_condition(stability.Factorial(Fraction(2), Fraction(1)), d=1)
+    assert rep.passed and rep.ratio_identity_checked and rep.regime == "factorial"
     assert rep.lhs == pytest.approx(2.0) and rep.rhs == pytest.approx(math.sqrt(2.0))
-    rep2 = check_domination_condition("exponential", Fraction(1), d=1)
-    assert not rep2.passed
-    rep3 = check_domination_condition("exponential", Fraction(1), d=2)
+    rep2 = check_domination_condition(stability.Exponential(Fraction(1)), d=1)
+    assert not rep2.passed and rep2.regime == "exponential"
+    rep3 = check_domination_condition(stability.Exponential(Fraction(1)), d=2)
     assert rep3.passed  # boundary: theta = sqrt(2/d) = 1
+    # float parameters: the identity is still checked in rationals
+    rep4 = check_domination_condition(stability.Factorial(1.5, 2.5), d=2)
+    assert rep4.passed and rep4.ratio_identity_checked and rep4.lhs == 3.75
 
 
 @pytest.mark.parametrize(
@@ -278,10 +280,17 @@ def test_expected_weighted_progeny_horizon_zero_limit():
 
 
 def test_expected_weighted_progeny_alpha0_wwh_bound():
+    # theta r = 1 < sqrt(2) fails side-theta, so the tail is taken at
+    # theta* = sqrt(2), where R(theta*) = 0.0370 is half of R(theta): at
+    # h = 0.05 the dominating argument 0.0488 lies between them, and the
+    # dominating series diverges there
     p = fact_params(Fraction(1), Fraction(1))
-    lam, h = 1.0, 0.05
+    lam = 1.0
+    assert expected_weighted_progeny((0,), 0, lam, 0.05, p, ktrunc=80)["tail_bound"] == math.inf
+    h = 0.02
     out = expected_weighted_progeny((0,), 0, lam, h, p, ktrunc=80)
     bound = 0.5 * (3.0 / 2.0) ** 2 * math.exp(-lam * h) * float(p.delta1)
+    assert out["tail_bound"] > 0
     assert out["value"] + out["tail_bound"] < bound
 
 
@@ -470,8 +479,8 @@ def scalar_series_value(p, m, x, ktrunc):
 def scalar_tracked_constant(p, m):
     """tracked_constant as scalar loops: the sup of A'(k) y^{k+1} up to the
     first k past which no term grows, or the alpha = 0 convolution."""
-    y = 2.0 ** -(float(p.r) + 2) * p.radius()
-    log_pref = -m * math.log(2 * float(p.theta) * p.d)
+    y = 2.0 ** -(float(p.regime.r) + 2) * p.radius()
+    log_pref = -m * math.log(2 * float(p.regime.theta) * p.d)
     if m >= 1:
         logs = [progeny.ahat_value_log(p, m, 0)]
         for k in range(2000):
@@ -496,7 +505,7 @@ def test_series_value_and_tracked_constant_match_scalar_loops(regime, d):
             assert progeny._ghat_series_value(p, m, x) == pytest.approx(
                 scalar_series_value(p, m, x, 400), rel=1e-12, abs=0
             )
-    if p.regime_name == "factorial":
+    if isinstance(p.regime, stability.Factorial):
         for m in range(6):
             assert progeny.tracked_constant(p, m) == pytest.approx(
                 scalar_tracked_constant(p, m), rel=1e-12, abs=0
