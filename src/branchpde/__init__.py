@@ -7,7 +7,6 @@ from .estimator import (
     CodeOracle,
     Estimate,
     ProblemSetup,
-    estimate_grid,
     estimate_u,
     median_of_means,
 )

@@ -1,12 +1,14 @@
 """Command-line entry point: solve (Monte Carlo estimation), stability
 (condition reports and horizon sweeps), progeny (series tables), verify
-(built-in consistency suite).
+(built-in suite of 12 consistency checks).
 
 JSON config in, CSV/JSON out, no interactive mode.  Exit codes are part of
 the contract: solve returns 0 on success, 2 when the lifetime model fails
 validation, 3 on config errors; stability returns 1 when conditions fail
 (the report is still written); verify returns 0 iff every check passes.
-Log level comes from the BRANCHPDE_LOG environment variable.
+solve samples in one process, so `workers` (or --workers) must be 1; the
+field stays in the resolved config it echoes.  Log level comes from the
+BRANCHPDE_LOG environment variable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 from .estimator import (
@@ -70,11 +72,45 @@ def _positive(cfg: dict, field: str) -> float:
     return value
 
 
-def _at_least(cfg: dict, field: str, default: int, low: int) -> int:
-    value = int(cfg.get(field, default))
+def _integer(field: str, value, low: int) -> int:
+    """value as an int >= low; a non-integral number is refused, not truncated."""
+    if type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
     if value < low:
         raise ConfigError(f"config field {field!r} must be >= {low}, got {value}")
     return value
+
+
+def _at_least(cfg: dict, field: str, low: int, default=None) -> int:
+    return _integer(field, cfg.get(field, default), low)
+
+
+def _regime(cfg: dict, number=Fraction):
+    """The `regime` block as Factorial(theta, r) or Exponential(theta), its
+    parameters passed through `number`.  kind defaults to factorial; theta
+    and r are numbers or rational strings ("3/2"), finite and > 0, read as
+    Fractions (float(Fraction(str(x))) == x for a finite float x)."""
+    block = _require(cfg, "regime", dict)
+    regime = {c.name: c for c in (stability.Factorial, stability.Exponential)}.get(
+        block.get("kind", "factorial")
+    )
+    if regime is None:
+        raise ConfigError("regime.kind must be factorial|exponential")
+    params = []
+    for field in fields(regime):
+        value = _require(block, field.name, (int, float, str))
+        try:
+            q = Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"regime.{field.name} must be a finite number or a ratio, got {value!r}"
+            ) from None
+        if q <= 0:
+            raise ConfigError(f"regime.{field.name} must be > 0, got {value!r}")
+        params.append(number(q))
+    return regime(*params)
 
 
 def _resolve_solve_config(cfg: dict, args) -> dict:
@@ -107,7 +143,10 @@ def cmd_solve(args) -> int:
         model = model_from_config(lifetime_cfg)
         problem = problems.make_problem(name, T)
         code_cfg = _require(cfg, "code", dict)
-        code = Code(tuple(int(a) for a in code_cfg["alpha"]), int(code_cfg["j"]))
+        code = Code(
+            tuple(_integer("code.alpha", a, 0) for a in code_cfg["alpha"]),
+            _integer("code.j", code_cfg["j"], -1),
+        )
         if len(code.alpha) != problem.d:
             raise ConfigError(
                 f"code alpha has dimension {len(code.alpha)}, problem wants {problem.d}"
@@ -128,25 +167,30 @@ def cmd_solve(args) -> int:
                 f"config field 'seed_offsets' must list one offset per point ({len(parsed_points)})"
             )
         offsets = [int(off) for off in offsets]
-        n = int(cfg["n"])
-        if n < 1:
-            raise ConfigError(f"config field 'n' must be >= 1, got {n}")
+        n = _at_least(cfg, "n", 1)
         seed = int(cfg["seed"])
-        workers = int(cfg["workers"])
-        if workers < 1:
-            raise ConfigError(f"config field 'workers' (or --workers) must be >= 1, got {workers}")
+        workers = _at_least(cfg, "workers", 1)
+        if workers != 1:
+            raise ConfigError(
+                f"config field 'workers' (or --workers) must be 1, got {workers}: "
+                "sampling runs in one process"
+            )
+        caps_cfg = _require(cfg, "caps", dict)
         caps = Caps(
-            max_branches=int(cfg["caps"]["max_branches"]),
-            max_generation=int(cfg["caps"]["max_generation"]),
+            max_branches=_at_least(caps_cfg, "max_branches", 1),
+            max_generation=_at_least(caps_cfg, "max_generation", 0),
         )
         estimator_kind = cfg["estimator"]
         if estimator_kind not in ("mean", "mom"):
             raise ConfigError(f"config field 'estimator' must be mean|mom")
-        groups = int(cfg["groups"]) if estimator_kind == "mom" else 1
-        if groups < 1 or groups % 2 == 0 or groups > n:
+        groups = _at_least(cfg, "groups", 1) if estimator_kind == "mom" else 1
+        if groups % 2 == 0 or groups > n:
             raise ConfigError(
                 f"config field 'groups' must be odd and between 1 and n = {n}, got {groups}"
             )
+        out_fmt = args.format or cfg.get("format", "csv")
+        if out_fmt not in ("csv", "json"):
+            raise ConfigError(f"config field 'format' must be csv|json, got {out_fmt!r}")
     except ConfigError as exc:
         log.error("%s", exc)
         print(f"config error: {exc}", file=sys.stderr)
@@ -160,11 +204,9 @@ def cmd_solve(args) -> int:
     try:
         for (t, x), off in zip(parsed_points, offsets):
             if estimator_kind == "mean":
-                est = estimate_u(code, t, x, T, setup, n, seed + off, caps, workers)
+                est = estimate_u(code, t, x, T, setup, n, seed + off, caps)
             else:
-                est = median_of_means(
-                    code, t, x, T, setup, n, groups, seed + off, caps, workers
-                )
+                est = median_of_means(code, t, x, T, setup, n, groups, seed + off, caps)
             rows.append((t, tuple(x), est))
     except AssumptionHViolated as exc:
         print(f"lifetime model fails validation: {exc}", file=sys.stderr)
@@ -173,7 +215,6 @@ def cmd_solve(args) -> int:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 2
 
-    out_fmt = args.format or cfg.get("format", "csv")
     buf = io.StringIO()
     if out_fmt == "csv":
         write_csv(buf, rows, code, n, seed, offsets)
@@ -209,21 +250,12 @@ def cmd_solve(args) -> int:
 def cmd_stability(args) -> int:
     try:
         cfg = _load_config(args.config)
-        regime_cfg = _require(cfg, "regime", dict)
-        kind = _require(regime_cfg, "kind", str)
-        if kind == "factorial":
-            regime = stability.Factorial(
-                theta=_positive(regime_cfg, "theta"), r=_positive(regime_cfg, "r")
-            )
-        elif kind == "exponential":
-            regime = stability.Exponential(theta=_positive(regime_cfg, "theta"))
-        else:
-            raise ConfigError("regime.kind must be factorial|exponential")
+        regime = _regime(cfg, float)
         lam = _positive(cfg, "lambda")
-        d = _at_least(cfg, "d", 1, 1)
+        d = _at_least(cfg, "d", 1, default=1)
         delta1 = _positive(cfg, "delta1")
         delta2 = _positive(cfg, "delta2")
-        m_max = _at_least(cfg, "m_max", 3, 0)
+        m_max = _at_least(cfg, "m_max", 0, default=3)
         sweep = [float(TT) for TT in cfg.get("sweep_T") or []]
         T = float(cfg["T"]) if "T" in cfg else None
         if T is None and not sweep:
@@ -281,18 +313,10 @@ def cmd_stability(args) -> int:
 def cmd_progeny(args) -> int:
     try:
         cfg = _load_config(args.config)
-        kind = _require(cfg, "regime", dict).get("kind", "factorial")
-        if kind not in ("factorial", "exponential"):
-            raise ConfigError("regime.kind must be factorial|exponential")
-        theta_raw = _require(cfg["regime"], "theta", (int, float, str))
-        theta = Fraction(str(theta_raw))
-        r = Fraction(str(cfg["regime"]["r"])) if kind == "factorial" else None
-        if theta <= 0 or (r is not None and r <= 0):
-            raise ConfigError("regime.theta and regime.r must be > 0")
-        regime = stability.Exponential(theta) if r is None else stability.Factorial(theta, r)
-        d = _at_least(cfg, "d", 1, 1)
-        kmax = _at_least(cfg, "kmax", 6, 0)
-        alpha_max = _at_least(cfg, "alpha_max", 3, 0)
+        regime = _regime(cfg)
+        d = _at_least(cfg, "d", 1, default=1)
+        kmax = _at_least(cfg, "kmax", 0, default=6)
+        alpha_max = _at_least(cfg, "alpha_max", 0, default=3)
         exact = bool(cfg.get("exact", True))
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

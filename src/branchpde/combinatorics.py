@@ -1,8 +1,7 @@
-"""Stirling numbers, Bell polynomials, Fuss-Catalan numbers and the exact
-identities used by the growth analysis.
+"""Stirling numbers, Gamma ratios and the exact identities used by the
+growth analysis.
 
-Integer-valued results are exact; `fuss_catalan` and `log_gamma_ratio` are
-the only float paths.
+Integer-valued results are exact; `log_gamma_ratio` is the only float path.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 
 @lru_cache(maxsize=None)
@@ -33,65 +31,6 @@ def stirling2(m: int, k: int) -> int:
     if m < 0 or k < 0 or k > m:
         raise ValueError(f"need 0 <= k <= m, got m={m}, k={k}")
     return _stirling2_rec(m, k)
-
-
-def bell_partial(m: int, k: int, x: Sequence[float]):
-    """Partial exponential Bell polynomial B_{m,k}(x_1, ..., x_{m-k+1}).
-
-    Recursion over the first block containing element 1:
-    B_{m,k} = sum_j C(m-1, j-1) x_j B_{m-j,k-1}.
-    """
-    if not (1 <= k <= m):
-        raise ValueError(f"need 1 <= k <= m, got m={m}, k={k}")
-    if len(x) < m - k + 1:
-        raise ValueError(f"need at least {m - k + 1} arguments, got {len(x)}")
-
-    table = {(0, 0): 1}
-
-    def b(mm, kk):
-        if kk == 0:
-            return 1 if mm == 0 else 0
-        if mm < kk:
-            return 0
-        key = (mm, kk)
-        if key not in table:
-            table[key] = sum(
-                math.comb(mm - 1, j - 1) * x[j - 1] * b(mm - j, kk - 1)
-                for j in range(1, mm - kk + 2)
-            )
-        return table[key]
-
-    return b(m, k)
-
-
-def bell_complete(m: int, x: Sequence[float]):
-    """Complete exponential Bell polynomial B_m = sum_k B_{m,k}."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if len(x) < m:
-        raise ValueError(f"need at least {m} arguments, got {len(x)}")
-    return sum(bell_partial(m, k, x) for k in range(1, m + 1))
-
-
-def generalized_binomial(s: float, k: int) -> float:
-    """binom(s, k) = s(s-1)...(s-k+1)/k! for real s, integer k >= 0.
-
-    Product form of the Gamma-ratio convention Gamma(s+1)/(Gamma(k+1)
-    Gamma(s-k+1)); valid for negative s where the Gamma form has poles.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    out = 1.0
-    for i in range(k):
-        out *= (s - i) / (i + 1)
-    return out
-
-
-def fuss_catalan(k: int, p: float, r: float) -> float:
-    """Fuss-Catalan number F_k(p, r) = (r/k) binom(kp + r - 1, k - 1)."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return r / k * generalized_binomial(k * p + r - 1, k - 1)
 
 
 def polylog_neg_half(m: int) -> int:

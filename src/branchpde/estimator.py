@@ -7,10 +7,9 @@ Reproducibility: sample i's tree is a pure function of (seed, i, label),
 because every draw of a branch is a counter-based hash of a key derived
 from (seed, i, label) (see `tree`).  The trees of an index range are grown
 together as one `TreeBatch`; a range whose trees outgrow the frontier
-budget is sampled again as two halves, workers partition the index range
-between processes, and median-of-means groups partition it again, yet no
-sample's value depends on which other samples share its batch.  Results are
-therefore bit-identical for any worker count.
+budget is sampled again as two halves, and median-of-means groups partition
+it again, yet no sample's value depends on which other samples share its
+batch.  Results are therefore bit-identical however the range is split.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -119,41 +117,10 @@ def _concat(parts: Sequence[_Samples]) -> _Samples:
     return _Samples(*(np.concatenate(column) for column in zip(*parts)))
 
 
-_FORK_JOB = None  # set in the parent right before forking workers
-
-
-def _fork_chunk(bounds: tuple[int, int]) -> _Samples:
-    setup, c, t, x, T, seed, caps = _FORK_JOB
-    return _sample_values(setup, c, t, x, T, range(*bounds), seed, caps)
-
-
 def _check_model(setup: ProblemSetup, t: float, T: float) -> None:
     report = validate_assumption_h(setup.model, T if T > t else max(T, 1e-12))
     if not report.ok:
         raise AssumptionHViolated("; ".join(report.failures))
-
-
-def _draw(
-    c: Code, t: float, x, T: float, setup: ProblemSetup, n: int, seed: int,
-    caps: Caps, workers: int,
-) -> _Samples:
-    """Samples 0..n-1, the index range split among `workers` processes."""
-    x = tuple(float(v) for v in x)
-    if workers <= 1:
-        return _sample_values(setup, c, t, x, T, range(n), seed, caps)
-    global _FORK_JOB
-    _FORK_JOB = (setup, c, t, x, T, seed, caps)
-    chunks = _split_range(n, min(workers, n))  # no empty chunk
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(chunks)) as pool:
-            parts = pool.map(_fork_chunk, chunks)
-    except ValueError:
-        log.warning("fork start method unavailable; running sequentially")
-        parts = [_fork_chunk(ch) for ch in chunks]
-    finally:
-        _FORK_JOB = None
-    return _concat(parts)
 
 
 def _mean(values: np.ndarray) -> tuple[float, float]:
@@ -184,7 +151,7 @@ def estimate_u(
     n: int,
     seed: int,
     caps: Caps = Caps(),
-    workers: int = 1,
+    workers: int = 1,  # kept as callers (bench/workloads.py) pass 1; runs in one process
 ) -> Estimate:
     """Sample mean and standard error of the functional over n trees.
 
@@ -195,13 +162,15 @@ def estimate_u(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if workers != 1:
+        raise ValueError(f"sampling runs in one process, so workers must be 1, got {workers}")
     start = time.perf_counter()
     _check_model(setup, t, T)
     if t == T:
         # degenerate: no tree, the estimate is the terminal oracle value
         value = float(setup.oracle(c, tuple(float(v) for v in x)))
         return Estimate(value, 0.0, n, 0, time.perf_counter() - start)
-    s = _draw(c, t, x, T, setup, n, seed, caps, workers)
+    s = _sample_values(setup, c, t, x, T, range(n), seed, caps)
     values = s.values[~s.capped]
     if values.size == 0:
         raise AllSamplesCapped(f"all {n} samples exceeded caps {caps}")
@@ -216,38 +185,6 @@ def _split_range(n: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def estimate_grid(
-    c: Code,
-    points: Sequence[tuple[float, Sequence[float]]],
-    T: float,
-    setup: ProblemSetup,
-    n: int,
-    seed: int,
-    caps: Caps = Caps(),
-    workers: int = 1,
-    seed_offsets: Optional[Sequence[int]] = None,
-) -> list[tuple[float, tuple, Estimate]]:
-    """Batched estimate over (t, x) rows with shared configuration.
-
-    Row k uses seed + seed_offsets[k] (all offsets default to 0, so identical
-    rows produce identical estimates).  A failing row is recorded as None and
-    does not stop the batch.
-    """
-    if seed_offsets is None:
-        seed_offsets = [0] * len(points)
-    if len(seed_offsets) != len(points):
-        raise ValueError("seed_offsets must match points")
-    out = []
-    for (t, x), off in zip(points, seed_offsets):
-        try:
-            est = estimate_u(c, t, x, T, setup, n, seed + off, caps, workers)
-        except (AssumptionHViolated, AllSamplesCapped) as exc:
-            log.error("grid row (t=%s, x=%s) failed: %s", t, x, exc)
-            est = None
-        out.append((t, tuple(float(v) for v in x), est))
-    return out
-
-
 def median_of_means(
     c: Code,
     t: float,
@@ -258,7 +195,6 @@ def median_of_means(
     groups: int,
     seed: int,
     caps: Caps = Caps(),
-    workers: int = 1,
 ) -> Estimate:
     """Median of per-group means over a contiguous partition of the sample
     index range into `groups` parts whose sizes differ by at most one;
@@ -276,13 +212,13 @@ def median_of_means(
         raise ValueError(f"need n >= groups, got n={n}, groups={groups}")
     start = time.perf_counter()
     if t == T or groups == 1:
-        est = estimate_u(c, t, x, T, setup, n, seed, caps, workers)
+        est = estimate_u(c, t, x, T, setup, n, seed, caps)
         return Estimate(
             est.mean, est.std_error, est.n_samples, est.n_capped,
             time.perf_counter() - start, est.stats,
         )
     _check_model(setup, t, T)
-    s = _draw(c, t, x, T, setup, n, seed, caps, workers)
+    s = _sample_values(setup, c, t, x, T, range(n), seed, caps)
     means = []
     for lo, hi in _split_range(n, groups):
         values = s.values[lo:hi][~s.capped[lo:hi]]

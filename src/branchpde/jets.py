@@ -29,10 +29,6 @@ class Jet:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def constant(value: float, order: int) -> "Jet":
-        return Jet([value] + [0.0] * order)
-
-    @staticmethod
     def variable(x0: float, order: int) -> "Jet":
         c = [x0] + [0.0] * order
         if order >= 1:
@@ -122,26 +118,3 @@ def exp_jet(x0: float, order: int) -> Jet:
     """Jet of e^x at x0: coefficients e^{x0}/m!."""
     ex = np.exp(x0)
     return Jet([ex / math.factorial(m) for m in range(order + 1)])
-
-
-def finite_difference(f, x: float, m: int, h: float = 1e-2, levels: int = 3) -> float:
-    """m-th derivative by the (m+1)-point central stencil with Richardson
-    extrapolation over steps h, 2h, 4h (refining below h would push the
-    stencil into roundoff at higher m).
-
-    Independent cross-check for jets; accuracy degrades past m ~ 5.
-    """
-    def stencil(step):
-        # m-th central difference: sum_k (-1)^k C(m,k) f(x + (m/2 - k) step)
-        total = 0.0
-        for k in range(m + 1):
-            total += (-1) ** k * math.comb(m, k) * f(x + (m / 2 - k) * step)
-        return total / step**m
-
-    rows = [[stencil(h * 2**i)] for i in range(levels)]
-    for j in range(1, levels):
-        for i in range(levels - j):
-            rows[i].append(
-                (4**j * rows[i][j - 1] - rows[i + 1][j - 1]) / (4**j - 1)
-            )
-    return rows[0][-1]

@@ -137,13 +137,6 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
     )
 
 
-def sample_lifetime(model: LifetimeModel, u: float) -> float:
-    """Inverse-CDF lifetime sample from a uniform variate in [0, 1)."""
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"uniform variate must lie in [0, 1), got {u}")
-    return model.inverse_cdf(u)
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     rho_star: float

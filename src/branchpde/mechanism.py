@@ -18,9 +18,8 @@ materializing the whole set.
 The dominating mechanism of a code (alpha, j >= 0) has the same entries,
 order and probabilities, except that the first child of a kind-i entry is
 (alpha-beta+1_i, 0): every death spawns two children, none of them a pure
-derivative.  So one inverse-CDF layout samples both; `tree.CodeTable`
-holds either chain's rows, and `dominating_offspring_set` is the exact
-reference for the dominating one, as `offspring_set` is for the original.
+derivative.  So one inverse-CDF layout samples both, and `tree.CodeTable`
+holds either chain's rows.
 """
 
 from __future__ import annotations
@@ -56,13 +55,6 @@ def index_product(alpha: MultiIndex) -> int:
     for a in alpha:
         out *= 1 + a
     return out
-
-
-def entry_count(c: Code, d: int) -> int:
-    """|M(c)|: 1 for j=-1, else (d+1) prod(1+alpha_k)."""
-    if c.j < 0:
-        return 1
-    return (d + 1) * index_product(c.alpha)
 
 
 def _entry(c: Code, d: int, kind: int, beta: MultiIndex) -> MechanismEntry:
@@ -119,12 +111,6 @@ def offspring_prob(c: Code, entry: MechanismEntry, d: int) -> Fraction:
             raise ValueError(f"entry {entry} not in the offspring set of {c}")
         return Fraction(1)
     _check_membership(c, entry, d)
-    return _prob(alpha, entry, d)
-
-
-def _prob(alpha: MultiIndex, entry: MechanismEntry, d: int) -> Fraction:
-    """The mass of an entry of kind entry.kind and index entry.beta in the
-    offspring law of a code (alpha, j >= 0), in either mechanism."""
     prod = index_product(alpha)
     if entry.kind == 0:
         return Fraction(1, (d + 1) * prod)
@@ -251,18 +237,3 @@ def _cumulative_weights(a: np.ndarray) -> np.ndarray:
     table[l >= bound] = np.inf
     return table[a]
 
-
-def dominating_offspring_set(alpha: MultiIndex, j: int, d: int) -> list[MechanismEntry]:
-    """All entries of the dominating mechanism for code (alpha, j >= 0):
-    offspring_set's, with the first child of each kind-i entry at j = 0."""
-    if j < 0:
-        raise ValueError("dominating chain codes have j >= 0")
-    return [
-        e._replace(children=(e.children[0]._replace(j=0), e.children[1])) if e.kind else e
-        for e in offspring_set(Code(alpha, j), d)
-    ]
-
-
-def dominating_offspring_prob(alpha: MultiIndex, entry: MechanismEntry, d: int) -> Fraction:
-    """Offspring law of the dominating mechanism (same masses as q_c)."""
-    return _prob(alpha, entry, d)

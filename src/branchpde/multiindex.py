@@ -1,5 +1,5 @@
-"""Multi-index arithmetic: orders, factorials, partial order, binomials,
-grid enumeration and integer compositions.
+"""Multi-index arithmetic: orders, factorials, partial order and grid
+enumeration.
 
 Multi-indices are plain tuples of non-negative ints.  Everything here is
 exact big-integer arithmetic; callers convert to float at consumption sites.
@@ -9,17 +9,9 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterator, Sequence, Tuple
+from typing import Tuple
 
 MultiIndex = Tuple[int, ...]
-
-
-def validate(alpha: Sequence[int]) -> MultiIndex:
-    """Return alpha as a tuple after checking all components are >= 0."""
-    out = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in out):
-        raise ValueError(f"multi-index components must be >= 0, got {out}")
-    return out
 
 
 def mi_abs(alpha: MultiIndex) -> int:
@@ -49,16 +41,6 @@ def mi_sub(alpha: MultiIndex, beta: MultiIndex) -> MultiIndex:
     return tuple(a - b for a, b in zip(alpha, beta))
 
 
-def mi_binomial(alpha: MultiIndex, beta: MultiIndex) -> int:
-    """Product of componentwise binomial coefficients, requires beta <= alpha."""
-    if not mi_leq(beta, alpha):
-        raise ValueError(f"{beta} is not <= {alpha}")
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= math.comb(a, b)
-    return out
-
-
 def mi_enumerate_below(alpha: MultiIndex) -> list[MultiIndex]:
     """All beta with 0 <= beta <= alpha in lexicographic order.
 
@@ -78,15 +60,3 @@ def mi_add_unit(alpha: MultiIndex, i: int) -> MultiIndex:
     if not 1 <= i <= len(alpha):
         raise ValueError(f"coordinate index {i} out of range 1..{len(alpha)}")
     return alpha[: i - 1] + (alpha[i - 1] + 1,) + alpha[i:]
-
-
-def integer_compositions(total: int, parts: int) -> Iterator[MultiIndex]:
-    """All tuples of `parts` non-negative ints summing to `total`, lex order."""
-    if total < 0 or parts < 1:
-        raise ValueError("need total >= 0 and parts >= 1")
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in integer_compositions(total - first, parts - 1):
-            yield (first,) + rest

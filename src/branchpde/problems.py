@@ -1,7 +1,7 @@
 """Built-in problems with analytic structure: a functional-nonlinearity
-equation with exact solution, jet-backed derivative oracles, closed-form
-derivative formulas, heat-semigroup quadrature, and residual checks of the
-code-indexed PDE system.
+equation with exact solution, jet-backed derivative oracles,
+heat-semigroup quadrature, and a mild-solution check of the code-indexed
+PDE system.
 
 The central built-in ("b2") is
 
@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .combinatorics import stirling2
 from .estimator import CodeOracle
 from .jets import Jet, exp_jet
 from .mechanism import Code, offspring_set
@@ -133,39 +132,6 @@ def b2_problem(T: float) -> Problem:
     )
 
 
-def zeta_derivative(m: int, x: float) -> float:
-    """m-th derivative of zeta(x) = 1/(1+e^x) by the Stirling closed form:
-    sum_k (-e^x)^k k! S(m,k) / (1+e^x)^{k+1}."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    ex = math.exp(x)
-    return sum(
-        (-ex) ** k * math.factorial(k) * stirling2(m, k) / (1.0 + ex) ** (k + 1)
-        for k in range(1, m + 1)
-    )
-
-
-def psi_k(k: int, z: float) -> float:
-    """f^{(k)} evaluated through the terminal profile: psi_k(z) =
-    4(-1)^k/(1+z)^2 - 10(-1)^k/(2^k(1+z)) + (1+z)/2^k - (1+z)^2 + 6*[k=0]."""
-    if not 0.0 < z < 1.0:
-        raise ValueError(f"z must lie in (0, 1), got {z}")
-    sgn = (-1.0) ** k
-    out = (
-        4.0 * sgn / (1.0 + z) ** 2
-        - 10.0 * sgn / (2.0**k * (1.0 + z))
-        + (1.0 + z) / 2.0**k
-        - (1.0 + z) ** 2
-    )
-    return out + 6.0 if k == 0 else out
-
-
-def jet_code_oracle(problem: Problem, c: Code, x) -> float:
-    """Normalized code value alpha!^{-1} d^alpha [.](x) through the problem's
-    oracle (jet-backed for the built-ins)."""
-    return problem.oracle(c, x)
-
-
 # --- other built-ins --------------------------------------------------------
 
 def constant_problem(T: float, value: float = 0.5) -> Problem:
@@ -271,38 +237,6 @@ def _code_value_from_exact(problem: Problem, c: Code, t: float, x0: float) -> fl
         raise ValueError(f"problem {problem.name!r} has no solution jet")
     (m,) = c.alpha
     return problem.solution_code_jet(t, x0, max(m, 1), c.j).coefficient(m)
-
-
-def pde_system_residual(problem: Problem, c: Code, t: float, x, h: float = 1e-3) -> float:
-    """Residual of the code-indexed system row at an interior point,
-
-        (d/dt + (1/2) Laplacian) u_c + sum_entries z1 prod_children u_child,
-
-    with u_c from the exact solution: time derivative by central differences
-    with step h, space derivatives exactly from the solution jet."""
-    if problem.d != 1:
-        raise ValueError("residual check is implemented for d = 1")
-    x0 = float(x[0])
-    (m,) = c.alpha
-
-    def u_c(tt: float) -> float:
-        return _code_value_from_exact(problem, c, tt, x0)
-
-    dt = (u_c(t + h) - u_c(t - h)) / (2.0 * h)
-    # (1/2) d^2/dx^2 of u_c: from the jet of the underlying code function;
-    # u_c = alpha!^{-1} d^m [.], so its second derivative is
-    # (m+2)(m+1) * coefficient_{m+2} * m!... expressed via raw derivatives:
-    jet = problem.solution_code_jet(t, x0, m + 2, c.j)
-    fac = math.factorial(m)
-    second = jet.coefficient(m + 2) * math.factorial(m + 2) / fac
-    lap = 0.5 * second
-    nonlinear = 0.0
-    for entry in offspring_set(c, problem.d):
-        prod = float(entry.weight)
-        for child in entry.children:
-            prod *= _code_value_from_exact(problem, child, t, x0)
-        nonlinear += prod
-    return dt + lap + nonlinear
 
 
 def mild_solution_check(

@@ -1,6 +1,6 @@
-"""Exact and series analysis of the dominating binary chain: the total
-progeny law, the weighted-progeny recursion A, the dominating recursion
-A-hat with its closed forms, convergence radii, and bound evaluation.
+"""Exact and series analysis of the dominating binary chain: the
+weighted-progeny recursion A, the dominating recursion A-hat with its
+closed forms, convergence radii, and bound evaluation.
 
 A and A-hat are recursions over multi-indices, but in both growth regimes
 their coefficients are A_nu(k) = H(|nu|, k)/nu! for one scalar recursion
@@ -79,18 +79,6 @@ class SeriesTable:
 
     def __getitem__(self, key):
         return self.values[key]
-
-
-def progeny_pmf(lam: float, horizon: float, n: int) -> float:
-    """P(total progeny = n) for the binary chain: exp(-lam h)(1-exp(-lam h))^m
-    at n = 2m+1, and 0 at even n."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    if n < 1 or n % 2 == 0:
-        return 0.0
-    m = (n - 1) // 2
-    p = math.exp(-lam * horizon)
-    return p * (1.0 - p) ** m
 
 
 def a_recursion(
@@ -543,36 +531,6 @@ def ahat_closed_exponential(theta, d: int, alpha: MultiIndex, k: int):
             * Fraction(k + 1) ** (k + m - 2)
         )
     return math.exp(Exponential(theta).closed_log(d, alpha, k))
-
-
-def ahat_composition_form(g_star, d: int, alpha: MultiIndex, k: int):
-    """Composition-sum solution of the dominating recursion for |alpha| >= 1:
-
-    (2d)^k (k+|alpha|-1)!/(alpha!(k+1)!) *
-    sum over compositions m_1+..+m_{k+1} = k+|alpha|-1 of
-    prod_j (1+m_j) g_star(1+m_j).
-
-    g_star is indexed g_star[m]; it must reach m = k+|alpha|-1 + 1.
-    """
-    from .multiindex import integer_compositions
-
-    m = mi_abs(alpha)
-    if m < 1:
-        raise ValueError("composition form requires |alpha| >= 1")
-    order = k + m - 1
-    if len(g_star) < order + 2:
-        raise ValueError(f"g_star must provide indices up to {order + 1}")
-    total = 0
-    for comp in integer_compositions(order, k + 1):
-        term = 1
-        for mj in comp:
-            term *= (1 + mj) * g_star[1 + mj]
-        total += term
-    prefactor = (
-        Fraction(2 * d) ** k
-        * Fraction(math.factorial(order), mi_factorial(alpha) * math.factorial(k + 1))
-    )
-    return prefactor * total
 
 
 class _Regime:

@@ -138,12 +138,6 @@ class ConditionReport:
     conditions: tuple[Condition, ...]
     passed: bool
 
-    def by_name(self, name: str) -> Condition:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def check_conditions(p: GrowthParams, model: LifetimeModel) -> ConditionReport:
     """Evaluate the integrability conditions at horizon p.T:
@@ -214,25 +208,7 @@ def max_horizon(regime: Factorial, lam: float, d: int) -> HorizonReport:
     return HorizonReport(t_max=t_max, lambda_free_envelope=y)
 
 
-def params_at_floor(regime: Factorial, lam: float, T: float, d: int) -> GrowthParams:
-    """GrowthParams with exponential-lifetime floor deltas
-    delta2 = exp(lam T)/lam, delta1 = exp(lam T)."""
-    return GrowthParams(
-        regime=regime,
-        delta1=math.exp(lam * T),
-        delta2=math.exp(lam * T) / lam,
-        lam=lam,
-        T=T,
-        d=d,
-    )
-
-
-def verify_weight_dominance_algebra(
-    p: GrowthParams,
-    alphamax: int = 5,
-    jmax: int = 3,
-    inner_scale=1,
-) -> bool:
+def verify_weight_dominance_algebra(p: GrowthParams, alphamax: int = 5, jmax: int = 3) -> bool:
     """Exact check of the four reduced dominance inequalities for the built
     preset on the grid beta <= alpha, |alpha| <= alphamax, j <= jmax:
 
@@ -241,17 +217,10 @@ def verify_weight_dominance_algebra(
       3) 1 <= sb~(alpha-beta,0) sb~(beta,j+1) si0~(alpha,j)/sb~(alpha,j)
       4) 1 <= sb~(alpha-beta+1_i,0) sb~(beta+1_i,j+1) si_i~(alpha,j)/sb~(alpha,j)
 
-    where sb~ = kappa sigma_b and si~ = sigma_i.  `inner_scale` multiplies
-    the inner weights (used by tests to break the preset deliberately).
+    where sb~ = kappa sigma_b and si~ = sigma_i.
     """
     w = p.build_weights()
-
-    def sb_dom(alpha, j):
-        return w.boundary_dominating(alpha, j)
-
-    def si(alpha, j, kind):
-        return inner_scale * w.sigma_inner(alpha, j, kind)
-
+    sb_dom, si = w.boundary_dominating, w.sigma_inner
     for alpha in mi_upto(alphamax, p.d):
         if not w.sigma_boundary(alpha, -1) <= w.kappa * w.sigma_boundary(alpha, 0):
             return False
@@ -349,4 +318,3 @@ def verify_code_bounds(
             "raw_delta1": float(p.delta1) * surv,
         },
     }
-

@@ -18,12 +18,12 @@ the offspring uniform comes right after them.
 Two samplers share these draws.  `sample_tree` grows one tree of the
 original chain branch by branch through `branch_rng` and records every
 branch; `evaluate_functional` (with the exact Fraction mechanism) and
-`weighted_progeny` multiply its factors.  They are the reference that
-`dump_jsonl` and the tests use.  `TreeBatch` grows the trees of a range of
-sample indices together, one generation at a time, as arrays, and
-`evaluate_batch` and `weighted_progeny_batch` compute their path
-functionals and weighted progenies.  The batch reads each code's offspring
-entries from a `CodeTable`, whose rows come from the closed form of z1/q.
+`weighted_progeny` multiply its factors.  They are the reference that the
+tests use.  `TreeBatch` grows the trees of a range of sample indices
+together, one generation at a time, as arrays, and `evaluate_batch` and
+`weighted_progeny_batch` compute their path functionals and weighted
+progenies.  The batch reads each code's offspring entries from a
+`CodeTable`, whose rows come from the closed form of z1/q.
 
 The batch grows either chain with one draw layout.  The dominating chain
 differs in one decision, which the `CodeTable` holds: the first child of a
@@ -35,7 +35,6 @@ the positions it draws.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
@@ -317,11 +316,10 @@ class CodeTable:
     number of children (`nchild`) and their code ids (`child`, -1 past the
     last child).  A `dominating` table holds the dominating chain instead:
     the same rows, except that the first child of a kind-i entry is coded
-    (alpha-beta+1_i, 0), as in dominating_offspring_set.  The
-    rows come from the closed form of z1/q, which does not depend on beta:
-    (d+1) prod(1+alpha_k) for kind 0, -(d+1)(2+alpha_i)(3+alpha_i)
-    prod(1+alpha_k)/12 for kind i, and 1 for the single entry of a j = -1
-    code.  Each is an integer or one division of Python ints, both rounded
+    (alpha-beta+1_i, 0).  The rows come from the closed form of z1/q, which
+    does not depend on beta: (d+1) prod(1+alpha_k) for kind 0,
+    -(d+1)(2+alpha_i)(3+alpha_i) prod(1+alpha_k)/12 for kind i, and 1 for
+    the single entry of a j = -1 code.  Each is an integer or one division of Python ints, both rounded
     correctly, so it equals float(entry.weight / offspring_prob(code, entry,
     d)) of the exact Fraction mechanism, which stays the reference.
     """
@@ -632,28 +630,3 @@ def weighted_progeny(tree: TreeSample, w: WeightSpec) -> float:
             out *= float(w.sigma_inner(alpha, j, rec.offspring_entry.kind))
     return out
 
-
-def dump_jsonl(tree: TreeSample, fileobj) -> None:
-    """One JSON record per branch: label, code, times, positions, split kind."""
-    for rec in tree.branches:
-        entry = rec.offspring_entry
-        fileobj.write(
-            json.dumps(
-                {
-                    "label": list(rec.label),
-                    "alpha": list(rec.code.alpha),
-                    "j": rec.code.j,
-                    "birth_time": rec.birth_time,
-                    "death_time": rec.death_time,
-                    "birth_position": list(rec.birth_position)
-                    if rec.birth_position is not None
-                    else None,
-                    "terminal_position": list(rec.terminal_position)
-                    if rec.terminal_position is not None
-                    else None,
-                    "split_kind": entry.kind if entry is not None else None,
-                    "split_beta": list(entry.beta) if entry is not None else None,
-                }
-            )
-            + "\n"
-        )

@@ -126,6 +126,45 @@ def _check_series_engine() -> bool:
     return True
 
 
+def _check_domination_condition() -> bool:
+    """The exact ratio (1+alpha_i) A'_{alpha+1_i}(k) / A'_alpha(k) against
+    the recursion, and the domination verdict, on either side of side-theta."""
+    Factorial, Exponential = stability.Factorial, stability.Exponential
+    cases = (
+        (Factorial(Fraction(2), Fraction(1)), 1, True),
+        (Exponential(Fraction(1)), 1, False),
+        (Exponential(Fraction(1)), 2, True),  # theta = sqrt(2/d) exactly
+        (Factorial(1.5, 2.5), 2, True),
+    )
+    for regime, d, passes in cases:
+        rep = progeny.check_domination_condition(regime, d=d)
+        if rep.passed != passes or not rep.ratio_identity_checked:
+            return False
+    return True
+
+
+def _check_weight_dominance_algebra() -> bool:
+    """The preset weights satisfy the four reduced dominance inequalities,
+    exactly, at factorial theta = r = 1, delta1 = delta2 = 1, d = 1."""
+    p = stability.GrowthParams(
+        stability.Factorial(Fraction(1), Fraction(1)), Fraction(1), Fraction(1), 1.0, 0.1, 1
+    )
+    return stability.verify_weight_dominance_algebra(p, alphamax=4, jmax=2)
+
+
+def _check_contact_hj() -> bool:
+    """The unit-normalized weighted-progeny tables satisfy the coefficient
+    form of dG/ds = G^2 + |grad G|^2 / 2, exactly, for d = 1, 2, 3."""
+    one = lambda alpha: Fraction(1)
+    cases = (  # (g, d, kmax, alphamax)
+        (one, 1, 4, 3),
+        (progeny.g_exponential(Fraction(1)), 2, 3, 2),
+        (one, 1, 0, 2),
+        (progeny.g_exponential(Fraction(3, 2)), 3, 3, 2),
+    )
+    return all(progeny.contact_hj_consistency(*case) for case in cases)
+
+
 def _check_b2_solve() -> bool:
     T = 0.1
     problem = problems.b2_problem(T)
@@ -151,6 +190,9 @@ def run_suite(fault: bool = False) -> list[tuple[str, bool, str]]:
         ("total-progeny-law", _check_progeny_law),
         ("series-domination", _check_dominance_series),
         ("series-engine-branches", _check_series_engine),
+        ("domination-ratio", _check_domination_condition),
+        ("weight-dominance-algebra", _check_weight_dominance_algebra),
+        ("contact-hj-identity", _check_contact_hj),
         ("mild-solution", _check_mild_solution),
         ("b2-end-to-end", _check_b2_solve),
     ]

@@ -50,7 +50,7 @@ def test_verify_prints_why_a_check_crashed(monkeypatch, capsys):
     monkeypatch.setattr(verify, "_check_radius", crash)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "8/9 checks passed"
+    assert lines[-1] == "11/12 checks passed"
     [failed] = [line for line in lines if "FAIL" in line]
     assert failed.split() == [
         "radius-ratio", "FAIL", "ZeroDivisionError:", "division", "by", "zero", "in", "the", "check"
@@ -105,8 +105,13 @@ def test_solve_json_rows_carry_tree_stats(tmp_path, capsys, kind):
     {"n": -5},
     {"workers": 0},
     {"workers": -2},
+    {"workers": 2},
+    {"code": {"alpha": [-1], "j": 0}},
+    {"code": {"alpha": [0], "j": -3}},
+    {"code": {"alpha": [1.5], "j": 0}},
 ], ids=["mom-even-groups", "mom-negative-groups", "mom-more-groups-than-n", "n-0", "n-negative",
-        "workers-0", "workers-negative"])
+        "workers-0", "workers-negative", "workers-2", "alpha-negative", "j-below-minus-one",
+        "alpha-non-integral"])
 def test_solve_refuses_bad_estimator_config(tmp_path, capsys, fields):
     code, out, err = run_solve(tmp_path, capsys, **fields)
     assert code == 3
@@ -114,12 +119,38 @@ def test_solve_refuses_bad_estimator_config(tmp_path, capsys, fields):
     assert "Traceback" not in err
 
 
-def test_solve_refuses_workers_below_one_on_the_command_line(tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_solve_refuses_workers_other_than_one_on_the_command_line(tmp_path, capsys, workers):
     path = tmp_path / "solve.json"
     path.write_text(json.dumps({"problem": "b2", "T": 0.1, "n": 50, "points": [{"t": 0.0, "x": [0.0]}]}))
-    assert cli.main(["solve", "--config", str(path), "--workers", "0"]) == 3
+    assert cli.main(["solve", "--config", str(path), "--workers", workers]) == 3
     out, err = capsys.readouterr()
     assert out == "" and "config error:" in err and "workers" in err
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 2.9},
+    {"estimator": "mom", "groups": 3.5},
+    {"workers": 1.5},
+    {"caps": {"max_branches": 1000.5, "max_generation": 200}},
+    {"caps": {"max_branches": 1000, "max_generation": 20.2}},
+    {"caps": {"max_branches": 0, "max_generation": 200}},
+    {"caps": [1000, 200]},
+    {"n": True},
+    {"format": "xml"},
+], ids=["n", "groups", "workers", "max_branches", "max_generation", "max_branches-0", "caps-list",
+        "n-bool", "format-xml"])
+def test_solve_refuses_values_it_would_reinterpret(tmp_path, capsys, fields):
+    code, out, err = run_solve(tmp_path, capsys, **fields)
+    assert code == 3
+    assert out == "" and "config error:" in err
+    assert "Traceback" not in err
+
+
+def test_solve_reads_integral_floats_as_integers(tmp_path, capsys):
+    _, as_int, _ = run_solve(tmp_path, capsys, n=200, workers=1)
+    code, as_float, _ = run_solve(tmp_path, capsys, n=200.0, workers=1.0)
+    assert code == 0 and as_float == as_int
 
 
 def test_solve_mean_ignores_groups(tmp_path, capsys):
@@ -146,7 +177,11 @@ PROGENY = {"regime": {"kind": "factorial", "theta": 1.5, "r": 1}, "d": 1, "kmax"
     {"d": 0},
     {"kmax": -1},
     {"alpha_max": -1},
-], ids=["kind-foo", "theta-0", "theta-negative", "r-0", "d-0", "kmax-negative", "alpha_max-negative"])
+    {"d": 1.5},
+    {"kmax": 2.7},
+    {"alpha_max": 1.5},
+], ids=["kind-foo", "theta-0", "theta-negative", "r-0", "d-0", "kmax-negative", "alpha_max-negative",
+        "d-non-integral", "kmax-non-integral", "alpha_max-non-integral"])
 def test_progeny_refuses_bad_config(tmp_path, capsys, fields):
     code, out, err = run_command(tmp_path, capsys, "progeny", {**PROGENY, **fields})
     assert code == 3
@@ -187,7 +222,10 @@ STABILITY = {
     {"T": -0.1},
     {"sweep_T": [0.001, -0.002]},
     {"m_max": -1},
-], ids=["d-0", "T-negative", "sweep-negative", "m_max-negative"])
+    {"m_max": 2.5},
+    {"d": 1.5},
+], ids=["d-0", "T-negative", "sweep-negative", "m_max-negative", "m_max-non-integral",
+        "d-non-integral"])
 def test_stability_refuses_bad_config(tmp_path, capsys, fields):
     code, out, err = run_command(tmp_path, capsys, "stability", {**STABILITY, **fields})
     assert code == 3
@@ -237,3 +275,43 @@ def test_stability_refuses_bad_lifetime(tmp_path, capsys, lifetime):
     code, out, err = run_command(tmp_path, capsys, "stability", {**STABILITY, "lifetime": lifetime})
     assert code == 3
     assert out == "" and "config error:" in err
+
+
+@pytest.mark.parametrize("command", ["stability", "progeny"])
+@pytest.mark.parametrize("regime", [
+    {"kind": "foo", "theta": 1.5, "r": 1},
+    {"kind": "factorial", "theta": 1.5},
+    {"kind": "factorial", "theta": "1/0", "r": 1},
+    {"kind": "factorial", "theta": "inf", "r": 1},
+    {"kind": "factorial", "theta": float("inf"), "r": 1},
+    {"kind": "factorial", "theta": float("nan"), "r": 1},
+    {"kind": "exponential", "theta": "-3/2"},
+    {"kind": "exponential", "theta": "abc"},
+    {"kind": "exponential", "theta": True},
+    {"kind": "exponential", "theta": [1.5]},
+], ids=["kind-foo", "r-missing", "theta-1/0", "theta-inf-text", "theta-inf", "theta-nan",
+        "theta-negative-text", "theta-text", "theta-bool", "theta-list"])
+def test_regime_parser_refuses_in_both_commands(tmp_path, capsys, command, regime):
+    base = STABILITY if command == "stability" else PROGENY
+    code, out, err = run_command(tmp_path, capsys, command, {**base, "regime": regime})
+    assert code == 3
+    assert out == "" and "config error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["stability", "progeny"])
+def test_regime_parser_reads_rational_strings_and_defaults_to_factorial(tmp_path, capsys, command):
+    base = STABILITY if command == "stability" else PROGENY
+    outputs = []
+    for regime in (
+        {"kind": "factorial", "theta": 1.5, "r": 1},
+        {"theta": "3/2", "r": "1"},
+        {"theta": 1.5, "r": 1.0},
+    ):
+        code, out, _ = run_command(tmp_path, capsys, command, {**base, "regime": regime})
+        assert code == 0
+        if command == "stability":
+            out = json.loads(out)
+            del out["config"]  # echoes the regime block as given
+        outputs.append(out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]

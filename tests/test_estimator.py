@@ -9,7 +9,6 @@ from branchpde.estimator import (
     AssumptionHViolated,
     CodeOracle,
     ProblemSetup,
-    estimate_grid,
     estimate_u,
     median_of_means,
     write_csv,
@@ -59,14 +58,15 @@ def test_b2_matches_closed_form_small():
     assert est.std_error < 0.01
 
 
-def test_determinism_and_worker_independence():
+def test_determinism_and_workers_must_be_one():
     T = 0.1
     _, setup = b2_setup(T)
     a = estimate_u(ID, 0.0, (0.0,), T, setup, n=2000, seed=5)
-    b = estimate_u(ID, 0.0, (0.0,), T, setup, n=2000, seed=5)
+    b = estimate_u(ID, 0.0, (0.0,), T, setup, n=2000, seed=5, workers=1)
     assert a.mean == b.mean and a.std_error == b.std_error
-    c = estimate_u(ID, 0.0, (0.0,), T, setup, n=2000, seed=5, workers=3)
-    assert c.mean == a.mean
+    for workers in (0, 2, 3):
+        with pytest.raises(ValueError, match="one process"):
+            estimate_u(ID, 0.0, (0.0,), T, setup, n=2000, seed=5, workers=workers)
 
 
 def test_heat_semigroup_sanity():
@@ -114,26 +114,13 @@ def test_capped_samples_are_excluded_and_counted():
     assert est.n_samples == 400
 
 
-def test_estimate_grid():
-    T = 0.1
-    _, setup = b2_setup(T)
-    assert estimate_grid(ID, [], T, setup, n=10, seed=0) == []
-    rows = estimate_grid(
-        ID, [(0.0, (0.5,)), (0.0, (0.5,))], T, setup, n=2000, seed=3
-    )
-    assert rows[0][2].mean == rows[1][2].mean  # identical rows, same offsets
-
-
-def test_estimate_grid_symmetry():
+def test_estimate_u_symmetry():
     # phi = cos is even and f = 0: means at x and -x agree within 3 combined SE
     horizon = 0.2
     problem = zero_f_cosine_problem(horizon)
     setup = ProblemSetup(problem.oracle, exponential_model(1.0), 1)
-    rows = estimate_grid(
-        ID, [(0.0, (0.7,)), (0.0, (-0.7,))], horizon, setup, n=20_000, seed=6,
-        seed_offsets=[0, 1],
-    )
-    (_, _, e1), (_, _, e2) = rows
+    e1 = estimate_u(ID, 0.0, (0.7,), horizon, setup, n=20_000, seed=6)
+    e2 = estimate_u(ID, 0.0, (-0.7,), horizon, setup, n=20_000, seed=7)
     combined = math.hypot(e1.std_error, e2.std_error)
     assert abs(e1.mean - e2.mean) <= 3.0 * combined
 
@@ -159,7 +146,8 @@ def test_median_of_means():
 def test_write_csv_layout():
     T = 0.1
     problem, setup = b2_setup(T)
-    rows = estimate_grid(ID, [(0.0, (0.0,)), (T, (0.4,))], T, setup, n=500, seed=11)
+    points = ((0.0, (0.0,)), (T, (0.4,)))
+    rows = [(t, x, estimate_u(ID, t, x, T, setup, n=500, seed=11)) for t, x in points]
     buf = io.StringIO()
     write_csv(buf, rows, ID, 500, 11)
     lines = buf.getvalue().strip().split("\n")
@@ -172,7 +160,7 @@ def test_write_csv_layout():
     assert fields[4] == repr(float(problem.phi((0.4,)))) and fields[5] == "0.0"
 
 
-# --- batched sampling: range splits, workers, telemetry ---------------------
+# --- batched sampling: range splits and telemetry ---------------------------
 
 from branchpde import estimator, tree
 from branchpde.tree import sample_tree
@@ -199,9 +187,9 @@ def test_per_sample_values_do_not_depend_on_the_split(monkeypatch, code, T, caps
         for lo, hi in ((0, 1), (1, 7), (7, 300), (300, 301), (301, n))
     ]
     _same_samples(estimator._concat(parts), whole)
-    for workers in (1, 2, 3):
-        drawn = estimator._draw(code, 0.0, (0.0,), T, setup, n, seed, caps, workers)
-        _same_samples(drawn, whole)
+    est = estimate_u(code, 0.0, (0.0,), T, setup, n, seed, caps)
+    assert (est.mean, est.std_error) == estimator._mean(whole.values[~whole.capped])
+    assert est.n_capped == np.count_nonzero(whole.capped)
     # a small budget splits the range and evaluates survivors in several passes
     sizes = []
 
@@ -240,14 +228,6 @@ def test_estimate_stats_count_the_trees_of_sample_tree():
     assert estimator.Estimate(1.0, 0.1, 10, 0, 0.0).stats is None
 
 
-def test_median_of_means_honours_workers():
-    T = 0.1
-    _, setup = b2_setup(T)
-    one = median_of_means(ID, 0.0, (0.0,), T, setup, n=3000, groups=5, seed=4)
-    two = median_of_means(ID, 0.0, (0.0,), T, setup, n=3000, groups=5, seed=4, workers=2)
-    assert (one.mean, one.std_error, one.n_capped) == (two.mean, two.std_error, two.n_capped)
-
-
 @pytest.mark.parametrize("n, groups, bounds", [
     (7, 5, [(0, 1), (1, 2), (2, 4), (4, 5), (5, 7)]),
     (10, 3, [(0, 3), (3, 6), (6, 10)]),
@@ -262,9 +242,6 @@ def test_median_of_means_forms_exactly_the_groups_asked(n, groups, bounds):
     mom = median_of_means(ID, 0.0, (0.0,), T, setup, n=n, groups=groups, seed=seed)
     assert mom.mean == float(np.median(means))
     assert mom.mean == sorted(means)[groups // 2]
-    for workers in (2, 3):
-        again = median_of_means(ID, 0.0, (0.0,), T, setup, n=n, groups=groups, seed=seed, workers=workers)
-        assert (again.mean, again.std_error) == (mom.mean, mom.std_error)
 
 
 def test_median_of_means_refuses_fewer_samples_than_groups():
@@ -272,25 +249,3 @@ def test_median_of_means_refuses_fewer_samples_than_groups():
     _, setup = b2_setup(T)
     with pytest.raises(ValueError, match="n >= groups"):
         median_of_means(ID, 0.0, (0.0,), T, setup, n=4, groups=5, seed=0)
-
-
-def test_more_workers_than_samples_fork_no_empty_chunk(monkeypatch):
-    T = 0.1
-    _, setup = b2_setup(T)
-    seen = []
-    original = estimator._sample_values
-
-    def recording(setup_, c, t, x, T_, indices, seed, caps):
-        seen.append(len(indices))
-        return original(setup_, c, t, x, T_, indices, seed, caps)
-
-    monkeypatch.setattr(estimator, "_sample_values", recording)
-    one = estimate_u(ID, 0.0, (0.0,), T, setup, n=2, seed=1)
-
-    def no_fork(method):  # run the chunks here, where they are recorded
-        raise ValueError(f"no {method} start method")
-
-    monkeypatch.setattr(estimator.multiprocessing, "get_context", no_fork)
-    three = estimate_u(ID, 0.0, (0.0,), T, setup, n=2, seed=1, workers=3)
-    assert seen == [2, 1, 1]
-    assert (three.mean, three.std_error) == (one.mean, one.std_error)

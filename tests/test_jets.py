@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from branchpde.jets import Jet, exp_jet, finite_difference
+from branchpde.jets import Jet, exp_jet
+from oracles import finite_difference
 
 
 def test_exp_jet_coefficients():

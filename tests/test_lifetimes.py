@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from branchpde.lifetimes import (
+    LifetimeModel,
     exponential_model,
     model_from_config,
-    sample_lifetime,
     tabulated_model,
     validate_assumption_h,
 )
+
+
+def sample_lifetime(model: LifetimeModel, u: float) -> float:
+    """Inverse-CDF lifetime sample from a uniform variate in [0, 1)."""
+    if not 0.0 <= u < 1.0:
+        raise ValueError(f"uniform variate must lie in [0, 1), got {u}")
+    return model.inverse_cdf(u)
 
 
 def test_exponential_basics():

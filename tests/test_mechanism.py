@@ -7,17 +7,31 @@ import pytest
 
 from branchpde.mechanism import (
     Code,
-    dominating_offspring_prob,
-    dominating_offspring_set,
-    entry_count,
     index_product,
     offspring_prob,
     offspring_set,
     sample_offspring,
     sample_offspring_indices,
 )
-from branchpde.multiindex import mi_abs
+from branchpde.multiindex import MultiIndex, mi_abs
 from branchpde.tree import CodeTable
+from oracles import dominating_offspring_set
+
+
+def entry_count(c: Code, d: int) -> int:
+    """|M(c)|: 1 for j=-1, else (d+1) prod(1+alpha_k)."""
+    if c.j < 0:
+        return 1
+    return (d + 1) * index_product(c.alpha)
+
+
+def dominating_offspring_prob(alpha: MultiIndex, entry, d: int) -> Fraction:
+    """Offspring law of the dominating mechanism: the mass q_c of the entry
+    of the original mechanism with the same kind and beta."""
+    first, second = entry.children
+    if entry.kind:
+        entry = entry._replace(children=(first._replace(j=-1), second))
+    return offspring_prob(Code(alpha, second.j - 1), entry, d)
 
 
 def alphas_upto(total, d):

@@ -5,15 +5,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from branchpde.multiindex import (
-    integer_compositions,
+    MultiIndex,
     mi_abs,
     mi_add_unit,
-    mi_binomial,
     mi_enumerate_below,
     mi_factorial,
     mi_leq,
     mi_sub,
 )
+from oracles import integer_compositions
+
+
+def mi_binomial(alpha: MultiIndex, beta: MultiIndex) -> int:
+    """Product of componentwise binomial coefficients, requires beta <= alpha."""
+    if not mi_leq(beta, alpha):
+        raise ValueError(f"{beta} is not <= {alpha}")
+    out = 1
+    for a, b in zip(alpha, beta):
+        out *= math.comb(a, b)
+    return out
 
 
 def test_abs():

@@ -3,22 +3,81 @@ import math
 import numpy as np
 import pytest
 
-from branchpde.jets import Jet, exp_jet, finite_difference
-from branchpde.mechanism import Code
+from branchpde.combinatorics import stirling2
+from branchpde.jets import Jet, exp_jet
+from branchpde.mechanism import Code, offspring_set
 from branchpde.problems import (
+    Problem,
+    _code_value_from_exact,
     b2_f_family,
     b2_phi,
     b2_problem,
     constant_problem,
     heat_apply,
-    jet_code_oracle,
     make_problem,
     mild_solution_check,
-    pde_system_residual,
-    psi_k,
     zero_f_cosine_problem,
-    zeta_derivative,
 )
+from oracles import finite_difference
+
+
+def zeta_derivative(m: int, x: float) -> float:
+    """m-th derivative of zeta(x) = 1/(1+e^x) by the Stirling closed form:
+    sum_k (-e^x)^k k! S(m,k) / (1+e^x)^{k+1}."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    ex = math.exp(x)
+    return sum(
+        (-ex) ** k * math.factorial(k) * stirling2(m, k) / (1.0 + ex) ** (k + 1)
+        for k in range(1, m + 1)
+    )
+
+
+def psi_k(k: int, z: float) -> float:
+    """f^{(k)} evaluated through the terminal profile: psi_k(z) =
+    4(-1)^k/(1+z)^2 - 10(-1)^k/(2^k(1+z)) + (1+z)/2^k - (1+z)^2 + 6*[k=0]."""
+    if not 0.0 < z < 1.0:
+        raise ValueError(f"z must lie in (0, 1), got {z}")
+    sgn = (-1.0) ** k
+    out = (
+        4.0 * sgn / (1.0 + z) ** 2
+        - 10.0 * sgn / (2.0**k * (1.0 + z))
+        + (1.0 + z) / 2.0**k
+        - (1.0 + z) ** 2
+    )
+    return out + 6.0 if k == 0 else out
+
+
+def pde_system_residual(problem: Problem, c: Code, t: float, x, h: float = 1e-3) -> float:
+    """Residual of the code-indexed system row at an interior point,
+
+        (d/dt + (1/2) Laplacian) u_c + sum_entries z1 prod_children u_child,
+
+    with u_c from the exact solution: time derivative by central differences
+    with step h, space derivatives exactly from the solution jet."""
+    if problem.d != 1:
+        raise ValueError("residual check is implemented for d = 1")
+    x0 = float(x[0])
+    (m,) = c.alpha
+
+    def u_c(tt: float) -> float:
+        return _code_value_from_exact(problem, c, tt, x0)
+
+    dt = (u_c(t + h) - u_c(t - h)) / (2.0 * h)
+    # (1/2) d^2/dx^2 of u_c: from the jet of the underlying code function;
+    # u_c = alpha!^{-1} d^m [.], so its second derivative is
+    # (m+2)(m+1) * coefficient_{m+2} * m!... expressed via raw derivatives:
+    jet = problem.solution_code_jet(t, x0, m + 2, c.j)
+    fac = math.factorial(m)
+    second = jet.coefficient(m + 2) * math.factorial(m + 2) / fac
+    lap = 0.5 * second
+    nonlinear = 0.0
+    for entry in offspring_set(c, problem.d):
+        prod = float(entry.weight)
+        for child in entry.children:
+            prod *= _code_value_from_exact(problem, child, t, x0)
+        nonlinear += prod
+    return dt + lap + nonlinear
 
 ID = Code((0,), -1)
 
@@ -100,9 +159,9 @@ def test_psi_derivative_bound():
 
 def test_jet_code_oracle_values():
     problem = b2_problem(0.1)
-    assert jet_code_oracle(problem, ID, (0.4,)) == pytest.approx(b2_phi(0.4), abs=1e-14)
+    assert problem.oracle(ID, (0.4,)) == pytest.approx(b2_phi(0.4), abs=1e-14)
     # phi'(0) = 2 zeta'(0)/(1+zeta(0)) = -1/3
-    assert jet_code_oracle(problem, Code((1,), -1), (0.0,)) == pytest.approx(
+    assert problem.oracle(Code((1,), -1), (0.0,)) == pytest.approx(
         -1.0 / 3.0, rel=1e-13
     )
 
@@ -112,7 +171,7 @@ def test_jet_code_oracle_vs_finite_differences():
     for m in range(1, 5):
         for x in (-0.5, 0.0, 1.0):
             fd = finite_difference(b2_phi, x, m, h=1e-2) / math.factorial(m)
-            assert jet_code_oracle(problem, Code((m,), -1), (x,)) == pytest.approx(
+            assert problem.oracle(Code((m,), -1), (x,)) == pytest.approx(
                 fd, abs=1e-6
             )
 

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchpde import progeny, stability
-from branchpde.combinatorics import fuss_catalan, pochhammer_falling
+from branchpde.combinatorics import pochhammer_falling
 from branchpde.mechanism import index_product
-from branchpde.multiindex import mi_abs, mi_add_unit, mi_enumerate_below, mi_factorial, mi_sub
+from branchpde.multiindex import MultiIndex, mi_abs, mi_add_unit, mi_enumerate_below, mi_factorial, mi_sub
 from branchpde.progeny import (
     OutsideRadius,
     a_recursion,
     ahat_closed_exponential,
     ahat_closed_factorial,
-    ahat_composition_form,
     ahat_recursion,
     bound_report,
     check_domination_condition,
@@ -23,8 +22,48 @@ from branchpde.progeny import (
     expected_weighted_progeny,
     g_exponential,
     g_factorial,
-    progeny_pmf,
 )
+from oracles import fuss_catalan, integer_compositions
+
+
+def progeny_pmf(lam: float, horizon: float, n: int) -> float:
+    """P(total progeny = n) for the binary chain: exp(-lam h)(1-exp(-lam h))^m
+    at n = 2m+1, and 0 at even n."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    if n < 1 or n % 2 == 0:
+        return 0.0
+    m = (n - 1) // 2
+    p = math.exp(-lam * horizon)
+    return p * (1.0 - p) ** m
+
+
+def ahat_composition_form(g_star, d: int, alpha: MultiIndex, k: int):
+    """Composition-sum solution of the dominating recursion for |alpha| >= 1:
+
+    (2d)^k (k+|alpha|-1)!/(alpha!(k+1)!) *
+    sum over compositions m_1+..+m_{k+1} = k+|alpha|-1 of
+    prod_j (1+m_j) g_star(1+m_j).
+
+    g_star is indexed g_star[m]; it must reach m = k+|alpha|-1 + 1.
+    """
+    m = mi_abs(alpha)
+    if m < 1:
+        raise ValueError("composition form requires |alpha| >= 1")
+    order = k + m - 1
+    if len(g_star) < order + 2:
+        raise ValueError(f"g_star must provide indices up to {order + 1}")
+    total = 0
+    for comp in integer_compositions(order, k + 1):
+        term = 1
+        for mj in comp:
+            term *= (1 + mj) * g_star[1 + mj]
+        total += term
+    prefactor = (
+        Fraction(2 * d) ** k
+        * Fraction(math.factorial(order), mi_factorial(alpha) * math.factorial(k + 1))
+    )
+    return prefactor * total
 
 
 def alphas_upto(total, d):

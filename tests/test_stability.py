@@ -1,11 +1,18 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from branchpde.lifetimes import exponential_model
 from branchpde.problems import b2_problem
-from branchpde.stability import Exponential, Factorial, GrowthParams, verify_code_bounds
+from branchpde.stability import (
+    Exponential,
+    Factorial,
+    GrowthParams,
+    verify_code_bounds,
+    verify_weight_dominance_algebra,
+)
 
 # b2 at T = 0.1 with lambda = 1 and delta2 = 1/rho_*(T), on [-6, 6] with 121
 # points, m <= 5 and k <= 3.  The least margin sits on the m = 0 rows, whose
@@ -47,3 +54,11 @@ def test_code_bounds_refuse_d_above_1():
     p = GrowthParams(Factorial(1.5, 1), 6.0, 1.2, 1.0, B2_T, 2)
     with pytest.raises(ValueError):
         verify_code_bounds(b2_problem(B2_T).oracle, p, GRID, m_max=2)
+
+
+@pytest.mark.parametrize("delta2, holds", [(Fraction(1), True), (Fraction(2, 3), False)])
+def test_weight_dominance_algebra_needs_delta2_at_least_one(delta2, holds):
+    # the inner weights scale with delta2: at 2/3 the directional inequality
+    # 4 reads 2/3 < 1 at alpha = 0, j = 0
+    p = GrowthParams(Factorial(Fraction(1), Fraction(1)), Fraction(1), delta2, 1.0, 0.1, 1)
+    assert verify_weight_dominance_algebra(p, alphamax=4, jmax=2) is holds

@@ -7,7 +7,6 @@ import pytest
 from branchpde.lifetimes import exponential_model
 from branchpde.mechanism import (
     Code,
-    dominating_offspring_set,
     offspring_prob,
     offspring_set,
     sample_offspring,
@@ -22,13 +21,13 @@ from branchpde.tree import (
     TreeSample,
     WeightSpec,
     branch_rng,
-    dump_jsonl,
     evaluate_functional,
     evaluate_in_parts,
     sample_tree,
     weighted_progeny,
     weighted_progeny_batch,
 )
+from oracles import dominating_offspring_set
 
 MODEL = exponential_model(1.0)
 
@@ -336,20 +335,6 @@ def test_dominating_mean_weighted_progeny_matches_the_series(name):
             _, values = batch_progeny(Code(alpha, 0), T, exponential_model(lam), d, 5, n, w)
             z = (values.mean() - series) / (values.std(ddof=1) / math.sqrt(n))
             assert abs(z) <= 4.0, (alpha, lam, T, z)
-
-
-def test_dump_jsonl_roundtrip():
-    import io
-    import json
-
-    tree = sample_tree(Code((1,), 0), 0.0, (0.0,), 1.0, MODEL, 1, seed=4, sample_index=1)
-    buf = io.StringIO()
-    dump_jsonl(tree, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert len(lines) == len(tree)
-    first = json.loads(lines[0])
-    assert first["label"] == []
-    assert first["alpha"] == [1] and first["j"] == 0
 
 
 # --- the batched sampler against the one-tree reference ---------------------
