@@ -72,13 +72,14 @@ def _positive(cfg: dict, field: str) -> float:
     return value
 
 
-def _integer(field: str, value, low: int) -> int:
-    """value as an int >= low; a non-integral number is refused, not truncated."""
+def _integer(field: str, value, low: int | None = None) -> int:
+    """value as an int (>= low, if given); a non-integral number or a
+    boolean is refused, not truncated."""
     if type(value) is float and value.is_integer():
         value = int(value)
     if type(value) is not int:
         raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise ConfigError(f"config field {field!r} must be >= {low}, got {value}")
     return value
 
@@ -166,9 +167,9 @@ def cmd_solve(args) -> int:
             raise ConfigError(
                 f"config field 'seed_offsets' must list one offset per point ({len(parsed_points)})"
             )
-        offsets = [int(off) for off in offsets]
+        offsets = [_integer("seed_offsets", off) for off in offsets]
         n = _at_least(cfg, "n", 1)
-        seed = int(cfg["seed"])
+        seed = _integer("seed", cfg["seed"])
         workers = _at_least(cfg, "workers", 1)
         if workers != 1:
             raise ConfigError(
@@ -293,7 +294,7 @@ def cmd_stability(args) -> int:
             report["hbound"] = [
                 {
                     "alpha_order": m,
-                    **{k: v for k, v in stability.hbound((m,) + (0,) * (d - 1), 0, p).items()
+                    **{k: v for k, v in stability.hbound((m,) + (0,) * (d - 1), p).items()
                        if k != "alpha"},
                 }
                 for m in range(m_max + 1)
@@ -317,7 +318,9 @@ def cmd_progeny(args) -> int:
         d = _at_least(cfg, "d", 1, default=1)
         kmax = _at_least(cfg, "kmax", 0, default=6)
         alpha_max = _at_least(cfg, "alpha_max", 0, default=3)
-        exact = bool(cfg.get("exact", True))
+        exact = cfg.get("exact", True)
+        if type(exact) is not bool:
+            raise ConfigError(f"config field 'exact' must be true or false, got {exact!r}")
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -10,27 +10,23 @@ in m = |nu|:
     H(m, k+1) = 1/(k+1) sum_{b<=m} C(m,b) sum_{l<=k}
                 [a H(m-b,l) H(b,k-l) + c H(m-b+1,l) H(b+1,k-l)],
 
-with a = 0, c = d, G(m) = g(m e_1) m! for A-hat and a = delta2,
-c = d delta2/2, G(m) = kappa sigma_boundary(m e_1, j) m! for A under the
-preset weights.  a_recursion and ahat_recursion solve it with one engine
-and refuse inputs not of that form.  For rational inputs the engine runs in
-integers, summing each pair of terms l, k-l once.  Otherwise it runs in
-floats on F(m, k) = H(m, k)/m!, one matmul per level k over the sizes that
-level needs, so nothing factorial-sized is formed.  expected_weighted_progeny
-passes x a and x c for its series argument x, which makes the rows the
-series terms x^k F(m, k), and reads them along the one axis m = |alpha|
-without building a table.
+with a = 0, c = d, G(m) = m! g.F(m) for A-hat and a = delta2,
+c = d delta2/2, G(m) = m! w.F(m, j) for A under the preset weights w.  The
+growth sequences (GrowthSequence) and the preset (PresetWeights) carry
+these constants as data, and a_recursion and ahat_recursion read them
+there: no weight is evaluated to recover them.  For rational inputs the
+engine runs in integers, summing each pair of terms l, k-l once.  Otherwise
+it runs in floats on F(m, k) = H(m, k)/m!, one matmul per level k over the
+sizes that level needs, so nothing factorial-sized is formed.
+expected_weighted_progeny passes x a and x c for its series argument x,
+which makes the rows the series terms x^k F(m, k), and reads them along the
+one axis m = |alpha| without building a table.
 
-So an entry (nu, k) with k >= 1 depends on nu only through its class
-(|nu|, nu!), and a table holds far fewer values than entries: the ten
-A-hat tables at d = 2, kmax 12, |alpha| <= 3 have 5136 such entries in
-2915 (class, k) pairs.  Each value is built once per pair, and the one
-object serves every node of the class.  The inputs are still checked at
-every node, each against the expected value of its class: g(nu) (kappa
-sigma_boundary for A) against F(|nu|) |nu|!/nu!, and sigma_inner against
-the preset form.  Exact inputs are compared exactly, in integers, with no
-Fraction formed per node; floats to a relative 1e-12 of F(|nu|) (of the
-preset constant).  Nothing is cached across calls.
+So an entry (nu, k) depends on nu only through its class (|nu|, nu!), and
+a table holds far fewer values than entries: the ten A-hat tables at d = 2,
+kmax 12, |alpha| <= 3 have 5136 entries with k >= 1 in 2915 (class, k)
+pairs.  Each value, level 0 included, is built once per pair, and the one
+object serves every node of the class.  Nothing is cached across calls.
 
 For |nu| >= 1 both regimes have closed forms for A'_nu(k).  ahat_log_terms
 evaluates their logarithms for k = 0..K as one numpy array (log k! as a
@@ -63,7 +59,6 @@ from .multiindex import (
     mi_sub,
     mi_upto,
 )
-from .tree import WeightSpec
 
 
 class OutsideRadius(ValueError):
@@ -82,60 +77,45 @@ class SeriesTable:
 
 
 def a_recursion(
-    w: WeightSpec,
+    w: PresetWeights,
     d: int,
     alpha: MultiIndex,
     j: int,
     kmax: int,
-    collapse_j: bool = False,
     as_float: bool = False,
 ) -> SeriesTable:
     """Weighted-progeny coefficients A_{alpha,j}(k) for k <= kmax.
 
     A(0) is the inflated boundary weight kappa*sigma_boundary; A(k+1)
     convolves the two subtree coefficient sequences through the offspring
-    law.  The weights must have the preset form of stability.build_weights,
+    law.  The weights are the preset of stability.build_weights, whose
+    constants the table is built from: A_nu(k) = H(|nu|, k)/nu! for the
+    scalar recursion of the module docstring with G(m) = m! w.F(m, j),
+    a = w.a and c = d w.s.  The values do not depend on j >= 0; j = -1 is
+    refused for kmax >= 1 (such a code splits only through its pass-through
+    entry).
 
-        kappa sigma_boundary(nu, j') = G(|nu|)/nu!,
-        sigma_inner(nu, j', 0)       = a (d+1) prod(1+nu),
-        sigma_inner(nu, j', i)       = s (d+1)/6 (2+nu_i)(3+nu_i) prod(1+nu),
-
-    with constants a and s (the preset has a = delta2, s = delta2/2), at
-    every entry of the table; otherwise, and for j = -1 with kmax >= 1, it
-    raises ValueError.  Then A_nu(k) = H(|nu|, k)/nu! for the scalar
-    recursion of the module docstring with c = d s, and each entry is read
-    off the engine's row for |nu|.
-
-    The table holds every entry the multi-index recursion reads, the
-    level-0 ones being kappa*sigma_boundary itself.  With collapse_j=True
-    the keys are (alpha, l) for l <= kmax and (nu, l) for
-    l <= kmax - max(e, 1), e = sum_i max(0, nu_i - alpha_i), nu = 0
-    included; the values do not depend on j, which tests verify.  Otherwise
-    the keys are (nu, j', l) over the nodes of _j_levels.  as_float converts
-    the weights to floats first; the float engine carries H(m, k)/m!, so no
-    factorial-sized float arises at any kmax.  expected_weighted_progeny
-    reads only the entries (alpha, k), straight from the engine.
+    The keys are (nu, l) for every entry the multi-index recursion reads:
+    (alpha, l) for l <= kmax and (nu, l) for l <= kmax - max(e, 1),
+    e = sum_i max(0, nu_i - alpha_i), nu = 0 included.  as_float runs the
+    engine in floats (on H(m, k)/m!, so no factorial-sized float arises at
+    any kmax), the level-0 entries being the floats of the exact ones.
     """
+    _check_levels(j, kmax)
+    if w.d != d:
+        raise ValueError(f"the weights are built for d = {w.d}, not d = {d}")
     alpha = tuple(alpha)
     conv = float if as_float else (lambda v: v)
-    levels, base, F, a, s = _preset_series(w, d, alpha, j, kmax, collapse_j, conv)
-    row = _series_coefficients(F, a, d * s, kmax)
-    values: dict = {}
-    for (nu, jj), (top, m, f) in levels.items():
-        key = (nu,) if collapse_j else (nu, jj)
-        values[key + (0,)] = conv(base[nu, jj])
-        for l, v in enumerate(row(m, f, top), 1):
-            values[key + (l,)] = v
     return SeriesTable(
         backend="float" if as_float else "exact",
-        values=values,
+        values=_table(lambda m: w.F(m, j), conv(w.a), conv(d * w.s), alpha, kmax, True, conv),
         d=d,
-        meta={"alpha": alpha, "j": j, "kmax": kmax, "collapsed": collapse_j},
+        meta={"alpha": alpha, "j": j, "kmax": kmax},
     )
 
 
 def ahat_recursion(
-    g: Callable[[MultiIndex], Fraction],
+    g: GrowthSequence,
     d: int,
     alpha: MultiIndex,
     kmax: int,
@@ -145,37 +125,51 @@ def ahat_recursion(
     A'_alpha(k+1) = 1/(k+1) sum_{beta+gamma=alpha} sum_{l1+l2=k}
                     sum_i (1+gamma_i)(1+beta_i) A'_{gamma+1_i}(l1) A'_{beta+1_i}(l2).
 
-    g must have the form g(nu) = G(|nu|)/nu!, as g_factorial and
-    g_exponential do, at every nu of the table, else ValueError.  Then
-    A'_nu(k) = H(|nu|, k)/nu! for the scalar recursion of the module
-    docstring with a = 0 and c = d, exact in the arithmetic of g's values.
-    The table holds every entry the multi-index recursion reads: (alpha, l)
-    for l <= kmax and (nu, l) for nu != 0 and l <= kmax - max(e, 1),
-    e = sum_i max(0, nu_i - alpha_i), with the level-0 entries g(nu) itself.
-
-    g is called, and its value checked, at every node: against
-    F(|nu|) |nu|!/nu!, F(m) being g/(m!/nu!) at the first node of size m,
-    with an integer cross-multiplication for exact values and to a relative
-    1e-12 of F(|nu|) for floats.  The entries with l >= 1 are built once per
-    class (|nu|, nu!) and level, and nodes of one class share the object.
+    g is a growth sequence (g_factorial, g_exponential), so g(nu) =
+    G(|nu|)/nu! and A'_nu(k) = H(|nu|, k)/nu! for the scalar recursion of
+    the module docstring with G(m) = m! g.F(m), a = 0 and c = d, exact in
+    the arithmetic of g.F's values.  The table holds every entry the
+    multi-index recursion reads: (alpha, l) for l <= kmax and (nu, l) for
+    nu != 0 and l <= kmax - max(e, 1), e = sum_i max(0, nu_i - alpha_i),
+    with the level-0 entries g(nu).  Each value is built once per class
+    (|nu|, nu!) and level, and nodes of one class share the object.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     alpha = tuple(alpha)
-    levels = _table_levels(alpha, kmax, False)
-    base = {nu: g(nu) for nu in levels}
-    row = _series_coefficients(_sizes(levels, base), 0, d, kmax)
-    values: dict = {}
-    for nu, (top, m, f) in levels.items():
-        values[(nu, 0)] = base[nu]
-        for l, v in enumerate(row(m, f, top), 1):
-            values[(nu, l)] = v
+    values = _table(g.F, 0, d, alpha, kmax, False, lambda v: v)
     return SeriesTable(
-        backend="exact" if _is_exact(base[alpha]) else "float",
+        backend="exact" if _is_exact(values[alpha, 0]) else "float",
         values=values,
         d=d,
         meta={"alpha": alpha, "kmax": kmax},
     )
+
+
+def _check_levels(j: int, kmax: int) -> None:
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    if j < 0 and kmax >= 1:
+        raise ValueError("a j = -1 code splits through its pass-through entry, not the preset form")
+
+
+def _table(F: Callable[[int], object], a, c, alpha: MultiIndex, kmax: int, with_zero: bool, conv) -> dict:
+    """{(nu, l): H(|nu|, l)/nu!} over the nodes of _table_levels, for the
+    scalar recursion with H(m, 0) = m! F(m) and constants a, c.  The engine
+    runs on conv(F(m)); the level-0 entries are conv(F(m) |nu|!/nu!), built
+    once per class (|nu|, nu!) like the rows."""
+    levels = _table_levels(alpha, kmax, with_zero)
+    terms = [F(m) for m in range(sum(alpha) + kmax + 1)]
+    row = _series_coefficients([conv(v) for v in terms], a, c, kmax)
+    first: dict = {}
+    values: dict = {}
+    for nu, (top, m, f) in levels.items():
+        if (m, f) not in first:
+            first[m, f] = conv(terms[m] * (math.factorial(m) // f))
+        values[(nu, 0)] = first[m, f]
+        for l, v in enumerate(row(m, f, top), 1):
+            values[(nu, l)] = v
+    return values
 
 
 def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int, int], list]:
@@ -309,182 +303,110 @@ def _table_levels(alpha: MultiIndex, kmax: int, with_zero: bool) -> dict:
     return levels
 
 
-def _j_levels(alpha: MultiIndex, j: int, kmax: int) -> dict:
-    """{(nu, j'): top level} of the nodes the multi-index recursion for
-    A_{alpha,j} reads, found without arithmetic: node (nu, j') at level k
-    reads (gamma, 0), (beta, j'+1), (gamma+1_i, 0) and (beta+1_i, j'+1) for
-    every beta + gamma = nu at every level below k."""
-    top = {(alpha, j): kmax}
-    frontier = [(alpha, j)]
-    for level in range(kmax - 1, -1, -1):
-        reached = []
-        for nu, jj in frontier:
-            for beta in mi_enumerate_below(nu):
-                gamma = mi_sub(nu, beta)
-                children = [(gamma, 0), (beta, jj + 1)]
-                for i in range(1, len(nu) + 1):
-                    children += [(mi_add_unit(gamma, i), 0), (mi_add_unit(beta, i), jj + 1)]
-                for child in children:
-                    if child not in top:
-                        top[child] = level
-                        reached.append(child)
-        frontier = reached
-    return top
-
-
-def _preset_series(
-    w: WeightSpec, d: int, alpha: MultiIndex, j: int, kmax: int, collapse_j: bool, conv
-) -> tuple:
-    """(levels, base, F, a, s): the checked inputs of the recursion for
-    A_{alpha,j} up to kmax.  levels maps each (nu, j') the multi-index
-    recursion reads to (top level, |nu|, nu!) (j' = j throughout with
-    collapse_j), base[node] = kappa sigma_boundary(node), F = _sizes of base
-    and a, s are the preset constants, the last three through conv.  The
-    checks run on the weights as given, before conv.  ValueError for
-    kmax < 0, for j = -1 with kmax >= 1 (such a code splits only through its
-    pass-through entry), and unless the weights have the preset form at
-    every node.
-    """
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    if j < 0 and kmax >= 1:
-        raise ValueError("a j = -1 code splits through its pass-through entry, not the preset form")
-    if collapse_j:
-        levels = {(nu, j): v for nu, v in _table_levels(alpha, kmax, True).items()}
-    else:
-        levels = {
-            node: (top, sum(node[0]), mi_factorial(node[0]))
-            for node, top in _j_levels(alpha, j, kmax).items()
-        }
-    base = {node: w.boundary_dominating(*node) for node in levels}
-    a, s = _preset_constants(w, d, [node for node, v in levels.items() if v[0] >= 1], conv)
-    return levels, base, _sizes(levels, base, conv), a, s
-
-
-def _sizes(levels: dict, base: dict, conv=None) -> list:
-    """[F(0), ..., F(max |nu|)] with F(|nu|) = g(nu)/(|nu|!/nu!), that is
-    G(|nu|)/|nu|! for g(nu) = G(|nu|)/nu!, from base[node] = g(nu) and
-    levels[node] = (top, |nu|, nu!); ValueError unless that depends on |nu|
-    only.  Every node is checked, against the expected value of its class
-    (|nu|, nu!) (see _Proportional).  F(m) is conv(g)/(m!/nu!) at the first node of size m;
-    dividing by the multinomial keeps a float g clear of factorial-sized
-    products.  A size no node has (0, in an A-hat table with alpha != 0)
-    reads 0: the A-hat recursion never uses it."""
-    sizes = _Proportional()
-    for node, (_, m, f) in levels.items():
-        if not sizes.holds(m, math.factorial(m) // f, base[node]):
-            raise ValueError(f"the level-0 value at {node} is not G(|nu|)/nu!")
-    return [sizes.ratio(m, conv) if m in sizes.first else 0 for m in range(max(sizes.first) + 1)]
-
-
-def _preset_constants(w: WeightSpec, d: int, nodes: list, conv) -> tuple:
-    """(a, s), through conv, with sigma_inner(nu, j, 0) = a (d+1) prod(1+nu)
-    and sigma_inner(nu, j, i) = s (d+1)/6 (2+nu_i)(3+nu_i) prod(1+nu) at
-    every (nu, j) in nodes; ValueError unless a and s are constant.  Each
-    node is checked against its class of equal factors (see _Proportional)."""
-    inner = _Proportional()
-    for nu, jj in nodes:
-        p = (d + 1) * index_product(nu)
-        if not inner.holds("0", p, w.sigma_inner(nu, jj, 0)):
-            raise ValueError("sigma_inner(nu, j, 0) is not of the preset form")
-        for i in range(1, d + 1):
-            if not inner.holds("i", p * (2 + nu[i - 1]) * (3 + nu[i - 1]), w.sigma_inner(nu, jj, i)):
-                raise ValueError("sigma_inner(nu, j, i) is not of the preset form")
-    if not nodes:
-        return 0, 0
-    return inner.ratio("0", conv), inner.ratio("i", lambda v: 6 * conv(v))
-
-
-class _Proportional:
-    """Checks, node by node, that each value v is c n for an int n that the
-    node fixes, c = c(group) being v/n at the group's first node: exactly
-    for ints and Fractions, to a relative 1e-12 for floats.  The nodes with
-    one (group, n) form a class with the expected value c n.  An exact v is
-    compared with it in integers, v.numerator n0 v0.denominator ==
-    v0.numerator n v.denominator against the first node's v0, n0, so no
-    check builds a Fraction; a float v/n is compared with c itself, never
-    with a class representative, so no tolerance is chained."""
-
-    def __init__(self):
-        self.first: dict = {}  # group -> (v0, n0, v0 is exact, c)
-
-    def holds(self, group, n: int, v) -> bool:
-        exact = _is_exact(v)
-        ref = self.first.get(group)
-        if ref is None:
-            ref = self.first[group] = (v, n, exact, _ratio(v, n))
-        v0, n0, exact0, c = ref
-        if exact and exact0:
-            return v.numerator * n0 * v0.denominator == v0.numerator * n * v.denominator
-        return math.isclose(c, _ratio(v, n), rel_tol=1e-12)
-
-    def ratio(self, group, conv=None):
-        """c(group), or conv(v0)/n0 with conv given."""
-        v0, n0, _, c = self.first[group]
-        return c if conv is None else _ratio(conv(v0), n0)
-
-
 def _is_exact(v) -> bool:
     # a float is ruled out first: isinstance(v, Fraction) is an ABC check,
     # slow for the floats that fail it
     return not isinstance(v, float) and isinstance(v, (int, Fraction))
 
 
-def _ratio(x, n: int):
-    return Fraction(x, n) if _is_exact(x) else x / n
+@dataclass(frozen=True)
+class GrowthSequence:
+    """The growth sequence g(nu) = G(|nu|)/nu! of a regime, called as g(nu),
+    with its terms F(m) = G(m)/m! as data: F(0) = 1 and F(m) = F(m-1)
+    step(m), each built once.  Rational parameters give Fractions.  Float
+    ones give floats, g(nu) being F(|nu|) |nu|!/nu!: neither G(m) nor nu! is
+    formed, so g stays finite where its value does (a float G(m) = m!
+    theta^m passes the largest float near m = 170)."""
+
+    # a field, not a method, so that a wrapper of g made by functools.wraps
+    # (which copies the instance dict) still carries F
+    F: Callable[[int], object]
+
+    def __call__(self, alpha: MultiIndex):
+        return self.F(sum(alpha)) * _spread(alpha)
 
 
-def g_factorial(theta, r) -> Callable[[MultiIndex], Fraction]:
-    """Growth sequence (|a|+r-1)_{|a|} theta^{|a|}/a!  (series of (1-theta<x>)^-r).
-
-    With rational theta and r, the Pochhammer product (r)(r+1)...(r+m-1)
-    grows by one factor per new m, in the order pochhammer_falling
-    multiplies, so each G(m) is the same number.  Otherwise G(m)/m! grows
-    by the factor theta (r+m-1)/m (see _float_growth_sequence)."""
-    if not (_is_exact(theta) and _is_exact(r)):
-        return _float_growth_sequence(lambda m: theta * (r + m - 1) / m)
-    rising = [Fraction(1)]
-
-    def G(m):
-        while len(rising) <= m:
-            rising.append(rising[-1] * (r + len(rising) - 1))
-        return rising[m] * theta**m
-    return _growth_sequence(G)
+def g_factorial(theta, r) -> GrowthSequence:
+    """Growth sequence (|a|+r-1)_{|a|} theta^{|a|}/a!  (series of
+    (1-theta<x>)^-r): step(m) = theta (r+m-1)/m."""
+    exact = _is_exact(theta) and _is_exact(r)
+    if exact:
+        theta, r = Fraction(theta), Fraction(r)
+    return _growth_sequence(lambda m: theta * (r + m - 1) / m, exact)
 
 
-def g_exponential(theta) -> Callable[[MultiIndex], Fraction]:
-    """Growth sequence theta^{|a|}/a!  (series of exp(theta<x>)); G(m)/m!
-    grows by theta/m for a float theta (see _float_growth_sequence)."""
-    if not _is_exact(theta):
-        return _float_growth_sequence(lambda m: theta / m)
-    return _growth_sequence(lambda m: theta**m)
+def g_exponential(theta) -> GrowthSequence:
+    """Growth sequence theta^{|a|}/a!  (series of exp(theta<x>)): step(m) = theta/m."""
+    exact = _is_exact(theta)
+    if exact:
+        theta = Fraction(theta)
+    return _growth_sequence(lambda m: theta / m, exact)
 
 
-def _growth_sequence(G: Callable[[int], Fraction]) -> Callable[[MultiIndex], Fraction]:
-    """a -> G(|a|)/a!, building each G(m) once."""
-    memo: dict = {}
+def _growth_sequence(step: Callable[[int], object], exact: bool) -> GrowthSequence:
+    number = Fraction if exact else float
+    F = [number(1)]
 
-    def g(alpha):
-        m = sum(alpha)
-        if m not in memo:
-            memo[m] = G(m)
-        return memo[m] / mi_factorial(alpha)
-    return g
-
-
-def _float_growth_sequence(factor: Callable[[int], float]) -> Callable[[MultiIndex], float]:
-    """a -> F(|a|) |a|!/a! in floats, F(m) = G(m)/m! = F(m-1) factor(m)
-    being built once per m.  Neither G(m) nor a! is formed, so g stays
-    finite where its value does; a float G(m) = m! theta^m passes the
-    largest float near m = 170."""
-    F = [1.0]
-
-    def g(alpha):
-        m = sum(alpha)
+    def term(m: int):
         while len(F) <= m:
-            F.append(float(F[-1] * factor(len(F))))
-        return F[m] * _spread(alpha)
-    return g
+            F.append(number(F[-1] * step(len(F))))
+        return F[m]
+    return GrowthSequence(term)
+
+
+@dataclass
+class PresetWeights:
+    """The branch-weight preset of a growth sequence g (see
+    stability.build_weights), called by the sampler as a WeightSpec:
+
+    boundary:  (alpha,-1) -> delta1 g(alpha),
+               (alpha,j)  -> delta1 g(alpha)/kappa
+    inner:     (alpha,-1) -> delta2 (the single pass-through entry),
+               kind 0     -> (d+1) delta2 prod(1+alpha_k),
+               kind i     -> (d+1) delta2/12 (2+alpha_i)(3+alpha_i) prod(1+alpha_k)
+    kappa = max(1, delta2).
+
+    The analyzer reads its constants instead: kappa sigma_boundary(nu, j) =
+    F(|nu|, j) |nu|!/nu!, sigma_inner(nu, j, 0) = a (d+1) prod(1+nu) and
+    sigma_inner(nu, j, i) = s (d+1)/6 (2+nu_i)(3+nu_i) prod(1+nu) for j >= 0,
+    with a = delta2 and s = delta2/2.  Arithmetic follows the parameter
+    types: Fraction parameters give exact Fraction weights.
+    """
+
+    g: GrowthSequence
+    delta1: object
+    delta2: object
+    d: int
+
+    def __post_init__(self):
+        one = Fraction(1) if _is_exact(self.delta2) else 1.0
+        self.kappa = self.delta2 if float(self.delta2) > 1 else one  # delta2 v 1
+        # the leading factors, formed once in the order sigma_inner uses them
+        self._inner, self._twelve = (self.d + 1) * self.delta2, 12 * one
+        self.a, self.s = self.delta2, self.delta2 / (2 * one)
+
+    def F(self, m: int, j: int = 0):
+        """delta1 G(m)/m!, times kappa for j = -1."""
+        v = self.delta1 * self.g.F(m)
+        return v if j >= 0 else self.kappa * v
+
+    def sigma_boundary(self, alpha, j):
+        base = self.delta1 * self.g(alpha)
+        return base if j < 0 else base / self.kappa
+
+    def boundary_dominating(self, alpha, j):
+        return self.kappa * self.sigma_boundary(alpha, j)
+
+    def sigma_inner(self, alpha, j, kind):
+        if j < 0:
+            if kind != 0:
+                raise ValueError("pure-derivative codes only have the kind-0 entry")
+            return self.delta2
+        prod = index_product(alpha)
+        if kind == 0:
+            return self._inner * prod
+        ai = alpha[kind - 1]
+        return self._inner * (2 + ai) * (3 + ai) * prod / self._twelve
 
 
 def ahat_closed_factorial(theta, r, d: int, alpha: MultiIndex, k: int):
@@ -557,7 +479,7 @@ class Factorial(_Regime):
     def side_scale(self) -> float:
         return float(self.r)
 
-    def g(self) -> Callable[[MultiIndex], Fraction]:
+    def g(self) -> GrowthSequence:
         return g_factorial(self.theta, self.r)
 
     def envelope(self, m: int):
@@ -620,7 +542,7 @@ class Exponential(_Regime):
     name: ClassVar[str] = "exponential"
     side_scale: ClassVar[float] = 1.0
 
-    def g(self) -> Callable[[MultiIndex], Fraction]:
+    def g(self) -> GrowthSequence:
         return g_exponential(self.theta)
 
     def envelope(self, m: int):
@@ -780,11 +702,11 @@ def expected_weighted_progeny(
     with a geometric tail bound.  Requires (1-exp(-lam h)) delta1 delta2 <
     radius, R at the parameters' own theta, else OutsideRadius.
 
-    The weights go through every check a_recursion makes (preset form at
-    each node of its collapsed table, the j = -1 refusal), but no table is
-    built: the float engine, given x a and x c, carries the x-scaled terms
-    x^k H(m, k)/m!, and the sum reads them along the one axis m = |alpha|.
-    Nothing factorial-sized arises, so any ktrunc is safe inside the radius.
+    The preset's constants are a_recursion's (and j = -1 is refused the
+    same way), but no table is built: the float engine, given x a and x c,
+    carries the x-scaled terms x^k H(m, k)/m!, and the sum reads them along
+    the one axis m = |alpha|.  Nothing factorial-sized arises, so any ktrunc
+    is safe inside the radius.
 
     The tail bound rests on the domination A(k) <= delta1 (delta1 delta2)^k
     A'(k), which is proven at theta* = params.with_side_theta(), the least
@@ -804,12 +726,12 @@ def expected_weighted_progeny(
         raise OutsideRadius(
             f"(1-exp(-lam*h)) * delta1 * delta2 = {xa:.6g} >= radius {radius:.6g}"
         )
-    _, _, F, a, s = _preset_series(
-        params.build_weights(), params.d, alpha, j, ktrunc, True, float
-    )
+    _check_levels(j, ktrunc)
+    w = params.build_weights()
     # x^k A_alpha(k) = x^k H(|alpha|, k)/alpha!, read along the axis m = |alpha|
     m = mi_abs(alpha)
-    terms = _float_series(F, x * a, x * params.d * s, ktrunc)[:, m]
+    F = [float(w.F(n, j)) for n in range(m + ktrunc + 1)]
+    terms = _float_series(F, x * float(w.a), x * params.d * float(w.s), ktrunc)[:, m]
     value = math.exp(-lam * horizon) * _spread(alpha) * math.fsum(terms.tolist())
     # tail: A(k) <= delta1 (delta1 delta2)^k A'(k) at theta*, closed geometrically
     star = params.with_side_theta()
@@ -1033,12 +955,10 @@ def _spread(alpha: MultiIndex) -> int:
     return math.factorial(mi_abs(alpha)) // mi_factorial(alpha)
 
 
-def contact_hj_consistency(
-    g: Callable[[MultiIndex], Fraction], d: int, kmax: int, alphamax: int
-) -> bool:
+def contact_hj_consistency(g: GrowthSequence, d: int, kmax: int, alphamax: int) -> bool:
     """Verify, coefficient by coefficient and exactly in rationals, that the
-    weighted-progeny table built from the canonical unit-normalizing weights
-    satisfies
+    weighted-progeny table built from the unit-normalizing preset of g
+    (delta1 = delta2 = 1) satisfies
 
       (k+1) A_alpha(k+1) = sum_{beta+gamma=alpha} sum_{l1+l2=k}
         [ A_gamma(l1) A_beta(l2)
@@ -1046,23 +966,12 @@ def contact_hj_consistency(
 
     the coefficient form of dG/ds = G^2 + |grad G|^2 / 2.
     """
-    w = WeightSpec(
-        sigma_boundary=lambda al, jj: g(al),
-        sigma_inner=lambda al, jj, kind: (
-            Fraction(d + 1) * index_product(al)
-            if kind == 0
-            else Fraction(d + 1, 12)
-            * (2 + al[kind - 1])
-            * (3 + al[kind - 1])
-            * index_product(al)
-        ),
-        kappa=Fraction(1),
-    )
+    w = PresetWeights(g, Fraction(1), Fraction(1), d)
     values: dict = {}
 
     def A(al, k):
         if (al, k) not in values:
-            values.update(a_recursion(w, d, al, 0, k, collapse_j=True).values)
+            values.update(a_recursion(w, d, al, 0, k).values)
         return values[(al, k)]
 
     for al in mi_upto(alphamax, d):

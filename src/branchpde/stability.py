@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .lifetimes import LifetimeModel
-from .mechanism import Code, index_product
+from .mechanism import Code
 from .multiindex import mi_enumerate_below, mi_upto
 from . import progeny
 from .progeny import Exponential, Factorial
-from .tree import WeightSpec
 
 
 @dataclass(frozen=True)
@@ -82,46 +80,16 @@ class GrowthParams:
         rhs = 1.0 / ((self.d + 1) * float(self.delta1) * float(self.delta2))
         return min(self.regime.side_lhs() ** 2, 1.0) >= rhs
 
-    def build_weights(self) -> WeightSpec:
+    def build_weights(self) -> progeny.PresetWeights:
         return build_weights(self)
 
 
-def build_weights(p: GrowthParams) -> WeightSpec:
-    """Branch-weight preset matching the growth regime.
-
-    boundary:  (alpha,-1) -> delta1 g(alpha)/alpha!,
-               (alpha,j)  -> delta1/(delta2 v 1) g(alpha)/alpha!
-    inner:     (alpha,-1) -> delta2 (the single pass-through entry),
-               kind 0     -> (d+1) delta2 prod(1+alpha_k),
-               kind i     -> (d+1) delta2/12 (2+alpha_i)(3+alpha_i) prod(1+alpha_k)
-    kappa = max(1, delta2).
-
-    Arithmetic follows the parameter types: Fraction parameters give exact
-    Fraction weights.
-    """
-    g = p.regime.g()
-    d1, d2 = p.delta1, p.delta2
-    one = Fraction(1) if progeny._is_exact(d2) else 1.0
-    kappa = d2 if float(d2) > 1 else one  # delta2 v 1
-    # the leading factors, formed once in the order the products below use
-    inner, twelve = (p.d + 1) * d2, 12 * one
-
-    def sigma_boundary(alpha, j):
-        base = d1 * g(alpha)
-        return base if j < 0 else base / kappa
-
-    def sigma_inner(alpha, j, kind):
-        if j < 0:
-            if kind != 0:
-                raise ValueError("pure-derivative codes only have the kind-0 entry")
-            return d2
-        prod = index_product(alpha)
-        if kind == 0:
-            return inner * prod
-        ai = alpha[kind - 1]
-        return inner * (2 + ai) * (3 + ai) * prod / twelve
-
-    return WeightSpec(sigma_boundary=sigma_boundary, sigma_inner=sigma_inner, kappa=kappa)
+def build_weights(p: GrowthParams) -> progeny.PresetWeights:
+    """Branch-weight preset matching the growth regime: the weights of
+    progeny.PresetWeights for the regime's growth sequence, the deltas and
+    d, kappa = max(1, delta2).  Fraction parameters give exact Fraction
+    weights."""
+    return progeny.PresetWeights(p.regime.g(), p.delta1, p.delta2, p.d)
 
 
 @dataclass(frozen=True)
@@ -251,7 +219,7 @@ def verify_weight_dominance_algebra(p: GrowthParams, alphamax: int = 5, jmax: in
     return True
 
 
-def hbound(alpha, j: int, p: GrowthParams) -> dict:
+def hbound(alpha, p: GrowthParams) -> dict:
     """Explicit bound on the mean absolute path functional for a code of
     order alpha at horizon p.T: progeny.bound_report without its
     exp(-lam T) factor, in the same dict form (wh_bound is the bound).

@@ -101,7 +101,7 @@ def _check_dominance_series() -> bool:
         d=1,
     )
     w = p.build_weights()
-    table = progeny.a_recursion(w, 1, (1,), 0, 4, collapse_j=True)
+    table = progeny.a_recursion(w, 1, (1,), 0, 4)
     g = progeny.g_factorial(Fraction(3, 2), Fraction(1))
     that = progeny.ahat_recursion(g, 1, (1,), 4)
     return all(
@@ -117,8 +117,8 @@ def _check_series_engine() -> bool:
         d = len(alpha)
         p = stability.GrowthParams(regime, Fraction(6, 5), Fraction(6, 5), 1.0, 0.1, d)
         w = p.build_weights()
-        exact = progeny.a_recursion(w, d, alpha, 0, 12, collapse_j=True)
-        floats = progeny.a_recursion(w, d, alpha, 0, 12, collapse_j=True, as_float=True)
+        exact = progeny.a_recursion(w, d, alpha, 0, 12)
+        floats = progeny.a_recursion(w, d, alpha, 0, 12, as_float=True)
         if floats.values.keys() != exact.values.keys() or not all(
             math.isclose(floats[key], float(v), rel_tol=1e-12) for key, v in exact.values.items()
         ):
@@ -155,7 +155,7 @@ def _check_weight_dominance_algebra() -> bool:
 def _check_contact_hj() -> bool:
     """The unit-normalized weighted-progeny tables satisfy the coefficient
     form of dG/ds = G^2 + |grad G|^2 / 2, exactly, for d = 1, 2, 3."""
-    one = lambda alpha: Fraction(1)
+    one = progeny.g_factorial(Fraction(1), Fraction(1))  # g = 1 at d = 1
     cases = (  # (g, d, kmax, alphamax)
         (one, 1, 4, 3),
         (progeny.g_exponential(Fraction(1)), 2, 3, 2),

@@ -153,6 +153,27 @@ def test_solve_reads_integral_floats_as_integers(tmp_path, capsys):
     assert code == 0 and as_float == as_int
 
 
+@pytest.mark.parametrize("fields", [
+    {"seed": 2.7},
+    {"seed": True},
+    {"seed": "3"},
+    {"seed_offsets": [0.9]},
+    {"seed_offsets": [True]},
+], ids=["seed-non-integral", "seed-bool", "seed-string", "offset-non-integral", "offset-bool"])
+def test_solve_refuses_seeds_it_would_truncate(tmp_path, capsys, fields):
+    code, out, err = run_solve(tmp_path, capsys, **fields)
+    assert code == 3
+    assert out == "" and "config error:" in err and "seed" in err
+
+
+def test_solve_reads_integral_float_and_negative_seeds(tmp_path, capsys):
+    _, as_int, _ = run_solve(tmp_path, capsys, seed=2, seed_offsets=[1])
+    code, as_float, _ = run_solve(tmp_path, capsys, seed=2.0, seed_offsets=[1.0])
+    assert code == 0 and as_float == as_int
+    code, out, _ = run_solve(tmp_path, capsys, seed=-5, seed_offsets=[-1])
+    assert code == 0 and len(out.splitlines()) == 2
+
+
 def test_solve_mean_ignores_groups(tmp_path, capsys):
     code, out, _ = run_solve(tmp_path, capsys, groups=4)
     assert code == 0 and len(out.splitlines()) == 2
@@ -192,6 +213,24 @@ def test_progeny_writes_every_alpha_and_order(tmp_path, capsys):
     code, out, _ = run_command(tmp_path, capsys, "progeny", PROGENY)
     assert code == 0
     assert len(out.splitlines()) == 1 + 3 * 4  # header, |alpha| <= 2 by k <= 3
+
+
+@pytest.mark.parametrize("exact", ["no", "false", 0, 1, None])
+def test_progeny_refuses_exact_that_is_not_a_boolean(tmp_path, capsys, exact):
+    code, out, err = run_command(tmp_path, capsys, "progeny", {**PROGENY, "exact": exact})
+    assert code == 3
+    assert out == "" and "config error:" in err and "exact" in err
+
+
+def test_progeny_exact_false_prints_no_numerators(tmp_path, capsys):
+    rows = {}
+    for exact in (True, False):
+        code, out, _ = run_command(tmp_path, capsys, "progeny", {**PROGENY, "exact": exact})
+        assert code == 0
+        rows[exact] = [line.split(",") for line in out.splitlines()[1:]]
+    assert all(row[2] and row[3] for row in rows[True])
+    assert all(row[2] == row[3] == "" for row in rows[False])
+    assert [row[4:] for row in rows[False]] == [row[4:] for row in rows[True]]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

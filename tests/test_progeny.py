@@ -96,23 +96,24 @@ def test_a_recursion_base_case():
     p = fact_params(Fraction(1), Fraction(1))
     w = p.build_weights()
     table = a_recursion(w, 1, (2,), 3, 0)
-    assert table.values[((2,), 3, 0)] == w.boundary_dominating((2,), 3)
+    assert table.values[((2,), 0)] == w.boundary_dominating((2,), 3)
+    # the preset's sigma_inner carries its own d, so another d is refused
+    with pytest.raises(ValueError, match="d = 1"):
+        a_recursion(w, 2, (2, 0), 0, 1)
 
 
 def test_a_recursion_j_independence():
     p = fact_params(Fraction(1), Fraction(1))
     w = p.build_weights()
-    reference = a_recursion(w, 1, (1,), 0, 4, collapse_j=True)
-    for j in (0, 1, 2):
-        table = a_recursion(w, 1, (1,), j, 4)
-        for k in range(5):
-            assert table.values[((1,), j, k)] == reference.values[((1,), k)]
+    reference = a_recursion(w, 1, (1,), 0, 4)
+    for j in (1, 2):
+        assert a_recursion(w, 1, (1,), j, 4).values == reference.values
 
 
 def test_a_recursion_known_values():
     # theta = r = 1, deltas = 1: g == 1, A_(1)(k) = 1, 4, 35/2, 266/3, ...
     p = fact_params(Fraction(1), Fraction(1))
-    table = a_recursion(p.build_weights(), 1, (1,), 0, 4, collapse_j=True)
+    table = a_recursion(p.build_weights(), 1, (1,), 0, 4)
     vals = [table.values[((1,), k)] for k in range(5)]
     assert vals == [1, 4, Fraction(35, 2), Fraction(266, 3), Fraction(5989, 12)]
 
@@ -243,7 +244,7 @@ def test_series_domination_exact(theta, r, d):
     w = p.build_weights()
     gf = g_factorial(theta, r)
     for alpha in alphas_upto(4, d):
-        ta = a_recursion(w, d, alpha, 0, 6, collapse_j=True)
+        ta = a_recursion(w, d, alpha, 0, 6)
         th = ahat_recursion(gf, d, alpha, 6)
         for k in range(7):
             assert ta.values[(alpha, k)] <= th.values[(alpha, k)]
@@ -252,7 +253,7 @@ def test_series_domination_exact(theta, r, d):
 def test_series_domination_fails_without_side_condition():
     # theta = r = 1, d = 1 violates theta r >= sqrt(2): A_0(1) = 3/2 > A'_0(1) = 1
     p = fact_params(Fraction(1), Fraction(1), d=1)
-    ta = a_recursion(p.build_weights(), 1, (0,), 0, 1, collapse_j=True)
+    ta = a_recursion(p.build_weights(), 1, (0,), 0, 1)
     th = ahat_recursion(g_factorial(Fraction(1), Fraction(1)), 1, (0,), 1)
     assert ta.values[((0,), 1)] == Fraction(3, 2)
     assert th.values[((0,), 1)] == 1
@@ -432,7 +433,7 @@ def test_bound_report_dominates_value_property(regime, r, d, scale, m, fracs):
         assert out["value"] <= rep["wh_bound"]
         # the bound on the A' series alone grows with T on every path; the
         # exp(-lam T) factor makes the generating-function paths fall
-        series = stability.hbound(alpha, 0, p)["wh_bound"]
+        series = stability.hbound(alpha, p)["wh_bound"]
         assert series >= prev_series
         if rep["path"] == "geometric-series":
             assert rep["wh_bound"] >= prev
@@ -453,7 +454,7 @@ def test_tail_closure_covers_decreasing_ratios(p):
 
 
 def test_contact_hj_consistency():
-    one = lambda alpha: Fraction(1)
+    one = g_factorial(Fraction(1), Fraction(1))  # g = 1 at d = 1
     assert contact_hj_consistency(one, 1, kmax=4, alphamax=3)
     assert contact_hj_consistency(g_exponential(Fraction(1)), 2, kmax=3, alphamax=2)
     assert contact_hj_consistency(one, 1, kmax=0, alphamax=2)

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 from branchpde.lifetimes import exponential_model
+from branchpde.mechanism import index_product
 from branchpde.problems import b2_problem
 from branchpde.stability import (
     Exponential,
@@ -62,3 +64,47 @@ def test_weight_dominance_algebra_needs_delta2_at_least_one(delta2, holds):
     # 4 reads 2/3 < 1 at alpha = 0, j = 0
     p = GrowthParams(Factorial(Fraction(1), Fraction(1)), Fraction(1), delta2, 1.0, 0.1, 1)
     assert verify_weight_dominance_algebra(p, alphamax=4, jmax=2) is holds
+
+
+PRESET_CASES = [  # (regime, delta1, delta2): kappa = delta2 > 1, then kappa = 1
+    (Factorial(Fraction(3, 2), Fraction(1)), Fraction(6, 5), Fraction(6, 5)),
+    (Exponential(Fraction(3, 2)), Fraction(6, 5), Fraction(2, 3)),
+    (Factorial(1.5, 1.0), 1.2, 1.2),
+    (Exponential(1.5), 1.2, 0.7),
+]
+
+
+@pytest.mark.parametrize("regime, delta1, delta2", PRESET_CASES, ids=repr)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_preset_weights_are_the_constants_the_analyzer_reads(regime, delta1, delta2, d):
+    # the sampler evaluates sigma_boundary and sigma_inner, the analyzer
+    # reads F, a, s and kappa: both must be one set of weights.  The closed
+    # form is built exactly from the object's constants; Fraction weights
+    # must equal it, float ones be within rounding of it.
+    w = GrowthParams(regime, delta1, delta2, 1.0, 0.1, d).build_weights()
+    assert (w.kappa, w.a, w.s) == (max(1, delta2), delta2, delta2 / 2)
+    exact = isinstance(delta2, Fraction)
+    kappa, a, s = Fraction(w.kappa), Fraction(w.a), Fraction(w.s)
+
+    def same(got, want):
+        if exact:
+            assert type(got) is Fraction and got == want
+        else:
+            assert type(got) is float and got == pytest.approx(float(want), rel=1e-15, abs=0)
+
+    for nu in (nu for nu in product(range(5), repeat=d) if sum(nu) <= 4):
+        m, prod = sum(nu), index_product(nu)
+        spread = math.factorial(m) // math.prod(map(math.factorial, nu))
+        for j in (-1, 0, 1, 2):
+            same(w.sigma_boundary(nu, j), Fraction(w.F(m, j)) * spread / kappa)
+            same(w.boundary_dominating(nu, j), Fraction(w.F(m, j)) * spread)
+            if j < 0:  # the single pass-through entry
+                same(w.sigma_inner(nu, j, 0), a)
+                for i in range(1, d + 1):
+                    with pytest.raises(ValueError):
+                        w.sigma_inner(nu, j, i)
+                continue
+            same(w.sigma_inner(nu, j, 0), a * (d + 1) * prod)
+            for i in range(1, d + 1):
+                want = s * Fraction(d + 1, 6) * (2 + nu[i - 1]) * (3 + nu[i - 1]) * prod
+                same(w.sigma_inner(nu, j, i), want)
