@@ -12,7 +12,7 @@ from .estimator import (
 )
 from .lifetimes import LifetimeModel, exponential_model, validate_assumption_h
 from .mechanism import Code, MechanismEntry, offspring_prob, offspring_set, sample_offspring
-from .stability import Exponential, Factorial, GrowthParams, build_weights, check_conditions, hbound, max_horizon
+from .stability import Exponential, Factorial, GrowthParams, check_conditions, hbound, max_horizon
 from .tree import (
     BranchRecord,
     CapExceeded,

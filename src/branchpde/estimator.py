@@ -245,7 +245,7 @@ def median_of_means(
 
 def write_csv(
     fileobj,
-    rows: Sequence[tuple[float, tuple, Optional[Estimate]]],
+    rows: Sequence[tuple[float, tuple, Estimate]],
     code: Code,
     n: int,
     seed: int,
@@ -262,12 +262,7 @@ def write_csv(
     offsets = seed_offsets if seed_offsets is not None else [0] * len(rows)
     alpha_txt = "|".join(str(a) for a in code.alpha)
     for (t, x, est), off in zip(rows, offsets):
-        base = [repr(float(t))] + [repr(float(v)) for v in x] + [alpha_txt, code.j]
-        if est is None:
-            writer.writerow(base + ["nan", "nan", n, n, seed + off])
-        else:
-            writer.writerow(
-                base
-                + [repr(est.mean), repr(est.std_error), est.n_samples,
-                   est.n_capped, seed + off]
-            )
+        writer.writerow(
+            [repr(float(t))] + [repr(float(v)) for v in x] + [alpha_txt, code.j]
+            + [repr(est.mean), repr(est.std_error), est.n_samples, est.n_capped, seed + off]
+        )

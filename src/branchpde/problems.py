@@ -198,36 +198,21 @@ def make_problem(name: str, T: float, **kwargs) -> Problem:
 # --- quadrature and consistency checks --------------------------------------
 
 def heat_apply(v: Callable, t: float, x, quad_order: int = 64) -> float:
-    """Heat semigroup action by tensor Gauss-Hermite quadrature:
-    S(t) v(x) = pi^{-d/2} int v(x + sqrt(2t) u) e^{-|u|^2} du."""
+    """Heat semigroup action in d = 1 by Gauss-Hermite quadrature:
+    S(t) v(x) = pi^{-1/2} int v(x + sqrt(2t) u) e^{-u^2} du."""
     if t < 0:
         raise ValueError("t must be >= 0")
     x = np.asarray(x, float)
+    if x.size != 1:
+        raise ValueError("heat_apply is implemented for d = 1")
     if t == 0:
         return float(v(x))
     if quad_order not in _HERMGAUSS_CACHE:
         _HERMGAUSS_CACHE[quad_order] = np.polynomial.hermite.hermgauss(quad_order)
     nodes, weights = _HERMGAUSS_CACHE[quad_order]
-    d = x.size
     scale = math.sqrt(2.0 * t)
-    if d == 1:
-        total = sum(
-            w * v(np.array([x[0] + scale * u])) for u, w in zip(nodes, weights)
-        )
-        return float(total / math.sqrt(math.pi))
-    total = 0.0
-    idx = np.zeros(d, dtype=int)
-    # tensor product loop; quad_order^d evaluations
-    from itertools import product as iproduct
-
-    for combo in iproduct(range(quad_order), repeat=d):
-        w = 1.0
-        y = x.copy()
-        for axis, i in enumerate(combo):
-            w *= weights[i]
-            y[axis] += scale * nodes[i]
-        total += w * v(y)
-    return float(total / math.pi ** (d / 2.0))
+    total = sum(w * v(np.array([x[0] + scale * u])) for u, w in zip(nodes, weights))
+    return float(total / math.sqrt(math.pi))
 
 
 def _code_value_from_exact(problem: Problem, c: Code, t: float, x0: float) -> float:

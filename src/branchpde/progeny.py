@@ -28,20 +28,20 @@ kmax 12, |alpha| <= 3 have 5136 entries with k >= 1 in 2915 (class, k)
 pairs.  Each value, level 0 included, is built once per pair, and the one
 object serves every node of the class.  Nothing is cached across calls.
 
-For |nu| >= 1 both regimes have closed forms for A'_nu(k).  ahat_log_terms
-evaluates their logarithms for k = 0..K as one numpy array (log k! as a
-cumulative sum of logs, the factorial regime's Gamma ratio through
-math.lgamma); the series, sup and tail evaluations behind the bounds read
-their terms from it, and ahat_value_log is the scalar reference.  The
-closed forms run along the first axis, and A'_nu = (|nu|!/nu!) A'_{|nu| e_1}.
-Each regime's formulas (g, radius, closed-form terms) are methods of
-Factorial and Exponential.
+Both regimes have closed forms for A'_nu(k) at every order, nu = 0
+included.  ahat_log_terms evaluates their logarithms for k = 0..K as one
+numpy array (log k! as a cumulative sum of logs, the factorial regime's
+Gamma ratio through math.lgamma); the series, sup and tail evaluations
+behind the bounds read their terms from it, and ahat_value_log is the
+scalar reference.  The closed forms run along the first axis, and
+A'_nu = (|nu|!/nu!) A'_{|nu| e_1}.  Each regime's formulas (g, radius,
+closed-form terms) are methods of Factorial and Exponential.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from operator import mul
 from typing import Callable, ClassVar
@@ -69,8 +69,6 @@ class OutsideRadius(ValueError):
 class SeriesTable:
     backend: str                  # "exact" | "float"
     values: dict                  # (alpha, k) or (alpha, j, k) -> number
-    d: int
-    meta: dict = field(default_factory=dict)
 
     def __getitem__(self, key):
         return self.values[key]
@@ -88,7 +86,7 @@ def a_recursion(
 
     A(0) is the inflated boundary weight kappa*sigma_boundary; A(k+1)
     convolves the two subtree coefficient sequences through the offspring
-    law.  The weights are the preset of stability.build_weights, whose
+    law.  The weights are the preset of GrowthParams.build_weights, whose
     constants the table is built from: A_nu(k) = H(|nu|, k)/nu! for the
     scalar recursion of the module docstring with G(m) = m! w.F(m, j),
     a = w.a and c = d w.s.  The values do not depend on j >= 0; j = -1 is
@@ -109,8 +107,6 @@ def a_recursion(
     return SeriesTable(
         backend="float" if as_float else "exact",
         values=_table(lambda m: w.F(m, j), conv(w.a), conv(d * w.s), alpha, kmax, True, conv),
-        d=d,
-        meta={"alpha": alpha, "j": j, "kmax": kmax},
     )
 
 
@@ -141,8 +137,6 @@ def ahat_recursion(
     return SeriesTable(
         backend="exact" if _is_exact(values[alpha, 0]) else "float",
         values=values,
-        d=d,
-        meta={"alpha": alpha, "kmax": kmax},
     )
 
 
@@ -357,7 +351,8 @@ def _growth_sequence(step: Callable[[int], object], exact: bool) -> GrowthSequen
 @dataclass
 class PresetWeights:
     """The branch-weight preset of a growth sequence g (see
-    stability.build_weights), called by the sampler as a WeightSpec:
+    stability.GrowthParams.build_weights), called by the sampler as a
+    WeightSpec:
 
     boundary:  (alpha,-1) -> delta1 g(alpha),
                (alpha,j)  -> delta1 g(alpha)/kappa
@@ -410,22 +405,22 @@ class PresetWeights:
 
 
 def ahat_closed_factorial(theta, r, d: int, alpha: MultiIndex, k: int):
-    """Closed form for |alpha| >= 1 under the factorial growth sequence:
+    """Closed form under the factorial growth sequence:
 
     (2d)^k r^{k+1} theta^{2k+|alpha|}/alpha! * G((r+2)k+r+|alpha|) /
     ((k+1)! G((r+1)(k+1))).
 
-    The Gamma ratio has integer offset k+|alpha|-1, so with rational theta, r
-    the value is an exact Fraction; float inputs fall back to log-gamma.
+    With b = (r+1)(k+1), the Gamma ratio is the rising product of
+    k+|alpha| factors from b-1, over b-1 > 0; so with rational theta, r the
+    value is an exact Fraction, alpha = 0 included.  Float inputs fall back
+    to log-gamma.
     """
     m = mi_abs(alpha)
-    if m < 1:
-        raise ValueError("closed form requires |alpha| >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
     if _is_exact(theta) and _is_exact(r):
-        base = Fraction((r + 1) * (k + 1))
-        ratio = gamma_ratio_exact(base, k + m - 1)
+        base = Fraction((r + 1) * (k + 1)) - 1
+        ratio = gamma_ratio_exact(base, k + m) / base
         return (
             Fraction(2 * d) ** k
             * Fraction(r) ** (k + 1)
@@ -438,11 +433,9 @@ def ahat_closed_factorial(theta, r, d: int, alpha: MultiIndex, k: int):
 
 
 def ahat_closed_exponential(theta, d: int, alpha: MultiIndex, k: int):
-    """Closed form for |alpha| >= 1 under the exponential growth sequence:
+    """Closed form under the exponential growth sequence:
     (2d)^k theta^{2k+|alpha|}/(alpha! k!) (k+1)^{k+|alpha|-2}."""
     m = mi_abs(alpha)
-    if m < 1:
-        raise ValueError("closed form requires |alpha| >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
     if _is_exact(theta):
@@ -503,14 +496,12 @@ class Factorial(_Regime):
         return 0.5 * ((r + 2) / (r + 1)) ** (r + 1)
 
     def ratio(self, m: int, k: int):
-        """((r+2)k + r + |alpha|) theta, for |alpha| = m >= 1."""
+        """((r+2)k + r + |alpha|) theta, for |alpha| = m."""
         return ((self.r + 2) * k + self.r + m) * self.theta
 
     def closed_log(self, d: int, alpha: MultiIndex, k: int) -> float:
         """log of the closed form of ahat_closed_factorial; safe for large k."""
         m = mi_abs(alpha)
-        if m < 1:
-            raise ValueError("closed form requires |alpha| >= 1")
         theta, r = float(self.theta), float(self.r)
         return (
             k * math.log(2 * d)
@@ -564,14 +555,12 @@ class Exponential(_Regime):
         return 0.5 * math.e
 
     def ratio(self, m: int, k: int):
-        """(k+1) theta, for |alpha| = m >= 1."""
+        """(k+1) theta, for |alpha| = m."""
         return (k + 1) * self.theta
 
     def closed_log(self, d: int, alpha: MultiIndex, k: int) -> float:
         """log of the closed form of ahat_closed_exponential; safe for large k."""
         m = mi_abs(alpha)
-        if m < 1:
-            raise ValueError("closed form requires |alpha| >= 1")
         theta = float(self.theta)
         return (
             k * math.log(2 * d)
@@ -602,10 +591,10 @@ def check_domination_condition(
     """Check (1+alpha_i) A'_{alpha+1_i}(k) >= sqrt(2/d) A'_alpha(k).
 
     Uses the regime's exact ratio formula (regime.ratio), whose minimum over
-    k and alpha is regime.side_lhs(), the left side of side-theta; also
-    validates the ratio identity against recursion values on a small grid,
-    in rationals (the regime's parameters are converted to Fractions),
-    including alpha = 0 where the closed form does not apply.
+    k and alpha, reached at alpha = 0 and k = 0, is regime.side_lhs(), the
+    left side of side-theta; also validates the ratio identity against
+    recursion values on a small grid, alpha = 0 included, in rationals (the
+    regime's parameters are converted to Fractions).
     """
     rhs = math.sqrt(2.0 / d)
     lhs = regime.side_lhs()
@@ -627,7 +616,7 @@ def check_domination_condition(
                 if (up, k) not in table.values:
                     continue
                 lhs_val = (1 + al[i - 1]) * table.values[(up, k)]
-                if mi_abs(al) >= 1 and lhs_val != exact.ratio(mi_abs(al), k) * base:
+                if lhs_val != exact.ratio(mi_abs(al), k) * base:
                     identity_ok = False
                 if float(lhs_val) < rhs * float(base) - 1e-12:
                     grid_ok = False
@@ -642,7 +631,7 @@ def check_domination_condition(
 
 def ahat_value_log(params, alpha_abs: int, k: int) -> float:
     """log A'_alpha(k) through the regime closed form, alpha of given order
-    along the first coordinate; |alpha| >= 1."""
+    along the first coordinate."""
     return params.regime.closed_log(params.d, (alpha_abs,) + (0,) * (params.d - 1), k)
 
 
@@ -653,8 +642,6 @@ def ahat_log_terms(params, alpha_abs: int, kmax: int) -> np.ndarray:
     closed form (regime.closed_log_terms).
     """
     m = alpha_abs
-    if m < 1:
-        raise ValueError("closed form requires |alpha| >= 1")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     k = np.arange(kmax + 1, dtype=float)
@@ -670,21 +657,6 @@ def ahat_log_terms(params, alpha_abs: int, kmax: int) -> np.ndarray:
 
 def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x), dtype=float, count=len(x))
-
-
-def ahat0_scaled_series(params, s: float, kmax: int) -> list[float]:
-    """Terms A'_0(k) s^k for k <= kmax, via the alpha=0 convolution
-    A'_0(k+1) = d/(k+1) sum_{l1+l2=k} A'_{1}(l1) A'_{1}(l2), computed in
-    scaled space to avoid overflow."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s > 0:
-        b = np.exp(ahat_log_terms(params, 1, kmax)[:kmax] + np.arange(kmax) * math.log(s))
-    else:
-        b = np.zeros(kmax)  # every term past k = 0 carries a factor s
-    conv = np.convolve(b, b)[:kmax]
-    # A'_0(0) = g(0) = 1 in both regimes
-    return [1.0] + (params.d * s * conv / np.arange(1, kmax + 1)).tolist()
 
 
 def expected_weighted_progeny(
@@ -737,14 +709,10 @@ def expected_weighted_progeny(
     star = params.with_side_theta()
     if xa == 0:
         q_trunc, ratio = 0.0, 0.0
-    elif m >= 1:
+    else:
         log_a = ahat_log_terms(star, m, ktrunc + 1)[ktrunc:]
         q_trunc = _spread(alpha) * math.exp(log_a[0] + ktrunc * math.log(xa))
         ratio = xa * math.exp(log_a[1] - log_a[0])
-    else:
-        terms = ahat0_scaled_series(star, xa, ktrunc + 1)
-        q_trunc = terms[ktrunc]
-        ratio = terms[ktrunc + 1] / q_trunc if q_trunc > 0 else 0.0
     tail = math.exp(-lam * horizon) * float(params.delta1) * q_trunc * _geometric_tail(
         ratio, xa / star.radius()
     )
@@ -772,51 +740,45 @@ def _geometric_tail(ratio: float, limit: float) -> float:
     return rho / (1.0 - rho) if rho < 1.0 else math.inf
 
 
-def _log_sup_terms(params, alpha_abs: int, ys, k_probe: int = 2000) -> list[float]:
-    """log sup_k A'_alpha(k) y^{k+1} for each y in ys (0 < y < R), |alpha| >= 1,
-    alpha along the first axis.
+_K_PROBE = 2000  # the longest table _log_sup_terms builds
+
+
+def _log_sup_terms(params, alpha_abs: int, ys) -> list[float]:
+    """log sup_k A'_alpha(k) y^{k+1} for each y in ys (0 < y < R), alpha of
+    order alpha_abs along the first axis.
 
     One table of log A'(k) serves every y.  It stops at the first k where
     max(y) max(1/R, A'(k+1)/A'(k)) <= 1: the term ratios are monotone with
     limit 1/R, so no later term exceeds the k-th at any y in ys.  The table
-    is built for k <= 16 and doubled, up to k_probe, until some k qualifies.
+    is built for k <= 16 and doubled, up to _K_PROBE, until some k qualifies.
     """
     y_top = max(ys)
     inv_R = 1.0 / params.radius()
-    kmax = min(16, k_probe)
+    kmax = 16
     while True:
         logs = ahat_log_terms(params, alpha_abs, kmax)
         stop = np.flatnonzero(y_top * np.maximum(inv_R, np.exp(np.diff(logs))) <= 1.0)
         if stop.size:
             break
-        if kmax == k_probe:
-            raise ValueError(f"the terms at y = {y_top:.6g} still grow at k = {k_probe}")
-        kmax = min(2 * kmax, k_probe)
+        if kmax == _K_PROBE:
+            raise ValueError(f"the terms at y = {y_top:.6g} still grow at k = {_K_PROBE}")
+        kmax = min(2 * kmax, _K_PROBE)
     logs = logs[: stop[0] + 2]
     powers = np.arange(1, len(logs) + 1)
     return [float(np.max(logs + powers * math.log(y))) for y in ys]
 
 
-def tracked_constant(params, alpha_abs: int, k_probe: int = 2000) -> float:
+def tracked_constant(params, alpha_abs: int) -> float:
     """Supremum (in log space) of the exact prefactor sequence behind the
     factorial-regime bound
 
         A'_alpha(k) <= C (2 theta d)^{|alpha|} (2^{-(r+2)} R)^{-(k+1)},
 
-    i.e. C = sup_k A'(k) (2^{-(r+2)}R)^{k+1} (2 theta d)^{-|alpha|}.  For
-    |alpha| >= 1 the sup is exact (see _log_sup_terms); for alpha = 0 it is
-    taken over the first min(k_probe, 400) terms.
+    i.e. C = sup_k A'(k) (2^{-(r+2)}R)^{k+1} (2 theta d)^{-|alpha|}, exact at
+    every order (see _log_sup_terms).
     """
-    y = params.scaled_radius()
-    m = alpha_abs
-    log_pref = -m * math.log(2 * float(params.regime.theta) * params.d)
-    if m >= 1:
-        return math.exp(_log_sup_terms(params, m, [y], k_probe)[0] + log_pref)
-    best = -math.inf
-    for tv in ahat0_scaled_series(params, y, min(k_probe, 400)):
-        if tv > 0:
-            best = max(best, math.log(tv) + math.log(y) + log_pref)
-    return math.exp(best)
+    log_pref = -alpha_abs * math.log(2 * float(params.regime.theta) * params.d)
+    return math.exp(_log_sup_terms(params, alpha_abs, [params.scaled_radius()])[0] + log_pref)
 
 
 def bound_report(alpha: MultiIndex, params, lam: float, T: float, t: float = 0.0) -> dict:
@@ -925,7 +887,7 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
 
 
 def _ghat_series_value(params, alpha_abs: int, x: float, ktrunc: int = 400) -> float:
-    """sum_k A'_alpha(k) x^k for |alpha| >= 1, alpha along the first axis,
+    """sum_k A'_alpha(k) x^k, alpha of order alpha_abs along the first axis,
     with geometric tail closure.
 
     The sum runs to K = 64, doubled up to ktrunc until the closure of the

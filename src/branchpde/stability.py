@@ -81,15 +81,11 @@ class GrowthParams:
         return min(self.regime.side_lhs() ** 2, 1.0) >= rhs
 
     def build_weights(self) -> progeny.PresetWeights:
-        return build_weights(self)
-
-
-def build_weights(p: GrowthParams) -> progeny.PresetWeights:
-    """Branch-weight preset matching the growth regime: the weights of
-    progeny.PresetWeights for the regime's growth sequence, the deltas and
-    d, kappa = max(1, delta2).  Fraction parameters give exact Fraction
-    weights."""
-    return progeny.PresetWeights(p.regime.g(), p.delta1, p.delta2, p.d)
+        """Branch-weight preset matching the growth regime: the weights of
+        progeny.PresetWeights for the regime's growth sequence, the deltas
+        and d, kappa = max(1, delta2).  Fraction parameters give exact
+        Fraction weights."""
+        return progeny.PresetWeights(self.regime.g(), self.delta1, self.delta2, self.d)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ def _check_recursion_equivalence() -> bool:
     theta = r = Fraction(1)
     for d in (1, 2):
         g = progeny.g_factorial(theta, r)
-        for m in range(1, 4):
+        for m in range(4):
             alpha = (m,) + (0,) * (d - 1)
             table = progeny.ahat_recursion(g, d, alpha, 4)
             for k in range(5):

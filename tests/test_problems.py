@@ -204,9 +204,8 @@ def test_heat_apply():
         assert heat_apply(lambda y: math.cos(float(y[0])), t, (0.4,)) == pytest.approx(
             math.exp(-t / 2.0) * math.cos(0.4), rel=1e-10
         )
-    # d = 2 tensor rule
-    val = heat_apply(lambda y: math.cos(float(y[0])) * float(y[1]), 0.3, (0.1, 0.2), quad_order=32)
-    assert val == pytest.approx(math.exp(-0.15) * math.cos(0.1) * 0.2, rel=1e-9)
+    with pytest.raises(ValueError):
+        heat_apply(lambda y: 1.0, 0.3, (0.1, 0.2))
 
 
 def test_pde_system_residual_rows():

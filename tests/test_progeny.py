@@ -135,8 +135,11 @@ def test_ahat_recursion_hand_unrolled():
 def test_closed_factorial_spot_values():
     assert ahat_closed_factorial(Fraction(1), Fraction(1), 1, (1,), 0) == 1
     assert ahat_closed_factorial(Fraction(1), Fraction(1), 1, (1,), 1) == 4
-    with pytest.raises(ValueError):
-        ahat_closed_factorial(Fraction(1), Fraction(1), 1, (0,), 1)
+    # alpha = 0: A'_0(0) = g(0) = 1 and A'_0(1) = d (theta r)^2
+    theta, r = Fraction(3, 2), Fraction(5, 2)
+    for d in (1, 2, 3):
+        assert ahat_closed_factorial(theta, r, d, (0,) * d, 0) == 1
+        assert ahat_closed_factorial(theta, r, d, (0,) * d, 1) == d * (theta * r) ** 2
 
 
 def test_closed_exponential_spot_values():
@@ -235,6 +238,33 @@ def test_domination_condition_reports():
     assert rep4.passed and rep4.ratio_identity_checked and rep4.lhs == 3.75
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_forms_at_alpha_zero_equal_the_recursion(d):
+    zero = (0,) * d
+    factorial = ((Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(5, 2)), (Fraction(2, 3), Fraction(1, 2)))
+    for theta, r in factorial:
+        table = ahat_recursion(g_factorial(theta, r), d, zero, 12)
+        for k in range(13):
+            assert table.values[(zero, k)] == ahat_closed_factorial(theta, r, d, zero, k)
+    for theta in (Fraction(1), Fraction(3, 2)):
+        table = ahat_recursion(g_exponential(theta), d, zero, 12)
+        for k in range(13):
+            assert table.values[(zero, k)] == ahat_closed_exponential(theta, d, zero, k)
+
+
+class _RatioOffAtZero(stability.Factorial):
+    """A factorial regime whose ratio formula is wrong only at |alpha| = 0."""
+
+    def ratio(self, m, k):
+        return super().ratio(m, k) + (Fraction(1, 10**6) if m == 0 else 0)
+
+
+def test_domination_condition_checks_the_identity_at_alpha_zero():
+    good = check_domination_condition(stability.Factorial(Fraction(2), Fraction(1)), d=2)
+    bad = check_domination_condition(_RatioOffAtZero(Fraction(2), Fraction(1)), d=2)
+    assert good.ratio_identity_checked and not bad.ratio_identity_checked
+
+
 @pytest.mark.parametrize(
     "theta,r,d", [(Fraction(3, 2), Fraction(1), 1), (Fraction(1), Fraction(1), 2)]
 )
@@ -288,7 +318,7 @@ def test_ghat0_partial_sums_below_sup():
     R = p.radius()
     bound = 0.5 * (3.0 / 2.0) ** 2
     for s in (0.3 * R, 0.6 * R, 0.9 * R):
-        terms = progeny.ahat0_scaled_series(p, s, 200)
+        terms = np.exp(progeny.ahat_log_terms(p, 0, 200) + np.arange(201) * math.log(s))
         partial = 0.0
         for tv in terms:
             partial += tv
@@ -298,7 +328,7 @@ def test_ghat0_partial_sums_below_sup():
     pe = exp_params(Fraction(1))
     Re = pe.radius()
     for s in (0.5 * Re, 0.9 * Re):
-        total = sum(progeny.ahat0_scaled_series(pe, s, 200))
+        total = sum(np.exp(progeny.ahat_log_terms(pe, 0, 200) + np.arange(201) * math.log(s)))
         assert 1.0 < total < math.e / 2.0
 
 

@@ -96,8 +96,6 @@ def reference_a_recursion(
     return SeriesTable(
         backend=backend,
         values=memo,
-        d=d,
-        meta={"alpha": alpha, "j": j, "kmax": kmax},
     )
 
 
@@ -144,8 +142,6 @@ def reference_ahat_recursion(
     return SeriesTable(
         backend="exact" if isinstance(memo[(alpha, 0)], (int, Fraction)) else "float",
         values=memo,
-        d=d,
-        meta={"alpha": alpha, "kmax": kmax},
     )
 
 
