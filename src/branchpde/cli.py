@@ -9,6 +9,10 @@ validation, 3 on config errors; stability returns 1 when conditions fail
 solve samples in one process, so `workers` (or --workers) must be 1; the
 field stays in the resolved config it echoes.  Log level comes from the
 BRANCHPDE_LOG environment variable.
+
+`progeny` and `stability` load no sampler module: this module imports only
+the analyzer half at the top, and `cmd_solve` and `cmd_verify` import the
+sampler (`estimator`, `tree`, `problems`) and `verify` when they run.
 """
 
 from __future__ import annotations
@@ -17,24 +21,15 @@ import argparse
 import io
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, fields
 from fractions import Fraction
 
-from .estimator import (
-    AllSamplesCapped,
-    AssumptionHViolated,
-    ProblemSetup,
-    estimate_u,
-    median_of_means,
-    write_csv,
-)
-from .lifetimes import model_from_config
-from .mechanism import Code
+from .lifetimes import LifetimeModel, model_from_config
 from .multiindex import mi_upto
-from .tree import Caps
-from . import problems, progeny, stability
+from . import progeny, stability
 
 log = logging.getLogger("branchpde")
 
@@ -65,11 +60,35 @@ def _require(cfg: dict, field: str, kind=None):
     return value
 
 
-def _positive(cfg: dict, field: str) -> float:
-    value = float(_require(cfg, field, (int, float)))
-    if value <= 0:
-        raise ConfigError(f"config field {field!r} must be > 0, got {value}")
-    return value
+def _as_float(value) -> float:
+    """float(value), or inf where that overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _finite(field: str, value) -> float:
+    """value as a finite float; a boolean is refused, not read as 0 or 1."""
+    x = _as_float(value) if type(value) in (int, float) else math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"config field {field!r} must be a finite number, got {value!r}")
+    return x
+
+
+def _positive(field: str, value) -> float:
+    x = _finite(field, value)
+    if x <= 0:
+        raise ConfigError(f"config field {field!r} must be > 0, got {x}")
+    return x
+
+
+def _lifetime(block) -> LifetimeModel:
+    """The `lifetime` block as a model, its lambda finite and > 0."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"config field 'lifetime' must be an object, got {block!r}")
+    _positive("lifetime.lambda", _require(block, "lambda"))
+    return model_from_config(block)
 
 
 def _integer(field: str, value, low: int | None = None) -> int:
@@ -88,11 +107,12 @@ def _at_least(cfg: dict, field: str, low: int, default=None) -> int:
     return _integer(field, cfg.get(field, default), low)
 
 
-def _regime(cfg: dict, number=Fraction):
+def _regime(cfg: dict, d: int, number=Fraction):
     """The `regime` block as Factorial(theta, r) or Exponential(theta), its
     parameters passed through `number`.  kind defaults to factorial; theta
-    and r are numbers or rational strings ("3/2"), finite and > 0, read as
-    Fractions (float(Fraction(str(x))) == x for a finite float x)."""
+    and r are numbers or rational strings ("3/2"), read as Fractions
+    (float(Fraction(str(x))) == x for a finite float x).  Each parameter, as
+    a float, and the radius R(d) must be finite and > 0."""
     block = _require(cfg, "regime", dict)
     regime = {c.name: c for c in (stability.Factorial, stability.Exponential)}.get(
         block.get("kind", "factorial")
@@ -110,8 +130,17 @@ def _regime(cfg: dict, number=Fraction):
             ) from None
         if q <= 0:
             raise ConfigError(f"regime.{field.name} must be > 0, got {value!r}")
+        if not 0 < _as_float(q) < math.inf:
+            raise ConfigError(f"regime.{field.name} = {value!r} is outside the float range")
         params.append(number(q))
-    return regime(*params)
+    regime = regime(*params)
+    try:
+        radius = regime.radius(d)
+    except (OverflowError, ZeroDivisionError):
+        radius = math.nan
+    if not 0 < radius < math.inf:
+        raise ConfigError(f"regime {block!r} has no float radius R(d) > 0 at d = {d}")
+    return regime
 
 
 def _resolve_solve_config(cfg: dict, args) -> dict:
@@ -134,14 +163,23 @@ def _resolve_solve_config(cfg: dict, args) -> dict:
 
 
 def cmd_solve(args) -> int:
+    from .estimator import (
+        AllSamplesCapped,
+        AssumptionHViolated,
+        ProblemSetup,
+        estimate_u,
+        median_of_means,
+        write_csv,
+    )
+    from .mechanism import Code
+    from .tree import Caps
+    from . import problems
+
     try:
         cfg = _resolve_solve_config(_load_config(args.config), args)
         name = _require(cfg, "problem", str)
-        T = _positive(cfg, "T")
-        lifetime_cfg = _require(cfg, "lifetime", dict)
-        if float(lifetime_cfg.get("lambda", 0)) <= 0:
-            raise ConfigError("config field 'lifetime.lambda' must be > 0")
-        model = model_from_config(lifetime_cfg)
+        T = _positive("T", _require(cfg, "T"))
+        model = _lifetime(cfg["lifetime"])
         problem = problems.make_problem(name, T)
         code_cfg = _require(cfg, "code", dict)
         code = Code(
@@ -155,8 +193,8 @@ def cmd_solve(args) -> int:
         points = _require(cfg, "points", list)
         parsed_points = []
         for row in points:
-            t = float(row["t"])
-            x = [float(v) for v in row["x"]]
+            t = _finite("points.t", row["t"])
+            x = [_finite("points.x", v) for v in row["x"]]
             if len(x) != problem.d:
                 raise ConfigError(f"point {row} has wrong dimension for d={problem.d}")
             if not 0 <= t <= T:
@@ -251,19 +289,19 @@ def cmd_solve(args) -> int:
 def cmd_stability(args) -> int:
     try:
         cfg = _load_config(args.config)
-        regime = _regime(cfg, float)
-        lam = _positive(cfg, "lambda")
         d = _at_least(cfg, "d", 1, default=1)
-        delta1 = _positive(cfg, "delta1")
-        delta2 = _positive(cfg, "delta2")
+        regime = _regime(cfg, d, float)
+        lam = _positive("lambda", _require(cfg, "lambda"))
+        delta1 = _positive("delta1", _require(cfg, "delta1"))
+        delta2 = _positive("delta2", _require(cfg, "delta2"))
         m_max = _at_least(cfg, "m_max", 0, default=3)
-        sweep = [float(TT) for TT in cfg.get("sweep_T") or []]
-        T = float(cfg["T"]) if "T" in cfg else None
+        sweep = [_finite("sweep_T", TT) for TT in cfg.get("sweep_T") or []]
+        T = _finite("T", cfg["T"]) if "T" in cfg else None
         if T is None and not sweep:
             raise ConfigError("config needs either 'T' or 'sweep_T'")
         if not all(TT >= 0 for TT in sweep + ([] if T is None else [T])):
             raise ConfigError("horizons 'T' and 'sweep_T' must be >= 0")
-        model = model_from_config(cfg.get("lifetime", {"kind": "exponential", "lambda": lam}))
+        model = _lifetime(cfg.get("lifetime", {"kind": "exponential", "lambda": lam}))
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -314,8 +352,8 @@ def cmd_stability(args) -> int:
 def cmd_progeny(args) -> int:
     try:
         cfg = _load_config(args.config)
-        regime = _regime(cfg)
         d = _at_least(cfg, "d", 1, default=1)
+        regime = _regime(cfg, d)
         kmax = _at_least(cfg, "kmax", 0, default=6)
         alpha_max = _at_least(cfg, "alpha_max", 0, default=3)
         exact = cfg.get("exact", True)

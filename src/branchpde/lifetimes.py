@@ -125,7 +125,7 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
         candidates = [density(r) for r in rs if r <= T] + [density(min(T, rs[-1]))]
         if T > rs[-1]:
             return 0.0
-        return min(candidates)
+        return float(min(candidates))
 
     return LifetimeModel(
         kind="tabulated",

@@ -138,8 +138,17 @@ def test_solve_refuses_workers_other_than_one_on_the_command_line(tmp_path, caps
     {"caps": [1000, 200]},
     {"n": True},
     {"format": "xml"},
+    {"T": True},
+    {"lifetime": {"kind": "exponential", "lambda": True}},
+    {"lifetime": {"lambda": float("inf")}},
+    {"lifetime": [1.0]},
+    {"points": [{"t": 0.0, "x": [float("nan")]}]},
+    {"points": [{"t": 0.0, "x": [float("inf")]}]},
+    {"T": 2.0, "points": [{"t": True, "x": [0.0]}]},
+    {"points": [{"t": 0.0, "x": [False]}]},
 ], ids=["n", "groups", "workers", "max_branches", "max_generation", "max_branches-0", "caps-list",
-        "n-bool", "format-xml"])
+        "n-bool", "format-xml", "T-bool", "lambda-bool", "lambda-inf", "lifetime-list", "x-nan",
+        "x-inf", "t-bool", "x-bool"])
 def test_solve_refuses_values_it_would_reinterpret(tmp_path, capsys, fields):
     code, out, err = run_solve(tmp_path, capsys, **fields)
     assert code == 3
@@ -263,8 +272,17 @@ STABILITY = {
     {"m_max": -1},
     {"m_max": 2.5},
     {"d": 1.5},
+    {"lambda": True},
+    {"delta1": True},
+    {"delta2": float("nan")},
+    {"lambda": float("inf")},
+    {"T": True},
+    {"T": float("inf")},
+    {"sweep_T": [0.001, float("nan")]},
+    {"sweep_T": [0.001, True]},
 ], ids=["d-0", "T-negative", "sweep-negative", "m_max-negative", "m_max-non-integral",
-        "d-non-integral"])
+        "d-non-integral", "lambda-bool", "delta1-bool", "delta2-nan", "lambda-inf", "T-bool",
+        "T-inf", "sweep-nan", "sweep-bool"])
 def test_stability_refuses_bad_config(tmp_path, capsys, fields):
     code, out, err = run_command(tmp_path, capsys, "stability", {**STABILITY, **fields})
     assert code == 3
@@ -294,6 +312,14 @@ def test_stability_reports_hbound_and_the_factorial_horizon(tmp_path, capsys, re
     assert horizon & set(report) == (horizon if regime["kind"] == "factorial" else set())
 
 
+def test_stability_reports_a_tabulated_lifetime(tmp_path, capsys):
+    lifetime = {"kind": "tabulated", "lambda": 1.0, "points": [[0, 1], [1, 1], [2, 0]]}
+    code, out, _ = run_command(tmp_path, capsys, "stability", {**STABILITY, "lifetime": lifetime})
+    report = json.loads(out)
+    assert code == (0 if report["pass"] else 1)
+    assert [c["name"] for c in report["report"]["conditions"]][0] == "bound-split-time"
+
+
 @pytest.mark.parametrize("command", ["solve", "stability", "progeny"])
 @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
 def test_unreadable_config_exits_3(tmp_path, capsys, command, text):
@@ -309,7 +335,9 @@ def test_unreadable_config_exits_3(tmp_path, capsys, command, text):
     {"kind": "weird"},
     {"kind": "exponential", "lambda": -1},
     {"kind": "exponential"},
-], ids=["kind-weird", "lambda-negative", "lambda-missing"])
+    {"kind": "exponential", "lambda": True},
+    [1.0],
+], ids=["kind-weird", "lambda-negative", "lambda-missing", "lambda-bool", "not-an-object"])
 def test_stability_refuses_bad_lifetime(tmp_path, capsys, lifetime):
     code, out, err = run_command(tmp_path, capsys, "stability", {**STABILITY, "lifetime": lifetime})
     assert code == 3
@@ -328,8 +356,16 @@ def test_stability_refuses_bad_lifetime(tmp_path, capsys, lifetime):
     {"kind": "exponential", "theta": "abc"},
     {"kind": "exponential", "theta": True},
     {"kind": "exponential", "theta": [1.5]},
+    {"kind": "exponential", "theta": 1e-300},
+    {"kind": "exponential", "theta": "1e400"},
+    {"kind": "factorial", "theta": "1e-400", "r": 1},
+    {"kind": "factorial", "theta": 1.5, "r": "1e400"},
+    {"kind": "factorial", "theta": 1.5, "r": 1e300},
+    {"kind": "factorial", "theta": 1e200, "r": 1},
 ], ids=["kind-foo", "r-missing", "theta-1/0", "theta-inf-text", "theta-inf", "theta-nan",
-        "theta-negative-text", "theta-text", "theta-bool", "theta-list"])
+        "theta-negative-text", "theta-text", "theta-bool", "theta-list", "radius-overflow",
+        "theta-float-overflow", "theta-float-underflow", "r-float-overflow", "r-power-overflow",
+        "radius-underflow"])
 def test_regime_parser_refuses_in_both_commands(tmp_path, capsys, command, regime):
     base = STABILITY if command == "stability" else PROGENY
     code, out, err = run_command(tmp_path, capsys, command, {**base, "regime": regime})
@@ -354,3 +390,4 @@ def test_regime_parser_reads_rational_strings_and_defaults_to_factorial(tmp_path
             del out["config"]  # echoes the regime block as given
         outputs.append(out)
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+

@@ -1,10 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import branchpde
 
@@ -145,3 +148,87 @@ def test_import_loads_no_process_pool_and_no_json():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+SAMPLER = {"tree", "estimator", "problems", "jets"}
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """The branchpde submodules loaded once `code` has run in a fresh
+    interpreter."""
+    code += (
+        "\nimport sys\n"
+        "print(' '.join(k.split('.', 1)[1] for k in sys.modules if k.startswith('branchpde.')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("code", [
+    "import branchpde",
+    "from branchpde import lifetimes, progeny, stability",
+    "from branchpde import Factorial, GrowthParams, check_conditions, exponential_model",
+])
+def test_analyzer_imports_load_no_sampler(code):
+    loaded = modules_loaded_by(code)
+    assert {"lifetimes", "mechanism", "stability", "progeny"} <= loaded
+    assert loaded & (SAMPLER | {"cli", "verify"}) == set()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("progeny", {"regime": {"kind": "factorial", "theta": 1.5, "r": 1}, "kmax": 2, "alpha_max": 1}),
+    ("stability", {"regime": {"kind": "exponential", "theta": 1.5}, "lambda": 1.0,
+                   "delta1": 1.2, "delta2": 1.2, "T": 0.001, "m_max": 1}),
+])
+def test_analyzer_commands_load_no_sampler(tmp_path, command, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.txt"
+    loaded = modules_loaded_by(
+        f"from branchpde import cli\n"
+        f"assert cli.main([{command!r}, '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0"
+    )
+    assert out.read_text()
+    assert "cli" in loaded and loaded & (SAMPLER | {"verify"}) == set()
+
+
+# what `branchpde` exported before the sampler half became lazy
+EXPORTS = {
+    "estimator": ["AllSamplesCapped", "AssumptionHViolated", "CodeOracle", "Estimate",
+                  "ProblemSetup", "estimate_u", "median_of_means"],
+    "lifetimes": ["LifetimeModel", "exponential_model", "validate_assumption_h"],
+    "mechanism": ["Code", "MechanismEntry", "offspring_prob", "offspring_set", "sample_offspring"],
+    "stability": ["Exponential", "Factorial", "GrowthParams", "check_conditions", "hbound",
+                  "max_horizon"],
+    "tree": ["BranchRecord", "CapExceeded", "Caps", "TreeSample", "WeightSpec",
+             "evaluate_functional", "sample_tree", "weighted_progeny"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_export_resolves_to_the_submodules_own_object(module):
+    names = ", ".join(EXPORTS[module])
+    modules_loaded_by(
+        f"from branchpde import {names}\n"
+        f"import branchpde, branchpde.{module} as m\n"
+        f"assert all(getattr(branchpde, n) is getattr(m, n) for n in {EXPORTS[module]!r})\n"
+        f"assert set({EXPORTS[module]!r}) <= set(dir(branchpde))"
+    )
+
+
+def test_unknown_name_raises_attribute_error():
+    modules_loaded_by(
+        "import branchpde\n"
+        "try:\n    branchpde.no_such_name\nexcept AttributeError as exc:\n    assert 'no_such_name' in str(exc)\n"
+        "else:\n    raise SystemExit('no AttributeError')\n"
+        "try:\n    from branchpde import no_such_name\nexcept ImportError:\n    pass\n"
+        "else:\n    raise SystemExit('no ImportError')"
+    )
+
+
+def test_sampler_import_loads_every_traced_module():
+    # the traced benchmark run imports these four, then looks each traced
+    # module up in sys.modules
+    loaded = modules_loaded_by("from branchpde import estimator, lifetimes, problems, progeny")
+    assert {"tree", "mechanism", "lifetimes", "estimator", "progeny", "stability"} <= loaded
