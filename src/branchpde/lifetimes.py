@@ -10,6 +10,7 @@ Required properties (checked by `validate_assumption_h`):
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -64,13 +65,15 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
     """Density from tabulated (r, rho) pairs with linear interpolation.
 
     The table must start at r=0 and is normalized to unit mass; the density
-    is 0 beyond the last knot.  Sampling inverts the piecewise-quadratic CDF
-    by a binary search over the knots plus a quadratic solve on the segment.
+    is 0 beyond the last knot.  Knots and values must be finite real
+    numbers: a boolean, a string or NaN/inf is refused, not converted.
+    Sampling inverts the piecewise-quadratic CDF by a binary search over the
+    knots plus a quadratic solve on the segment.
     """
     if lam <= 0:
         raise ValueError(f"rate lambda must be > 0, got {lam}")
-    rs = [float(r) for r, _ in points]
-    vs = [float(v) for _, v in points]
+    rs = [_finite_real("knot", r) for r, _ in points]
+    vs = [_finite_real("density value", v) for _, v in points]
     if len(rs) < 2 or rs[0] != 0.0 or any(b <= a for a, b in zip(rs, rs[1:])):
         raise ValueError("need increasing knots starting at r=0")
     if any(v < 0 for v in vs):
@@ -137,6 +140,18 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
     )
 
 
+def _finite_real(what: str, value) -> float:
+    """value as a finite float; a boolean or a string is refused, not converted."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValueError(f"tabulated {what} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     rho_star: float
@@ -183,7 +198,5 @@ def model_from_config(cfg: dict) -> LifetimeModel:
     if kind == "exponential":
         return exponential_model(float(cfg["lambda"]))
     if kind == "tabulated":
-        return tabulated_model(
-            [(float(r), float(v)) for r, v in cfg["points"]], float(cfg["lambda"])
-        )
+        return tabulated_model(cfg["points"], float(cfg["lambda"]))
     raise ValueError(f"unknown lifetime kind {kind!r}")

@@ -26,7 +26,16 @@ So an entry (nu, k) depends on nu only through its class (|nu|, nu!), and
 a table holds far fewer values than entries: the ten A-hat tables at d = 2,
 kmax 12, |alpha| <= 3 have 5136 entries with k >= 1 in 2915 (class, k)
 pairs.  Each value, level 0 included, is built once per pair, and the one
-object serves every node of the class.  Nothing is cached across calls.
+object serves every node of the class.
+
+Two tables are built once per distinct input and then shared.  A growth
+sequence keeps the A-hat rows of each (d, length, kmax) it was asked for
+(GrowthSequence.rows), so the tables of every alpha of one g run the engine
+once per key and hand out the same value objects.  The closed-form log
+terms are a pure function of (regime, d, |alpha|, K), memoised in a
+bounded cache and returned read-only (ahat_log_terms); they do not depend
+on the horizon.  Both hand back values built by the same arithmetic as a
+fresh build, so every output is unchanged.
 
 Both regimes have closed forms for A'_nu(k) at every order, nu = 0
 included.  ahat_log_terms evaluates their logarithms for k = 0..K as one
@@ -40,8 +49,9 @@ closed-form terms) are methods of Factorial and Exponential.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from operator import mul
 from typing import Callable, ClassVar
@@ -104,9 +114,11 @@ def a_recursion(
         raise ValueError(f"the weights are built for d = {w.d}, not d = {d}")
     alpha = tuple(alpha)
     conv = float if as_float else (lambda v: v)
+    terms = [w.F(m, j) for m in range(sum(alpha) + kmax + 1)]
+    row = _series_coefficients([conv(v) for v in terms], conv(w.a), conv(d * w.s), kmax)
     return SeriesTable(
         backend="float" if as_float else "exact",
-        values=_table(lambda m: w.F(m, j), conv(w.a), conv(d * w.s), alpha, kmax, True, conv),
+        values=_table(terms, row, alpha, kmax, True, conv),
     )
 
 
@@ -129,11 +141,25 @@ def ahat_recursion(
     nu != 0 and l <= kmax - max(e, 1), e = sum_i max(0, nu_i - alpha_i),
     with the level-0 entries g(nu).  Each value is built once per class
     (|nu|, nu!) and level, and nodes of one class share the object.
+
+    The row function of _series_coefficients is memoised in g.rows under
+    (d, type(d), len(F), kmax), len(F) = |alpha| + kmax + 1: the tables of
+    every alpha of one g run the engine once per key, and a second table of
+    g hands out the same value objects as the first.  The key fixes the
+    engine's inputs exactly (2 and 2.0 are equal keys but pick different
+    engines, hence type(d)), so a memoised row is the row a fresh engine
+    builds, floats included.  The memo lives as long as g and
+    holds one entry per key asked for; regime.g() builds a fresh g on every
+    call.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     alpha = tuple(alpha)
-    values = _table(g.F, 0, d, alpha, kmax, False, lambda v: v)
+    terms = [g.F(m) for m in range(sum(alpha) + kmax + 1)]
+    key = (d, type(d), len(terms), kmax)
+    if key not in g.rows:
+        g.rows[key] = _series_coefficients(terms, 0, d, kmax)
+    values = _table(terms, g.rows[key], alpha, kmax, False, lambda v: v)
     return SeriesTable(
         backend="exact" if _is_exact(values[alpha, 0]) else "float",
         values=values,
@@ -147,14 +173,12 @@ def _check_levels(j: int, kmax: int) -> None:
         raise ValueError("a j = -1 code splits through its pass-through entry, not the preset form")
 
 
-def _table(F: Callable[[int], object], a, c, alpha: MultiIndex, kmax: int, with_zero: bool, conv) -> dict:
+def _table(terms: list, row, alpha: MultiIndex, kmax: int, with_zero: bool, conv) -> dict:
     """{(nu, l): H(|nu|, l)/nu!} over the nodes of _table_levels, for the
-    scalar recursion with H(m, 0) = m! F(m) and constants a, c.  The engine
-    runs on conv(F(m)); the level-0 entries are conv(F(m) |nu|!/nu!), built
-    once per class (|nu|, nu!) like the rows."""
+    scalar recursion with H(m, 0) = m! terms[m], whose rows row(m, f, top)
+    gives (_series_coefficients).  The level-0 entries are
+    conv(terms[m] |nu|!/nu!), built once per class (|nu|, nu!) like the rows."""
     levels = _table_levels(alpha, kmax, with_zero)
-    terms = [F(m) for m in range(sum(alpha) + kmax + 1)]
-    row = _series_coefficients([conv(v) for v in terms], a, c, kmax)
     first: dict = {}
     values: dict = {}
     for nu, (top, m, f) in levels.items():
@@ -178,8 +202,9 @@ def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int, int], 
     collapses the multi-index recursions to it when g(nu) = G(|nu|)/nu!.
     Exact when F, a and c are ints and Fractions (_exact_series), else in
     floats (_float_series).  Each value is built once per (m, l, f) and the
-    same object serves every node of the class; the rows live only as long
-    as the returned function, one table.
+    same object serves every node of the class.  The rows live as long as
+    the returned function: one table for a_recursion, the growth sequence
+    for ahat_recursion, which memoises the function in g.rows.
     """
     if all(map(_is_exact, (*F, a, c))):
         J, scale = _exact_series(F, a, c, kmax)
@@ -312,9 +337,11 @@ class GrowthSequence:
     formed, so g stays finite where its value does (a float G(m) = m!
     theta^m passes the largest float near m = 170)."""
 
-    # a field, not a method, so that a wrapper of g made by functools.wraps
-    # (which copies the instance dict) still carries F
+    # fields, not methods, so that a wrapper of g made by functools.wraps
+    # (which copies the instance dict) still carries F and shares the rows
     F: Callable[[int], object]
+    # ahat_recursion's row functions, one per (d, type(d), len(F), kmax)
+    rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __call__(self, alpha: MultiIndex):
         return self.F(sum(alpha)) * _spread(alpha)
@@ -636,23 +663,36 @@ def ahat_value_log(params, alpha_abs: int, k: int) -> float:
 
 
 def ahat_log_terms(params, alpha_abs: int, kmax: int) -> np.ndarray:
-    """ahat_value_log(params, alpha_abs, k) for k = 0..kmax, as one array.
-
-    log k! is a cumulative sum of logs; the regime adds its own part of the
-    closed form (regime.closed_log_terms).
-    """
-    m = alpha_abs
+    """ahat_value_log(params, alpha_abs, k) for k = 0..kmax, as one
+    read-only array (see _ahat_log_terms)."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
+    return _ahat_log_terms(params.regime, params.d, alpha_abs, kmax)
+
+
+@functools.lru_cache(maxsize=256)
+def _ahat_log_terms(regime, d: int, m: int, kmax: int) -> np.ndarray:
+    """log A'_{m e_1}(k) for k = 0..kmax under regime in dimension d.
+
+    log k! is a cumulative sum of logs; the regime adds its own part of the
+    closed form (regime.closed_log_terms).  The terms depend on nothing
+    else, so one table serves every horizon: the cache keeps the 256 most
+    recently used (16 kB each at K = _K_PROBE, the longest table the bound
+    paths build).  The regimes are frozen and hash by value, and every
+    parameter enters through float(...), so equal keys give the same bits.
+    The array is shared, hence read-only.
+    """
     k = np.arange(kmax + 1, dtype=float)
     # log j! for j = 0..kmax+1
     log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, kmax + 2)))))
     logs = (
-        k * math.log(2 * params.d)
-        + (2 * k + m) * math.log(float(params.regime.theta))
+        k * math.log(2 * d)
+        + (2 * k + m) * math.log(float(regime.theta))
         - math.log(math.factorial(m))
     )
-    return params.regime.closed_log_terms(logs, m, k, log_fact)
+    out = regime.closed_log_terms(logs, m, k, log_fact)
+    out.flags.writeable = False
+    return out
 
 
 def _lgamma(x: np.ndarray) -> np.ndarray:

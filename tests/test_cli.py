@@ -344,6 +344,26 @@ def test_stability_refuses_bad_lifetime(tmp_path, capsys, lifetime):
     assert out == "" and "config error:" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "stability"])
+@pytest.mark.parametrize("points", [
+    [[0, 1], [1, math.nan]],
+    [[False, 1], [True, 1]],
+    [[0, 1], [1, math.inf]],
+    [[0, 1], ["1", 1]],
+    [[0, 1], [1, 10**400]],
+], ids=["nan", "bool", "inf", "string", "huge-int"])
+def test_tabulated_lifetime_refuses_points_that_are_not_finite_numbers(tmp_path, capsys, command, points):
+    # read through float(), these passed validation: stability printed a
+    # report (exit 1) and solve stopped at assumption H (exit 2)
+    lifetime = {"kind": "tabulated", "lambda": 1.0, "points": points}
+    if command == "solve":
+        code, out, err = run_solve(tmp_path, capsys, lifetime=lifetime)
+    else:
+        code, out, err = run_command(tmp_path, capsys, "stability", {**STABILITY, "lifetime": lifetime})
+    assert code == 3
+    assert out == "" and "config error:" in err and "finite number" in err
+
+
 @pytest.mark.parametrize("command", ["stability", "progeny"])
 @pytest.mark.parametrize("regime", [
     {"kind": "foo", "theta": 1.5, "r": 1},

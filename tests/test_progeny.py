@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from branchpde import progeny, stability
+from branchpde import lifetimes, progeny, stability
 from branchpde.combinatorics import pochhammer_falling
 from branchpde.mechanism import index_product
 from branchpde.multiindex import MultiIndex, mi_abs, mi_add_unit, mi_enumerate_below, mi_factorial, mi_sub
@@ -669,3 +669,46 @@ def test_dominating_bound_between_r_over_sqrt2_and_r_is_the_series():
         rep = progeny.dominating_bound(alpha, p, frac * R, 0.9)
         assert rep["path"] == "geometric-series"
         assert rep["wh_bound"] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("regime", [r for r, _ in ARRAY_PARAMS], ids=[i for _, i in ARRAY_PARAMS])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ahat_log_terms_are_read_only_and_equal_a_fresh_build(regime, d):
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
+    for m in range(4):
+        for K in (0, 16, 65, 2000):
+            got = progeny.ahat_log_terms(p, m, K)
+            fresh = progeny._ahat_log_terms.__wrapped__(regime, d, m, K)
+            assert got.shape == (K + 1,) and got.tobytes() == fresh.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
+
+def test_a_horizon_sweep_builds_each_log_term_table_once(monkeypatch):
+    # the analyze-series sweep: conditions and bounds over 20 horizons per
+    # (regime, d); the closed-form tables depend on (regime, d, |alpha|, K)
+    # only, so each is built once however many horizons read it
+    keys = []
+    original = progeny.ahat_log_terms
+
+    def recording(params, alpha_abs, kmax):
+        keys.append((params.regime, params.d, alpha_abs, kmax))
+        return original(params, alpha_abs, kmax)
+
+    monkeypatch.setattr(progeny, "ahat_log_terms", recording)
+    progeny._ahat_log_terms.cache_clear()
+    model = lifetimes.exponential_model(1.0)
+    passed = 0
+    for regime in (stability.Factorial(1.5, 1), stability.Exponential(1.5)):
+        for d in (1, 2):
+            for i in range(20):
+                p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01 * (i + 0.5) / 20, d)
+                if stability.check_conditions(p, model).passed:
+                    passed += 1
+                    for alpha in product(range(4), repeat=d):
+                        if sum(alpha) <= 3:
+                            bound_report(alpha, p, 1.0, p.T)
+    info = progeny._ahat_log_terms.cache_info()
+    assert passed and len(keys) > 20 * len(set(keys))
+    assert info.misses == len(set(keys)) and info.hits == len(keys) - info.misses

@@ -350,11 +350,56 @@ def test_benchmark_shape_ahat_tables_equal_the_closed_form():
             if sum(nu) >= 1:
                 assert type(v) is Fraction and v == progeny.ahat_closed_factorial(one, one, 2, nu, k)
                 entries += 1
-        # nodes of one class (|nu|, nu!) share each value past level 0, and
-        # a second call builds its own
+        # nodes of one class (|nu|, nu!) share each value past level 0; a
+        # second call on g hands out the same objects (g memoises its rows),
+        # and a fresh g builds equal but new ones
         again = ahat_recursion(g, 2, alpha, 12)
+        fresh = ahat_recursion(progeny.g_factorial(one, one), 2, alpha, 12)
         for k in range(1, 12):
             if ((1, 2), k) in table.values and ((2, 1), k) in table.values:
                 assert table[(1, 2), k] is table[(2, 1), k]
-                assert again[(1, 2), k] == table[(1, 2), k] and again[(1, 2), k] is not table[(1, 2), k]
+                assert again[(1, 2), k] is table[(1, 2), k]
+                assert fresh[(1, 2), k] == table[(1, 2), k] and fresh[(1, 2), k] is not table[(1, 2), k]
     assert entries == 6289  # the 6302 entries the benchmark checks, less alpha = 0's own
+
+
+@pytest.mark.parametrize("make_g", [
+    lambda: progeny.g_factorial(Fraction(1), Fraction(1)),
+    lambda: progeny.g_exponential(Fraction(3, 2)),
+    lambda: progeny.g_factorial(1.5, 2.0),
+    lambda: progeny.g_exponential(1.5),
+], ids=["factorial-exact", "exponential-exact", "factorial-float", "exponential-float"])
+def test_tables_of_one_g_equal_tables_of_a_fresh_g(make_g):
+    # the tables of every alpha share g's memoised rows, and each is the
+    # table a g of its own builds: equal Fractions, or the same float bits
+    g = make_g()
+    exact = type(g.F(0)) is Fraction
+    for alpha in alphas_upto(3, 2):
+        shared = ahat_recursion(g, 2, alpha, 12).values
+        own = ahat_recursion(make_g(), 2, alpha, 12).values
+        assert shared.keys() == own.keys()
+        if exact:
+            assert shared == own and all(type(v) is Fraction for v in shared.values())
+        else:
+            assert all(type(v) is float for v in shared.values())
+            assert [v.hex() for v in shared.values()] == [own[key].hex() for key in shared]
+
+
+def test_tables_of_one_g_run_the_engine_once_per_key(monkeypatch):
+    # the ten benchmark-shaped tables need four (d, len(F), kmax) keys
+    runs = []
+    engine = progeny._exact_series
+
+    def counting(F, a, c, kmax):
+        runs.append((c, len(F), kmax))
+        return engine(F, a, c, kmax)
+
+    monkeypatch.setattr(progeny, "_exact_series", counting)
+    g = progeny.g_factorial(Fraction(1), Fraction(1))
+    for alpha in alphas_upto(3, 2):
+        ahat_recursion(g, 2, alpha, 12)
+    assert sorted(runs) == [(2, n, 12) for n in (13, 14, 15, 16)]
+    assert sorted(g.rows) == [(2, int, n, 12) for n in (13, 14, 15, 16)]
+    # an equal but float d picks the float engine, so it is a key of its own
+    assert type(ahat_recursion(g, 2.0, (1, 0), 12)[(1, 0), 2]) is float
+    assert type(ahat_recursion(g, 2, (1, 0), 12)[(1, 0), 2]) is Fraction
