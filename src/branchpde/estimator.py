@@ -47,7 +47,10 @@ class CodeOracle:
     The point is one point (a length-d sequence), and the evaluator returns
     a float; or it is an (m, d) array of points, and the evaluator returns
     the (m,) array of their values, or one float that stands for all of
-    them.  The estimator calls it with arrays, once per code."""
+    them.  The estimator calls it with arrays, once per code of the
+    survivors it holds, and with one point at t = T.  Only the value asked
+    for is needed: the b2 oracle forms coefficient |alpha| of its Taylor
+    jet alone, not the whole jet."""
 
     evaluator: Callable[[Code, Sequence[float]], float]
 

@@ -79,6 +79,19 @@ class Jet:
 
     __rmul__ = __mul__
 
+    def product_coefficient(self, other: "Jet", m: int):
+        """Coefficient m of self * other, summed as __mul__ sums it: over
+        i = 0..m in order, skipping an exact-zero scalar a_i, so it equals
+        (self * other).coeffs[m] bit for bit without forming the others."""
+        if m > self.order:
+            raise ValueError(f"jet order {self.order} < requested coefficient {m}")
+        out = 0.0
+        for i, ai in enumerate(self.coeffs[: m + 1]):
+            if not isinstance(ai, np.ndarray) and ai == 0.0:
+                continue
+            out += ai * other.coeffs[m - i]
+        return out
+
     def reciprocal(self) -> "Jet":
         a = self.coeffs
         if np.any(a[0] == 0.0):

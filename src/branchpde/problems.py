@@ -53,31 +53,47 @@ def _first_coordinate(x) -> np.ndarray:
 
 # --- the functional-nonlinearity problem -----------------------------------
 
-def _zeta_jet(x: float, order: int) -> Jet:
-    """Jet of zeta(x) = 1/(1 + e^x)."""
-    return (exp_jet(x, order) + 1.0).reciprocal()
+def _onez_jet(x: float, order: int) -> Jet:
+    """Jet of 1 + zeta(x), zeta(x) = 1/(1 + e^x)."""
+    return (exp_jet(x, order) + 1.0).reciprocal() + 1.0
 
 
 def _b2_phi_jet(x: float, order: int) -> Jet:
     """Jet of phi = 2 log(1 + zeta)."""
-    return (_zeta_jet(x, order) + 1.0).log() * 2.0
+    return _onez_jet(x, order).log() * 2.0
+
+
+def _b2_psi_weights(j: int) -> tuple[float, float, float, float]:
+    """psi_j(zeta) = w0 (1+zeta)^-2 + w1 (1+zeta)^-1 + w2 (1+zeta) + w3 (1+zeta)^2
+    (+ 6 for j = 0): the weights 4 sgn, -10 sgn 2^-j, 2^-j and -1, with
+    sgn = (-1)^j."""
+    sgn = (-1.0) ** j
+    return 4.0 * sgn, -10.0 * sgn * 0.5**j, 0.5**j, -1.0
 
 
 def _b2_psi_jet(j: int, x: float, order: int) -> Jet:
     """Jet of f^{(j)}(phi) = psi_j(zeta)."""
-    z = _zeta_jet(x, order)
-    onez = z + 1.0
+    onez = _onez_jet(x, order)
     rec = onez.reciprocal()
-    sgn = (-1.0) ** j
-    out = (
-        rec * rec * (4.0 * sgn)
-        + rec * (-10.0 * sgn * 0.5**j)
-        + onez * (0.5**j)
-        + onez * onez * (-1.0)
-    )
+    w0, w1, w2, w3 = _b2_psi_weights(j)
+    out = rec * rec * w0 + rec * w1 + onez * w2 + onez * onez * w3
     if j == 0:
         out = out + 6.0
     return out
+
+
+def _b2_psi_coefficient(j: int, x: float, m: int) -> float:
+    """_b2_psi_jet(j, x, m).coefficient(m) for m >= 1, bit for bit, with
+    only coefficient m of the four terms formed."""
+    onez = _onez_jet(x, m)
+    rec = onez.reciprocal()
+    w0, w1, w2, w3 = _b2_psi_weights(j)
+    return (
+        rec.product_coefficient(rec, m) * w0
+        + rec.coeffs[m] * w1
+        + onez.coeffs[m] * w2
+        + onez.product_coefficient(onez, m) * w3
+    )
 
 
 def b2_phi(x: float) -> float:
@@ -97,7 +113,12 @@ def b2_f_family(j: int, u: float) -> float:
 
 
 def b2_problem(T: float) -> Problem:
-    """The functional-nonlinearity problem on d = 1 with exact solution."""
+    """The functional-nonlinearity problem on d = 1 with exact solution.
+
+    Its oracle returns coefficient m = |alpha| of the code's Taylor jet at
+    x_1, phi's (j = -1) or psi_j's, closed forms at m = 0.  It forms that
+    coefficient alone, bit for bit the coefficient of the full jet that
+    solution_code_jet builds (_b2_phi_jet, _b2_psi_jet)."""
     if T <= 0:
         raise ValueError(f"horizon T must be > 0, got {T}")
 
@@ -105,10 +126,10 @@ def b2_problem(T: float) -> Problem:
         (m,) = code.alpha
         x0 = _first_coordinate(x)
         if code.j < 0:
-            return b2_phi(x0) if m == 0 else _b2_phi_jet(x0, m).coefficient(m)
+            return b2_phi(x0) if m == 0 else _onez_jet(x0, m).log().coefficient(m) * 2.0
         if m == 0:
             return b2_f_family(code.j, b2_phi(x0))
-        return _b2_psi_jet(code.j, x0, m).coefficient(m)
+        return _b2_psi_coefficient(code.j, x0, m)
 
     def exact(t: float, x) -> float:
         return b2_phi(float(x[0]) - (T - t))

@@ -30,11 +30,11 @@ object serves every node of the class.
 
 Two tables are built once per distinct input and then shared.  A growth
 sequence keeps the A-hat rows of each (d, length, kmax) it was asked for
-(GrowthSequence.rows), so the tables of every alpha of one g run the engine
-once per key and hand out the same value objects.  The closed-form log
-terms are a pure function of (regime, d, |alpha|, K), memoised in a
-bounded cache and returned read-only (ahat_log_terms); they do not depend
-on the horizon.  Both hand back values built by the same arithmetic as a
+(GrowthSequence.rows), level 0 included, so the tables of every alpha of
+one g run the engine once per key and hand out the same value objects.
+The closed-form log terms are a pure function of (regime, d, |alpha|, K),
+memoised in a bounded cache and returned read-only (ahat_log_terms); they
+do not depend on the horizon.  Both hand back values built by the same arithmetic as a
 fresh build, so every output is unchanged.
 
 Both regimes have closed forms for A'_nu(k) at every order, nu = 0
@@ -115,10 +115,13 @@ def a_recursion(
     alpha = tuple(alpha)
     conv = float if as_float else (lambda v: v)
     terms = [w.F(m, j) for m in range(sum(alpha) + kmax + 1)]
-    row = _series_coefficients([conv(v) for v in terms], conv(w.a), conv(d * w.s), kmax)
+    row = _series_coefficients(
+        [conv(v) for v in terms], conv(w.a), conv(d * w.s), kmax,
+        lambda m, f: conv(terms[m] * (math.factorial(m) // f)),
+    )
     return SeriesTable(
         backend="float" if as_float else "exact",
-        values=_table(terms, row, alpha, kmax, True, conv),
+        values=_table(row, alpha, kmax, True),
     )
 
 
@@ -159,7 +162,7 @@ def ahat_recursion(
     key = (d, type(d), len(terms), kmax)
     if key not in g.rows:
         g.rows[key] = _series_coefficients(terms, 0, d, kmax)
-    values = _table(terms, g.rows[key], alpha, kmax, False, lambda v: v)
+    values = _table(g.rows[key], alpha, kmax, False)
     return SeriesTable(
         backend="exact" if _is_exact(values[alpha, 0]) else "float",
         values=values,
@@ -173,38 +176,35 @@ def _check_levels(j: int, kmax: int) -> None:
         raise ValueError("a j = -1 code splits through its pass-through entry, not the preset form")
 
 
-def _table(terms: list, row, alpha: MultiIndex, kmax: int, with_zero: bool, conv) -> dict:
-    """{(nu, l): H(|nu|, l)/nu!} over the nodes of _table_levels, for the
-    scalar recursion with H(m, 0) = m! terms[m], whose rows row(m, f, top)
-    gives (_series_coefficients).  The level-0 entries are
-    conv(terms[m] |nu|!/nu!), built once per class (|nu|, nu!) like the rows."""
-    levels = _table_levels(alpha, kmax, with_zero)
-    first: dict = {}
+def _table(row, alpha: MultiIndex, kmax: int, with_zero: bool) -> dict:
+    """{(nu, l): H(|nu|, l)/nu!} over the nodes of _table_levels, from the
+    rows row(m, f, top) of the scalar recursion (_series_coefficients)."""
     values: dict = {}
-    for nu, (top, m, f) in levels.items():
-        if (m, f) not in first:
-            first[m, f] = conv(terms[m] * (math.factorial(m) // f))
-        values[(nu, 0)] = first[m, f]
-        for l, v in enumerate(row(m, f, top), 1):
+    for nu, (top, m, f) in _table_levels(alpha, kmax, with_zero).items():
+        for l, v in enumerate(row(m, f, top)):
             values[(nu, l)] = v
     return values
 
 
-def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int, int], list]:
-    """(m, f, top) -> [H(m, l)/f for l = 1..top], for 1 <= top <= kmax and
+def _series_coefficients(
+    F: list, a, c, kmax: int, first: Callable[[int, int], object] | None = None,
+) -> Callable[[int, int, int], list]:
+    """(m, f, top) -> [H(m, l)/f for l = 0..top], for 0 <= top <= kmax and
     m + top < len(F), H being the scalar recursion of the module docstring
     with H(m, 0) = m! F[m].  With m = |nu| and f = nu!, that is the row of
-    entries (nu, l) of every node nu of the class (|nu|, nu!).
+    entries (nu, l) of every node nu of the class (|nu|, nu!).  Level 0 is
+    first(m, f), by default F[m] (m!/f) in F's arithmetic.
 
     That recursion is the coefficient form of dG/ds = a G^2 + c (dG/dy)^2
     in one variable y.  The multinomial Vandermonde sum
     sum_{beta<=nu} C(nu,beta) f(|nu-beta|) h(|beta|) = sum_b C(|nu|,b) f(|nu|-b) h(b)
     collapses the multi-index recursions to it when g(nu) = G(|nu|)/nu!.
     Exact when F, a and c are ints and Fractions (_exact_series), else in
-    floats (_float_series).  Each value is built once per (m, l, f) and the
-    same object serves every node of the class.  The rows live as long as
-    the returned function: one table for a_recursion, the growth sequence
-    for ahat_recursion, which memoises the function in g.rows.
+    floats (_float_series).  Each value, level 0 included, is built once per
+    (m, l, f) and the same object serves every node of the class.  The rows
+    live as long as the returned function: one table for a_recursion, the
+    growth sequence for ahat_recursion, which memoises the function in
+    g.rows.
     """
     if all(map(_is_exact, (*F, a, c))):
         J, scale = _exact_series(F, a, c, kmax)
@@ -212,13 +212,17 @@ def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int, int], 
     else:
         H = _float_series(F, a, c, kmax)
         value = lambda m, f, l: float(H[l, m]) * (math.factorial(m) // f)
+    if first is None:
+        first = lambda m, f: F[m] * (math.factorial(m) // f)
     rows: dict = {}
 
     def row(m: int, f: int, top: int) -> list:
-        r = rows.setdefault((m, f), [])
-        while len(r) < top:
-            r.append(value(m, f, len(r) + 1))
-        return r[:top]
+        r = rows.get((m, f))
+        if r is None:
+            r = rows[m, f] = [first(m, f)]
+        while len(r) <= top:
+            r.append(value(m, f, len(r)))
+        return r[: top + 1]
     return row
 
 

@@ -23,7 +23,11 @@ tests use.  `TreeBatch` grows the trees of a range of sample indices
 together, one generation at a time, as arrays, and `evaluate_batch` and
 `weighted_progeny_batch` compute their path functionals and weighted
 progenies.  The batch reads each code's offspring entries from a
-`CodeTable`, whose rows come from the closed form of z1/q.
+`CodeTable`, whose rows come from the closed form of z1/q.  One table per
+(d, chain) serves every batch of the process (`code_table`), so each code
+is laid out once however many batches, estimates or points reach it.  A
+code's id in it therefore depends on what was sampled before; its rows,
+its draws and every tree's value do not.
 
 The batch grows either chain with one draw layout.  The dominating chain
 differs in one decision, which the `CodeTable` holds: the first child of a
@@ -322,6 +326,11 @@ class CodeTable:
     the single entry of a j = -1 code.  Each is an integer or one division of Python ints, both rounded
     correctly, so it equals float(entry.weight / offspring_prob(code, entry,
     d)) of the exact Fraction mechanism, which stays the reference.
+
+    A table only grows: `code_table` hands one table per (d, chain) to every
+    batch of the process, so ids are given in the order codes first appear
+    over all of them, and nothing that a batch computes may depend on an id
+    beyond naming its code.
     """
 
     def __init__(self, d: int, dominating: bool = False):
@@ -404,6 +413,18 @@ class CodeTable:
         return np.where(self.j[ids] < 0, 0, sample_offspring_indices(self.alpha[ids], self.d, u))
 
 
+_CODE_TABLES: dict[tuple[int, bool], CodeTable] = {}
+
+
+def code_table(d: int, dominating: bool = False) -> CodeTable:
+    """The process's one `CodeTable` of dimension d for the original or
+    the dominating chain, which every `TreeBatch` reads and extends."""
+    key = (d, bool(dominating))
+    if key not in _CODE_TABLES:
+        _CODE_TABLES[key] = CodeTable(*key)
+    return _CODE_TABLES[key]
+
+
 FRONTIER_BUDGET = 1 << 18  # branch rows a batch holds at once
 
 
@@ -444,6 +465,10 @@ class TreeBatch:
     depends on which others share its batch, so the caller samples the
     halves apart (`evaluate_in_parts`).  With dominating=True the batch
     grows the dominating chain from the same draws (see `CodeTable`).
+
+    `codes` is the shared table of (d, chain) (`code_table`): the ids in
+    `Generation.code` depend on which codes earlier batches met, the codes
+    they name and everything computed from them do not.
     """
 
     def __init__(
@@ -467,7 +492,7 @@ class TreeBatch:
             raise ValueError("dominating chain codes have j >= 0")
         self.c0, self.t, self.x, self.T = c0, float(t), np.asarray(x, dtype=float), T
         self.model, self.d, self.seed, self.indices, self.caps = model, d, seed, indices, caps
-        self.codes = CodeTable(d, dominating)
+        self.codes = code_table(d, dominating)
         n = len(indices)
         self.branches = np.ones(n, dtype=np.int64)
         self.depth = np.zeros(n, dtype=np.int64)

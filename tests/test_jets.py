@@ -84,3 +84,30 @@ def test_array_jets_equal_float_jets_elementwise():
         Jet([np.array([1.0, 0.0]), np.ones(2)]).reciprocal()
     with pytest.raises(ValueError):
         Jet([np.array([1.0, -1.0]), np.ones(2)]).log()
+
+
+def test_product_coefficient_is_that_of_the_product():
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    order = 7
+
+    def jet(array: bool) -> Jet:
+        # zero coefficients of both signs, as scalars and inside arrays
+        coeffs = [rng.normal(size=5) if array else float(rng.normal()) for _ in range(order + 1)]
+        coeffs[1] = np.array([0.0, -0.0, 1.5, 0.0, 2.0]) if array else 0.0
+        coeffs[4] = np.zeros(5) if array else -0.0
+        coeffs[6] = np.float64(0.0)  # a numpy scalar, as a one-point oracle call gives
+        return Jet(coeffs)
+
+    pairs = [(jet(left), jet(right)) for left in (False, True) for right in (False, True)]
+    # a leading scalar zero: the product's coefficient 0 stays the float 0.0
+    pairs.append((Jet.variable(0.0, order), jet(True)))
+    for a, b in pairs:
+        product = a * b
+        for m in range(order + 1):
+            got, want = a.product_coefficient(b, m), product.coeffs[m]
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+        with pytest.raises(ValueError):
+            a.product_coefficient(b, order + 1)

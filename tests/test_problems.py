@@ -8,7 +8,10 @@ from branchpde.jets import Jet, exp_jet
 from branchpde.mechanism import Code, offspring_set
 from branchpde.problems import (
     Problem,
+    _b2_phi_jet,
+    _b2_psi_jet,
     _code_value_from_exact,
+    _first_coordinate,
     b2_f_family,
     b2_phi,
     b2_problem,
@@ -268,3 +271,19 @@ def test_oracle_array_calls_agree_with_point_calls(problem):
             code = Code(alpha, j)
             got = np.broadcast_to(problem.oracle(code, points), (len(points),))
             assert got.tolist() == [problem.oracle(code, tuple(p)) for p in points]
+
+
+@pytest.mark.parametrize("shape", ["rows", "one-row", "point"])
+def test_b2_oracle_equals_the_coefficient_of_the_full_jet(shape):
+    # the oracle forms coefficient m alone; it must be that of the full jet,
+    # bit for bit, for arrays of points and for one point (the t = T path)
+    oracle = b2_problem(0.5).oracle
+    points = np.random.default_rng(7).uniform(-4.0, 4.0, size=(9, 1))
+    x = {"rows": points, "one-row": points[:1], "point": (float(points[0, 0]),)}[shape]
+    x0 = _first_coordinate(x)
+    for m in range(1, 9):
+        for j in range(-1, 7):
+            full = _b2_phi_jet(x0, m) if j < 0 else _b2_psi_jet(j, x0, m)
+            got, want = oracle(Code((m,), j), x), full.coefficient(m)
+            assert np.shape(got) == np.shape(want) == np.shape(x0)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

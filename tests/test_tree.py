@@ -597,3 +597,99 @@ def test_batch_builds_its_code_table_without_the_fraction_mechanism(monkeypatch,
     values, batch = run()
     assert len(batch.codes.codes) > 1
     assert np.array_equal(values, reference)
+
+
+# --- one code table per (d, chain), shared by every batch --------------------
+
+from branchpde.estimator import estimate_u
+
+
+def fresh_code_tables(monkeypatch):
+    """Give every TreeBatch from here on new, empty shared tables."""
+    monkeypatch.setattr(tree_module, "_CODE_TABLES", {})
+
+
+def fill_code_tables():
+    """Sample other codes, dimensions and both chains, so that the shared
+    tables hold codes under ids a fresh table would give others."""
+    b2, cosine = b2_problem(0.7), zero_f_cosine_problem(0.4, d=2)
+    for problem, code, x in (
+        (b2, Code((6,), 2), (0.4,)),
+        (b2, Code((1,), 4), (0.4,)),
+        (b2, Code((0,), 1), (0.4,)),
+        (cosine, Code((2, 1), 0), (0.1, 0.2)),
+    ):
+        setup = ProblemSetup(problem.oracle, exponential_model(1.5), problem.d)
+        estimate_u(code, 0.0, x, problem.T, setup, 300, 5)
+    for d in (1, 2):
+        batch_progeny(Code((0,) * (d - 1) + (4,), 1), 0.6, MODEL, d, 9, 300, SPREAD_WEIGHTS)
+    batch_progeny(Code((5,), 0), 0.6, MODEL, 1, 9, 300, SPREAD_WEIGHTS, dominating=False)
+
+
+def test_results_do_not_depend_on_what_filled_the_code_tables(monkeypatch):
+    problem = b2_problem(0.5)
+    setup = ProblemSetup(problem.oracle, exponential_model(2.0), 1)
+    code, n, seed = Code((3,), 0), 1500, 23
+    dominating = (Code((2,), 0), 0.8, MODEL, 1, seed, n, SPREAD_WEIGHTS)
+
+    def run():
+        est = estimate_u(code, 0.0, (0.0,), problem.T, setup, n, seed)
+        values = _sample_values(setup, code, 0.0, (0.0,), problem.T, range(n), seed, Caps()).values
+        branches, progenies = batch_progeny(*dominating)
+        ids = (tree_module.code_table(1).intern(code), tree_module.code_table(1, True).intern(dominating[0]))
+        return (est.mean, est.std_error, est.n_capped, est.stats), values.tobytes(), branches, progenies.tobytes(), ids
+
+    fresh_code_tables(monkeypatch)
+    *first, first_ids = run()
+    fresh_code_tables(monkeypatch)
+    fill_code_tables()
+    *later, later_ids = run()
+    assert first_ids == (0, 0) and 0 not in later_ids  # the ids did change
+    assert first[0] == later[0]
+    assert first[1] == later[1]
+    assert np.array_equal(first[2], later[2])
+    assert first[3] == later[3]
+
+    # split the index range over the filled tables, and again after a fresh start
+    parts = ((0, 1), (1, 400), (400, 401), (401, n))
+    for fresh in (False, True):
+        if fresh:
+            fresh_code_tables(monkeypatch)
+        whole = _sample_values(setup, code, 0.0, (0.0,), problem.T, range(n), seed, Caps())
+        split = [_sample_values(setup, code, 0.0, (0.0,), problem.T, range(lo, hi), seed, Caps()) for lo, hi in parts]
+        assert np.concatenate([s.values for s in split]).tobytes() == whole.values.tobytes() == first[1]
+        c0, T, model, d = dominating[:4]
+        split_progenies = [
+            weighted_progeny_batch(
+                TreeBatch(c0, 0.0, (0.0,), T, model, d, seed, range(lo, hi), dominating=True), SPREAD_WEIGHTS
+            )
+            for lo, hi in parts
+        ]
+        assert np.concatenate(split_progenies).tobytes() == first[3]
+
+
+def test_batches_share_one_code_table_per_dimension_and_chain(monkeypatch):
+    fresh_code_tables(monkeypatch)
+    problem, model, c0, x, n = BATCH_CONFIGS["b2-deep"]
+    laid_out = []
+    lay_out = tree_module.CodeTable._lay_out
+
+    def counting(table, cid):
+        laid_out.append(table.codes[cid])
+        lay_out(table, cid)
+
+    monkeypatch.setattr(tree_module.CodeTable, "_lay_out", counting)
+
+    def batch(d=1, dominating=False, indices=range(n)):
+        return TreeBatch(Code((3,) + (0,) * (d - 1), 0), 0.0, (0.0,) * d, problem.T, model, d, 23, indices,
+                         dominating=dominating)
+
+    first = evaluate_batch(batch(), problem.oracle, model, problem.T)
+    assert len(laid_out) == len(set(laid_out)) > 1
+    count = len(laid_out)
+    again = evaluate_batch(batch(), problem.oracle, model, problem.T)
+    assert len(laid_out) == count  # every code the second batch met was laid out
+    assert again.tobytes() == first.tobytes()
+    assert batch().codes is batch(indices=range(3)).codes is tree_module.code_table(1)
+    tables = {id(batch(d, dom).codes) for d in (1, 2) for dom in (False, True)}
+    assert len(tables) == 4
