@@ -68,21 +68,14 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet([a * other for a in self.coeffs])
-        M = self.order
-        out = [0.0] * (M + 1)
-        for i, ai in enumerate(self.coeffs):
-            if not isinstance(ai, np.ndarray) and ai == 0.0:
-                continue
-            for k in range(M + 1 - i):
-                out[i + k] += ai * other.coeffs[k]
-        return Jet(out)
+        return Jet([self.product_coefficient(other, m) for m in range(self.order + 1)])
 
     __rmul__ = __mul__
 
     def product_coefficient(self, other: "Jet", m: int):
-        """Coefficient m of self * other, summed as __mul__ sums it: over
-        i = 0..m in order, skipping an exact-zero scalar a_i, so it equals
-        (self * other).coeffs[m] bit for bit without forming the others."""
+        """Coefficient m of self * other, which __mul__ forms for every m:
+        the sum of a_i b_(m-i) over i = 0..m in order, from the float 0.0,
+        skipping an exact-zero scalar a_i."""
         if m > self.order:
             raise ValueError(f"jet order {self.order} < requested coefficient {m}")
         out = 0.0

@@ -359,12 +359,14 @@ class CodeTable:
         """Lay out the rows of every code in ids that has none yet."""
         if self.first.size < len(self.codes):  # interned outside build: the root
             self._refresh()
-        present = np.zeros(self.first.size, dtype=bool)
-        present[ids] = True
-        fresh = np.flatnonzero(present & (self.first < 0))
+        fresh = ids[self.first[ids] < 0]
         if not fresh.size:
             return
-        for cid in fresh.tolist():
+        # a table-sized mask only here, where _refresh copies the table anyway
+        # (np.unique would sort, and its first call in a process is slow)
+        present = np.zeros(self.first.size, dtype=bool)
+        present[fresh] = True
+        for cid in np.flatnonzero(present).tolist():
             self._lay_out(cid)
         self._refresh()
 

@@ -100,14 +100,26 @@ def test_product_coefficient_is_that_of_the_product():
         coeffs[6] = np.float64(0.0)  # a numpy scalar, as a one-point oracle call gives
         return Jet(coeffs)
 
+    def cauchy(a: Jet, b: Jet) -> list:
+        # the product's coefficients, each summed over i in order from the
+        # float 0.0, an exact-zero scalar a_i skipped
+        out = [0.0] * (order + 1)
+        for i, ai in enumerate(a.coeffs):
+            if not isinstance(ai, np.ndarray) and ai == 0.0:
+                continue
+            for k in range(order + 1 - i):
+                out[i + k] = out[i + k] + ai * b.coeffs[k]
+        return out
+
     pairs = [(jet(left), jet(right)) for left in (False, True) for right in (False, True)]
     # a leading scalar zero: the product's coefficient 0 stays the float 0.0
     pairs.append((Jet.variable(0.0, order), jet(True)))
     for a, b in pairs:
-        product = a * b
+        product, reference = a * b, cauchy(a, b)
         for m in range(order + 1):
-            got, want = a.product_coefficient(b, m), product.coeffs[m]
-            assert np.shape(got) == np.shape(want)
-            assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+            want = reference[m]
+            for got in (a.product_coefficient(b, m), product.coeffs[m]):
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
         with pytest.raises(ValueError):
             a.product_coefficient(b, order + 1)

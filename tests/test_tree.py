@@ -577,6 +577,11 @@ def test_normals_of_a_key_array_equal_the_one_key_normals(d):
         assert [c[row] for c in columns] == tree_module._normals(key, 1, d)
 
 
+def fresh_code_tables(monkeypatch):
+    """Give every TreeBatch from here on new, empty shared tables."""
+    monkeypatch.setattr(tree_module, "_CODE_TABLES", {})
+
+
 @pytest.mark.parametrize("name", ["b2-deep", "zero-f-cosine-d2"])
 def test_batch_builds_its_code_table_without_the_fraction_mechanism(monkeypatch, name):
     problem, model, c0, x, n = BATCH_CONFIGS[name]
@@ -586,7 +591,7 @@ def test_batch_builds_its_code_table_without_the_fraction_mechanism(monkeypatch,
         batch = TreeBatch(c0, 0.0, x, T, model, d, seed, range(n))
         return evaluate_batch(batch, problem.oracle, model, T), batch
 
-    reference, _ = run()
+    reference, reference_batch = run()
 
     def refuse(*args, **kwargs):
         raise AssertionError("the batched sampler used the Fraction mechanism")
@@ -594,19 +599,17 @@ def test_batch_builds_its_code_table_without_the_fraction_mechanism(monkeypatch,
     for module in (tree_module, mechanism):
         for fn in ("offspring_prob", "offspring_set"):
             monkeypatch.setattr(module, fn, refuse, raising=False)
+    # empty tables, so that every code of this run is laid out under the patch
+    fresh_code_tables(monkeypatch)
     values, batch = run()
-    assert len(batch.codes.codes) > 1
+    assert batch.codes is not reference_batch.codes
+    assert np.count_nonzero(batch.codes.first >= 0) > 1
     assert np.array_equal(values, reference)
 
 
 # --- one code table per (d, chain), shared by every batch --------------------
 
 from branchpde.estimator import estimate_u
-
-
-def fresh_code_tables(monkeypatch):
-    """Give every TreeBatch from here on new, empty shared tables."""
-    monkeypatch.setattr(tree_module, "_CODE_TABLES", {})
 
 
 def fill_code_tables():
