@@ -40,11 +40,12 @@ fresh build, so every output is unchanged.
 Both regimes have closed forms for A'_nu(k) at every order, nu = 0
 included.  ahat_log_terms evaluates their logarithms for k = 0..K as one
 numpy array (log k! as a cumulative sum of logs, the factorial regime's
-Gamma ratio through math.lgamma); the series, sup and tail evaluations
-behind the bounds read their terms from it, and ahat_value_log is the
-scalar reference.  The closed forms run along the first axis, and
-A'_nu = (|nu|!/nu!) A'_{|nu| e_1}.  Each regime's formulas (g, radius,
-closed-form terms) are methods of Factorial and Exponential.
+Gamma ratio through math.lgamma); the one bound, the A' series with its
+tail closure (bound_report), and the tail of expected_weighted_progeny
+read their terms from it, and ahat_value_log is the scalar reference.
+The closed forms run along the first axis, and A'_nu = (|nu|!/nu!)
+A'_{|nu| e_1}.  Each regime's formulas (g, radius, closed-form terms)
+are methods of Factorial and Exponential.
 """
 
 from __future__ import annotations
@@ -482,8 +483,8 @@ def ahat_closed_exponential(theta, d: int, alpha: MultiIndex, k: int):
 class _Regime:
     """What the two growth regimes share.  Each regime fixes the growth
     sequence g, the radius R(d) of the A' generating function, the
-    horizon threshold, the closed-form A' terms, the alpha = 0 sup
-    constant and the exact ratio (1+alpha_i) A'_{alpha+1_i}(k)/A'_alpha(k).
+    horizon threshold, the closed-form A' terms and the exact ratio
+    (1+alpha_i) A'_{alpha+1_i}(k)/A'_alpha(k).
     side_scale is r (factorial) or 1 (exponential)."""
 
     def side_lhs(self) -> float:
@@ -520,11 +521,6 @@ class Factorial(_Regime):
     def horizon_threshold(self, d: int) -> float:
         """2^-(r+2) R, the bound of the radius condition."""
         return 2.0 ** (-(float(self.r) + 2)) * self.radius(d)
-
-    def sup0(self) -> float:
-        """sup of the alpha = 0 A' series over [0, R): 1/2 ((r+2)/(r+1))^{r+1}."""
-        r = float(self.r)
-        return 0.5 * ((r + 2) / (r + 1)) ** (r + 1)
 
     def ratio(self, m: int, k: int):
         """((r+2)k + r + |alpha|) theta, for |alpha| = m."""
@@ -580,10 +576,6 @@ class Exponential(_Regime):
     def horizon_threshold(self, d: int) -> float:
         """R itself, the bound of the radius condition."""
         return self.radius(d)
-
-    def sup0(self) -> float:
-        """sup of the alpha = 0 A' series over [0, R): e/2."""
-        return 0.5 * math.e
 
     def ratio(self, m: int, k: int):
         """(k+1) theta, for |alpha| = m."""
@@ -681,9 +673,10 @@ def _ahat_log_terms(regime, d: int, m: int, kmax: int) -> np.ndarray:
     log k! is a cumulative sum of logs; the regime adds its own part of the
     closed form (regime.closed_log_terms).  The terms depend on nothing
     else, so one table serves every horizon: the cache keeps the 256 most
-    recently used (16 kB each at K = _K_PROBE, the longest table the bound
-    paths build).  The regimes are frozen and hash by value, and every
-    parameter enters through float(...), so equal keys give the same bits.
+    recently used (at most 3 kB each for the bound's series, K <= 401, and
+    16 kB for tracked_constant's longest, K = _K_PROBE).  The regimes are
+    frozen and hash by value, and every parameter enters through
+    float(...), so equal keys give the same bits.
     The array is shared, hence read-only.
     """
     k = np.arange(kmax + 1, dtype=float)
@@ -732,9 +725,13 @@ def expected_weighted_progeny(
     infinite wherever R(theta*) <= (1-exp(-lam h)) delta1 delta2 < R(theta).
 
     `params` is a growth-parameter bundle exposing build_weights(), radius(),
-    with_side_theta(), delta1, delta2 and d (see stability.GrowthParams).
+    with_side_theta(), delta1, delta2 and d (see stability.GrowthParams).  A
+    negative or NaN horizon, or an alpha whose length is not d, raises
+    ValueError.
     """
-    alpha = tuple(alpha)
+    alpha = _check_alpha(alpha, params.d)
+    if not horizon >= 0:
+        raise ValueError(f"the horizon h = {horizon!r} must be >= 0")
     x = 1.0 - math.exp(-lam * horizon)
     xa = x * float(params.delta1) * float(params.delta2)
     radius = params.radius()
@@ -787,29 +784,27 @@ def _geometric_tail(ratio: float, limit: float) -> float:
 _K_PROBE = 2000  # the longest table _log_sup_terms builds
 
 
-def _log_sup_terms(params, alpha_abs: int, ys) -> list[float]:
-    """log sup_k A'_alpha(k) y^{k+1} for each y in ys (0 < y < R), alpha of
-    order alpha_abs along the first axis.
+def _log_sup_terms(params, alpha_abs: int, y: float) -> float:
+    """log sup_k A'_alpha(k) y^{k+1} (0 < y < R), alpha of order alpha_abs
+    along the first axis.
 
-    One table of log A'(k) serves every y.  It stops at the first k where
-    max(y) max(1/R, A'(k+1)/A'(k)) <= 1: the term ratios are monotone with
-    limit 1/R, so no later term exceeds the k-th at any y in ys.  The table
-    is built for k <= 16 and doubled, up to _K_PROBE, until some k qualifies.
+    The table of log A'(k) stops at the first k where y max(1/R,
+    A'(k+1)/A'(k)) <= 1: the term ratios are monotone with limit 1/R, so no
+    later term exceeds the k-th.  It is built for k <= 16 and doubled, up to
+    _K_PROBE, until some k qualifies.
     """
-    y_top = max(ys)
     inv_R = 1.0 / params.radius()
     kmax = 16
     while True:
         logs = ahat_log_terms(params, alpha_abs, kmax)
-        stop = np.flatnonzero(y_top * np.maximum(inv_R, np.exp(np.diff(logs))) <= 1.0)
+        stop = np.flatnonzero(y * np.maximum(inv_R, np.exp(np.diff(logs))) <= 1.0)
         if stop.size:
             break
         if kmax == _K_PROBE:
-            raise ValueError(f"the terms at y = {y_top:.6g} still grow at k = {_K_PROBE}")
+            raise ValueError(f"the terms at y = {y:.6g} still grow at k = {_K_PROBE}")
         kmax = min(2 * kmax, _K_PROBE)
     logs = logs[: stop[0] + 2]
-    powers = np.arange(1, len(logs) + 1)
-    return [float(np.max(logs + powers * math.log(y))) for y in ys]
+    return float(np.max(logs + np.arange(1, len(logs) + 1) * math.log(y)))
 
 
 def tracked_constant(params, alpha_abs: int) -> float:
@@ -819,115 +814,71 @@ def tracked_constant(params, alpha_abs: int) -> float:
         A'_alpha(k) <= C (2 theta d)^{|alpha|} (2^{-(r+2)} R)^{-(k+1)},
 
     i.e. C = sup_k A'(k) (2^{-(r+2)}R)^{k+1} (2 theta d)^{-|alpha|}, exact at
-    every order (see _log_sup_terms).
+    every order (see _log_sup_terms).  This is the paper's constant: the A'
+    series at x < 2^{-(r+2)} R is at most C (2 theta d)^{|alpha|} /
+    (2^{-(r+2)} R - x) (see bound_report).
     """
     log_pref = -alpha_abs * math.log(2 * float(params.regime.theta) * params.d)
-    return math.exp(_log_sup_terms(params, alpha_abs, [params.scaled_radius()])[0] + log_pref)
+    return math.exp(_log_sup_terms(params, alpha_abs, params.scaled_radius()) + log_pref)
 
 
 def bound_report(alpha: MultiIndex, params, lam: float, T: float, t: float = 0.0) -> dict:
-    """Closed-form upper bound on the mean dominating weighted progeny
-    exp(-lam h) sum_k (1-exp(-lam h))^k A_alpha(k), h = T - t.
+    """Upper bound on the mean dominating weighted progeny
+    exp(-lam h) sum_k (1-exp(-lam h))^k A_alpha(k), h = T - t >= 0.
 
     The bound rests on the domination A(k) <= delta1 (delta1 delta2)^k
     A'(k), which needs the side-theta condition theta r >= sqrt(2/d)
     (theta >= sqrt(2/d) in the exponential regime).  A is nondecreasing in
-    theta coefficient by coefficient, so every A' quantity (radius R,
-    tracked constant, series) is evaluated at theta* = max(theta,
-    sqrt(2/d)/r) (resp. max(theta, sqrt(2/d))), where the condition holds;
-    wherever it already holds at theta, theta* = theta.  With
-    x = (1-exp(-lam h)) delta1 delta2 and R = R(theta*):
+    theta coefficient by coefficient, so A' and its radius R are evaluated
+    at theta* = params.with_side_theta(), where the condition holds (theta*
+    = theta wherever it already holds at theta).  With x = (1-exp(-lam h))
+    delta1 delta2 < R = R(theta*), the bound in both regimes and at every
+    order is the dominating series
 
-    factorial, |alpha| = 0:   delta1/2 ((r+2)/(r+1))^{r+1} exp(-lam h),
-                              valid for x < R;
-    factorial, |alpha| >= 1:  C(y) (2 theta d)^{|alpha|} exp(-lam h) delta1
-                              / (y - x), with C(y) = sup_k A'(k) y^{k+1}
-                              (2 theta d)^{-|alpha|}; the least over the
-                              fixed set y in {2^{-(r+2)} R, R 2^{-j/2} for
-                              j = 1..6} with y > x, so for x < R/sqrt(2);
-                              for R/sqrt(2) <= x < R the series bound
-                              delta1 exp(-lam h) (|alpha|!/alpha!)
-                              sum_k A'_{|alpha| e_1}(k) x^k with its tail
-                              closure (path "series");
-    exponential, |alpha| = 0: delta1/2 e^{1-lam h}, valid for x < R;
-    exponential, |alpha|>=1:  C_pt (d / log(R/x))^{|alpha|-1} delta1
-                              exp(-lam h), valid for x < R,
+        delta1 exp(-lam h) (|alpha|!/alpha!) sum_k A'_{|alpha| e_1}(k) x^k
 
-    where C, C_pt are tracked constants reported separately from the
-    formula factor.  The dict carries theta* as `theta`, R(theta*) as
-    `radius` and, on the geometric-series path, the chosen `y`.  Outside
-    the validity range it raises OutsideRadius.
+    with its tail closure (_ghat_series_value), which keeps it an upper
+    bound.  It is nondecreasing in x and at most the paper's closed forms:
+
+    alpha = 0:               delta1 exp(-lam h) times the sup of the series
+                             over [0, R), 1/2 ((r+2)/(r+1))^{r+1}
+                             (factorial) or e/2 (exponential);
+    factorial, |alpha| >= 1: C (2 theta d)^{|alpha|} delta1 exp(-lam h)
+                             (|alpha|!/alpha!) / (y - x) for x < y =
+                             2^{-(r+2)} R, C = tracked_constant, because
+                             sum_k A'(k) x^k <= sup_k A'(k) y^{k+1}
+                             sum_k x^k/y^{k+1} for any x < y < R.
+
+    The dict carries alpha, the regime name, theta* as `theta`, x as
+    `series_argument`, R(theta*) as `radius` and the bound as `wh_bound`.
+    x >= R raises OutsideRadius; a negative or NaN horizon, or an alpha
+    whose length is not params.d, raises ValueError.
     """
     h = T - t
+    if not h >= 0:
+        raise ValueError(f"the horizon T - t = {h!r} must be >= 0")
     x = (1.0 - math.exp(-lam * h)) * float(params.delta1) * float(params.delta2)
     return dominating_bound(alpha, params, x, math.exp(-lam * h))
 
 
 def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
-    """bound_report at dominating argument x, with decay in place of its
-    exp(-lam h) factor (stability.hbound passes 1)."""
-    alpha = tuple(alpha)
-    m = mi_abs(alpha)
+    """bound_report at dominating argument x >= 0, with decay in place of
+    its exp(-lam h) factor (stability.hbound passes 1): delta1 decay
+    (|alpha|!/alpha!) sum_k A'_{|alpha| e_1}(k) x^k at theta*, tail closure
+    included, for x < R(theta*), and OutsideRadius from there on."""
+    alpha = _check_alpha(alpha, params.d)
+    if not x >= 0:
+        raise ValueError(f"the series argument x = {x!r} must be >= 0")
     params = params.with_side_theta()
-    theta = float(params.regime.theta)
-    delta1 = float(params.delta1)
-    R = params.radius()
-    spread = _spread(alpha)
-    out = {
+    series = _spread(alpha) * _ghat_series_value(params, mi_abs(alpha), x)
+    return {
         "alpha": alpha,
         "regime": params.regime.name,
-        "theta": theta,
+        "theta": float(params.regime.theta),
         "series_argument": x,
-        "radius": R,
+        "radius": params.radius(),
+        "wh_bound": float(params.delta1) * decay * series,
     }
-    if isinstance(params.regime, Factorial) and m >= 1:
-        fixed = {params.scaled_radius(), *(R * 2.0 ** (-j / 2) for j in range(1, 7))}
-        ys = sorted(y for y in fixed if y > x)
-        if not ys:
-            # past the largest y, R/sqrt(2): the series itself, whose value
-            # keeps its tail closure and so stays an upper bound
-            series = spread * _ghat_series_value(params, m, x)
-            out.update(
-                path="series",
-                formula_factor=delta1 * decay,
-                tracked_constant=series,
-                wh_bound=delta1 * decay * series,
-            )
-            return out
-        logs = _log_sup_terms(params, m, ys)
-        y, log_sup = min(zip(ys, logs), key=lambda yl: yl[1] - math.log(yl[0] - x))
-        formula = (2 * theta * params.d) ** m * decay * delta1 / (y - x)
-        C = spread * math.exp(log_sup - m * math.log(2 * theta * params.d))
-        out.update(
-            path="geometric-series",
-            y=y,
-            formula_factor=formula,
-            tracked_constant=C,
-            wh_bound=C * formula,
-        )
-        return out
-    if not x < R:
-        raise OutsideRadius(f"x = {x:.6g} >= R = {R:.6g}")
-    if m == 0:
-        formula = params.regime.sup0() * decay
-        out.update(
-            path="sup-of-generating-function",
-            formula_factor=formula,
-            tracked_constant=delta1,
-            wh_bound=delta1 * formula,
-        )
-    else:
-        # pointwise constant: the true series value split against the
-        # displayed (d/log(R/x))^{|alpha|-1} factor
-        series = spread * _ghat_series_value(params, m, x)
-        disp = (params.d / math.log(R / x)) ** (m - 1) if x > 0 else 1.0
-        out.update(
-            path="polylog-series",
-            formula_factor=disp * delta1 * decay,
-            tracked_constant=series / disp if disp > 0 else math.inf,
-            wh_bound=delta1 * decay * series,
-        )
-    return out
 
 
 def _ghat_series_value(params, alpha_abs: int, x: float, ktrunc: int = 400) -> float:
@@ -959,6 +910,13 @@ def _ghat_series_value(params, alpha_abs: int, x: float, ktrunc: int = 400) -> f
 def _spread(alpha: MultiIndex) -> int:
     """|alpha|!/alpha!, the factor A'_alpha(k)/A'_{|alpha| e_1}(k)."""
     return math.factorial(mi_abs(alpha)) // mi_factorial(alpha)
+
+
+def _check_alpha(alpha: MultiIndex, d: int) -> tuple:
+    alpha = tuple(alpha)
+    if len(alpha) != d:
+        raise ValueError(f"alpha = {alpha} has {len(alpha)} entries, not d = {d}")
+    return alpha
 
 
 def contact_hj_consistency(g: GrowthSequence, d: int, kmax: int, alphamax: int) -> bool:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -400,7 +401,9 @@ def test_bound_report_exponential():
     pe = exp_params(Fraction(1), T=0.01)
     rep0 = bound_report((0,), pe, 1.0, 0.01)
     rep2 = bound_report((2,), pe, 1.0, 0.01)
-    assert rep0["wh_bound"] == pytest.approx(0.5 * math.e * math.exp(-0.01))
+    # at most the paper's alpha = 0 bound delta1 e/2 exp(-lam h)
+    out0 = expected_weighted_progeny((0,), 0, 1.0, 0.01, pe, ktrunc=60)
+    assert out0["value"] <= rep0["wh_bound"] <= 0.5 * math.e * math.exp(-0.01)
     assert math.isfinite(rep2["wh_bound"]) and rep2["wh_bound"] > 0
     out = expected_weighted_progeny((2,), 0, 1.0, 0.01, pe, ktrunc=60)
     assert out["value"] <= rep2["wh_bound"] * (1.0 + 1e-12)
@@ -420,7 +423,7 @@ def test_bound_report_exponential_alpha1():
 def test_bound_report_theta_star_passes_side_condition(d):
     # sqrt(2/d)/5 in floats gives theta* 5 < sqrt(2/d) at d = 1 and 5
     p = fact_params(Fraction(1, 100), Fraction(5), d=d)
-    rep = bound_report((1,), p, 1.0, 1e-4)
+    rep = bound_report((1,) + (0,) * (d - 1), p, 1.0, 1e-4)
     assert rep["theta"] > 0.01
     assert fact_params(rep["theta"], Fraction(5), d=d).side_condition_theta()
 
@@ -429,7 +432,9 @@ def test_bound_report_keeps_theta_where_side_condition_holds():
     p = fact_params(Fraction(3, 2), Fraction(1), T=0.002)
     rep = bound_report((2,), p, 1.0, 0.002)
     assert rep["theta"] == 1.5 and rep["radius"] == p.radius()
-    assert rep["path"] == "geometric-series" and rep["y"] > rep["series_argument"]
+    # the series is summed at theta itself
+    series = progeny._ghat_series_value(p, 2, rep["series_argument"])
+    assert rep["wh_bound"] == pytest.approx(math.exp(-0.002) * series, rel=1e-15, abs=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -450,10 +455,8 @@ def test_bound_report_dominates_value_property(regime, r, d, scale, m, fracs):
         return exp_params(scale * math.sqrt(2.0 / d), T=T, d=d)
 
     limit = params(1.0).with_side_theta().radius()
-    if regime == "factorial" and m >= 1:
-        limit /= math.sqrt(2.0)
     alpha = (m,) + (0,) * (d - 1)
-    prev = prev_series = 0.0
+    prev_series = 0.0
     for frac in sorted(fracs):
         T = -math.log(1.0 - frac * limit)
         p = params(T)
@@ -461,13 +464,12 @@ def test_bound_report_dominates_value_property(regime, r, d, scale, m, fracs):
         out = expected_weighted_progeny(alpha, 0, 1.0, T, p, ktrunc=6)
         assert math.isfinite(rep["wh_bound"])
         assert out["value"] <= rep["wh_bound"]
-        # the bound on the A' series alone grows with T on every path; the
-        # exp(-lam T) factor makes the generating-function paths fall
+        # the bound on the A' series alone grows with T; the exp(-lam T)
+        # factor can make the reported bound fall
         series = stability.hbound(alpha, p)["wh_bound"]
         assert series >= prev_series
-        if rep["path"] == "geometric-series":
-            assert rep["wh_bound"] >= prev
-        prev, prev_series = rep["wh_bound"], series
+        assert rep["wh_bound"] == pytest.approx(math.exp(-T) * series, rel=1e-15, abs=0)
+        prev_series = series
 
 
 @pytest.mark.parametrize(
@@ -641,15 +643,16 @@ def test_series_value_stops_early_and_stays_an_upper_bound(monkeypatch, regime, 
 
 
 def test_dominating_bound_between_r_over_sqrt2_and_r_is_the_series():
-    # factorial |alpha| >= 1: past the largest y, R/sqrt(2), the bound is the
-    # A' series with its tail closure instead of OutsideRadius
+    # factorial |alpha| >= 1: the bound is the A' series with its tail
+    # closure up to R, past R/sqrt(2) too, where no y of the paper's
+    # C(y)/(y - x) from a fixed set below R/sqrt(2) reaches
     p = stability.GrowthParams(stability.Factorial(1.5, 1), 1.2, 1.2, 1.0, 0.01, 2)
     R = p.with_side_theta().radius()
     for alpha in [(1, 0), (1, 1), (2, 1)]:
         for frac in (0.8, 0.95):
             rep = progeny.dominating_bound(alpha, p, frac * R, 0.9)
             series = progeny._spread(alpha) * progeny._ghat_series_value(p, sum(alpha), frac * R)
-            assert rep["path"] == "series" and math.isfinite(rep["wh_bound"])
+            assert math.isfinite(rep["wh_bound"])
             assert rep["wh_bound"] == pytest.approx(1.2 * 0.9 * series, rel=1e-15, abs=0)
             # and it bounds the mean weighted progeny at that argument
             T = -math.log(1.0 - frac * R / 1.44)
@@ -658,17 +661,100 @@ def test_dominating_bound_between_r_over_sqrt2_and_r_is_the_series():
         for frac in (1.0, 1.2):
             with pytest.raises(OutsideRadius):
                 progeny.dominating_bound(alpha, p, frac * R, 0.9)
-    # below R/sqrt(2) the geometric-series bound is as before
-    pinned = {
+    # below R/sqrt(2) the series stays under the bounds the paper's
+    # C(y) (2 theta d)^|alpha| / (y - x) gave there over a fixed set of y
+    paper = {
         ((1, 0), 0.5): 5.531025971044413,
         ((1, 0), 0.7): 161.18590898655233,
         ((2, 1), 0.5): 39.110259710444126,
         ((2, 1), 0.7): 1139.756492761088,
     }
-    for (alpha, frac), want in pinned.items():
-        rep = progeny.dominating_bound(alpha, p, frac * R, 0.9)
-        assert rep["path"] == "geometric-series"
-        assert rep["wh_bound"] == pytest.approx(want, rel=1e-12, abs=0)
+    for (alpha, frac), above in paper.items():
+        assert progeny.dominating_bound(alpha, p, frac * R, 0.9)["wh_bound"] < above
+
+
+# theta = 1.5 passes side-theta at d = 1, 2; theta = 0.5 fails it, so the
+# bound is taken at theta* > theta
+BOUND_REGIMES = [
+    (stability.Factorial(1.5, 1), "factorial"),
+    (stability.Factorial(0.5, 1), "factorial-theta-star"),
+    (stability.Exponential(1.5), "exponential"),
+    (stability.Exponential(0.5), "exponential-theta-star"),
+]
+
+
+@pytest.mark.parametrize("regime", [r for r, _ in BOUND_REGIMES], ids=[i for _, i in BOUND_REGIMES])
+@pytest.mark.parametrize("d", [1, 2])
+def test_dominating_bound_is_the_series_and_nondecreasing_in_x(regime, d):
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
+    star = p.with_side_theta()
+    R = star.radius()
+    xs = [frac * R for frac in np.linspace(0.0, 0.99, 100).tolist()]
+    orders = [(m,) + (0,) * (d - 1) for m in range(4)]
+    reps = {alpha: [progeny.dominating_bound(alpha, p, x, 0.9) for x in xs] for alpha in orders}
+    for alpha, row in reps.items():
+        bounds = [rep["wh_bound"] for rep in row]
+        assert bounds == sorted(bounds), alpha
+    for m, alpha in enumerate(orders):
+        for x, rep in zip(xs, reps[alpha]):
+            series = progeny._ghat_series_value(star, m, x)
+            assert rep["theta"] == float(star.regime.theta) and rep["radius"] == R
+            assert rep["wh_bound"] == pytest.approx(1.2 * 0.9 * series, rel=1e-15, abs=0)
+        with pytest.raises(OutsideRadius):
+            progeny.dominating_bound(alpha, p, R, 0.9)
+
+
+@pytest.mark.parametrize("regime", [r for r, _ in BOUND_REGIMES], ids=[i for _, i in BOUND_REGIMES])
+@pytest.mark.parametrize("d", [1, 2])
+def test_dominating_bound_is_at_most_the_papers_closed_forms(regime, d):
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
+    star = p.with_side_theta()
+    R = star.radius()
+    # alpha = 0: delta1 decay times the sup of the series over [0, R)
+    if isinstance(regime, stability.Factorial):
+        r = float(regime.r)
+        sup0 = 0.5 * ((r + 2) / (r + 1)) ** (r + 1)
+    else:
+        sup0 = 0.5 * math.e
+    zero = (0,) * d
+    for frac in np.linspace(0.0, 0.99, 100):
+        assert progeny.dominating_bound(zero, p, frac * R, 0.9)["wh_bound"] <= 1.2 * 0.9 * sup0
+    if not isinstance(regime, stability.Factorial):
+        return
+    # factorial |alpha| >= 1: C (2 theta d)^|alpha| delta1 decay (|alpha|!/alpha!)
+    # / (y - x) for x < y = 2^-(r+2) R, C = tracked_constant
+    y = star.scaled_radius()
+    for alpha in (a for a in alphas_upto(3, d) if sum(a)):
+        m = sum(alpha)
+        C = progeny.tracked_constant(star, m) * (2 * float(star.regime.theta) * d) ** m
+        for frac in (0.0, 0.3, 0.6, 0.9, 0.99):
+            x = frac * y
+            paper = C * 1.2 * 0.9 * progeny._spread(alpha) / (y - x)
+            # equal at x = 0 where the sup is the k = 0 term, up to rounding
+            assert progeny.dominating_bound(alpha, p, x, 0.9)["wh_bound"] <= paper * (1 + 1e-14)
+
+
+def test_bounds_refuse_what_they_cannot_bound():
+    p1 = fact_params(1.5, 1, T=0.01)
+    p2 = fact_params(1.5, 1, T=0.01, d=2)
+    refused = [
+        ("T - t = -0.01", lambda: bound_report((1,), p1, 1.0, 0.01, t=0.02)),
+        ("T - t = nan", lambda: bound_report((1,), p1, 1.0, math.nan)),
+        ("x = -0.001", lambda: progeny.dominating_bound((1,), p1, -0.001, 1.0)),
+        ("x = nan", lambda: progeny.dominating_bound((1,), p1, math.nan, 1.0)),
+        ("x = -", lambda: stability.hbound((1,), fact_params(1.5, 1, lam=1.0, T=-0.01))),
+        ("h = -0.01", lambda: expected_weighted_progeny((1,), 0, 1.0, -0.01, p1)),
+        ("h = nan", lambda: expected_weighted_progeny((1,), 0, 1.0, math.nan, p1)),
+        ("not d = 2", lambda: bound_report((1,), p2, 1.0, 0.01)),
+        ("not d = 2", lambda: progeny.dominating_bound((1, 0, 0), p2, 0.0, 1.0)),
+        ("not d = 2", lambda: stability.hbound((1,), p2)),
+        ("not d = 2", lambda: expected_weighted_progeny((1, 0, 0), 0, 1.0, 0.01, p2)),
+        ("not d = 1", lambda: expected_weighted_progeny((1, 0), 0, 1.0, 0.01, p1)),
+    ]
+    for name, call in refused:
+        with pytest.raises(ValueError, match=re.escape(name)) as info:
+            call()
+        assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("regime", [r for r, _ in ARRAY_PARAMS], ids=[i for _, i in ARRAY_PARAMS])

@@ -143,6 +143,48 @@ def test_unreferenced_scan_sees_an_unused_definition(tmp_path):
     ]
 
 
+REGIME_CLASSES = {"Factorial", "Exponential", "_Regime"}
+# isinstance dispatch on a regime class, kept on purpose: max_horizon is
+# defined for the factorial regime alone, and the stability command emits
+# t_max only there.  Every other formula is a method of the regime.
+REGIME_DISPATCH = {"stability.max_horizon", "cli.cmd_stability"}
+
+
+def regime_dispatch(paths) -> list[str]:
+    """module.name of the top-level definition around each isinstance call
+    whose class argument, or one of its tuple's entries, names a regime
+    class (bare or as an attribute)."""
+    out = []
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not (
+                    isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                ):
+                    continue
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                names = {getattr(kind, "id", getattr(kind, "attr", None)) for kind in kinds}
+                if names & REGIME_CLASSES:
+                    out.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return out
+
+
+def test_regime_dispatch_is_kept_to_the_allowlist():
+    assert sorted(regime_dispatch(sorted(SRC.glob("*.py")))) == sorted(REGIME_DISPATCH)
+
+
+def test_regime_dispatch_scan_sees_a_dispatch(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from . import progeny\nfrom .progeny import Factorial\n\n\n"
+        "def plain(regime):\n    return isinstance(regime, dict)\n\n\n"
+        "def bound(regime, m):\n    if isinstance(regime, progeny.Exponential) and m:\n"
+        "        return 1\n    return 0\n\n\n"
+        "class Regimes:\n    def pick(self, r):\n        return isinstance(r, (int, Factorial))\n"
+    )
+    assert regime_dispatch([tmp_path / "a.py"]) == ["a.bound", "a.Regimes"]
+
+
 def test_import_loads_no_process_pool_and_no_json():
     code = "import branchpde, sys; print(sorted({'multiprocessing', 'json'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
