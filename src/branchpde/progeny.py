@@ -14,28 +14,24 @@ with a = 0, c = d, G(m) = m! g.F(m) for A-hat and a = delta2,
 c = d delta2/2, G(m) = m! w.F(m, j) for A under the preset weights w.  The
 growth sequences (GrowthSequence) and the preset (PresetWeights) carry
 these constants as data, and a_recursion and ahat_recursion read them
-there: no weight is evaluated to recover them.  For rational inputs the
-engine runs in integers, summing each pair of terms l, k-l once.  Otherwise
-it runs in floats on F(m, k) = H(m, k)/m!, one matmul per level k over the
-sizes that level needs, so nothing factorial-sized is formed.
-expected_weighted_progeny passes x a and x c for its series argument x,
-which makes the rows the series terms x^k F(m, k), and reads them along the
-one axis m = |alpha| without building a table.
-
-So an entry (nu, k) depends on nu only through its class (|nu|, nu!), and
-a table holds far fewer values than entries: the ten A-hat tables at d = 2,
-kmax 12, |alpha| <= 3 have 5136 entries with k >= 1 in 2915 (class, k)
-pairs.  Each value, level 0 included, is built once per pair, and the one
-object serves every node of the class.
+there: no weight is evaluated to recover them.  Each returns the one row
+it is asked for, (alpha, k) for k <= kmax.  The inputs pick the arithmetic:
+for rational ones the engine runs in integers, summing each pair of terms
+l, k-l once; a float weight or a float g runs it in floats on F(m, k) =
+H(m, k)/m!, one matmul per level k over the sizes that level needs, so
+nothing factorial-sized is formed.  expected_weighted_progeny passes x a
+and x c for its series argument x, which makes the rows the series terms
+x^k F(m, k), and reads them along the one axis m = |alpha|.
 
 Two tables are built once per distinct input and then shared.  A growth
 sequence keeps the A-hat rows of each (d, length, kmax) it was asked for
-(GrowthSequence.rows), level 0 included, so the tables of every alpha of
-one g run the engine once per key and hand out the same value objects.
-The closed-form log terms are a pure function of (regime, d, |alpha|, K),
-memoised in a bounded cache and returned read-only (ahat_log_terms); they
-do not depend on the horizon.  Both hand back values built by the same arithmetic as a
-fresh build, so every output is unchanged.
+(GrowthSequence.rows), so the rows of every alpha of one order run the
+engine once, and alphas of one class (|alpha|, alpha!) share each value
+object.  The closed-form log terms are a pure function of (regime, d,
+|alpha|, K), memoised in a bounded cache and returned read-only
+(ahat_log_terms); they do not depend on the horizon.  Both hand back values
+built by the same arithmetic as a fresh build, so every output is
+unchanged.
 
 Both regimes have closed forms for A'_nu(k) at every order, nu = 0
 included.  ahat_log_terms evaluates their logarithms for k = 0..K as one
@@ -78,96 +74,68 @@ class OutsideRadius(ValueError):
 
 @dataclass
 class SeriesTable:
-    backend: str                  # "exact" | "float"
-    values: dict                  # (alpha, k) or (alpha, j, k) -> number
+    values: dict                  # (alpha, k) -> number
 
     def __getitem__(self, key):
         return self.values[key]
 
 
-def a_recursion(
-    w: PresetWeights,
-    d: int,
-    alpha: MultiIndex,
-    j: int,
-    kmax: int,
-    as_float: bool = False,
-) -> SeriesTable:
-    """Weighted-progeny coefficients A_{alpha,j}(k) for k <= kmax.
+def a_recursion(w: PresetWeights, d: int, alpha: MultiIndex, j: int, kmax: int) -> SeriesTable:
+    """Weighted-progeny coefficients A_{alpha,j}(k) for k <= kmax, keyed
+    (alpha, k).
 
     A(0) is the inflated boundary weight kappa*sigma_boundary; A(k+1)
     convolves the two subtree coefficient sequences through the offspring
     law.  The weights are the preset of GrowthParams.build_weights, whose
-    constants the table is built from: A_nu(k) = H(|nu|, k)/nu! for the
-    scalar recursion of the module docstring with G(m) = m! w.F(m, j),
-    a = w.a and c = d w.s.  The values do not depend on j >= 0; j = -1 is
-    refused for kmax >= 1 (such a code splits only through its pass-through
-    entry).
-
-    The keys are (nu, l) for every entry the multi-index recursion reads:
-    (alpha, l) for l <= kmax and (nu, l) for l <= kmax - max(e, 1),
-    e = sum_i max(0, nu_i - alpha_i), nu = 0 included.  as_float runs the
-    engine in floats (on H(m, k)/m!, so no factorial-sized float arises at
-    any kmax), the level-0 entries being the floats of the exact ones.
+    constants the row is built from: A_alpha(k) = H(|alpha|, k)/alpha! for
+    the scalar recursion of the module docstring with G(m) = m! w.F(m, j),
+    a = w.a and c = d w.s, exact for rational weights and in floats for
+    float ones.  The values do not depend on j >= 0; j = -1 is refused for
+    kmax >= 1 (such a code splits only through its pass-through entry).  A d
+    that is not an int >= 1, or an alpha whose length is not d, raises
+    ValueError.
     """
+    alpha = _check_alpha(alpha, d)
     _check_levels(j, kmax)
     if w.d != d:
         raise ValueError(f"the weights are built for d = {w.d}, not d = {d}")
-    alpha = tuple(alpha)
-    conv = float if as_float else (lambda v: v)
     terms = [w.F(m, j) for m in range(sum(alpha) + kmax + 1)]
-    row = _series_coefficients(
-        [conv(v) for v in terms], conv(w.a), conv(d * w.s), kmax,
-        lambda m, f: conv(terms[m] * (math.factorial(m) // f)),
-    )
-    return SeriesTable(
-        backend="float" if as_float else "exact",
-        values=_table(row, alpha, kmax, True),
-    )
+    return _row_table(alpha, _series_coefficients(terms, w.a, d * w.s, kmax))
 
 
-def ahat_recursion(
-    g: GrowthSequence,
-    d: int,
-    alpha: MultiIndex,
-    kmax: int,
-) -> SeriesTable:
-    """Dominating coefficients: A'(0) = g(alpha) and
+def ahat_recursion(g: GrowthSequence, d: int, alpha: MultiIndex, kmax: int) -> SeriesTable:
+    """Dominating coefficients A'_alpha(k) for k <= kmax, keyed (alpha, k):
+    A'_alpha(0) = g(alpha) and
 
     A'_alpha(k+1) = 1/(k+1) sum_{beta+gamma=alpha} sum_{l1+l2=k}
                     sum_i (1+gamma_i)(1+beta_i) A'_{gamma+1_i}(l1) A'_{beta+1_i}(l2).
 
     g is a growth sequence (g_factorial, g_exponential), so g(nu) =
-    G(|nu|)/nu! and A'_nu(k) = H(|nu|, k)/nu! for the scalar recursion of
-    the module docstring with G(m) = m! g.F(m), a = 0 and c = d, exact in
-    the arithmetic of g.F's values.  The table holds every entry the
-    multi-index recursion reads: (alpha, l) for l <= kmax and (nu, l) for
-    nu != 0 and l <= kmax - max(e, 1), e = sum_i max(0, nu_i - alpha_i),
-    with the level-0 entries g(nu).  Each value is built once per class
-    (|nu|, nu!) and level, and nodes of one class share the object.
+    G(|nu|)/nu! and A'_alpha(k) = H(|alpha|, k)/alpha! for the scalar
+    recursion of the module docstring with G(m) = m! g.F(m), a = 0 and
+    c = d, exact in the arithmetic of g.F's values.  A d that is not an
+    int >= 1, or an alpha whose length is not d, raises ValueError.
 
     The row function of _series_coefficients is memoised in g.rows under
-    (d, type(d), len(F), kmax), len(F) = |alpha| + kmax + 1: the tables of
-    every alpha of one g run the engine once per key, and a second table of
-    g hands out the same value objects as the first.  The key fixes the
-    engine's inputs exactly (2 and 2.0 are equal keys but pick different
-    engines, hence type(d)), so a memoised row is the row a fresh engine
-    builds, floats included.  The memo lives as long as g and
-    holds one entry per key asked for; regime.g() builds a fresh g on every
-    call.
+    (d, len(F), kmax), len(F) = |alpha| + kmax + 1: the rows of every alpha
+    of one order run the engine once, and a second table of g hands out
+    the same value objects as the first.  The key fixes the engine's inputs
+    exactly, so a memoised row is the row a fresh engine builds, floats
+    included.  The memo lives as long as g and holds one entry per key
+    asked for; regime.g() builds a fresh g on every call.
     """
+    alpha = _check_alpha(alpha, d)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    alpha = tuple(alpha)
-    terms = [g.F(m) for m in range(sum(alpha) + kmax + 1)]
-    key = (d, type(d), len(terms), kmax)
+    size = sum(alpha) + kmax + 1
+    key = (d, size, kmax)
     if key not in g.rows:
-        g.rows[key] = _series_coefficients(terms, 0, d, kmax)
-    values = _table(g.rows[key], alpha, kmax, False)
-    return SeriesTable(
-        backend="exact" if _is_exact(values[alpha, 0]) else "float",
-        values=values,
-    )
+        g.rows[key] = _series_coefficients([g.F(m) for m in range(size)], 0, d, kmax)
+    return _row_table(alpha, g.rows[key])
+
+
+def _row_table(alpha: tuple, row) -> SeriesTable:
+    return SeriesTable({(alpha, l): v for l, v in enumerate(row(sum(alpha), mi_factorial(alpha)))})
 
 
 def _check_levels(j: int, kmax: int) -> None:
@@ -177,35 +145,21 @@ def _check_levels(j: int, kmax: int) -> None:
         raise ValueError("a j = -1 code splits through its pass-through entry, not the preset form")
 
 
-def _table(row, alpha: MultiIndex, kmax: int, with_zero: bool) -> dict:
-    """{(nu, l): H(|nu|, l)/nu!} over the nodes of _table_levels, from the
-    rows row(m, f, top) of the scalar recursion (_series_coefficients)."""
-    values: dict = {}
-    for nu, (top, m, f) in _table_levels(alpha, kmax, with_zero).items():
-        for l, v in enumerate(row(m, f, top)):
-            values[(nu, l)] = v
-    return values
-
-
-def _series_coefficients(
-    F: list, a, c, kmax: int, first: Callable[[int, int], object] | None = None,
-) -> Callable[[int, int, int], list]:
-    """(m, f, top) -> [H(m, l)/f for l = 0..top], for 0 <= top <= kmax and
-    m + top < len(F), H being the scalar recursion of the module docstring
-    with H(m, 0) = m! F[m].  With m = |nu| and f = nu!, that is the row of
-    entries (nu, l) of every node nu of the class (|nu|, nu!).  Level 0 is
-    first(m, f), by default F[m] (m!/f) in F's arithmetic.
+def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int], list]:
+    """(m, f) -> [H(m, l)/f for l = 0..kmax], for m < len(F) - kmax, H
+    being the scalar recursion of the module docstring with H(m, 0) =
+    m! F[m].  With m = |alpha| and f = alpha!, that is the row of entries
+    (alpha, l) of every alpha of the class (|alpha|, alpha!).
 
     That recursion is the coefficient form of dG/ds = a G^2 + c (dG/dy)^2
     in one variable y.  The multinomial Vandermonde sum
     sum_{beta<=nu} C(nu,beta) f(|nu-beta|) h(|beta|) = sum_b C(|nu|,b) f(|nu|-b) h(b)
     collapses the multi-index recursions to it when g(nu) = G(|nu|)/nu!.
     Exact when F, a and c are ints and Fractions (_exact_series), else in
-    floats (_float_series).  Each value, level 0 included, is built once per
-    (m, l, f) and the same object serves every node of the class.  The rows
-    live as long as the returned function: one table for a_recursion, the
-    growth sequence for ahat_recursion, which memoises the function in
-    g.rows.
+    floats (_float_series).  Each row is built once per class, and the one
+    list serves every alpha of it.  The rows live as long as the returned
+    function: one table for a_recursion, the growth sequence for
+    ahat_recursion, which memoises the function in g.rows.
     """
     if all(map(_is_exact, (*F, a, c))):
         J, scale = _exact_series(F, a, c, kmax)
@@ -213,17 +167,12 @@ def _series_coefficients(
     else:
         H = _float_series(F, a, c, kmax)
         value = lambda m, f, l: float(H[l, m]) * (math.factorial(m) // f)
-    if first is None:
-        first = lambda m, f: F[m] * (math.factorial(m) // f)
     rows: dict = {}
 
-    def row(m: int, f: int, top: int) -> list:
-        r = rows.get((m, f))
-        if r is None:
-            r = rows[m, f] = [first(m, f)]
-        while len(r) <= top:
-            r.append(value(m, f, len(r)))
-        return r[: top + 1]
+    def row(m: int, f: int) -> list:
+        if (m, f) not in rows:
+            rows[m, f] = [value(m, f, l) for l in range(kmax + 1)]
+        return rows[m, f]
     return row
 
 
@@ -304,29 +253,6 @@ def _float_series(F: list, a, c, kmax: int) -> np.ndarray:
     return rows
 
 
-def _table_levels(alpha: MultiIndex, kmax: int, with_zero: bool) -> dict:
-    """{nu: (top level, |nu|, nu!)} of the table the multi-index recursion
-    fills from (alpha, l) for l <= kmax: alpha up to kmax, and every other
-    nu up to kmax - max(e, 1), where e = sum_i max(0, nu_i - alpha_i) is its
-    excess over alpha.  nu = 0 is in only with_zero (A reads it, A-hat does
-    not).  The nodes grow one axis at a time, each prefix carrying its
-    excess, size and factorial, and no prefix's excess passes kmax."""
-    fact = [math.factorial(n) for n in range(max(alpha, default=0) + kmax + 1)]
-    prefixes = [((), 0, 0, 1)]
-    for a in alpha:
-        prefixes = [
-            (nu + (n,), e + max(0, n - a), m + n, f * fact[n])
-            for nu, e, m, f in prefixes
-            for n in range(a + kmax - e + 1)
-        ]
-    levels = {alpha: (kmax, sum(alpha), mi_factorial(alpha))}
-    for nu, e, m, f in prefixes:
-        top = kmax - max(e, 1)
-        if top >= 0 and nu != alpha and (with_zero or m):
-            levels[nu] = (top, m, f)
-    return levels
-
-
 def _is_exact(v) -> bool:
     # a float is ruled out first: isinstance(v, Fraction) is an ABC check,
     # slow for the floats that fail it
@@ -345,7 +271,7 @@ class GrowthSequence:
     # fields, not methods, so that a wrapper of g made by functools.wraps
     # (which copies the instance dict) still carries F and shares the rows
     F: Callable[[int], object]
-    # ahat_recursion's row functions, one per (d, type(d), len(F), kmax)
+    # ahat_recursion's row functions, one per (d, len(F), kmax)
     rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __call__(self, alpha: MultiIndex):
@@ -615,9 +541,12 @@ def check_domination_condition(
 
     Uses the regime's exact ratio formula (regime.ratio), whose minimum over
     k and alpha, reached at alpha = 0 and k = 0, is regime.side_lhs(), the
-    left side of side-theta; also validates the ratio identity against
-    recursion values on a small grid, alpha = 0 included, in rationals (the
-    regime's parameters are converted to Fractions).
+    left side of side-theta.  Also validates the ratio identity against
+    recursion values, in rationals (the regime's parameters are converted to
+    Fractions), as (m+1) A'_{(m+1) e_1}(k) = ratio(m, k) A'_{m e_1}(k) for
+    m <= grid_alphamax and k <= grid_kmax, m = 0 included.  As A'_alpha(k) =
+    H(|alpha|, k)/alpha!, that is H(m+1, k) = ratio(m, k) H(m, k), the
+    identity at every alpha of order m and every i.
     """
     rhs = math.sqrt(2.0 / d)
     lhs = regime.side_lhs()
@@ -627,22 +556,17 @@ def check_domination_condition(
     # (the latter is only expected to hold when the analytic verdict passes)
     identity_ok = True
     grid_ok = True
-    zero = tuple(0 for _ in range(d))
-    table = ahat_recursion(exact.g(), d, zero, grid_kmax)
-    for al in mi_upto(grid_alphamax, d):
+    g = exact.g()
+    axis = [(m,) + (0,) * (d - 1) for m in range(grid_alphamax + 2)]
+    rows = [ahat_recursion(g, d, nu, grid_kmax) for nu in axis]
+    for m in range(grid_alphamax + 1):
         for k in range(grid_kmax + 1):
-            if (al, k) not in table.values:
-                continue
-            base = table.values[(al, k)]
-            for i in range(1, d + 1):
-                up = mi_add_unit(al, i)
-                if (up, k) not in table.values:
-                    continue
-                lhs_val = (1 + al[i - 1]) * table.values[(up, k)]
-                if lhs_val != exact.ratio(mi_abs(al), k) * base:
-                    identity_ok = False
-                if float(lhs_val) < rhs * float(base) - 1e-12:
-                    grid_ok = False
+            base = rows[m][axis[m], k]
+            up = (m + 1) * rows[m + 1][axis[m + 1], k]
+            if up != exact.ratio(m, k) * base:
+                identity_ok = False
+            if float(up) < rhs * float(base) - 1e-12:
+                grid_ok = False
     return DominationReport(
         regime=regime.name,
         lhs=lhs,
@@ -913,6 +837,8 @@ def _spread(alpha: MultiIndex) -> int:
 
 
 def _check_alpha(alpha: MultiIndex, d: int) -> tuple:
+    if type(d) is not int or d < 1:
+        raise ValueError(f"d = {d!r} must be an int >= 1")
     alpha = tuple(alpha)
     if len(alpha) != d:
         raise ValueError(f"alpha = {alpha} has {len(alpha)} entries, not d = {d}")
@@ -933,9 +859,9 @@ def contact_hj_consistency(g: GrowthSequence, d: int, kmax: int, alphamax: int) 
     w = PresetWeights(g, Fraction(1), Fraction(1), d)
     values: dict = {}
 
-    def A(al, k):
+    def A(al, k):  # row by row, each up to kmax
         if (al, k) not in values:
-            values.update(a_recursion(w, d, al, 0, k).values)
+            values.update(a_recursion(w, d, al, 0, kmax).values)
         return values[(al, k)]
 
     for al in mi_upto(alphamax, d):

@@ -35,7 +35,9 @@ class GrowthParams:
 
     The side conditions regime.side_lhs() >= sqrt(2/d) (side_lhs is theta r,
     resp. theta) and min(side_lhs^2, 1) >= 1/((d+1) delta1 delta2) are
-    exposed as booleans and rechecked by check_conditions.
+    exposed as booleans and rechecked by check_conditions.  A delta or lam
+    that is not finite and > 0, a negative or NaN T, or a d that is not an
+    int >= 1 raises ValueError.
     """
 
     regime: Factorial | Exponential
@@ -46,8 +48,13 @@ class GrowthParams:
     d: int
 
     def __post_init__(self):
-        if self.delta1 <= 0 or self.delta2 <= 0 or self.lam <= 0 or self.d < 1:
-            raise ValueError("need delta1, delta2, lambda > 0 and d >= 1")
+        for name, value in (("delta1", self.delta1), ("delta2", self.delta2), ("lambda", self.lam)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} = {value!r} must be finite and > 0")
+        if not self.T >= 0:
+            raise ValueError(f"the horizon T = {self.T!r} must be >= 0")
+        if type(self.d) is not int or self.d < 1:
+            raise ValueError(f"d = {self.d!r} must be an int >= 1")
 
     def radius(self) -> float:
         return self.regime.radius(self.d)

@@ -111,16 +111,20 @@ def _check_dominance_series() -> bool:
 
 def _check_series_engine() -> bool:
     """The engine's float branch against its integer branch, through
-    a_recursion on the preset weights, to a relative 1e-12."""
-    regime = stability.Factorial(theta=Fraction(3, 2), r=Fraction(1))
-    for alpha in ((2,), (1, 1)):
+    a_recursion on float- and Fraction-parameter preset weights, to a
+    relative 1e-12."""
+
+    def row(theta, r, delta, alpha):
         d = len(alpha)
-        p = stability.GrowthParams(regime, Fraction(6, 5), Fraction(6, 5), 1.0, 0.1, d)
-        w = p.build_weights()
-        exact = progeny.a_recursion(w, d, alpha, 0, 12)
-        floats = progeny.a_recursion(w, d, alpha, 0, 12, as_float=True)
-        if floats.values.keys() != exact.values.keys() or not all(
-            math.isclose(floats[key], float(v), rel_tol=1e-12) for key, v in exact.values.items()
+        p = stability.GrowthParams(stability.Factorial(theta, r), delta, delta, 1.0, 0.1, d)
+        return progeny.a_recursion(p.build_weights(), d, alpha, 0, 12)
+
+    for alpha in ((2,), (1, 1)):
+        exact = row(Fraction(3, 2), Fraction(1), Fraction(6, 5), alpha)
+        floats = row(1.5, 1.0, 1.2, alpha)
+        if not all(
+            type(floats[key]) is float and math.isclose(floats[key], float(v), rel_tol=1e-12)
+            for key, v in exact.values.items()
         ):
             return False
     return True

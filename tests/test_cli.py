@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -263,6 +264,30 @@ STABILITY = {
     "regime": {"kind": "factorial", "theta": 1.5, "r": 1},
     "lambda": 1.0, "delta1": 1.2, "delta2": 1.2, "d": 1, "T": 0.001, "m_max": 2,
 }
+
+
+# sha256 of the analyzer's outputs, fixed when the A and A-hat tables became
+# one row each; a change to any printed digit changes them
+FACTORIAL = {"kind": "factorial", "theta": 1.5, "r": 1}
+OUTPUT_DIGESTS = [
+    ("progeny", {"regime": FACTORIAL, "d": 2, "kmax": 6, "alpha_max": 3, "exact": True},
+     "43b9c4ff1c6dd052852055455666ede8a5ff5f74c597e8c6910ccc92b8b94baa"),
+    ("progeny", {"regime": FACTORIAL, "d": 2, "kmax": 6, "alpha_max": 3, "exact": False},
+     "3c9cd82c629d4ef6e10df0039a7da7725acedb99aa454fe2a661cd973e060086"),
+    ("progeny", {"regime": {"kind": "exponential", "theta": 1.5}, "d": 3, "kmax": 4, "alpha_max": 3},
+     "d00903353d915eb476277097e0988e6f85d3a3445874a08f01d700cefaebc0ef"),
+    ("stability", {**STABILITY, "sweep_T": [0.0, 0.0005, 0.001]},
+     "637645da1bc7ffb2e2c7fe90e9d8fc1d3a0f4b1ab79f3844cd792bc9a4f9f675"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, digest", OUTPUT_DIGESTS,
+                         ids=["progeny-factorial-exact", "progeny-factorial-float",
+                              "progeny-exponential", "stability-sweep"])
+def test_analyzer_output_is_byte_for_byte_unchanged(tmp_path, capsys, command, cfg, digest):
+    code, out, _ = run_command(tmp_path, capsys, command, cfg)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fields", [

@@ -130,7 +130,7 @@ def test_ahat_recursion_hand_unrolled():
     table2 = ahat_recursion(ge, 1, (1,), 1)
     assert table2.values[((1,), 1)] == 2
     # base case is g itself
-    assert table2.values[((2,), 0)] == Fraction(1, 2)
+    assert ahat_recursion(ge, 1, (2,), 1).values[((2,), 0)] == Fraction(1, 2)
 
 
 def test_closed_factorial_spot_values():
@@ -156,8 +156,8 @@ def test_recursion_equals_closed_forms_exact(d):
     zero = (0,) * d
     tf = ahat_recursion(gf, d, zero, 6)
     te = ahat_recursion(ge, d, zero, 6)
-    # tables grown from alpha=0 contain every |alpha| <= 4 entry at lower k;
-    # grow the remaining corners explicitly
+    # each table holds its own alpha's row; gather the rows of every
+    # |alpha| <= 4
     for alpha in alphas_upto(4, d):
         if mi_abs(alpha) == 0:
             continue
@@ -742,7 +742,7 @@ def test_bounds_refuse_what_they_cannot_bound():
         ("T - t = nan", lambda: bound_report((1,), p1, 1.0, math.nan)),
         ("x = -0.001", lambda: progeny.dominating_bound((1,), p1, -0.001, 1.0)),
         ("x = nan", lambda: progeny.dominating_bound((1,), p1, math.nan, 1.0)),
-        ("x = -", lambda: stability.hbound((1,), fact_params(1.5, 1, lam=1.0, T=-0.01))),
+        ("T = -0.01", lambda: stability.hbound((1,), fact_params(1.5, 1, lam=1.0, T=-0.01))),
         ("h = -0.01", lambda: expected_weighted_progeny((1,), 0, 1.0, -0.01, p1)),
         ("h = nan", lambda: expected_weighted_progeny((1,), 0, 1.0, math.nan, p1)),
         ("not d = 2", lambda: bound_report((1,), p2, 1.0, 0.01)),

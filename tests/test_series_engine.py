@@ -5,12 +5,16 @@ replaced, and its float branch against its integer branch.
 reference_a_recursion and reference_ahat_recursion are those recursions,
 kept verbatim as test-only oracles.  They cost O(prod(1+nu)) work per entry,
 so the grids below stop at K = 6 where d <= 2 and at smaller K where d = 3.
+Each node (nu, l) a reference reaches is checked against the engine's own
+row of nu, read at l.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -19,8 +23,17 @@ import pytest
 from branchpde import progeny, stability
 from branchpde.mechanism import index_product
 from branchpde.multiindex import MultiIndex, mi_add_unit, mi_enumerate_below, mi_sub
-from branchpde.progeny import SeriesTable, a_recursion, ahat_recursion, expected_weighted_progeny
+from branchpde.progeny import a_recursion, ahat_recursion, expected_weighted_progeny
 from branchpde.tree import WeightSpec
+
+
+@dataclass
+class SeriesTable:
+    """A reference table: every node the recursion reached, and the
+    arithmetic it ran in."""
+
+    backend: str                  # "exact" | "float"
+    values: dict                  # (nu, l) or (nu, j, l) -> number
 
 
 def reference_a_recursion(
@@ -167,9 +180,29 @@ def closures(w):
     return WeightSpec(functools.cache(w.sigma_boundary), functools.cache(w.sigma_inner), w.kappa)
 
 
-def assert_same_table(new, ref):
-    assert new.values.keys() == ref.values.keys()
-    assert new == ref
+def reached_nodes(alpha, kmax):
+    """The nodes (nu, l) that the multi-index A-hat recursion reads from
+    (alpha, l), l <= kmax: alpha up to kmax, and every other nu != 0 up to
+    kmax - max(e, 1), e = sum_i max(0, nu_i - alpha_i) being its excess over
+    alpha."""
+    nodes = {(alpha, l) for l in range(kmax + 1)}
+    for nu in product(*(range(a + kmax + 1) for a in alpha)):
+        if any(nu) and nu != alpha:
+            excess = sum(max(0, n - a) for n, a in zip(nu, alpha))
+            nodes.update((nu, l) for l in range(kmax - max(excess, 1) + 1))
+    return nodes
+
+
+def assert_nodes_equal(ref, value):
+    """value(nu, l) equals the reference at every node (nu, l) of ref:
+    exactly, and as a Fraction, for exact references; as a float within a
+    relative 1e-12 for float ones."""
+    for (nu, l), v in ref.items():
+        got = value(nu, l)
+        if type(v) is float:
+            assert type(got) is float and got == pytest.approx(v, rel=1e-12, abs=0), (nu, l)
+        else:
+            assert type(got) is Fraction and got == v, (nu, l)
 
 
 @pytest.mark.parametrize("name", sorted(GROWTH))
@@ -179,8 +212,9 @@ def test_ahat_recursion_matches_reference(name, d, kmax):
     cached = functools.cache(lambda nu: g(nu))  # the reference calls g node by node
     for alpha in alphas_upto(3, d):
         for k in range(kmax + 1):
-            new = ahat_recursion(g, d, alpha, k)
-            assert_same_table(new, reference_ahat_recursion(cached, d, alpha, k))
+            ref = reference_ahat_recursion(cached, d, alpha, k).values
+            assert ref.keys() == reached_nodes(alpha, k)
+            assert_nodes_equal(ref, lambda nu, l: ahat_recursion(g, d, nu, l)[nu, l])
 
 
 @pytest.mark.parametrize("name", sorted(GROWTH))
@@ -191,57 +225,59 @@ def test_a_recursion_collapsed_matches_reference(name, d, kmax):
     for alpha in alphas_upto(3, d):
         for k in range(kmax + 1):
             for j in (0, 1, 2) if d == 1 else (0,):
-                new = a_recursion(w, d, alpha, j, k)
-                assert_same_table(new, reference_a_recursion(ref_w, d, alpha, j, k, collapse_j=True))
+                ref = reference_a_recursion(ref_w, d, alpha, j, k, collapse_j=True).values
+                assert_nodes_equal(ref, lambda nu, l: a_recursion(w, d, nu, j, l)[nu, l])
 
 
 @pytest.mark.parametrize(
     "d,kmax,j", [(d, kmax, j) for d, kmax in ((1, 6), (2, 3)) for j in (0, 1, 2)] + [(3, 2, 2)]
 )
 def test_a_recursion_j_axis_matches_reference(d, kmax, j):
-    # the reference keeps the j axis, (nu, j', k); every j' it reaches holds
-    # the values of the one engine table
+    # the reference keeps the j axis, (nu, j', k); at every j' it reaches,
+    # a_recursion's row of nu at j' holds the value
     w = preset(GROWTH["factorial"][1], d)
     ref_w = closures(w)
     for alpha in alphas_upto(3, d):
         for k in range(kmax + 1):
-            new = a_recursion(w, d, alpha, j, k).values
             ref = reference_a_recursion(ref_w, d, alpha, j, k).values
-            assert {(nu, l) for nu, _, l in ref} == new.keys()
             for (nu, jj, l), v in ref.items():
-                assert new[nu, l] == v, (nu, jj, l)
+                got = a_recursion(w, d, nu, jj, l)[nu, l]
+                assert type(got) is Fraction and got == v, (nu, jj, l)
 
 
-FLOAT_GROWTH = {  # the float-parameter sequences of GROWTH
-    "factorial": progeny.g_factorial(float(THETA), float(R)),
-    "exponential": progeny.g_exponential(float(THETA)),
+FLOAT_REGIME = {  # the float-parameter regimes of GROWTH
+    "factorial": stability.Factorial(float(THETA), float(R)),
+    "exponential": stability.Exponential(float(THETA)),
 }
+FLOAT_GROWTH = {name: regime.g() for name, regime in FLOAT_REGIME.items()}
+
+
+def float_preset(name, d):
+    """preset(GROWTH[name][1], d) with float parameters."""
+    return stability.GrowthParams(FLOAT_REGIME[name], 1.2, 1.2, 1.0, 0.1, d).build_weights()
 
 
 @pytest.mark.parametrize("name", sorted(GROWTH))
 @pytest.mark.parametrize("d,alpha,kmax", [(1, (2,), 30), (2, (0, 0), 12), (2, (1, 2), 10)])
 def test_float_path_matches_exact_path(name, d, alpha, kmax):
+    # float parameters pick the float engine; its rows of alpha and of every
+    # nu below it equal the exact rows of the matching rational parameters
     g, regime = GROWTH[name]
-    w = preset(regime, d)
-    exact = a_recursion(w, d, alpha, 0, kmax)
-    floats = a_recursion(w, d, alpha, 0, kmax, as_float=True)
-    assert floats.backend == "float" and floats.values.keys() == exact.values.keys()
-    for key, v in exact.values.items():
-        assert floats.values[key] == pytest.approx(float(v), rel=1e-12, abs=0)
-    exact = ahat_recursion(g, d, alpha, kmax)
-    floats = ahat_recursion(FLOAT_GROWTH[name], d, alpha, kmax)
-    assert floats.backend == "float" and floats.values.keys() == exact.values.keys()
-    for key, v in exact.values.items():
-        assert floats.values[key] == pytest.approx(float(v), rel=1e-12, abs=0)
+    w, fw = preset(regime, d), float_preset(name, d)
+    for nu in mi_enumerate_below(alpha):
+        for exact, floats in (
+            (a_recursion(w, d, nu, 0, kmax), a_recursion(fw, d, nu, 0, kmax)),
+            (ahat_recursion(g, d, nu, kmax), ahat_recursion(FLOAT_GROWTH[name], d, nu, kmax)),
+        ):
+            ref = {key: float(v) for key, v in exact.values.items()}
+            assert_nodes_equal(ref, lambda *key: floats[key])
 
 
 def test_float_path_matches_reference_float_path():
     w = preset(GROWTH["factorial"][1], 1)
-    new = a_recursion(w, 1, (2,), 0, 12, as_float=True)
-    ref = reference_a_recursion(closures(w), 1, (2,), 0, 12, collapse_j=True, as_float=True)
-    assert new.values.keys() == ref.values.keys()
-    for key, v in ref.values.items():
-        assert new.values[key] == pytest.approx(v, rel=1e-12, abs=0)
+    ref = reference_a_recursion(closures(w), 1, (2,), 0, 12, collapse_j=True, as_float=True).values
+    fw = float_preset("factorial", 1)
+    assert_nodes_equal(ref, lambda nu, l: a_recursion(fw, 1, nu, 0, l)[nu, l])
 
 
 def test_j_minus_one():
@@ -311,9 +347,10 @@ def test_float_paths_do_not_overflow_at_large_truncation():
     for ktrunc in (180, 500):
         value = expected_weighted_progeny((1,), 0, 1.0, 0.05, p, ktrunc)["value"]
         assert math.isfinite(value) and value == pytest.approx(ref, rel=1e-12, abs=0)
-    w = p.build_weights()
-    floats = a_recursion(w, 1, (1,), 0, 200, as_float=True)
-    exact = a_recursion(w, 1, (1,), 0, 30)
+    fp = stability.GrowthParams(stability.Factorial(1.0, 1.0), 1.0, 1.0, 1.0, 0.05, 1)
+    floats = a_recursion(fp.build_weights(), 1, (1,), 0, 200)
+    exact = a_recursion(p.build_weights(), 1, (1,), 0, 30)
+    assert all(type(v) is float and math.isfinite(v) for v in floats.values.values())
     for key, v in exact.values.items():
         assert floats[key] == pytest.approx(float(v), rel=1e-12, abs=0)
 
@@ -339,28 +376,26 @@ def test_float_parameter_growth_does_not_overflow():
 
 
 def test_benchmark_shape_ahat_tables_equal_the_closed_form():
-    # the analyze-series shape: g_factorial(1, 1), d = 2, kmax 12, |alpha| <= 3
+    # the analyze-series shape: g_factorial(1, 1), d = 2, kmax 12, |alpha| <= 3;
+    # every node its multi-index tables held, through a row of its own
     one = Fraction(1)
     g = progeny.g_factorial(one, one)
     entries = 0
     for alpha in alphas_upto(3, 2):
-        table = ahat_recursion(g, 2, alpha, 12)
-        assert table.backend == "exact"
-        for (nu, k), v in table.values.items():
-            if sum(nu) >= 1:
-                assert type(v) is Fraction and v == progeny.ahat_closed_factorial(one, one, 2, nu, k)
-                entries += 1
-        # nodes of one class (|nu|, nu!) share each value past level 0; a
-        # second call on g hands out the same objects (g memoises its rows),
-        # and a fresh g builds equal but new ones
-        again = ahat_recursion(g, 2, alpha, 12)
-        fresh = ahat_recursion(progeny.g_factorial(one, one), 2, alpha, 12)
-        for k in range(1, 12):
-            if ((1, 2), k) in table.values and ((2, 1), k) in table.values:
-                assert table[(1, 2), k] is table[(2, 1), k]
-                assert again[(1, 2), k] is table[(1, 2), k]
-                assert fresh[(1, 2), k] == table[(1, 2), k] and fresh[(1, 2), k] is not table[(1, 2), k]
-    assert entries == 6289  # the 6302 entries the benchmark checks, less alpha = 0's own
+        for nu, k in reached_nodes(alpha, 12):
+            v = ahat_recursion(g, 2, nu, k)[nu, k]
+            assert type(v) is Fraction and v == progeny.ahat_closed_factorial(one, one, 2, nu, k)
+            entries += 1
+    assert entries == 6302  # the tables' old entries, alpha = 0's 13 included
+    # alphas of one class (|alpha|, alpha!) share each value; a second call
+    # on g hands out the same objects (g memoises its rows), and a fresh g
+    # builds equal but new ones
+    for k in range(13):
+        shared = ahat_recursion(g, 2, (1, 2), 12)[(1, 2), k]
+        assert shared is ahat_recursion(g, 2, (2, 1), 12)[(2, 1), k]
+        assert shared is ahat_recursion(g, 2, (1, 2), 12)[(1, 2), k]
+        fresh = ahat_recursion(progeny.g_factorial(one, one), 2, (1, 2), 12)[(1, 2), k]
+        assert fresh == shared and fresh is not shared
 
 
 @pytest.mark.parametrize("make_g", [
@@ -399,7 +434,25 @@ def test_tables_of_one_g_run_the_engine_once_per_key(monkeypatch):
     for alpha in alphas_upto(3, 2):
         ahat_recursion(g, 2, alpha, 12)
     assert sorted(runs) == [(2, n, 12) for n in (13, 14, 15, 16)]
-    assert sorted(g.rows) == [(2, int, n, 12) for n in (13, 14, 15, 16)]
-    # an equal but float d picks the float engine, so it is a key of its own
-    assert type(ahat_recursion(g, 2.0, (1, 0), 12)[(1, 0), 2]) is float
-    assert type(ahat_recursion(g, 2, (1, 0), 12)[(1, 0), 2]) is Fraction
+    assert sorted(g.rows) == [(2, n, 12) for n in (13, 14, 15, 16)]
+    # an equal but float d is refused, so d alone keys the rows
+    with pytest.raises(ValueError, match="d = 2.0 must be an int >= 1"):
+        ahat_recursion(g, 2.0, (1, 0), 12)
+    assert sorted(g.rows) == [(2, n, 12) for n in (13, 14, 15, 16)]
+
+
+@pytest.mark.parametrize("d,alpha,message", [
+    (2, (1,), "alpha = (1,) has 1 entries, not d = 2"),
+    (1, (1, 0), "alpha = (1, 0) has 2 entries, not d = 1"),
+    (2.0, (1, 0), "d = 2.0 must be an int >= 1"),
+    (0, (), "d = 0 must be an int >= 1"),
+    (-1, (1,), "d = -1 must be an int >= 1"),
+    (True, (1,), "d = True must be an int >= 1"),
+])
+def test_recursions_refuse_malformed_inputs(d, alpha, message):
+    g = progeny.g_factorial(Fraction(1), Fraction(1))
+    w = progeny.PresetWeights(g, Fraction(1), Fraction(1), 2)
+    for call in (lambda: ahat_recursion(g, d, alpha, 3), lambda: a_recursion(w, d, alpha, 0, 3)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    assert not g.rows

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -56,6 +57,22 @@ def test_code_bounds_refuse_d_above_1():
     p = GrowthParams(Factorial(1.5, 1), 6.0, 1.2, 1.0, B2_T, 2)
     with pytest.raises(ValueError):
         verify_code_bounds(b2_problem(B2_T).oracle, p, GRID, m_max=2)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("T", -0.01, "the horizon T = -0.01 must be >= 0"),
+    ("T", math.nan, "the horizon T = nan must be >= 0"),
+    *[
+        (field, value, f"{name} = {value!r} must be finite and > 0")
+        for field, name in (("delta1", "delta1"), ("delta2", "delta2"), ("lam", "lambda"))
+        for value in (math.nan, math.inf, 0.0, -1.2, Fraction(-6, 5))
+    ],
+    *[("d", value, f"d = {value!r} must be an int >= 1") for value in (0, 2.0, True)],
+])
+def test_growth_params_refuse_what_no_bound_holds_for(field, value, message):
+    fields = {"delta1": 1.2, "delta2": 1.2, "lam": 1.0, "T": B2_T, "d": 1, field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GrowthParams(Factorial(1.5, 1), **fields)
 
 
 @pytest.mark.parametrize("delta2, holds", [(Fraction(1), True), (Fraction(2, 3), False)])
