@@ -295,12 +295,10 @@ def test_canonical_weights_satisfy_the_multi_index_identity():
     assert progeny.contact_hj_consistency(g, 3, kmax=3, alphamax=2)
 
 
-# d -> (alphas, truncations); the exact d = 3 tables at ktrunc 30 hold
-# about 5000 nodes of Fractions each, so d = 3 stops at 6
-EWP_CASES = {
+EWP_CASES = {  # d -> (alphas, truncations)
     1: ([(0,), (1,), (3,)], (0, 1, 6, 30)),
     2: ([(0, 0), (1, 1), (2, 1)], (0, 1, 6, 30)),
-    3: ([(0, 0, 0), (1, 1, 1)], (0, 1, 6)),
+    3: ([(0, 0, 0), (1, 1, 1)], (0, 1, 6, 30)),
 }
 
 
