@@ -256,7 +256,7 @@ def cmd_solve(args) -> int:
 
     buf = io.StringIO()
     if out_fmt == "csv":
-        write_csv(buf, rows, code, n, seed, offsets)
+        write_csv(buf, rows, code, seed, offsets)
         payload = buf.getvalue()
     else:
         payload = json.dumps(

@@ -1,7 +1,7 @@
-"""Stirling numbers, Gamma ratios and the exact identities used by the
-growth analysis.
+"""Stirling numbers, the rising factorial and the exact identities used by
+the growth analysis.
 
-Integer-valued results are exact; `log_gamma_ratio` is the only float path.
+Every result is exact for integer and rational arguments.
 """
 
 from __future__ import annotations
@@ -66,26 +66,11 @@ def tree_identity_check(k: int) -> bool:
     return lhs == rhs
 
 
-def log_gamma_ratio(a: float, b: float) -> float:
-    """log(Gamma(a) / Gamma(b)) for a, b > 0, overflow-safe."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"need positive arguments, got a={a}, b={b}")
-    return math.lgamma(a) - math.lgamma(b)
-
-
-def gamma_ratio_exact(b: Fraction, n: int) -> Fraction:
-    """Gamma(b + n) / Gamma(b) = b (b+1) ... (b+n-1), exact for rational b."""
+def rising_factorial(b, n: int):
+    """b (b+1) ... (b+n-1) = Gamma(b + n)/Gamma(b), exact for rational b."""
     if n < 0:
         raise ValueError("n must be >= 0")
     out = Fraction(1)
     for i in range(n):
         out *= b + i
-    return out
-
-
-def pochhammer_falling(m: int, r) -> Fraction:
-    """(m + r - 1)_m = (r)(r+1)...(r+m-1), the growth factor prod_{l<m}(r+l)."""
-    out = Fraction(1)
-    for l in range(m):
-        out *= r + l
     return out

@@ -250,7 +250,6 @@ def write_csv(
     fileobj,
     rows: Sequence[tuple[float, tuple, Estimate]],
     code: Code,
-    n: int,
     seed: int,
     seed_offsets: Optional[Sequence[int]] = None,
 ) -> None:

@@ -57,7 +57,7 @@ def index_product(alpha: MultiIndex) -> int:
     return out
 
 
-def _entry(c: Code, d: int, kind: int, beta: MultiIndex) -> MechanismEntry:
+def _entry(c: Code, kind: int, beta: MultiIndex) -> MechanismEntry:
     alpha, j = c
     if kind == 0:
         return MechanismEntry(
@@ -94,7 +94,7 @@ def offspring_set(c: Code, d: int) -> list[MechanismEntry]:
     out = []
     for kind in range(d + 1):
         for beta in mi_enumerate_below(alpha):
-            out.append(_entry(c, d, kind, beta))
+            out.append(_entry(c, kind, beta))
     return out
 
 
@@ -130,7 +130,7 @@ def _check_membership(c: Code, entry: MechanismEntry, d: int) -> None:
         not 0 <= b <= a for b, a in zip(entry.beta, alpha)
     ):
         raise ValueError(f"entry beta {entry.beta} not below alpha {alpha}")
-    if entry != _entry(c, d, entry.kind, entry.beta):
+    if entry != _entry(c, entry.kind, entry.beta):
         raise ValueError(f"entry {entry} not in the offspring set of {c}")
 
 
@@ -162,7 +162,7 @@ def sample_offspring(c: Code, d: int, u: float) -> MechanismEntry:
     if kind == 0:
         total = index_product(alpha)
         rank = min(int(frac * total), total - 1)
-        return _entry(c, d, 0, _beta_from_rank(alpha, rank))
+        return _entry(c, 0, _beta_from_rank(alpha, rank))
     i = kind
     beta = []
     for pos, a in enumerate(alpha, start=1):
@@ -183,7 +183,7 @@ def sample_offspring(c: Code, d: int, u: float) -> MechanismEntry:
                     break
                 acc += w
         beta.append(val)
-    return _entry(c, d, i, tuple(beta))
+    return _entry(c, i, tuple(beta))
 
 
 def sample_offspring_indices(alpha: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:

@@ -36,12 +36,12 @@ unchanged.
 Both regimes have closed forms for A'_nu(k) at every order, nu = 0
 included.  ahat_log_terms evaluates their logarithms for k = 0..K as one
 numpy array (log k! as a cumulative sum of logs, the factorial regime's
-Gamma ratio through math.lgamma); the one bound, the A' series with its
-tail closure (bound_report), and the tail of expected_weighted_progeny
-read their terms from it, and ahat_value_log is the scalar reference.
-The closed forms run along the first axis, and A'_nu = (|nu|!/nu!)
-A'_{|nu| e_1}.  Each regime's formulas (g, radius, closed-form terms)
-are methods of Factorial and Exponential.
+Gamma ratio through math.lgamma), and the regime's closed_log is the
+scalar reference.  _ahat_series reads the terms of the A' series and its
+tail closure from it, for the one bound (bound_report) and the tail of
+expected_weighted_progeny.  The closed forms run along the first axis,
+and A'_nu = (|nu|!/nu!) A'_{|nu| e_1}.  Each regime's formulas (g,
+radius, closed-form terms) are methods of Factorial and Exponential.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .combinatorics import gamma_ratio_exact, log_gamma_ratio, pochhammer_falling
+from .combinatorics import rising_factorial
 from .mechanism import index_product
 from .multiindex import (
     MultiIndex,
@@ -93,7 +93,8 @@ def a_recursion(w: PresetWeights, d: int, alpha: MultiIndex, j: int, kmax: int) 
     float ones.  The values do not depend on j >= 0; j = -1 is refused for
     kmax >= 1 (such a code splits only through its pass-through entry).  A d
     that is not an int >= 1, or an alpha whose length is not d, raises
-    ValueError.
+    ValueError; a float row that leaves the float range raises
+    OverflowError.
     """
     alpha = _check_alpha(alpha, d)
     _check_levels(j, kmax)
@@ -114,7 +115,8 @@ def ahat_recursion(g: GrowthSequence, d: int, alpha: MultiIndex, kmax: int) -> S
     G(|nu|)/nu! and A'_alpha(k) = H(|alpha|, k)/alpha! for the scalar
     recursion of the module docstring with G(m) = m! g.F(m), a = 0 and
     c = d, exact in the arithmetic of g.F's values.  A d that is not an
-    int >= 1, or an alpha whose length is not d, raises ValueError.
+    int >= 1, or an alpha whose length is not d, raises ValueError; a float
+    row that leaves the float range raises OverflowError.
 
     The row function of _series_coefficients is memoised in g.rows under
     (d, len(F), kmax), len(F) = |alpha| + kmax + 1: the rows of every alpha
@@ -156,17 +158,20 @@ def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int], list]
     sum_{beta<=nu} C(nu,beta) f(|nu-beta|) h(|beta|) = sum_b C(|nu|,b) f(|nu|-b) h(b)
     collapses the multi-index recursions to it when g(nu) = G(|nu|)/nu!.
     Exact when F, a and c are ints and Fractions (_exact_series), else in
-    floats (_float_series).  Each row is built once per class, and the one
-    list serves every alpha of it.  The rows live as long as the returned
-    function: one table for a_recursion, the growth sequence for
-    ahat_recursion, which memoises the function in g.rows.
+    floats (_float_series), where a row that leaves the float range raises
+    OverflowError at its first value that is not finite.  Each row is built
+    once per class, and the one list serves every alpha of it.  The rows
+    live as long as the returned function: one table for a_recursion, the
+    growth sequence for ahat_recursion, which memoises the function in
+    g.rows.
     """
     if all(map(_is_exact, (*F, a, c))):
         J, scale = _exact_series(F, a, c, kmax)
         value = lambda m, f, l: Fraction(J[l][m], scale[l] * f)
     else:
-        H = _float_series(F, a, c, kmax)
-        value = lambda m, f, l: float(H[l, m]) * (math.factorial(m) // f)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+            H = _float_series(F, a, c, kmax)
+        value = lambda m, f, l: _finite(float(H[l, m]) * (math.factorial(m) // f), l)
     rows: dict = {}
 
     def row(m: int, f: int) -> list:
@@ -174,6 +179,12 @@ def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int], list]
             rows[m, f] = [value(m, f, l) for l in range(kmax + 1)]
         return rows[m, f]
     return row
+
+
+def _finite(v: float, l: int) -> float:
+    if not math.isfinite(v):
+        raise OverflowError(f"the coefficient at l = {l} is {v} in floats")
+    return v
 
 
 def _exact_series(F: list, a, c, kmax: int) -> tuple:
@@ -378,7 +389,7 @@ def ahat_closed_factorial(theta, r, d: int, alpha: MultiIndex, k: int):
         raise ValueError("k must be >= 0")
     if _is_exact(theta) and _is_exact(r):
         base = Fraction((r + 1) * (k + 1)) - 1
-        ratio = gamma_ratio_exact(base, k + m) / base
+        ratio = rising_factorial(base, k + m) / base
         return (
             Fraction(2 * d) ** k
             * Fraction(r) ** (k + 1)
@@ -435,7 +446,7 @@ class Factorial(_Regime):
 
     def envelope(self, m: int):
         """G(m) = theta^m (r)(r+1)...(r+m-1)."""
-        return self.theta**m * pochhammer_falling(m, self.r)
+        return self.theta**m * rising_factorial(self.r, m)
 
     def radius(self, d: int) -> float:
         """(r+1)^{r+1} / (2 theta^2 r (r+2)^{r+2} d)."""
@@ -461,7 +472,7 @@ class Factorial(_Regime):
             + (k + 1) * math.log(r)
             + (2 * k + m) * math.log(theta)
             - math.log(mi_factorial(alpha))
-            + log_gamma_ratio((r + 2) * k + r + m, (r + 1) * (k + 1))
+            + (math.lgamma((r + 2) * k + r + m) - math.lgamma((r + 1) * (k + 1)))
             - math.lgamma(k + 2)
         )
 
@@ -576,15 +587,9 @@ def check_domination_condition(
     )
 
 
-def ahat_value_log(params, alpha_abs: int, k: int) -> float:
-    """log A'_alpha(k) through the regime closed form, alpha of given order
-    along the first coordinate."""
-    return params.regime.closed_log(params.d, (alpha_abs,) + (0,) * (params.d - 1), k)
-
-
 def ahat_log_terms(params, alpha_abs: int, kmax: int) -> np.ndarray:
-    """ahat_value_log(params, alpha_abs, k) for k = 0..kmax, as one
-    read-only array (see _ahat_log_terms)."""
+    """log A'_{alpha_abs e_1}(k) for k = 0..kmax, as one read-only array
+    (see _ahat_log_terms); params.regime.closed_log is its scalar reference."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     return _ahat_log_terms(params.regime, params.d, alpha_abs, kmax)
@@ -598,7 +603,7 @@ def _ahat_log_terms(regime, d: int, m: int, kmax: int) -> np.ndarray:
     closed form (regime.closed_log_terms).  The terms depend on nothing
     else, so one table serves every horizon: the cache keeps the 256 most
     recently used (at most 3 kB each for the bound's series, K <= 401, and
-    16 kB for tracked_constant's longest, K = _K_PROBE).  The regimes are
+    16 kB for tracked_constant's, K = _K_PROBE).  The regimes are
     frozen and hash by value, and every parameter enters through
     float(...), so equal keys give the same bits.
     The array is shared, hence read-only.
@@ -671,16 +676,13 @@ def expected_weighted_progeny(
     terms = _float_series(F, x * float(w.a), x * params.d * float(w.s), ktrunc)[:, m]
     value = math.exp(-lam * horizon) * _spread(alpha) * math.fsum(terms.tolist())
     # tail: A(k) <= delta1 (delta1 delta2)^k A'(k) at theta*, closed geometrically
-    star = params.with_side_theta()
-    if xa == 0:
-        q_trunc, ratio = 0.0, 0.0
-    else:
-        log_a = ahat_log_terms(star, m, ktrunc + 1)[ktrunc:]
-        q_trunc = _spread(alpha) * math.exp(log_a[0] + ktrunc * math.log(xa))
-        ratio = xa * math.exp(log_a[1] - log_a[0])
-    tail = math.exp(-lam * horizon) * float(params.delta1) * q_trunc * _geometric_tail(
-        ratio, xa / star.radius()
-    )
+    tail = 0.0
+    if xa > 0:
+        star = params.with_side_theta()
+        # past R(theta*) a term may pass the float range; the closure is inf there
+        with np.errstate(over="ignore"):
+            _, closure = _ahat_series(star, m, xa, ktrunc, star.radius())
+        tail = math.exp(-lam * horizon) * float(params.delta1) * _spread(alpha) * closure
     return {
         "value": value,
         "tail_bound": tail,
@@ -691,44 +693,7 @@ def expected_weighted_progeny(
     }
 
 
-def _geometric_tail(ratio: float, limit: float) -> float:
-    """sum_{j>=1} rho^j for rho = max(limit, ratio), or inf when rho >= 1.
-
-    `ratio` is the scaled term ratio at the truncation point and `limit`
-    its value as k -> oo (x/R).  The ratios A'(k+1)/A'(k) are monotone in k
-    with limit 1/R: increasing for alpha = 0 and small |alpha|, decreasing
-    for larger |alpha| (in the exponential regime the ratio is
-    2 d theta^2 (1+1/(k+1))^{k+|alpha|-1}).  So rho bounds every later
-    ratio, where x/R alone would undercount a decreasing sequence's tail.
-    """
-    rho = max(ratio, limit)
-    return rho / (1.0 - rho) if rho < 1.0 else math.inf
-
-
-_K_PROBE = 2000  # the longest table _log_sup_terms builds
-
-
-def _log_sup_terms(params, alpha_abs: int, y: float) -> float:
-    """log sup_k A'_alpha(k) y^{k+1} (0 < y < R), alpha of order alpha_abs
-    along the first axis.
-
-    The table of log A'(k) stops at the first k where y max(1/R,
-    A'(k+1)/A'(k)) <= 1: the term ratios are monotone with limit 1/R, so no
-    later term exceeds the k-th.  It is built for k <= 16 and doubled, up to
-    _K_PROBE, until some k qualifies.
-    """
-    inv_R = 1.0 / params.radius()
-    kmax = 16
-    while True:
-        logs = ahat_log_terms(params, alpha_abs, kmax)
-        stop = np.flatnonzero(y * np.maximum(inv_R, np.exp(np.diff(logs))) <= 1.0)
-        if stop.size:
-            break
-        if kmax == _K_PROBE:
-            raise ValueError(f"the terms at y = {y:.6g} still grow at k = {_K_PROBE}")
-        kmax = min(2 * kmax, _K_PROBE)
-    logs = logs[: stop[0] + 2]
-    return float(np.max(logs + np.arange(1, len(logs) + 1) * math.log(y)))
+_K_PROBE = 2000  # the length of tracked_constant's table
 
 
 def tracked_constant(params, alpha_abs: int) -> float:
@@ -738,36 +703,50 @@ def tracked_constant(params, alpha_abs: int) -> float:
         A'_alpha(k) <= C (2 theta d)^{|alpha|} (2^{-(r+2)} R)^{-(k+1)},
 
     i.e. C = sup_k A'(k) (2^{-(r+2)}R)^{k+1} (2 theta d)^{-|alpha|}, exact at
-    every order (see _log_sup_terms).  This is the paper's constant: the A'
-    series at x < 2^{-(r+2)} R is at most C (2 theta d)^{|alpha|} /
-    (2^{-(r+2)} R - x) (see bound_report).
+    every order.  This is the paper's constant: the A' series at x <
+    2^{-(r+2)} R is at most C (2 theta d)^{|alpha|} / (2^{-(r+2)} R - x)
+    (see bound_report).
+
+    The sup is the max over one table, k <= _K_PROBE.  The term ratios are
+    monotone with limit 1/R, so no term past the first k where y max(1/R,
+    A'(k+1)/A'(k)) <= 1, y = 2^{-(r+2)} R, exceeds the k-th; a table with
+    no such k raises ValueError.
     """
+    y = params.scaled_radius()
+    logs = ahat_log_terms(params, alpha_abs, _K_PROBE)
+    if not np.any(y * np.maximum(1.0 / params.radius(), np.exp(np.diff(logs))) <= 1.0):
+        raise ValueError(f"the terms at y = {y:.6g} still grow at k = {_K_PROBE}")
+    log_sup = float(np.max(logs + np.arange(1, _K_PROBE + 2) * math.log(y)))
     log_pref = -alpha_abs * math.log(2 * float(params.regime.theta) * params.d)
-    return math.exp(_log_sup_terms(params, alpha_abs, params.scaled_radius()) + log_pref)
+    return math.exp(log_sup + log_pref)
 
 
-def bound_report(alpha: MultiIndex, params, lam: float, T: float, t: float = 0.0) -> dict:
+def bound_report(alpha: MultiIndex, params, lam: float, T: float) -> dict:
     """Upper bound on the mean dominating weighted progeny
-    exp(-lam h) sum_k (1-exp(-lam h))^k A_alpha(k), h = T - t >= 0.
+    exp(-lam T) sum_k (1-exp(-lam T))^k A_alpha(k) at the parameters' own
+    rate and horizon: lam and T must equal params.lam and params.T, else
+    ValueError naming the one that differs.  To bound a shorter horizon,
+    build params at it.
 
     The bound rests on the domination A(k) <= delta1 (delta1 delta2)^k
     A'(k), which needs the side-theta condition theta r >= sqrt(2/d)
     (theta >= sqrt(2/d) in the exponential regime).  A is nondecreasing in
     theta coefficient by coefficient, so A' and its radius R are evaluated
     at theta* = params.with_side_theta(), where the condition holds (theta*
-    = theta wherever it already holds at theta).  With x = (1-exp(-lam h))
-    delta1 delta2 < R = R(theta*), the bound in both regimes and at every
-    order is the dominating series
+    = theta wherever it already holds at theta).  With x =
+    params.dominating_argument() = (1-exp(-lam T)) delta1 delta2 < R =
+    R(theta*), the bound in both regimes and at every order is the
+    dominating series
 
-        delta1 exp(-lam h) (|alpha|!/alpha!) sum_k A'_{|alpha| e_1}(k) x^k
+        delta1 exp(-lam T) (|alpha|!/alpha!) sum_k A'_{|alpha| e_1}(k) x^k
 
     with its tail closure (_ghat_series_value), which keeps it an upper
     bound.  It is nondecreasing in x and at most the paper's closed forms:
 
-    alpha = 0:               delta1 exp(-lam h) times the sup of the series
+    alpha = 0:               delta1 exp(-lam T) times the sup of the series
                              over [0, R), 1/2 ((r+2)/(r+1))^{r+1}
                              (factorial) or e/2 (exponential);
-    factorial, |alpha| >= 1: C (2 theta d)^{|alpha|} delta1 exp(-lam h)
+    factorial, |alpha| >= 1: C (2 theta d)^{|alpha|} delta1 exp(-lam T)
                              (|alpha|!/alpha!) / (y - x) for x < y =
                              2^{-(r+2)} R, C = tracked_constant, because
                              sum_k A'(k) x^k <= sup_k A'(k) y^{k+1}
@@ -775,19 +754,19 @@ def bound_report(alpha: MultiIndex, params, lam: float, T: float, t: float = 0.0
 
     The dict carries alpha, the regime name, theta* as `theta`, x as
     `series_argument`, R(theta*) as `radius` and the bound as `wh_bound`.
-    x >= R raises OutsideRadius; a negative or NaN horizon, or an alpha
-    whose length is not params.d, raises ValueError.
+    x >= R raises OutsideRadius; an alpha whose length is not params.d
+    raises ValueError.
     """
-    h = T - t
-    if not h >= 0:
-        raise ValueError(f"the horizon T - t = {h!r} must be >= 0")
-    x = (1.0 - math.exp(-lam * h)) * float(params.delta1) * float(params.delta2)
-    return dominating_bound(alpha, params, x, math.exp(-lam * h))
+    if lam != params.lam:
+        raise ValueError(f"lam = {lam!r} differs from params.lam = {params.lam!r}")
+    if T != params.T:
+        raise ValueError(f"T = {T!r} differs from params.T = {params.T!r}")
+    return dominating_bound(alpha, params, params.dominating_argument(), math.exp(-lam * T))
 
 
 def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
     """bound_report at dominating argument x >= 0, with decay in place of
-    its exp(-lam h) factor (stability.hbound passes 1): delta1 decay
+    its exp(-lam T) factor (stability.hbound passes 1): delta1 decay
     (|alpha|!/alpha!) sum_k A'_{|alpha| e_1}(k) x^k at theta*, tail closure
     included, for x < R(theta*), and OutsideRadius from there on."""
     alpha = _check_alpha(alpha, params.d)
@@ -810,10 +789,10 @@ def _ghat_series_value(params, alpha_abs: int, x: float, ktrunc: int = 400) -> f
     with geometric tail closure.
 
     The sum runs to K = 64, doubled up to ktrunc until the closure of the
-    tail past K is below 1e-17 of the partial sum, and keeps that closure,
-    so it stays an upper bound.  A table of terms costs nearly the same at
-    any length up to a few hundred, so K starts where one table serves
-    most calls.
+    tail past K (_ahat_series) is below 1e-17 of the partial sum, and keeps
+    that closure, so it stays an upper bound.  A table of terms costs nearly
+    the same at any length up to a few hundred, so K starts where one table
+    serves most calls.
     """
     R = params.radius()
     if not x < R:
@@ -822,13 +801,29 @@ def _ghat_series_value(params, alpha_abs: int, x: float, ktrunc: int = 400) -> f
         return math.exp(ahat_log_terms(params, alpha_abs, 0)[0])
     K = min(64, ktrunc)
     while True:
-        logs = ahat_log_terms(params, alpha_abs, K + 1)
-        terms = np.exp(logs[:-1] + np.arange(K + 1) * math.log(x))
-        ratio = x * math.exp(logs[K + 1] - logs[K])
-        closure = float(terms[K] * _geometric_tail(ratio, x / R))
+        terms, closure = _ahat_series(params, alpha_abs, x, K, R)
         if closure < 1e-17 * terms.sum() or K == ktrunc:
             return math.fsum([*terms.tolist(), closure])
         K = min(2 * K, ktrunc)
+
+
+def _ahat_series(params, m: int, x: float, K: int, R: float) -> tuple:
+    """(terms, closure) for 0 < x: the terms A'_{m e_1}(k) x^k, k <= K, as
+    an array, and the closure of the tail past K, terms[K] rho/(1 - rho)
+    with rho = max(x A'(K+1)/A'(K), x/R), or inf when rho >= 1.  R is
+    params.radius(), which both callers already hold.
+
+    The ratios A'(k+1)/A'(k) are monotone in k with limit 1/R: increasing
+    for m = 0 and small m, decreasing for larger m (in the exponential
+    regime the ratio is 2 d theta^2 (1+1/(k+1))^{k+m-1}).  So rho bounds
+    every later ratio, where x/R alone would undercount a decreasing
+    sequence's tail.
+    """
+    logs = ahat_log_terms(params, m, K + 1)
+    terms = np.exp(logs[:-1] + np.arange(K + 1) * math.log(x))
+    rho = max(x * math.exp(logs[K + 1] - logs[K]), x / R)
+    closure = float(terms[K] * (rho / (1.0 - rho))) if rho < 1.0 else math.inf
+    return terms, closure
 
 
 def _spread(alpha: MultiIndex) -> int:

@@ -59,6 +59,11 @@ class GrowthParams:
     def radius(self) -> float:
         return self.regime.radius(self.d)
 
+    def dominating_argument(self) -> float:
+        """x(T) = (1-exp(-lam T)) delta1 delta2, the argument at which the
+        dominating series is compared with its radius."""
+        return (1.0 - math.exp(-self.lam * self.T)) * float(self.delta1) * float(self.delta2)
+
     def scaled_radius(self) -> float:
         """The horizon-condition threshold: 2^-(r+2) R (factorial), R (exp)."""
         return self.regime.horizon_threshold(self.d)
@@ -119,7 +124,8 @@ def check_conditions(p: GrowthParams, model: LifetimeModel) -> ConditionReport:
       side-theta:  theta r >= sqrt(2/d)   (resp. theta >= sqrt(2/d))
       side-delta:  min((theta r)^2, 1) >= 1/((d+1) delta1 delta2) (resp. theta^2)
 
-    The verdict is the conjunction; each row carries its numbers.
+    The radius row's left side is p.dominating_argument().  The verdict is
+    the conjunction; each row carries its numbers.
     """
     rho_star = model.rho_star(p.T)
     split = Condition(
@@ -129,7 +135,7 @@ def check_conditions(p: GrowthParams, model: LifetimeModel) -> ConditionReport:
         passed=rho_star > 0 and 1.0 / rho_star <= float(p.delta2),
         strict=False,
     )
-    x = (1.0 - math.exp(-p.lam * p.T)) * float(p.delta1) * float(p.delta2)
+    x = p.dominating_argument()
     threshold = p.scaled_radius()
     radius = Condition(
         "bound-radius",
@@ -225,10 +231,10 @@ def verify_weight_dominance_algebra(p: GrowthParams, alphamax: int = 5, jmax: in
 def hbound(alpha, p: GrowthParams) -> dict:
     """Explicit bound on the mean absolute path functional for a code of
     order alpha at horizon p.T: progeny.bound_report without its
-    exp(-lam T) factor, in the same dict form (wh_bound is the bound).
+    exp(-lam T) factor, in the same dict form (wh_bound is the bound), at
+    the same argument p.dominating_argument().
     """
-    x = (1.0 - math.exp(-p.lam * p.T)) * float(p.delta1) * float(p.delta2)
-    return progeny.dominating_bound(alpha, p, x, 1.0)
+    return progeny.dominating_bound(alpha, p, p.dominating_argument(), 1.0)
 
 
 @dataclass(frozen=True)

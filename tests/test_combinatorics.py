@@ -6,10 +6,8 @@ from typing import Sequence
 import pytest
 
 from branchpde.combinatorics import (
-    gamma_ratio_exact,
-    log_gamma_ratio,
-    pochhammer_falling,
     polylog_neg_half,
+    rising_factorial,
     stirling2,
     tree_identity_check,
 )
@@ -197,22 +195,16 @@ def test_tree_identity():
     assert all(tree_identity_check(k) for k in range(16))
 
 
-def test_log_gamma_ratio():
-    assert log_gamma_ratio(5, 4) == pytest.approx(math.log(4), rel=1e-13)
-    assert log_gamma_ratio(3.7, 3.7) == 0.0
-    assert log_gamma_ratio(2.5, 1.5) == pytest.approx(math.log(1.5), rel=1e-13)
+def test_rising_factorial():
+    # b (b+1) ... (b+n-1) = Gamma(b + n)/Gamma(b)
+    assert rising_factorial(Fraction(4), 3) == 4 * 5 * 6
+    assert rising_factorial(Fraction(5, 2), 2) == Fraction(5, 2) * Fraction(7, 2)
+    assert rising_factorial(Fraction(1, 2), 2) == Fraction(1, 2) * Fraction(3, 2)
+    assert rising_factorial(Fraction(3), 0) == rising_factorial(Fraction(2), 0) == 1
+    assert type(rising_factorial(Fraction(2), 3)) is Fraction
+    for b, n in ((4, 3), (2.5, 2), (3.7, 5)):
+        assert rising_factorial(b, n) == pytest.approx(
+            math.exp(math.lgamma(b + n) - math.lgamma(b)), rel=1e-13
+        )
     with pytest.raises(ValueError):
-        log_gamma_ratio(-1.0, 2.0)
-
-
-def test_gamma_ratio_exact():
-    # Gamma(b + n)/Gamma(b) = b(b+1)...(b+n-1)
-    assert gamma_ratio_exact(Fraction(4), 3) == 4 * 5 * 6
-    assert gamma_ratio_exact(Fraction(5, 2), 2) == Fraction(5, 2) * Fraction(7, 2)
-    assert gamma_ratio_exact(Fraction(3), 0) == 1
-
-
-def test_pochhammer_falling():
-    assert pochhammer_falling(0, Fraction(2)) == 1
-    assert pochhammer_falling(3, Fraction(2)) == 2 * 3 * 4
-    assert pochhammer_falling(2, Fraction(1, 2)) == Fraction(1, 2) * Fraction(3, 2)
+        rising_factorial(Fraction(2), -1)

@@ -149,7 +149,7 @@ def test_write_csv_layout():
     points = ((0.0, (0.0,)), (T, (0.4,)))
     rows = [(t, x, estimate_u(ID, t, x, T, setup, n=500, seed=11)) for t, x in points]
     buf = io.StringIO()
-    write_csv(buf, rows, ID, 500, 11)
+    write_csv(buf, rows, ID, 11)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,x_1,code_alpha,code_j,mean,std_error,n,n_capped,seed"
     fields = lines[1].split(",")

@@ -1,5 +1,7 @@
 import math
 import re
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from branchpde import lifetimes, progeny, stability
-from branchpde.combinatorics import pochhammer_falling
+from branchpde.combinatorics import rising_factorial
 from branchpde.mechanism import index_product
 from branchpde.multiindex import MultiIndex, mi_abs, mi_add_unit, mi_enumerate_below, mi_factorial, mi_sub
 from branchpde.progeny import (
@@ -422,7 +424,7 @@ def test_bound_report_exponential_alpha1():
 @pytest.mark.parametrize("d", [1, 5])
 def test_bound_report_theta_star_passes_side_condition(d):
     # sqrt(2/d)/5 in floats gives theta* 5 < sqrt(2/d) at d = 1 and 5
-    p = fact_params(Fraction(1, 100), Fraction(5), d=d)
+    p = fact_params(Fraction(1, 100), Fraction(5), T=1e-4, d=d)
     rep = bound_report((1,) + (0,) * (d - 1), p, 1.0, 1e-4)
     assert rep["theta"] > 0.01
     assert fact_params(rep["theta"], Fraction(5), d=d).side_condition_theta()
@@ -479,9 +481,7 @@ def test_tail_closure_covers_decreasing_ratios(p):
     # |alpha| = 5: A'(k+1)/A'(k) falls toward 1/R from above, so closing the
     # tail with x/R alone undercounts it; the closure must reach the sum
     x = 0.9 * p.radius()
-    longer = sum(
-        math.exp(progeny.ahat_value_log(p, 5, k) + k * math.log(x)) for k in range(3000)
-    )
+    longer = sum(math.exp(closed_log(p, 5, k) + k * math.log(x)) for k in range(3000))
     assert progeny._ghat_series_value(p, 5, x, ktrunc=40) >= longer
 
 
@@ -533,15 +533,20 @@ ARRAY_PARAMS = [
 def test_ahat_log_terms_match_scalar_reference(regime, d):
     p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
     for m in range(1, 6):
-        scalar = [progeny.ahat_value_log(p, m, k) for k in range(2001)]
+        scalar = [closed_log(p, m, k) for k in range(2001)]
         np.testing.assert_allclose(progeny.ahat_log_terms(p, m, 2000), scalar, rtol=1e-12, atol=0)
 
 
+def closed_log(p, m, k):
+    """log A'_{m e_1}(k), the scalar closed form ahat_log_terms is checked against."""
+    return p.regime.closed_log(p.d, (m,) + (0,) * (p.d - 1), k)
+
+
 def scalar_series_value(p, m, x, ktrunc):
-    """_ghat_series_value as a scalar loop over ahat_value_log."""
+    """_ghat_series_value as a scalar loop over closed_log."""
     if x == 0:
-        return math.exp(progeny.ahat_value_log(p, m, 0))
-    logs = [progeny.ahat_value_log(p, m, k) for k in range(ktrunc + 2)]
+        return math.exp(closed_log(p, m, 0))
+    logs = [closed_log(p, m, k) for k in range(ktrunc + 2)]
     total = sum(math.exp(lv + k * math.log(x)) for k, lv in enumerate(logs[:-1]))
     last = math.exp(logs[ktrunc] + ktrunc * math.log(x))
     rho = max(x * math.exp(logs[ktrunc + 1] - logs[ktrunc]), x / p.radius())
@@ -554,13 +559,13 @@ def scalar_tracked_constant(p, m):
     y = 2.0 ** -(float(p.regime.r) + 2) * p.radius()
     log_pref = -m * math.log(2 * float(p.regime.theta) * p.d)
     if m >= 1:
-        logs = [progeny.ahat_value_log(p, m, 0)]
+        logs = [closed_log(p, m, 0)]
         for k in range(2000):
-            logs.append(progeny.ahat_value_log(p, m, k + 1))
+            logs.append(closed_log(p, m, k + 1))
             if y * max(1.0 / p.radius(), math.exp(logs[k + 1] - logs[k])) <= 1.0:
                 break
         return math.exp(max(lv + (k + 1) * math.log(y) for k, lv in enumerate(logs)) + log_pref)
-    b = [math.exp(progeny.ahat_value_log(p, 1, l) + l * math.log(y)) for l in range(400)]
+    b = [math.exp(closed_log(p, 1, l) + l * math.log(y)) for l in range(400)]
     terms = [1.0] + [
         p.d * y * sum(b[l] * b[k - l] for l in range(k + 1)) / (k + 1) for k in range(400)
     ]
@@ -597,7 +602,7 @@ def test_growth_sequences_build_each_order_once_with_the_same_values(theta, r):
         for alpha in alphas_upto(6, 2):
             m = mi_abs(alpha)
             fac = Fraction(mi_factorial(alpha))
-            want_f = pochhammer_falling(m, Fraction(r)) * Fraction(theta) ** m / fac
+            want_f = rising_factorial(Fraction(r), m) * Fraction(theta) ** m / fac
             want_e = Fraction(theta) ** m / fac
             got = first.setdefault(alpha, (gf(alpha), ge(alpha)))
             assert (gf(alpha), ge(alpha)) == got
@@ -657,7 +662,7 @@ def test_dominating_bound_between_r_over_sqrt2_and_r_is_the_series():
             # and it bounds the mean weighted progeny at that argument
             T = -math.log(1.0 - frac * R / 1.44)
             out = expected_weighted_progeny(alpha, 0, 1.0, T, p, ktrunc=60)
-            assert out["value"] <= bound_report(alpha, p, 1.0, T)["wh_bound"]
+            assert out["value"] <= bound_report(alpha, replace(p, T=T), 1.0, T)["wh_bound"]
         for frac in (1.0, 1.2):
             with pytest.raises(OutsideRadius):
                 progeny.dominating_bound(alpha, p, frac * R, 0.9)
@@ -738,8 +743,8 @@ def test_bounds_refuse_what_they_cannot_bound():
     p1 = fact_params(1.5, 1, T=0.01)
     p2 = fact_params(1.5, 1, T=0.01, d=2)
     refused = [
-        ("T - t = -0.01", lambda: bound_report((1,), p1, 1.0, 0.01, t=0.02)),
-        ("T - t = nan", lambda: bound_report((1,), p1, 1.0, math.nan)),
+        ("T = 0.02 differs from params.T = 0.01", lambda: bound_report((1,), p1, 1.0, 0.02)),
+        ("T = nan differs from params.T = 0.01", lambda: bound_report((1,), p1, 1.0, math.nan)),
         ("x = -0.001", lambda: progeny.dominating_bound((1,), p1, -0.001, 1.0)),
         ("x = nan", lambda: progeny.dominating_bound((1,), p1, math.nan, 1.0)),
         ("T = -0.01", lambda: stability.hbound((1,), fact_params(1.5, 1, lam=1.0, T=-0.01))),
@@ -755,6 +760,80 @@ def test_bounds_refuse_what_they_cannot_bound():
         with pytest.raises(ValueError, match=re.escape(name)) as info:
             call()
         assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("regime", [r for r, _ in BOUND_REGIMES], ids=[i for _, i in BOUND_REGIMES])
+def test_bound_report_bounds_its_params_own_rate_and_horizon(regime):
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.002, 2)
+    x = p.dominating_argument()
+    # the benchmark's call shape; check_conditions, hbound and bound_report
+    # read the one x
+    rep = bound_report((1, 0), p, p.lam, p.T)
+    assert rep == progeny.dominating_bound((1, 0), p, x, math.exp(-p.lam * p.T))
+    assert stability.hbound((1, 0), p)["series_argument"] == rep["series_argument"] == x
+    cond = stability.check_conditions(p, lifetimes.exponential_model(1.0)).conditions[1]
+    assert cond.name == "bound-radius" and cond.lhs == x
+    for lam, T, message in (
+        (2.0, p.T, "lam = 2.0 differs from params.lam = 1.0"),
+        (p.lam, 0.001, "T = 0.001 differs from params.T = 0.002"),
+        (p.lam, math.nan, "T = nan differs from params.T = 0.002"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bound_report((1, 0), p, lam, T)
+
+
+def test_expected_weighted_progeny_tail_is_inf_past_the_radius_at_theta_star():
+    # factorial theta = 0.5, r = 1, d = 1: theta* = sqrt(2), so R(theta*) =
+    # R(theta)/8; at x = 0.9 R(theta) the last term at K = 400 passes the
+    # float range, and the tail is inf with no warning (math.exp raised
+    # OverflowError there before)
+    p = fact_params(0.5, 1, lam=1.0, T=0.01)
+    h = -math.log(1.0 - 0.9 * p.radius())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = expected_weighted_progeny((1,), 0, 1.0, h, p, ktrunc=400)
+    assert math.isfinite(out["value"]) and out["tail_bound"] == math.inf
+
+
+def test_tracked_constant_refuses_terms_that_still_grow(monkeypatch):
+    # factorial theta = 1.5, r = 1, d = 1, |alpha| = 20: y A'(k+1)/A'(k) <= 1
+    # first at k = 5, so a table to k = 5 cannot tell where the sup is
+    p = fact_params(1.5, 1, lam=1.0, T=0.01)
+    want = progeny.tracked_constant(p, 20)
+    monkeypatch.setattr(progeny, "_K_PROBE", 5)
+    with pytest.raises(ValueError, match=re.escape("still grow at k = 5")):
+        progeny.tracked_constant(p, 20)
+    # from k = 6 on the table holds that k, and the sup is the full table's
+    monkeypatch.setattr(progeny, "_K_PROBE", 6)
+    assert progeny.tracked_constant(p, 20) == want
+
+
+@pytest.mark.parametrize("regime", [r for r, _ in BOUND_REGIMES], ids=[i for _, i in BOUND_REGIMES])
+@pytest.mark.parametrize("d", [1, 2])
+def test_expected_weighted_progeny_tail_is_the_closure_at_theta_star(regime, d):
+    # the tail is delta1 exp(-lam h) (|alpha|!/alpha!) A'(K) x^K rho/(1 - rho),
+    # rho = max(x A'(K+1)/A'(K), x/R), at theta* and K = ktrunc
+    p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
+    star = p.with_side_theta()
+    for frac in (0.3, 0.9):
+        h = -math.log(1.0 - frac * star.radius() / 1.44)
+        x = (1.0 - math.exp(-h)) * 1.2 * 1.2
+        for alpha in [(m,) + (0,) * (d - 1) for m in range(4)] + [(1,) * d]:
+            m = sum(alpha)
+            for ktrunc in (1, 20, 60):
+                got = expected_weighted_progeny(alpha, 0, 1.0, h, p, ktrunc)["tail_bound"]
+                # the same closure over the array's log terms, and over the
+                # scalar closed form, whose logs agree with them to rounding
+                # that the closure's 1/(1 - rho) amplifies
+                table = progeny.ahat_log_terms(star, m, ktrunc + 1)
+                scalar = [closed_log(star, m, k) for k in (ktrunc, ktrunc + 1)]
+                for logs, rel in ((table[ktrunc:], 1e-15), (scalar, 1e-11)):
+                    last = math.exp(logs[0] + ktrunc * math.log(x))
+                    rho = max(x * math.exp(logs[1] - logs[0]), x / star.radius())
+                    closure = last * (rho / (1.0 - rho)) if rho < 1.0 else math.inf
+                    want = math.exp(-h) * 1.2 * progeny._spread(alpha) * closure
+                    assert got == pytest.approx(want, rel=rel, abs=0), (alpha, ktrunc)
+    assert expected_weighted_progeny((1,) * d, 0, 1.0, 0.0, p, 20)["tail_bound"] == 0.0
 
 
 @pytest.mark.parametrize("regime", [r for r, _ in ARRAY_PARAMS], ids=[i for _, i in ARRAY_PARAMS])

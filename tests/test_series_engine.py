@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -371,6 +372,35 @@ def test_float_parameter_growth_does_not_overflow():
     assert progeny.g_exponential(0.5)((400,)) == pytest.approx(
         float(progeny.g_exponential(Fraction(1, 2))((400,))), rel=1e-12, abs=0
     )
+
+
+def test_float_rows_past_the_float_range_raise():
+    # factorial theta = 3/2, r = 1, d = 2, alpha = (1, 0): the unscaled rows
+    # pass the largest float at l = 184 (A at delta = 6/5) and l = 172
+    # (A-hat); the engine refuses them there, where it returned inf, and no
+    # numpy warning escapes
+    fp = stability.GrowthParams(stability.Factorial(1.5, 1.0), 1.2, 1.2, 1.0, 0.005, 2)
+    w, g = fp.build_weights(), progeny.g_factorial(1.5, 1.0)
+    exact = preset(stability.Factorial(Fraction(3, 2), Fraction(1)), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=re.escape("l = 184 is inf")):
+            a_recursion(w, 2, (1, 0), 0, 200)
+        with pytest.raises(OverflowError, match=re.escape("l = 172 is inf")):
+            ahat_recursion(g, 2, (1, 0), 200)
+        # just below, the rows are finite and equal the exact ones
+        rows = (
+            (a_recursion(w, 2, (1, 0), 0, 183), a_recursion(exact, 2, (1, 0), 0, 30)),
+            (ahat_recursion(g, 2, (1, 0), 171), ahat_recursion(exact.g, 2, (1, 0), 30)),
+        )
+        for floats, ref in rows:
+            assert all(type(v) is float and math.isfinite(v) for v in floats.values.values())
+            for key, v in ref.values.items():
+                assert floats[key] == pytest.approx(float(v), rel=1e-12, abs=0)
+        # the x-scaled rows of expected_weighted_progeny stay finite inside
+        # the radius at the same truncation
+        out = expected_weighted_progeny((1, 0), 0, 1.0, fp.T, fp, ktrunc=200)
+        assert math.isfinite(out["value"]) and math.isfinite(out["tail_bound"])
 
 
 def test_benchmark_shape_ahat_tables_equal_the_closed_form():

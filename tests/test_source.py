@@ -87,7 +87,7 @@ def test_third_party_scan_sees_an_undeclared_import(tmp_path):
 KEPT_UNREFERENCED = {
     "sample_tree", "evaluate_functional", "weighted_progeny",
     "expected_weighted_progeny", "bound_report", "tracked_constant",
-    "ahat_closed_exponential", "ahat_value_log",
+    "ahat_closed_exponential",
     "weighted_progeny_batch", "verify_code_bounds",
 }
 
