@@ -195,12 +195,21 @@ def test_tree_identity():
     assert all(tree_identity_check(k) for k in range(16))
 
 
-def test_rising_factorial():
-    # b (b+1) ... (b+n-1) = Gamma(b + n)/Gamma(b)
+def test_gamma_ratio_exact():
+    # Gamma(b + n)/Gamma(b) = b(b+1)...(b+n-1)
     assert rising_factorial(Fraction(4), 3) == 4 * 5 * 6
     assert rising_factorial(Fraction(5, 2), 2) == Fraction(5, 2) * Fraction(7, 2)
+    assert rising_factorial(Fraction(3), 0) == 1
+
+
+def test_pochhammer_falling():
+    # the rising product b (b+1) ... (b+n-1), formerly named pochhammer_falling
+    assert rising_factorial(Fraction(2), 0) == 1
+    assert rising_factorial(Fraction(2), 3) == 2 * 3 * 4
     assert rising_factorial(Fraction(1, 2), 2) == Fraction(1, 2) * Fraction(3, 2)
-    assert rising_factorial(Fraction(3), 0) == rising_factorial(Fraction(2), 0) == 1
+
+
+def test_rising_factorial():
     assert type(rising_factorial(Fraction(2), 3)) is Fraction
     for b, n in ((4, 3), (2.5, 2), (3.7, 5)):
         assert rising_factorial(b, n) == pytest.approx(
