@@ -5,9 +5,12 @@
 JSON config in, CSV/JSON out, no interactive mode.  Exit codes are part of
 the contract: solve returns 0 on success, 2 when the lifetime model fails
 validation, 3 on config errors; stability returns 1 when conditions fail
-(the report is still written); verify returns 0 iff every check passes.
-solve samples in one process, so `workers` (or --workers) must be 1; the
-field stays in the resolved config it echoes.  Log level comes from the
+(the report is still written); verify returns 0 iff every check passes.  A
+config error, a config that is not a JSON object among them, is one stderr
+line "config error: ..." and exit 3, as is a stability bound that is not a
+finite float.  solve samples in one process, so `workers` (or --workers)
+must be 1; the field stays in the resolved config it echoes.  Its `mean`
+estimator is median-of-means with one group.  Log level comes from the
 BRANCHPDE_LOG environment variable.
 
 `progeny` and `stability` load no sampler module: this module imports only
@@ -31,8 +34,6 @@ from .lifetimes import LifetimeModel, model_from_config
 from .multiindex import mi_upto
 from . import progeny, stability
 
-log = logging.getLogger("branchpde")
-
 
 class ConfigError(ValueError):
     pass
@@ -46,9 +47,12 @@ def _setup_logging() -> None:
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _require(cfg: dict, field: str, kind=None):
@@ -167,7 +171,6 @@ def cmd_solve(args) -> int:
         AllSamplesCapped,
         AssumptionHViolated,
         ProblemSetup,
-        estimate_u,
         median_of_means,
         write_csv,
     )
@@ -230,10 +233,6 @@ def cmd_solve(args) -> int:
         out_fmt = args.format or cfg.get("format", "csv")
         if out_fmt not in ("csv", "json"):
             raise ConfigError(f"config field 'format' must be csv|json, got {out_fmt!r}")
-    except ConfigError as exc:
-        log.error("%s", exc)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
     except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -242,10 +241,7 @@ def cmd_solve(args) -> int:
     rows = []
     try:
         for (t, x), off in zip(parsed_points, offsets):
-            if estimator_kind == "mean":
-                est = estimate_u(code, t, x, T, setup, n, seed + off, caps)
-            else:
-                est = median_of_means(code, t, x, T, setup, n, groups, seed + off, caps)
+            est = median_of_means(code, t, x, T, setup, n, groups, seed + off, caps)
             rows.append((t, tuple(x), est))
     except AssumptionHViolated as exc:
         print(f"lifetime model fails validation: {exc}", file=sys.stderr)
@@ -329,13 +325,14 @@ def cmd_stability(args) -> int:
         if main["pass"]:
             p = stability.GrowthParams(regime=regime, delta1=delta1, delta2=delta2,
                                        lam=lam, T=T, d=d)
+            try:
+                rows = [stability.hbound((m,) + (0,) * (d - 1), p) for m in range(m_max + 1)]
+            except OverflowError as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return 3
             report["hbound"] = [
-                {
-                    "alpha_order": m,
-                    **{k: v for k, v in stability.hbound((m,) + (0,) * (d - 1), p).items()
-                       if k != "alpha"},
-                }
-                for m in range(m_max + 1)
+                {"alpha_order": m, **{k: v for k, v in row.items() if k != "alpha"}}
+                for m, row in enumerate(rows)
             ]
     if isinstance(regime, stability.Factorial):
         horizon = stability.max_horizon(regime, lam, d)

@@ -1,7 +1,9 @@
 """Monte Carlo aggregation of the path functional over independent trees.
 
 The sample mean of the functional over trees started at (t, x) with a given
-code estimates the corresponding component of the PDE solution.
+code estimates the corresponding component of the PDE solution.  One path,
+`median_of_means`, samples and aggregates; the plain mean is its one-group
+case, and `estimate_u` calls it so.
 
 Reproducibility: sample i's tree is a pure function of (seed, i, label),
 because every draw of a branch is a counter-based hash of a key derived
@@ -17,7 +19,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -83,7 +84,6 @@ class Estimate:
     std_error: float
     n_samples: int
     n_capped: int
-    elapsed: float
     stats: Optional[TreeStats] = None  # None when no tree was sampled (t = T)
 
 
@@ -120,12 +120,6 @@ def _concat(parts: Sequence[_Samples]) -> _Samples:
     return _Samples(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _check_model(setup: ProblemSetup, t: float, T: float) -> None:
-    report = validate_assumption_h(setup.model, T if T > t else max(T, 1e-12))
-    if not report.ok:
-        raise AssumptionHViolated("; ".join(report.failures))
-
-
 def _mean(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error, by numpy pairwise summation."""
     mean = float(np.sum(values)) / values.size
@@ -156,36 +150,10 @@ def estimate_u(
     caps: Caps = Caps(),
     workers: int = 1,  # kept as callers (bench/workloads.py) pass 1; runs in one process
 ) -> Estimate:
-    """Sample mean and standard error of the functional over n trees.
-
-    Capped samples are excluded from the mean and reported in n_capped
-    (truncating them instead would bias silently).  Aggregation uses numpy
-    pairwise summation over the samples in index order, so the result does
-    not depend on chunking.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    """Sample mean and standard error over n trees: median_of_means with one group."""
     if workers != 1:
         raise ValueError(f"sampling runs in one process, so workers must be 1, got {workers}")
-    start = time.perf_counter()
-    _check_model(setup, t, T)
-    if t == T:
-        # degenerate: no tree, the estimate is the terminal oracle value
-        value = float(setup.oracle(c, tuple(float(v) for v in x)))
-        return Estimate(value, 0.0, n, 0, time.perf_counter() - start)
-    s = _sample_values(setup, c, t, x, T, range(n), seed, caps)
-    values = s.values[~s.capped]
-    if values.size == 0:
-        raise AllSamplesCapped(f"all {n} samples exceeded caps {caps}")
-    mean, se = _mean(values)
-    return Estimate(mean, se, n, n - values.size, time.perf_counter() - start, _tree_stats(s))
-
-
-def _split_range(n: int, parts: int) -> list[tuple[int, int]]:
-    """0..n-1 as `parts` contiguous (lo, hi) ranges, lo_i = i n // parts,
-    whose sizes differ by at most one; some are empty when n < parts."""
-    bounds = [i * n // parts for i in range(parts + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return median_of_means(c, t, x, T, setup, n, 1, seed, caps)
 
 
 def median_of_means(
@@ -203,47 +171,50 @@ def median_of_means(
     index range into `groups` parts whose sizes differ by at most one;
     heavy-tail mitigation for the product functional.
 
-    groups=1 reduces to the plain mean.  The reported std_error is the
-    asymptotic median factor sqrt(pi/2) times the spread of group means; it
-    is a diagnostic, not a guarantee.  The plain mean of the same samples is
-    computed too, and a warning is logged when the two disagree by more
-    than 5 standard errors.
+    Capped samples are excluded and reported in n_capped (truncating them
+    instead would bias silently).  Sums are numpy pairwise sums in index
+    order, so the result does not depend on chunking.  groups=1 returns the
+    plain mean and its standard error.  Otherwise std_error is the asymptotic
+    median factor sqrt(pi/2) times the spread of group means, a diagnostic,
+    not a guarantee, and a warning is logged when the median and the plain
+    mean disagree by more than 5 standard errors.
     """
     if groups < 1 or groups % 2 == 0:
         raise ValueError("groups must be 1 or an odd integer >= 3")
     if n < groups:
         raise ValueError(f"need n >= groups, got n={n}, groups={groups}")
-    start = time.perf_counter()
-    if t == T or groups == 1:
-        est = estimate_u(c, t, x, T, setup, n, seed, caps)
-        return Estimate(
-            est.mean, est.std_error, est.n_samples, est.n_capped,
-            time.perf_counter() - start, est.stats,
-        )
-    _check_model(setup, t, T)
+    report = validate_assumption_h(setup.model, T if T > t else max(T, 1e-12))
+    if not report.ok:
+        raise AssumptionHViolated("; ".join(report.failures))
+    if t == T:
+        # degenerate: no tree, the estimate is the terminal oracle value
+        return Estimate(float(setup.oracle(c, tuple(float(v) for v in x))), 0.0, n, 0)
     s = _sample_values(setup, c, t, x, T, range(n), seed, caps)
-    means = []
-    for lo, hi in _split_range(n, groups):
-        values = s.values[lo:hi][~s.capped[lo:hi]]
-        if values.size == 0:
-            raise AllSamplesCapped(f"group {lo}:{hi} entirely capped")
-        means.append(float(np.sum(values)) / values.size)
-    med = float(np.median(means))
-    if len(means) >= 2:
-        se = math.sqrt(math.pi / 2) * float(np.std(means, ddof=1)) / math.sqrt(len(means))
-    else:
-        se = float("inf")
-    plain, plain_se = _mean(s.values[~s.capped])
-    gap = abs(med - plain)
-    scale = max(se, plain_se, 1e-300)
-    if gap > 5.0 * scale:
-        log.warning(
-            "median-of-means %.6g and mean %.6g disagree by %.1f SE "
-            "at (t=%s, x=%s); the functional may be heavy-tailed",
-            med, plain, gap / scale, t, x,
-        )
-    capped = int(np.count_nonzero(s.capped))
-    return Estimate(med, se, n, capped, time.perf_counter() - start, _tree_stats(s))
+    kept = ~s.capped
+    values = s.values[kept]
+    if values.size == 0:
+        raise AllSamplesCapped(f"all {n} samples exceeded caps {caps}")
+    mean, se = _mean(values)
+    if groups > 1:
+        plain, plain_se = mean, se
+        means = []
+        bounds = [i * n // groups for i in range(groups + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            group = s.values[lo:hi][kept[lo:hi]]
+            if group.size == 0:
+                raise AllSamplesCapped(f"group {lo}:{hi} entirely capped")
+            means.append(float(np.sum(group)) / group.size)
+        mean = float(np.median(means))
+        se = math.sqrt(math.pi / 2) * float(np.std(means, ddof=1)) / math.sqrt(groups)
+        gap = abs(mean - plain)
+        scale = max(se, plain_se, 1e-300)
+        if gap > 5.0 * scale:
+            log.warning(
+                "median-of-means %.6g and mean %.6g disagree by %.1f SE "
+                "at (t=%s, x=%s); the functional may be heavy-tailed",
+                mean, plain, gap / scale, t, x,
+            )
+    return Estimate(mean, se, n, n - values.size, _tree_stats(s))
 
 
 def write_csv(

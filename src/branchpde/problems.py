@@ -15,6 +15,7 @@ u(t, x) = phi(x - (T - t)), taking values in (0, 2 log 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -53,9 +54,14 @@ def _first_coordinate(x) -> np.ndarray:
 
 # --- the functional-nonlinearity problem -----------------------------------
 
+# the largest x with a finite e^x.  b2 reads e^min(x, _EXP_ARG_MAX), which changes
+# no finite value; past it, zeta = 1/(1 + e^x) < 6e-309 is as good as its true value
+_EXP_ARG_MAX = math.log(sys.float_info.max)
+
+
 def _onez_jet(x: float, order: int) -> Jet:
     """Jet of 1 + zeta(x), zeta(x) = 1/(1 + e^x)."""
-    return (exp_jet(x, order) + 1.0).reciprocal() + 1.0
+    return (exp_jet(np.minimum(x, _EXP_ARG_MAX), order) + 1.0).reciprocal() + 1.0
 
 
 def _b2_phi_jet(x: float, order: int) -> Jet:
@@ -98,7 +104,8 @@ def _b2_psi_coefficient(j: int, x: float, m: int) -> float:
 
 def b2_phi(x: float) -> float:
     """phi(x), elementwise for an array x."""
-    return 2.0 * np.log((2.0 + np.exp(x)) / (1.0 + np.exp(x)))
+    ex = np.exp(np.minimum(x, _EXP_ARG_MAX))
+    return 2.0 * np.log((2.0 + ex) / (1.0 + ex))
 
 
 def b2_f_family(j: int, u: float) -> float:

@@ -681,7 +681,7 @@ def expected_weighted_progeny(
         star = params.with_side_theta()
         # past R(theta*) a term may pass the float range; the closure is inf there
         with np.errstate(over="ignore"):
-            _, closure = _ahat_series(star, m, xa, ktrunc, star.radius())
+            _, closure = _ahat_series(ahat_log_terms(star, m, ktrunc + 1), xa, star.radius())
         tail = math.exp(-lam * horizon) * float(params.delta1) * _spread(alpha) * closure
     return {
         "value": value,
@@ -755,7 +755,7 @@ def bound_report(alpha: MultiIndex, params, lam: float, T: float) -> dict:
     The dict carries alpha, the regime name, theta* as `theta`, x as
     `series_argument`, R(theta*) as `radius` and the bound as `wh_bound`.
     x >= R raises OutsideRadius; an alpha whose length is not params.d
-    raises ValueError.
+    raises ValueError; a bound past the float range raises OverflowError.
     """
     if lam != params.lam:
         raise ValueError(f"lam = {lam!r} differs from params.lam = {params.lam!r}")
@@ -768,19 +768,28 @@ def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
     """bound_report at dominating argument x >= 0, with decay in place of
     its exp(-lam T) factor (stability.hbound passes 1): delta1 decay
     (|alpha|!/alpha!) sum_k A'_{|alpha| e_1}(k) x^k at theta*, tail closure
-    included, for x < R(theta*), and OutsideRadius from there on."""
+    included, for x < R(theta*), and OutsideRadius from there on.  A bound
+    that is not a finite float raises OverflowError naming alpha and x."""
     alpha = _check_alpha(alpha, params.d)
     if not x >= 0:
         raise ValueError(f"the series argument x = {x!r} must be >= 0")
     params = params.with_side_theta()
-    series = _spread(alpha) * _ghat_series_value(params, mi_abs(alpha), x)
+    try:
+        series = _spread(alpha) * _ghat_series_value(params, mi_abs(alpha), x)
+        bound = float(params.delta1) * decay * series
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise OverflowError(
+            f"the bound of order {mi_abs(alpha)} at alpha = {alpha}, x = {x!r} is not a finite float"
+        )
     return {
         "alpha": alpha,
         "regime": params.regime.name,
         "theta": float(params.regime.theta),
         "series_argument": x,
         "radius": params.radius(),
-        "wh_bound": float(params.delta1) * decay * series,
+        "wh_bound": bound,
     }
 
 
@@ -800,18 +809,29 @@ def _ghat_series_value(params, alpha_abs: int, x: float, ktrunc: int = 400) -> f
     if x == 0:
         return math.exp(ahat_log_terms(params, alpha_abs, 0)[0])
     K = min(64, ktrunc)
+    logs = ahat_log_terms(params, alpha_abs, K + 1)
+    # log(A'(k) x^k) is concave or decreasing in k (see _ahat_series), so it stays
+    # under its tangent at k = 0.  Under e^650 nothing below leaves the float
+    # range; over it, numpy's overflow warning is off, and an overflow gives inf
+    l0 = logs.item(0)
+    top = l0 + ktrunc * max(logs.item(1) - l0 + math.log(x), 0.0)
+    if top >= 650.0 and np.geterr()["over"] != "ignore":
+        with np.errstate(over="ignore"):
+            return _ghat_series_value(params, alpha_abs, x, ktrunc)
     while True:
-        terms, closure = _ahat_series(params, alpha_abs, x, K, R)
+        terms, closure = _ahat_series(logs, x, R)
         if closure < 1e-17 * terms.sum() or K == ktrunc:
             return math.fsum([*terms.tolist(), closure])
         K = min(2 * K, ktrunc)
+        logs = ahat_log_terms(params, alpha_abs, K + 1)
 
 
-def _ahat_series(params, m: int, x: float, K: int, R: float) -> tuple:
-    """(terms, closure) for 0 < x: the terms A'_{m e_1}(k) x^k, k <= K, as
-    an array, and the closure of the tail past K, terms[K] rho/(1 - rho)
-    with rho = max(x A'(K+1)/A'(K), x/R), or inf when rho >= 1.  R is
-    params.radius(), which both callers already hold.
+def _ahat_series(logs: np.ndarray, x: float, R: float) -> tuple:
+    """(terms, closure) for 0 < x, from logs = ahat_log_terms(params, m,
+    K + 1): the terms A'_{m e_1}(k) x^k, k <= K, as an array, and the
+    closure of the tail past K, terms[K] rho/(1 - rho) with rho = max(x
+    A'(K+1)/A'(K), x/R), or inf when rho >= 1.  R is params.radius(), which
+    both callers already hold.
 
     The ratios A'(k+1)/A'(k) are monotone in k with limit 1/R: increasing
     for m = 0 and small m, decreasing for larger m (in the exponential
@@ -819,7 +839,7 @@ def _ahat_series(params, m: int, x: float, K: int, R: float) -> tuple:
     every later ratio, where x/R alone would undercount a decreasing
     sequence's tail.
     """
-    logs = ahat_log_terms(params, m, K + 1)
+    K = len(logs) - 2
     terms = np.exp(logs[:-1] + np.arange(K + 1) * math.log(x))
     rho = max(x * math.exp(logs[K + 1] - logs[K]), x / R)
     closure = float(terms[K] * (rho / (1.0 - rho))) if rho < 1.0 else math.inf

@@ -1,7 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -436,3 +441,47 @@ def test_regime_parser_reads_rational_strings_and_defaults_to_factorial(tmp_path
         outputs.append(out)
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+
+@pytest.mark.parametrize("command", ["solve", "stability", "progeny"])
+@pytest.mark.parametrize("text, kind", [
+    ("[1, 2]", "list"), ('"x"', "str"), ("3", "int"), ("null", "NoneType"),
+])
+def test_config_that_is_not_an_object_exits_3(tmp_path, capsys, command, text, kind):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert cli.main([command, "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: config must be a JSON object, got {kind}\n"
+
+
+@pytest.mark.parametrize("fields", [{"T": -1.0}, {"points": 3}])
+def test_solve_config_error_is_one_stderr_line(tmp_path, fields):
+    # a fresh interpreter, so that the log handler the command sets up writes
+    # to the real stderr
+    cfg = {"problem": "b2", "T": 0.1, "n": 200, "points": [{"t": 0.0, "x": [0.0]}], **fields}
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(cfg))
+    env = {k: v for k, v in os.environ.items() if k != "BRANCHPDE_LOG"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-m", "branchpde.cli", "solve", "--config", str(path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 3 and run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("fields, order", [
+    ({"regime": {"kind": "exponential", "theta": 1e150}, "T": 0}, 3),
+    ({"regime": {"kind": "exponential", "theta": 4e6}, "T": 1e-15, "m_max": 60}, 50),
+    ({"regime": {"kind": "exponential", "theta": 1e5}, "delta1": 1e300, "T": 0}, 2),
+])
+def test_stability_refuses_a_bound_past_the_float_range(tmp_path, capsys, fields, order):
+    cfg = {"lambda": 1.0, "delta1": 1.2, "delta2": 1.2, **fields}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_command(tmp_path, capsys, "stability", cfg)
+    assert code == 3 and out == ""
+    assert err.startswith(f"config error: the bound of order {order} at ")
+    assert "is not a finite float" in err and len(err.splitlines()) == 1

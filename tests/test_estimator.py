@@ -1,5 +1,8 @@
+import dataclasses
 import io
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from branchpde.estimator import (
 )
 from branchpde.lifetimes import exponential_model, tabulated_model
 from branchpde.mechanism import Code
-from branchpde.problems import b2_problem, heat_apply, zero_f_cosine_problem
+from branchpde.problems import b2_phi, b2_problem, heat_apply, zero_f_cosine_problem
 from branchpde.tree import Caps
 
 ID = Code((0,), -1)
@@ -225,7 +228,7 @@ def test_estimate_stats_count_the_trees_of_sample_tree():
     mom = median_of_means(Code((0,), 0), 0.0, (0.0,), T, setup, n, 3, seed, caps)
     assert mom.stats == est.stats
     # positional construction without stats still works
-    assert estimator.Estimate(1.0, 0.1, 10, 0, 0.0).stats is None
+    assert estimator.Estimate(1.0, 0.1, 10, 0).stats is None
 
 
 @pytest.mark.parametrize("n, groups, bounds", [
@@ -249,3 +252,50 @@ def test_median_of_means_refuses_fewer_samples_than_groups():
     _, setup = b2_setup(T)
     with pytest.raises(ValueError, match="n >= groups"):
         median_of_means(ID, 0.0, (0.0,), T, setup, n=4, groups=5, seed=0)
+
+
+@pytest.mark.parametrize("t, caps", [
+    (0.0, Caps()),                                        # uncapped
+    (0.0, Caps(max_branches=48, max_generation=200)),     # partly capped
+    (2.5, Caps()),                                        # t = T: no tree
+])
+def test_estimate_u_is_median_of_means_with_one_group(t, caps):
+    _, setup = b2_setup(2.5)
+    est = estimate_u(Code((0,), 0), t, (0.3,), 2.5, setup, n=400, seed=17, caps=caps)
+    mom = median_of_means(Code((0,), 0), t, (0.3,), 2.5, setup, 400, 1, 17, caps)
+    for field in dataclasses.fields(est):
+        assert getattr(est, field.name) == getattr(mom, field.name)
+    assert (est.n_capped > 0) == (caps.max_branches == 48)
+    assert (est.stats is None) == (t == 2.5)
+
+
+def test_median_of_means_with_one_group_refuses_a_fully_capped_run():
+    _, setup = b2_setup(2.5)
+    with pytest.raises(AllSamplesCapped, match="all 5 samples"):
+        median_of_means(
+            Code((0,), 0), 0.0, (0.0,), 2.5, setup, 5, 1, 1,
+            Caps(max_branches=1, max_generation=200),
+        )
+
+
+@pytest.mark.parametrize("x", [720.0, 1e308])
+@pytest.mark.parametrize("alpha, j", [((0,), -1), ((1,), -1), ((2,), 0)])
+def test_b2_estimates_stay_finite_where_e_to_the_x_overflows(x, alpha, j):
+    # phi and zeta = 1/(1 + e^x) read e^x at min(x, log(float max)), so no
+    # overflow, no inf/inf and no RuntimeWarning at any finite x
+    T, m = 0.1, sum(alpha)
+    problem, setup = b2_setup(T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (0.0, T):
+            exact = problem.solution_code_jet(t, x, max(m, 1), j).coefficient(m)
+            est = estimate_u(Code(alpha, j), t, (x,), T, setup, n=300, seed=4)
+            assert math.isfinite(exact)
+            assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+            assert abs(est.mean - exact) <= 1e-300
+            assert problem.exact_solution(t, (x,)) == 0.0
+
+
+def test_b2_phi_is_unchanged_where_e_to_the_x_is_finite():
+    x = np.array([-800.0, -30.0, 0.0, 1.5, 36.0, 40.0, 700.0, 709.0, math.log(sys.float_info.max)])
+    assert np.array_equal(b2_phi(x), 2.0 * np.log((2.0 + np.exp(x)) / (1.0 + np.exp(x))))

@@ -877,3 +877,35 @@ def test_a_horizon_sweep_builds_each_log_term_table_once(monkeypatch):
     info = progeny._ahat_log_terms.cache_info()
     assert passed and len(keys) > 20 * len(set(keys))
     assert info.misses == len(set(keys)) and info.hits == len(keys) - info.misses
+
+
+@pytest.mark.parametrize("theta, delta1, T, m", [
+    (1e150, 1.2, 0.0, 3),     # A'(0) = theta^3/3! at x = 0
+    (4e6, 1.2, 1e-15, 50),    # the terms pass the float range
+    (1e5, 1e300, 0.0, 2),     # the series is finite, delta1 times it is not
+])
+def test_dominating_bound_refuses_a_bound_past_the_float_range(theta, delta1, T, m):
+    p = stability.GrowthParams(stability.Exponential(theta), delta1, 1.2, 1.0, T, 1)
+    x = p.dominating_argument()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OverflowError, match=re.escape(f"order {m} at alpha = ({m},), x = {x!r}")):
+            progeny.dominating_bound((m,), p, x, 1.0)
+        with pytest.raises(OverflowError, match="is not a finite float"):
+            bound_report((m,), p, 1.0, T)
+        assert math.isfinite(progeny.dominating_bound((m - 1,), p, x, 1.0)["wh_bound"])
+
+
+@pytest.mark.parametrize("m", [10, 49])
+def test_series_whose_tangent_bound_passes_the_float_range_is_summed_without_warnings(m):
+    # the first ratio x A'(1)/A'(0) is above 1, so the tangent at k = 0 passes
+    # e^650 while every term stays finite
+    p = stability.GrowthParams(stability.Exponential(4e6), 1.2, 1.2, 1.0, 1e-15, 1)
+    x = p.dominating_argument()
+    logs = progeny.ahat_log_terms(p, m, 2)
+    assert logs[0] + 400 * (logs[1] - logs[0] + math.log(x)) > 650
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        value = progeny._ghat_series_value(p, m, x)
+    assert value == pytest.approx(scalar_series_value(p, m, x, 400), rel=1e-12, abs=0)
+    assert np.geterr()["over"] == "warn"
