@@ -305,11 +305,11 @@ def cmd_stability(args) -> int:
     report: dict = {"config": cfg}
     overall = True
 
-    def conditions_at(TT: float) -> dict:
+    def conditions_at(TT: float) -> tuple[stability.GrowthParams, dict]:
         p = stability.GrowthParams(regime=regime, delta1=delta1, delta2=delta2,
                                    lam=lam, T=TT, d=d)
         rep = stability.check_conditions(p, model)
-        return {
+        return p, {
             "T": TT,
             "pass": rep.passed,
             "conditions": [
@@ -319,12 +319,10 @@ def cmd_stability(args) -> int:
         }
 
     if T is not None:
-        main = conditions_at(T)
+        p, main = conditions_at(T)
         report["report"] = main
         overall = main["pass"]
-        if main["pass"]:
-            p = stability.GrowthParams(regime=regime, delta1=delta1, delta2=delta2,
-                                       lam=lam, T=T, d=d)
+        if overall:
             try:
                 rows = [stability.hbound((m,) + (0,) * (d - 1), p) for m in range(m_max + 1)]
             except OverflowError as exc:
@@ -339,7 +337,7 @@ def cmd_stability(args) -> int:
         report["t_max"] = horizon.t_max
         report["lambda_free_envelope"] = horizon.lambda_free_envelope
     if sweep:
-        report["sweep"] = [conditions_at(TT) for TT in sweep]
+        report["sweep"] = [conditions_at(TT)[1] for TT in sweep]
 
     report["pass"] = overall
     _emit(args.out, json.dumps(report, indent=2) + "\n")

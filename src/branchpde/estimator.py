@@ -120,13 +120,29 @@ def _concat(parts: Sequence[_Samples]) -> _Samples:
     return _Samples(*(np.concatenate(column) for column in zip(*parts)))
 
 
+def _rescue_scale(values: np.ndarray) -> float:
+    """max|v| if the values are finite and differ, else 0.  A spread of such
+    values that reads 0 or inf lost its squared deviations to underflow or
+    overflow; formed on values / max|v| and scaled back, it keeps them.
+    Equal values keep their spread: formed again, it could read the
+    rounding of their mean instead of 0."""
+    vmax = float(np.max(np.abs(values)))
+    return vmax if vmax < math.inf and np.ptp(values) > 0 else 0.0
+
+
+def _se(values: np.ndarray, mean: float) -> float:
+    return math.sqrt(float(np.sum((values - mean) ** 2)) / (values.size - 1) / values.size)
+
+
 def _mean(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error, by numpy pairwise summation."""
     mean = float(np.sum(values)) / values.size
     if values.size < 2:
         return mean, float("inf")
-    var = float(np.sum((values - mean) ** 2)) / (values.size - 1)
-    return mean, math.sqrt(var / values.size)
+    se = _se(values, mean)
+    if not 0.0 < se < math.inf and (vmax := _rescue_scale(values)):
+        se = vmax * _se(values / vmax, mean / vmax)
+    return mean, se
 
 
 def _tree_stats(s: _Samples) -> TreeStats:
@@ -204,8 +220,11 @@ def median_of_means(
             if group.size == 0:
                 raise AllSamplesCapped(f"group {lo}:{hi} entirely capped")
             means.append(float(np.sum(group)) / group.size)
-        mean = float(np.median(means))
-        se = math.sqrt(math.pi / 2) * float(np.std(means, ddof=1)) / math.sqrt(groups)
+        means = np.array(means)
+        mean, spread = float(np.median(means)), float(np.std(means, ddof=1))
+        if not 0.0 < spread < math.inf and (vmax := _rescue_scale(means)):
+            spread = vmax * float(np.std(means / vmax, ddof=1))
+        se = math.sqrt(math.pi / 2) * spread / math.sqrt(groups)
         gap = abs(mean - plain)
         scale = max(se, plain_se, 1e-300)
         if gap > 5.0 * scale:

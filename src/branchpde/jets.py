@@ -3,7 +3,8 @@ derivatives of composed univariate functions.
 
 A jet stores coefficients a_0..a_M with a_m = f^{(m)}(x0)/m!, so the
 m-th normalized derivative used by derivative codes is literally a_m.
-Supported closed operations: +, -, *, reciprocal, exp, log(1+.), powers.
+Supported closed operations: +, -, *, reciprocal, exp, and log (of a jet
+whose constant term is > 0).
 
 Coefficients are floats, or numpy arrays of one shape holding the jets of
 many expansion points at once; every operation acts elementwise on them, so

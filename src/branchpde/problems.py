@@ -40,7 +40,6 @@ class Problem:
     d: int
     T: float
     phi: Callable[[Sequence[float]], float]
-    f_family: Callable[[int, float], float]          # (j, u) -> f^{(j)}(u)
     oracle: CodeOracle
     exact_solution: Optional[Callable[[float, Sequence[float]], float]] = None
     # jet of u(t, .) restricted to the first coordinate, when available
@@ -153,7 +152,6 @@ def b2_problem(T: float) -> Problem:
         d=1,
         T=T,
         phi=lambda x: b2_phi(float(x[0])),
-        f_family=b2_f_family,
         oracle=CodeOracle(oracle_fn),
         exact_solution=exact,
         solution_code_jet=code_jet,
@@ -178,7 +176,6 @@ def constant_problem(T: float, value: float = 0.5) -> Problem:
         d=1,
         T=T,
         phi=lambda x: value,
-        f_family=lambda j, u: math.exp(u),
         oracle=CodeOracle(oracle_fn),
         exact_solution=lambda t, x: -math.log(math.exp(-value) + (T - t)),
     )
@@ -204,7 +201,6 @@ def zero_f_cosine_problem(T: float, d: int = 1) -> Problem:
         d=d,
         T=T,
         phi=lambda x: math.cos(float(x[0])),
-        f_family=lambda j, u: 0.0,
         oracle=CodeOracle(oracle_fn),
         exact_solution=lambda t, x: math.exp(-(T - t) / 2.0) * math.cos(float(x[0])),
     )

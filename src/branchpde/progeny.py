@@ -712,7 +712,7 @@ def tracked_constant(params, alpha_abs: int) -> float:
     A'(k+1)/A'(k)) <= 1, y = 2^{-(r+2)} R, exceeds the k-th; a table with
     no such k raises ValueError.
     """
-    y = params.scaled_radius()
+    y = params.regime.horizon_threshold(params.d)
     logs = ahat_log_terms(params, alpha_abs, _K_PROBE)
     if not np.any(y * np.maximum(1.0 / params.radius(), np.exp(np.diff(logs))) <= 1.0):
         raise ValueError(f"the terms at y = {y:.6g} still grow at k = {_K_PROBE}")

@@ -17,12 +17,13 @@ GrowthParams combines them with delta1, delta2, lambda, T and d.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .lifetimes import LifetimeModel
 from .mechanism import Code
-from .multiindex import mi_enumerate_below, mi_upto
+from .multiindex import mi_add_unit, mi_enumerate_below, mi_sub, mi_upto
 from . import progeny
 from .progeny import Exponential, Factorial
 
@@ -31,13 +32,9 @@ from .progeny import Exponential, Factorial
 class GrowthParams:
     """Everything the stability formulas consume: a regime (Factorial or
     Exponential), the deltas, the lifetime rate lam, the horizon T and the
-    dimension d.
-
-    The side conditions regime.side_lhs() >= sqrt(2/d) (side_lhs is theta r,
-    resp. theta) and min(side_lhs^2, 1) >= 1/((d+1) delta1 delta2) are
-    exposed as booleans and rechecked by check_conditions.  A delta or lam
-    that is not finite and > 0, a negative or NaN T, or a d that is not an
-    int >= 1 raises ValueError.
+    dimension d; check_conditions states the integrability conditions on
+    them.  A delta or lam that is not finite and > 0, a negative or NaN T,
+    or a d that is not an int >= 1 raises ValueError.
     """
 
     regime: Factorial | Exponential
@@ -64,10 +61,6 @@ class GrowthParams:
         dominating series is compared with its radius."""
         return (1.0 - math.exp(-self.lam * self.T)) * float(self.delta1) * float(self.delta2)
 
-    def scaled_radius(self) -> float:
-        """The horizon-condition threshold: 2^-(r+2) R (factorial), R (exp)."""
-        return self.regime.horizon_threshold(self.d)
-
     def side_condition_theta(self) -> bool:
         return self.regime.side_lhs() >= math.sqrt(2.0 / self.d)
 
@@ -88,10 +81,6 @@ class GrowthParams:
             theta = math.nextafter(theta, math.inf)
         return replace(self, regime=replace(self.regime, theta=theta))
 
-    def side_condition_delta(self) -> bool:
-        rhs = 1.0 / ((self.d + 1) * float(self.delta1) * float(self.delta2))
-        return min(self.regime.side_lhs() ** 2, 1.0) >= rhs
-
     def build_weights(self) -> progeny.PresetWeights:
         """Branch-weight preset matching the growth regime: the weights of
         progeny.PresetWeights for the regime's growth sequence, the deltas
@@ -106,7 +95,6 @@ class Condition:
     lhs: float
     rhs: float
     passed: bool
-    strict: bool  # True when the inequality must be strict
 
 
 @dataclass(frozen=True)
@@ -118,48 +106,29 @@ class ConditionReport:
 def check_conditions(p: GrowthParams, model: LifetimeModel) -> ConditionReport:
     """Evaluate the integrability conditions at horizon p.T:
 
-      split-time:  1/rho_*(T) <= delta2
+      split-time:  1/rho_*(T) <= delta2   (1/rho_* read as inf at rho_* = 0)
       radius:      (1-exp(-lam T)) delta1 delta2 < 2^-(r+2) R  (factorial)
                                                  < R            (exponential)
       side-theta:  theta r >= sqrt(2/d)   (resp. theta >= sqrt(2/d))
       side-delta:  min((theta r)^2, 1) >= 1/((d+1) delta1 delta2) (resp. theta^2)
 
-    The radius row's left side is p.dominating_argument().  The verdict is
-    the conjunction; each row carries its numbers.
+    The radius row's left side is p.dominating_argument().  Each row carries
+    its two sides and their relation's verdict; the report passes when every
+    row does.
     """
     rho_star = model.rho_star(p.T)
-    split = Condition(
-        "bound-split-time",
-        lhs=math.inf if rho_star == 0 else 1.0 / rho_star,
-        rhs=float(p.delta2),
-        passed=rho_star > 0 and 1.0 / rho_star <= float(p.delta2),
-        strict=False,
+    side = p.regime.side_lhs()
+    table = (
+        ("bound-split-time", math.inf if rho_star == 0 else 1.0 / rho_star, operator.le,
+         float(p.delta2)),
+        ("bound-radius", p.dominating_argument(), operator.lt, p.regime.horizon_threshold(p.d)),
+        ("side-theta", side, operator.ge, math.sqrt(2.0 / p.d)),
+        ("side-delta", min(side**2, 1.0), operator.ge,
+         1.0 / ((p.d + 1) * float(p.delta1) * float(p.delta2))),
     )
-    x = p.dominating_argument()
-    threshold = p.scaled_radius()
-    radius = Condition(
-        "bound-radius",
-        lhs=x,
-        rhs=threshold,
-        passed=x < threshold,
-        strict=True,
+    conditions = tuple(
+        Condition(name, lhs, rhs, holds(lhs, rhs)) for name, lhs, holds, rhs in table
     )
-    lhs_theta = p.regime.side_lhs()
-    side_theta = Condition(
-        "side-theta",
-        lhs=lhs_theta,
-        rhs=math.sqrt(2.0 / p.d),
-        passed=p.side_condition_theta(),
-        strict=False,
-    )
-    side_delta = Condition(
-        "side-delta",
-        lhs=min(lhs_theta**2, 1.0),
-        rhs=1.0 / ((p.d + 1) * float(p.delta1) * float(p.delta2)),
-        passed=p.side_condition_delta(),
-        strict=False,
-    )
-    conditions = (split, radius, side_theta, side_delta)
     return ConditionReport(conditions=conditions, passed=all(c.passed for c in conditions))
 
 
@@ -205,25 +174,14 @@ def verify_weight_dominance_algebra(p: GrowthParams, alphamax: int = 5, jmax: in
             return False
         for j in range(jmax + 1):
             for beta in mi_enumerate_below(alpha):
-                gamma = tuple(a - b for a, b in zip(alpha, beta))
-                lhs0 = (
-                    sb_dom(gamma, 0)
-                    * sb_dom(beta, j + 1)
-                    * si(alpha, j, 0)
-                    / sb_dom(alpha, j)
-                )
-                if not lhs0 >= 1:
-                    return False
-                for i in range(1, p.d + 1):
-                    gp = gamma[: i - 1] + (gamma[i - 1] + 1,) + gamma[i:]
-                    bp = beta[: i - 1] + (beta[i - 1] + 1,) + beta[i:]
-                    lhsi = (
-                        sb_dom(gp, 0)
-                        * sb_dom(bp, j + 1)
-                        * si(alpha, j, i)
-                        / sb_dom(alpha, j)
-                    )
-                    if not lhsi >= 1:
+                gamma = mi_sub(alpha, beta)
+                # the children of entry kind 0 (inequality 3) and of kind i (4)
+                children = [(gamma, beta)] + [
+                    (mi_add_unit(gamma, i), mi_add_unit(beta, i)) for i in range(1, p.d + 1)
+                ]
+                for i, (left, right) in enumerate(children):
+                    lhs = sb_dom(left, 0) * sb_dom(right, j + 1) * si(alpha, j, i)
+                    if not lhs / sb_dom(alpha, j) >= 1:
                         return False
     return True
 

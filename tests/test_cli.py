@@ -272,26 +272,35 @@ STABILITY = {
 
 
 # sha256 of the analyzer's outputs, fixed when the A and A-hat tables became
-# one row each; a change to any printed digit changes them
+# one row each; a change to any printed digit changes them.  The last two
+# pin an exponential report with its hbound rows and sweep, and a report in
+# which every condition fails (exit 1)
 FACTORIAL = {"kind": "factorial", "theta": 1.5, "r": 1}
 OUTPUT_DIGESTS = [
-    ("progeny", {"regime": FACTORIAL, "d": 2, "kmax": 6, "alpha_max": 3, "exact": True},
+    ("progeny", {"regime": FACTORIAL, "d": 2, "kmax": 6, "alpha_max": 3, "exact": True}, 0,
      "43b9c4ff1c6dd052852055455666ede8a5ff5f74c597e8c6910ccc92b8b94baa"),
-    ("progeny", {"regime": FACTORIAL, "d": 2, "kmax": 6, "alpha_max": 3, "exact": False},
+    ("progeny", {"regime": FACTORIAL, "d": 2, "kmax": 6, "alpha_max": 3, "exact": False}, 0,
      "3c9cd82c629d4ef6e10df0039a7da7725acedb99aa454fe2a661cd973e060086"),
-    ("progeny", {"regime": {"kind": "exponential", "theta": 1.5}, "d": 3, "kmax": 4, "alpha_max": 3},
+    ("progeny", {"regime": {"kind": "exponential", "theta": 1.5}, "d": 3, "kmax": 4, "alpha_max": 3}, 0,
      "d00903353d915eb476277097e0988e6f85d3a3445874a08f01d700cefaebc0ef"),
-    ("stability", {**STABILITY, "sweep_T": [0.0, 0.0005, 0.001]},
+    ("stability", {**STABILITY, "sweep_T": [0.0, 0.0005, 0.001]}, 0,
      "637645da1bc7ffb2e2c7fe90e9d8fc1d3a0f4b1ab79f3844cd792bc9a4f9f675"),
+    ("stability", {**STABILITY, "regime": {"kind": "exponential", "theta": 1.5}, "d": 2,
+                   "sweep_T": [0.0, 0.0005, 0.001]}, 0,
+     "56f1adbeb1b11ca2e3d981636ed6914be4bf2d5e0d64f2041f47291fe8d535ac"),
+    ("stability", {**STABILITY, "regime": {"kind": "factorial", "theta": 0.5, "r": 1}, "T": 0.3}, 1,
+     "483f36ca49db006b80cd51d1de0d20b74a2ac87b9e34f6602148e3b8e18a1d7b"),
 ]
 
 
-@pytest.mark.parametrize("command, cfg, digest", OUTPUT_DIGESTS,
+@pytest.mark.parametrize("command, cfg, exit_code, digest", OUTPUT_DIGESTS,
                          ids=["progeny-factorial-exact", "progeny-factorial-float",
-                              "progeny-exponential", "stability-sweep"])
-def test_analyzer_output_is_byte_for_byte_unchanged(tmp_path, capsys, command, cfg, digest):
+                              "progeny-exponential", "stability-sweep",
+                              "stability-exponential-sweep", "stability-all-fail"])
+def test_analyzer_output_is_byte_for_byte_unchanged(tmp_path, capsys, command, cfg, exit_code,
+                                                   digest):
     code, out, _ = run_command(tmp_path, capsys, command, cfg)
-    assert code == 0
+    assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

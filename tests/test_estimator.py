@@ -3,6 +3,7 @@ import io
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,3 +300,51 @@ def test_b2_estimates_stay_finite_where_e_to_the_x_overflows(x, alpha, j):
 def test_b2_phi_is_unchanged_where_e_to_the_x_is_finite():
     x = np.array([-800.0, -30.0, 0.0, 1.5, 36.0, 40.0, 700.0, 709.0, math.log(sys.float_info.max)])
     assert np.array_equal(b2_phi(x), 2.0 * np.log((2.0 + np.exp(x)) / (1.0 + np.exp(x))))
+
+
+def _exact_sample_se(values) -> float:
+    """sqrt(sum (v - mean)^2 / ((n-1) n)) of the floats, formed exactly in
+    Fractions and square-rooted after dividing by max|v|^2."""
+    exact = [Fraction(float(v)) for v in values]
+    n = len(exact)
+    mean = sum(exact) / n
+    var = sum((v - mean) ** 2 for v in exact) / (n - 1)
+    scale = max(abs(v) for v in exact)
+    return float(scale) * math.sqrt(float(var / scale**2 / n))
+
+
+@pytest.mark.parametrize("x", [400.0, 720.0])
+@pytest.mark.parametrize("groups", [1, 7])
+def test_standard_error_of_values_whose_squared_deviations_underflow(x, groups):
+    # b2's code (1,)/-1 far right: the samples are near -4e-174 (x = 400)
+    # and subnormal (x = 720), so their squared deviations underflow to 0;
+    # the SE is formed on values / max|v| and is the exact one
+    T, n, seed, code = 0.1, 2000, 3, Code((1,), -1)
+    _, setup = b2_setup(T)
+    values = estimator._sample_values(setup, code, 0.0, (x,), T, range(n), seed, Caps()).values
+    assert np.unique(values).size > 1
+    assert float(np.sum((values - np.mean(values)) ** 2)) == 0.0
+    if groups == 1:
+        want = _exact_sample_se(values)
+    else:  # sqrt(pi/2) times the standard error of the group means
+        bounds = [i * n // groups for i in range(groups + 1)]
+        means = [float(np.sum(values[lo:hi])) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        want = math.sqrt(math.pi / 2) * _exact_sample_se(means)
+    est = median_of_means(code, 0.0, (x,), T, setup, n, groups, seed)
+    assert est.std_error > 0
+    assert est.std_error == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_standard_error_of_values_whose_squared_deviations_overflow():
+    # numpy warns as the squares overflow; the SE is formed again on v / max|v|
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        mean, se = estimator._mean(np.array([1e200, 3e200]))
+    assert mean == 2e200 and se == pytest.approx(1e200, rel=1e-15)
+
+
+@pytest.mark.parametrize("v, n", [(3e-171, 3), (3e-171, 7), (5e-324, 5), (0.0, 5)])
+def test_standard_error_of_equal_values_stays_zero(v, n):
+    # formed again on v / max|v|, the SE of 3e-171 would read the rounding of
+    # the mean (about 1e-187), and that of 0 would be 0/0
+    mean, se = estimator._mean(np.full(n, v))
+    assert se == 0.0 and mean == pytest.approx(v, rel=1e-15, abs=0)

@@ -102,13 +102,16 @@ def test_b2_solution_range():
 
 
 def test_oracle_consistency_invariant():
-    for problem in (b2_problem(0.1), constant_problem(0.1), zero_f_cosine_problem(0.1)):
+    # the (0, j) codes are phi and f^{(j)}(phi): f is b2's, e^u, and 0
+    for problem, f2 in ((b2_problem(0.1), lambda u: b2_f_family(2, u)),
+                        (constant_problem(0.1), math.exp),
+                        (zero_f_cosine_problem(0.1), lambda u: 0.0)):
         for x in (-1.0, 0.0, 0.7):
             assert problem.oracle(Code((0,) * problem.d, -1), (x,)) == pytest.approx(
                 problem.phi((x,)), abs=1e-12
             )
             assert problem.oracle(Code((0,) * problem.d, 2), (x,)) == pytest.approx(
-                problem.f_family(2, problem.phi((x,))), abs=1e-12
+                f2(problem.phi((x,))), abs=1e-12
             )
 
 

@@ -728,7 +728,7 @@ def test_dominating_bound_is_at_most_the_papers_closed_forms(regime, d):
         return
     # factorial |alpha| >= 1: C (2 theta d)^|alpha| delta1 decay (|alpha|!/alpha!)
     # / (y - x) for x < y = 2^-(r+2) R, C = tracked_constant
-    y = star.scaled_radius()
+    y = star.regime.horizon_threshold(star.d)
     for alpha in (a for a in alphas_upto(3, d) if sum(a)):
         m = sum(alpha)
         C = progeny.tracked_constant(star, m) * (2 * float(star.regime.theta) * d) ** m

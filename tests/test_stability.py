@@ -83,6 +83,29 @@ def test_weight_dominance_algebra_needs_delta2_at_least_one(delta2, holds):
     assert verify_weight_dominance_algebra(p, alphamax=4, jmax=2) is holds
 
 
+@pytest.mark.parametrize("method, j, kind, factor", [
+    ("sigma_boundary", -1, None, 2),  # 1) sigma_b(alpha,-1) <= kappa sigma_b(alpha,0)
+    ("sigma_inner", -1, 0, 2),        # 2) sigma_i0(alpha,-1) <= kappa
+    ("sigma_inner", 2, 0, 0),         # 3) entry kind 0
+    ("sigma_inner", 2, 1, 0),         # 4) entry kind 1
+    ("sigma_inner", 2, 2, 0),         # 4) entry kind 2
+    ("sigma_inner", 2, 2, 1),         # nothing broken
+], ids=["boundary-j-1", "inner-j-1", "kind-0", "kind-1", "kind-2", "none"])
+def test_weight_dominance_algebra_refuses_each_inequality_broken_alone(
+    monkeypatch, method, j, kind, factor
+):
+    # a passing preset (kappa = delta2 = 1, so 1 and 2 hold with equality)
+    # with one weight scaled at alpha = (1, 2): that weight enters exactly
+    # one of the inequalities, at one grid point
+    p = GrowthParams(Factorial(Fraction(1), Fraction(1)), Fraction(1), Fraction(1), 1.0, 0.1, 2)
+    w = p.build_weights()
+    weight = getattr(w, method)
+    at = ((1, 2), j) if kind is None else ((1, 2), j, kind)
+    monkeypatch.setattr(w, method, lambda *args: weight(*args) * (factor if args == at else 1))
+    monkeypatch.setattr(GrowthParams, "build_weights", lambda self: w)
+    assert verify_weight_dominance_algebra(p, alphamax=3, jmax=2) is (factor == 1)
+
+
 PRESET_CASES = [  # (regime, delta1, delta2): kappa = delta2 > 1, then kappa = 1
     (Factorial(Fraction(3, 2), Fraction(1)), Fraction(6, 5), Fraction(6, 5)),
     (Exponential(Fraction(3, 2)), Fraction(6, 5), Fraction(2, 3)),
