@@ -125,7 +125,9 @@ def _rescue_scale(values: np.ndarray) -> float:
     values that reads 0 or inf lost its squared deviations to underflow or
     overflow; formed on values / max|v| and scaled back, it keeps them.
     Equal values keep their spread: formed again, it could read the
-    rounding of their mean instead of 0."""
+    rounding of their mean instead of 0.  Callers form the spread and call
+    this under np.errstate(over="ignore"), as the rescued spread replaces
+    whatever overflowed (np.ptp of values near the float limit too)."""
     vmax = float(np.max(np.abs(values)))
     return vmax if vmax < math.inf and np.ptp(values) > 0 else 0.0
 
@@ -139,9 +141,10 @@ def _mean(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.sum(values)) / values.size
     if values.size < 2:
         return mean, float("inf")
-    se = _se(values, mean)
-    if not 0.0 < se < math.inf and (vmax := _rescue_scale(values)):
-        se = vmax * _se(values / vmax, mean / vmax)
+    with np.errstate(over="ignore"):
+        se = _se(values, mean)
+        if not 0.0 < se < math.inf and (vmax := _rescue_scale(values)):
+            se = vmax * _se(values / vmax, mean / vmax)
     return mean, se
 
 
@@ -221,9 +224,11 @@ def median_of_means(
                 raise AllSamplesCapped(f"group {lo}:{hi} entirely capped")
             means.append(float(np.sum(group)) / group.size)
         means = np.array(means)
-        mean, spread = float(np.median(means)), float(np.std(means, ddof=1))
-        if not 0.0 < spread < math.inf and (vmax := _rescue_scale(means)):
-            spread = vmax * float(np.std(means / vmax, ddof=1))
+        mean = float(np.median(means))
+        with np.errstate(over="ignore"):
+            spread = float(np.std(means, ddof=1))
+            if not 0.0 < spread < math.inf and (vmax := _rescue_scale(means)):
+                spread = vmax * float(np.std(means / vmax, ddof=1))
         se = math.sqrt(math.pi / 2) * spread / math.sqrt(groups)
         gap = abs(mean - plain)
         scale = max(se, plain_se, 1e-300)

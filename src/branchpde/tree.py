@@ -121,11 +121,12 @@ _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's stream increment
 def _fmix(z):
     """splitmix64's output function."""
     if isinstance(z, np.ndarray):
-        z = z ^ (z >> 30)  # a new array, worked on in place from here
+        shifted = z >> 30  # one scratch array for the three shifts
+        z = z ^ shifted  # a new array, worked on in place from here
         z *= 0xBF58476D1CE4E5B9
-        z ^= z >> 27
+        z ^= np.right_shift(z, 27, out=shifted)
         z *= 0x94D049BB133111EB
-        z ^= z >> 31
+        z ^= np.right_shift(z, 31, out=shifted)
         return z
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -427,7 +428,11 @@ def code_table(d: int, dominating: bool = False) -> CodeTable:
     return _CODE_TABLES[key]
 
 
-FRONTIER_BUDGET = 1 << 18  # branch rows a batch holds at once
+# Branch rows a generation of a batch may hold.  At d = 1 a row costs about
+# 90 traced bytes at the sampler's peak (its Generation columns, key, death
+# time and draw temporaries) and about 120 with the survivors evaluate_batch
+# holds, so the budget bounds a batch at about 32 MB.
+FRONTIER_BUDGET = 1 << 18
 
 
 class FrontierFull(RuntimeError):
@@ -437,7 +442,12 @@ class FrontierFull(RuntimeError):
 
 class Generation(NamedTuple):
     """One generation of a `TreeBatch`, one row per branch; the rows of a
-    tree are in label order."""
+    tree are in label order.
+
+    The batch frees a generation's arrays once it draws the next, so a
+    consumer must not keep a Generation past its step: drop it, and any
+    array of it, before asking for the next one.  At the root, `parent`,
+    `child`, `code` and `birth` hold one value each, as read-only views."""
 
     sample: np.ndarray    # offset of the branch's tree in the batch
     parent: np.ndarray    # row of the parent in the previous generation, -1 at the root
@@ -471,6 +481,12 @@ class TreeBatch:
     `codes` is the shared table of (d, chain) (`code_table`): the ids in
     `Generation.code` depend on which codes earlier batches met, the codes
     they name and everything computed from them do not.
+
+    Lifetime contract: while it grows generation g + 1 the batch holds
+    nothing of generation g but the parent rows it reads, so a consumer that
+    drops each `Generation` after its step holds one generation at a time,
+    plus whatever it keeps of its own (the survivors `evaluate_batch`
+    holds).  The root's constant columns are read-only views.
     """
 
     def __init__(
@@ -506,13 +522,13 @@ class TreeBatch:
     def __iter__(self) -> Iterator[Generation]:
         T, d, model, codes, caps = self.T, self.d, self.model, self.codes, self.caps
         sample = np.flatnonzero(~self.capped)
-        indices = np.arange(self.indices.start, self.indices.stop, self.indices.step)
-        key = _root_keys(self.seed, indices[sample])
-        parent = np.full(sample.size, -1)
-        child = np.zeros(sample.size, dtype=np.int64)
-        code = np.full(sample.size, codes.intern(self.c0))
-        birth = np.full(sample.size, self.t)
-        pos = np.tile(self.x, (sample.size, 1))
+        key = _root_keys(self.seed, self.indices.start + self.indices.step * sample)
+        # the root's constant columns are read-only views of one value each
+        parent = np.broadcast_to(np.int64(-1), sample.shape)
+        child = np.broadcast_to(np.int64(0), sample.shape)
+        code = np.broadcast_to(np.int64(codes.intern(self.c0)), sample.shape)
+        birth = np.broadcast_to(np.float64(self.t), sample.shape)
+        pos = np.broadcast_to(self.x, (sample.size, d))
         generation = 0
         while sample.size:
             if sample.size > FRONTIER_BUDGET and len(self) > 1:
@@ -522,6 +538,7 @@ class TreeBatch:
             died = death <= T
             scale = np.sqrt(np.where(died, tau, T - birth))
             position = pos + np.stack(_normals(key, 1, d), axis=1) * scale[:, None]
+            del scale
             dead = np.flatnonzero(died)
             dead_code = code[dead]
             codes.build(dead_code)
@@ -529,6 +546,8 @@ class TreeBatch:
             entry = np.full(sample.size, -1)
             entry[dead] = dead_entry
             yield Generation(sample, parent, child, code, birth, tau, died, position, entry)
+            # from here on hold only what the next generation reads
+            del tau, died, entry, birth, pos, parent, child, code
 
             rows = codes.first[dead_code] + dead_entry
             nchild = codes.nchild[rows]
@@ -551,6 +570,7 @@ class TreeBatch:
             key = _mix(key[parent], child.astype(np.uint64))
             birth = death[parent]
             pos = position[parent]
+            del death, position, dead, dead_code, dead_entry, rows, nchild
 
 
 def evaluate_in_parts(
@@ -583,7 +603,12 @@ def evaluate_batch(batch: TreeBatch, oracle, model: LifetimeModel, T: float) -> 
     oracle once per code on all their terminal positions, until they pass
     FRONTIER_BUDGET rows.  Each tree multiplies its died factors and its
     survived factors apart, each in generation and then label order, so its
-    value does not depend on the other trees of the batch."""
+    value does not depend on the other trees of the batch.
+
+    It holds one generation of the batch at a time, plus the held
+    survivors: each `Generation`, and the row indices taken from it, is
+    dropped before the next is drawn.  It only reads a generation's columns,
+    which at the root are read-only views."""
     died = np.ones(len(batch))
     survived = np.ones(len(batch))
     held: list[tuple[np.ndarray, ...]] = []
@@ -593,6 +618,7 @@ def evaluate_batch(batch: TreeBatch, oracle, model: LifetimeModel, T: float) -> 
         rows = batch.codes.first[gen.code[dead]] + gen.entry[dead]
         np.multiply.at(died, gen.sample[dead], batch.codes.ratio[rows] / model.density(gen.tau[dead]))
         held.append((gen.sample[alive], gen.code[alive], gen.birth[alive], gen.position[alive]))
+        del gen, dead, alive, rows  # let the batch free this generation
         if sum(part[0].size for part in held) > FRONTIER_BUDGET:
             _multiply_survivors(survived, held, batch.codes, oracle, model, T)
     _multiply_survivors(survived, held, batch.codes, oracle, model, T)
@@ -641,6 +667,7 @@ def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
                 weights[k] = float(boundary(alpha, j) if slot == 0 else w.sigma_inner(alpha, j, slot - 1))
         factor = np.array([weights[k] for k in keys.tolist()])[inverse]
         np.multiply.at(product, gen.sample, factor)
+        del gen, key, dead, inverse, factor  # let the batch free this generation
     product[batch.capped] = np.nan
     return product
 

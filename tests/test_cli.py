@@ -304,6 +304,41 @@ def test_analyzer_output_is_byte_for_byte_unchanged(tmp_path, capsys, command, c
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `solve`'s stdout, fixed before the batched sampler held one
+# generation at a time; every printed digit of a mean, SE or tree statistic
+# must survive any change to how the trees are grown.  The first config caps
+# some trees (137 of 4000) and has a t = T row and seed offsets, the second
+# takes the median of means
+SOLVE_CAPPED = {
+    "problem": "b2", "T": 0.5, "n": 4000, "seed": 7, "code": {"alpha": [3], "j": 0},
+    "lifetime": {"kind": "exponential", "lambda": 2.0},
+    "caps": {"max_branches": 12, "max_generation": 200},
+    "points": [{"t": 0.0, "x": [0.0]}, {"t": 0.25, "x": [0.5]}, {"t": 0.5, "x": [0.0]}],
+    "seed_offsets": [0, 1, 2],
+}
+SOLVE_MOM = {
+    "problem": "b2", "T": 0.1, "n": 4001, "seed": 3, "estimator": "mom", "groups": 5,
+    "code": {"alpha": [0], "j": -1}, "lifetime": {"kind": "exponential", "lambda": 1.0},
+    "points": [{"t": 0.0, "x": [0.0]}, {"t": 0.05, "x": [-1.5]}],
+}
+SOLVE_DIGESTS = [
+    (SOLVE_CAPPED, "csv", "2050a6af9b6a2f9090d64dc43ee39a605ed7e66bfa0462376c6d4450560cba2d"),
+    (SOLVE_CAPPED, "json", "c6cff24ba527b299eb474f5812fde9a0012fcbac6baa89b1b523e481ba412393"),
+    (SOLVE_MOM, "csv", "9e8ed32b6b4f77b90e55caea898f27e7f7b6132a91d4a367ce8d042c304e9c47"),
+    (SOLVE_MOM, "json", "3344bc271980cc553e41c5de08e0af82c8afc37ec2058d6499a925f7a77e3769"),
+]
+
+
+@pytest.mark.parametrize("cfg, fmt, digest", SOLVE_DIGESTS,
+                         ids=["capped-csv", "capped-json", "mom-csv", "mom-json"])
+def test_solve_output_is_byte_for_byte_unchanged(tmp_path, capsys, cfg, fmt, digest):
+    # the format comes by flag: the JSON output echoes the config
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["solve", "--config", str(path), "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("fields", [
     {"d": 0},
     {"T": -0.1},

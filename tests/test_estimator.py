@@ -336,10 +336,45 @@ def test_standard_error_of_values_whose_squared_deviations_underflow(x, groups):
 
 
 def test_standard_error_of_values_whose_squared_deviations_overflow():
-    # numpy warns as the squares overflow; the SE is formed again on v / max|v|
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        mean, se = estimator._mean(np.array([1e200, 3e200]))
-    assert mean == 2e200 and se == pytest.approx(1e200, rel=1e-15)
+    # the squares overflow, and for the second np.ptp too; the SE is formed
+    # again on v / max|v|, without a numpy warning
+    for values in ([1e200, 3e200], [-1e308, 1e308, 0.5]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = estimator._mean(np.array(values))
+        assert mean == float(np.sum(values)) / len(values)
+        assert se == pytest.approx(_exact_sample_se(values), rel=1e-15, abs=0)
+
+
+def huge_setup():
+    """Terminal values near 1e200 that vary with the point, and 0 for the
+    derivative codes a death spawns."""
+
+    def oracle_fn(code, x):
+        if code != ID:
+            return 0.0
+        return 1e200 * (2.0 + np.tanh(np.asarray(x, dtype=float)[..., 0]))
+
+    return ProblemSetup(CodeOracle(oracle_fn), exponential_model(1.0), 1)
+
+
+@pytest.mark.parametrize("groups", [1, 7])
+def test_standard_error_of_samples_whose_squared_deviations_overflow(groups):
+    # the samples and their group means are near 1e200, so np.sum and
+    # np.std square past the float range; the SE is the exact one and numpy
+    # warns of nothing
+    T, n, seed, setup = 0.5, 700, 5, huge_setup()
+    values = estimator._sample_values(setup, ID, 0.0, (0.0,), T, range(n), seed, Caps()).values
+    bounds = [i * n // groups for i in range(groups + 1)]
+    means = [float(np.sum(values[lo:hi])) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+    spread = values if groups == 1 else np.array(means)  # what the estimate squares
+    with np.errstate(over="ignore"):
+        assert float(np.sum((spread - np.mean(spread)) ** 2)) == math.inf
+    want = _exact_sample_se(values) if groups == 1 else math.sqrt(math.pi / 2) * _exact_sample_se(means)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = median_of_means(ID, 0.0, (0.0,), T, setup, n, groups, seed)
+    assert est.std_error == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("v, n", [(3e-171, 3), (3e-171, 7), (5e-324, 5), (0.0, 5)])

@@ -696,3 +696,57 @@ def test_batches_share_one_code_table_per_dimension_and_chain(monkeypatch):
     assert batch().codes is batch(indices=range(3)).codes is tree_module.code_table(1)
     tables = {id(batch(d, dom).codes) for d in (1, 2) for dom in (False, True)}
     assert len(tables) == 4
+
+
+# --- the lifetime contract: a batch holds one generation at a time -----------
+
+import dataclasses
+import tracemalloc
+import weakref
+
+
+@pytest.mark.parametrize("consumer", ["evaluate_batch", "weighted_progeny_batch"])
+def test_a_generation_is_freed_before_the_next_draws_its_lifetimes(monkeypatch, consumer):
+    # while generation g + 1 draws its lifetimes, no array yielded for
+    # generation g is alive, in the batch or in the consumer
+    problem, model, c0, x, n = BATCH_CONFIGS["b2-deep"]
+    T, refs, live = problem.T, [], []
+
+    def counting_inverse_cdf(u):
+        live.append(sum(ref() is not None for ref in refs))
+        return model.inverse_cdf(u)
+
+    generations = TreeBatch.__iter__
+
+    def recording(batch):
+        for gen in generations(batch):
+            refs[:] = [weakref.ref(column) for column in gen]
+            yield gen
+            del gen
+
+    monkeypatch.setattr(TreeBatch, "__iter__", recording)
+    counted = dataclasses.replace(model, inverse_cdf=counting_inverse_cdf)
+    batch = TreeBatch(c0, 0.0, x, T, counted, 1, 17, range(n))
+    if consumer == "evaluate_batch":
+        evaluate_batch(batch, problem.oracle, model, T)
+    else:
+        weighted_progeny_batch(batch, SPREAD_WEIGHTS)
+    assert len(live) == batch.depth.max() + 1 > 2
+    assert live == [0] * len(live)
+
+
+@pytest.mark.parametrize("name, n, bound", [("b2-shallow", 20_000, 140), ("b2-deep", 10_000, 280)])
+def test_evaluate_batch_working_set_per_tree(name, n, bound):
+    # tracemalloc's peak over evaluate_batch, in bytes per tree, after a
+    # warm-up batch that lays out the codes the trees meet
+    problem, model, c0, x, _ = BATCH_CONFIGS[name]
+    T = problem.T
+    evaluate_batch(TreeBatch(c0, 0.0, x, T, model, 1, 1, range(n)), problem.oracle, model, T)
+    batch = TreeBatch(c0, 0.0, x, T, model, 1, 2, range(n))
+    tracemalloc.start()
+    try:
+        evaluate_batch(batch, problem.oracle, model, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= bound
