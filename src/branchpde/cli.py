@@ -8,10 +8,11 @@ validation, 3 on config errors; stability returns 1 when conditions fail
 (the report is still written); verify returns 0 iff every check passes.  A
 config error, a config that is not a JSON object among them, is one stderr
 line "config error: ..." and exit 3, as is a stability bound that is not a
-finite float.  solve samples in one process, so `workers` (or --workers)
-must be 1; the field stays in the resolved config it echoes.  Its `mean`
-estimator is median-of-means with one group.  Log level comes from the
-BRANCHPDE_LOG environment variable.
+finite float, or a stability `lifetime` block whose lambda is not the
+config's `lambda`.  solve samples in one process, so `workers` (or
+--workers) must be 1; the field stays in the resolved config it echoes.
+Its `mean` estimator is median-of-means with one group.  Log level comes
+from the BRANCHPDE_LOG environment variable.
 
 `progeny` and `stability` load no sampler module: this module imports only
 the analyzer half at the top, and `cmd_solve` and `cmd_verify` import the
@@ -111,12 +112,12 @@ def _at_least(cfg: dict, field: str, low: int, default=None) -> int:
     return _integer(field, cfg.get(field, default), low)
 
 
-def _regime(cfg: dict, d: int, number=Fraction):
-    """The `regime` block as Factorial(theta, r) or Exponential(theta), its
-    parameters passed through `number`.  kind defaults to factorial; theta
-    and r are numbers or rational strings ("3/2"), read as Fractions
-    (float(Fraction(str(x))) == x for a finite float x).  Each parameter, as
-    a float, and the radius R(d) must be finite and > 0."""
+def _regime(cfg: dict, d: int):
+    """The `regime` block as Factorial(theta, r) or Exponential(theta).
+    kind defaults to factorial; theta and r are numbers or rational strings
+    ("3/2"), read as Fractions (float(Fraction(str(x))) == x for a finite
+    float x).  Each parameter, as a float, and the radius R(d) must be
+    finite and > 0."""
     block = _require(cfg, "regime", dict)
     regime = {c.name: c for c in (stability.Factorial, stability.Exponential)}.get(
         block.get("kind", "factorial")
@@ -136,7 +137,7 @@ def _regime(cfg: dict, d: int, number=Fraction):
             raise ConfigError(f"regime.{field.name} must be > 0, got {value!r}")
         if not 0 < _as_float(q) < math.inf:
             raise ConfigError(f"regime.{field.name} = {value!r} is outside the float range")
-        params.append(number(q))
+        params.append(q)
     regime = regime(*params)
     try:
         radius = regime.radius(d)
@@ -286,7 +287,7 @@ def cmd_stability(args) -> int:
     try:
         cfg = _load_config(args.config)
         d = _at_least(cfg, "d", 1, default=1)
-        regime = _regime(cfg, d, float)
+        regime = _regime(cfg, d)
         lam = _positive("lambda", _require(cfg, "lambda"))
         delta1 = _positive("delta1", _require(cfg, "delta1"))
         delta2 = _positive("delta2", _require(cfg, "delta2"))
@@ -298,6 +299,8 @@ def cmd_stability(args) -> int:
         if not all(TT >= 0 for TT in sweep + ([] if T is None else [T])):
             raise ConfigError("horizons 'T' and 'sweep_T' must be >= 0")
         model = _lifetime(cfg.get("lifetime", {"kind": "exponential", "lambda": lam}))
+        if model.lam != lam:
+            raise ConfigError(f"lifetime.lambda = {model.lam!r} differs from lambda = {lam!r}")
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -109,8 +109,8 @@ def _sample_values(
     """Grow and evaluate the trees of `indices` as one batch, or in parts
     when the batch outgrows the frontier budget."""
     parts = evaluate_in_parts(
-        lambda r: TreeBatch(c, t, x, T, setup.model, setup.d, seed, r, caps),
-        lambda batch: evaluate_batch(batch, setup.oracle, setup.model, T),
+        lambda r: TreeBatch(c, t, x, T, setup.model, seed, r, caps),
+        lambda batch: evaluate_batch(batch, setup.oracle),
         indices,
     )
     return _concat([_Samples(values, b.capped, b.branches, b.depth) for b, values in parts])
@@ -196,8 +196,11 @@ def median_of_means(
     plain mean and its standard error.  Otherwise std_error is the asymptotic
     median factor sqrt(pi/2) times the spread of group means, a diagnostic,
     not a guarantee, and a warning is logged when the median and the plain
-    mean disagree by more than 5 standard errors.
+    mean disagree by more than 5 standard errors.  A code or point whose
+    dimension is not setup.d raises ValueError.
     """
+    if not len(c.alpha) == len(x) == setup.d:
+        raise ValueError(f"code {c} and point {tuple(x)} must have the problem's dimension d = {setup.d}")
     if groups < 1 or groups % 2 == 0:
         raise ValueError("groups must be 1 or an odd integer >= 3")
     if n < groups:

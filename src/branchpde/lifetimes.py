@@ -160,12 +160,13 @@ class AssumptionReport:
     failures: tuple[str, ...] = ()
 
 
-def validate_assumption_h(
-    model: LifetimeModel, T: float, grid_points: int = 1000
-) -> AssumptionReport:
+SURVIVAL_GRID_POINTS = 1000
+
+
+def validate_assumption_h(model: LifetimeModel, T: float) -> AssumptionReport:
     """Check rho_*(T) > 0 and rho_bar(r) >= exp(-lam r) on a grid.
 
-    The survival bound is checked on `grid_points` points of [0, 10/lam]
+    The survival bound is checked on SURVIVAL_GRID_POINTS points of [0, 10/lam]
     (pointwise checking over all r is not decidable); failures are reported,
     never raised.
     """
@@ -177,7 +178,7 @@ def validate_assumption_h(
         failures.append(f"rho_*({T}) = {rho_star} is not > 0")
     hi = 10.0 / model.lam
     tol = 1e-12
-    r = hi * np.arange(grid_points) / (grid_points - 1)
+    r = hi * np.arange(SURVIVAL_GRID_POINTS) / (SURVIVAL_GRID_POINTS - 1)
     survival, bound = model.survival(r), np.exp(-model.lam * r)
     bad = np.flatnonzero(survival < bound - tol)
     if bad.size:

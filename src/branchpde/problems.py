@@ -14,6 +14,7 @@ u(t, x) = phi(x - (T - t)), taking values in (0, 2 log 2).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,20 +27,17 @@ from .jets import Jet, exp_jet
 from .mechanism import Code, offspring_set
 from .multiindex import mi_abs
 
-_HERMGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 
 @dataclass(frozen=True)
 class Problem:
-    """A problem with its code oracle.  The built-in oracles follow the
-    array contract of `CodeOracle`: they take one point or an (m, d) array
-    of points, and a code whose value does not depend on the point returns
-    one float for all of them."""
+    """A problem with its code oracle, phi being its value at (0,...,0)/-1.
+    The built-in oracles follow the array contract of `CodeOracle`: they
+    take one point or an (m, d) array of points, and a code whose value
+    does not depend on the point returns one float for all of them."""
 
     name: str
     d: int
     T: float
-    phi: Callable[[Sequence[float]], float]
     oracle: CodeOracle
     exact_solution: Optional[Callable[[float, Sequence[float]], float]] = None
     # jet of u(t, .) restricted to the first coordinate, when available
@@ -151,7 +149,6 @@ def b2_problem(T: float) -> Problem:
         name="b2",
         d=1,
         T=T,
-        phi=lambda x: b2_phi(float(x[0])),
         oracle=CodeOracle(oracle_fn),
         exact_solution=exact,
         solution_code_jet=code_jet,
@@ -175,7 +172,6 @@ def constant_problem(T: float, value: float = 0.5) -> Problem:
         name="constant",
         d=1,
         T=T,
-        phi=lambda x: value,
         oracle=CodeOracle(oracle_fn),
         exact_solution=lambda t, x: -math.log(math.exp(-value) + (T - t)),
     )
@@ -200,7 +196,6 @@ def zero_f_cosine_problem(T: float, d: int = 1) -> Problem:
         name="zero-f-cosine",
         d=d,
         T=T,
-        phi=lambda x: math.cos(float(x[0])),
         oracle=CodeOracle(oracle_fn),
         exact_solution=lambda t, x: math.exp(-(T - t) / 2.0) * math.cos(float(x[0])),
     )
@@ -221,9 +216,18 @@ def make_problem(name: str, T: float, **kwargs) -> Problem:
 
 # --- quadrature and consistency checks --------------------------------------
 
-def heat_apply(v: Callable, t: float, x, quad_order: int = 64) -> float:
-    """Heat semigroup action in d = 1 by Gauss-Hermite quadrature:
-    S(t) v(x) = pi^{-1/2} int v(x + sqrt(2t) u) e^{-u^2} du."""
+QUAD_ORDER = 64  # Gauss-Hermite nodes of heat_apply
+TIME_INTERVALS = 32  # composite Simpson intervals of mild_solution_check, an even number
+
+
+@functools.cache
+def _hermgauss() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.hermite.hermgauss(QUAD_ORDER)
+
+
+def heat_apply(v: Callable, t: float, x) -> float:
+    """Heat semigroup action in d = 1 by Gauss-Hermite quadrature on
+    QUAD_ORDER nodes: S(t) v(x) = pi^{-1/2} int v(x + sqrt(2t) u) e^{-u^2} du."""
     if t < 0:
         raise ValueError("t must be >= 0")
     x = np.asarray(x, float)
@@ -231,9 +235,7 @@ def heat_apply(v: Callable, t: float, x, quad_order: int = 64) -> float:
         raise ValueError("heat_apply is implemented for d = 1")
     if t == 0:
         return float(v(x))
-    if quad_order not in _HERMGAUSS_CACHE:
-        _HERMGAUSS_CACHE[quad_order] = np.polynomial.hermite.hermgauss(quad_order)
-    nodes, weights = _HERMGAUSS_CACHE[quad_order]
+    nodes, weights = _hermgauss()
     scale = math.sqrt(2.0 * t)
     total = sum(w * v(np.array([x[0] + scale * u])) for u, w in zip(nodes, weights))
     return float(total / math.sqrt(math.pi))
@@ -248,29 +250,20 @@ def _code_value_from_exact(problem: Problem, c: Code, t: float, x0: float) -> fl
     return problem.solution_code_jet(t, x0, max(m, 1), c.j).coefficient(m)
 
 
-def mild_solution_check(
-    problem: Problem,
-    c: Code,
-    t: float,
-    x,
-    quad_order: int = 64,
-    time_nodes: int = 32,
-) -> float:
+def mild_solution_check(problem: Problem, c: Code, t: float, x) -> float:
     """Discrepancy of the integral (mild) form at (t, x):
 
         | u_c(t,x) - S(T-t) c(phi)(x)
           - sum_entries z1 int_t^T S(s-t) (prod u_child(s, .))(x) ds |
 
     with u's from the exact-solution jets, the time integral by composite
-    Simpson on `time_nodes` intervals and the semigroup by Gauss-Hermite."""
+    Simpson on TIME_INTERVALS intervals and the semigroup by heat_apply."""
     if problem.d != 1:
         raise ValueError("mild-solution check is implemented for d = 1")
-    if time_nodes % 2 != 0:
-        raise ValueError("time_nodes must be even for Simpson")
     T = problem.T
     x0 = float(x[0])
     lhs = _code_value_from_exact(problem, c, t, x0)
-    terminal = heat_apply(lambda y: problem.oracle(c, y), T - t, (x0,), quad_order)
+    terminal = heat_apply(lambda y: problem.oracle(c, y), T - t, (x0,))
     if T == t:
         return abs(lhs - terminal)
 
@@ -285,12 +278,12 @@ def mild_solution_check(
                     out *= _code_value_from_exact(problem, child, s, float(y[0]))
                 return out
 
-            total += float(entry.weight) * heat_apply(prod_at, s - t, (x0,), quad_order)
+            total += float(entry.weight) * heat_apply(prod_at, s - t, (x0,))
         return total
 
-    hstep = (T - t) / time_nodes
+    hstep = (T - t) / TIME_INTERVALS
     simpson = integrand(t) + integrand(T)
-    for i in range(1, time_nodes):
+    for i in range(1, TIME_INTERVALS):
         simpson += (4.0 if i % 2 == 1 else 2.0) * integrand(t + i * hstep)
     integral = simpson * hstep / 3.0
     return abs(lhs - terminal - integral)

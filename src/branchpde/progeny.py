@@ -424,9 +424,11 @@ class _Regime:
     (1+alpha_i) A'_{alpha+1_i}(k)/A'_alpha(k).
     side_scale is r (factorial) or 1 (exponential)."""
 
-    def side_lhs(self) -> float:
-        """theta side_scale, the left side of side-theta: side_lhs() >= sqrt(2/d)."""
-        return float(self.theta) * self.side_scale
+    def side_theta(self, d: int) -> tuple[float, float, bool]:
+        """The side-theta condition theta side_scale >= sqrt(2/d) in
+        dimension d: its left side, its right side and its verdict."""
+        lhs, rhs = float(self.theta) * self.side_scale, math.sqrt(2.0 / d)
+        return lhs, rhs, lhs >= rhs
 
 
 @dataclass(frozen=True)
@@ -539,28 +541,29 @@ class Exponential(_Regime):
 @dataclass(frozen=True)
 class DominationReport:
     regime: str
-    lhs: float                 # regime.side_lhs()
-    rhs: float                 # sqrt(2/d)
+    lhs: float                 # the two sides of regime.side_theta(d)
+    rhs: float
     passed: bool
     ratio_identity_checked: bool  # exact per-k ratio formula vs recursion values
 
 
-def check_domination_condition(
-    regime: Factorial | Exponential, d: int = 1, grid_kmax: int = 4, grid_alphamax: int = 3
-) -> DominationReport:
+DOMINATION_GRID_KMAX, DOMINATION_GRID_ALPHAMAX = 4, 3
+
+
+def check_domination_condition(regime: Factorial | Exponential, d: int = 1) -> DominationReport:
     """Check (1+alpha_i) A'_{alpha+1_i}(k) >= sqrt(2/d) A'_alpha(k).
 
     Uses the regime's exact ratio formula (regime.ratio), whose minimum over
-    k and alpha, reached at alpha = 0 and k = 0, is regime.side_lhs(), the
-    left side of side-theta.  Also validates the ratio identity against
-    recursion values, in rationals (the regime's parameters are converted to
-    Fractions), as (m+1) A'_{(m+1) e_1}(k) = ratio(m, k) A'_{m e_1}(k) for
-    m <= grid_alphamax and k <= grid_kmax, m = 0 included.  As A'_alpha(k) =
-    H(|alpha|, k)/alpha!, that is H(m+1, k) = ratio(m, k) H(m, k), the
-    identity at every alpha of order m and every i.
+    k and alpha, reached at alpha = 0 and k = 0, is the left side of
+    side-theta (regime.side_theta).  Also validates the ratio identity
+    against recursion values, in rationals (the regime's parameters are
+    converted to Fractions), as (m+1) A'_{(m+1) e_1}(k) = ratio(m, k)
+    A'_{m e_1}(k) for m <= DOMINATION_GRID_ALPHAMAX and k <=
+    DOMINATION_GRID_KMAX, m = 0 included.  As A'_alpha(k) = H(|alpha|,
+    k)/alpha!, that is H(m+1, k) = ratio(m, k) H(m, k), the identity at
+    every alpha of order m and every i.
     """
-    rhs = math.sqrt(2.0 / d)
-    lhs = regime.side_lhs()
+    lhs, rhs, holds = regime.side_theta(d)
     exact = replace(regime, **{f.name: Fraction(getattr(regime, f.name)) for f in fields(regime)})
 
     # exact grid validation of the ratio identity, plus the raw inequality
@@ -568,10 +571,10 @@ def check_domination_condition(
     identity_ok = True
     grid_ok = True
     g = exact.g()
-    axis = [(m,) + (0,) * (d - 1) for m in range(grid_alphamax + 2)]
-    rows = [ahat_recursion(g, d, nu, grid_kmax) for nu in axis]
-    for m in range(grid_alphamax + 1):
-        for k in range(grid_kmax + 1):
+    axis = [(m,) + (0,) * (d - 1) for m in range(DOMINATION_GRID_ALPHAMAX + 2)]
+    rows = [ahat_recursion(g, d, nu, DOMINATION_GRID_KMAX) for nu in axis]
+    for m in range(DOMINATION_GRID_ALPHAMAX + 1):
+        for k in range(DOMINATION_GRID_KMAX + 1):
             base = rows[m][axis[m], k]
             up = (m + 1) * rows[m + 1][axis[m + 1], k]
             if up != exact.ratio(m, k) * base:
@@ -582,7 +585,7 @@ def check_domination_condition(
         regime=regime.name,
         lhs=lhs,
         rhs=rhs,
-        passed=lhs >= rhs and grid_ok,
+        passed=holds and grid_ok,
         ratio_identity_checked=identity_ok,
     )
 

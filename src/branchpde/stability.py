@@ -10,16 +10,15 @@ the terminal data and nonlinearity may grow with the order |alpha|:
 
 Factorial and Exponential (defined in progeny, re-exported here) own every
 formula that depends on the regime alone: growth sequence, radius, horizon
-threshold, side-theta left side, envelope and closed-form A' terms.
+threshold, side-theta condition, envelope and closed-form A' terms.
 GrowthParams combines them with delta1, delta2, lambda, T and d.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lifetimes import LifetimeModel
 from .mechanism import Code
@@ -61,25 +60,22 @@ class GrowthParams:
         dominating series is compared with its radius."""
         return (1.0 - math.exp(-self.lam * self.T)) * float(self.delta1) * float(self.delta2)
 
-    def side_condition_theta(self) -> bool:
-        return self.regime.side_lhs() >= math.sqrt(2.0 / self.d)
-
     def with_side_theta(self) -> GrowthParams:
         """These parameters with theta raised to theta* = max(theta,
         sqrt(2/d)/side_scale), side_scale being r (factorial) or 1
         (exponential).
 
-        theta* is the float nearest above the quotient at which
-        side_condition_theta() holds, so the check passes at it exactly.
+        theta* is the float nearest above the quotient at which the
+        regime's side_theta(d) holds, so the check passes at it exactly.
         Where the condition already holds, self is returned unchanged.
         """
-        if self.side_condition_theta():
+        _, rhs, holds = self.regime.side_theta(self.d)
+        if holds:
             return self
-        scale, rhs = self.regime.side_scale, math.sqrt(2.0 / self.d)
-        theta = rhs / scale
-        while theta * scale < rhs:
-            theta = math.nextafter(theta, math.inf)
-        return replace(self, regime=replace(self.regime, theta=theta))
+        regime = replace(self.regime, theta=rhs / self.regime.side_scale)
+        while not regime.side_theta(self.d)[2]:
+            regime = replace(regime, theta=math.nextafter(regime.theta, math.inf))
+        return replace(self, regime=regime)
 
     def build_weights(self) -> progeny.PresetWeights:
         """Branch-weight preset matching the growth regime: the weights of
@@ -112,22 +108,23 @@ def check_conditions(p: GrowthParams, model: LifetimeModel) -> ConditionReport:
       side-theta:  theta r >= sqrt(2/d)   (resp. theta >= sqrt(2/d))
       side-delta:  min((theta r)^2, 1) >= 1/((d+1) delta1 delta2) (resp. theta^2)
 
-    The radius row's left side is p.dominating_argument().  Each row carries
-    its two sides and their relation's verdict; the report passes when every
-    row does.
+    The radius row's left side is p.dominating_argument(), the side-theta
+    row is p.regime.side_theta(p.d).  Each row carries its two sides and
+    their verdict; the report passes when every row does.  A model whose
+    rate is not p.lam raises ValueError.
     """
+    if model.lam != p.lam:
+        raise ValueError(f"the lifetime model's lambda = {model.lam!r} differs from lambda = {p.lam!r}")
     rho_star = model.rho_star(p.T)
-    side = p.regime.side_lhs()
-    table = (
-        ("bound-split-time", math.inf if rho_star == 0 else 1.0 / rho_star, operator.le,
-         float(p.delta2)),
-        ("bound-radius", p.dominating_argument(), operator.lt, p.regime.horizon_threshold(p.d)),
-        ("side-theta", side, operator.ge, math.sqrt(2.0 / p.d)),
-        ("side-delta", min(side**2, 1.0), operator.ge,
-         1.0 / ((p.d + 1) * float(p.delta1) * float(p.delta2))),
-    )
-    conditions = tuple(
-        Condition(name, lhs, rhs, holds(lhs, rhs)) for name, lhs, holds, rhs in table
+    split, delta2 = math.inf if rho_star == 0 else 1.0 / rho_star, float(p.delta2)
+    x, threshold = p.dominating_argument(), p.regime.horizon_threshold(p.d)
+    side, side_rhs, side_holds = p.regime.side_theta(p.d)
+    squared, floor = min(side**2, 1.0), 1.0 / ((p.d + 1) * float(p.delta1) * delta2)
+    conditions = (
+        Condition("bound-split-time", split, delta2, split <= delta2),
+        Condition("bound-radius", x, threshold, x < threshold),
+        Condition("side-theta", side, side_rhs, side_holds),
+        Condition("side-delta", squared, floor, squared >= floor),
     )
     return ConditionReport(conditions=conditions, passed=all(c.passed for c in conditions))
 
@@ -205,14 +202,7 @@ class CodeBoundRow:
     passed: bool
 
 
-def verify_code_bounds(
-    oracle,
-    p: GrowthParams,
-    grid: Sequence[float],
-    m_max: int,
-    k_max: int = 4,
-    survival_at_T: Optional[float] = None,
-) -> dict:
+def verify_code_bounds(oracle, p: GrowthParams, grid: Sequence[float], m_max: int, k_max: int = 4) -> dict:
     """Grid verification of the derivative-envelope conditions for d = 1:
 
       (1/rho_bar(T)) max(|d^m phi|, (delta2 v 1) sup_k |d^m f^{(k)}(phi)|)
@@ -221,11 +211,11 @@ def verify_code_bounds(
     The sup over the real line is approximated on the supplied grid; the
     report states the grid and both delta1 conventions (envelope with the
     1/rho_bar(T) factor folded in, and the raw inequality with
-    delta1' = delta1 rho_bar(T)).
+    delta1' = delta1 rho_bar(T)), with rho_bar(T) = exp(-lam T).
     """
     if p.d != 1:
         raise ValueError("grid verification is implemented for d = 1")
-    surv = survival_at_T if survival_at_T is not None else math.exp(-p.lam * p.T)
+    surv = math.exp(-p.lam * p.T)
     d2v1 = max(float(p.delta2), 1.0)
     rows = []
     for m in range(m_max + 1):

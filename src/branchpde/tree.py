@@ -441,8 +441,8 @@ class FrontierFull(RuntimeError):
 
 
 class Generation(NamedTuple):
-    """One generation of a `TreeBatch`, one row per branch; the rows of a
-    tree are in label order.
+    """One generation of a `TreeBatch`, one row per branch, but for `row`;
+    the rows of a tree are in label order.
 
     The batch frees a generation's arrays once it draws the next, so a
     consumer must not keep a Generation past its step: drop it, and any
@@ -457,13 +457,15 @@ class Generation(NamedTuple):
     tau: np.ndarray       # lifetime; the branch died iff birth + tau <= T
     died: np.ndarray
     position: np.ndarray  # (rows, d): terminal position if survived, else death position
-    entry: np.ndarray     # index of the sampled entry in offspring_set(code) if died, else -1
+    row: np.ndarray       # per died branch, in row order: the CodeTable row of its entry
 
 
 class TreeBatch:
     """The trees of the samples in `indices`, all started at (t, x, c0) and
     grown together one generation at a time: iterating yields each
-    `Generation` in turn.
+    `Generation` in turn.  d is len(c0.alpha): an empty alpha, an alpha
+    entry that is not an int >= 0, a j that is not an int >= -1, or an x of
+    another length raises ValueError.
 
     Row for row, a generation holds what `sample_tree` records for the same
     branches, from the same draws.  Caps apply per tree with sample_tree's
@@ -496,7 +498,6 @@ class TreeBatch:
         x: Sequence[float],
         T: float,
         model: LifetimeModel,
-        d: int,
         seed: int,
         indices: range,
         caps: Caps = Caps(),
@@ -504,9 +505,12 @@ class TreeBatch:
     ):
         if not 0 <= t <= T:
             raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
+        (alpha, j), d = c0, len(c0.alpha)
+        if not d or any(type(v) is not int or v < 0 for v in alpha) or type(j) is not int or j < -1:
+            raise ValueError(f"a code needs a nonempty alpha of ints >= 0 and an int j >= -1, got {c0}")
         if len(x) != d:
-            raise ValueError(f"start point has dimension {len(x)}, expected {d}")
-        if dominating and c0.j < 0:
+            raise ValueError(f"start point has dimension {len(x)}, the code {c0} has {d}")
+        if dominating and j < 0:
             raise ValueError("dominating chain codes have j >= 0")
         self.c0, self.t, self.x, self.T = c0, float(t), np.asarray(x, dtype=float), T
         self.model, self.d, self.seed, self.indices, self.caps = model, d, seed, indices, caps
@@ -542,18 +546,16 @@ class TreeBatch:
             dead = np.flatnonzero(died)
             dead_code = code[dead]
             codes.build(dead_code)
-            dead_entry = codes.sample_entries(dead_code, _uniforms(key[dead], 1 + _normal_draws(d)))
-            entry = np.full(sample.size, -1)
-            entry[dead] = dead_entry
-            yield Generation(sample, parent, child, code, birth, tau, died, position, entry)
+            row = codes.sample_entries(dead_code, _uniforms(key[dead], 1 + _normal_draws(d)))
+            row += codes.first[dead_code]
+            yield Generation(sample, parent, child, code, birth, tau, died, position, row)
             # from here on hold only what the next generation reads
-            del tau, died, entry, birth, pos, parent, child, code
+            del tau, died, birth, pos, parent, child, code, dead_code
 
-            rows = codes.first[dead_code] + dead_entry
-            nchild = codes.nchild[rows]
+            nchild = codes.nchild[row]
             parent = np.repeat(dead, nchild)
             child = np.arange(1, parent.size + 1) - np.repeat(np.cumsum(nchild) - nchild, nchild)
-            code = codes.child[np.repeat(rows, nchild), child - 1]
+            code = codes.child[np.repeat(row, nchild), child - 1]
             sample = sample[parent]
             generation += 1
             np.add.at(self.branches, sample, 1)
@@ -570,7 +572,7 @@ class TreeBatch:
             key = _mix(key[parent], child.astype(np.uint64))
             birth = death[parent]
             pos = position[parent]
-            del death, position, dead, dead_code, dead_entry, rows, nchild
+            del death, position, dead, row, nchild
 
 
 def evaluate_in_parts(
@@ -595,10 +597,11 @@ def evaluate_in_parts(
     return parts
 
 
-def evaluate_batch(batch: TreeBatch, oracle, model: LifetimeModel, T: float) -> np.ndarray:
+def evaluate_batch(batch: TreeBatch, oracle) -> np.ndarray:
     """Path functional of every tree of a batch, NaN where capped, from
-    evaluate_functional's factors: (z1/q)/rho(tau) over died branches, z1/q
-    read from the code table, and oracle(code)(X_T)/rho_bar(T - birth) over
+    evaluate_functional's factors at the batch's model and horizon T:
+    (z1/q)/rho(tau) over died branches, z1/q read from the code table at
+    `Generation.row`, and oracle(code)(X_T)/rho_bar(T - birth) over
     survived ones.  Survivors are held and evaluated together, calling the
     oracle once per code on all their terminal positions, until they pass
     FRONTIER_BUDGET rows.  Each tree multiplies its died factors and its
@@ -615,19 +618,19 @@ def evaluate_batch(batch: TreeBatch, oracle, model: LifetimeModel, T: float) -> 
     for gen in batch:
         dead = np.flatnonzero(gen.died)
         alive = np.flatnonzero(~gen.died)
-        rows = batch.codes.first[gen.code[dead]] + gen.entry[dead]
-        np.multiply.at(died, gen.sample[dead], batch.codes.ratio[rows] / model.density(gen.tau[dead]))
+        factor = batch.codes.ratio[gen.row] / batch.model.density(gen.tau[dead])
+        np.multiply.at(died, gen.sample[dead], factor)
         held.append((gen.sample[alive], gen.code[alive], gen.birth[alive], gen.position[alive]))
-        del gen, dead, alive, rows  # let the batch free this generation
+        del gen, dead, alive, factor  # let the batch free this generation
         if sum(part[0].size for part in held) > FRONTIER_BUDGET:
-            _multiply_survivors(survived, held, batch.codes, oracle, model, T)
-    _multiply_survivors(survived, held, batch.codes, oracle, model, T)
+            _multiply_survivors(survived, held, batch, oracle)
+    _multiply_survivors(survived, held, batch, oracle)
     values = died * survived
     values[batch.capped] = np.nan
     return values
 
 
-def _multiply_survivors(product, held, codes: CodeTable, oracle, model, T) -> None:
+def _multiply_survivors(product, held, batch: TreeBatch, oracle) -> None:
     """Multiply the held survivors' factors into their trees' products, in
     held order, and empty `held`."""
     if not held:
@@ -636,11 +639,11 @@ def _multiply_survivors(product, held, codes: CodeTable, oracle, model, T) -> No
     held.clear()
     value = np.empty(sample.size)
     # a stable sort of small unsigned ints is a radix sort
-    order = np.argsort(code.astype(np.min_scalar_type(len(codes.codes))), kind="stable")
+    order = np.argsort(code.astype(np.min_scalar_type(len(batch.codes.codes))), kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
         if group.size:
-            value[group] = oracle(codes.codes[code[group[0]]], position[group])
-    np.multiply.at(product, sample, value / model.survival(T - birth))
+            value[group] = oracle(batch.codes.codes[code[group[0]]], position[group])
+    np.multiply.at(product, sample, value / batch.model.survival(batch.T - birth))
 
 
 def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
@@ -657,8 +660,7 @@ def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
     product = np.ones(len(batch))
     for gen in batch:
         key = gen.code * slots
-        dead = np.flatnonzero(gen.died)
-        key[dead] += 1 + codes.kind[codes.first[gen.code[dead]] + gen.entry[dead]]
+        key[gen.died] += 1 + codes.kind[gen.row]
         keys, inverse = np.unique(key, return_inverse=True)
         for k in keys.tolist():
             if k not in weights:
@@ -667,7 +669,7 @@ def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
                 weights[k] = float(boundary(alpha, j) if slot == 0 else w.sigma_inner(alpha, j, slot - 1))
         factor = np.array([weights[k] for k in keys.tolist()])[inverse]
         np.multiply.at(product, gen.sample, factor)
-        del gen, key, dead, inverse, factor  # let the batch free this generation
+        del gen, key, inverse, factor  # let the batch free this generation
     product[batch.capped] = np.nan
     return product
 

@@ -71,7 +71,7 @@ def _check_progeny_law() -> bool:
     n = 200_000
     model = exponential_model(lam)
     parts = evaluate_in_parts(
-        lambda r: TreeBatch(Code((0,), 0), 0.0, (0.0,), horizon, model, 1, 77, r, dominating=True),
+        lambda r: TreeBatch(Code((0,), 0), 0.0, (0.0,), horizon, model, 77, r, dominating=True),
         _branches,
         range(n),
     )

@@ -411,11 +411,13 @@ def test_unreadable_config_exits_3(tmp_path, capsys, command, text):
     {"kind": "exponential"},
     {"kind": "exponential", "lambda": True},
     [1.0],
-], ids=["kind-weird", "lambda-negative", "lambda-missing", "lambda-bool", "not-an-object"])
+    {"kind": "exponential", "lambda": 50.0},
+], ids=["kind-weird", "lambda-negative", "lambda-missing", "lambda-bool", "not-an-object",
+        "lambda-differs"])
 def test_stability_refuses_bad_lifetime(tmp_path, capsys, lifetime):
     code, out, err = run_command(tmp_path, capsys, "stability", {**STABILITY, "lifetime": lifetime})
     assert code == 3
-    assert out == "" and "config error:" in err
+    assert out == "" and err.startswith("config error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["solve", "stability"])

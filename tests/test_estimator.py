@@ -39,10 +39,20 @@ def b2_setup(T, lam=1.0):
     return problem, ProblemSetup(problem.oracle, exponential_model(lam), 1)
 
 
+@pytest.mark.parametrize("code, x", [(Code((0, 0), -1), (0.4,)), (ID, (0.4, 0.0))], ids=["code", "point"])
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_refuses_a_code_or_point_of_another_dimension(code, x, t):
+    _, setup = b2_setup(0.1)
+    with pytest.raises(ValueError, match="d = 1"):
+        median_of_means(code, t, x, 0.1, setup, n=9, groups=3, seed=0)
+    with pytest.raises(ValueError, match="d = 1"):
+        estimate_u(code, t, x, 0.1, setup, n=9, seed=0)
+
+
 def test_terminal_time_degenerate():
     problem, setup = b2_setup(0.1)
     est = estimate_u(ID, 0.1, (0.4,), 0.1, setup, n=10, seed=0)
-    assert est.mean == pytest.approx(problem.phi((0.4,)), abs=1e-14)
+    assert est.mean == pytest.approx(problem.oracle(ID, (0.4,)), abs=1e-14)
     assert est.std_error == 0.0
     assert est.n_capped == 0
 
@@ -161,7 +171,7 @@ def test_write_csv_layout():
     assert int(fields[6]) == 500 and int(fields[8]) == 11
     # a t = T row holds the terminal value, as a plain float
     fields = lines[2].split(",")
-    assert fields[4] == repr(float(problem.phi((0.4,)))) and fields[5] == "0.0"
+    assert fields[4] == repr(float(problem.oracle(ID, (0.4,)))) and fields[5] == "0.0"
 
 
 # --- batched sampling: range splits and telemetry ---------------------------
@@ -197,9 +207,9 @@ def test_per_sample_values_do_not_depend_on_the_split(monkeypatch, code, T, caps
     # a small budget splits the range and evaluates survivors in several passes
     sizes = []
 
-    def recording_batch(c, t, x, T_, model, d, seed_, indices, caps_):
+    def recording_batch(c, t, x, T_, model, seed_, indices, caps_):
         sizes.append(len(indices))
-        return tree.TreeBatch(c, t, x, T_, model, d, seed_, indices, caps_)
+        return tree.TreeBatch(c, t, x, T_, model, seed_, indices, caps_)
 
     monkeypatch.setattr(tree, "FRONTIER_BUDGET", 300)
     monkeypatch.setattr(estimator, "TreeBatch", recording_batch)

@@ -87,7 +87,7 @@ ID = Code((0,), -1)
 
 def test_b2_terminal_values():
     problem = b2_problem(0.1)
-    assert problem.phi((0.0,)) == pytest.approx(2.0 * math.log(1.5), rel=1e-14)
+    assert problem.oracle(ID, (0.0,)) == pytest.approx(2.0 * math.log(1.5), rel=1e-14)
     assert problem.exact_solution(0.1, (0.0,)) == pytest.approx(0.8109302162163288)
     assert problem.exact_solution(0.0, (0.0,)) == pytest.approx(0.8439615248229055)
 
@@ -102,17 +102,14 @@ def test_b2_solution_range():
 
 
 def test_oracle_consistency_invariant():
-    # the (0, j) codes are phi and f^{(j)}(phi): f is b2's, e^u, and 0
-    for problem, f2 in ((b2_problem(0.1), lambda u: b2_f_family(2, u)),
-                        (constant_problem(0.1), math.exp),
-                        (zero_f_cosine_problem(0.1), lambda u: 0.0)):
+    # the (0, j) codes are phi and f^{(j)}(phi): phi is b2's, 0.5 and cos,
+    # f is b2's, e^u, and 0
+    for problem, phi, f2 in ((b2_problem(0.1), b2_phi, lambda u: b2_f_family(2, u)),
+                             (constant_problem(0.1), lambda x: 0.5, math.exp),
+                             (zero_f_cosine_problem(0.1), math.cos, lambda u: 0.0)):
         for x in (-1.0, 0.0, 0.7):
-            assert problem.oracle(Code((0,) * problem.d, -1), (x,)) == pytest.approx(
-                problem.phi((x,)), abs=1e-12
-            )
-            assert problem.oracle(Code((0,) * problem.d, 2), (x,)) == pytest.approx(
-                f2(problem.phi((x,))), abs=1e-12
-            )
+            assert problem.oracle(Code((0,) * problem.d, -1), (x,)) == pytest.approx(phi(x), abs=1e-12)
+            assert problem.oracle(Code((0,) * problem.d, 2), (x,)) == pytest.approx(f2(phi(x)), abs=1e-12)
 
 
 def test_zeta_derivative_values():

@@ -427,7 +427,10 @@ def test_bound_report_theta_star_passes_side_condition(d):
     p = fact_params(Fraction(1, 100), Fraction(5), T=1e-4, d=d)
     rep = bound_report((1,) + (0,) * (d - 1), p, 1.0, 1e-4)
     assert rep["theta"] > 0.01
-    assert fact_params(rep["theta"], Fraction(5), d=d).side_condition_theta()
+    p_star = fact_params(rep["theta"], Fraction(5), d=d)
+    (side,) = [c for c in stability.check_conditions(p_star, lifetimes.exponential_model(1.0)).conditions
+               if c.name == "side-theta"]
+    assert side.passed
 
 
 def test_bound_report_keeps_theta_where_side_condition_holds():

@@ -143,6 +143,81 @@ def test_unreferenced_scan_sees_an_unused_definition(tmp_path):
     ]
 
 
+BENCH = SRC.parents[1] / "bench"
+# Defaulted parameters that no call in the package or bench/ passes, kept on
+# purpose: name.parameter (a class's name for its __init__) -> the reason.
+KEPT_DEFAULTS = {
+    "sample_tree.sample_index": "the reference sampler's tests pick a tree by its index",
+    "sample_tree.caps": "the reference sampler's tests cap it as the batch is capped",
+    "estimate_u.caps": "public entry point; its tests cap trees, and solve calls median_of_means",
+    "constant_problem.value": "reached through make_problem's registry call, which names no function",
+    "zero_f_cosine_problem.d": "reached through make_problem's registry call, which names no function",
+    "verify_code_bounds.k_max": "public entry point; its tests pick the f-derivative orders",
+    "main.argv": "None reads the command line; the tests pass argv",
+}
+
+
+def unpassed_defaults(defining, calling) -> list[str]:
+    """name.parameter of each defaulted parameter of a function or method
+    defined in `defining` that no call in `calling` passes, by position or
+    by keyword.  A call is matched by the name it calls (a class's name for
+    its __init__), and one with *args or **kwargs passes every parameter."""
+    calls = []
+    for path in calling:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords
+                )
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.append((name, len(node.args), spread, {k.arg for k in node.keywords}))
+    out = []
+    for path in defining:
+        tree = ast.parse(path.read_text())
+        owners = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args, owner = node.args, owners.get(id(node))
+            params = [p.arg for p in args.posonlyargs + args.args]
+            if owner and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list):
+                params = params[1:]  # self or cls
+            name = owner if node.name == "__init__" else node.name
+            defaulted = params[len(params) - len(args.defaults):]
+            defaulted += [p.arg for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for p in defaulted:
+                if not any(
+                    called == name and (spread or p in keywords or p in params[:npos])
+                    for called, npos, spread, keywords in calls
+                ):
+                    out.append(f"{name}.{p}")
+    return out
+
+
+def test_every_default_is_passed_or_kept_on_purpose():
+    modules, bench = sorted(SRC.glob("*.py")), sorted(BENCH.glob("*.py"))
+    assert bench
+    # the allowlist holds nothing that a call passes or that is gone
+    assert sorted(unpassed_defaults(modules, modules + bench)) == sorted(KEPT_DEFAULTS)
+
+
+def test_unpassed_default_scan_sees_a_default_no_call_passes(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, y=1, z=2, *, w=3):\n    return x\n\n\n"
+        "def g(a, b=0):\n    return a\n\n\n"
+        "class C:\n    def __init__(self, n, m=1):\n        self.n = n\n\n"
+        "    def h(self, k=0):\n        return k\n\n"
+        "    @staticmethod\n    def s(q=0):\n        return q\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import C, f, g\n\n\ndef caller(args):\n"
+        "    f(1, 2, w=4)\n    g(*args)\n    C(1).h()\n    C.s(5)\n"
+    )
+    assert sorted(unpassed_defaults([tmp_path / "a.py"], sorted(tmp_path.glob("*.py")))) == [
+        "C.m", "f.z", "h.k"
+    ]
+
+
 REGIME_CLASSES = {"Factorial", "Exponential", "_Regime"}
 # isinstance dispatch on a regime class, kept on purpose: max_horizon is
 # defined for the factorial regime alone, and the stability command emits

@@ -13,6 +13,7 @@ from branchpde.stability import (
     Exponential,
     Factorial,
     GrowthParams,
+    check_conditions,
     verify_code_bounds,
     verify_weight_dominance_algebra,
 )
@@ -148,3 +149,11 @@ def test_preset_weights_are_the_constants_the_analyzer_reads(regime, delta1, del
             for i in range(1, d + 1):
                 want = s * Fraction(d + 1, 6) * (2 + nu[i - 1]) * (3 + nu[i - 1]) * prod
                 same(w.sigma_inner(nu, j, i), want)
+
+
+def test_check_conditions_refuses_a_model_of_another_rate():
+    # its split-time row would read the model's rate and its radius row p.lam
+    p = GrowthParams(Factorial(1.5, 1), 1.2, 1.2, 1.0, 0.001, 1)
+    with pytest.raises(ValueError, match="lambda"):
+        check_conditions(p, exponential_model(50.0))
+    assert check_conditions(p, exponential_model(1.0)).passed

@@ -188,7 +188,7 @@ def batch_progeny(c0, T, model, d, seed, n, w=None, dominating=True):
     trees of samples 0..n-1, grown from 0 in R^d on the batched sampler."""
     w = w or unit_weights()
     parts = evaluate_in_parts(
-        lambda r: TreeBatch(c0, 0.0, (0.0,) * d, T, model, d, seed, r, dominating=dominating),
+        lambda r: TreeBatch(c0, 0.0, (0.0,) * d, T, model, seed, r, dominating=dominating),
         lambda batch: weighted_progeny_batch(batch, w),
         range(n),
     )
@@ -372,6 +372,14 @@ SPREAD_WEIGHTS = WeightSpec(
 )
 
 
+def entries(codes, gen):
+    """Per row of a generation: the index of its sampled entry in its code's
+    offspring set, row - codes.first[code], if it died, else -1."""
+    entry = np.full(gen.died.size, -1)
+    entry[gen.died] = gen.row - codes.first[gen.code[gen.died]]
+    return entry
+
+
 def batch_records(batch):
     """Per tree of a batch: label -> (code, birth, death, position, entry),
     rebuilt from the generations through the parent rows."""
@@ -382,9 +390,10 @@ def batch_records(batch):
             () if parent < 0 else previous[parent] + (int(k),)
             for parent, k in zip(gen.parent.tolist(), gen.child.tolist())
         ]
+        entry_index = entries(batch.codes, gen)
         for row, label in enumerate(labels):
             code = batch.codes.codes[gen.code[row]]
-            entry = offspring_set(code, batch.d)[gen.entry[row]] if gen.died[row] else None
+            entry = offspring_set(code, batch.d)[entry_index[row]] if gen.died[row] else None
             trees[gen.sample[row]][label] = (
                 code,
                 gen.birth[row],
@@ -400,12 +409,10 @@ def batch_records(batch):
 def test_batch_grows_the_trees_of_sample_tree(name):
     problem, model, c0, x, n = BATCH_CONFIGS[name]
     T, d, seed = problem.T, problem.d, 17
-    batch = TreeBatch(c0, 0.0, x, T, model, d, seed, range(n))
+    batch = TreeBatch(c0, 0.0, x, T, model, seed, range(n))
     trees = batch_records(batch)
-    values = evaluate_batch(
-        TreeBatch(c0, 0.0, x, T, model, d, seed, range(n)), problem.oracle, model, T
-    )
-    progenies = weighted_progeny_batch(TreeBatch(c0, 0.0, x, T, model, d, seed, range(n)), SPREAD_WEIGHTS)
+    values = evaluate_batch(TreeBatch(c0, 0.0, x, T, model, seed, range(n)), problem.oracle)
+    progenies = weighted_progeny_batch(TreeBatch(c0, 0.0, x, T, model, seed, range(n)), SPREAD_WEIGHTS)
     assert not batch.capped.any()
     for i in range(n):
         ref = sample_tree(c0, 0.0, x, T, model, d, seed, i)
@@ -432,29 +439,33 @@ def test_dominating_batch_spawns_the_entries_of_the_dominating_mechanism():
     # the dominating chain takes the original chain's draws, and every death
     # spawns the two children of its entry in dominating_offspring_set
     c0, T, model, d, seed, n = Code((2, 1), 0), 0.5, exponential_model(2.0), 2, 9, 500
-    original = next(iter(TreeBatch(c0, 0.0, (0.0, 0.0), T, model, d, seed, range(n))))
-    batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, d, seed, range(n), dominating=True)
+    original_batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, seed, range(n))
+    original = next(iter(original_batch))
+    batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, seed, range(n), dominating=True)
     generations = list(batch)
     assert np.array_equal(generations[0].tau, original.tau)
-    assert np.array_equal(generations[0].entry, original.entry)
+    assert np.array_equal(entries(batch.codes, generations[0]), entries(original_batch.codes, original))
     directional = 0
     for gen, children in zip(generations, generations[1:]):
+        entry_index = entries(batch.codes, gen)
         for row in np.flatnonzero(gen.died).tolist():
             alpha, j = batch.codes.codes[gen.code[row]]
-            entry = dominating_offspring_set(alpha, j, d)[gen.entry[row]]
+            entry = dominating_offspring_set(alpha, j, d)[entry_index[row]]
             spawned = tuple(batch.codes.codes[k] for k in children.code[children.parent == row])
             assert spawned == entry.children
             directional += entry.kind > 0
     assert directional > 0
     assert np.all(batch.branches % 2 == 1)
     with pytest.raises(ValueError):
-        TreeBatch(Code((1,), -1), 0.0, (0.0,), T, model, 1, seed, range(n), dominating=True)
+        TreeBatch(Code((1,), -1), 0.0, (0.0,), T, model, seed, range(n), dominating=True)
 
 
 def test_branch_rng_draws_what_the_batch_draws():
     # a root's draws in order: lifetime uniform, d normals, offspring uniform
     model, c0, T = exponential_model(1.0), Code((1, 0), 0), 1.0
-    gen = next(iter(TreeBatch(c0, 0.0, (0.0, 0.0), T, model, 2, 4, range(3, 40))))
+    batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, 4, range(3, 40))
+    gen = next(iter(batch))
+    entry_index = entries(batch.codes, gen)
     assert 0 < gen.died.sum() < gen.died.size
     for row, i in enumerate(range(3, 40)):
         rng = branch_rng(4, i, ())
@@ -464,7 +475,7 @@ def test_branch_rng_draws_what_the_batch_draws():
         assert tuple(rng.standard_normal(2) * scale) == tuple(gen.position[row])
         if gen.died[row]:
             entry = sample_offspring(c0, 2, rng.random())
-            assert offspring_set(c0, 2)[gen.entry[row]] == entry
+            assert offspring_set(c0, 2)[entry_index[row]] == entry
 
 
 @pytest.mark.parametrize(
@@ -483,7 +494,7 @@ def test_batch_caps_the_trees_sample_tree_refuses(monkeypatch, T, caps, budget, 
         except CapExceeded:
             refused.add(i)
     try:
-        for _ in TreeBatch(c0, 0.0, (0.0,), T, model, 1, seed, range(n), caps):
+        for _ in TreeBatch(c0, 0.0, (0.0,), T, model, seed, range(n), caps):
             pass
         split = False
     except tree_module.FrontierFull:
@@ -585,11 +596,11 @@ def fresh_code_tables(monkeypatch):
 @pytest.mark.parametrize("name", ["b2-deep", "zero-f-cosine-d2"])
 def test_batch_builds_its_code_table_without_the_fraction_mechanism(monkeypatch, name):
     problem, model, c0, x, n = BATCH_CONFIGS[name]
-    T, d, seed = problem.T, problem.d, 23
+    T, seed = problem.T, 23
 
     def run():
-        batch = TreeBatch(c0, 0.0, x, T, model, d, seed, range(n))
-        return evaluate_batch(batch, problem.oracle, model, T), batch
+        batch = TreeBatch(c0, 0.0, x, T, model, seed, range(n))
+        return evaluate_batch(batch, problem.oracle), batch
 
     reference, reference_batch = run()
 
@@ -661,10 +672,10 @@ def test_results_do_not_depend_on_what_filled_the_code_tables(monkeypatch):
         whole = _sample_values(setup, code, 0.0, (0.0,), problem.T, range(n), seed, Caps())
         split = [_sample_values(setup, code, 0.0, (0.0,), problem.T, range(lo, hi), seed, Caps()) for lo, hi in parts]
         assert np.concatenate([s.values for s in split]).tobytes() == whole.values.tobytes() == first[1]
-        c0, T, model, d = dominating[:4]
+        c0, T, model = dominating[:3]
         split_progenies = [
             weighted_progeny_batch(
-                TreeBatch(c0, 0.0, (0.0,), T, model, d, seed, range(lo, hi), dominating=True), SPREAD_WEIGHTS
+                TreeBatch(c0, 0.0, (0.0,), T, model, seed, range(lo, hi), dominating=True), SPREAD_WEIGHTS
             )
             for lo, hi in parts
         ]
@@ -684,18 +695,51 @@ def test_batches_share_one_code_table_per_dimension_and_chain(monkeypatch):
     monkeypatch.setattr(tree_module.CodeTable, "_lay_out", counting)
 
     def batch(d=1, dominating=False, indices=range(n)):
-        return TreeBatch(Code((3,) + (0,) * (d - 1), 0), 0.0, (0.0,) * d, problem.T, model, d, 23, indices,
+        return TreeBatch(Code((3,) + (0,) * (d - 1), 0), 0.0, (0.0,) * d, problem.T, model, 23, indices,
                          dominating=dominating)
 
-    first = evaluate_batch(batch(), problem.oracle, model, problem.T)
+    first = evaluate_batch(batch(), problem.oracle)
     assert len(laid_out) == len(set(laid_out)) > 1
     count = len(laid_out)
-    again = evaluate_batch(batch(), problem.oracle, model, problem.T)
+    again = evaluate_batch(batch(), problem.oracle)
     assert len(laid_out) == count  # every code the second batch met was laid out
     assert again.tobytes() == first.tobytes()
     assert batch().codes is batch(indices=range(3)).codes is tree_module.code_table(1)
     tables = {id(batch(d, dom).codes) for d in (1, 2) for dom in (False, True)}
     assert len(tables) == 4
+
+
+def test_a_code_of_another_dimension_leaves_the_shared_table_intact(monkeypatch):
+    # a two-entry code beside a one-entry point and problem is refused before
+    # it reaches the d = 1 table, so the next estimate of the process reads
+    # an intact table and returns what a fresh process returns
+    fresh_code_tables(monkeypatch)
+    problem = b2_problem(0.5)
+    setup = ProblemSetup(problem.oracle, exponential_model(2.0), 1)
+    with pytest.raises(ValueError):
+        estimate_u(Code((1, 1), 0), 0.0, (0.0,), problem.T, setup, 3000, 11)
+    with pytest.raises(ValueError):
+        _sample_values(setup, Code((1, 1), 0), 0.0, (0.0,), problem.T, range(3000), 11, Caps())
+    est = estimate_u(Code((6,), 1), 0.0, (0.0,), problem.T, setup, 3000, 11)
+    assert est.mean == 0.00017646267011100985  # the value of a fresh process
+
+
+@pytest.mark.parametrize("c0, x", [
+    (Code((), 0), ()),
+    (Code((-1,), 0), (0.0,)),
+    (Code((1.0,), 0), (0.0,)),
+    (Code((1, True), 0), (0.0, 0.0)),
+    (Code((1,), -2), (0.0,)),
+    (Code((1,), 0.0), (0.0,)),
+    (Code((1,), 0), (0.0, 0.0)),
+    (Code((1, 1), 0), (0.0,)),
+], ids=["no-entries", "negative-alpha", "float-alpha", "bool-alpha", "j-below-minus-1", "float-j",
+        "point-longer", "point-shorter"])
+def test_batch_refuses_a_bad_code_or_point_before_the_shared_table(c0, x):
+    tables = {key: list(table.codes) for key, table in tree_module._CODE_TABLES.items()}
+    with pytest.raises(ValueError):
+        TreeBatch(c0, 0.0, x, 0.5, MODEL, 1, range(10))
+    assert {key: table.codes for key, table in tree_module._CODE_TABLES.items()} == tables
 
 
 # --- the lifetime contract: a batch holds one generation at a time -----------
@@ -726,9 +770,9 @@ def test_a_generation_is_freed_before_the_next_draws_its_lifetimes(monkeypatch, 
 
     monkeypatch.setattr(TreeBatch, "__iter__", recording)
     counted = dataclasses.replace(model, inverse_cdf=counting_inverse_cdf)
-    batch = TreeBatch(c0, 0.0, x, T, counted, 1, 17, range(n))
+    batch = TreeBatch(c0, 0.0, x, T, counted, 17, range(n))
     if consumer == "evaluate_batch":
-        evaluate_batch(batch, problem.oracle, model, T)
+        evaluate_batch(batch, problem.oracle)
     else:
         weighted_progeny_batch(batch, SPREAD_WEIGHTS)
     assert len(live) == batch.depth.max() + 1 > 2
@@ -741,11 +785,11 @@ def test_evaluate_batch_working_set_per_tree(name, n, bound):
     # warm-up batch that lays out the codes the trees meet
     problem, model, c0, x, _ = BATCH_CONFIGS[name]
     T = problem.T
-    evaluate_batch(TreeBatch(c0, 0.0, x, T, model, 1, 1, range(n)), problem.oracle, model, T)
-    batch = TreeBatch(c0, 0.0, x, T, model, 1, 2, range(n))
+    evaluate_batch(TreeBatch(c0, 0.0, x, T, model, 1, range(n)), problem.oracle)
+    batch = TreeBatch(c0, 0.0, x, T, model, 2, range(n))
     tracemalloc.start()
     try:
-        evaluate_batch(batch, problem.oracle, model, T)
+        evaluate_batch(batch, problem.oracle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
