@@ -149,6 +149,8 @@ def _regime(cfg: dict, d: int):
 
 
 def _resolve_solve_config(cfg: dict, args) -> dict:
+    from .tree import Caps
+
     resolved = dict(cfg)
     if args.seed is not None:
         resolved["seed"] = args.seed
@@ -161,9 +163,7 @@ def _resolve_solve_config(cfg: dict, args) -> dict:
     resolved.setdefault("groups", 9)
     resolved.setdefault("code", {"alpha": [0], "j": -1})
     resolved.setdefault("lifetime", {"kind": "exponential", "lambda": 1.0})
-    resolved.setdefault(
-        "caps", {"max_branches": 10**6, "max_generation": 200}
-    )
+    resolved.setdefault("caps", asdict(Caps()))
     return resolved
 
 

@@ -121,7 +121,16 @@ class Jet:
         return Jet(l)
 
 
+# the largest m whose m! is a finite float
+_FACTORIAL_FLOAT_MAX = 170
+
+
 def exp_jet(x0: float, order: int) -> Jet:
-    """Jet of e^x at x0: coefficients e^{x0}/m!."""
+    """Jet of e^x at x0: coefficients e^{x0}/m!, and past m =
+    _FACTORIAL_FLOAT_MAX, where m! leaves the float range, coefficient m-1
+    over m."""
     ex = np.exp(x0)
-    return Jet([ex / math.factorial(m) for m in range(order + 1)])
+    coeffs = [ex / math.factorial(m) for m in range(min(order, _FACTORIAL_FLOAT_MAX) + 1)]
+    for m in range(_FACTORIAL_FLOAT_MAX + 1, order + 1):
+        coeffs.append(coeffs[m - 1] / m)
+    return Jet(coeffs)

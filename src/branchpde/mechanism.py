@@ -15,17 +15,21 @@ the kind-1..d blocks each with beta lexicographic.  Inverse-CDF sampling is
 defined against this order and is evaluated lazily (per digit), never by
 materializing the whole set.
 
+`offspring_entries` enumerates the entries once, with no Fraction formed;
+`offspring_set` adds their exact weights, and `tree.CodeTable` lays out its
+float rows from the same enumeration.  A code fixes d = len(alpha).
+
 The dominating mechanism of a code (alpha, j >= 0) has the same entries,
 order and probabilities, except that the first child of a kind-i entry is
 (alpha-beta+1_i, 0): every death spawns two children, none of them a pure
-derivative.  So one inverse-CDF layout samples both, and `tree.CodeTable`
-holds either chain's rows.
+derivative.  So one inverse-CDF layout samples both, and its rows live in
+`tree.CodeTable`, which recodes that child.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import Iterator, NamedTuple, Tuple
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from .multiindex import (
     MultiIndex,
     mi_add_unit,
     mi_enumerate_below,
-    mi_sub,
 )
 
 
@@ -57,49 +60,43 @@ def index_product(alpha: MultiIndex) -> int:
     return out
 
 
-def _entry(c: Code, kind: int, beta: MultiIndex) -> MechanismEntry:
-    alpha, j = c
-    if kind == 0:
-        return MechanismEntry(
-            weight=Fraction(1),
-            children=(Code(mi_sub(alpha, beta), 0), Code(beta, j + 1)),
-            kind=0,
-            beta=beta,
-        )
-    i = kind
-    w = Fraction(-(1 + beta[i - 1]) * (1 + alpha[i - 1] - beta[i - 1]), 2)
-    return MechanismEntry(
-        weight=w,
-        children=(
-            Code(mi_add_unit(mi_sub(alpha, beta), i), -1),
-            Code(mi_add_unit(beta, i), j + 1),
-        ),
-        kind=i,
-        beta=beta,
-    )
-
-
-def offspring_set(c: Code, d: int) -> list[MechanismEntry]:
-    """All entries of M(c) in canonical order."""
+def offspring_entries(c: Code) -> Iterator[tuple[int, MultiIndex, tuple[Code, ...]]]:
+    """(kind, beta, children) of each entry of M(c), in canonical order,
+    with no Fraction formed; d is len(c.alpha)."""
     alpha, j = c
     if j < 0:
-        return [
-            MechanismEntry(
-                weight=Fraction(1),
-                children=(Code(alpha, 0),),
-                kind=0,
-                beta=tuple(0 for _ in alpha),
-            )
-        ]
-    out = []
-    for kind in range(d + 1):
-        for beta in mi_enumerate_below(alpha):
-            out.append(_entry(c, kind, beta))
-    return out
+        yield 0, (0,) * len(alpha), (Code(alpha, 0),)
+        return
+    betas = mi_enumerate_below(alpha)
+    for kind in range(len(alpha) + 1):
+        for beta in betas:
+            yield kind, beta, _children(c, kind, beta)
 
 
-def offspring_prob(c: Code, entry: MechanismEntry, d: int) -> Fraction:
-    """q_c(entry), exact.
+def _children(c: Code, kind: int, beta: MultiIndex) -> tuple[Code, Code]:
+    """The children of the entry (kind, beta) of a code (alpha, j >= 0)."""
+    alpha, j = c
+    rest = tuple(a - b for a, b in zip(alpha, beta))
+    if kind == 0:
+        return Code(rest, 0), Code(beta, j + 1)
+    return Code(mi_add_unit(rest, kind), -1), Code(mi_add_unit(beta, kind), j + 1)
+
+
+def _entry(c: Code, kind: int, beta: MultiIndex, children: tuple[Code, ...]) -> MechanismEntry:
+    """The entry (kind, beta) of M(c) with these children and its exact weight z1."""
+    if kind == 0:
+        return MechanismEntry(Fraction(1), children, 0, beta)
+    b, a = beta[kind - 1], c.alpha[kind - 1]
+    return MechanismEntry(Fraction(-(1 + b) * (1 + a - b), 2), children, kind, beta)
+
+
+def offspring_set(c: Code) -> list[MechanismEntry]:
+    """All entries of M(c) in canonical order, each with its exact weight."""
+    return [_entry(c, *entry) for entry in offspring_entries(c)]
+
+
+def offspring_prob(c: Code, entry: MechanismEntry) -> Fraction:
+    """q_c(entry), exact, with d = len(c.alpha).
 
     kind 0:  1 / ((d+1) prod(1+alpha_k))
     kind i:  6 (1+beta_i)(1+alpha_i-beta_i) /
@@ -110,8 +107,8 @@ def offspring_prob(c: Code, entry: MechanismEntry, d: int) -> Fraction:
         if entry.children != (Code(alpha, 0),):
             raise ValueError(f"entry {entry} not in the offspring set of {c}")
         return Fraction(1)
-    _check_membership(c, entry, d)
-    prod = index_product(alpha)
+    _check_membership(c, entry)
+    d, prod = len(alpha), index_product(alpha)
     if entry.kind == 0:
         return Fraction(1, (d + 1) * prod)
     i = entry.kind
@@ -122,15 +119,11 @@ def offspring_prob(c: Code, entry: MechanismEntry, d: int) -> Fraction:
     )
 
 
-def _check_membership(c: Code, entry: MechanismEntry, d: int) -> None:
-    alpha = c.alpha
-    if not (0 <= entry.kind <= d):
-        raise ValueError(f"entry kind {entry.kind} out of range for d={d}")
-    if len(entry.beta) != len(alpha) or any(
-        not 0 <= b <= a for b, a in zip(entry.beta, alpha)
-    ):
-        raise ValueError(f"entry beta {entry.beta} not below alpha {alpha}")
-    if entry != _entry(c, entry.kind, entry.beta):
+def _check_membership(c: Code, entry: MechanismEntry) -> None:
+    alpha, kind, beta = c.alpha, entry.kind, entry.beta
+    below = len(beta) == len(alpha) and all(0 <= b <= a for b, a in zip(beta, alpha))
+    member = 0 <= kind <= len(alpha) and below
+    if not (member and entry == _entry(c, kind, beta, _children(c, kind, beta))):
         raise ValueError(f"entry {entry} not in the offspring set of {c}")
 
 
@@ -143,8 +136,9 @@ def _beta_from_rank(alpha: MultiIndex, rank: int) -> MultiIndex:
     return tuple(reversed(digits))
 
 
-def sample_offspring(c: Code, d: int, u: float) -> MechanismEntry:
-    """Inverse-CDF sample of q_c over the canonical order, lazily.
+def sample_offspring(c: Code, u: float) -> MechanismEntry:
+    """Inverse-CDF sample of q_c over the canonical order, lazily, with
+    d = len(c.alpha).
 
     Each of the d+1 kind blocks carries total mass 1/(d+1) exactly; within
     the kind-0 block beta is uniform, and within a directional block the
@@ -153,16 +147,17 @@ def sample_offspring(c: Code, d: int, u: float) -> MechanismEntry:
     """
     alpha, j = c
     if j < 0:
-        return offspring_set(c, d)[0]
+        return offspring_set(c)[0]
     if not 0.0 <= u < 1.0:
         raise ValueError(f"uniform variate must lie in [0, 1), got {u}")
+    d = len(alpha)
     v = u * (d + 1)
     kind = min(int(v), d)
     frac = min(v - kind, 1.0)
     if kind == 0:
         total = index_product(alpha)
-        rank = min(int(frac * total), total - 1)
-        return _entry(c, 0, _beta_from_rank(alpha, rank))
+        beta = _beta_from_rank(alpha, min(int(frac * total), total - 1))
+        return _entry(c, 0, beta, _children(c, 0, beta))
     i = kind
     beta = []
     for pos, a in enumerate(alpha, start=1):
@@ -183,15 +178,20 @@ def sample_offspring(c: Code, d: int, u: float) -> MechanismEntry:
                     break
                 acc += w
         beta.append(val)
-    return _entry(c, i, tuple(beta))
+    beta = tuple(beta)
+    return _entry(c, i, beta, _children(c, i, beta))
 
 
-def sample_offspring_indices(alpha: np.ndarray, d: int, u: np.ndarray) -> np.ndarray:
+def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
     """`sample_offspring` over rows: for codes (alpha[r], j >= 0) and
     uniforms u[r], the index in offspring_set of the entry that
     sample_offspring picks, by the same digit walk with the same float
-    arithmetic.  alpha is an (n, d) integer array."""
-    alpha = np.asarray(alpha, dtype=np.int64).reshape(-1, d)
+    arithmetic.  alpha is an (n, d) integer array; any other shape raises
+    ValueError."""
+    alpha = np.asarray(alpha, dtype=np.int64)
+    if alpha.ndim != 2:
+        raise ValueError(f"alpha must be an (n, d) array, got shape {alpha.shape}")
+    d = alpha.shape[1]
     if np.any(~((u >= 0.0) & (u < 1.0))):
         raise ValueError("uniform variates must lie in [0, 1)")
     v = u * (d + 1)

@@ -267,7 +267,7 @@ def mild_solution_check(problem: Problem, c: Code, t: float, x) -> float:
     if T == t:
         return abs(lhs - terminal)
 
-    entries = offspring_set(c, problem.d)
+    entries = offspring_set(c)
 
     def integrand(s: float) -> float:
         total = 0.0

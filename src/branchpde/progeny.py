@@ -80,7 +80,7 @@ class SeriesTable:
         return self.values[key]
 
 
-def a_recursion(w: PresetWeights, d: int, alpha: MultiIndex, j: int, kmax: int) -> SeriesTable:
+def a_recursion(w: PresetWeights, alpha: MultiIndex, j: int, kmax: int) -> SeriesTable:
     """Weighted-progeny coefficients A_{alpha,j}(k) for k <= kmax, keyed
     (alpha, k).
 
@@ -90,18 +90,16 @@ def a_recursion(w: PresetWeights, d: int, alpha: MultiIndex, j: int, kmax: int) 
     constants the row is built from: A_alpha(k) = H(|alpha|, k)/alpha! for
     the scalar recursion of the module docstring with G(m) = m! w.F(m, j),
     a = w.a and c = d w.s, exact for rational weights and in floats for
-    float ones.  The values do not depend on j >= 0; j = -1 is refused for
-    kmax >= 1 (such a code splits only through its pass-through entry).  A d
-    that is not an int >= 1, or an alpha whose length is not d, raises
-    ValueError; a float row that leaves the float range raises
+    float ones, in the weights' dimension d = w.d.  The values do not depend
+    on j >= 0; j = -1 is refused for kmax >= 1 (such a code splits only
+    through its pass-through entry).  An alpha whose length is not w.d
+    raises ValueError; a float row that leaves the float range raises
     OverflowError.
     """
-    alpha = _check_alpha(alpha, d)
+    alpha = _check_alpha(alpha, w.d)
     _check_levels(j, kmax)
-    if w.d != d:
-        raise ValueError(f"the weights are built for d = {w.d}, not d = {d}")
     terms = [w.F(m, j) for m in range(sum(alpha) + kmax + 1)]
-    return _row_table(alpha, _series_coefficients(terms, w.a, d * w.s, kmax))
+    return _row_table(alpha, _series_coefficients(terms, w.a, w.d * w.s, kmax))
 
 
 def ahat_recursion(g: GrowthSequence, d: int, alpha: MultiIndex, kmax: int) -> SeriesTable:
@@ -879,7 +877,7 @@ def contact_hj_consistency(g: GrowthSequence, d: int, kmax: int, alphamax: int) 
 
     def A(al, k):  # row by row, each up to kmax
         if (al, k) not in values:
-            values.update(a_recursion(w, d, al, 0, kmax).values)
+            values.update(a_recursion(w, al, 0, kmax).values)
         return values[(al, k)]
 
     for al in mi_upto(alphamax, d):

@@ -17,13 +17,15 @@ the offspring uniform comes right after them.
 
 Two samplers share these draws.  `sample_tree` grows one tree of the
 original chain branch by branch through `branch_rng` and records every
-branch; `evaluate_functional` (with the exact Fraction mechanism) and
+branch, with the horizon and lifetime model it was grown under;
+`evaluate_functional` (with the exact Fraction mechanism) and
 `weighted_progeny` multiply its factors.  They are the reference that the
 tests use.  `TreeBatch` grows the trees of a range of sample indices
 together, one generation at a time, as arrays, and `evaluate_batch` and
 `weighted_progeny_batch` compute their path functionals and weighted
 progenies.  The batch reads each code's offspring entries from a
-`CodeTable`, whose rows come from the closed form of z1/q.  One table per
+`CodeTable`, whose rows are the entries of the mechanism's one enumeration
+(`mechanism.offspring_entries`) with the closed form of z1/q.  One table per
 (d, chain) serves every batch of the process (`code_table`), so each code
 is laid out once however many batches, estimates or points reach it.  A
 code's id in it therefore depends on what was sampled before; its rows,
@@ -50,11 +52,11 @@ from .mechanism import (
     Code,
     MechanismEntry,
     index_product,
+    offspring_entries,
     offspring_prob,
     sample_offspring,
     sample_offspring_indices,
 )
-from .multiindex import mi_enumerate_below
 
 Label = tuple[int, ...]
 
@@ -90,6 +92,8 @@ class TreeSample:
     survived_labels: tuple[Label, ...]
     died_labels: tuple[Label, ...]
     generation_counts: dict[int, int]
+    T: float                # the horizon the tree was grown to
+    model: LifetimeModel    # the lifetime law it was grown under
 
     def __len__(self) -> int:
         return len(self.branches)
@@ -214,7 +218,7 @@ def branch_rng(seed: int, sample_index: int, label: Label) -> BranchStream:
     return BranchStream(key)
 
 
-def _finish(records: list[BranchRecord], T: float) -> TreeSample:
+def _finish(records: list[BranchRecord], T: float, model: LifetimeModel) -> TreeSample:
     records.sort(key=lambda r: r.label)
     survived = tuple(r.label for r in records if r.death_time > T)
     died = tuple(r.label for r in records if r.death_time <= T)
@@ -226,7 +230,24 @@ def _finish(records: list[BranchRecord], T: float) -> TreeSample:
         survived_labels=survived,
         died_labels=died,
         generation_counts=gens,
+        T=T,
+        model=model,
     )
+
+
+def _start_dimension(c0: Code, t: float, x: Sequence[float], T: float) -> int:
+    """d = len(c0.alpha) of a tree started at (t, x, c0) and grown to T.  A t
+    outside [0, T], an empty alpha, an alpha entry that is not an int >= 0,
+    a j that is not an int >= -1, or an x of another length raises
+    ValueError."""
+    if not 0 <= t <= T:
+        raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
+    (alpha, j), d = c0, len(c0.alpha)
+    if not d or any(type(v) is not int or v < 0 for v in alpha) or type(j) is not int or j < -1:
+        raise ValueError(f"a code needs a nonempty alpha of ints >= 0 and an int j >= -1, got {c0}")
+    if len(x) != d:
+        raise ValueError(f"start point has dimension {len(x)}, the code {c0} has {d}")
+    return d
 
 
 def sample_tree(
@@ -235,21 +256,18 @@ def sample_tree(
     x: Sequence[float],
     T: float,
     model: LifetimeModel,
-    d: int,
     seed: int,
     sample_index: int = 0,
     caps: Caps = Caps(),
 ) -> TreeSample:
-    """Sample one coded branching diffusion on [t, T] started at (t, x, c0).
+    """Sample one coded branching diffusion on [t, T] started at (t, x, c0),
+    in d = len(c0.alpha) dimensions, with TreeBatch's start checks.
 
     A branch dying at s <= T spawns the children of its sampled offspring
     entry at its death position; a branch alive at T records its terminal
     position.  Per-coordinate displacement variance equals elapsed time.
     """
-    if not 0 <= t <= T:
-        raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
-    if len(x) != d:
-        raise ValueError(f"start point has dimension {len(x)}, expected {d}")
+    d = _start_dimension(c0, t, x, T)
     records: list[BranchRecord] = []
     stack: list[tuple[Label, Code, float, tuple[float, ...]]] = [
         ((), c0, t, tuple(float(v) for v in x))
@@ -279,7 +297,7 @@ def sample_tree(
         else:
             disp = rng.standard_normal(d) * math.sqrt(tau)
             dpos = tuple(p + dv for p, dv in zip(pos, disp))
-            entry = sample_offspring(code, d, rng.random())
+            entry = sample_offspring(code, rng.random())
             records.append(
                 BranchRecord(
                     label=label,
@@ -293,13 +311,14 @@ def sample_tree(
             )
             for k, child in enumerate(entry.children, start=1):
                 stack.append((label + (k,), child, death, dpos))
-    return _finish(records, T)
+    return _finish(records, T, model)
 
 
-def evaluate_functional(tree: TreeSample, oracle, model: LifetimeModel, T: float) -> float:
-    """Path functional: product over survived branches of
-    oracle(code)(X_T)/rho_bar(T - birth) times, over died branches, of
-    z1/(rho(tau) q(entry))."""
+def evaluate_functional(tree: TreeSample, oracle) -> float:
+    """Path functional at the tree's horizon T and lifetime model: product
+    over survived branches of oracle(code)(X_T)/rho_bar(T - birth) times,
+    over died branches, of z1/(rho(tau) q(entry))."""
+    T, model = tree.T, tree.model
     out = 1.0
     for rec in tree.branches:
         if rec.death_time > T:
@@ -307,7 +326,7 @@ def evaluate_functional(tree: TreeSample, oracle, model: LifetimeModel, T: float
             out *= value / model.survival(T - rec.birth_time)
         else:
             tau = rec.death_time - rec.birth_time
-            q = offspring_prob(rec.code, rec.offspring_entry, len(rec.code.alpha))
+            q = offspring_prob(rec.code, rec.offspring_entry)
             out *= float(rec.offspring_entry.weight) / (model.density(tau) * float(q))
     return out
 
@@ -316,17 +335,18 @@ class CodeTable:
     """Codes interned to small ids, each with its offspring set laid out as
     float rows the first time a branch of that code dies.
 
-    Row first[c] + e holds entry e of offspring_set(codes[c], d), in the
-    canonical order: its z1/q as a float (`ratio`), its kind (`kind`), its
-    number of children (`nchild`) and their code ids (`child`, -1 past the
-    last child).  A `dominating` table holds the dominating chain instead:
-    the same rows, except that the first child of a kind-i entry is coded
-    (alpha-beta+1_i, 0).  The rows come from the closed form of z1/q, which
-    does not depend on beta: (d+1) prod(1+alpha_k) for kind 0,
-    -(d+1)(2+alpha_i)(3+alpha_i) prod(1+alpha_k)/12 for kind i, and 1 for
-    the single entry of a j = -1 code.  Each is an integer or one division of Python ints, both rounded
-    correctly, so it equals float(entry.weight / offspring_prob(code, entry,
-    d)) of the exact Fraction mechanism, which stays the reference.
+    Row first[c] + e holds entry e of offspring_entries(codes[c]), the
+    mechanism's one enumeration, in the canonical order: its z1/q as a
+    float (`ratio`), its kind (`kind`), its number of children (`nchild`)
+    and their code ids (`child`, -1 past the last child).  A `dominating`
+    table holds the dominating chain instead: the same rows, except that
+    the first child of a kind-i entry is coded (alpha-beta+1_i, 0).  The
+    ratios come from the closed form of z1/q, which does not depend on
+    beta: (d+1) prod(1+alpha_k) for kind 0, -(d+1)(2+alpha_i)(3+alpha_i)
+    prod(1+alpha_k)/12 for kind i, and 1 for the single entry of a j = -1
+    code.  Each is an integer or one division of Python ints, both rounded
+    correctly, so it equals float(entry.weight / offspring_prob(code,
+    entry)) of the exact Fraction mechanism, which stays the reference.
 
     A table only grows: `code_table` hands one table per (d, chain) to every
     batch of the process, so ids are given in the order codes first appear
@@ -372,34 +392,20 @@ class CodeTable:
         self._refresh()
 
     def _lay_out(self, cid: int) -> None:
-        """Append the rows of code cid, in offspring_set's order."""
-        alpha, j = self.codes[cid]
-        d = self.d
+        """Append the rows of code cid, in offspring_entries' order."""
+        code = self.codes[cid]
         self._first[cid] = len(self._ratio)
-        if j < 0:
-            self._add_row(1.0, 0, Code(alpha, 0))
-            return
-        prod = index_product(alpha)
-        betas = mi_enumerate_below(alpha)
-        rests = [tuple(a - b for a, b in zip(alpha, beta)) for beta in betas]
-        ratio = float((d + 1) * prod)
-        for beta, rest in zip(betas, rests):
-            self._add_row(ratio, 0, Code(rest, 0), Code(beta, j + 1))
-        first_j = 0 if self.dominating else -1
-        for i in range(d):
-            ratio = -(d + 1) * (2 + alpha[i]) * (3 + alpha[i]) * prod / 12
-            for beta, rest in zip(betas, rests):
-                self._add_row(
-                    ratio,
-                    i + 1,
-                    Code(rest[:i] + (rest[i] + 1,) + rest[i + 1:], first_j),
-                    Code(beta[:i] + (beta[i] + 1,) + beta[i + 1:], j + 1),
-                )
-
-    def _add_row(self, ratio: float, kind: int, first: Code, second: Optional[Code] = None) -> None:
-        self._ratio.append(ratio)
-        self._kind.append(kind)
-        self._child += (self.intern(first), -1 if second is None else self.intern(second))
+        if code.j < 0:
+            ratios = [1.0]
+        else:  # z1/q of kind 0, then of each kind i
+            scale = (self.d + 1) * index_product(code.alpha)
+            ratios = [float(scale)] + [-scale * (2 + a) * (3 + a) / 12 for a in code.alpha]
+        for kind, _, children in offspring_entries(code):
+            if kind and self.dominating:
+                children = (Code(children[0].alpha, 0), children[1])
+            self._ratio.append(ratios[kind])
+            self._kind.append(kind)
+            self._child += [self.intern(child) for child in children] + [-1] * (2 - len(children))
 
     def _refresh(self) -> None:
         self.alpha = np.array(self._alpha, dtype=np.int64).reshape(-1, self.d)
@@ -413,7 +419,7 @@ class CodeTable:
     def sample_entries(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Index in its code's offspring set of the entry that each uniform
         picks, as `sample_offspring` picks it; the codes must be built."""
-        return np.where(self.j[ids] < 0, 0, sample_offspring_indices(self.alpha[ids], self.d, u))
+        return np.where(self.j[ids] < 0, 0, sample_offspring_indices(self.alpha[ids], u))
 
 
 _CODE_TABLES: dict[tuple[int, bool], CodeTable] = {}
@@ -463,9 +469,8 @@ class Generation(NamedTuple):
 class TreeBatch:
     """The trees of the samples in `indices`, all started at (t, x, c0) and
     grown together one generation at a time: iterating yields each
-    `Generation` in turn.  d is len(c0.alpha): an empty alpha, an alpha
-    entry that is not an int >= 0, a j that is not an int >= -1, or an x of
-    another length raises ValueError.
+    `Generation` in turn.  d is len(c0.alpha), and a bad start raises
+    ValueError as in `sample_tree` (`_start_dimension`).
 
     Row for row, a generation holds what `sample_tree` records for the same
     branches, from the same draws.  Caps apply per tree with sample_tree's
@@ -503,14 +508,8 @@ class TreeBatch:
         caps: Caps = Caps(),
         dominating: bool = False,
     ):
-        if not 0 <= t <= T:
-            raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
-        (alpha, j), d = c0, len(c0.alpha)
-        if not d or any(type(v) is not int or v < 0 for v in alpha) or type(j) is not int or j < -1:
-            raise ValueError(f"a code needs a nonempty alpha of ints >= 0 and an int j >= -1, got {c0}")
-        if len(x) != d:
-            raise ValueError(f"start point has dimension {len(x)}, the code {c0} has {d}")
-        if dominating and j < 0:
+        d = _start_dimension(c0, t, x, T)
+        if dominating and c0.j < 0:
             raise ValueError("dominating chain codes have j >= 0")
         self.c0, self.t, self.x, self.T = c0, float(t), np.asarray(x, dtype=float), T
         self.model, self.d, self.seed, self.indices, self.caps = model, d, seed, indices, caps

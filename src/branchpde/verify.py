@@ -38,7 +38,7 @@ def _check_offspring_normalization() -> bool:
             if mi_abs(alpha) > 4:
                 continue
             c = Code(alpha, 0)
-            total = sum(offspring_prob(c, e, d) for e in offspring_set(c, d))
+            total = sum(offspring_prob(c, e) for e in offspring_set(c))
             if total != 1:
                 return False
     return True
@@ -101,7 +101,7 @@ def _check_dominance_series() -> bool:
         d=1,
     )
     w = p.build_weights()
-    table = progeny.a_recursion(w, 1, (1,), 0, 4)
+    table = progeny.a_recursion(w, (1,), 0, 4)
     g = progeny.g_factorial(Fraction(3, 2), Fraction(1))
     that = progeny.ahat_recursion(g, 1, (1,), 4)
     return all(
@@ -117,7 +117,7 @@ def _check_series_engine() -> bool:
     def row(theta, r, delta, alpha):
         d = len(alpha)
         p = stability.GrowthParams(stability.Factorial(theta, r), delta, delta, 1.0, 0.1, d)
-        return progeny.a_recursion(p.build_weights(), d, alpha, 0, 12)
+        return progeny.a_recursion(p.build_weights(), alpha, 0, 12)
 
     for alpha in ((2,), (1, 1)):
         exact = row(Fraction(3, 2), Fraction(1), Fraction(6, 5), alpha)

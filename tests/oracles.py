@@ -11,14 +11,14 @@ from branchpde.mechanism import Code, MechanismEntry, offspring_set
 from branchpde.multiindex import MultiIndex
 
 
-def dominating_offspring_set(alpha: MultiIndex, j: int, d: int) -> list[MechanismEntry]:
+def dominating_offspring_set(alpha: MultiIndex, j: int) -> list[MechanismEntry]:
     """All entries of the dominating mechanism for code (alpha, j >= 0):
     offspring_set's, with the first child of each kind-i entry at j = 0."""
     if j < 0:
         raise ValueError("dominating chain codes have j >= 0")
     return [
         e._replace(children=(e.children[0]._replace(j=0), e.children[1])) if e.kind else e
-        for e in offspring_set(Code(alpha, j), d)
+        for e in offspring_set(Code(alpha, j))
     ]
 
 

@@ -162,6 +162,16 @@ def test_solve_refuses_values_it_would_reinterpret(tmp_path, capsys, fields):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("j", [-1, 0])
+def test_solve_takes_a_code_past_the_float_factorial(tmp_path, capsys, j):
+    # 171! is past the float range; the e^x jet behind b2's oracle goes on
+    code, out, err = run_solve(tmp_path, capsys, code={"alpha": [171], "j": j})
+    assert code == 0 and err == ""
+    (row,) = out.splitlines()[1:]
+    mean, std_error = (float(v) for v in row.split(",")[4:6])
+    assert math.isfinite(mean) and 0 < std_error < math.inf
+
+
 def test_solve_reads_integral_floats_as_integers(tmp_path, capsys):
     _, as_int, _ = run_solve(tmp_path, capsys, n=200, workers=1)
     code, as_float, _ = run_solve(tmp_path, capsys, n=200.0, workers=1.0)

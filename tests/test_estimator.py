@@ -225,7 +225,7 @@ def test_estimate_stats_count_the_trees_of_sample_tree():
     sizes, depths = [], []
     for i in range(n):
         try:
-            ref = sample_tree(Code((0,), 0), 0.0, (0.0,), T, setup.model, 1, seed, i, caps)
+            ref = sample_tree(Code((0,), 0), 0.0, (0.0,), T, setup.model, seed, i, caps)
         except tree.CapExceeded:
             continue
         sizes.append(len(ref))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,20 @@ def test_exp_jet_coefficients():
     j = exp_jet(0.7, 5)
     for m in range(6):
         assert j.coefficient(m) == pytest.approx(math.exp(0.7) / math.factorial(m))
+
+
+@pytest.mark.parametrize("x0, top", [(0.0, 171), (700.0, 250)])
+def test_exp_jet_continues_past_the_float_factorial(x0, top):
+    # m! leaves the float range at m = 171; the coefficients go on as
+    # coefficient m-1 over m, within 1e-12 of e^x0/m! exactly, and keep
+    # their bits up to m = 170
+    jet = exp_jet(x0, top)
+    ex = math.exp(x0)
+    for m in range(top + 1):
+        exact = float(Fraction(ex) / math.factorial(m))
+        assert jet.coefficient(m) == pytest.approx(exact, rel=1e-12, abs=0), m
+        if m <= 170:
+            assert jet.coefficient(m) == ex / math.factorial(m)
 
 
 def test_arithmetic_against_known_series():

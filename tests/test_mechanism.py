@@ -8,6 +8,7 @@ import pytest
 from branchpde.mechanism import (
     Code,
     index_product,
+    offspring_entries,
     offspring_prob,
     offspring_set,
     sample_offspring,
@@ -18,20 +19,20 @@ from branchpde.tree import CodeTable
 from oracles import dominating_offspring_set
 
 
-def entry_count(c: Code, d: int) -> int:
+def entry_count(c: Code) -> int:
     """|M(c)|: 1 for j=-1, else (d+1) prod(1+alpha_k)."""
     if c.j < 0:
         return 1
-    return (d + 1) * index_product(c.alpha)
+    return (len(c.alpha) + 1) * index_product(c.alpha)
 
 
-def dominating_offspring_prob(alpha: MultiIndex, entry, d: int) -> Fraction:
+def dominating_offspring_prob(alpha: MultiIndex, entry) -> Fraction:
     """Offspring law of the dominating mechanism: the mass q_c of the entry
     of the original mechanism with the same kind and beta."""
     first, second = entry.children
     if entry.kind:
         entry = entry._replace(children=(first._replace(j=-1), second))
-    return offspring_prob(Code(alpha, second.j - 1), entry, d)
+    return offspring_prob(Code(alpha, second.j - 1), entry)
 
 
 def alphas_upto(total, d):
@@ -40,25 +41,25 @@ def alphas_upto(total, d):
 
 def test_pure_derivative_code_single_entry():
     c = Code((1,), -1)
-    entries = offspring_set(c, 1)
+    entries = offspring_set(c)
     assert len(entries) == 1
     assert entries[0].weight == 1
     assert entries[0].children == (Code((1,), 0),)
-    assert offspring_prob(c, entries[0], 1) == 1
+    assert offspring_prob(c, entries[0]) == 1
 
 
 def test_entry_count_matches_cardinality():
-    assert len(offspring_set(Code((2,), 0), 1)) == 6  # (d+1) prod(1+alpha) = 2*3
-    assert entry_count(Code((2,), 0), 1) == 6
+    assert len(offspring_set(Code((2,), 0))) == 6  # (d+1) prod(1+alpha) = 2*3
+    assert entry_count(Code((2,), 0)) == 6
     for d in (1, 2):
         for alpha in alphas_upto(3, d):
             c = Code(alpha, 2)
-            assert len(offspring_set(c, d)) == (d + 1) * index_product(alpha)
+            assert len(offspring_set(c)) == (d + 1) * index_product(alpha)
 
 
 def test_offspring_set_d2_expansion():
     # direct expansion at alpha = 0, j = 3, d = 2
-    entries = offspring_set(Code((0, 0), 3), 2)
+    entries = offspring_set(Code((0, 0), 3))
     assert len(entries) == 3
     kind0, kind1, kind2 = entries
     assert kind0.weight == 1
@@ -71,26 +72,26 @@ def test_offspring_set_d2_expansion():
 
 def test_offspring_prob_values():
     c = Code((2,), 0)
-    entries = offspring_set(c, 1)
+    entries = offspring_set(c)
     for e in entries:
         if e.kind == 0:
-            assert offspring_prob(c, e, 1) == Fraction(1, 6)
+            assert offspring_prob(c, e) == Fraction(1, 6)
     directional = [e for e in entries if e.kind == 1 and e.beta == (1,)]
-    assert offspring_prob(c, directional[0], 1) == Fraction(1, 5)  # 6*2*2/(2*4*5*3)
+    assert offspring_prob(c, directional[0]) == Fraction(1, 5)  # 6*2*2/(2*4*5*3)
 
 
 def test_offspring_prob_rejects_foreign_entry():
     c = Code((2,), 0)
-    other = offspring_set(Code((1,), 0), 1)[0]
+    other = offspring_set(Code((1,), 0))[0]
     with pytest.raises(ValueError):
-        offspring_prob(c, other, 1)
+        offspring_prob(c, other)
 
 
 def test_normalization_exact():
     for d in (1, 2, 3):
         for alpha in alphas_upto(5 if d == 1 else 3, d):
             c = Code(alpha, 1)
-            total = sum(offspring_prob(c, e, d) for e in offspring_set(c, d))
+            total = sum(offspring_prob(c, e) for e in offspring_set(c))
             assert total == 1
 
 
@@ -116,8 +117,8 @@ def test_weight_over_prob_closed_form():
     for d in (1, 2, 3):
         for alpha in alphas_upto(5 if d == 1 else 3, d):
             c = Code(alpha, 0)
-            for e in offspring_set(c, d):
-                ratio = abs(e.weight) / offspring_prob(c, e, d)
+            for e in offspring_set(c):
+                ratio = abs(e.weight) / offspring_prob(c, e)
                 if e.kind == 0:
                     assert ratio == (d + 1) * index_product(alpha)
                 else:
@@ -129,36 +130,36 @@ def test_weight_over_prob_closed_form():
 
 def test_sample_offspring_inverse_cdf_layout():
     c = Code((0,), 0)  # masses: kind0 1/2, kind1 1/2
-    assert sample_offspring(c, 1, 0.0).kind == 0
-    assert sample_offspring(c, 1, 0.75).kind == 1
-    unique = offspring_set(Code((3,), -1), 1)[0]
-    assert sample_offspring(Code((3,), -1), 1, 0.9) == unique
+    assert sample_offspring(c, 0.0).kind == 0
+    assert sample_offspring(c, 0.75).kind == 1
+    unique = offspring_set(Code((3,), -1))[0]
+    assert sample_offspring(Code((3,), -1), 0.9) == unique
 
 
 def test_sample_offspring_matches_enumerated_cdf():
     # lazy digit-walk must agree with explicit inverse CDF over the canonical order
     for d, alpha in ((1, (3,)), (2, (2, 1)), (3, (1, 0, 2))):
         c = Code(alpha, 1)
-        entries = offspring_set(c, d)
-        probs = [float(offspring_prob(c, e, d)) for e in entries]
+        entries = offspring_set(c)
+        probs = [float(offspring_prob(c, e)) for e in entries]
         cdf = np.cumsum(probs)
         for u in np.linspace(0.0, 0.9999, 251):
             idx = int(np.searchsorted(cdf, u, side="right"))
             idx = min(idx, len(entries) - 1)
-            assert sample_offspring(c, d, float(u)) == entries[idx]
+            assert sample_offspring(c, float(u)) == entries[idx]
 
 
 def test_sample_offspring_frequencies():
     rng = np.random.default_rng(42)
     c = Code((2,), 0)
-    entries = offspring_set(c, 1)
+    entries = offspring_set(c)
     counts = dict.fromkeys(range(len(entries)), 0)
     lookup = {e: i for i, e in enumerate(entries)}
     n = 100_000
     for u in rng.random(n):
-        counts[lookup[sample_offspring(c, 1, float(u))]] += 1
+        counts[lookup[sample_offspring(c, float(u))]] += 1
     for e, i in lookup.items():
-        p = float(offspring_prob(c, e, 1))
+        p = float(offspring_prob(c, e))
         bound = 4.0 * math.sqrt(p * (1 - p) / n)
         assert abs(counts[i] / n - p) <= bound
 
@@ -166,7 +167,7 @@ def test_sample_offspring_frequencies():
 def test_dominating_entries_have_no_pure_derivative_children():
     for d in (1, 2):
         for alpha in alphas_upto(3, d):
-            entries = dominating_offspring_set(alpha, 0, d)
+            entries = dominating_offspring_set(alpha, 0)
             assert len(entries) == (d + 1) * index_product(alpha)
             for e in entries:
                 assert all(child.j >= 0 for child in e.children)
@@ -174,12 +175,12 @@ def test_dominating_entries_have_no_pure_derivative_children():
 
 
 def test_dominating_probabilities_sum_to_one():
-    entries = dominating_offspring_set((2, 1), 5, 2)
-    total = sum(dominating_offspring_prob((2, 1), e, 2) for e in entries)
+    entries = dominating_offspring_set((2, 1), 5)
+    total = sum(dominating_offspring_prob((2, 1), e) for e in entries)
     assert total == 1
     # alpha = 0, d = 1: two entries with probability 1/2 each
-    small = dominating_offspring_set((0,), 0, 1)
-    assert [dominating_offspring_prob((0,), e, 1) for e in small] == [
+    small = dominating_offspring_set((0,), 0)
+    assert [dominating_offspring_prob((0,), e) for e in small] == [
         Fraction(1, 2),
         Fraction(1, 2),
     ]
@@ -196,22 +197,22 @@ def test_dominating_sampler_mirrors_original_layout():
         table.build(ids)
         picks.append(table.sample_entries(ids, u))
     assert picks[0].tolist() == picks[1].tolist()
-    entries = dominating_offspring_set((2, 1), 0, 2)
+    entries = dominating_offspring_set((2, 1), 0)
     for v, pick in zip(u.tolist(), picks[1].tolist()):
-        orig = sample_offspring(Code((2, 1), 0), 2, v)
+        orig = sample_offspring(Code((2, 1), 0), v)
         dom = entries[pick]
         assert dom.kind == orig.kind
         assert dom.beta == orig.beta
 
 
-def _boundary_grid(c, d):
+def _boundary_grid(c):
     """Uniforms at, just below and just above every cumulative offspring
     mass of c in canonical order (every kind and digit boundary), plus the
     middle of each entry's interval."""
-    entries = offspring_set(c, d)
+    entries = offspring_set(c)
     cuts = [Fraction(0)]
     for e in entries:
-        cuts.append(cuts[-1] + offspring_prob(c, e, d))
+        cuts.append(cuts[-1] + offspring_prob(c, e))
     grid = set()
     for lo, hi in zip(cuts, cuts[1:]):
         for v in (float(lo), float((lo + hi) / 2)):
@@ -225,15 +226,15 @@ def test_batched_entry_choice_matches_sample_offspring(d):
     rows, us, expected = [], [], []
     for alpha in alphas:
         c = Code(alpha, 0)
-        entries = offspring_set(c, d)
-        for u in _boundary_grid(c, d):
+        entries = offspring_set(c)
+        for u in _boundary_grid(c):
             rows.append(alpha)
             us.append(u)
-            expected.append(entries.index(sample_offspring(c, d, u)))
-    got = sample_offspring_indices(np.array(rows), d, np.array(us))
+            expected.append(entries.index(sample_offspring(c, u)))
+    got = sample_offspring_indices(np.array(rows), np.array(us))
     assert got.tolist() == expected
     with pytest.raises(ValueError):
-        sample_offspring_indices(np.array([alphas[0]]), d, np.array([1.0]))
+        sample_offspring_indices(np.array([alphas[0]]), np.array([1.0]))
 
 
 @pytest.mark.parametrize("d, top", [(1, 9), (2, 5)])
@@ -245,10 +246,52 @@ def test_batched_entry_choice_matches_sample_offspring_for_larger_alpha(d, top):
     rows, us, expected = [], [], []
     for alpha in alphas:
         c = Code(alpha, 1)
-        entries = offspring_set(c, d)
-        for u in _boundary_grid(c, d) + rng.random(20).tolist():
+        entries = offspring_set(c)
+        for u in _boundary_grid(c) + rng.random(20).tolist():
             rows.append(alpha)
             us.append(u)
-            expected.append(entries.index(sample_offspring(c, d, u)))
-    got = sample_offspring_indices(np.array(rows), d, np.array(us))
+            expected.append(entries.index(sample_offspring(c, u)))
+    got = sample_offspring_indices(np.array(rows), np.array(us))
     assert got.tolist() == expected
+
+
+def test_a_code_fixes_the_dimension_of_its_offspring_law():
+    # d is len(alpha): a d passed beside the code, which gave 8 entries for
+    # Code((1, 1), 0) at d = 1, is no parameter any more
+    c = Code((1, 1), 0)
+    entries = offspring_set(c)
+    assert len(entries) == 12 == entry_count(c)
+    assert sum(offspring_prob(c, e) for e in entries) == 1
+    assert offspring_prob(c, entries[0]) == Fraction(1, 12)
+    assert sample_offspring(Code((1,), 0), 0.99) == offspring_set(Code((1,), 0))[-1]
+    for call in (
+        lambda: offspring_set(c, 1),
+        lambda: offspring_prob(c, entries[0], 3),
+        lambda: sample_offspring(Code((1,), 0), 2, 0.99),
+        lambda: sample_offspring_indices(np.array([[1, 1]]), 1, np.array([0.5])),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("alpha", [np.array([1, 1]), np.array([[[1, 1]]]), np.array(2)])
+def test_batched_entry_choice_refuses_alpha_that_is_not_rows(alpha):
+    with pytest.raises(ValueError, match=r"\(n, d\) array"):
+        sample_offspring_indices(alpha, np.array([0.5]))
+
+
+def test_batched_entry_choice_reads_the_dimension_from_the_rows():
+    # one row of a two-entry alpha gives one index, of the d = 2 set
+    c = Code((1, 1), 0)
+    got = sample_offspring_indices(np.array([c.alpha]), np.array([0.5]))
+    assert got.shape == (1,)
+    assert offspring_set(c)[got[0]] == sample_offspring(c, 0.5)
+
+
+def test_offspring_entries_enumerate_offspring_set():
+    # the one enumeration: (kind, beta, children) of each entry, in order
+    for d in (1, 2, 3):
+        for alpha in alphas_upto(3, d):
+            for j in (-1, 0, 2):
+                c = Code(alpha, j)
+                assert [(e.kind, e.beta, e.children) for e in offspring_set(c)] == list(offspring_entries(c))

@@ -75,7 +75,7 @@ def pde_system_residual(problem: Problem, c: Code, t: float, x, h: float = 1e-3)
     second = jet.coefficient(m + 2) * math.factorial(m + 2) / fac
     lap = 0.5 * second
     nonlinear = 0.0
-    for entry in offspring_set(c, problem.d):
+    for entry in offspring_set(c):
         prod = float(entry.weight)
         for child in entry.children:
             prod *= _code_value_from_exact(problem, child, t, x0)

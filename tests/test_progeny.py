@@ -98,25 +98,25 @@ def test_progeny_pmf():
 def test_a_recursion_base_case():
     p = fact_params(Fraction(1), Fraction(1))
     w = p.build_weights()
-    table = a_recursion(w, 1, (2,), 3, 0)
+    table = a_recursion(w, (2,), 3, 0)
     assert table.values[((2,), 0)] == w.boundary_dominating((2,), 3)
-    # the preset's sigma_inner carries its own d, so another d is refused
+    # the preset carries its own d, so an alpha of another length is refused
     with pytest.raises(ValueError, match="d = 1"):
-        a_recursion(w, 2, (2, 0), 0, 1)
+        a_recursion(w, (2, 0), 0, 1)
 
 
 def test_a_recursion_j_independence():
     p = fact_params(Fraction(1), Fraction(1))
     w = p.build_weights()
-    reference = a_recursion(w, 1, (1,), 0, 4)
+    reference = a_recursion(w, (1,), 0, 4)
     for j in (1, 2):
-        assert a_recursion(w, 1, (1,), j, 4).values == reference.values
+        assert a_recursion(w, (1,), j, 4).values == reference.values
 
 
 def test_a_recursion_known_values():
     # theta = r = 1, deltas = 1: g == 1, A_(1)(k) = 1, 4, 35/2, 266/3, ...
     p = fact_params(Fraction(1), Fraction(1))
-    table = a_recursion(p.build_weights(), 1, (1,), 0, 4)
+    table = a_recursion(p.build_weights(), (1,), 0, 4)
     vals = [table.values[((1,), k)] for k in range(5)]
     assert vals == [1, 4, Fraction(35, 2), Fraction(266, 3), Fraction(5989, 12)]
 
@@ -277,7 +277,7 @@ def test_series_domination_exact(theta, r, d):
     w = p.build_weights()
     gf = g_factorial(theta, r)
     for alpha in alphas_upto(4, d):
-        ta = a_recursion(w, d, alpha, 0, 6)
+        ta = a_recursion(w, alpha, 0, 6)
         th = ahat_recursion(gf, d, alpha, 6)
         for k in range(7):
             assert ta.values[(alpha, k)] <= th.values[(alpha, k)]
@@ -286,7 +286,7 @@ def test_series_domination_exact(theta, r, d):
 def test_series_domination_fails_without_side_condition():
     # theta = r = 1, d = 1 violates theta r >= sqrt(2): A_0(1) = 3/2 > A'_0(1) = 1
     p = fact_params(Fraction(1), Fraction(1), d=1)
-    ta = a_recursion(p.build_weights(), 1, (0,), 0, 1)
+    ta = a_recursion(p.build_weights(), (0,), 0, 1)
     th = ahat_recursion(g_factorial(Fraction(1), Fraction(1)), 1, (0,), 1)
     assert ta.values[((0,), 1)] == Fraction(3, 2)
     assert th.values[((0,), 1)] == 1

@@ -227,7 +227,7 @@ def test_a_recursion_collapsed_matches_reference(name, d, kmax):
         for k in range(kmax + 1):
             for j in (0, 1, 2) if d == 1 else (0,):
                 ref = reference_a_recursion(ref_w, d, alpha, j, k, collapse_j=True).values
-                assert_nodes_equal(ref, lambda nu, l: a_recursion(w, d, nu, j, l)[nu, l])
+                assert_nodes_equal(ref, lambda nu, l: a_recursion(w, nu, j, l)[nu, l])
 
 
 @pytest.mark.parametrize(
@@ -242,7 +242,7 @@ def test_a_recursion_j_axis_matches_reference(d, kmax, j):
         for k in range(kmax + 1):
             ref = reference_a_recursion(ref_w, d, alpha, j, k).values
             for (nu, jj, l), v in ref.items():
-                got = a_recursion(w, d, nu, jj, l)[nu, l]
+                got = a_recursion(w, nu, jj, l)[nu, l]
                 assert type(got) is Fraction and got == v, (nu, jj, l)
 
 
@@ -267,7 +267,7 @@ def test_float_path_matches_exact_path(name, d, alpha, kmax):
     w, fw = preset(regime, d), float_preset(name, d)
     for nu in mi_enumerate_below(alpha):
         for exact, floats in (
-            (a_recursion(w, d, nu, 0, kmax), a_recursion(fw, d, nu, 0, kmax)),
+            (a_recursion(w, nu, 0, kmax), a_recursion(fw, nu, 0, kmax)),
             (ahat_recursion(g, d, nu, kmax), ahat_recursion(FLOAT_GROWTH[name], d, nu, kmax)),
         ):
             ref = {key: float(v) for key, v in exact.values.items()}
@@ -278,14 +278,14 @@ def test_float_path_matches_reference_float_path():
     w = preset(GROWTH["factorial"][1], 1)
     ref = reference_a_recursion(closures(w), 1, (2,), 0, 12, collapse_j=True, as_float=True).values
     fw = float_preset("factorial", 1)
-    assert_nodes_equal(ref, lambda nu, l: a_recursion(fw, 1, nu, 0, l)[nu, l])
+    assert_nodes_equal(ref, lambda nu, l: a_recursion(fw, nu, 0, l)[nu, l])
 
 
 def test_j_minus_one():
     w = preset(GROWTH["factorial"][1], 1)
     with pytest.raises(ValueError):
-        a_recursion(w, 1, (1,), -1, 1)
-    table = a_recursion(w, 1, (1,), -1, 0)
+        a_recursion(w, (1,), -1, 1)
+    table = a_recursion(w, (1,), -1, 0)
     assert list(table.values.values()) == [w.boundary_dominating((1,), -1)]
 
 
@@ -313,7 +313,7 @@ def test_expected_weighted_progeny_is_the_exact_table_summed(name, d):
     x = 1.0 - math.exp(-lam * h)
     alphas, truncations = EWP_CASES[d]
     for alpha in alphas:
-        exact = a_recursion(p.build_weights(), d, alpha, 0, max(truncations))
+        exact = a_recursion(p.build_weights(), alpha, 0, max(truncations))
         for ktrunc in truncations:
             want = math.exp(-lam * h) * math.fsum(
                 x**k * float(exact[alpha, k]) for k in range(ktrunc + 1)
@@ -326,7 +326,7 @@ def test_expected_weighted_progeny_refuses_what_a_recursion_refuses():
     p = stability.GrowthParams(GROWTH["factorial"][1], Fraction(6, 5), Fraction(6, 5), 1.0, 0.002, 2)
     w = p.build_weights()
     with pytest.raises(ValueError, match="j = -1"):
-        a_recursion(w, 2, (1, 0), -1, 1)
+        a_recursion(w, (1, 0), -1, 1)
     with pytest.raises(ValueError, match="j = -1"):
         expected_weighted_progeny((1, 0), -1, 1.0, 0.002, p, ktrunc=1)
     out = expected_weighted_progeny((1, 0), -1, 1.0, 0.002, p, ktrunc=0)
@@ -347,8 +347,8 @@ def test_float_paths_do_not_overflow_at_large_truncation():
         value = expected_weighted_progeny((1,), 0, 1.0, 0.05, p, ktrunc)["value"]
         assert math.isfinite(value) and value == pytest.approx(ref, rel=1e-12, abs=0)
     fp = stability.GrowthParams(stability.Factorial(1.0, 1.0), 1.0, 1.0, 1.0, 0.05, 1)
-    floats = a_recursion(fp.build_weights(), 1, (1,), 0, 200)
-    exact = a_recursion(p.build_weights(), 1, (1,), 0, 30)
+    floats = a_recursion(fp.build_weights(), (1,), 0, 200)
+    exact = a_recursion(p.build_weights(), (1,), 0, 30)
     assert all(type(v) is float and math.isfinite(v) for v in floats.values.values())
     for key, v in exact.values.items():
         assert floats[key] == pytest.approx(float(v), rel=1e-12, abs=0)
@@ -385,12 +385,12 @@ def test_float_rows_past_the_float_range_raise():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowError, match=re.escape("l = 184 is inf")):
-            a_recursion(w, 2, (1, 0), 0, 200)
+            a_recursion(w, (1, 0), 0, 200)
         with pytest.raises(OverflowError, match=re.escape("l = 172 is inf")):
             ahat_recursion(g, 2, (1, 0), 200)
         # just below, the rows are finite and equal the exact ones
         rows = (
-            (a_recursion(w, 2, (1, 0), 0, 183), a_recursion(exact, 2, (1, 0), 0, 30)),
+            (a_recursion(w, (1, 0), 0, 183), a_recursion(exact, (1, 0), 0, 30)),
             (ahat_recursion(g, 2, (1, 0), 171), ahat_recursion(exact.g, 2, (1, 0), 30)),
         )
         for floats, ref in rows:
@@ -479,8 +479,9 @@ def test_tables_of_one_g_run_the_engine_once_per_key(monkeypatch):
 ])
 def test_recursions_refuse_malformed_inputs(d, alpha, message):
     g = progeny.g_factorial(Fraction(1), Fraction(1))
-    w = progeny.PresetWeights(g, Fraction(1), Fraction(1), 2)
-    for call in (lambda: ahat_recursion(g, d, alpha, 3), lambda: a_recursion(w, d, alpha, 0, 3)):
+    # a_recursion reads d from its weights, so they carry the malformed d
+    w = progeny.PresetWeights(g, Fraction(1), Fraction(1), d)
+    for call in (lambda: ahat_recursion(g, d, alpha, 3), lambda: a_recursion(w, alpha, 0, 3)):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()
     assert not g.rows

@@ -218,6 +218,58 @@ def test_unpassed_default_scan_sees_a_default_no_call_passes(tmp_path):
     ]
 
 
+# annotation -> the parameters a value of that type already fixes: a code
+# its dimension d = len(alpha), a tree also its horizon and lifetime model
+FIXED_BY = {"Code": {"d"}, "TreeSample": {"d", "T", "model"}}
+
+
+def annotation_names(annotation) -> set[str]:
+    """The names an annotation mentions, bare, as attributes or in strings."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= annotation_names(ast.parse(node.value, mode="eval"))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(getattr(node, "id", getattr(node, "attr", None)))
+    return names
+
+
+def repeated_inputs(paths) -> list[str]:
+    """module.function(parameters) of each function that takes a parameter
+    annotated as a type of FIXED_BY beside parameters that type fixes."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            types = set().union(*(annotation_names(p.annotation) for p in params if p.annotation))
+            fixed = set().union(*(FIXED_BY[t] for t in types & FIXED_BY.keys()))
+            repeated = sorted(fixed & {p.arg for p in params})
+            if repeated:
+                out.append(f"{path.stem}.{node.name}({', '.join(repeated)})")
+    return out
+
+
+def test_no_function_takes_what_its_code_or_tree_fixes():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert repeated_inputs(modules) == []
+
+
+def test_repeated_input_scan_sees_a_dimension_beside_a_code(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from typing import Optional\nfrom . import mechanism\n\n\n"
+        "def entries(c: Code, d: int):\n    return c\n\n\n"
+        "def functional(tree: 'TreeSample', oracle, model, T):\n    return tree\n\n\n"
+        "class Table:\n    def row(self, code: Optional[mechanism.Code], kind, d=1):\n        return d\n\n\n"
+        "def sized(alpha, d: int, T):\n    return d\n"
+    )
+    assert repeated_inputs([tmp_path / "a.py"]) == [
+        "a.entries(d)", "a.functional(T, model)", "a.row(d)"
+    ]
+
+
 REGIME_CLASSES = {"Factorial", "Exponential", "_Regime"}
 # isinstance dispatch on a regime class, kept on purpose: max_horizon is
 # defined for the factorial regime alone, and the stability command emits

@@ -36,7 +36,7 @@ def test_root_survival_single_branch():
     # find a sample whose root outlives the horizon
     T = 0.05
     for i in range(50):
-        tree = sample_tree(Code((0,), -1), 0.0, (0.3,), T, MODEL, 1, seed=1, sample_index=i)
+        tree = sample_tree(Code((0,), -1), 0.0, (0.3,), T, MODEL, seed=1, sample_index=i)
         if len(tree) == 1:
             rec = tree.branches[0]
             assert rec.death_time > T
@@ -52,7 +52,7 @@ def test_pure_derivative_death_spawns_single_child():
     T = 2.0
     for i in range(200):
         tree = sample_tree(
-            Code((2,), -1), 0.0, (0.0,), T, MODEL, 1, seed=5, sample_index=i,
+            Code((2,), -1), 0.0, (0.0,), T, MODEL, seed=5, sample_index=i,
             caps=Caps(max_branches=100_000, max_generation=500),
         )
         root = tree.branches[0] if tree.branches[0].label == () else None
@@ -77,7 +77,7 @@ def test_composition_codes_spawn_two_children():
     seen_split = False
     for i in range(100):
         tree = sample_tree(
-            Code((1,), 0), 0.0, (0.0,), T, MODEL, 1, seed=9, sample_index=i,
+            Code((1,), 0), 0.0, (0.0,), T, MODEL, seed=9, sample_index=i,
             caps=Caps(max_branches=100_000, max_generation=400),
         )
         for rec in tree.branches:
@@ -89,10 +89,10 @@ def test_composition_codes_spawn_two_children():
 
 
 def test_reproducibility_bit_identical():
-    a = sample_tree(Code((1,), 0), 0.0, (0.5,), 1.0, MODEL, 1, seed=42, sample_index=7)
-    b = sample_tree(Code((1,), 0), 0.0, (0.5,), 1.0, MODEL, 1, seed=42, sample_index=7)
+    a = sample_tree(Code((1,), 0), 0.0, (0.5,), 1.0, MODEL, seed=42, sample_index=7)
+    b = sample_tree(Code((1,), 0), 0.0, (0.5,), 1.0, MODEL, seed=42, sample_index=7)
     assert a == b
-    c = sample_tree(Code((1,), 0), 0.0, (0.5,), 1.0, MODEL, 1, seed=43, sample_index=7)
+    c = sample_tree(Code((1,), 0), 0.0, (0.5,), 1.0, MODEL, seed=43, sample_index=7)
     assert a != c
 
 
@@ -108,7 +108,7 @@ def test_cap_exceeded():
         # supercritical: horizon much longer than mean lifetime, tiny cap
         for i in range(50):
             sample_tree(
-                Code((0,), 0), 0.0, (0.0,), 50.0, MODEL, 1, seed=3, sample_index=i,
+                Code((0,), 0), 0.0, (0.0,), 50.0, MODEL, seed=3, sample_index=i,
                 caps=Caps(max_branches=16, max_generation=200),
             )
 
@@ -118,9 +118,9 @@ def test_functional_single_survivor():
     T = 0.2
     oracle = CodeOracle(lambda code, x: 1.0 if code == Code((0,), -1) else 0.0)
     for i in range(50):
-        tree = sample_tree(Code((0,), -1), 0.0, (0.0,), T, MODEL, 1, seed=8, sample_index=i)
+        tree = sample_tree(Code((0,), -1), 0.0, (0.0,), T, MODEL, seed=8, sample_index=i)
         if len(tree) == 1:
-            h = evaluate_functional(tree, oracle, MODEL, T)
+            h = evaluate_functional(tree, oracle)
             assert h == pytest.approx(1.0 / MODEL.survival(T))
             return
     pytest.fail("no surviving root found")
@@ -128,9 +128,8 @@ def test_functional_single_survivor():
 
 def test_functional_depth_one_unroll():
     # hand-built depth-1 tree: root (j=0) dies at s, both children survive
-    d = 1
     c0 = Code((0,), 0)
-    entries = offspring_set(c0, d)
+    entries = offspring_set(c0)
     entry = entries[0]  # kind 0: children (0,0) and (0,1), weight 1
     s, T = 0.3, 0.5
     root = BranchRecord((), c0, 0.0, s, (0.0,), None, entry)
@@ -141,10 +140,12 @@ def test_functional_depth_one_unroll():
         survived_labels=((1,), (2,)),
         died_labels=((),),
         generation_counts={0: 1, 1: 2},
+        T=T,
+        model=MODEL,
     )
     values = {(Code((0,), 0), (0.2,)): 1.7, (Code((0,), 1), (-0.3,)): -0.4}
     oracle = CodeOracle(lambda code, x: values[(code, tuple(x))])
-    q = float(offspring_prob(c0, entry, d))
+    q = float(offspring_prob(c0, entry))
     expected = (
         float(entry.weight)
         / (MODEL.density(s) * q)
@@ -153,7 +154,7 @@ def test_functional_depth_one_unroll():
         * (-0.4)
         / MODEL.survival(T - s)
     )
-    assert evaluate_functional(tree, oracle, MODEL, T) == pytest.approx(expected)
+    assert evaluate_functional(tree, oracle) == pytest.approx(expected)
 
 
 def test_functional_mean_is_one_for_zero_nonlinearity():
@@ -168,8 +169,8 @@ def test_functional_mean_is_one_for_zero_nonlinearity():
     total = 0.0
     sq = 0.0
     for i in range(n):
-        tree = sample_tree(Code((0,), -1), 0.0, (0.0,), T, MODEL, 1, seed=21, sample_index=i)
-        h = evaluate_functional(tree, oracle, MODEL, T)
+        tree = sample_tree(Code((0,), -1), 0.0, (0.0,), T, MODEL, seed=21, sample_index=i)
+        h = evaluate_functional(tree, oracle)
         total += h
         sq += h * h
     mean = total / n
@@ -228,7 +229,7 @@ def test_progeny_law_small():
 
 
 def test_weighted_progeny_unit_weights():
-    tree = sample_tree(Code((1,), 0), 0.0, (0.0,), 1.0, MODEL, 1, seed=4, sample_index=0)
+    tree = sample_tree(Code((1,), 0), 0.0, (0.0,), 1.0, MODEL, seed=4, sample_index=0)
     assert weighted_progeny(tree, unit_weights()) == 1.0
     # on the batch, for both chains, whatever the trees' sizes
     for dominating in (False, True):
@@ -249,10 +250,12 @@ def test_weighted_progeny_single_survivor_and_depth_one():
         survived_labels=((),),
         died_labels=(),
         generation_counts={0: 1},
+        T=1.0,
+        model=MODEL,
     )
     assert weighted_progeny(root_only, w) == pytest.approx(w.sigma_boundary((2,), 3))
 
-    entries = offspring_set(c0, 1)
+    entries = offspring_set(c0)
     entry = entries[1]  # kind 0, beta=(1,): children (1,0) and (1,4)
     assert entry.kind == 0 and entry.beta == (1,)
     tree = TreeSample(
@@ -264,6 +267,8 @@ def test_weighted_progeny_single_survivor_and_depth_one():
         survived_labels=((1,), (2,)),
         died_labels=((),),
         generation_counts={0: 1, 1: 2},
+        T=1.0,
+        model=MODEL,
     )
     expected = (
         w.sigma_inner((2,), 3, 0)
@@ -354,6 +359,9 @@ BATCH_CONFIGS = {  # (problem, lifetime model, root code, start point, trees)
     "zero-f-cosine-d2": (
         zero_f_cosine_problem(0.3, d=2), exponential_model(1.0), Code((1, 1), 0), (0.3, -0.2), 2000
     ),
+    "zero-f-cosine-d3": (
+        zero_f_cosine_problem(0.3, d=3), exponential_model(1.5), Code((1, 0, 2), 0), (0.3, -0.2, 0.1), 500
+    ),
     # the tabulated model's scalar inverse CDF is slow, hence fewer trees
     "tabulated": (
         constant_problem(0.6),
@@ -393,7 +401,7 @@ def batch_records(batch):
         entry_index = entries(batch.codes, gen)
         for row, label in enumerate(labels):
             code = batch.codes.codes[gen.code[row]]
-            entry = offspring_set(code, batch.d)[entry_index[row]] if gen.died[row] else None
+            entry = offspring_set(code)[entry_index[row]] if gen.died[row] else None
             trees[gen.sample[row]][label] = (
                 code,
                 gen.birth[row],
@@ -408,14 +416,14 @@ def batch_records(batch):
 @pytest.mark.parametrize("name", sorted(BATCH_CONFIGS))
 def test_batch_grows_the_trees_of_sample_tree(name):
     problem, model, c0, x, n = BATCH_CONFIGS[name]
-    T, d, seed = problem.T, problem.d, 17
+    T, seed = problem.T, 17
     batch = TreeBatch(c0, 0.0, x, T, model, seed, range(n))
     trees = batch_records(batch)
     values = evaluate_batch(TreeBatch(c0, 0.0, x, T, model, seed, range(n)), problem.oracle)
     progenies = weighted_progeny_batch(TreeBatch(c0, 0.0, x, T, model, seed, range(n)), SPREAD_WEIGHTS)
     assert not batch.capped.any()
     for i in range(n):
-        ref = sample_tree(c0, 0.0, x, T, model, d, seed, i)
+        ref = sample_tree(c0, 0.0, x, T, model, seed, i)
         got = trees[i]
         assert sorted(got) == [r.label for r in ref.branches]
         assert batch.branches[i] == len(ref)
@@ -429,7 +437,7 @@ def test_batch_grows_the_trees_of_sample_tree(name):
             else:
                 assert (entry.kind, entry.beta) == (r.offspring_entry.kind, r.offspring_entry.beta)
                 assert entry == r.offspring_entry
-        expected = evaluate_functional(ref, problem.oracle, model, T)
+        expected = evaluate_functional(ref, problem.oracle)
         assert values[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
         expected = weighted_progeny(ref, SPREAD_WEIGHTS)
         assert progenies[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
@@ -438,7 +446,7 @@ def test_batch_grows_the_trees_of_sample_tree(name):
 def test_dominating_batch_spawns_the_entries_of_the_dominating_mechanism():
     # the dominating chain takes the original chain's draws, and every death
     # spawns the two children of its entry in dominating_offspring_set
-    c0, T, model, d, seed, n = Code((2, 1), 0), 0.5, exponential_model(2.0), 2, 9, 500
+    c0, T, model, seed, n = Code((2, 1), 0), 0.5, exponential_model(2.0), 9, 500
     original_batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, seed, range(n))
     original = next(iter(original_batch))
     batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, seed, range(n), dominating=True)
@@ -450,7 +458,7 @@ def test_dominating_batch_spawns_the_entries_of_the_dominating_mechanism():
         entry_index = entries(batch.codes, gen)
         for row in np.flatnonzero(gen.died).tolist():
             alpha, j = batch.codes.codes[gen.code[row]]
-            entry = dominating_offspring_set(alpha, j, d)[entry_index[row]]
+            entry = dominating_offspring_set(alpha, j)[entry_index[row]]
             spawned = tuple(batch.codes.codes[k] for k in children.code[children.parent == row])
             assert spawned == entry.children
             directional += entry.kind > 0
@@ -474,8 +482,8 @@ def test_branch_rng_draws_what_the_batch_draws():
         scale = math.sqrt(tau if gen.died[row] else T)
         assert tuple(rng.standard_normal(2) * scale) == tuple(gen.position[row])
         if gen.died[row]:
-            entry = sample_offspring(c0, 2, rng.random())
-            assert offspring_set(c0, 2)[entry_index[row]] == entry
+            entry = sample_offspring(c0, rng.random())
+            assert offspring_set(c0)[entry_index[row]] == entry
 
 
 @pytest.mark.parametrize(
@@ -490,7 +498,7 @@ def test_batch_caps_the_trees_sample_tree_refuses(monkeypatch, T, caps, budget, 
     refused = set()
     for i in range(n):
         try:
-            sample_tree(c0, 0.0, (0.0,), T, model, 1, seed, i, caps)
+            sample_tree(c0, 0.0, (0.0,), T, model, seed, i, caps)
         except CapExceeded:
             refused.add(i)
     try:
@@ -523,14 +531,14 @@ def test_code_table_rows_equal_the_fraction_mechanism(d):
     for t in (table, dominating):
         t.build(np.array([t.intern(c) for c in codes]))
     for c in codes:
-        entries = offspring_set(c, d)
+        entries = offspring_set(c)
         expected = [
-            (float(e.weight / offspring_prob(c, e, d)), e.kind, len(e.children), e.children)
+            (float(e.weight / offspring_prob(c, e)), e.kind, len(e.children), e.children)
             for e in entries
         ]
         assert table_rows(table, c, len(entries)) == expected
         if c.j >= 0:  # the dominating table: the same rows, recoded children
-            recoded = [e.children for e in dominating_offspring_set(c.alpha, c.j, d)]
+            recoded = [e.children for e in dominating_offspring_set(c.alpha, c.j)]
             got = table_rows(dominating, c, len(entries))
             assert got == [row[:3] + (kids,) for row, kids in zip(expected, recoded)]
 
@@ -724,7 +732,7 @@ def test_a_code_of_another_dimension_leaves_the_shared_table_intact(monkeypatch)
     assert est.mean == 0.00017646267011100985  # the value of a fresh process
 
 
-@pytest.mark.parametrize("c0, x", [
+BAD_STARTS = pytest.mark.parametrize("c0, x", [
     (Code((), 0), ()),
     (Code((-1,), 0), (0.0,)),
     (Code((1.0,), 0), (0.0,)),
@@ -735,11 +743,46 @@ def test_a_code_of_another_dimension_leaves_the_shared_table_intact(monkeypatch)
     (Code((1, 1), 0), (0.0,)),
 ], ids=["no-entries", "negative-alpha", "float-alpha", "bool-alpha", "j-below-minus-1", "float-j",
         "point-longer", "point-shorter"])
+
+
+@BAD_STARTS
 def test_batch_refuses_a_bad_code_or_point_before_the_shared_table(c0, x):
     tables = {key: list(table.codes) for key, table in tree_module._CODE_TABLES.items()}
     with pytest.raises(ValueError):
         TreeBatch(c0, 0.0, x, 0.5, MODEL, 1, range(10))
     assert {key: table.codes for key, table in tree_module._CODE_TABLES.items()} == tables
+
+
+@BAD_STARTS
+def test_sample_tree_refuses_what_the_batch_refuses(c0, x):
+    with pytest.raises(ValueError):
+        sample_tree(c0, 0.0, x, 0.5, MODEL, 1)
+
+
+def test_sample_tree_takes_its_dimension_from_the_code():
+    # a two-entry code at a one-entry point grew trees of mixed dimension
+    # when sample_tree took d = 1 beside it; the code now fixes d = 2
+    for i in range(3):
+        with pytest.raises(ValueError, match="dimension 1, the code"):
+            sample_tree(Code((1, 1), 0), 0.0, (0.0,), 0.5, exponential_model(2.0), seed=3, sample_index=i)
+    for t in (-0.1, 0.6):
+        with pytest.raises(ValueError, match="0 <= t <= T"):
+            sample_tree(Code((1,), 0), t, (0.0,), 0.5, MODEL, 1)
+
+
+def test_evaluate_functional_reads_the_trees_horizon_and_model():
+    # a tree carries the T and model it was grown under, and its functional
+    # is the batch's value of the same index; no horizon can be passed beside
+    # it (T = 5.0 for this tree grown to 0.5 raised AttributeError)
+    problem, model = b2_problem(0.5), exponential_model(2.0)
+    c0, seed, i = Code((1,), 0), 3, 1
+    tree = sample_tree(c0, 0.0, (0.0,), problem.T, model, seed, sample_index=i)
+    assert (tree.T, tree.model) == (0.5, model)
+    assert tree.died_labels  # a split tree, so both kinds of factor count
+    batch = evaluate_batch(TreeBatch(c0, 0.0, (0.0,), problem.T, model, seed, range(i, i + 1)), problem.oracle)
+    assert evaluate_functional(tree, problem.oracle) == pytest.approx(batch[0], rel=1e-12, abs=0.0)
+    with pytest.raises(TypeError):
+        evaluate_functional(tree, problem.oracle, model, 5.0)
 
 
 # --- the lifetime contract: a batch holds one generation at a time -----------
