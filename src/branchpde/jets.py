@@ -36,12 +36,6 @@ class Jet:
             c[1] = 1.0
         return Jet(c)
 
-    def derivative(self, m: int) -> float:
-        """f^{(m)}(x0) = m! a_m."""
-        if m > self.order:
-            raise ValueError(f"jet order {self.order} < requested derivative {m}")
-        return self.coeffs[m] * math.factorial(m)
-
     def coefficient(self, m: int) -> float:
         """f^{(m)}(x0)/m!."""
         if m > self.order:

@@ -15,15 +15,19 @@ the kind-1..d blocks each with beta lexicographic.  Inverse-CDF sampling is
 defined against this order and is evaluated lazily (per digit), never by
 materializing the whole set.
 
-`offspring_entries` enumerates the entries once, with no Fraction formed;
-`offspring_set` adds their exact weights, and `tree.CodeTable` lays out its
-float rows from the same enumeration.  A code fixes d = len(alpha).
+`offspring_entries` enumerates the entries once, with no Fraction formed,
+and `offspring_set` adds their exact weights: with `offspring_prob` and
+`sample_offspring` they are the exact scalar reference.  Their array form
+takes codes as an (n, d) alpha column and a j column: `draw_entries` draws
+each row's entry with z1/q in floats, by the digit walk of
+`sample_offspring_indices`, and `spawn` forms the children's codes.  A code
+fixes d = len(alpha).
 
 The dominating mechanism of a code (alpha, j >= 0) has the same entries,
 order and probabilities, except that the first child of a kind-i entry is
 (alpha-beta+1_i, 0): every death spawns two children, none of them a pure
-derivative.  So one inverse-CDF layout samples both, and its rows live in
-`tree.CodeTable`, which recodes that child.
+derivative.  So one inverse-CDF layout samples both, and `spawn` recodes
+that child.
 """
 
 from __future__ import annotations
@@ -182,11 +186,15 @@ def sample_offspring(c: Code, u: float) -> MechanismEntry:
     return _entry(c, i, beta, _children(c, i, beta))
 
 
-def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
+def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`sample_offspring` over rows: for codes (alpha[r], j >= 0) and
-    uniforms u[r], the index in offspring_set of the entry that
-    sample_offspring picks, by the same digit walk with the same float
-    arithmetic.  alpha is an (n, d) integer array; any other shape raises
+    uniforms u[r], the kind and the beta of the entry that sample_offspring
+    picks, by the same digit walk with the same float arithmetic, and the
+    mass of the entry's kind block: prod_k (1+alpha_k) for kind 0 and, with
+    a = alpha_i, prod_{k != i} (1+alpha_k) (1+a)(2+a)(3+a)/6 for kind i, so
+    that q of the entry is its weight (1, or (1+beta_i)(1+a-beta_i) for kind
+    i) over d+1 times the mass.  alpha is an (n, d) integer array; any other
+    shape, and a code whose law needs integers past the int64 range, raises
     ValueError."""
     alpha = np.asarray(alpha, dtype=np.int64)
     if alpha.ndim != 2:
@@ -194,18 +202,24 @@ def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
     d = alpha.shape[1]
     if np.any(~((u >= 0.0) & (u < 1.0))):
         raise ValueError("uniform variates must lie in [0, 1)")
+    # the largest integers formed here and for z1/q are below
+    # (d+1) prod(1+alpha_k) (3+a)^2 and 3 (3+a)^3, a = max alpha_i
+    top = alpha.max(initial=0) + 3.0
+    if max((d + 1) * np.prod(alpha + 1.0, axis=1).max(initial=1.0) * top**2, 3 * top**3) >= _INT_LIMIT:
+        raise ValueError("a code's offspring law needs integers past the int64 range")
     v = u * (d + 1)
     kind = np.minimum(v.astype(np.int64), d)
     frac = np.minimum(v - kind, 1.0)
-    total = np.prod(alpha + 1, axis=1)
-    rank0 = np.minimum((frac * total).astype(np.int64), total - 1)
-    rank = np.zeros(alpha.shape[0], dtype=np.int64)
+    mass = np.prod(alpha + 1, axis=1)
+    # kind 0: beta is uniform, the mixed-radix digits of its rank
+    zero = np.flatnonzero(kind == 0)
+    rank = np.minimum((frac[zero] * mass[zero]).astype(np.int64), mass[zero] - 1)
+    beta = np.empty_like(alpha)
     for pos in range(1, d + 1):
         a = alpha[:, pos - 1]
         # uniform digit
         scaled = frac * (a + 1)
         val = np.minimum(scaled.astype(np.int64), a)
-        next_frac = np.minimum(scaled - val, 1.0)
         # weighted digit: weights (1+l)(1+a-l), l = 0..a, on coordinate
         # `kind`.  The walk stops at the first l whose cumulative weight
         # cum(l) exceeds the target, so the digit is the number of l < a
@@ -213,27 +227,85 @@ def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
         # unless frac = 1, where both give the digit a and next frac 1.
         weighted = np.flatnonzero(kind == pos)
         aw = a[weighted]
-        target = frac[weighted] * ((aw + 1) * (aw + 2) * (aw + 3) // 6)
-        vw = np.count_nonzero(_cumulative_weights(aw) <= target[:, None], axis=1)
-        acc = _cumulative_weight(aw, vw - 1)
+        block = (aw + 1) * (aw + 2) * (aw + 3) // 6  # the sum of the weights
+        target = frac[weighted] * block
+        mass[weighted] = mass[weighted] // (aw + 1) * block
+        vw = _weighted_digits(aw, target)
         val[weighted] = vw
-        next_frac[weighted] = np.minimum((target - acc) / ((1 + vw) * (1 + aw - vw)), 1.0)
-        rank = rank * (a + 1) + val
-        frac = next_frac
-    return np.where(kind == 0, rank0, kind * total + rank)
+        beta[:, pos - 1] = val
+        if pos < d:  # the last digit leaves no fraction to walk on
+            frac = np.minimum(scaled - val, 1.0)
+            acc = _weight_sum(aw, vw)
+            frac[weighted] = np.minimum((target - acc) / ((1 + vw) * (1 + aw - vw)), 1.0)
+    for pos in range(d, 1, -1):  # the last digit runs fastest
+        radix = alpha[zero, pos - 1] + 1
+        beta[zero, pos - 1] = rank % radix
+        rank //= radix
+    beta[zero, 0] = rank
+    return kind, beta, mass
 
 
-def _cumulative_weight(a, l):
-    """sum_{m=0..l} (1+m)(1+a-m), exact in integers; 0 at l = -1."""
-    return (a + 2) * (l + 1) * (l + 2) // 2 - (l + 1) * (l + 2) * (2 * l + 3) // 6
+def draw_entries(alpha: np.ndarray, j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries that codes (alpha[r], j[r]) take at their deaths, at
+    offspring uniforms u[r]: a row of j >= 0 the entry that
+    `sample_offspring` picks, a row of j = -1 its single entry (kind 0,
+    beta 0).  Per row its kind, its beta and its z1/q, as
+    float(entry.weight / offspring_prob(code, entry))."""
+    n, d = alpha.shape
+    kind, beta, ratio = np.zeros(n, dtype=np.int64), np.zeros_like(alpha), np.ones(n)
+    coded = np.flatnonzero(j >= 0)
+    walked, beta[coded], mass = sample_offspring_indices(alpha[coded], u[coded])
+    kind[coded] = walked
+    # z1/q is (d+1) times the block mass for kind 0, and -(d+1)/2 times it
+    # for kind i, where z1 is -1/2 times the weight: the integer is rounded
+    # once and halving it is exact, as in the Fraction mechanism
+    ratio[coded] = (d + 1) * mass / (1 - 3 * (walked > 0))
+    return kind, beta, ratio
 
 
-def _cumulative_weights(a: np.ndarray) -> np.ndarray:
-    """Row r: the cumulative weights cum(l) of digit bound a[r] for
-    l = 0..max(a)-1, as floats, +inf where l >= a[r]."""
-    bound = np.arange(int(a.max(initial=0)) + 1)[:, None]
-    l = np.arange(bound.size - 1)
-    table = _cumulative_weight(bound, l).astype(float)
-    table[l >= bound] = np.inf
-    return table[a]
+def spawn(
+    alpha: np.ndarray, j: np.ndarray, kind: np.ndarray, beta: np.ndarray, dominating: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The children of the entries (kind[r], beta[r]) of codes (alpha[r],
+    j[r]) (`draw_entries`), in row and then label order: per child its row,
+    its place k among the row's children, and its code as alpha and j
+    columns.  They are the entry's children, but that on the dominating
+    chain the first child of a kind-i entry is coded (alpha-beta+1_i, 0)."""
+    n, d = alpha.shape
+    # rows 2r and 2r + 1 hold the children (alpha-beta+1_i, -1) and
+    # (beta+1_i, j+1) of row r, with 1_0 = 0 and the first child at j = 0
+    # for kind 0; the only child of a j = -1 row, (alpha, 0), is the first
+    # child of its kind-0 entry of beta 0
+    unit = kind[:, None] == np.arange(1, d + 1)
+    alphas, js = np.empty((n, 2, d), dtype=np.int64), np.empty((n, 2), dtype=np.int64)
+    np.subtract(alpha, beta, out=alphas[:, 0])
+    alphas[:, 0] += unit
+    np.add(beta, unit, out=alphas[:, 1])
+    np.multiply(kind > 0, 0 if dominating else -1, out=js[:, 0])
+    np.add(j, 1, out=js[:, 1])
+    spawned = np.ones((n, 2), dtype=bool)
+    spawned[:, 1] = j >= 0
+    rows = np.flatnonzero(spawned)
+    return rows >> 1, (rows & 1) + 1, np.take(alphas.reshape(-1, d), rows, axis=0), np.take(js, rows)
 
+
+# the integers of the array mechanism stay below this, half of int64's range
+_INT_LIMIT = 2.0**62
+
+
+def _weight_sum(a, s):
+    """sum_{m < s} (1+m)(1+a-m), the cumulative weight cum(s - 1), exact in
+    integers; 0 at s = 0."""
+    return s * (s + 1) * (3 * a + 5 - 2 * s) // 6
+
+
+def _weighted_digits(a: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per row, the number of l < a[r] whose cumulative weight cum(l), as a
+    float, is <= target[r].  cum increases with l, so the count is the
+    largest s <= a[r] with cum(s - 1) <= target[r] (or 0), found bit by bit
+    from the highest."""
+    digit = np.zeros_like(a)
+    for bit in reversed(range(int(a.max(initial=0)).bit_length())):
+        reach = digit + (1 << bit)
+        digit += (1 << bit) * ((reach <= a) & (_weight_sum(a, reach) <= target))
+    return digit

@@ -444,10 +444,6 @@ class Factorial(_Regime):
     def g(self) -> GrowthSequence:
         return g_factorial(self.theta, self.r)
 
-    def envelope(self, m: int):
-        """G(m) = theta^m (r)(r+1)...(r+m-1)."""
-        return self.theta**m * rising_factorial(self.r, m)
-
     def radius(self, d: int) -> float:
         """(r+1)^{r+1} / (2 theta^2 r (r+2)^{r+2} d)."""
         if self.theta <= 0 or self.r <= 0 or d <= 0:
@@ -499,10 +495,6 @@ class Exponential(_Regime):
 
     def g(self) -> GrowthSequence:
         return g_exponential(self.theta)
-
-    def envelope(self, m: int):
-        """G(m) = theta^m."""
-        return self.theta**m
 
     def radius(self, d: int) -> float:
         """1/(2 e theta^2 d)."""

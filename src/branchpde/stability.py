@@ -10,7 +10,7 @@ the terminal data and nonlinearity may grow with the order |alpha|:
 
 Factorial and Exponential (defined in progeny, re-exported here) own every
 formula that depends on the regime alone: growth sequence, radius, horizon
-threshold, side-theta condition, envelope and closed-form A' terms.
+threshold, side-theta condition and closed-form A' terms.
 GrowthParams combines them with delta1, delta2, lambda, T and d.
 """
 
@@ -196,18 +196,20 @@ def hbound(alpha, p: GrowthParams) -> dict:
 class CodeBoundRow:
     m: int
     k: int                   # -1 for the terminal-data side
-    sup_abs: float           # grid sup of |d^m .|
-    envelope: float          # the regime's right-hand side
+    sup_abs: float           # grid sup of |d^m .|/m!, the Taylor coefficient
+    envelope: float          # the regime's right-hand side, delta1 F(m)
     margin: float            # envelope - scaled sup (>= 0 means pass)
     passed: bool
 
 
 def verify_code_bounds(oracle, p: GrowthParams, grid: Sequence[float], m_max: int, k_max: int = 4) -> dict:
-    """Grid verification of the derivative-envelope conditions for d = 1:
+    """Grid verification of the derivative-envelope conditions for d = 1,
+    on Taylor coefficients (d^m ./m!, what the oracle returns):
 
-      (1/rho_bar(T)) max(|d^m phi|, (delta2 v 1) sup_k |d^m f^{(k)}(phi)|)
-          <= delta1 g(m)
+      (1/rho_bar(T)) max(|d^m phi|, (delta2 v 1) sup_k |d^m f^{(k)}(phi)|)/m!
+          <= delta1 F(m)
 
+    with F(m) = G(m)/m! the regime's growth term, so that no m! is formed.
     The sup over the real line is approximated on the supplied grid; the
     report states the grid and both delta1 conventions (envelope with the
     1/rho_bar(T) factor folded in, and the raw inequality with
@@ -217,17 +219,17 @@ def verify_code_bounds(oracle, p: GrowthParams, grid: Sequence[float], m_max: in
         raise ValueError("grid verification is implemented for d = 1")
     surv = math.exp(-p.lam * p.T)
     d2v1 = max(float(p.delta2), 1.0)
+    F = p.regime.g().F
     rows = []
     for m in range(m_max + 1):
-        envelope = float(p.delta1) * float(p.regime.envelope(m))
-        fac = math.factorial(m)
-        sup_phi = max(abs(oracle(Code((m,), -1), (x,))) * fac for x in grid)
+        envelope = float(p.delta1) * float(F(m))
+        sup_phi = max(abs(oracle(Code((m,), -1), (x,))) for x in grid)
         scaled = sup_phi / surv
         rows.append(
             CodeBoundRow(m, -1, sup_phi, envelope, envelope - scaled, scaled <= envelope)
         )
         sup_f = max(
-            abs(oracle(Code((m,), k), (x,))) * fac for x in grid for k in range(k_max + 1)
+            abs(oracle(Code((m,), k), (x,))) for x in grid for k in range(k_max + 1)
         )
         scaled_f = d2v1 * sup_f / surv
         rows.append(

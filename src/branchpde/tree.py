@@ -23,17 +23,15 @@ branch, with the horizon and lifetime model it was grown under;
 tests use.  `TreeBatch` grows the trees of a range of sample indices
 together, one generation at a time, as arrays, and `evaluate_batch` and
 `weighted_progeny_batch` compute their path functionals and weighted
-progenies.  The batch reads each code's offspring entries from a
-`CodeTable`, whose rows are the entries of the mechanism's one enumeration
-(`mechanism.offspring_entries`) with the closed form of z1/q.  One table per
-(d, chain) serves every batch of the process (`code_table`), so each code
-is laid out once however many batches, estimates or points reach it.  A
-code's id in it therefore depends on what was sampled before; its rows,
-its draws and every tree's value do not.
+progenies.  A generation carries each branch's code as data, an (n, d)
+`alpha` column and a `j` column: `mechanism.draw_entries` draws the
+offspring entry of each death and its z1/q from those columns, and
+`mechanism.spawn` forms the children's codes.  The batch keeps no state
+between batches: a tree's value depends on its (seed, sample_index) alone.
 
 The batch grows either chain with one draw layout.  The dominating chain
-differs in one decision, which the `CodeTable` holds: the first child of a
-directional entry is (alpha-beta+1_i, 0), not (alpha-beta+1_i, -1), so
+differs in one decision, which `mechanism.spawn` makes: the first child of
+a directional entry is (alpha-beta+1_i, 0), not (alpha-beta+1_i, -1), so
 every death spawns two children.  A dominating batch starts at a code
 (alpha, j >= 0) and 0 in R^d with exponential(lam) lifetimes, and ignores
 the positions it draws.
@@ -51,11 +49,10 @@ from .lifetimes import LifetimeModel
 from .mechanism import (
     Code,
     MechanismEntry,
-    index_product,
-    offspring_entries,
     offspring_prob,
+    draw_entries,
     sample_offspring,
-    sample_offspring_indices,
+    spawn,
 )
 
 Label = tuple[int, ...]
@@ -331,113 +328,10 @@ def evaluate_functional(tree: TreeSample, oracle) -> float:
     return out
 
 
-class CodeTable:
-    """Codes interned to small ids, each with its offspring set laid out as
-    float rows the first time a branch of that code dies.
-
-    Row first[c] + e holds entry e of offspring_entries(codes[c]), the
-    mechanism's one enumeration, in the canonical order: its z1/q as a
-    float (`ratio`), its kind (`kind`), its number of children (`nchild`)
-    and their code ids (`child`, -1 past the last child).  A `dominating`
-    table holds the dominating chain instead: the same rows, except that
-    the first child of a kind-i entry is coded (alpha-beta+1_i, 0).  The
-    ratios come from the closed form of z1/q, which does not depend on
-    beta: (d+1) prod(1+alpha_k) for kind 0, -(d+1)(2+alpha_i)(3+alpha_i)
-    prod(1+alpha_k)/12 for kind i, and 1 for the single entry of a j = -1
-    code.  Each is an integer or one division of Python ints, both rounded
-    correctly, so it equals float(entry.weight / offspring_prob(code,
-    entry)) of the exact Fraction mechanism, which stays the reference.
-
-    A table only grows: `code_table` hands one table per (d, chain) to every
-    batch of the process, so ids are given in the order codes first appear
-    over all of them, and nothing that a batch computes may depend on an id
-    beyond naming its code.
-    """
-
-    def __init__(self, d: int, dominating: bool = False):
-        self.d, self.dominating = d, dominating
-        self.codes: list[Code] = []
-        self._ids: dict[Code, int] = {}
-        self._alpha: list[int] = []  # flat, d per code
-        self._j: list[int] = []
-        self._first: list[int] = []
-        self._ratio: list[float] = []
-        self._kind: list[int] = []
-        self._child: list[int] = []  # flat, two per row
-        self._refresh()
-
-    def intern(self, code: Code) -> int:
-        cid = self._ids.get(code)
-        if cid is None:
-            cid = self._ids[code] = len(self.codes)
-            self.codes.append(code)
-            self._alpha += code.alpha
-            self._j.append(code.j)
-            self._first.append(-1)
-        return cid
-
-    def build(self, ids: np.ndarray) -> None:
-        """Lay out the rows of every code in ids that has none yet."""
-        if self.first.size < len(self.codes):  # interned outside build: the root
-            self._refresh()
-        fresh = ids[self.first[ids] < 0]
-        if not fresh.size:
-            return
-        # a table-sized mask only here, where _refresh copies the table anyway
-        # (np.unique would sort, and its first call in a process is slow)
-        present = np.zeros(self.first.size, dtype=bool)
-        present[fresh] = True
-        for cid in np.flatnonzero(present).tolist():
-            self._lay_out(cid)
-        self._refresh()
-
-    def _lay_out(self, cid: int) -> None:
-        """Append the rows of code cid, in offspring_entries' order."""
-        code = self.codes[cid]
-        self._first[cid] = len(self._ratio)
-        if code.j < 0:
-            ratios = [1.0]
-        else:  # z1/q of kind 0, then of each kind i
-            scale = (self.d + 1) * index_product(code.alpha)
-            ratios = [float(scale)] + [-scale * (2 + a) * (3 + a) / 12 for a in code.alpha]
-        for kind, _, children in offspring_entries(code):
-            if kind and self.dominating:
-                children = (Code(children[0].alpha, 0), children[1])
-            self._ratio.append(ratios[kind])
-            self._kind.append(kind)
-            self._child += [self.intern(child) for child in children] + [-1] * (2 - len(children))
-
-    def _refresh(self) -> None:
-        self.alpha = np.array(self._alpha, dtype=np.int64).reshape(-1, self.d)
-        self.j = np.array(self._j, dtype=np.int64)
-        self.first = np.array(self._first, dtype=np.int64)
-        self.ratio = np.array(self._ratio, dtype=float)
-        self.kind = np.array(self._kind, dtype=np.int64)
-        self.child = np.array(self._child, dtype=np.int64).reshape(-1, 2)
-        self.nchild = np.count_nonzero(self.child >= 0, axis=1)
-
-    def sample_entries(self, ids: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Index in its code's offspring set of the entry that each uniform
-        picks, as `sample_offspring` picks it; the codes must be built."""
-        return np.where(self.j[ids] < 0, 0, sample_offspring_indices(self.alpha[ids], u))
-
-
-_CODE_TABLES: dict[tuple[int, bool], CodeTable] = {}
-
-
-def code_table(d: int, dominating: bool = False) -> CodeTable:
-    """The process's one `CodeTable` of dimension d for the original or
-    the dominating chain, which every `TreeBatch` reads and extends."""
-    key = (d, bool(dominating))
-    if key not in _CODE_TABLES:
-        _CODE_TABLES[key] = CodeTable(*key)
-    return _CODE_TABLES[key]
-
-
 # Branch rows a generation of a batch may hold.  At d = 1 a row costs about
 # 90 traced bytes at the sampler's peak (its Generation columns, key, death
-# time and draw temporaries) and about 120 with the survivors evaluate_batch
-# holds, so the budget bounds a batch at about 32 MB.
+# time and draw temporaries) and about 125 with the survivors evaluate_batch
+# holds, so the budget bounds a batch at about 33 MB.
 FRONTIER_BUDGET = 1 << 18
 
 
@@ -447,23 +341,28 @@ class FrontierFull(RuntimeError):
 
 
 class Generation(NamedTuple):
-    """One generation of a `TreeBatch`, one row per branch, but for `row`;
-    the rows of a tree are in label order.
+    """One generation of a `TreeBatch`, one row per branch, but for the
+    entry columns, which have one row per died branch, in row order; the
+    rows of a tree are in label order.
 
     The batch frees a generation's arrays once it draws the next, so a
     consumer must not keep a Generation past its step: drop it, and any
     array of it, before asking for the next one.  At the root, `parent`,
-    `child`, `code` and `birth` hold one value each, as read-only views."""
+    `child`, `alpha`, `j` and `birth` hold one value each, as read-only
+    views."""
 
     sample: np.ndarray    # offset of the branch's tree in the batch
     parent: np.ndarray    # row of the parent in the previous generation, -1 at the root
     child: np.ndarray     # k, the last entry of the label (0 at the root)
-    code: np.ndarray      # id in the batch's CodeTable
+    alpha: np.ndarray     # (rows, d): the alpha of the branch's code
+    j: np.ndarray         # the j of the branch's code
     birth: np.ndarray
     tau: np.ndarray       # lifetime; the branch died iff birth + tau <= T
     died: np.ndarray
     position: np.ndarray  # (rows, d): terminal position if survived, else death position
-    row: np.ndarray       # per died branch, in row order: the CodeTable row of its entry
+    kind: np.ndarray      # per died branch: the kind of its offspring entry
+    beta: np.ndarray      # (died, d): the beta of its offspring entry
+    ratio: np.ndarray     # per died branch: the z1/q of its offspring entry
 
 
 class TreeBatch:
@@ -483,11 +382,7 @@ class TreeBatch:
     more than FRONTIER_BUDGET branches, which bounds its memory: no tree
     depends on which others share its batch, so the caller samples the
     halves apart (`evaluate_in_parts`).  With dominating=True the batch
-    grows the dominating chain from the same draws (see `CodeTable`).
-
-    `codes` is the shared table of (d, chain) (`code_table`): the ids in
-    `Generation.code` depend on which codes earlier batches met, the codes
-    they name and everything computed from them do not.
+    grows the dominating chain from the same draws (see `mechanism.spawn`).
 
     Lifetime contract: while it grows generation g + 1 the batch holds
     nothing of generation g but the parent rows it reads, so a consumer that
@@ -513,7 +408,7 @@ class TreeBatch:
             raise ValueError("dominating chain codes have j >= 0")
         self.c0, self.t, self.x, self.T = c0, float(t), np.asarray(x, dtype=float), T
         self.model, self.d, self.seed, self.indices, self.caps = model, d, seed, indices, caps
-        self.codes = code_table(d, dominating)
+        self.dominating = dominating
         n = len(indices)
         self.branches = np.ones(n, dtype=np.int64)
         self.depth = np.zeros(n, dtype=np.int64)
@@ -523,13 +418,14 @@ class TreeBatch:
         return len(self.indices)
 
     def __iter__(self) -> Iterator[Generation]:
-        T, d, model, codes, caps = self.T, self.d, self.model, self.codes, self.caps
+        T, d, model, caps = self.T, self.d, self.model, self.caps
         sample = np.flatnonzero(~self.capped)
         key = _root_keys(self.seed, self.indices.start + self.indices.step * sample)
         # the root's constant columns are read-only views of one value each
         parent = np.broadcast_to(np.int64(-1), sample.shape)
         child = np.broadcast_to(np.int64(0), sample.shape)
-        code = np.broadcast_to(np.int64(codes.intern(self.c0)), sample.shape)
+        alpha = np.broadcast_to(np.array(self.c0.alpha, dtype=np.int64), (sample.size, d))
+        j = np.broadcast_to(np.int64(self.c0.j), sample.shape)
         birth = np.broadcast_to(np.float64(self.t), sample.shape)
         pos = np.broadcast_to(self.x, (sample.size, d))
         generation = 0
@@ -543,18 +439,14 @@ class TreeBatch:
             position = pos + np.stack(_normals(key, 1, d), axis=1) * scale[:, None]
             del scale
             dead = np.flatnonzero(died)
-            dead_code = code[dead]
-            codes.build(dead_code)
-            row = codes.sample_entries(dead_code, _uniforms(key[dead], 1 + _normal_draws(d)))
-            row += codes.first[dead_code]
-            yield Generation(sample, parent, child, code, birth, tau, died, position, row)
+            dead_alpha, dead_j = alpha[dead], j[dead]
+            kind, beta, ratio = draw_entries(dead_alpha, dead_j, _uniforms(key[dead], 1 + _normal_draws(d)))
+            yield Generation(sample, parent, child, alpha, j, birth, tau, died, position, kind, beta, ratio)
             # from here on hold only what the next generation reads
-            del tau, died, birth, pos, parent, child, code, dead_code
-
-            nchild = codes.nchild[row]
-            parent = np.repeat(dead, nchild)
-            child = np.arange(1, parent.size + 1) - np.repeat(np.cumsum(nchild) - nchild, nchild)
-            code = codes.child[np.repeat(row, nchild), child - 1]
+            del tau, died, birth, pos, parent, child, alpha, j, ratio
+            parent, child, alpha, j = spawn(dead_alpha, dead_j, kind, beta, self.dominating)
+            parent = dead[parent]
+            del kind, beta, dead_alpha, dead_j
             sample = sample[parent]
             generation += 1
             np.add.at(self.branches, sample, 1)
@@ -567,11 +459,11 @@ class TreeBatch:
             if over.any():
                 self.capped[sample[over]] = True
                 keep = np.flatnonzero(~over)
-                parent, child, code, sample = parent[keep], child[keep], code[keep], sample[keep]
+                parent, child, alpha, j, sample = parent[keep], child[keep], alpha[keep], j[keep], sample[keep]
             key = _mix(key[parent], child.astype(np.uint64))
             birth = death[parent]
             pos = position[parent]
-            del death, position, dead, row, nchild
+            del death, position, dead
 
 
 def evaluate_in_parts(
@@ -599,13 +491,13 @@ def evaluate_in_parts(
 def evaluate_batch(batch: TreeBatch, oracle) -> np.ndarray:
     """Path functional of every tree of a batch, NaN where capped, from
     evaluate_functional's factors at the batch's model and horizon T:
-    (z1/q)/rho(tau) over died branches, z1/q read from the code table at
-    `Generation.row`, and oracle(code)(X_T)/rho_bar(T - birth) over
-    survived ones.  Survivors are held and evaluated together, calling the
-    oracle once per code on all their terminal positions, until they pass
-    FRONTIER_BUDGET rows.  Each tree multiplies its died factors and its
-    survived factors apart, each in generation and then label order, so its
-    value does not depend on the other trees of the batch.
+    (z1/q)/rho(tau) over died branches, z1/q read from `Generation.ratio`,
+    and oracle(code)(X_T)/rho_bar(T - birth) over survived ones.  Survivors
+    are held and evaluated together, calling the oracle once per code on
+    all their terminal positions, until they pass FRONTIER_BUDGET rows.
+    Each tree multiplies its died factors and its survived factors apart,
+    each in generation and then label order, so its value does not depend
+    on the other trees of the batch.
 
     It holds one generation of the batch at a time, plus the held
     survivors: each `Generation`, and the row indices taken from it, is
@@ -617,9 +509,9 @@ def evaluate_batch(batch: TreeBatch, oracle) -> np.ndarray:
     for gen in batch:
         dead = np.flatnonzero(gen.died)
         alive = np.flatnonzero(~gen.died)
-        factor = batch.codes.ratio[gen.row] / batch.model.density(gen.tau[dead])
+        factor = gen.ratio / batch.model.density(gen.tau[dead])
         np.multiply.at(died, gen.sample[dead], factor)
-        held.append((gen.sample[alive], gen.code[alive], gen.birth[alive], gen.position[alive]))
+        held.append((gen.sample[alive], gen.alpha[alive], gen.j[alive], gen.birth[alive], gen.position[alive]))
         del gen, dead, alive, factor  # let the batch free this generation
         if sum(part[0].size for part in held) > FRONTIER_BUDGET:
             _multiply_survivors(survived, held, batch, oracle)
@@ -634,15 +526,43 @@ def _multiply_survivors(product, held, batch: TreeBatch, oracle) -> None:
     held order, and empty `held`."""
     if not held:
         return
-    sample, code, birth, position = (np.concatenate(part) for part in zip(*held))
+    columns = held[0] if len(held) == 1 else [np.concatenate(part) for part in zip(*held)]
+    sample, alpha, j, birth, position = columns
     held.clear()
     value = np.empty(sample.size)
-    # a stable sort of small unsigned ints is a radix sort
-    order = np.argsort(code.astype(np.min_scalar_type(len(batch.codes.codes))), kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(code[order])) + 1):
+    key = _row_keys(j + 1, alpha)
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         if group.size:
-            value[group] = oracle(batch.codes.codes[code[group[0]]], position[group])
+            value[group] = oracle(_code(alpha, j, group[0]), position[group])
     np.multiply.at(product, sample, value / batch.model.survival(batch.T - birth))
+
+
+def _code(alpha: np.ndarray, j: np.ndarray, row) -> Code:
+    """The code of a row of the code columns alpha and j."""
+    return Code(tuple(alpha[row].tolist()), int(j[row]))
+
+
+# a packed row key at or above this could wrap an int64
+_PACK_LIMIT = 1 << 62
+
+
+def _row_keys(*columns: np.ndarray) -> np.ndarray:
+    """Per row of these columns of ints >= 0 (1-d, or 2-d for several), a
+    key that is equal exactly for equal rows: the row read as the digits of
+    a mixed radix, in the smallest unsigned type that holds them (a stable
+    argsort of 8 or 16 bits is a radix sort); or, where that number could
+    reach _PACK_LIMIT, the row's rank among the distinct rows."""
+    columns = [c if c.ndim == 2 else c[:, None] for c in columns]
+    spans = [top + 1 for c in columns for top in c.max(axis=0, initial=0).tolist()]
+    size = math.prod(spans)
+    if size >= _PACK_LIMIT:
+        return np.unique(np.hstack(columns), axis=0, return_inverse=True)[1].reshape(-1)
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for digit, span in zip((c[:, k] for c in columns for k in range(c.shape[1])), spans):
+        key *= span
+        key += digit
+    return key.astype(np.min_scalar_type(size - 1))
 
 
 def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
@@ -653,22 +573,21 @@ def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
     or per code (survived), and each tree multiplies its factors in
     generation and then label order, so its value does not depend on the
     other trees of the batch."""
-    codes, slots = batch.codes, batch.d + 2  # per code: survived, then died by kind
-    boundary = w.boundary_dominating if codes.dominating else w.sigma_boundary
-    weights: dict[int, float] = {}
+    boundary = w.boundary_dominating if batch.dominating else w.sigma_boundary
+    weights: dict[tuple[Code, int], float] = {}  # per (code, slot): survived, then died by kind
     product = np.ones(len(batch))
     for gen in batch:
-        key = gen.code * slots
-        key[gen.died] += 1 + codes.kind[gen.row]
-        keys, inverse = np.unique(key, return_inverse=True)
-        for k in keys.tolist():
-            if k not in weights:
-                cid, slot = divmod(k, slots)
-                alpha, j = codes.codes[cid]
-                weights[k] = float(boundary(alpha, j) if slot == 0 else w.sigma_inner(alpha, j, slot - 1))
-        factor = np.array([weights[k] for k in keys.tolist()])[inverse]
-        np.multiply.at(product, gen.sample, factor)
-        del gen, key, inverse, factor  # let the batch free this generation
+        slot = np.zeros(gen.died.size, dtype=np.int64)
+        slot[gen.died] = 1 + gen.kind
+        _, first, inverse = np.unique(_row_keys(gen.j + 1, gen.alpha, slot), return_index=True, return_inverse=True)
+        factor = np.empty(first.size)
+        for k, row in enumerate(first.tolist()):
+            code, s = _code(gen.alpha, gen.j, row), int(slot[row])
+            if (code, s) not in weights:
+                weights[code, s] = float(boundary(*code) if s == 0 else w.sigma_inner(*code, s - 1))
+            factor[k] = weights[code, s]
+        np.multiply.at(product, gen.sample, factor[inverse])
+        del gen, slot, first, inverse, factor  # let the batch free this generation
     product[batch.capped] = np.nan
     return product
 

@@ -5,6 +5,7 @@ uses them."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterator
 
 from branchpde.mechanism import Code, MechanismEntry, offspring_set
@@ -20,6 +21,12 @@ def dominating_offspring_set(alpha: MultiIndex, j: int) -> list[MechanismEntry]:
         e._replace(children=(e.children[0]._replace(j=0), e.children[1])) if e.kind else e
         for e in offspring_set(Code(alpha, j))
     ]
+
+
+def derivative(jet, m: int) -> float:
+    """f^{(m)}(x0) = m! a_m of a jet, formed in Fraction, so that m! need not
+    be a float."""
+    return float(Fraction(jet.coefficient(m)) * math.factorial(m))
 
 
 def finite_difference(f, x: float, m: int, h: float = 1e-2, levels: int = 3) -> float:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from branchpde.jets import Jet, exp_jet
-from oracles import finite_difference
+from oracles import derivative, finite_difference
 
 
 def test_exp_jet_coefficients():
@@ -54,7 +54,9 @@ def test_derivative_extraction():
     x = Jet.variable(0.0, 5)
     f = (x * 2.0).exp()
     for m in range(6):
-        assert f.derivative(m) == pytest.approx(2.0**m)
+        assert derivative(f, m) == pytest.approx(2.0**m)
+    # m! passes the float range at m = 171, m! a_m does not
+    assert derivative(exp_jet(0.0, 171), 171) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_composed_function_vs_finite_differences():
@@ -66,7 +68,7 @@ def test_composed_function_vs_finite_differences():
         jet = ((exp_jet(x0, 5) + 1.0).reciprocal() + 1.0).log()
         for m in range(1, 5):
             fd = finite_difference(f, x0, m, h=1e-2)
-            assert jet.derivative(m) == pytest.approx(fd, rel=1e-6, abs=1e-7)
+            assert derivative(jet, m) == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
 def test_reciprocal_of_zero_constant_term():

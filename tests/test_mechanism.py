@@ -7,15 +7,16 @@ import pytest
 
 from branchpde.mechanism import (
     Code,
+    draw_entries,
     index_product,
     offspring_entries,
     offspring_prob,
     offspring_set,
     sample_offspring,
     sample_offspring_indices,
+    spawn,
 )
 from branchpde.multiindex import MultiIndex, mi_abs
-from branchpde.tree import CodeTable
 from oracles import dominating_offspring_set
 
 
@@ -187,22 +188,72 @@ def test_dominating_probabilities_sum_to_one():
 
 
 def test_dominating_sampler_mirrors_original_layout():
-    # the dominating code table picks, for each uniform, the entry that the
-    # original table picks
+    # both chains take, for each uniform, the entry that sample_offspring
+    # picks; only the first child of a directional entry is recoded
     u = np.linspace(0.0, 0.9999, 97)
-    picks = []
-    for dominating in (False, True):
-        table = CodeTable(2, dominating)
-        ids = np.full(u.size, table.intern(Code((2, 1), 0)))
-        table.build(ids)
-        picks.append(table.sample_entries(ids, u))
-    assert picks[0].tolist() == picks[1].tolist()
-    entries = dominating_offspring_set((2, 1), 0)
-    for v, pick in zip(u.tolist(), picks[1].tolist()):
-        orig = sample_offspring(Code((2, 1), 0), v)
-        dom = entries[pick]
-        assert dom.kind == orig.kind
-        assert dom.beta == orig.beta
+    c = Code((2, 1), 0)
+    alpha, j = np.array([c.alpha] * u.size), np.full(u.size, c.j)
+    kind, beta, _ = draw_entries(alpha, j, u)
+    dominating = {(e.kind, e.beta): e for e in dominating_offspring_set(c.alpha, c.j)}
+    spawned = [children_by_row(spawn(alpha, j, kind, beta, chain)) for chain in (False, True)]
+    for row, v in enumerate(u.tolist()):
+        orig = sample_offspring(c, v)
+        assert (kind[row], tuple(beta[row])) == (orig.kind, orig.beta)
+        assert spawned[0][row] == orig.children
+        assert spawned[1][row] == dominating[orig.kind, orig.beta].children
+
+
+def children_by_row(children):
+    """spawn's children as a list, per row, of the tuple of their codes, after
+    checking that each row's children are numbered 1, 2, ... in order."""
+    parent, k, alpha, j = children
+    out = {}
+    for p, kk, a, jj in zip(parent.tolist(), k.tolist(), alpha.tolist(), j.tolist()):
+        out.setdefault(p, []).append(Code(tuple(a), jj))
+        assert kk == len(out[p])
+    assert list(out) == sorted(out)
+    return [tuple(out[row]) for row in sorted(out)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_array_entries_equal_the_fraction_mechanism(d):
+    # every entry of every code of the grid, drawn by the uniform in the
+    # middle of its interval: its kind, beta and z1/q, and its children on
+    # both chains
+    codes, entries, ratios, us, recoded = [], [], [], [], []
+    for alpha in product(range(5), repeat=d):
+        for j in (-1, 0, 2):
+            c = Code(alpha, j)
+            low = Fraction(0)
+            for e in offspring_set(c):
+                q = offspring_prob(c, e)
+                codes.append(c)
+                entries.append(e)
+                ratios.append(float(e.weight / q))
+                us.append(float(low + q / 2))
+                low += q
+            if j >= 0:  # the dominating chain has no code of j = -1
+                recoded += [e.children for e in dominating_offspring_set(alpha, j)]
+    alpha, j = np.array([c.alpha for c in codes]), np.array([c.j for c in codes])
+    kind, beta, ratio = draw_entries(alpha, j, np.array(us))
+    assert kind.tolist() == [e.kind for e in entries]
+    assert list(map(tuple, beta.tolist())) == [e.beta for e in entries]
+    assert ratio.tolist() == ratios
+    assert children_by_row(spawn(alpha, j, kind, beta, False)) == [e.children for e in entries]
+    coded = j >= 0
+    assert children_by_row(spawn(alpha[coded], j[coded], kind[coded], beta[coded], True)) == recoded
+
+
+def test_a_large_directional_ratio_is_rounded_once():
+    # z1/q of a kind-1 entry of (300000,)/0 is the integer
+    # -(d+1) (1+a)(2+a)(3+a)/6 over 2, rounded once; the int64 product
+    # (d+1)(2+a)(3+a)(1+a) over 12 rounds twice and reads .5 off
+    c, u = Code((300000,), 0), 0.75
+    entry = sample_offspring(c, u)
+    kind, beta, ratio = draw_entries(np.array([c.alpha]), np.array([c.j]), np.array([u]))
+    assert (kind[0], tuple(beta[0])) == (entry.kind, entry.beta) and entry.kind == 1
+    assert ratio[0] == float(entry.weight / offspring_prob(c, entry)) == -4500090000550001.0
+    assert -(np.int64(2) * 300001 * 300002 * 300003) / 12 != ratio[0]
 
 
 def _boundary_grid(c):
@@ -226,13 +277,12 @@ def test_batched_entry_choice_matches_sample_offspring(d):
     rows, us, expected = [], [], []
     for alpha in alphas:
         c = Code(alpha, 0)
-        entries = offspring_set(c)
         for u in _boundary_grid(c):
             rows.append(alpha)
             us.append(u)
-            expected.append(entries.index(sample_offspring(c, u)))
-    got = sample_offspring_indices(np.array(rows), np.array(us))
-    assert got.tolist() == expected
+            entry = sample_offspring(c, u)
+            expected.append((entry.kind, entry.beta))
+    assert picked(sample_offspring_indices(np.array(rows), np.array(us))) == expected
     with pytest.raises(ValueError):
         sample_offspring_indices(np.array([alphas[0]]), np.array([1.0]))
 
@@ -246,13 +296,12 @@ def test_batched_entry_choice_matches_sample_offspring_for_larger_alpha(d, top):
     rows, us, expected = [], [], []
     for alpha in alphas:
         c = Code(alpha, 1)
-        entries = offspring_set(c)
         for u in _boundary_grid(c) + rng.random(20).tolist():
             rows.append(alpha)
             us.append(u)
-            expected.append(entries.index(sample_offspring(c, u)))
-    got = sample_offspring_indices(np.array(rows), np.array(us))
-    assert got.tolist() == expected
+            entry = sample_offspring(c, u)
+            expected.append((entry.kind, entry.beta))
+    assert picked(sample_offspring_indices(np.array(rows), np.array(us))) == expected
 
 
 def test_a_code_fixes_the_dimension_of_its_offspring_law():
@@ -280,12 +329,27 @@ def test_batched_entry_choice_refuses_alpha_that_is_not_rows(alpha):
         sample_offspring_indices(alpha, np.array([0.5]))
 
 
+@pytest.mark.parametrize("alpha", [[1] * 62, [1_500_000]], ids=["product", "order"])
+def test_batched_entry_choice_refuses_a_law_past_the_int64_range(alpha):
+    # prod(1+alpha_k) = 2^62 and (3+a)^3 > 2^62 / 3: the int64 products of
+    # the walk and of z1/q would wrap
+    with pytest.raises(ValueError, match="int64"):
+        sample_offspring_indices(np.array([alpha]), np.array([0.5]))
+
+
 def test_batched_entry_choice_reads_the_dimension_from_the_rows():
-    # one row of a two-entry alpha gives one index, of the d = 2 set
+    # one row of a two-entry alpha gives one entry, of the d = 2 set
     c = Code((1, 1), 0)
-    got = sample_offspring_indices(np.array([c.alpha]), np.array([0.5]))
-    assert got.shape == (1,)
-    assert offspring_set(c)[got[0]] == sample_offspring(c, 0.5)
+    kind, beta, mass = sample_offspring_indices(np.array([c.alpha]), np.array([0.5]))
+    assert (kind.shape, beta.shape, mass.shape) == ((1,), (1, 2), (1,))
+    entry = sample_offspring(c, 0.5)
+    assert (kind[0], tuple(beta[0])) == (entry.kind, entry.beta)
+
+
+def picked(drawn):
+    """The (kind, beta) per row of sample_offspring_indices' result."""
+    kind, beta, _ = drawn
+    return list(zip(kind.tolist(), map(tuple, beta.tolist())))
 
 
 def test_offspring_entries_enumerate_offspring_set():

@@ -21,7 +21,7 @@ from branchpde.problems import (
     mild_solution_check,
     zero_f_cosine_problem,
 )
-from oracles import finite_difference
+from oracles import derivative, finite_difference
 
 
 def zeta_derivative(m: int, x: float) -> float:
@@ -121,7 +121,7 @@ def test_zeta_derivative_values():
         for x in (-2.0, 0.0, 2.0):
             jet = (exp_jet(x, m) + 1.0).reciprocal()
             assert zeta_derivative(m, x) == pytest.approx(
-                jet.derivative(m), rel=1e-10, abs=1e-10
+                derivative(jet, m), rel=1e-10, abs=1e-10
             )
 
 
@@ -157,7 +157,7 @@ def test_psi_derivative_bound():
             if l == 0:
                 jet = jet + 6.0
             for k in range(7):
-                assert abs(jet.derivative(k)) <= 10.0 * math.factorial(k + 1)
+                assert abs(derivative(jet, k)) <= 10.0 * math.factorial(k + 1)
 
 
 def test_jet_code_oracle_values():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -19,11 +20,11 @@ from branchpde.stability import (
 )
 
 # b2 at T = 0.1 with lambda = 1 and delta2 = 1/rho_*(T), on [-6, 6] with 121
-# points, m <= 5 and k <= 3.  The least margin sits on the m = 0 rows, whose
-# envelope delta1 g(0) = delta1 is the same in every regime.
+# points, m <= 5 and k <= 3.  The m = 0 rows, whose envelope delta1 g(0) =
+# delta1 is the same in every regime, decide the verdict at delta1 = 3.
 B2_T = 0.1
 GRID = np.linspace(-6.0, 6.0, 121).tolist()
-CODE_BOUNDS = {  # regime -> G(m), the envelope per unit delta1
+CODE_BOUNDS = {  # regime -> G(m), the derivative envelope per unit delta1
     Factorial(0.5, 1): lambda m: 0.5**m * math.factorial(m),
     Factorial(1, 1): lambda m: math.factorial(m),
     Factorial(1.5, 1): lambda m: 1.5**m * math.factorial(m),
@@ -46,12 +47,30 @@ def test_b2_code_bounds_pass_at_delta1_6_and_fail_at_3(regime):
             (m, k) for m in range(6) for k in (-1, 3)
         ]
         for row in rep["rows"]:
-            assert row.envelope == pytest.approx(delta1 * CODE_BOUNDS[regime](row.m), rel=1e-15)
+            # the rows hold Taylor coefficients: the envelope is delta1 G(m)/m!
+            # and the verdict is that of the derivatives against delta1 G(m)
+            G, fac = CODE_BOUNDS[regime](row.m), math.factorial(row.m)
+            assert row.envelope == pytest.approx(delta1 * G / fac, rel=1e-15)
             assert row.passed == (row.margin >= 0)
+            scale = 1.0 if row.k < 0 else max(delta2, 1.0)
+            assert row.passed == (scale * row.sup_abs * fac / rep["survival_at_T"] <= delta1 * G)
         assert rep["passed"] == (delta1 == 6.0)
-        least[delta1] = min(row.margin for row in rep["rows"])
+        least[delta1] = min(row.margin for row in rep["rows"] if row.m == 0)
+
     assert least[6.0] == pytest.approx(0.9713, abs=1e-4)
     assert least[3.0] == pytest.approx(-2.0287, abs=1e-4)
+
+
+def test_code_bounds_compare_coefficients_past_the_float_factorial():
+    # m! passes the float range at m = 171, where the rows scaled by it
+    # raised OverflowError; the coefficients and delta1 F(m) stay floats
+    p = GrowthParams(Factorial(0.5, 1), 6.0, 1.2, 1.0, B2_T, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_code_bounds(b2_problem(B2_T).oracle, p, [0.0], m_max=180, k_max=0)
+    assert [row.m for row in rep["rows"][-2:]] == [180, 180]
+    assert all(math.isfinite(row.margin) for row in rep["rows"])
+    assert rep["passed"]
 
 
 def test_code_bounds_refuse_d_above_1():

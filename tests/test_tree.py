@@ -380,12 +380,19 @@ SPREAD_WEIGHTS = WeightSpec(
 )
 
 
-def entries(codes, gen):
-    """Per row of a generation: the index of its sampled entry in its code's
-    offspring set, row - codes.first[code], if it died, else -1."""
-    entry = np.full(gen.died.size, -1)
-    entry[gen.died] = gen.row - codes.first[gen.code[gen.died]]
-    return entry
+def codes(gen):
+    """The code of each row of a generation."""
+    return [Code(tuple(alpha), j) for alpha, j in zip(gen.alpha.tolist(), gen.j.tolist())]
+
+
+def entries(gen):
+    """Per row of a generation: (kind, beta, z1/q) of its sampled entry if
+    it died, else None."""
+    out = [None] * gen.died.size
+    died = zip(np.flatnonzero(gen.died).tolist(), gen.kind.tolist(), gen.beta.tolist(), gen.ratio.tolist())
+    for row, kind, beta, ratio in died:
+        out[row] = (kind, tuple(beta), ratio)
+    return out
 
 
 def batch_records(batch):
@@ -398,10 +405,7 @@ def batch_records(batch):
             () if parent < 0 else previous[parent] + (int(k),)
             for parent, k in zip(gen.parent.tolist(), gen.child.tolist())
         ]
-        entry_index = entries(batch.codes, gen)
-        for row, label in enumerate(labels):
-            code = batch.codes.codes[gen.code[row]]
-            entry = offspring_set(code)[entry_index[row]] if gen.died[row] else None
+        for row, (label, code, entry) in enumerate(zip(labels, codes(gen), entries(gen))):
             trees[gen.sample[row]][label] = (
                 code,
                 gen.birth[row],
@@ -435,8 +439,8 @@ def test_batch_grows_the_trees_of_sample_tree(name):
             if r.offspring_entry is None:
                 assert entry is None and position == r.terminal_position
             else:
-                assert (entry.kind, entry.beta) == (r.offspring_entry.kind, r.offspring_entry.beta)
-                assert entry == r.offspring_entry
+                e = r.offspring_entry
+                assert entry == (e.kind, e.beta, float(e.weight / offspring_prob(r.code, e)))
         expected = evaluate_functional(ref, problem.oracle)
         assert values[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
         expected = weighted_progeny(ref, SPREAD_WEIGHTS)
@@ -447,21 +451,21 @@ def test_dominating_batch_spawns_the_entries_of_the_dominating_mechanism():
     # the dominating chain takes the original chain's draws, and every death
     # spawns the two children of its entry in dominating_offspring_set
     c0, T, model, seed, n = Code((2, 1), 0), 0.5, exponential_model(2.0), 9, 500
-    original_batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, seed, range(n))
-    original = next(iter(original_batch))
+    original = next(iter(TreeBatch(c0, 0.0, (0.0, 0.0), T, model, seed, range(n))))
     batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, seed, range(n), dominating=True)
     generations = list(batch)
     assert np.array_equal(generations[0].tau, original.tau)
-    assert np.array_equal(entries(batch.codes, generations[0]), entries(original_batch.codes, original))
+    assert entries(generations[0]) == entries(original)
     directional = 0
     for gen, children in zip(generations, generations[1:]):
-        entry_index = entries(batch.codes, gen)
-        for row in np.flatnonzero(gen.died).tolist():
-            alpha, j = batch.codes.codes[gen.code[row]]
-            entry = dominating_offspring_set(alpha, j)[entry_index[row]]
-            spawned = tuple(batch.codes.codes[k] for k in children.code[children.parent == row])
-            assert spawned == entry.children
-            directional += entry.kind > 0
+        spawned = codes(children)
+        for row, (code, entry) in enumerate(zip(codes(gen), entries(gen))):
+            if entry is None:
+                continue
+            kind, beta, _ = entry
+            entry = next(e for e in dominating_offspring_set(*code) if (e.kind, e.beta) == (kind, beta))
+            assert tuple(spawned[k] for k in np.flatnonzero(children.parent == row).tolist()) == entry.children
+            directional += kind > 0
     assert directional > 0
     assert np.all(batch.branches % 2 == 1)
     with pytest.raises(ValueError):
@@ -473,7 +477,7 @@ def test_branch_rng_draws_what_the_batch_draws():
     model, c0, T = exponential_model(1.0), Code((1, 0), 0), 1.0
     batch = TreeBatch(c0, 0.0, (0.0, 0.0), T, model, 4, range(3, 40))
     gen = next(iter(batch))
-    entry_index = entries(batch.codes, gen)
+    drawn = entries(gen)
     assert 0 < gen.died.sum() < gen.died.size
     for row, i in enumerate(range(3, 40)):
         rng = branch_rng(4, i, ())
@@ -483,7 +487,7 @@ def test_branch_rng_draws_what_the_batch_draws():
         assert tuple(rng.standard_normal(2) * scale) == tuple(gen.position[row])
         if gen.died[row]:
             entry = sample_offspring(c0, rng.random())
-            assert offspring_set(c0)[entry_index[row]] == entry
+            assert drawn[row][:2] == (entry.kind, entry.beta)
 
 
 @pytest.mark.parametrize(
@@ -516,45 +520,9 @@ def test_batch_caps_the_trees_sample_tree_refuses(monkeypatch, T, caps, budget, 
     assert np.isfinite(samples.values[~samples.capped]).all()
 
 
-# --- the code table's closed form and the array draws -----------------------
-
-from itertools import product
+# --- the array draws -------------------------------------------------------
 
 from branchpde import mechanism
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_code_table_rows_equal_the_fraction_mechanism(d):
-    codes = [Code(alpha, j) for alpha in product(range(5), repeat=d) for j in (-1, 0, 2)]
-    table = tree_module.CodeTable(d)
-    dominating = tree_module.CodeTable(d, dominating=True)
-    for t in (table, dominating):
-        t.build(np.array([t.intern(c) for c in codes]))
-    for c in codes:
-        entries = offspring_set(c)
-        expected = [
-            (float(e.weight / offspring_prob(c, e)), e.kind, len(e.children), e.children)
-            for e in entries
-        ]
-        assert table_rows(table, c, len(entries)) == expected
-        if c.j >= 0:  # the dominating table: the same rows, recoded children
-            recoded = [e.children for e in dominating_offspring_set(c.alpha, c.j)]
-            got = table_rows(dominating, c, len(entries))
-            assert got == [row[:3] + (kids,) for row, kids in zip(expected, recoded)]
-
-
-def table_rows(table, c, count):
-    """(ratio, kind, nchild, children) of the rows of code c."""
-    first = table.first[table.intern(c)]
-    return [
-        (
-            table.ratio[row],
-            table.kind[row],
-            table.nchild[row],
-            tuple(table.codes[k] for k in table.child[row] if k >= 0),
-        )
-        for row in range(first, first + count)
-    ]
 
 
 def test_array_hash_equals_int_hash_at_edge_keys():
@@ -587,6 +555,19 @@ def test_array_hash_equals_int_hash_at_edge_keys():
     ]
 
 
+def test_row_keys_tell_rows_apart_past_the_packing_limit():
+    # below 2^62 the key packs a row's digits; 70 columns of span 2 pass it,
+    # and the key is the row's rank among the distinct rows (rows that differ
+    # in their leading digits alone would share a packed key that wrapped)
+    rng = np.random.default_rng(3)
+    for d in (1, 3, 70):
+        j, alpha = rng.integers(-1, 2, 300), rng.integers(0, 2, (300, d))
+        alpha[0], alpha[1:, 8:] = 1, 0
+        keys = tree_module._row_keys(j + 1, alpha).tolist()
+        rows = list(zip(j.tolist(), map(tuple, alpha.tolist())))
+        assert len(set(zip(keys, rows))) == len(set(keys)) == len(set(rows)) > 1
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_normals_of_a_key_array_equal_the_one_key_normals(d):
     keys = tree_module._root_keys(5, np.arange(40))
@@ -596,21 +577,15 @@ def test_normals_of_a_key_array_equal_the_one_key_normals(d):
         assert [c[row] for c in columns] == tree_module._normals(key, 1, d)
 
 
-def fresh_code_tables(monkeypatch):
-    """Give every TreeBatch from here on new, empty shared tables."""
-    monkeypatch.setattr(tree_module, "_CODE_TABLES", {})
-
-
 @pytest.mark.parametrize("name", ["b2-deep", "zero-f-cosine-d2"])
-def test_batch_builds_its_code_table_without_the_fraction_mechanism(monkeypatch, name):
+def test_batch_draws_without_the_fraction_mechanism(monkeypatch, name):
     problem, model, c0, x, n = BATCH_CONFIGS[name]
     T, seed = problem.T, 23
 
     def run():
-        batch = TreeBatch(c0, 0.0, x, T, model, seed, range(n))
-        return evaluate_batch(batch, problem.oracle), batch
+        return evaluate_batch(TreeBatch(c0, 0.0, x, T, model, seed, range(n)), problem.oracle)
 
-    reference, reference_batch = run()
+    reference = run()
 
     def refuse(*args, **kwargs):
         raise AssertionError("the batched sampler used the Fraction mechanism")
@@ -618,22 +593,16 @@ def test_batch_builds_its_code_table_without_the_fraction_mechanism(monkeypatch,
     for module in (tree_module, mechanism):
         for fn in ("offspring_prob", "offspring_set"):
             monkeypatch.setattr(module, fn, refuse, raising=False)
-    # empty tables, so that every code of this run is laid out under the patch
-    fresh_code_tables(monkeypatch)
-    values, batch = run()
-    assert batch.codes is not reference_batch.codes
-    assert np.count_nonzero(batch.codes.first >= 0) > 1
-    assert np.array_equal(values, reference)
+    assert np.array_equal(run(), reference)
 
 
-# --- one code table per (d, chain), shared by every batch --------------------
+# --- a batch keeps no state between batches ----------------------------------
 
 from branchpde.estimator import estimate_u
 
 
-def fill_code_tables():
-    """Sample other codes, dimensions and both chains, so that the shared
-    tables hold codes under ids a fresh table would give others."""
+def sample_other_codes():
+    """Sample other codes, dimensions and both chains in this process."""
     b2, cosine = b2_problem(0.7), zero_f_cosine_problem(0.4, d=2)
     for problem, code, x in (
         (b2, Code((6,), 2), (0.4,)),
@@ -648,7 +617,7 @@ def fill_code_tables():
     batch_progeny(Code((5,), 0), 0.6, MODEL, 1, 9, 300, SPREAD_WEIGHTS, dominating=False)
 
 
-def test_results_do_not_depend_on_what_filled_the_code_tables(monkeypatch):
+def test_results_do_not_depend_on_what_was_sampled_before():
     problem = b2_problem(0.5)
     setup = ProblemSetup(problem.oracle, exponential_model(2.0), 1)
     code, n, seed = Code((3,), 0), 1500, 23
@@ -658,70 +627,34 @@ def test_results_do_not_depend_on_what_filled_the_code_tables(monkeypatch):
         est = estimate_u(code, 0.0, (0.0,), problem.T, setup, n, seed)
         values = _sample_values(setup, code, 0.0, (0.0,), problem.T, range(n), seed, Caps()).values
         branches, progenies = batch_progeny(*dominating)
-        ids = (tree_module.code_table(1).intern(code), tree_module.code_table(1, True).intern(dominating[0]))
-        return (est.mean, est.std_error, est.n_capped, est.stats), values.tobytes(), branches, progenies.tobytes(), ids
+        return (est.mean, est.std_error, est.n_capped, est.stats), values.tobytes(), branches, progenies.tobytes()
 
-    fresh_code_tables(monkeypatch)
-    *first, first_ids = run()
-    fresh_code_tables(monkeypatch)
-    fill_code_tables()
-    *later, later_ids = run()
-    assert first_ids == (0, 0) and 0 not in later_ids  # the ids did change
+    first = run()
+    sample_other_codes()
+    later = run()
     assert first[0] == later[0]
     assert first[1] == later[1]
     assert np.array_equal(first[2], later[2])
     assert first[3] == later[3]
 
-    # split the index range over the filled tables, and again after a fresh start
+    # split the index range, and the results are those of the whole range
     parts = ((0, 1), (1, 400), (400, 401), (401, n))
-    for fresh in (False, True):
-        if fresh:
-            fresh_code_tables(monkeypatch)
-        whole = _sample_values(setup, code, 0.0, (0.0,), problem.T, range(n), seed, Caps())
-        split = [_sample_values(setup, code, 0.0, (0.0,), problem.T, range(lo, hi), seed, Caps()) for lo, hi in parts]
-        assert np.concatenate([s.values for s in split]).tobytes() == whole.values.tobytes() == first[1]
-        c0, T, model = dominating[:3]
-        split_progenies = [
-            weighted_progeny_batch(
-                TreeBatch(c0, 0.0, (0.0,), T, model, seed, range(lo, hi), dominating=True), SPREAD_WEIGHTS
-            )
-            for lo, hi in parts
-        ]
-        assert np.concatenate(split_progenies).tobytes() == first[3]
+    whole = _sample_values(setup, code, 0.0, (0.0,), problem.T, range(n), seed, Caps())
+    split = [_sample_values(setup, code, 0.0, (0.0,), problem.T, range(lo, hi), seed, Caps()) for lo, hi in parts]
+    assert np.concatenate([s.values for s in split]).tobytes() == whole.values.tobytes() == first[1]
+    c0, T, model = dominating[:3]
+    split_progenies = [
+        weighted_progeny_batch(
+            TreeBatch(c0, 0.0, (0.0,), T, model, seed, range(lo, hi), dominating=True), SPREAD_WEIGHTS
+        )
+        for lo, hi in parts
+    ]
+    assert np.concatenate(split_progenies).tobytes() == first[3]
 
 
-def test_batches_share_one_code_table_per_dimension_and_chain(monkeypatch):
-    fresh_code_tables(monkeypatch)
-    problem, model, c0, x, n = BATCH_CONFIGS["b2-deep"]
-    laid_out = []
-    lay_out = tree_module.CodeTable._lay_out
-
-    def counting(table, cid):
-        laid_out.append(table.codes[cid])
-        lay_out(table, cid)
-
-    monkeypatch.setattr(tree_module.CodeTable, "_lay_out", counting)
-
-    def batch(d=1, dominating=False, indices=range(n)):
-        return TreeBatch(Code((3,) + (0,) * (d - 1), 0), 0.0, (0.0,) * d, problem.T, model, 23, indices,
-                         dominating=dominating)
-
-    first = evaluate_batch(batch(), problem.oracle)
-    assert len(laid_out) == len(set(laid_out)) > 1
-    count = len(laid_out)
-    again = evaluate_batch(batch(), problem.oracle)
-    assert len(laid_out) == count  # every code the second batch met was laid out
-    assert again.tobytes() == first.tobytes()
-    assert batch().codes is batch(indices=range(3)).codes is tree_module.code_table(1)
-    tables = {id(batch(d, dom).codes) for d in (1, 2) for dom in (False, True)}
-    assert len(tables) == 4
-
-
-def test_a_code_of_another_dimension_leaves_the_shared_table_intact(monkeypatch):
-    # a two-entry code beside a one-entry point and problem is refused before
-    # it reaches the d = 1 table, so the next estimate of the process reads
-    # an intact table and returns what a fresh process returns
-    fresh_code_tables(monkeypatch)
+def test_a_code_of_another_dimension_leaves_the_shared_table_intact():
+    # a two-entry code beside a one-entry point and problem is refused, and
+    # the next estimate of the process returns what a fresh process returns
     problem = b2_problem(0.5)
     setup = ProblemSetup(problem.oracle, exponential_model(2.0), 1)
     with pytest.raises(ValueError):
@@ -747,10 +680,8 @@ BAD_STARTS = pytest.mark.parametrize("c0, x", [
 
 @BAD_STARTS
 def test_batch_refuses_a_bad_code_or_point_before_the_shared_table(c0, x):
-    tables = {key: list(table.codes) for key, table in tree_module._CODE_TABLES.items()}
     with pytest.raises(ValueError):
         TreeBatch(c0, 0.0, x, 0.5, MODEL, 1, range(10))
-    assert {key: table.codes for key, table in tree_module._CODE_TABLES.items()} == tables
 
 
 @BAD_STARTS
@@ -825,7 +756,7 @@ def test_a_generation_is_freed_before_the_next_draws_its_lifetimes(monkeypatch, 
 @pytest.mark.parametrize("name, n, bound", [("b2-shallow", 20_000, 140), ("b2-deep", 10_000, 280)])
 def test_evaluate_batch_working_set_per_tree(name, n, bound):
     # tracemalloc's peak over evaluate_batch, in bytes per tree, after a
-    # warm-up batch that lays out the codes the trees meet
+    # warm-up batch
     problem, model, c0, x, _ = BATCH_CONFIGS[name]
     T = problem.T
     evaluate_batch(TreeBatch(c0, 0.0, x, T, model, 1, range(n)), problem.oracle)
