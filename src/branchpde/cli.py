@@ -250,6 +250,9 @@ def cmd_solve(args) -> int:
     except AllSamplesCapped as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # a config the sampler refuses, e.g. a code past int64
+        print(f"config error: {exc}", file=sys.stderr)
+        return 3
 
     buf = io.StringIO()
     if out_fmt == "csv":

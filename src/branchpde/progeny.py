@@ -15,13 +15,14 @@ c = d delta2/2, G(m) = m! w.F(m, j) for A under the preset weights w.  The
 growth sequences (GrowthSequence) and the preset (PresetWeights) carry
 these constants as data, and a_recursion and ahat_recursion read them
 there: no weight is evaluated to recover them.  Each returns the one row
-it is asked for, (alpha, k) for k <= kmax.  The inputs pick the arithmetic:
-for rational ones the engine runs in integers, summing each pair of terms
-l, k-l once; a float weight or a float g runs it in floats on F(m, k) =
-H(m, k)/m!, one matmul per level k over the sizes that level needs, so
-nothing factorial-sized is formed.  expected_weighted_progeny passes x a
-and x c for its series argument x, which makes the rows the series terms
-x^k F(m, k), and reads them along the one axis m = |alpha|.
+it is asked for, (alpha, k) for k <= kmax.  The tables are exact: the
+engine runs in integers, summing each pair of terms l, k-l once, and
+refuses parameters that are not ints or Fractions.  The one float path is
+the series of expected_weighted_progeny: it runs the recursion in floats on
+F(m, k) = H(m, k)/m!, one matmul per level k over the sizes that level
+needs, with x a and x c for its series argument x, so its rows are the
+series terms x^k F(m, k) and nothing factorial-sized is formed; it reads
+them along the one axis m = |alpha|.
 
 Two tables are built once per distinct input and then shared.  A growth
 sequence keeps the A-hat rows of each (d, length, kmax) it was asked for
@@ -89,12 +90,10 @@ def a_recursion(w: PresetWeights, alpha: MultiIndex, j: int, kmax: int) -> Serie
     law.  The weights are the preset of GrowthParams.build_weights, whose
     constants the row is built from: A_alpha(k) = H(|alpha|, k)/alpha! for
     the scalar recursion of the module docstring with G(m) = m! w.F(m, j),
-    a = w.a and c = d w.s, exact for rational weights and in floats for
-    float ones, in the weights' dimension d = w.d.  The values do not depend
-    on j >= 0; j = -1 is refused for kmax >= 1 (such a code splits only
-    through its pass-through entry).  An alpha whose length is not w.d
-    raises ValueError; a float row that leaves the float range raises
-    OverflowError.
+    a = w.a and c = d w.s, exact, in the weights' dimension d = w.d.  The
+    values do not depend on j >= 0; j = -1 is refused for kmax >= 1 (such a
+    code splits only through its pass-through entry).  Weights with a float
+    parameter, or an alpha whose length is not w.d, raise ValueError.
     """
     alpha = _check_alpha(alpha, w.d)
     _check_levels(j, kmax)
@@ -112,17 +111,17 @@ def ahat_recursion(g: GrowthSequence, d: int, alpha: MultiIndex, kmax: int) -> S
     g is a growth sequence (g_factorial, g_exponential), so g(nu) =
     G(|nu|)/nu! and A'_alpha(k) = H(|alpha|, k)/alpha! for the scalar
     recursion of the module docstring with G(m) = m! g.F(m), a = 0 and
-    c = d, exact in the arithmetic of g.F's values.  A d that is not an
-    int >= 1, or an alpha whose length is not d, raises ValueError; a float
-    row that leaves the float range raises OverflowError.
+    c = d, exact.  A g with float parameters, a d that is not an int >= 1,
+    or an alpha whose length is not d, raises ValueError before anything is
+    memoised.
 
     The row function of _series_coefficients is memoised in g.rows under
     (d, len(F), kmax), len(F) = |alpha| + kmax + 1: the rows of every alpha
     of one order run the engine once, and a second table of g hands out
     the same value objects as the first.  The key fixes the engine's inputs
-    exactly, so a memoised row is the row a fresh engine builds, floats
-    included.  The memo lives as long as g and holds one entry per key
-    asked for; regime.g() builds a fresh g on every call.
+    exactly, so a memoised row is the row a fresh engine builds.  The memo
+    lives as long as g and holds one entry per key asked for; regime.g()
+    builds a fresh g on every call.
     """
     alpha = _check_alpha(alpha, d)
     if kmax < 0:
@@ -155,34 +154,22 @@ def _series_coefficients(F: list, a, c, kmax: int) -> Callable[[int, int], list]
     in one variable y.  The multinomial Vandermonde sum
     sum_{beta<=nu} C(nu,beta) f(|nu-beta|) h(|beta|) = sum_b C(|nu|,b) f(|nu|-b) h(b)
     collapses the multi-index recursions to it when g(nu) = G(|nu|)/nu!.
-    Exact when F, a and c are ints and Fractions (_exact_series), else in
-    floats (_float_series), where a row that leaves the float range raises
-    OverflowError at its first value that is not finite.  Each row is built
-    once per class, and the one list serves every alpha of it.  The rows
-    live as long as the returned function: one table for a_recursion, the
-    growth sequence for ahat_recursion, which memoises the function in
-    g.rows.
+    Exact (_exact_series): F, a and c must be ints and Fractions, else
+    ValueError.  Each row is built once per class, and the one list serves
+    every alpha of it.  The rows live as long as the returned function: one
+    table for a_recursion, the growth sequence for ahat_recursion, which
+    memoises the function in g.rows.
     """
-    if all(map(_is_exact, (*F, a, c))):
-        J, scale = _exact_series(F, a, c, kmax)
-        value = lambda m, f, l: Fraction(J[l][m], scale[l] * f)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
-            H = _float_series(F, a, c, kmax)
-        value = lambda m, f, l: _finite(float(H[l, m]) * (math.factorial(m) // f), l)
+    if not all(map(_is_exact, (*F, a, c))):
+        raise ValueError("A and A' tables need rational parameters (ints or Fractions)")
+    J, scale = _exact_series(F, a, c, kmax)
     rows: dict = {}
 
     def row(m: int, f: int) -> list:
         if (m, f) not in rows:
-            rows[m, f] = [value(m, f, l) for l in range(kmax + 1)]
+            rows[m, f] = [Fraction(J[l][m], scale[l] * f) for l in range(kmax + 1)]
         return rows[m, f]
     return row
-
-
-def _finite(v: float, l: int) -> float:
-    if not math.isfinite(v):
-        raise OverflowError(f"the coefficient at l = {l} is {v} in floats")
-    return v
 
 
 def _exact_series(F: list, a, c, kmax: int) -> tuple:
@@ -225,7 +212,8 @@ def _exact_series(F: list, a, c, kmax: int) -> tuple:
 
 def _float_series(F: list, a, c, kmax: int) -> np.ndarray:
     """The array of H(m, l)/m! at [l, m] for l <= kmax and m < len(F) - l
-    (0 elsewhere), in floats.
+    (0 elsewhere), in floats: the series of expected_weighted_progeny, the
+    one float form of the recursion.
 
     F(m, l) = H(m, l)/m! turns the binomial sum into a convolution in m,
     and D(m, l) = (m+1) F(m+1, l) is its derivative in y:
@@ -272,15 +260,17 @@ def _is_exact(v) -> bool:
 class GrowthSequence:
     """The growth sequence g(nu) = G(|nu|)/nu! of a regime, called as g(nu),
     with its terms F(m) = G(m)/m! as data: F(0) = 1 and F(m) = F(m-1)
-    step(m), each built once.  Rational parameters give Fractions.  Float
-    ones give floats, g(nu) being F(|nu|) |nu|!/nu!: neither G(m) nor nu! is
-    formed, so g stays finite where its value does (a float G(m) = m!
-    theta^m passes the largest float near m = 170)."""
+    step(m), each built once.  Rational parameters give Fractions, from
+    which ahat_recursion builds its tables.  Float ones give floats for the
+    float series and the sampler's weights, and no table: g(nu) is F(|nu|)
+    |nu|!/nu!, so neither G(m) nor nu! is formed, and g stays finite where
+    its value does (a float G(m) = m! theta^m passes the largest float near
+    m = 170)."""
 
     # fields, not methods, so that a wrapper of g made by functools.wraps
     # (which copies the instance dict) still carries F and shares the rows
     F: Callable[[int], object]
-    # ahat_recursion's row functions, one per (d, len(F), kmax)
+    # ahat_recursion's exact row functions, one per (d, len(F), kmax)
     rows: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __call__(self, alpha: MultiIndex):
@@ -371,48 +361,45 @@ class PresetWeights:
         return self._inner * (2 + ai) * (3 + ai) * prod / self._twelve
 
 
-def ahat_closed_factorial(theta, r, d: int, alpha: MultiIndex, k: int):
+def ahat_closed_factorial(theta, r, d: int, alpha: MultiIndex, k: int) -> Fraction:
     """Closed form under the factorial growth sequence:
 
     (2d)^k r^{k+1} theta^{2k+|alpha|}/alpha! * G((r+2)k+r+|alpha|) /
     ((k+1)! G((r+1)(k+1))).
 
     With b = (r+1)(k+1), the Gamma ratio is the rising product of
-    k+|alpha| factors from b-1, over b-1 > 0; so with rational theta, r the
-    value is an exact Fraction, alpha = 0 included.  Float inputs fall back
-    to log-gamma.
+    k+|alpha| factors from b-1, over b-1 > 0; so the value is an exact
+    Fraction of Fraction(theta) and Fraction(r), alpha = 0 included.
     """
     m = mi_abs(alpha)
     if k < 0:
         raise ValueError("k must be >= 0")
-    if _is_exact(theta) and _is_exact(r):
-        base = Fraction((r + 1) * (k + 1)) - 1
-        ratio = rising_factorial(base, k + m) / base
-        return (
-            Fraction(2 * d) ** k
-            * Fraction(r) ** (k + 1)
-            * Fraction(theta) ** (2 * k + m)
-            / mi_factorial(alpha)
-            * ratio
-            / math.factorial(k + 1)
-        )
-    return math.exp(Factorial(theta, r).closed_log(d, alpha, k))
+    theta, r = Fraction(theta), Fraction(r)
+    base = (r + 1) * (k + 1) - 1
+    ratio = rising_factorial(base, k + m) / base
+    return (
+        Fraction(2 * d) ** k
+        * r ** (k + 1)
+        * theta ** (2 * k + m)
+        / mi_factorial(alpha)
+        * ratio
+        / math.factorial(k + 1)
+    )
 
 
-def ahat_closed_exponential(theta, d: int, alpha: MultiIndex, k: int):
+def ahat_closed_exponential(theta, d: int, alpha: MultiIndex, k: int) -> Fraction:
     """Closed form under the exponential growth sequence:
-    (2d)^k theta^{2k+|alpha|}/(alpha! k!) (k+1)^{k+|alpha|-2}."""
+    (2d)^k theta^{2k+|alpha|}/(alpha! k!) (k+1)^{k+|alpha|-2}, an exact
+    Fraction of Fraction(theta)."""
     m = mi_abs(alpha)
     if k < 0:
         raise ValueError("k must be >= 0")
-    if _is_exact(theta):
-        return (
-            Fraction(2 * d) ** k
-            * Fraction(theta) ** (2 * k + m)
-            / (mi_factorial(alpha) * math.factorial(k))
-            * Fraction(k + 1) ** (k + m - 2)
-        )
-    return math.exp(Exponential(theta).closed_log(d, alpha, k))
+    return (
+        Fraction(2 * d) ** k
+        * Fraction(theta) ** (2 * k + m)
+        / (mi_factorial(alpha) * math.factorial(k))
+        * Fraction(k + 1) ** (k + m - 2)
+    )
 
 
 class _Regime:

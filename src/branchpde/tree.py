@@ -16,8 +16,9 @@ consecutive pairs of draws 1, 2, ..., one pair per two normals) follow, and
 the offspring uniform comes right after them.
 
 Two samplers share these draws.  `sample_tree` grows one tree of the
-original chain branch by branch through `branch_rng` and records every
-branch, with the horizon and lifetime model it was grown under;
+original chain branch by branch, reading each branch's draws from its
+`branch_rng` key at the counters above, and records every branch, with the
+horizon and lifetime model it was grown under;
 `evaluate_functional` (with the exact Fraction mechanism) and
 `weighted_progeny` multiply its factors.  They are the reference that the
 tests use.  `TreeBatch` grows the trees of a range of sample indices
@@ -185,34 +186,14 @@ def _normals(key, counter: int, d: int) -> list:
     return out
 
 
-class BranchStream:
-    """The draws of one branch, taken in counter order: one at a time, the
-    values `TreeBatch` draws for that branch."""
-
-    __slots__ = ("_key", "_counter")
-
-    def __init__(self, key: int):
-        self._key = key
-        self._counter = 0
-
-    def random(self) -> float:
-        u = _uniforms(self._key, self._counter)
-        self._counter += 1
-        return u
-
-    def standard_normal(self, d: int) -> np.ndarray:
-        z = np.array(_normals(self._key, self._counter, d))
-        self._counter += _normal_draws(d)
-        return z
-
-
-def branch_rng(seed: int, sample_index: int, label: Label) -> BranchStream:
-    """Draw stream of one branch of one sample, keyed by (seed,
-    sample_index, label)."""
+def branch_rng(seed: int, sample_index: int, label: Label) -> int:
+    """The 64-bit key of one branch of one sample, from (seed,
+    sample_index, label), as a Python int: draw c of the branch is
+    _uniforms(key, c), the draw `TreeBatch` reads from its uint64 key."""
     key = _root_keys(seed, sample_index)
     for k in label:
         key = _mix(key, k)
-    return BranchStream(key)
+    return key
 
 
 def _finish(records: list[BranchRecord], T: float, model: LifetimeModel) -> TreeSample:
@@ -275,11 +256,13 @@ def sample_tree(
             raise CapExceeded(f"generation cap {caps.max_generation} exceeded")
         if len(records) >= caps.max_branches:
             raise CapExceeded(f"branch cap {caps.max_branches} exceeded")
-        rng = branch_rng(seed, sample_index, label)
-        tau = model.inverse_cdf(rng.random())
+        # the draws at TreeBatch's counters: lifetime, normals, offspring
+        key = branch_rng(seed, sample_index, label)
+        tau = model.inverse_cdf(_uniforms(key, 0))
         death = birth + tau
+        normals = np.array(_normals(key, 1, d))
         if death > T:
-            disp = rng.standard_normal(d) * math.sqrt(T - birth)
+            disp = normals * math.sqrt(T - birth)
             records.append(
                 BranchRecord(
                     label=label,
@@ -292,9 +275,9 @@ def sample_tree(
                 )
             )
         else:
-            disp = rng.standard_normal(d) * math.sqrt(tau)
+            disp = normals * math.sqrt(tau)
             dpos = tuple(p + dv for p, dv in zip(pos, disp))
-            entry = sample_offspring(code, rng.random())
+            entry = sample_offspring(code, _uniforms(key, 1 + _normal_draws(d)))
             records.append(
                 BranchRecord(
                     label=label,
@@ -530,11 +513,8 @@ def _multiply_survivors(product, held, batch: TreeBatch, oracle) -> None:
     sample, alpha, j, birth, position = columns
     held.clear()
     value = np.empty(sample.size)
-    key = _row_keys(j + 1, alpha)
-    order = np.argsort(key, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        if group.size:
-            value[group] = oracle(_code(alpha, j, group[0]), position[group])
+    for group in _row_groups(j + 1, alpha):
+        value[group] = oracle(_code(alpha, j, group[0]), position[group])
     np.multiply.at(product, sample, value / batch.model.survival(batch.T - birth))
 
 
@@ -565,6 +545,14 @@ def _row_keys(*columns: np.ndarray) -> np.ndarray:
     return key.astype(np.min_scalar_type(size - 1))
 
 
+def _row_groups(*columns: np.ndarray) -> list[np.ndarray]:
+    """The rows of these columns (as _row_keys takes them) grouped by equal
+    rows: one ascending array of row indices per distinct row."""
+    key = _row_keys(*columns)
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if key.size else []
+
+
 def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
     """Multiplicative weighted progeny of every tree of a batch, NaN where
     capped: sigma_inner(alpha, j, kind) over died branches times
@@ -579,15 +567,14 @@ def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
     for gen in batch:
         slot = np.zeros(gen.died.size, dtype=np.int64)
         slot[gen.died] = 1 + gen.kind
-        _, first, inverse = np.unique(_row_keys(gen.j + 1, gen.alpha, slot), return_index=True, return_inverse=True)
-        factor = np.empty(first.size)
-        for k, row in enumerate(first.tolist()):
-            code, s = _code(gen.alpha, gen.j, row), int(slot[row])
+        factor = np.empty(slot.size)
+        for group in _row_groups(gen.j + 1, gen.alpha, slot):
+            code, s = _code(gen.alpha, gen.j, group[0]), int(slot[group[0]])
             if (code, s) not in weights:
                 weights[code, s] = float(boundary(*code) if s == 0 else w.sigma_inner(*code, s - 1))
-            factor[k] = weights[code, s]
-        np.multiply.at(product, gen.sample, factor[inverse])
-        del gen, slot, first, inverse, factor  # let the batch free this generation
+            factor[group] = weights[code, s]
+        np.multiply.at(product, gen.sample, factor)
+        del gen, slot, factor  # let the batch free this generation
     product[batch.capped] = np.nan
     return product
 

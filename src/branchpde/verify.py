@@ -1,6 +1,6 @@
 """Built-in consistency suite behind `branchpde verify`: exact identities,
 recursion/closed-form equivalence, dominance, and a reduced end-to-end
-solve, sized to finish in a couple of minutes.
+solve: twelve checks, sized to finish in about a second.
 """
 
 from __future__ import annotations
@@ -110,22 +110,21 @@ def _check_dominance_series() -> bool:
 
 
 def _check_series_engine() -> bool:
-    """The engine's float branch against its integer branch, through
-    a_recursion on float- and Fraction-parameter preset weights, to a
-    relative 1e-12."""
-
-    def row(theta, r, delta, alpha):
-        d = len(alpha)
-        p = stability.GrowthParams(stability.Factorial(theta, r), delta, delta, 1.0, 0.1, d)
-        return progeny.a_recursion(p.build_weights(), alpha, 0, 12)
-
+    """The float series of expected_weighted_progeny, at the float
+    parameters the analyzer runs, against e^{-lam h} sum_k x^k A(k) of the
+    exact table at the matching rationals, to a relative 1e-12."""
+    lam, h, ktrunc = 1.0, 0.01, 12
+    x = 1.0 - math.exp(-lam * h)
     for alpha in ((2,), (1, 1)):
-        exact = row(Fraction(3, 2), Fraction(1), Fraction(6, 5), alpha)
-        floats = row(1.5, 1.0, 1.2, alpha)
-        if not all(
-            type(floats[key]) is float and math.isclose(floats[key], float(v), rel_tol=1e-12)
-            for key, v in exact.values.items()
-        ):
+        d = len(alpha)
+        p = stability.GrowthParams(stability.Factorial(1.5, 1.0), 1.2, 1.2, lam, h, d)
+        exact = stability.GrowthParams(
+            stability.Factorial(Fraction(3, 2), Fraction(1)), Fraction(6, 5), Fraction(6, 5), lam, h, d
+        )
+        table = progeny.a_recursion(exact.build_weights(), alpha, 0, ktrunc)
+        want = math.exp(-lam * h) * math.fsum(x**k * float(table[alpha, k]) for k in range(ktrunc + 1))
+        got = progeny.expected_weighted_progeny(alpha, 0, lam, h, p, ktrunc)["value"]
+        if not math.isclose(got, want, rel_tol=1e-12):
             return False
     return True
 

@@ -172,6 +172,23 @@ def test_solve_takes_a_code_past_the_float_factorial(tmp_path, capsys, j):
     assert math.isfinite(mean) and 0 < std_error < math.inf
 
 
+def test_solve_refuses_a_code_whose_offspring_law_passes_int64(tmp_path, capsys):
+    # the config passes the parser; the sampler refuses the code when it
+    # draws the first death's offspring entry
+    code, out, err = run_solve(
+        tmp_path, capsys, problem="constant", T=0.5, code={"alpha": [2000000], "j": 0}, n=10
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
+def test_verify_passes_every_check(capsys):
+    assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "12/12 checks passed"
+    assert len(lines) == 13 and all(line.split()[1:] == ["PASS"] for line in lines[:-1])
+
+
 def test_solve_reads_integral_floats_as_integers(tmp_path, capsys):
     _, as_int, _ = run_solve(tmp_path, capsys, n=200, workers=1)
     code, as_float, _ = run_solve(tmp_path, capsys, n=200.0, workers=1.0)

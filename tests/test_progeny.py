@@ -171,13 +171,19 @@ def test_recursion_equals_closed_forms_exact(d):
 
 
 def test_recursion_equals_closed_form_float_parameters():
+    # a float parameter is read as the Fraction of its binary value, so the
+    # closed forms stay exact there, within rounding of those at 13/10
     theta, r = 1.3, 2.5
     gf = g_factorial(Fraction(13, 10), Fraction(5, 2))
-    table = ahat_recursion(gf, 1, (2,), 5)
+    ge = g_exponential(Fraction(13, 10))
+    table, etable = ahat_recursion(gf, 1, (2,), 5), ahat_recursion(ge, 1, (2,), 5)
     for k in range(6):
-        exact = float(table.values[((2,), k)])
         approx = ahat_closed_factorial(theta, r, 1, (2,), k)
-        assert approx == pytest.approx(exact, rel=1e-9)
+        assert approx == ahat_closed_factorial(Fraction(theta), Fraction(r), 1, (2,), k)
+        assert type(approx) is Fraction and approx == pytest.approx(table.values[((2,), k)], rel=1e-9)
+        approx = ahat_closed_exponential(theta, 1, (2,), k)
+        assert approx == ahat_closed_exponential(Fraction(theta), 1, (2,), k)
+        assert type(approx) is Fraction and approx == pytest.approx(etable.values[((2,), k)], rel=1e-9)
 
 
 def test_composition_form_matches_closed_forms():

@@ -1,6 +1,6 @@
 """The scalar series engine behind a_recursion, ahat_recursion and
 expected_weighted_progeny, checked against the multi-index recursions it
-replaced, and its float branch against its integer branch.
+replaced, and its float series against its exact rows.
 
 reference_a_recursion and reference_ahat_recursion are those recursions,
 kept verbatim as test-only oracles.  They cost O(prod(1+nu)) work per entry,
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from branchpde import progeny, stability
@@ -250,35 +251,51 @@ FLOAT_REGIME = {  # the float-parameter regimes of GROWTH
     "factorial": stability.Factorial(float(THETA), float(R)),
     "exponential": stability.Exponential(float(THETA)),
 }
-FLOAT_GROWTH = {name: regime.g() for name, regime in FLOAT_REGIME.items()}
+RATIONAL_ONLY = "A and A' tables need rational parameters (ints or Fractions)"
 
 
-def float_preset(name, d):
-    """preset(GROWTH[name][1], d) with float parameters."""
-    return stability.GrowthParams(FLOAT_REGIME[name], 1.2, 1.2, 1.0, 0.1, d).build_weights()
+def engine_inputs(name, d, size):
+    """The engine's (F, a, c) with len(F) = size: a_recursion's under
+    preset(GROWTH[name][1], d), then ahat_recursion's under GROWTH[name][0]."""
+    g, regime = GROWTH[name]
+    w = preset(regime, d)
+    return [([w.F(m) for m in range(size)], w.a, d * w.s), ([g.F(m) for m in range(size)], 0, d)]
+
+
+def float_series(F, a, c, kmax):
+    """_float_series on the floats of F, a and c."""
+    return progeny._float_series([float(v) for v in F], float(a), float(c), kmax)
+
+
+def assert_float_rows_equal_exact(rows, F, a, c, kmax):
+    """rows[l, m] is H(m, l)/m! of _exact_series on F, a and c, within a
+    relative 1e-12, at every l <= kmax and m < len(F) - l: rows being the
+    float series of these inputs, or of a longer F."""
+    J, scale = progeny._exact_series(F, a, c, kmax)
+    for l in range(kmax + 1):
+        for m in range(len(F) - l):
+            want = Fraction(J[l][m], scale[l] * math.factorial(m))
+            assert rows[l, m] == pytest.approx(float(want), rel=1e-12, abs=0), (l, m)
 
 
 @pytest.mark.parametrize("name", sorted(GROWTH))
 @pytest.mark.parametrize("d,alpha,kmax", [(1, (2,), 30), (2, (0, 0), 12), (2, (1, 2), 10)])
 def test_float_path_matches_exact_path(name, d, alpha, kmax):
-    # float parameters pick the float engine; its rows of alpha and of every
-    # nu below it equal the exact rows of the matching rational parameters
-    g, regime = GROWTH[name]
-    w, fw = preset(regime, d), float_preset(name, d)
-    for nu in mi_enumerate_below(alpha):
-        for exact, floats in (
-            (a_recursion(w, nu, 0, kmax), a_recursion(fw, nu, 0, kmax)),
-            (ahat_recursion(g, d, nu, kmax), ahat_recursion(FLOAT_GROWTH[name], d, nu, kmax)),
-        ):
-            ref = {key: float(v) for key, v in exact.values.items()}
-            assert_nodes_equal(ref, lambda *key: floats[key])
+    # the float series of the A and A-hat inputs, at every order up to
+    # |alpha| and past it, equals the exact rows
+    for F, a, c in engine_inputs(name, d, sum(alpha) + kmax + 1):
+        assert_float_rows_equal_exact(float_series(F, a, c, kmax), F, a, c, kmax)
 
 
 def test_float_path_matches_reference_float_path():
+    # the float reference recursion, node by node, against the float series
+    # of the same preset; and that against the exact rows
     w = preset(GROWTH["factorial"][1], 1)
     ref = reference_a_recursion(closures(w), 1, (2,), 0, 12, collapse_j=True, as_float=True).values
-    fw = float_preset("factorial", 1)
-    assert_nodes_equal(ref, lambda nu, l: a_recursion(fw, nu, 0, l)[nu, l])
+    F, a, c = [w.F(m) for m in range(15)], w.a, w.s
+    rows = float_series(F, a, c, 12)
+    assert_nodes_equal(ref, lambda nu, l: rows[l, nu[0]].item())
+    assert_float_rows_equal_exact(rows, F, a, c, 12)
 
 
 def test_j_minus_one():
@@ -346,12 +363,12 @@ def test_float_paths_do_not_overflow_at_large_truncation():
     for ktrunc in (180, 500):
         value = expected_weighted_progeny((1,), 0, 1.0, 0.05, p, ktrunc)["value"]
         assert math.isfinite(value) and value == pytest.approx(ref, rel=1e-12, abs=0)
-    fp = stability.GrowthParams(stability.Factorial(1.0, 1.0), 1.0, 1.0, 1.0, 0.05, 1)
-    floats = a_recursion(fp.build_weights(), (1,), 0, 200)
-    exact = a_recursion(p.build_weights(), (1,), 0, 30)
-    assert all(type(v) is float and math.isfinite(v) for v in floats.values.values())
-    for key, v in exact.values.items():
-        assert floats[key] == pytest.approx(float(v), rel=1e-12, abs=0)
+    # the unscaled float series stays finite at order 1 to l = 200 as well
+    w = p.build_weights()
+    F = [w.F(m) for m in range(202)]
+    rows = float_series(F, w.a, w.s, 200)
+    assert np.all(np.isfinite(rows[:, 1]))
+    assert_float_rows_equal_exact(rows, F[:32], w.a, w.s, 30)
 
 
 def test_float_parameter_growth_does_not_overflow():
@@ -375,32 +392,46 @@ def test_float_parameter_growth_does_not_overflow():
 
 
 def test_float_rows_past_the_float_range_raise():
-    # factorial theta = 3/2, r = 1, d = 2, alpha = (1, 0): the unscaled rows
-    # pass the largest float at l = 184 (A at delta = 6/5) and l = 172
-    # (A-hat); the engine refuses them there, where it returned inf, and no
-    # numpy warning escapes
+    # factorial theta = 3/2, r = 1, d = 2, alpha = (1, 0): the unscaled float
+    # rows pass the largest float at l = 184 (A at delta = 6/5) and l = 172
+    # (A-hat), as the float series shows (its rows of higher order pass it
+    # earlier).  The tables refuse the float parameters at any l; the float
+    # series equals the exact rows, and its x-scaled rows in
+    # expected_weighted_progeny stay finite inside the radius at l = 200,
+    # with no numpy warning
     fp = stability.GrowthParams(stability.Factorial(1.5, 1.0), 1.2, 1.2, 1.0, 0.005, 2)
-    w, g = fp.build_weights(), progeny.g_factorial(1.5, 1.0)
-    exact = preset(stability.Factorial(Fraction(3, 2), Fraction(1)), 2)
+    for (F, a, c), top in zip(engine_inputs("factorial", 2, 186), (184, 172)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = float_series(F[: top + 2], a, c, top)
+        assert np.all(np.isfinite(rows[:top, 1])) and rows[top, 1] == math.inf
+        assert_float_rows_equal_exact(rows, F[:32], a, c, 30)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError, match=re.escape("l = 184 is inf")):
-            a_recursion(w, (1, 0), 0, 200)
-        with pytest.raises(OverflowError, match=re.escape("l = 172 is inf")):
-            ahat_recursion(g, 2, (1, 0), 200)
-        # just below, the rows are finite and equal the exact ones
-        rows = (
-            (a_recursion(w, (1, 0), 0, 183), a_recursion(exact, (1, 0), 0, 30)),
-            (ahat_recursion(g, 2, (1, 0), 171), ahat_recursion(exact.g, 2, (1, 0), 30)),
-        )
-        for floats, ref in rows:
-            assert all(type(v) is float and math.isfinite(v) for v in floats.values.values())
-            for key, v in ref.values.items():
-                assert floats[key] == pytest.approx(float(v), rel=1e-12, abs=0)
-        # the x-scaled rows of expected_weighted_progeny stay finite inside
-        # the radius at the same truncation
+        with pytest.raises(ValueError, match=re.escape(RATIONAL_ONLY)):
+            a_recursion(fp.build_weights(), (1, 0), 0, 200)
+        with pytest.raises(ValueError, match=re.escape(RATIONAL_ONLY)):
+            ahat_recursion(fp.regime.g(), 2, (1, 0), 200)
         out = expected_weighted_progeny((1, 0), 0, 1.0, fp.T, fp, ktrunc=200)
         assert math.isfinite(out["value"]) and math.isfinite(out["tail_bound"])
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+def test_tables_refuse_float_parameters(name):
+    # one float parameter is enough: a float theta or r reaches the engine
+    # through g's terms, a float delta1 through the preset's, and a float
+    # delta2 as its constants a and c.  Nothing is memoised in g.rows
+    g, regime = GROWTH[name][0], FLOAT_REGIME[name]
+    float_g = regime.g()
+    calls = (
+        lambda: ahat_recursion(float_g, 2, (1, 0), 3),
+        lambda: a_recursion(stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.1, 2).build_weights(), (1, 0), 0, 3),
+        lambda: a_recursion(progeny.PresetWeights(g, 1.2, Fraction(6, 5), 2), (1, 0), 0, 0),
+        lambda: a_recursion(progeny.PresetWeights(g, Fraction(6, 5), 1.2, 2), (1, 0), 0, 3),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(RATIONAL_ONLY)):
+            call()
+    assert not float_g.rows
 
 
 def test_benchmark_shape_ahat_tables_equal_the_closed_form():
@@ -429,23 +460,26 @@ def test_benchmark_shape_ahat_tables_equal_the_closed_form():
 @pytest.mark.parametrize("make_g", [
     lambda: progeny.g_factorial(Fraction(1), Fraction(1)),
     lambda: progeny.g_exponential(Fraction(3, 2)),
-    lambda: progeny.g_factorial(1.5, 2.0),
-    lambda: progeny.g_exponential(1.5),
-], ids=["factorial-exact", "exponential-exact", "factorial-float", "exponential-float"])
+], ids=["factorial-exact", "exponential-exact"])
 def test_tables_of_one_g_equal_tables_of_a_fresh_g(make_g):
     # the tables of every alpha share g's memoised rows, and each is the
-    # table a g of its own builds: equal Fractions, or the same float bits
+    # table a g of its own builds, in equal Fractions
     g = make_g()
-    exact = type(g.F(0)) is Fraction
     for alpha in alphas_upto(3, 2):
         shared = ahat_recursion(g, 2, alpha, 12).values
         own = ahat_recursion(make_g(), 2, alpha, 12).values
-        assert shared.keys() == own.keys()
-        if exact:
-            assert shared == own and all(type(v) is Fraction for v in shared.values())
-        else:
-            assert all(type(v) is float for v in shared.values())
-            assert [v.hex() for v in shared.values()] == [own[key].hex() for key in shared]
+        assert shared == own and all(type(v) is Fraction for v in shared.values())
+
+
+@pytest.mark.parametrize("g, exact_g", [
+    (progeny.g_factorial(1.5, 2.0), progeny.g_factorial(Fraction(3, 2), Fraction(2))),
+    (progeny.g_exponential(1.5), progeny.g_exponential(Fraction(3, 2))),
+], ids=["factorial", "exponential"])
+def test_float_series_of_a_float_g_equals_the_exact_rows(g, exact_g):
+    # a float g builds no table; the float series of its terms, on the shape
+    # of the tables above, equals the exact rows of the matching rational g
+    rows = progeny._float_series([g.F(m) for m in range(16)], 0, 2, 12)
+    assert_float_rows_equal_exact(rows, [exact_g.F(m) for m in range(16)], 0, 2, 12)
 
 
 def test_tables_of_one_g_run_the_engine_once_per_key(monkeypatch):

@@ -86,7 +86,7 @@ def test_third_party_scan_sees_an_undeclared_import(tmp_path):
 # is tested against, the closed forms, and public entry points tests call.
 KEPT_UNREFERENCED = {
     "sample_tree", "evaluate_functional", "weighted_progeny",
-    "expected_weighted_progeny", "bound_report", "tracked_constant",
+    "bound_report", "tracked_constant",
     "ahat_closed_exponential",
     "weighted_progeny_batch", "verify_code_bounds",
 }

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from branchpde.lifetimes import exponential_model
-from branchpde.mechanism import index_product
+from branchpde.mechanism import Code, index_product
 from branchpde.problems import b2_problem
 from branchpde.stability import (
     Exponential,
@@ -71,6 +71,26 @@ def test_code_bounds_compare_coefficients_past_the_float_factorial():
     assert [row.m for row in rep["rows"][-2:]] == [180, 180]
     assert all(math.isfinite(row.margin) for row in rep["rows"])
     assert rep["passed"]
+
+
+def test_code_bounds_call_the_oracle_once_per_code_and_match_the_per_point_sups():
+    oracle = b2_problem(B2_T).oracle
+    codes = []
+
+    def counting(code, x):
+        codes.append(code)
+        return oracle(code, x)
+
+    grid = np.linspace(-4.0, 4.0, 41).tolist()
+    p = GrowthParams(Factorial(1.5, 1), 6.0, 1.2, 1.0, B2_T, 1)
+    rep = verify_code_bounds(counting, p, grid, m_max=12, k_max=4)
+    assert codes == [Code((m,), k) for m in range(13) for k in range(-1, 5)]
+    # every row is what one oracle call per point and code gives
+    for row in rep["rows"]:
+        ks, scale = ([-1], 1.0) if row.k < 0 else (range(5), 1.2)
+        sup = max(abs(oracle(Code((row.m,), k), (x,))) for x in grid for k in ks)
+        scaled = scale * sup / rep["survival_at_T"]
+        assert (row.sup_abs, row.margin, row.passed) == (sup, row.envelope - scaled, scaled <= row.envelope)
 
 
 def test_code_bounds_refuse_d_above_1():

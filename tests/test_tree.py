@@ -20,6 +20,8 @@ from branchpde.tree import (
     TreeBatch,
     TreeSample,
     WeightSpec,
+    _normals,
+    _uniforms,
     branch_rng,
     evaluate_functional,
     evaluate_in_parts,
@@ -97,10 +99,10 @@ def test_reproducibility_bit_identical():
 
 
 def test_branch_rng_streams_are_independent_of_sampling_order():
-    g1 = branch_rng(10, 3, (1, 2))
-    g2 = branch_rng(10, 3, (1, 2))
-    assert g1.random() == g2.random()
-    assert branch_rng(10, 3, (1,)).random() != branch_rng(10, 3, (2,)).random()
+    k1 = branch_rng(10, 3, (1, 2))
+    k2 = branch_rng(10, 3, (1, 2))
+    assert k1 == k2 and _uniforms(k1, 0) == _uniforms(k2, 0)
+    assert _uniforms(branch_rng(10, 3, (1,)), 0) != _uniforms(branch_rng(10, 3, (2,)), 0)
 
 
 def test_cap_exceeded():
@@ -480,13 +482,13 @@ def test_branch_rng_draws_what_the_batch_draws():
     drawn = entries(gen)
     assert 0 < gen.died.sum() < gen.died.size
     for row, i in enumerate(range(3, 40)):
-        rng = branch_rng(4, i, ())
-        tau = model.inverse_cdf(rng.random())
+        key = branch_rng(4, i, ())
+        tau = model.inverse_cdf(_uniforms(key, 0))
         assert tau == gen.tau[row]
         scale = math.sqrt(tau if gen.died[row] else T)
-        assert tuple(rng.standard_normal(2) * scale) == tuple(gen.position[row])
+        assert tuple(np.array(_normals(key, 1, 2)) * scale) == tuple(gen.position[row])
         if gen.died[row]:
-            entry = sample_offspring(c0, rng.random())
+            entry = sample_offspring(c0, _uniforms(key, 3))
             assert drawn[row][:2] == (entry.kind, entry.beta)
 
 
@@ -571,10 +573,10 @@ def test_row_keys_tell_rows_apart_past_the_packing_limit():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_normals_of_a_key_array_equal_the_one_key_normals(d):
     keys = tree_module._root_keys(5, np.arange(40))
-    columns = tree_module._normals(keys, 1, d)
+    columns = _normals(keys, 1, d)
     assert len(columns) == d
     for row, key in enumerate(keys.tolist()):
-        assert [c[row] for c in columns] == tree_module._normals(key, 1, d)
+        assert [c[row] for c in columns] == _normals(key, 1, d)
 
 
 @pytest.mark.parametrize("name", ["b2-deep", "zero-f-cosine-d2"])
