@@ -1,28 +1,23 @@
 """Branching-diffusion Monte Carlo for semilinear heat equations, plus the
 integrability analysis of the weighted random trees driving it.
 
-The analyzer half is imported with the package: `lifetimes`, `mechanism`
-and `stability` (which loads `progeny`, `multiindex` and `combinatorics`),
-and their names below are bound at import.  The sampler half (`estimator`,
-`tree`, `problems`, `jets`) is not: the `estimator` and `tree` names in
-`_LAZY` resolve on first use through the module `__getattr__` (PEP 562),
-so `import branchpde` and the analyzer commands pay no import or compile
-time for code they never run.  `from branchpde import estimate_u` still
-works and gives the `estimator` module's own object.
-
-`stability` stays eager although only the analyzer uses it: the
-benchmark's traced run imports `estimator`, `lifetimes`, `problems` and
-`progeny`, then looks every traced module, `stability` among them, up in
-`sys.modules`.
+The package imports `lifetimes` and `mechanism` (with `multiindex`),
+which both halves use, and binds their names below.  Neither the analyzer
+(`stability`, `progeny`, `combinatorics`) nor the sampler (`estimator`,
+`tree`, `problems`, `jets`) is imported with it: the names in `_LAZY`
+resolve on first use through the module `__getattr__` (PEP 562), so
+`import branchpde`, a `solve` and the analyzer commands pay no import or
+compile time for the half they never run.  `from branchpde import
+estimate_u` or `from branchpde import Factorial` still works and gives the
+defining module's own object.
 """
 
 from importlib import import_module
 
 from .lifetimes import LifetimeModel, exponential_model, validate_assumption_h
 from .mechanism import Code, MechanismEntry, offspring_prob, offspring_set, sample_offspring
-from .stability import Exponential, Factorial, GrowthParams, check_conditions, hbound, max_horizon
 
-# each sampler name re-exported here -> the module that defines it
+# each sampler or analyzer name re-exported here -> the module that defines it
 _LAZY = {
     **dict.fromkeys(
         (
@@ -48,6 +43,10 @@ _LAZY = {
             "weighted_progeny",
         ),
         "tree",
+    ),
+    **dict.fromkeys(
+        ("Exponential", "Factorial", "GrowthParams", "check_conditions", "hbound", "max_horizon"),
+        "stability",
     ),
 }
 

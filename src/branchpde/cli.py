@@ -14,9 +14,12 @@ config's `lambda`.  solve samples in one process, so `workers` (or
 Its `mean` estimator is median-of-means with one group.  Log level comes
 from the BRANCHPDE_LOG environment variable.
 
-`progeny` and `stability` load no sampler module: this module imports only
-the analyzer half at the top, and `cmd_solve` and `cmd_verify` import the
-sampler (`estimator`, `tree`, `problems`) and `verify` when they run.
+Each command loads only the half it runs: this module imports neither
+half at the top.  `cmd_solve` imports the sampler (`estimator`, `tree`,
+`problems`), `cmd_stability`, `cmd_progeny` and `_regime` the analyzer
+(`stability`, `progeny`), and `cmd_verify` imports `verify`, when they run.
+So `solve` loads no analyzer module, and `progeny` and `stability` no
+sampler module.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from fractions import Fraction
 
 from .lifetimes import LifetimeModel, model_from_config
 from .multiindex import mi_upto
-from . import progeny, stability
 
 
 class ConfigError(ValueError):
@@ -118,8 +120,10 @@ def _regime(cfg: dict, d: int):
     ("3/2"), read as Fractions (float(Fraction(str(x))) == x for a finite
     float x).  Each parameter, as a float, and the radius R(d) must be
     finite and > 0."""
+    from .stability import Exponential, Factorial
+
     block = _require(cfg, "regime", dict)
-    regime = {c.name: c for c in (stability.Factorial, stability.Exponential)}.get(
+    regime = {c.name: c for c in (Factorial, Exponential)}.get(
         block.get("kind", "factorial")
     )
     if regime is None:
@@ -287,6 +291,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from . import stability
+
     try:
         cfg = _load_config(args.config)
         d = _at_least(cfg, "d", 1, default=1)
@@ -351,6 +357,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_progeny(args) -> int:
+    from . import progeny
+
     try:
         cfg = _load_config(args.config)
         d = _at_least(cfg, "d", 1, default=1)

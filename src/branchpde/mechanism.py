@@ -195,18 +195,23 @@ def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
     that q of the entry is its weight (1, or (1+beta_i)(1+a-beta_i) for kind
     i) over d+1 times the mass.  alpha is an (n, d) integer array; any other
     shape, and a code whose law needs integers past the int64 range, raises
-    ValueError."""
+    ValueError naming the first such alpha row."""
     alpha = np.asarray(alpha, dtype=np.int64)
     if alpha.ndim != 2:
         raise ValueError(f"alpha must be an (n, d) array, got shape {alpha.shape}")
     d = alpha.shape[1]
     if np.any(~((u >= 0.0) & (u < 1.0))):
         raise ValueError("uniform variates must lie in [0, 1)")
-    # the largest integers formed here and for z1/q are below
-    # (d+1) prod(1+alpha_k) (3+a)^2 and 3 (3+a)^3, a = max alpha_i
-    top = alpha.max(initial=0) + 3.0
-    if max((d + 1) * np.prod(alpha + 1.0, axis=1).max(initial=1.0) * top**2, 3 * top**3) >= _INT_LIMIT:
-        raise ValueError("a code's offspring law needs integers past the int64 range")
+    # the largest integers formed here and for z1/q for a row are below
+    # (d+1) prod(1+alpha_k) (3+a)^2 and 3 (3+a)^3, a = the row's max alpha_i
+    top = alpha.max(axis=1, initial=0) + 3.0
+    need = np.maximum((d + 1) * np.prod(alpha + 1.0, axis=1) * top**2, 3 * top**3)
+    over = np.flatnonzero(need >= _INT_LIMIT)
+    if len(over):
+        raise ValueError(
+            f"the offspring law of alpha = {tuple(alpha[over[0]].tolist())} needs integers up to "
+            f"{need[over[0]]:.3g}, at or past the sampler's bound 2^62 (half the int64 range)"
+        )
     v = u * (d + 1)
     kind = np.minimum(v.astype(np.int64), d)
     frac = np.minimum(v - kind, 1.0)

@@ -8,25 +8,269 @@ the terminal data and nonlinearity may grow with the order |alpha|:
   factorial(theta, r):  envelope delta1 theta^{|alpha|} (r)(r+1)...(r+|alpha|-1)
   exponential(theta):   envelope delta1 theta^{|alpha|}
 
-Factorial and Exponential (defined in progeny, re-exported here) own every
+Factorial and Exponential (defined here, re-exported by progeny) own every
 formula that depends on the regime alone: growth sequence, radius, horizon
-threshold, side-theta condition and closed-form A' terms.
+threshold, side-theta condition and closed-form A' terms.  The growth
+sequences (GrowthSequence, g_factorial, g_exponential) and the preset
+built on them (PresetWeights) are defined here too.
 GrowthParams combines them with delta1, delta2, lambda, T and d.
+
+progeny imports this module, never the other way round at import time:
+hbound reaches progeny's series only when it is called.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from .lifetimes import LifetimeModel
-from .mechanism import Code
-from .multiindex import mi_add_unit, mi_enumerate_below, mi_sub, mi_upto
-from . import progeny
-from .progeny import Exponential, Factorial
+from .mechanism import Code, index_product
+from .multiindex import (
+    MultiIndex,
+    mi_abs,
+    mi_add_unit,
+    mi_enumerate_below,
+    mi_factorial,
+    mi_sub,
+    mi_upto,
+)
+
+
+class _Regime:
+    """What the two growth regimes share.  Each regime fixes the growth
+    sequence g, the radius R(d) of the A' generating function, the
+    horizon threshold, the closed-form A' terms and the exact ratio
+    (1+alpha_i) A'_{alpha+1_i}(k)/A'_alpha(k).
+    side_scale is r (factorial) or 1 (exponential)."""
+
+    def side_theta(self, d: int) -> tuple[float, float, bool]:
+        """The side-theta condition theta side_scale >= sqrt(2/d) in
+        dimension d: its left side, its right side and its verdict."""
+        lhs, rhs = float(self.theta) * self.side_scale, math.sqrt(2.0 / d)
+        return lhs, rhs, lhs >= rhs
+
+
+@dataclass(frozen=True)
+class Factorial(_Regime):
+    """Envelopes delta1 theta^m (r)(r+1)...(r+m-1) of the order-m derivatives."""
+
+    theta: float
+    r: float
+    name: ClassVar[str] = "factorial"
+
+    @property
+    def side_scale(self) -> float:
+        return float(self.r)
+
+    def g(self) -> GrowthSequence:
+        return g_factorial(self.theta, self.r)
+
+    def radius(self, d: int) -> float:
+        """(r+1)^{r+1} / (2 theta^2 r (r+2)^{r+2} d)."""
+        if self.theta <= 0 or self.r <= 0 or d <= 0:
+            raise ValueError("need theta, r, d > 0")
+        theta, r = float(self.theta), float(self.r)
+        return (r + 1) ** (r + 1) / (2 * theta**2 * r * (r + 2) ** (r + 2) * d)
+
+    def horizon_threshold(self, d: int) -> float:
+        """2^-(r+2) R, the bound of the radius condition."""
+        return 2.0 ** (-(float(self.r) + 2)) * self.radius(d)
+
+    def ratio(self, m: int, k: int):
+        """((r+2)k + r + |alpha|) theta, for |alpha| = m."""
+        return ((self.r + 2) * k + self.r + m) * self.theta
+
+    def closed_log(self, d: int, alpha: MultiIndex, k: int) -> float:
+        """log of the closed form of progeny.ahat_closed_factorial; safe for large k."""
+        m = mi_abs(alpha)
+        theta, r = float(self.theta), float(self.r)
+        return (
+            k * math.log(2 * d)
+            + (k + 1) * math.log(r)
+            + (2 * k + m) * math.log(theta)
+            - math.log(mi_factorial(alpha))
+            + (math.lgamma((r + 2) * k + r + m) - math.lgamma((r + 1) * (k + 1)))
+            - math.lgamma(k + 2)
+        )
+
+    def closed_log_terms(self, logs, m: int, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+        """logs plus the regime part of log A'_{m e_1}(k) over the array k,
+        given log j! for j <= max(k) + 1: the Gamma ratio, r^{k+1} and 1/(k+1)!."""
+        r = float(self.r)
+        return (
+            logs
+            + (k + 1) * math.log(r)
+            + _lgamma((r + 2) * k + r + m)
+            - _lgamma((r + 1) * (k + 1))
+            - log_fact[1:]
+        )
+
+
+@dataclass(frozen=True)
+class Exponential(_Regime):
+    """Envelopes delta1 theta^m of the order-m derivatives."""
+
+    theta: float
+    name: ClassVar[str] = "exponential"
+    side_scale: ClassVar[float] = 1.0
+
+    def g(self) -> GrowthSequence:
+        return g_exponential(self.theta)
+
+    def radius(self, d: int) -> float:
+        """1/(2 e theta^2 d)."""
+        if self.theta <= 0 or d <= 0:
+            raise ValueError("need theta, d > 0")
+        return 1.0 / (2.0 * math.e * float(self.theta) ** 2 * d)
+
+    def horizon_threshold(self, d: int) -> float:
+        """R itself, the bound of the radius condition."""
+        return self.radius(d)
+
+    def ratio(self, m: int, k: int):
+        """(k+1) theta, for |alpha| = m."""
+        return (k + 1) * self.theta
+
+    def closed_log(self, d: int, alpha: MultiIndex, k: int) -> float:
+        """log of the closed form of progeny.ahat_closed_exponential; safe for large k."""
+        m = mi_abs(alpha)
+        theta = float(self.theta)
+        return (
+            k * math.log(2 * d)
+            + (2 * k + m) * math.log(theta)
+            - math.log(mi_factorial(alpha))
+            - math.lgamma(k + 1)
+            + (k + m - 2) * math.log(k + 1)
+        )
+
+    def closed_log_terms(self, logs, m: int, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+        """logs plus the regime part of log A'_{m e_1}(k) over the array k,
+        given log j! for j <= max(k) + 1: (k+1)^{k+m-2}/k!."""
+        return logs - log_fact[:-1] + (k + m - 2) * np.log(k + 1)
+
+
+@dataclass(frozen=True)
+class GrowthSequence:
+    """The growth sequence g(nu) = G(|nu|)/nu! of a regime, called as g(nu),
+    with its terms F(m) = G(m)/m! as data: F(0) = 1 and F(m) = F(m-1)
+    step(m), each built once.  Rational parameters give Fractions, from
+    which ahat_recursion builds its tables.  Float ones give floats for the
+    float series and the sampler's weights, and no table: g(nu) is F(|nu|)
+    |nu|!/nu!, so neither G(m) nor nu! is formed, and g stays finite where
+    its value does (a float G(m) = m! theta^m passes the largest float near
+    m = 170)."""
+
+    # fields, not methods, so that a wrapper of g made by functools.wraps
+    # (which copies the instance dict) still carries F and shares the rows
+    F: Callable[[int], object]
+    # ahat_recursion's exact row functions, one per (d, len(F), kmax)
+    rows: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __call__(self, alpha: MultiIndex):
+        return self.F(sum(alpha)) * _spread(alpha)
+
+
+def g_factorial(theta, r) -> GrowthSequence:
+    """Growth sequence (|a|+r-1)_{|a|} theta^{|a|}/a!  (series of
+    (1-theta<x>)^-r): step(m) = theta (r+m-1)/m."""
+    exact = _is_exact(theta) and _is_exact(r)
+    if exact:
+        theta, r = Fraction(theta), Fraction(r)
+    return _growth_sequence(lambda m: theta * (r + m - 1) / m, exact)
+
+
+def g_exponential(theta) -> GrowthSequence:
+    """Growth sequence theta^{|a|}/a!  (series of exp(theta<x>)): step(m) = theta/m."""
+    exact = _is_exact(theta)
+    if exact:
+        theta = Fraction(theta)
+    return _growth_sequence(lambda m: theta / m, exact)
+
+
+def _growth_sequence(step: Callable[[int], object], exact: bool) -> GrowthSequence:
+    number = Fraction if exact else float
+    F = [number(1)]
+
+    def term(m: int):
+        while len(F) <= m:
+            F.append(number(F[-1] * step(len(F))))
+        return F[m]
+    return GrowthSequence(term)
+
+
+@dataclass
+class PresetWeights:
+    """The branch-weight preset of a growth sequence g (see
+    GrowthParams.build_weights), called by the sampler as a WeightSpec:
+
+    boundary:  (alpha,-1) -> delta1 g(alpha),
+               (alpha,j)  -> delta1 g(alpha)/kappa
+    inner:     (alpha,-1) -> delta2 (the single pass-through entry),
+               kind 0     -> (d+1) delta2 prod(1+alpha_k),
+               kind i     -> (d+1) delta2/12 (2+alpha_i)(3+alpha_i) prod(1+alpha_k)
+    kappa = max(1, delta2).
+
+    The analyzer reads its constants instead: kappa sigma_boundary(nu, j) =
+    F(|nu|, j) |nu|!/nu!, sigma_inner(nu, j, 0) = a (d+1) prod(1+nu) and
+    sigma_inner(nu, j, i) = s (d+1)/6 (2+nu_i)(3+nu_i) prod(1+nu) for j >= 0,
+    with a = delta2 and s = delta2/2.  Arithmetic follows the parameter
+    types: Fraction parameters give exact Fraction weights.
+    """
+
+    g: GrowthSequence
+    delta1: object
+    delta2: object
+    d: int
+
+    def __post_init__(self):
+        one = Fraction(1) if _is_exact(self.delta2) else 1.0
+        self.kappa = self.delta2 if float(self.delta2) > 1 else one  # delta2 v 1
+        # the leading factors, formed once in the order sigma_inner uses them
+        self._inner, self._twelve = (self.d + 1) * self.delta2, 12 * one
+        self.a, self.s = self.delta2, self.delta2 / (2 * one)
+
+    def F(self, m: int, j: int = 0):
+        """delta1 G(m)/m!, times kappa for j = -1."""
+        v = self.delta1 * self.g.F(m)
+        return v if j >= 0 else self.kappa * v
+
+    def sigma_boundary(self, alpha, j):
+        base = self.delta1 * self.g(alpha)
+        return base if j < 0 else base / self.kappa
+
+    def boundary_dominating(self, alpha, j):
+        return self.kappa * self.sigma_boundary(alpha, j)
+
+    def sigma_inner(self, alpha, j, kind):
+        if j < 0:
+            if kind != 0:
+                raise ValueError("pure-derivative codes only have the kind-0 entry")
+            return self.delta2
+        prod = index_product(alpha)
+        if kind == 0:
+            return self._inner * prod
+        ai = alpha[kind - 1]
+        return self._inner * (2 + ai) * (3 + ai) * prod / self._twelve
+
+
+def _is_exact(v) -> bool:
+    # a float is ruled out first: isinstance(v, Fraction) is an ABC check,
+    # slow for the floats that fail it
+    return not isinstance(v, float) and isinstance(v, (int, Fraction))
+
+
+def _spread(alpha: MultiIndex) -> int:
+    """|alpha|!/alpha!, the factor A'_alpha(k)/A'_{|alpha| e_1}(k)."""
+    return math.factorial(mi_abs(alpha)) // mi_factorial(alpha)
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x), dtype=float, count=len(x))
 
 
 @dataclass(frozen=True)
@@ -79,12 +323,12 @@ class GrowthParams:
             regime = replace(regime, theta=math.nextafter(regime.theta, math.inf))
         return replace(self, regime=regime)
 
-    def build_weights(self) -> progeny.PresetWeights:
+    def build_weights(self) -> PresetWeights:
         """Branch-weight preset matching the growth regime: the weights of
-        progeny.PresetWeights for the regime's growth sequence, the deltas
+        PresetWeights for the regime's growth sequence, the deltas
         and d, kappa = max(1, delta2).  Fraction parameters give exact
         Fraction weights."""
-        return progeny.PresetWeights(self.regime.g(), self.delta1, self.delta2, self.d)
+        return PresetWeights(self.regime.g(), self.delta1, self.delta2, self.d)
 
 
 @dataclass(frozen=True)
@@ -191,7 +435,11 @@ def hbound(alpha, p: GrowthParams) -> dict:
     exp(-lam T) factor, in the same dict form (wh_bound is the bound), at
     the same argument p.dominating_argument().
     """
-    return progeny.dominating_bound(alpha, p, p.dominating_argument(), 1.0)
+    # progeny imports this module at its top for the regimes, so the import
+    # waits for the call: `import branchpde.stability` loads no progeny
+    from .progeny import dominating_bound
+
+    return dominating_bound(alpha, p, p.dominating_argument(), 1.0)
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,8 @@ def test_solve_refuses_a_code_whose_offspring_law_passes_int64(tmp_path, capsys)
     )
     assert code == 3 and out == ""
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    # the line names the code's alpha and the bound it passes
+    assert "(2000000,)" in err and "2^62" in err
 
 
 def test_verify_passes_every_check(capsys):

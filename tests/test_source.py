@@ -334,6 +334,9 @@ def modules_loaded_by(code: str) -> set[str]:
     return set(out.stdout.split())
 
 
+ANALYZER = {"stability", "progeny", "combinatorics"}
+
+
 @pytest.mark.parametrize("code", [
     "import branchpde",
     "from branchpde import lifetimes, progeny, stability",
@@ -341,8 +344,36 @@ def modules_loaded_by(code: str) -> set[str]:
 ])
 def test_analyzer_imports_load_no_sampler(code):
     loaded = modules_loaded_by(code)
-    assert {"lifetimes", "mechanism", "stability", "progeny"} <= loaded
+    assert {"lifetimes", "mechanism"} | ({"stability"} if code != "import branchpde" else set()) <= loaded
     assert loaded & (SAMPLER | {"cli", "verify"}) == set()
+
+
+def test_sampler_imports_load_no_analyzer():
+    loaded = modules_loaded_by("from branchpde import estimator, problems")
+    assert SAMPLER <= loaded
+    assert loaded & (ANALYZER | {"verify", "cli"}) == set()
+
+
+def test_stability_import_loads_no_progeny():
+    # progeny imports stability, for the regimes; stability reaches progeny
+    # only when hbound runs
+    loaded = modules_loaded_by("from branchpde import stability")
+    assert "stability" in loaded and loaded & {"progeny", "combinatorics"} == set()
+
+
+def test_solve_command_loads_no_analyzer(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "problem": "b2", "T": 0.1, "code": {"alpha": [1], "j": 0},
+        "points": [{"t": 0.0, "x": [0.1]}], "n": 20,
+    }))
+    out = tmp_path / "out.csv"
+    loaded = modules_loaded_by(
+        f"from branchpde import cli\n"
+        f"assert cli.main(['solve', '--config', {str(path)!r}, '--out', {str(out)!r}]) == 0"
+    )
+    assert out.read_text()
+    assert {"cli", "estimator", "problems"} <= loaded and loaded & (ANALYZER | {"verify"}) == set()
 
 
 @pytest.mark.parametrize("command, cfg", [
