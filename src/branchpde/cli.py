@@ -15,11 +15,11 @@ Its `mean` estimator is median-of-means with one group.  Log level comes
 from the BRANCHPDE_LOG environment variable.
 
 Each command loads only the half it runs: this module imports neither
-half at the top.  `cmd_solve` imports the sampler (`estimator`, `tree`,
-`problems`), `cmd_stability`, `cmd_progeny` and `_regime` the analyzer
-(`stability`, `progeny`), and `cmd_verify` imports `verify`, when they run.
-So `solve` loads no analyzer module, and `progeny` and `stability` no
-sampler module.
+half at the top, and the package's `__init__` imports nothing.
+`cmd_solve` imports the sampler (`estimator`, `tree`, `problems`),
+`cmd_stability`, `cmd_progeny` and `_regime` the analyzer (`stability`,
+`progeny`), and `cmd_verify` imports `verify`, when they run.  So `solve`
+loads no analyzer module, and `progeny` and `stability` no sampler module.
 """
 
 from __future__ import annotations
@@ -291,7 +291,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    from . import stability
+    from . import progeny, stability
 
     try:
         cfg = _load_config(args.config)
@@ -336,7 +336,7 @@ def cmd_stability(args) -> int:
         overall = main["pass"]
         if overall:
             try:
-                rows = [stability.hbound((m,) + (0,) * (d - 1), p) for m in range(m_max + 1)]
+                rows = [progeny.hbound((m,) + (0,) * (d - 1), p) for m in range(m_max + 1)]
             except OverflowError as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 3

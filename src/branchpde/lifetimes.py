@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,11 +29,7 @@ class LifetimeModel:
     density: Callable[[float], float]         # rho
     survival: Callable[[float], float]        # rho_bar
     inverse_cdf: Callable[[float], float]
-    _rho_star: Callable[[float], float] = field(repr=False, default=None)
-
-    def rho_star(self, T: float) -> float:
-        """min of the density over [0, T]."""
-        return self._rho_star(T)
+    rho_star: Callable[[float], float]        # rho_*(T), the min of rho over [0, T]
 
 
 def exponential_model(lam: float) -> LifetimeModel:
@@ -57,7 +53,7 @@ def exponential_model(lam: float) -> LifetimeModel:
         density=density,
         survival=survival,
         inverse_cdf=lambda u: -np.log1p(-np.asarray(u, dtype=float))[()] / lam,
-        _rho_star=lambda T: lam * math.exp(-lam * T),
+        rho_star=lambda T: lam * math.exp(-lam * T),
     )
 
 
@@ -136,7 +132,7 @@ def tabulated_model(points: Sequence[tuple[float, float]], lam: float) -> Lifeti
         density=density,
         survival=lambda r: np.maximum(1.0 - cdf_at(np.asarray(r, dtype=float)), 0.0)[()],
         inverse_cdf=inverse_cdf,
-        _rho_star=rho_star,
+        rho_star=rho_star,
     )
 
 

@@ -51,8 +51,29 @@ def mi_enumerate_below(alpha: MultiIndex) -> list[MultiIndex]:
 
 
 def mi_upto(total: int, d: int) -> list[MultiIndex]:
-    """All alpha in d dimensions with |alpha| <= total, in lexicographic order."""
-    return [al for al in product(range(total + 1), repeat=d) if mi_abs(al) <= total]
+    """All alpha in d dimensions with |alpha| <= total, in lexicographic order.
+
+    The walk visits the simplex alone: from alpha, the next index grows the
+    last entry while |alpha| < total, and otherwise zeroes the rightmost
+    nonzero entry and carries one to its left; it ends at (total, 0, ..., 0).
+    """
+    if total < 0 or d == 0:
+        return [()] if total >= 0 else []
+    alpha, size, out = [0] * d, 0, []
+    while True:
+        out.append(tuple(alpha))
+        if size < total:
+            alpha[-1] += 1
+            size += 1
+            continue
+        i = d - 1
+        while i > 0 and alpha[i] == 0:
+            i -= 1
+        if i == 0:
+            return out
+        size -= alpha[i] - 1
+        alpha[i] = 0
+        alpha[i - 1] += 1
 
 
 def mi_add_unit(alpha: MultiIndex, i: int) -> MultiIndex:

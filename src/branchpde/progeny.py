@@ -46,9 +46,7 @@ radius, closed-form terms) are methods of Factorial and Exponential.
 
 The regimes, the growth sequences (GrowthSequence, g_factorial,
 g_exponential) and the preset (PresetWeights) are defined in stability,
-which this module imports at its top, and re-exported here: progeny.X and
-stability.X are one object.  stability reaches this module only inside
-hbound, so importing stability loads no progeny.
+which this module imports; stability imports nothing from here.
 """
 
 from __future__ import annotations
@@ -75,8 +73,8 @@ from .multiindex import (
 )
 from .stability import Exponential, Factorial, GrowthSequence, PresetWeights, _is_exact, _spread
 
-# read as progeny.g_factorial and progeny.g_exponential, beside the names above
-g_exponential, g_factorial = stability.g_exponential, stability.g_factorial
+# the name bench/workloads.py reads, and swaps for a traced g, as progeny.g_factorial
+g_factorial = stability.g_factorial
 
 
 class OutsideRadius(ValueError):
@@ -526,9 +524,18 @@ def bound_report(alpha: MultiIndex, params, lam: float, T: float) -> dict:
     return dominating_bound(alpha, params, params.dominating_argument(), math.exp(-lam * T))
 
 
+def hbound(alpha: MultiIndex, params) -> dict:
+    """Explicit bound on the mean absolute path functional for a code of
+    order alpha at horizon params.T: bound_report without its exp(-lam T)
+    factor, in the same dict form (wh_bound is the bound), at the same
+    argument params.dominating_argument().
+    """
+    return dominating_bound(alpha, params, params.dominating_argument(), 1.0)
+
+
 def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
     """bound_report at dominating argument x >= 0, with decay in place of
-    its exp(-lam T) factor (stability.hbound passes 1): delta1 decay
+    its exp(-lam T) factor (hbound passes 1): delta1 decay
     (|alpha|!/alpha!) sum_k A'_{|alpha| e_1}(k) x^k at theta*, tail closure
     included, for x < R(theta*), and OutsideRadius from there on.  A bound
     that is not a finite float raises OverflowError naming alpha and x."""

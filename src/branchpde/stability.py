@@ -8,15 +8,13 @@ the terminal data and nonlinearity may grow with the order |alpha|:
   factorial(theta, r):  envelope delta1 theta^{|alpha|} (r)(r+1)...(r+|alpha|-1)
   exponential(theta):   envelope delta1 theta^{|alpha|}
 
-Factorial and Exponential (defined here, re-exported by progeny) own every
-formula that depends on the regime alone: growth sequence, radius, horizon
-threshold, side-theta condition and closed-form A' terms.  The growth
-sequences (GrowthSequence, g_factorial, g_exponential) and the preset
-built on them (PresetWeights) are defined here too.
-GrowthParams combines them with delta1, delta2, lambda, T and d.
-
-progeny imports this module, never the other way round at import time:
-hbound reaches progeny's series only when it is called.
+Factorial and Exponential own every formula that depends on the regime
+alone: growth sequence, radius, horizon threshold, side-theta condition and
+closed-form A' terms.  The growth sequences (GrowthSequence, g_factorial,
+g_exponential) and the preset built on them (PresetWeights) are defined
+here too.  GrowthParams combines them with delta1, delta2, lambda, T and d.
+progeny builds its series and bounds on these; this module imports no
+progeny.
 """
 
 from __future__ import annotations
@@ -427,19 +425,6 @@ def verify_weight_dominance_algebra(p: GrowthParams, alphamax: int = 5, jmax: in
                     if not lhs / sb_dom(alpha, j) >= 1:
                         return False
     return True
-
-
-def hbound(alpha, p: GrowthParams) -> dict:
-    """Explicit bound on the mean absolute path functional for a code of
-    order alpha at horizon p.T: progeny.bound_report without its
-    exp(-lam T) factor, in the same dict form (wh_bound is the bound), at
-    the same argument p.dominating_argument().
-    """
-    # progeny imports this module at its top for the regimes, so the import
-    # waits for the call: `import branchpde.stability` loads no progeny
-    from .progeny import dominating_bound
-
-    return dominating_bound(alpha, p, p.dominating_argument(), 1.0)
 
 
 @dataclass(frozen=True)

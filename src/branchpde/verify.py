@@ -8,6 +8,7 @@ from __future__ import annotations
 import logging
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -45,16 +46,19 @@ def _check_offspring_normalization() -> bool:
 
 
 def _check_recursion_equivalence() -> bool:
+    """ahat_recursion against the closed form of each regime, at
+    theta = r = 1, exactly."""
     theta = r = Fraction(1)
-    for d in (1, 2):
-        g = progeny.g_factorial(theta, r)
-        for m in range(4):
-            alpha = (m,) + (0,) * (d - 1)
-            table = progeny.ahat_recursion(g, d, alpha, 4)
-            for k in range(5):
-                if table.values[(alpha, k)] != progeny.ahat_closed_factorial(
-                    theta, r, d, alpha, k
-                ):
+    regimes = (
+        (stability.g_factorial(theta, r), partial(progeny.ahat_closed_factorial, theta, r)),
+        (stability.g_exponential(theta), partial(progeny.ahat_closed_exponential, theta)),
+    )
+    for g, closed in regimes:
+        for d in (1, 2):
+            for m in range(4):
+                alpha = (m,) + (0,) * (d - 1)
+                table = progeny.ahat_recursion(g, d, alpha, 4)
+                if any(table.values[(alpha, k)] != closed(d, alpha, k) for k in range(5)):
                     return False
     return True
 
@@ -102,7 +106,7 @@ def _check_dominance_series() -> bool:
     )
     w = p.build_weights()
     table = progeny.a_recursion(w, (1,), 0, 4)
-    g = progeny.g_factorial(Fraction(3, 2), Fraction(1))
+    g = stability.g_factorial(Fraction(3, 2), Fraction(1))
     that = progeny.ahat_recursion(g, 1, (1,), 4)
     return all(
         table.values[((1,), k)] <= that.values[((1,), k)] for k in range(5)
@@ -158,12 +162,12 @@ def _check_weight_dominance_algebra() -> bool:
 def _check_contact_hj() -> bool:
     """The unit-normalized weighted-progeny tables satisfy the coefficient
     form of dG/ds = G^2 + |grad G|^2 / 2, exactly, for d = 1, 2, 3."""
-    one = progeny.g_factorial(Fraction(1), Fraction(1))  # g = 1 at d = 1
+    one = stability.g_factorial(Fraction(1), Fraction(1))  # g = 1 at d = 1
     cases = (  # (g, d, kmax, alphamax)
         (one, 1, 4, 3),
-        (progeny.g_exponential(Fraction(1)), 2, 3, 2),
+        (stability.g_exponential(Fraction(1)), 2, 3, 2),
         (one, 1, 0, 2),
-        (progeny.g_exponential(Fraction(3, 2)), 3, 3, 2),
+        (stability.g_exponential(Fraction(3, 2)), 3, 3, 2),
     )
     return all(progeny.contact_hj_consistency(*case) for case in cases)
 

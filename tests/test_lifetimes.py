@@ -29,6 +29,12 @@ def test_exponential_basics():
         exponential_model(0.0)
 
 
+def test_a_model_needs_its_rho_star_when_it_is_built():
+    m = exponential_model(1.0)
+    with pytest.raises(TypeError, match="rho_star"):
+        LifetimeModel(m.kind, m.lam, m.density, m.survival, m.inverse_cdf)
+
+
 def test_exponential_survival_bound_is_equality():
     m = exponential_model(1.3)
     for r in np.linspace(0, 5, 50):

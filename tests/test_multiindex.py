@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from branchpde.multiindex import (
     mi_factorial,
     mi_leq,
     mi_sub,
+    mi_upto,
 )
 from oracles import integer_compositions
 
@@ -58,6 +60,21 @@ def test_enumerate_below_lexicographic():
     assert mi_enumerate_below((1, 1)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert mi_enumerate_below((0,)) == [(0,)]
     assert mi_enumerate_below((2,)) == [(0,), (1,), (2,)]
+
+
+def test_upto_is_the_filtered_grid_in_lexicographic_order():
+    for total in range(6):
+        for d in range(1, 7):
+            want = [a for a in product(range(total + 1), repeat=d) if sum(a) <= total]
+            assert mi_upto(total, d) == want, (total, d)
+
+
+def test_upto_walks_only_the_simplex():
+    # the grid (total+1)^d has 3^20, about 3.5e9, points; the simplex 231
+    start = time.perf_counter()
+    out = mi_upto(2, 20)
+    assert len(out) == math.comb(22, 2) == 231
+    assert time.perf_counter() - start < 0.5
 
 
 def test_add_unit():

@@ -23,9 +23,8 @@ from branchpde.progeny import (
     check_domination_condition,
     contact_hj_consistency,
     expected_weighted_progeny,
-    g_exponential,
-    g_factorial,
 )
+from branchpde.stability import g_exponential, g_factorial
 from oracles import fuss_catalan, integer_compositions
 
 
@@ -477,7 +476,7 @@ def test_bound_report_dominates_value_property(regime, r, d, scale, m, fracs):
         assert out["value"] <= rep["wh_bound"]
         # the bound on the A' series alone grows with T; the exp(-lam T)
         # factor can make the reported bound fall
-        series = stability.hbound(alpha, p)["wh_bound"]
+        series = progeny.hbound(alpha, p)["wh_bound"]
         assert series >= prev_series
         assert rep["wh_bound"] == pytest.approx(math.exp(-T) * series, rel=1e-15, abs=0)
         prev_series = series
@@ -665,7 +664,7 @@ def test_dominating_bound_between_r_over_sqrt2_and_r_is_the_series():
     for alpha in [(1, 0), (1, 1), (2, 1)]:
         for frac in (0.8, 0.95):
             rep = progeny.dominating_bound(alpha, p, frac * R, 0.9)
-            series = progeny._spread(alpha) * progeny._ghat_series_value(p, sum(alpha), frac * R)
+            series = stability._spread(alpha) * progeny._ghat_series_value(p, sum(alpha), frac * R)
             assert math.isfinite(rep["wh_bound"])
             assert rep["wh_bound"] == pytest.approx(1.2 * 0.9 * series, rel=1e-15, abs=0)
             # and it bounds the mean weighted progeny at that argument
@@ -743,7 +742,7 @@ def test_dominating_bound_is_at_most_the_papers_closed_forms(regime, d):
         C = progeny.tracked_constant(star, m) * (2 * float(star.regime.theta) * d) ** m
         for frac in (0.0, 0.3, 0.6, 0.9, 0.99):
             x = frac * y
-            paper = C * 1.2 * 0.9 * progeny._spread(alpha) / (y - x)
+            paper = C * 1.2 * 0.9 * stability._spread(alpha) / (y - x)
             # equal at x = 0 where the sup is the k = 0 term, up to rounding
             assert progeny.dominating_bound(alpha, p, x, 0.9)["wh_bound"] <= paper * (1 + 1e-14)
 
@@ -756,12 +755,12 @@ def test_bounds_refuse_what_they_cannot_bound():
         ("T = nan differs from params.T = 0.01", lambda: bound_report((1,), p1, 1.0, math.nan)),
         ("x = -0.001", lambda: progeny.dominating_bound((1,), p1, -0.001, 1.0)),
         ("x = nan", lambda: progeny.dominating_bound((1,), p1, math.nan, 1.0)),
-        ("T = -0.01", lambda: stability.hbound((1,), fact_params(1.5, 1, lam=1.0, T=-0.01))),
+        ("T = -0.01", lambda: progeny.hbound((1,), fact_params(1.5, 1, lam=1.0, T=-0.01))),
         ("h = -0.01", lambda: expected_weighted_progeny((1,), 0, 1.0, -0.01, p1)),
         ("h = nan", lambda: expected_weighted_progeny((1,), 0, 1.0, math.nan, p1)),
         ("not d = 2", lambda: bound_report((1,), p2, 1.0, 0.01)),
         ("not d = 2", lambda: progeny.dominating_bound((1, 0, 0), p2, 0.0, 1.0)),
-        ("not d = 2", lambda: stability.hbound((1,), p2)),
+        ("not d = 2", lambda: progeny.hbound((1,), p2)),
         ("not d = 2", lambda: expected_weighted_progeny((1, 0, 0), 0, 1.0, 0.01, p2)),
         ("not d = 1", lambda: expected_weighted_progeny((1, 0), 0, 1.0, 0.01, p1)),
     ]
@@ -779,7 +778,7 @@ def test_bound_report_bounds_its_params_own_rate_and_horizon(regime):
     # read the one x
     rep = bound_report((1, 0), p, p.lam, p.T)
     assert rep == progeny.dominating_bound((1, 0), p, x, math.exp(-p.lam * p.T))
-    assert stability.hbound((1, 0), p)["series_argument"] == rep["series_argument"] == x
+    assert progeny.hbound((1, 0), p)["series_argument"] == rep["series_argument"] == x
     cond = stability.check_conditions(p, lifetimes.exponential_model(1.0)).conditions[1]
     assert cond.name == "bound-radius" and cond.lhs == x
     for lam, T, message in (
@@ -840,7 +839,7 @@ def test_expected_weighted_progeny_tail_is_the_closure_at_theta_star(regime, d):
                     last = math.exp(logs[0] + ktrunc * math.log(x))
                     rho = max(x * math.exp(logs[1] - logs[0]), x / star.radius())
                     closure = last * (rho / (1.0 - rho)) if rho < 1.0 else math.inf
-                    want = math.exp(-h) * 1.2 * progeny._spread(alpha) * closure
+                    want = math.exp(-h) * 1.2 * stability._spread(alpha) * closure
                     assert got == pytest.approx(want, rel=rel, abs=0), (alpha, ktrunc)
     assert expected_weighted_progeny((1,) * d, 0, 1.0, 0.0, p, 20)["tail_bound"] == 0.0
 

@@ -166,8 +166,8 @@ def alphas_upto(total, d):
 
 THETA, R = Fraction(3, 2), Fraction(1)
 GROWTH = {  # name -> (g, regime of the matching preset weights)
-    "factorial": (progeny.g_factorial(THETA, R), stability.Factorial(THETA, R)),
-    "exponential": (progeny.g_exponential(THETA), stability.Exponential(THETA)),
+    "factorial": (stability.g_factorial(THETA, R), stability.Factorial(THETA, R)),
+    "exponential": (stability.g_exponential(THETA), stability.Exponential(THETA)),
 }
 
 
@@ -309,7 +309,7 @@ def test_j_minus_one():
 def test_canonical_weights_satisfy_the_multi_index_identity():
     # contact_hj_consistency checks the multi-index HJ identity on tables the
     # scalar engine built, which cross-checks the collapse independently
-    g = progeny.g_exponential(THETA)
+    g = stability.g_exponential(THETA)
     assert progeny.contact_hj_consistency(g, 3, kmax=3, alphamax=2)
 
 
@@ -381,13 +381,13 @@ def test_float_parameter_growth_does_not_overflow():
     want = expected_weighted_progeny((1,), 0, 1.0, 0.05, exact, 200)["value"]
     assert want == pytest.approx(1.1900146, rel=1e-7, abs=0)
     assert got == pytest.approx(want, rel=1e-12, abs=0)
-    g = progeny.g_factorial(1.5, 2.0)
+    g = stability.g_factorial(1.5, 2.0)
     for nu in ((300,), (150, 150), (100, 100, 100)):
         v = g(nu)
-        want = progeny.g_factorial(Fraction(3, 2), Fraction(2))(nu)
+        want = stability.g_factorial(Fraction(3, 2), Fraction(2))(nu)
         assert type(v) is float and v == pytest.approx(float(want), rel=1e-12, abs=0)
-    assert progeny.g_exponential(0.5)((400,)) == pytest.approx(
-        float(progeny.g_exponential(Fraction(1, 2))((400,))), rel=1e-12, abs=0
+    assert stability.g_exponential(0.5)((400,)) == pytest.approx(
+        float(stability.g_exponential(Fraction(1, 2))((400,))), rel=1e-12, abs=0
     )
 
 
@@ -425,8 +425,8 @@ def test_tables_refuse_float_parameters(name):
     calls = (
         lambda: ahat_recursion(float_g, 2, (1, 0), 3),
         lambda: a_recursion(stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.1, 2).build_weights(), (1, 0), 0, 3),
-        lambda: a_recursion(progeny.PresetWeights(g, 1.2, Fraction(6, 5), 2), (1, 0), 0, 0),
-        lambda: a_recursion(progeny.PresetWeights(g, Fraction(6, 5), 1.2, 2), (1, 0), 0, 3),
+        lambda: a_recursion(stability.PresetWeights(g, 1.2, Fraction(6, 5), 2), (1, 0), 0, 0),
+        lambda: a_recursion(stability.PresetWeights(g, Fraction(6, 5), 1.2, 2), (1, 0), 0, 3),
     )
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(RATIONAL_ONLY)):
@@ -438,7 +438,7 @@ def test_benchmark_shape_ahat_tables_equal_the_closed_form():
     # the analyze-series shape: g_factorial(1, 1), d = 2, kmax 12, |alpha| <= 3;
     # every node its multi-index tables held, through a row of its own
     one = Fraction(1)
-    g = progeny.g_factorial(one, one)
+    g = stability.g_factorial(one, one)
     entries = 0
     for alpha in alphas_upto(3, 2):
         for nu, k in reached_nodes(alpha, 12):
@@ -453,13 +453,13 @@ def test_benchmark_shape_ahat_tables_equal_the_closed_form():
         shared = ahat_recursion(g, 2, (1, 2), 12)[(1, 2), k]
         assert shared is ahat_recursion(g, 2, (2, 1), 12)[(2, 1), k]
         assert shared is ahat_recursion(g, 2, (1, 2), 12)[(1, 2), k]
-        fresh = ahat_recursion(progeny.g_factorial(one, one), 2, (1, 2), 12)[(1, 2), k]
+        fresh = ahat_recursion(stability.g_factorial(one, one), 2, (1, 2), 12)[(1, 2), k]
         assert fresh == shared and fresh is not shared
 
 
 @pytest.mark.parametrize("make_g", [
-    lambda: progeny.g_factorial(Fraction(1), Fraction(1)),
-    lambda: progeny.g_exponential(Fraction(3, 2)),
+    lambda: stability.g_factorial(Fraction(1), Fraction(1)),
+    lambda: stability.g_exponential(Fraction(3, 2)),
 ], ids=["factorial-exact", "exponential-exact"])
 def test_tables_of_one_g_equal_tables_of_a_fresh_g(make_g):
     # the tables of every alpha share g's memoised rows, and each is the
@@ -472,8 +472,8 @@ def test_tables_of_one_g_equal_tables_of_a_fresh_g(make_g):
 
 
 @pytest.mark.parametrize("g, exact_g", [
-    (progeny.g_factorial(1.5, 2.0), progeny.g_factorial(Fraction(3, 2), Fraction(2))),
-    (progeny.g_exponential(1.5), progeny.g_exponential(Fraction(3, 2))),
+    (stability.g_factorial(1.5, 2.0), stability.g_factorial(Fraction(3, 2), Fraction(2))),
+    (stability.g_exponential(1.5), stability.g_exponential(Fraction(3, 2))),
 ], ids=["factorial", "exponential"])
 def test_float_series_of_a_float_g_equals_the_exact_rows(g, exact_g):
     # a float g builds no table; the float series of its terms, on the shape
@@ -492,7 +492,7 @@ def test_tables_of_one_g_run_the_engine_once_per_key(monkeypatch):
         return engine(F, a, c, kmax)
 
     monkeypatch.setattr(progeny, "_exact_series", counting)
-    g = progeny.g_factorial(Fraction(1), Fraction(1))
+    g = stability.g_factorial(Fraction(1), Fraction(1))
     for alpha in alphas_upto(3, 2):
         ahat_recursion(g, 2, alpha, 12)
     assert sorted(runs) == [(2, n, 12) for n in (13, 14, 15, 16)]
@@ -512,9 +512,9 @@ def test_tables_of_one_g_run_the_engine_once_per_key(monkeypatch):
     (True, (1,), "d = True must be an int >= 1"),
 ])
 def test_recursions_refuse_malformed_inputs(d, alpha, message):
-    g = progeny.g_factorial(Fraction(1), Fraction(1))
+    g = stability.g_factorial(Fraction(1), Fraction(1))
     # a_recursion reads d from its weights, so they carry the malformed d
-    w = progeny.PresetWeights(g, Fraction(1), Fraction(1), d)
+    w = stability.PresetWeights(g, Fraction(1), Fraction(1), d)
     for call in (lambda: ahat_recursion(g, d, alpha, 3), lambda: a_recursion(w, alpha, 0, 3)):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

@@ -17,8 +17,8 @@ DEPENDENCIES = {"numpy"}
 
 
 def unused_imports(path: Path) -> list[str]:
-    """Names a module imports but never reads (re-exports from __init__.py
-    and `from __future__` are not imports in this sense)."""
+    """Names a module imports but never reads (`from __future__` is not an
+    import in this sense)."""
     tree = ast.parse(path.read_text())
     imported = {}
     for node in ast.walk(tree):
@@ -33,7 +33,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SRC.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in unused_imports(path)] == []
 
@@ -83,11 +83,10 @@ def test_third_party_scan_sees_an_undeclared_import(tmp_path):
 
 # Top-level definitions that nothing in the package reads, kept on purpose:
 # what bench/ calls or traces, the per-tree reference sampler the batched one
-# is tested against, the closed forms, and public entry points tests call.
+# is tested against, the closed-form constant, and public entry points tests call.
 KEPT_UNREFERENCED = {
     "sample_tree", "evaluate_functional", "weighted_progeny",
     "bound_report", "tracked_constant",
-    "ahat_closed_exponential",
     "weighted_progeny_batch", "verify_code_bounds",
 }
 
@@ -337,14 +336,28 @@ def modules_loaded_by(code: str) -> set[str]:
 ANALYZER = {"stability", "progeny", "combinatorics"}
 
 
+def test_package_import_loads_and_binds_nothing():
+    # every name is imported from the module that defines it
+    loaded = modules_loaded_by(
+        "import branchpde\n"
+        "names = [n for n in vars(branchpde) if not (n.startswith('__') and n.endswith('__'))]\n"
+        "assert names == [] and branchpde.__version__, names"
+    )
+    assert loaded == set()
+
+
 @pytest.mark.parametrize("code", [
     "import branchpde",
     "from branchpde import lifetimes, progeny, stability",
-    "from branchpde import Factorial, GrowthParams, check_conditions, exponential_model",
+    "from branchpde.lifetimes import exponential_model; "
+    "from branchpde.stability import Factorial, GrowthParams, check_conditions",
 ])
 def test_analyzer_imports_load_no_sampler(code):
     loaded = modules_loaded_by(code)
-    assert {"lifetimes", "mechanism"} | ({"stability"} if code != "import branchpde" else set()) <= loaded
+    if code == "import branchpde":
+        assert loaded == set()
+    else:
+        assert {"lifetimes", "mechanism", "stability"} <= loaded
     assert loaded & (SAMPLER | {"cli", "verify"}) == set()
 
 
@@ -355,8 +368,7 @@ def test_sampler_imports_load_no_analyzer():
 
 
 def test_stability_import_loads_no_progeny():
-    # progeny imports stability, for the regimes; stability reaches progeny
-    # only when hbound runs
+    # progeny imports stability, for the regimes, and never the other way
     loaded = modules_loaded_by("from branchpde import stability")
     assert "stability" in loaded and loaded & {"progeny", "combinatorics"} == set()
 
@@ -391,40 +403,6 @@ def test_analyzer_commands_load_no_sampler(tmp_path, command, cfg):
     )
     assert out.read_text()
     assert "cli" in loaded and loaded & (SAMPLER | {"verify"}) == set()
-
-
-# what `branchpde` exported before the sampler half became lazy
-EXPORTS = {
-    "estimator": ["AllSamplesCapped", "AssumptionHViolated", "CodeOracle", "Estimate",
-                  "ProblemSetup", "estimate_u", "median_of_means"],
-    "lifetimes": ["LifetimeModel", "exponential_model", "validate_assumption_h"],
-    "mechanism": ["Code", "MechanismEntry", "offspring_prob", "offspring_set", "sample_offspring"],
-    "stability": ["Exponential", "Factorial", "GrowthParams", "check_conditions", "hbound",
-                  "max_horizon"],
-    "tree": ["BranchRecord", "CapExceeded", "Caps", "TreeSample", "WeightSpec",
-             "evaluate_functional", "sample_tree", "weighted_progeny"],
-}
-
-
-@pytest.mark.parametrize("module", sorted(EXPORTS))
-def test_every_export_resolves_to_the_submodules_own_object(module):
-    names = ", ".join(EXPORTS[module])
-    modules_loaded_by(
-        f"from branchpde import {names}\n"
-        f"import branchpde, branchpde.{module} as m\n"
-        f"assert all(getattr(branchpde, n) is getattr(m, n) for n in {EXPORTS[module]!r})\n"
-        f"assert set({EXPORTS[module]!r}) <= set(dir(branchpde))"
-    )
-
-
-def test_unknown_name_raises_attribute_error():
-    modules_loaded_by(
-        "import branchpde\n"
-        "try:\n    branchpde.no_such_name\nexcept AttributeError as exc:\n    assert 'no_such_name' in str(exc)\n"
-        "else:\n    raise SystemExit('no AttributeError')\n"
-        "try:\n    from branchpde import no_such_name\nexcept ImportError:\n    pass\n"
-        "else:\n    raise SystemExit('no ImportError')"
-    )
 
 
 def test_sampler_import_loads_every_traced_module():
