@@ -345,9 +345,8 @@ def cmd_stability(args) -> int:
                 for m, row in enumerate(rows)
             ]
     if isinstance(regime, stability.Factorial):
-        horizon = stability.max_horizon(regime, lam, d)
-        report["t_max"] = horizon.t_max
-        report["lambda_free_envelope"] = horizon.lambda_free_envelope
+        report["t_max"] = stability.max_horizon(regime, lam, d)
+        report["lambda_free_envelope"] = regime.horizon_threshold(d)
     if sweep:
         report["sweep"] = [conditions_at(TT)[1] for TT in sweep]
 

@@ -49,9 +49,10 @@ class CodeOracle:
     a float; or it is an (m, d) array of points, and the evaluator returns
     the (m,) array of their values, or one float that stands for all of
     them.  The estimator calls it with arrays, once per code of the
-    survivors it holds, and with one point at t = T.  Only the value asked
-    for is needed: the b2 oracle forms coefficient |alpha| of its Taylor
-    jet alone, not the whole jet."""
+    survivors it holds, a group of one survivor included, and with one
+    point at t = T.  Only the value asked for is needed: the b2 oracle forms
+    coefficient |alpha| of its Taylor jet alone, not the whole jet, and runs
+    a one-row array as its point."""
 
     evaluator: Callable[[Code, Sequence[float]], float]
 
@@ -120,20 +121,28 @@ def _concat(parts: Sequence[_Samples]) -> _Samples:
     return _Samples(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def _rescue_scale(values: np.ndarray) -> float:
-    """max|v| if the values are finite and differ, else 0.  A spread of such
-    values that reads 0 or inf lost its squared deviations to underflow or
-    overflow; formed on values / max|v| and scaled back, it keeps them.
-    Equal values keep their spread: formed again, it could read the
-    rounding of their mean instead of 0.  Callers form the spread and call
-    this under np.errstate(over="ignore"), as the rescued spread replaces
-    whatever overflowed (np.ptp of values near the float limit too)."""
-    vmax = float(np.max(np.abs(values)))
-    return vmax if vmax < math.inf and np.ptp(values) > 0 else 0.0
+def _spread(values: np.ndarray, mean: float, per: int) -> float:
+    """sqrt(sum (v - mean)^2 / (n - 1) / per) by numpy pairwise summation:
+    the standard error of the mean at per = n, the sample standard deviation
+    at per = 1.
 
+    A spread of finite values that differ and that reads 0 or inf lost its
+    squared deviations to underflow or overflow; formed on values / max|v|
+    and scaled back, it keeps them.  Equal values keep their spread: formed
+    again, it could read the rounding of their mean instead of 0.  Overflow
+    is not warned of, as the rescued spread replaces whatever overflowed
+    (np.ptp of values near the float limit too)."""
 
-def _se(values: np.ndarray, mean: float) -> float:
-    return math.sqrt(float(np.sum((values - mean) ** 2)) / (values.size - 1) / values.size)
+    def spread(v: np.ndarray, mu: float) -> float:
+        return math.sqrt(float(np.sum((v - mu) ** 2)) / (v.size - 1) / per)
+
+    with np.errstate(over="ignore"):
+        out = spread(values, mean)
+        if not 0.0 < out < math.inf:
+            vmax = float(np.max(np.abs(values)))
+            if vmax < math.inf and np.ptp(values) > 0:
+                out = vmax * spread(values / vmax, mean / vmax)
+    return out
 
 
 def _mean(values: np.ndarray) -> tuple[float, float]:
@@ -141,11 +150,7 @@ def _mean(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.sum(values)) / values.size
     if values.size < 2:
         return mean, float("inf")
-    with np.errstate(over="ignore"):
-        se = _se(values, mean)
-        if not 0.0 < se < math.inf and (vmax := _rescue_scale(values)):
-            se = vmax * _se(values / vmax, mean / vmax)
-    return mean, se
+    return mean, _spread(values, mean, values.size)
 
 
 def _tree_stats(s: _Samples) -> TreeStats:
@@ -228,10 +233,7 @@ def median_of_means(
             means.append(float(np.sum(group)) / group.size)
         means = np.array(means)
         mean = float(np.median(means))
-        with np.errstate(over="ignore"):
-            spread = float(np.std(means, ddof=1))
-            if not 0.0 < spread < math.inf and (vmax := _rescue_scale(means)):
-                spread = vmax * float(np.std(means / vmax, ddof=1))
+        spread = _spread(means, float(np.sum(means)) / groups, 1)
         se = math.sqrt(math.pi / 2) * spread / math.sqrt(groups)
         gap = abs(mean - plain)
         scale = max(se, plain_se, 1e-300)

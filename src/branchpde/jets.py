@@ -38,12 +38,21 @@ class Jet:
 
     def coefficient(self, m: int) -> float:
         """f^{(m)}(x0)/m!."""
-        if m > self.order:
-            raise ValueError(f"jet order {self.order} < requested coefficient {m}")
+        self._check_coefficient(m)
         return self.coeffs[m]
+
+    def _check_coefficient(self, m: int) -> None:
+        if not 0 <= m <= self.order:
+            raise ValueError(f"a jet of order {self.order} has no coefficient {m}")
+
+    def _check_order(self, other: "Jet") -> None:
+        # zip would silently cut the longer jet to the shorter one's order
+        if other.order != self.order:
+            raise ValueError(f"jets of orders {self.order} and {other.order} do not combine")
 
     def __add__(self, other):
         if isinstance(other, Jet):
+            self._check_order(other)
             return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
         out = self.coeffs.copy()
         out[0] = out[0] + other  # not +=, which would write into a shared array
@@ -63,6 +72,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet([a * other for a in self.coeffs])
+        self._check_order(other)
         return Jet([self.product_coefficient(other, m) for m in range(self.order + 1)])
 
     __rmul__ = __mul__
@@ -71,8 +81,7 @@ class Jet:
         """Coefficient m of self * other, which __mul__ forms for every m:
         the sum of a_i b_(m-i) over i = 0..m in order, from the float 0.0,
         skipping an exact-zero scalar a_i."""
-        if m > self.order:
-            raise ValueError(f"jet order {self.order} < requested coefficient {m}")
+        self._check_coefficient(m)
         out = 0.0
         for i, ai in enumerate(self.coeffs[: m + 1]):
             if not isinstance(ai, np.ndarray) and ai == 0.0:

@@ -61,44 +61,6 @@ def _onez_jet(x: float, order: int) -> Jet:
     return (exp_jet(np.minimum(x, _EXP_ARG_MAX), order) + 1.0).reciprocal() + 1.0
 
 
-def _b2_phi_jet(x: float, order: int) -> Jet:
-    """Jet of phi = 2 log(1 + zeta)."""
-    return _onez_jet(x, order).log() * 2.0
-
-
-def _b2_psi_weights(j: int) -> tuple[float, float, float, float]:
-    """psi_j(zeta) = w0 (1+zeta)^-2 + w1 (1+zeta)^-1 + w2 (1+zeta) + w3 (1+zeta)^2
-    (+ 6 for j = 0): the weights 4 sgn, -10 sgn 2^-j, 2^-j and -1, with
-    sgn = (-1)^j."""
-    sgn = (-1.0) ** j
-    return 4.0 * sgn, -10.0 * sgn * 0.5**j, 0.5**j, -1.0
-
-
-def _b2_psi_jet(j: int, x: float, order: int) -> Jet:
-    """Jet of f^{(j)}(phi) = psi_j(zeta)."""
-    onez = _onez_jet(x, order)
-    rec = onez.reciprocal()
-    w0, w1, w2, w3 = _b2_psi_weights(j)
-    out = rec * rec * w0 + rec * w1 + onez * w2 + onez * onez * w3
-    if j == 0:
-        out = out + 6.0
-    return out
-
-
-def _b2_psi_coefficient(j: int, x: float, m: int) -> float:
-    """_b2_psi_jet(j, x, m).coefficient(m) for m >= 1, bit for bit, with
-    only coefficient m of the four terms formed."""
-    onez = _onez_jet(x, m)
-    rec = onez.reciprocal()
-    w0, w1, w2, w3 = _b2_psi_weights(j)
-    return (
-        rec.product_coefficient(rec, m) * w0
-        + rec.coeffs[m] * w1
-        + onez.coeffs[m] * w2
-        + onez.product_coefficient(onez, m) * w3
-    )
-
-
 def b2_phi(x: float) -> float:
     """phi(x), elementwise for an array x."""
     ex = np.exp(np.minimum(x, _EXP_ARG_MAX))
@@ -116,34 +78,57 @@ def b2_f_family(j: int, u: float) -> float:
     return out + 6.0 if j == 0 else out
 
 
+def _b2_coefficient(j: int, x, m: int):
+    """Coefficient m of the Taylor jet at x of phi = 2 log(1 + zeta) (j = -1)
+    or of f^{(j)}(phi) = psi_j(zeta) (j >= 0), elementwise for an array x:
+    the closed forms at m = 0, and above it coefficient m of the jets of
+    1 + zeta and its reciprocal, with no other coefficient of the products
+    formed."""
+    if m == 0:
+        phi = b2_phi(x)
+        return phi if j < 0 else b2_f_family(j, phi)
+    onez = _onez_jet(x, m)
+    if j < 0:
+        return onez.log().coefficient(m) * 2.0
+    # psi_j = 4 sgn (1+zeta)^-2 - 10 sgn 2^-j (1+zeta)^-1 + 2^-j (1+zeta)
+    # - (1+zeta)^2 (+ 6 for j = 0, in coefficient 0 only), sgn = (-1)^j
+    rec = onez.reciprocal()
+    sgn = (-1.0) ** j
+    return (
+        rec.product_coefficient(rec, m) * (4.0 * sgn)
+        + rec.coeffs[m] * (-10.0 * sgn * 0.5**j)
+        + onez.coeffs[m] * 0.5**j
+        + onez.product_coefficient(onez, m) * -1.0
+    )
+
+
 def b2_problem(T: float) -> Problem:
     """The functional-nonlinearity problem on d = 1 with exact solution.
 
     Its oracle returns coefficient m = |alpha| of the code's Taylor jet at
-    x_1, phi's (j = -1) or psi_j's, closed forms at m = 0.  It forms that
-    coefficient alone, bit for bit the coefficient of the full jet that
-    solution_code_jet builds (_b2_phi_jet, _b2_psi_jet)."""
+    x_1, phi's (j = -1) or psi_j's; the exact solution and solution_code_jet
+    read the same coefficients at the transported point x - (T - t).  Every
+    one comes from _b2_coefficient, so the oracle and the solution agree
+    bit for bit there."""
     if T <= 0:
         raise ValueError(f"horizon T must be > 0, got {T}")
 
     def oracle_fn(code: Code, x) -> float:
         (m,) = code.alpha
         x0 = _first_coordinate(x)
-        if code.j < 0:
-            return b2_phi(x0) if m == 0 else _onez_jet(x0, m).log().coefficient(m) * 2.0
-        if m == 0:
-            return b2_f_family(code.j, b2_phi(x0))
-        return _b2_psi_coefficient(code.j, x0, m)
+        if x0.shape == (1,):
+            # one row runs as its point: the jets run several times faster
+            # on floats than on arrays of one element
+            return np.reshape(_b2_coefficient(code.j, x0[0], m), 1)
+        return _b2_coefficient(code.j, x0, m)
 
     def exact(t: float, x) -> float:
-        return b2_phi(float(x[0]) - (T - t))
+        return _b2_coefficient(-1, float(x[0]) - (T - t), 0)
 
     def code_jet(t: float, x0: float, order: int, j: int) -> Jet:
-        # u(t, .) = phi(. - (T - t)): shift the terminal jets
+        # u(t, .) = phi(. - (T - t)): the terminal coefficients, shifted
         shifted = x0 - (T - t)
-        if j < 0:
-            return _b2_phi_jet(shifted, order)
-        return _b2_psi_jet(j, shifted, order)
+        return Jet([_b2_coefficient(j, shifted, m) for m in range(order + 1)])
 
     return Problem(
         name="b2",

@@ -373,26 +373,20 @@ def check_conditions(p: GrowthParams, model: LifetimeModel) -> ConditionReport:
     return ConditionReport(conditions=conditions, passed=all(c.passed for c in conditions))
 
 
-@dataclass(frozen=True)
-class HorizonReport:
-    t_max: float
-    lambda_free_envelope: float   # sup over lam of t_max: 2^-(r+2) R
-
-
-def max_horizon(regime: Factorial, lam: float, d: int) -> HorizonReport:
+def max_horizon(regime: Factorial, lam: float, d: int) -> float:
     """Largest horizon for exponential lifetimes with the deltas at their
     floors delta1 = 1/survival(T), delta2 = 1/rho_*(T):
 
         T_max = (1/lam) log( 1/2 + sqrt(1/4 + lam 2^-(r+2) R) ),
 
-    and the lambda-free envelope T < 2^-(r+2) R."""
+    which stays below its sup over lam, the lambda-free envelope
+    regime.horizon_threshold(d) = 2^-(r+2) R."""
     if not isinstance(regime, Factorial):
         raise ValueError("max_horizon is defined for the factorial regime")
     if lam <= 0:
         raise ValueError("lambda must be > 0")
     y = regime.horizon_threshold(d)
-    t_max = math.log(0.5 + math.sqrt(0.25 + lam * y)) / lam
-    return HorizonReport(t_max=t_max, lambda_free_envelope=y)
+    return math.log(0.5 + math.sqrt(0.25 + lam * y)) / lam
 
 
 def verify_weight_dominance_algebra(p: GrowthParams, alphamax: int = 5, jmax: int = 3) -> bool:
@@ -449,19 +443,15 @@ def verify_code_bounds(oracle, p: GrowthParams, grid: Sequence[float], m_max: in
     report states the grid and both delta1 conventions (envelope with the
     1/rho_bar(T) factor folded in, and the raw inequality with
     delta1' = delta1 rho_bar(T)), with rho_bar(T) = exp(-lam T).  The
-    oracle is called once per code, on the whole grid.
+    oracle is called once per code, on the grid as one (n, 1) array of
+    points, a grid of one point included.
     """
     if p.d != 1:
         raise ValueError("grid verification is implemented for d = 1")
     surv = math.exp(-p.lam * p.T)
     d2v1 = max(float(p.delta2), 1.0)
     F = p.regime.g().F
-    # the grid as one (n, 1) array, but a grid of one point as that point:
-    # the oracle's jets run on floats for it, several times faster than on
-    # arrays of one element
     points = np.asarray(grid, dtype=float)[:, None]
-    if len(points) == 1:
-        points = points[0]
 
     def sup_abs(code: Code) -> float:
         return float(np.max(np.abs(oracle(code, points))))

@@ -261,36 +261,22 @@ def sample_tree(
         tau = model.inverse_cdf(_uniforms(key, 0))
         death = birth + tau
         normals = np.array(_normals(key, 1, d))
-        if death > T:
-            disp = normals * math.sqrt(T - birth)
-            records.append(
-                BranchRecord(
-                    label=label,
-                    code=code,
-                    birth_time=birth,
-                    death_time=death,
-                    birth_position=pos,
-                    terminal_position=tuple(p + dv for p, dv in zip(pos, disp)),
-                    offspring_entry=None,
-                )
+        died = death <= T
+        end = tuple(p + dv for p, dv in zip(pos, normals * math.sqrt(tau if died else T - birth)))
+        entry = sample_offspring(code, _uniforms(key, 1 + _normal_draws(d))) if died else None
+        records.append(
+            BranchRecord(
+                label=label,
+                code=code,
+                birth_time=birth,
+                death_time=death,
+                birth_position=pos,
+                terminal_position=None if died else end,
+                offspring_entry=entry,
             )
-        else:
-            disp = normals * math.sqrt(tau)
-            dpos = tuple(p + dv for p, dv in zip(pos, disp))
-            entry = sample_offspring(code, _uniforms(key, 1 + _normal_draws(d)))
-            records.append(
-                BranchRecord(
-                    label=label,
-                    code=code,
-                    birth_time=birth,
-                    death_time=death,
-                    birth_position=pos,
-                    terminal_position=None,
-                    offspring_entry=entry,
-                )
-            )
-            for k, child in enumerate(entry.children, start=1):
-                stack.append((label + (k,), child, death, dpos))
+        )
+        if died:
+            stack.extend((label + (k,), child, death, end) for k, child in enumerate(entry.children, start=1))
     return _finish(records, T, model)
 
 

@@ -140,3 +140,24 @@ def test_product_coefficient_is_that_of_the_product():
                 assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
         with pytest.raises(ValueError):
             a.product_coefficient(b, order + 1)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_jets_of_different_orders_do_not_combine(op):
+    # the shorter order would silently cut the longer jet
+    a, b = Jet([1.0, 2.0, 3.0]), Jet([1.0, 1.0])
+    combine = {"add": lambda u, v: u + v, "sub": lambda u, v: u - v, "mul": lambda u, v: u * v}[op]
+    for u, v in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="orders"):
+            combine(u, v)
+    assert combine(a, a).order == 2
+
+
+def test_a_negative_coefficient_is_refused():
+    jet = Jet([1.0, 2.0, 3.0])
+    for m in (-1, -3, 3):
+        with pytest.raises(ValueError, match="no coefficient"):
+            jet.coefficient(m)
+        with pytest.raises(ValueError, match="no coefficient"):
+            jet.product_coefficient(jet, m)
+    assert jet.coefficient(0) == 1.0

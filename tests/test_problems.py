@@ -8,10 +8,9 @@ from branchpde.jets import Jet, exp_jet
 from branchpde.mechanism import Code, offspring_set
 from branchpde.problems import (
     Problem,
-    _b2_phi_jet,
-    _b2_psi_jet,
     _code_value_from_exact,
     _first_coordinate,
+    _onez_jet,
     b2_f_family,
     b2_phi,
     b2_problem,
@@ -273,17 +272,46 @@ def test_oracle_array_calls_agree_with_point_calls(problem):
             assert got.tolist() == [problem.oracle(code, tuple(p)) for p in points]
 
 
+def b2_full_jet(j: int, x0, order: int) -> Jet:
+    """The whole jet of phi = 2 log(1 + zeta) (j = -1) or of psi_j(zeta) =
+    f^{(j)}(phi) (j >= 0) at x0, by Jet algebra on the jet of 1 + zeta."""
+    onez = _onez_jet(x0, order)
+    if j < 0:
+        return onez.log() * 2.0
+    rec, sgn = onez.reciprocal(), (-1.0) ** j
+    out = rec * rec * (4.0 * sgn) + rec * (-10.0 * sgn * 0.5**j) + onez * 0.5**j + onez * onez * -1.0
+    return out + 6.0 if j == 0 else out
+
+
 @pytest.mark.parametrize("shape", ["rows", "one-row", "point"])
 def test_b2_oracle_equals_the_coefficient_of_the_full_jet(shape):
     # the oracle forms coefficient m alone; it must be that of the full jet,
-    # bit for bit, for arrays of points and for one point (the t = T path)
+    # bit for bit, for arrays of points, for one row (which runs as its
+    # point) and for one point (the t = T path)
     oracle = b2_problem(0.5).oracle
     points = np.random.default_rng(7).uniform(-4.0, 4.0, size=(9, 1))
     x = {"rows": points, "one-row": points[:1], "point": (float(points[0, 0]),)}[shape]
     x0 = _first_coordinate(x)
     for m in range(1, 9):
         for j in range(-1, 7):
-            full = _b2_phi_jet(x0, m) if j < 0 else _b2_psi_jet(j, x0, m)
+            full = b2_full_jet(j, x0, m)
             got, want = oracle(Code((m,), j), x), full.coefficient(m)
             assert np.shape(got) == np.shape(want) == np.shape(x0)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_b2_oracle_and_exact_solution_agree_at_the_transported_point():
+    # u_c(t, x) = phi_c(x - (T - t)): the oracle at the transported point and
+    # the solution jet at x read the same coefficient, bit for bit
+    T = 0.5
+    problem = b2_problem(T)
+    for t in (0.0, 0.2, 0.5):
+        for x in (-3.0, -0.5, 0.0, 0.1, 2.0):
+            shifted = (x - (T - t),)
+            for m in range(9):
+                for j in range(-1, 4):
+                    got = problem.oracle(Code((m,), j), shifted)
+                    want = problem.solution_code_jet(t, x, max(m, 1), j).coefficient(m)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            exact = problem.exact_solution(t, (x,))
+            assert np.asarray(exact).tobytes() == np.asarray(problem.oracle(ID, shifted)).tobytes()
