@@ -9,10 +9,13 @@ validation, 3 on config errors; stability returns 1 when conditions fail
 config error, a config that is not a JSON object among them, is one stderr
 line "config error: ..." and exit 3, as is a stability bound that is not a
 finite float, or a stability `lifetime` block whose lambda is not the
-config's `lambda`.  solve samples in one process, so `workers` (or
---workers) must be 1; the field stays in the resolved config it echoes.
-Its `mean` estimator is median-of-means with one group.  Log level comes
-from the BRANCHPDE_LOG environment variable.
+config's `lambda`, or a top-level field the command does not read
+(_SOLVE_FIELDS, _STABILITY_FIELDS, _PROGENY_FIELDS), or a solve `n` or
+progeny `d` past sys.maxsize (2^63 - 1), which no range or list can index;
+both are checked before anything is allocated.  solve samples in one
+process, so `workers` (or --workers) must be 1; the field stays in the
+resolved config it echoes.  Its `mean` estimator is median-of-means with
+one group.  Log level comes from the BRANCHPDE_LOG environment variable.
 
 Each command loads only the half it runs: this module imports neither
 half at the top, and the package's `__init__` imports nothing.
@@ -55,6 +58,22 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+# the top-level config fields each command reads; any other is refused
+_SOLVE_FIELDS = {"problem", "T", "lifetime", "code", "points", "seed_offsets", "n", "seed",
+                "workers", "caps", "estimator", "groups", "format"}
+_STABILITY_FIELDS = {"d", "regime", "lambda", "delta1", "delta2", "m_max", "sweep_T", "T", "lifetime"}
+_PROGENY_FIELDS = {"d", "regime", "kmax", "alpha_max", "exact"}
+
+
+def _known(cfg: dict, fields: set) -> dict:
+    """cfg, if every top-level field of it is among the fields a command
+    reads; else ConfigError naming the first other one."""
+    unknown = sorted(set(cfg) - fields)
+    if unknown:
+        raise ConfigError(f"unknown config field {unknown[0]!r}; known: {', '.join(sorted(fields))}")
     return cfg
 
 
@@ -112,6 +131,15 @@ def _integer(field: str, value, low: int | None = None) -> int:
 
 def _at_least(cfg: dict, field: str, low: int, default=None) -> int:
     return _integer(field, cfg.get(field, default), low)
+
+
+def _size(cfg: dict, field: str, default=None) -> int:
+    """A count that sizes a range or a list: an int from 1 to sys.maxsize,
+    past which Python cannot index it."""
+    value = _at_least(cfg, field, 1, default)
+    if value > sys.maxsize:
+        raise ConfigError(f"config field {field!r} must be <= {sys.maxsize}, got {value}")
+    return value
 
 
 def _regime(cfg: dict, d: int):
@@ -184,7 +212,7 @@ def cmd_solve(args) -> int:
     from . import problems
 
     try:
-        cfg = _resolve_solve_config(_load_config(args.config), args)
+        cfg = _resolve_solve_config(_known(_load_config(args.config), _SOLVE_FIELDS), args)
         name = _require(cfg, "problem", str)
         T = _positive("T", _require(cfg, "T"))
         model = _lifetime(cfg["lifetime"])
@@ -214,7 +242,7 @@ def cmd_solve(args) -> int:
                 f"config field 'seed_offsets' must list one offset per point ({len(parsed_points)})"
             )
         offsets = [_integer("seed_offsets", off) for off in offsets]
-        n = _at_least(cfg, "n", 1)
+        n = _size(cfg, "n")
         seed = _integer("seed", cfg["seed"])
         workers = _at_least(cfg, "workers", 1)
         if workers != 1:
@@ -294,7 +322,7 @@ def cmd_stability(args) -> int:
     from . import progeny, stability
 
     try:
-        cfg = _load_config(args.config)
+        cfg = _known(_load_config(args.config), _STABILITY_FIELDS)
         d = _at_least(cfg, "d", 1, default=1)
         regime = _regime(cfg, d)
         lam = _positive("lambda", _require(cfg, "lambda"))
@@ -336,7 +364,9 @@ def cmd_stability(args) -> int:
         overall = main["pass"]
         if overall:
             try:
-                rows = [progeny.hbound((m,) + (0,) * (d - 1), p) for m in range(m_max + 1)]
+                x = p.dominating_argument()
+                rows = [progeny.dominating_bound((m,) + (0,) * (d - 1), p, x, 1.0)
+                        for m in range(m_max + 1)]
             except OverflowError as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 3
@@ -359,8 +389,8 @@ def cmd_progeny(args) -> int:
     from . import progeny
 
     try:
-        cfg = _load_config(args.config)
-        d = _at_least(cfg, "d", 1, default=1)
+        cfg = _known(_load_config(args.config), _PROGENY_FIELDS)
+        d = _size(cfg, "d", default=1)
         regime = _regime(cfg, d)
         kmax = _at_least(cfg, "kmax", 0, default=6)
         alpha_max = _at_least(cfg, "alpha_max", 0, default=3)

@@ -18,10 +18,10 @@ materializing the whole set.
 `offspring_entries` enumerates the entries once, with no Fraction formed,
 and `offspring_set` adds their exact weights: with `offspring_prob` and
 `sample_offspring` they are the exact scalar reference.  Their array form
-takes codes as an (n, d) alpha column and a j column: `draw_entries` draws
-each row's entry with z1/q in floats, by the digit walk of
-`sample_offspring_indices`, and `spawn` forms the children's codes.  A code
-fixes d = len(alpha).
+takes codes as an (n, d) alpha column and a j column: `draw_entries`, the
+one array draw, walks each row's digits as `sample_offspring` does and
+gives its entry with z1/q in floats, and `spawn` forms the children's
+codes.  A code fixes d = len(alpha).
 
 The dominating mechanism of a code (alpha, j >= 0) has the same entries,
 order and probabilities, except that the first child of a kind-i entry is
@@ -186,24 +186,27 @@ def sample_offspring(c: Code, u: float) -> MechanismEntry:
     return _entry(c, i, beta, _children(c, i, beta))
 
 
-def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`sample_offspring` over rows: for codes (alpha[r], j >= 0) and
-    uniforms u[r], the kind and the beta of the entry that sample_offspring
-    picks, by the same digit walk with the same float arithmetic, and the
-    mass of the entry's kind block: prod_k (1+alpha_k) for kind 0 and, with
-    a = alpha_i, prod_{k != i} (1+alpha_k) (1+a)(2+a)(3+a)/6 for kind i, so
-    that q of the entry is its weight (1, or (1+beta_i)(1+a-beta_i) for kind
-    i) over d+1 times the mass.  alpha is an (n, d) integer array; any other
-    shape, and a code whose law needs integers past the int64 range, raises
-    ValueError naming the first such alpha row."""
+def draw_entries(alpha: np.ndarray, j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries that codes (alpha[r], j[r]) take at their deaths, at
+    offspring uniforms u[r]: a row of j >= 0 the entry that
+    `sample_offspring` picks, by the same digit walk with the same float
+    arithmetic, a row of j = -1 its single entry (kind 0, beta 0).  Per row
+    its kind, its beta and its z1/q, as float(entry.weight /
+    offspring_prob(code, entry)).  alpha is an (n, d) integer array; any
+    other shape, a uniform of a j >= 0 row outside [0, 1), and a j >= 0 code
+    whose law needs integers past the int64 range raise ValueError, the last
+    naming the first such alpha row."""
     alpha = np.asarray(alpha, dtype=np.int64)
     if alpha.ndim != 2:
         raise ValueError(f"alpha must be an (n, d) array, got shape {alpha.shape}")
-    d = alpha.shape[1]
+    n, d = alpha.shape
+    kind, beta, ratio = np.zeros(n, dtype=np.int64), np.zeros_like(alpha), np.ones(n)
+    coded = np.flatnonzero(j >= 0)
+    alpha, u = alpha[coded], u[coded]
     if np.any(~((u >= 0.0) & (u < 1.0))):
         raise ValueError("uniform variates must lie in [0, 1)")
-    # the largest integers formed here and for z1/q for a row are below
-    # (d+1) prod(1+alpha_k) (3+a)^2 and 3 (3+a)^3, a = the row's max alpha_i
+    # the largest integers formed here for a row are below (d+1)
+    # prod(1+alpha_k) (3+a)^2 and 3 (3+a)^3, a = the row's max alpha_i
     top = alpha.max(axis=1, initial=0) + 3.0
     need = np.maximum((d + 1) * np.prod(alpha + 1.0, axis=1) * top**2, 3 * top**3)
     over = np.flatnonzero(need >= _INT_LIMIT)
@@ -213,13 +216,17 @@ def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
             f"{need[over[0]]:.3g}, at or past the sampler's bound 2^62 (half the int64 range)"
         )
     v = u * (d + 1)
-    kind = np.minimum(v.astype(np.int64), d)
-    frac = np.minimum(v - kind, 1.0)
+    walked = np.minimum(v.astype(np.int64), d)
+    frac = np.minimum(v - walked, 1.0)
+    # the mass of the entry's kind block: prod_k (1+alpha_k) for kind 0 and,
+    # with a = alpha_i, prod_{k != i} (1+alpha_k) (1+a)(2+a)(3+a)/6 for kind
+    # i, so that q of the entry is its weight (1, or (1+beta_i)(1+a-beta_i))
+    # over d+1 times the mass
     mass = np.prod(alpha + 1, axis=1)
     # kind 0: beta is uniform, the mixed-radix digits of its rank
-    zero = np.flatnonzero(kind == 0)
+    zero = np.flatnonzero(walked == 0)
     rank = np.minimum((frac[zero] * mass[zero]).astype(np.int64), mass[zero] - 1)
-    beta = np.empty_like(alpha)
+    drawn = np.empty_like(alpha)
     for pos in range(1, d + 1):
         a = alpha[:, pos - 1]
         # uniform digit
@@ -230,37 +237,24 @@ def sample_offspring_indices(alpha: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
         # cum(l) exceeds the target, so the digit is the number of l < a
         # with cum(l) <= target.  The target stays below cum(a), the total,
         # unless frac = 1, where both give the digit a and next frac 1.
-        weighted = np.flatnonzero(kind == pos)
+        weighted = np.flatnonzero(walked == pos)
         aw = a[weighted]
         block = (aw + 1) * (aw + 2) * (aw + 3) // 6  # the sum of the weights
         target = frac[weighted] * block
         mass[weighted] = mass[weighted] // (aw + 1) * block
         vw = _weighted_digits(aw, target)
         val[weighted] = vw
-        beta[:, pos - 1] = val
+        drawn[:, pos - 1] = val
         if pos < d:  # the last digit leaves no fraction to walk on
             frac = np.minimum(scaled - val, 1.0)
             acc = _weight_sum(aw, vw)
             frac[weighted] = np.minimum((target - acc) / ((1 + vw) * (1 + aw - vw)), 1.0)
     for pos in range(d, 1, -1):  # the last digit runs fastest
         radix = alpha[zero, pos - 1] + 1
-        beta[zero, pos - 1] = rank % radix
+        drawn[zero, pos - 1] = rank % radix
         rank //= radix
-    beta[zero, 0] = rank
-    return kind, beta, mass
-
-
-def draw_entries(alpha: np.ndarray, j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries that codes (alpha[r], j[r]) take at their deaths, at
-    offspring uniforms u[r]: a row of j >= 0 the entry that
-    `sample_offspring` picks, a row of j = -1 its single entry (kind 0,
-    beta 0).  Per row its kind, its beta and its z1/q, as
-    float(entry.weight / offspring_prob(code, entry))."""
-    n, d = alpha.shape
-    kind, beta, ratio = np.zeros(n, dtype=np.int64), np.zeros_like(alpha), np.ones(n)
-    coded = np.flatnonzero(j >= 0)
-    walked, beta[coded], mass = sample_offspring_indices(alpha[coded], u[coded])
-    kind[coded] = walked
+    drawn[zero, 0] = rank
+    kind[coded], beta[coded] = walked, drawn
     # z1/q is (d+1) times the block mass for kind 0, and -(d+1)/2 times it
     # for kind i, where z1 is -1/2 times the weight: the integer is rounded
     # once and halving it is exact, as in the Fraction mechanism

@@ -524,18 +524,10 @@ def bound_report(alpha: MultiIndex, params, lam: float, T: float) -> dict:
     return dominating_bound(alpha, params, params.dominating_argument(), math.exp(-lam * T))
 
 
-def hbound(alpha: MultiIndex, params) -> dict:
-    """Explicit bound on the mean absolute path functional for a code of
-    order alpha at horizon params.T: bound_report without its exp(-lam T)
-    factor, in the same dict form (wh_bound is the bound), at the same
-    argument params.dominating_argument().
-    """
-    return dominating_bound(alpha, params, params.dominating_argument(), 1.0)
-
-
 def dominating_bound(alpha: MultiIndex, params, x: float, decay: float) -> dict:
     """bound_report at dominating argument x >= 0, with decay in place of
-    its exp(-lam T) factor (hbound passes 1): delta1 decay
+    its exp(-lam T) factor (1 bounds the mean absolute path functional of a
+    code of order alpha at horizon params.T): delta1 decay
     (|alpha|!/alpha!) sum_k A'_{|alpha| e_1}(k) x^k at theta*, tail closure
     included, for x < R(theta*), and OutsideRadius from there on.  A bound
     that is not a finite float raises OverflowError naming alpha and x."""

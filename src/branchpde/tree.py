@@ -26,9 +26,10 @@ together, one generation at a time, as arrays, and `evaluate_batch` and
 `weighted_progeny_batch` compute their path functionals and weighted
 progenies.  A generation carries each branch's code as data, an (n, d)
 `alpha` column and a `j` column: `mechanism.draw_entries` draws the
-offspring entry of each death and its z1/q from those columns, and
-`mechanism.spawn` forms the children's codes.  The batch keeps no state
-between batches: a tree's value depends on its (seed, sample_index) alone.
+offspring entry of each death and its z1/q from those columns,
+`mechanism.spawn` forms the children's codes, and `_row_groups` groups
+rows by code at any d.  The batch keeps no state between batches: a tree's
+value depends on its (seed, sample_index) alone.
 
 The batch grows either chain with one draw layout.  The dominating chain
 differs in one decision, which `mechanism.spawn` makes: the first child of
@@ -513,28 +514,26 @@ def _code(alpha: np.ndarray, j: np.ndarray, row) -> Code:
 _PACK_LIMIT = 1 << 62
 
 
-def _row_keys(*columns: np.ndarray) -> np.ndarray:
-    """Per row of these columns of ints >= 0 (1-d, or 2-d for several), a
-    key that is equal exactly for equal rows: the row read as the digits of
-    a mixed radix, in the smallest unsigned type that holds them (a stable
-    argsort of 8 or 16 bits is a radix sort); or, where that number could
-    reach _PACK_LIMIT, the row's rank among the distinct rows."""
+def _row_groups(*columns: np.ndarray) -> list[np.ndarray]:
+    """The rows of these columns of ints >= 0 (1-d, or 2-d for several)
+    grouped by equal rows: one ascending array of row indices per distinct
+    row.  A row's key packs its digits as a mixed radix; where the next
+    digit would take the keys to _PACK_LIMIT, they are first replaced by
+    their ranks among the distinct keys.  Below the limit a key is the
+    packed row, in the smallest unsigned type that holds it (a stable
+    argsort of 8 or 16 bits is a radix sort); past it the groups are the
+    same, in another order."""
     columns = [c if c.ndim == 2 else c[:, None] for c in columns]
     spans = [top + 1 for c in columns for top in c.max(axis=0, initial=0).tolist()]
-    size = math.prod(spans)
-    if size >= _PACK_LIMIT:
-        return np.unique(np.hstack(columns), axis=0, return_inverse=True)[1].reshape(-1)
-    key = np.zeros(len(columns[0]), dtype=np.int64)
+    key, size = np.zeros(len(columns[0]), dtype=np.int64), 1  # every key is below size
     for digit, span in zip((c[:, k] for c in columns for k in range(c.shape[1])), spans):
+        if size * span >= _PACK_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = distinct.size
         key *= span
         key += digit
-    return key.astype(np.min_scalar_type(size - 1))
-
-
-def _row_groups(*columns: np.ndarray) -> list[np.ndarray]:
-    """The rows of these columns (as _row_keys takes them) grouped by equal
-    rows: one ascending array of row indices per distinct row."""
-    key = _row_keys(*columns)
+        size *= span
+    key = key.astype(np.min_scalar_type(size - 1))
     order = np.argsort(key, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if key.size else []
 

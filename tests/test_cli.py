@@ -13,9 +13,11 @@ import pytest
 from branchpde import cli, verify
 
 
+SOLVE = {"problem": "b2", "T": 0.1, "n": 200, "points": [{"t": 0.0, "x": [0.0]}]}
+
+
 def run_solve(tmp_path, capsys, **fields):
-    cfg = {"problem": "b2", "T": 0.1, "n": 200, "points": [{"t": 0.0, "x": [0.0]}]}
-    cfg.update(fields)
+    cfg = {**SOLVE, **fields}
     path = tmp_path / "solve.json"
     path.write_text(json.dumps(cfg))
     code = cli.main(["solve", "--config", str(path)])
@@ -534,7 +536,7 @@ def test_config_that_is_not_an_object_exits_3(tmp_path, capsys, command, text, k
 def test_solve_config_error_is_one_stderr_line(tmp_path, fields):
     # a fresh interpreter, so that the log handler the command sets up writes
     # to the real stderr
-    cfg = {"problem": "b2", "T": 0.1, "n": 200, "points": [{"t": 0.0, "x": [0.0]}], **fields}
+    cfg = {**SOLVE, **fields}
     path = tmp_path / "solve.json"
     path.write_text(json.dumps(cfg))
     env = {k: v for k, v in os.environ.items() if k != "BRANCHPDE_LOG"}
@@ -545,6 +547,30 @@ def test_solve_config_error_is_one_stderr_line(tmp_path, fields):
     )
     assert run.returncode == 3 and run.stdout == ""
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command, fields, unknown", [
+    ("solve", {**SOLVE, "N": 10}, "N"),
+    ("solve", {**SOLVE, "estimator": "mom", "estimater": "mean"}, "estimater"),
+    ("solve", {**SOLVE, "d": 3}, "d"),
+    ("stability", {**STABILITY, "kmax": 3}, "kmax"),
+    ("progeny", {**PROGENY, "m_max": 3}, "m_max"),
+], ids=["solve-N", "solve-estimater", "solve-d", "stability-kmax", "progeny-m_max"])
+def test_a_field_the_command_does_not_read_exits_3(tmp_path, capsys, command, fields, unknown):
+    # a misspelt field used to run on the defaults and exit 0
+    code, out, err = run_command(tmp_path, capsys, command, fields)
+    assert code == 3 and out == ""
+    assert err.startswith(f"config error: unknown config field {unknown!r}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("solve", SOLVE, "n"), ("progeny", PROGENY, "d"),
+], ids=["solve-n", "progeny-d"])
+def test_a_size_past_the_index_range_exits_3(tmp_path, capsys, command, cfg, field):
+    # both raised OverflowError where the size first made a range or a list
+    code, out, err = run_command(tmp_path, capsys, command, {**cfg, field: 10**30})
+    assert code == 3 and out == ""
+    assert err == f"config error: config field {field!r} must be <= {sys.maxsize}, got {10**30}\n"
 
 
 @pytest.mark.parametrize("fields, order", [

@@ -13,7 +13,6 @@ from branchpde.mechanism import (
     offspring_prob,
     offspring_set,
     sample_offspring,
-    sample_offspring_indices,
     spawn,
 )
 from branchpde.multiindex import MultiIndex, mi_abs
@@ -282,9 +281,9 @@ def test_batched_entry_choice_matches_sample_offspring(d):
             us.append(u)
             entry = sample_offspring(c, u)
             expected.append((entry.kind, entry.beta))
-    assert picked(sample_offspring_indices(np.array(rows), np.array(us))) == expected
+    assert picked(coded_entries(rows, us)) == expected
     with pytest.raises(ValueError):
-        sample_offspring_indices(np.array([alphas[0]]), np.array([1.0]))
+        coded_entries([alphas[0]], [1.0])
 
 
 @pytest.mark.parametrize("d, top", [(1, 9), (2, 5)])
@@ -301,7 +300,7 @@ def test_batched_entry_choice_matches_sample_offspring_for_larger_alpha(d, top):
             us.append(u)
             entry = sample_offspring(c, u)
             expected.append((entry.kind, entry.beta))
-    assert picked(sample_offspring_indices(np.array(rows), np.array(us))) == expected
+    assert picked(coded_entries(rows, us)) == expected
 
 
 def test_a_code_fixes_the_dimension_of_its_offspring_law():
@@ -317,7 +316,7 @@ def test_a_code_fixes_the_dimension_of_its_offspring_law():
         lambda: offspring_set(c, 1),
         lambda: offspring_prob(c, entries[0], 3),
         lambda: sample_offspring(Code((1,), 0), 2, 0.99),
-        lambda: sample_offspring_indices(np.array([[1, 1]]), 1, np.array([0.5])),
+        lambda: draw_entries(np.array([[1, 1]]), np.array([0]), 1, np.array([0.5])),
     ):
         with pytest.raises(TypeError):
             call()
@@ -326,7 +325,7 @@ def test_a_code_fixes_the_dimension_of_its_offspring_law():
 @pytest.mark.parametrize("alpha", [np.array([1, 1]), np.array([[[1, 1]]]), np.array(2)])
 def test_batched_entry_choice_refuses_alpha_that_is_not_rows(alpha):
     with pytest.raises(ValueError, match=r"\(n, d\) array"):
-        sample_offspring_indices(alpha, np.array([0.5]))
+        draw_entries(alpha, np.array([0]), np.array([0.5]))
 
 
 @pytest.mark.parametrize("alpha", [[1] * 62, [1_500_000]], ids=["product", "order"])
@@ -334,20 +333,25 @@ def test_batched_entry_choice_refuses_a_law_past_the_int64_range(alpha):
     # prod(1+alpha_k) = 2^62 and (3+a)^3 > 2^62 / 3: the int64 products of
     # the walk and of z1/q would wrap
     with pytest.raises(ValueError, match="int64"):
-        sample_offspring_indices(np.array([alpha]), np.array([0.5]))
+        coded_entries([alpha], [0.5])
 
 
 def test_batched_entry_choice_reads_the_dimension_from_the_rows():
     # one row of a two-entry alpha gives one entry, of the d = 2 set
     c = Code((1, 1), 0)
-    kind, beta, mass = sample_offspring_indices(np.array([c.alpha]), np.array([0.5]))
-    assert (kind.shape, beta.shape, mass.shape) == ((1,), (1, 2), (1,))
+    kind, beta, ratio = coded_entries([c.alpha], [0.5])
+    assert (kind.shape, beta.shape, ratio.shape) == ((1,), (1, 2), (1,))
     entry = sample_offspring(c, 0.5)
     assert (kind[0], tuple(beta[0])) == (entry.kind, entry.beta)
 
 
+def coded_entries(rows, us):
+    """draw_entries on codes (row, 0): the walk of sample_offspring."""
+    return draw_entries(np.array(rows), np.zeros(len(rows), dtype=np.int64), np.array(us))
+
+
 def picked(drawn):
-    """The (kind, beta) per row of sample_offspring_indices' result."""
+    """The (kind, beta) per row of draw_entries' result."""
     kind, beta, _ = drawn
     return list(zip(kind.tolist(), map(tuple, beta.tolist())))
 

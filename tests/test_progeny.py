@@ -476,7 +476,7 @@ def test_bound_report_dominates_value_property(regime, r, d, scale, m, fracs):
         assert out["value"] <= rep["wh_bound"]
         # the bound on the A' series alone grows with T; the exp(-lam T)
         # factor can make the reported bound fall
-        series = progeny.hbound(alpha, p)["wh_bound"]
+        series = progeny.dominating_bound(alpha, p, p.dominating_argument(), 1.0)["wh_bound"]
         assert series >= prev_series
         assert rep["wh_bound"] == pytest.approx(math.exp(-T) * series, rel=1e-15, abs=0)
         prev_series = series
@@ -755,12 +755,12 @@ def test_bounds_refuse_what_they_cannot_bound():
         ("T = nan differs from params.T = 0.01", lambda: bound_report((1,), p1, 1.0, math.nan)),
         ("x = -0.001", lambda: progeny.dominating_bound((1,), p1, -0.001, 1.0)),
         ("x = nan", lambda: progeny.dominating_bound((1,), p1, math.nan, 1.0)),
-        ("T = -0.01", lambda: progeny.hbound((1,), fact_params(1.5, 1, lam=1.0, T=-0.01))),
+        ("T = -0.01", lambda: progeny.dominating_bound((1,), fact_params(1.5, 1, lam=1.0, T=-0.01), 0.0, 1.0)),
         ("h = -0.01", lambda: expected_weighted_progeny((1,), 0, 1.0, -0.01, p1)),
         ("h = nan", lambda: expected_weighted_progeny((1,), 0, 1.0, math.nan, p1)),
         ("not d = 2", lambda: bound_report((1,), p2, 1.0, 0.01)),
         ("not d = 2", lambda: progeny.dominating_bound((1, 0, 0), p2, 0.0, 1.0)),
-        ("not d = 2", lambda: progeny.hbound((1,), p2)),
+        ("not d = 2", lambda: progeny.dominating_bound((1,), p2, p2.dominating_argument(), 1.0)),
         ("not d = 2", lambda: expected_weighted_progeny((1, 0, 0), 0, 1.0, 0.01, p2)),
         ("not d = 1", lambda: expected_weighted_progeny((1, 0), 0, 1.0, 0.01, p1)),
     ]
@@ -774,11 +774,11 @@ def test_bounds_refuse_what_they_cannot_bound():
 def test_bound_report_bounds_its_params_own_rate_and_horizon(regime):
     p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.002, 2)
     x = p.dominating_argument()
-    # the benchmark's call shape; check_conditions, hbound and bound_report
-    # read the one x
+    # the benchmark's call shape; check_conditions, the stability command's
+    # bound rows and bound_report read the one x
     rep = bound_report((1, 0), p, p.lam, p.T)
     assert rep == progeny.dominating_bound((1, 0), p, x, math.exp(-p.lam * p.T))
-    assert progeny.hbound((1, 0), p)["series_argument"] == rep["series_argument"] == x
+    assert rep["series_argument"] == x
     cond = stability.check_conditions(p, lifetimes.exponential_model(1.0)).conditions[1]
     assert cond.name == "bound-radius" and cond.lhs == x
     for lam, T, message in (

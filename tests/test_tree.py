@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -557,17 +558,19 @@ def test_array_hash_equals_int_hash_at_edge_keys():
     ]
 
 
-def test_row_keys_tell_rows_apart_past_the_packing_limit():
-    # below 2^62 the key packs a row's digits; 70 columns of span 2 pass it,
-    # and the key is the row's rank among the distinct rows (rows that differ
-    # in their leading digits alone would share a packed key that wrapped)
+def test_row_groups_are_the_classes_of_equal_rows_past_the_packing_limit():
+    # below 2^62 a key packs a row's digits; 70 columns of span 2 pass it,
+    # and the keys are re-ranked on the way (rows that differ in their
+    # leading digits alone would share a packed key that wrapped)
     rng = np.random.default_rng(3)
     for d in (1, 3, 70):
         j, alpha = rng.integers(-1, 2, 300), rng.integers(0, 2, (300, d))
         alpha[0], alpha[1:, 8:] = 1, 0
-        keys = tree_module._row_keys(j + 1, alpha).tolist()
-        rows = list(zip(j.tolist(), map(tuple, alpha.tolist())))
-        assert len(set(zip(keys, rows))) == len(set(keys)) == len(set(rows)) > 1
+        classes: dict[tuple, list[int]] = {}
+        for r, row in enumerate(zip(j.tolist(), map(tuple, alpha.tolist()))):
+            classes.setdefault(row, []).append(r)
+        groups = [g.tolist() for g in tree_module._row_groups(j + 1, alpha)]
+        assert sorted(groups) == sorted(classes.values()) and len(groups) > 1
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -665,6 +668,27 @@ def test_a_code_of_another_dimension_leaves_the_shared_table_intact():
         _sample_values(setup, Code((1, 1), 0), 0.0, (0.0,), problem.T, range(3000), 11, Caps())
     est = estimate_u(Code((6,), 1), 0.0, (0.0,), problem.T, setup, 3000, 11)
     assert est.mean == 0.00017646267011100985  # the value of a fresh process
+
+
+def test_a_high_d_estimate_is_unchanged_past_the_packing_limit(monkeypatch):
+    # the codes of the survivors at d = 64 pass the packing limit of
+    # _row_groups, which then ranks its keys with np.unique; the digest of
+    # (mean, std_error) was fixed before the row grouping became one loop
+    d = 64
+    problem = zero_f_cosine_problem(0.5, d=d)
+    setup = ProblemSetup(problem.oracle, exponential_model(1.0), d)
+    unique, calls = np.unique, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    est = estimate_u(Code((0,) * d, -1), 0.0, (0.0,) * d, problem.T, setup, 2000, 31)
+    assert calls
+    assert hashlib.sha256(np.array([est.mean, est.std_error]).tobytes()).hexdigest() == (
+        "71ae1c52e3274a6e86a892ff0ef5f32b35df398800ebb7f94fa065e511dbc237"
+    )
 
 
 BAD_STARTS = pytest.mark.parametrize("c0, x", [
