@@ -10,12 +10,19 @@ config error, a config that is not a JSON object among them, is one stderr
 line "config error: ..." and exit 3, as is a stability bound that is not a
 finite float, or a stability `lifetime` block whose lambda is not the
 config's `lambda`, or a top-level field the command does not read
-(_SOLVE_FIELDS, _STABILITY_FIELDS, _PROGENY_FIELDS), or a solve `n` or
-progeny `d` past sys.maxsize (2^63 - 1), which no range or list can index;
-both are checked before anything is allocated.  solve samples in one
-process, so `workers` (or --workers) must be 1; the field stays in the
-resolved config it echoes.  Its `mean` estimator is median-of-means with
-one group.  Log level comes from the BRANCHPDE_LOG environment variable.
+(_SOLVE_FIELDS, _STABILITY_FIELDS, _PROGENY_FIELDS), or a key a nested
+block does not read: `code` reads alpha and j, `caps` max_branches and
+max_generation, `lifetime` kind and lambda (and points when the kind is
+tabulated), each `points` row t and x, and `regime` kind and theta (and r
+when the kind is factorial).  So is a solve `n` or progeny `d` past
+sys.maxsize (2^63 - 1), which no range or list can index, and a solve
+`seed` (from the config or --seed), or a seed plus one of its
+`seed_offsets`, outside the int64 range [-2^63, 2^63 - 1], on which the
+trees' seed mod 2^64 is one to one; all are checked before anything is
+allocated.  solve samples in one process, so `workers` (or --workers)
+must be 1; the field stays in the resolved config it echoes.  Its `mean`
+estimator is median-of-means with one group.  Log level comes from the
+BRANCHPDE_LOG environment variable.
 
 Each command loads only the half it runs: this module imports neither
 half at the top, and the package's `__init__` imports nothing.
@@ -68,12 +75,15 @@ _STABILITY_FIELDS = {"d", "regime", "lambda", "delta1", "delta2", "m_max", "swee
 _PROGENY_FIELDS = {"d", "regime", "kmax", "alpha_max", "exact"}
 
 
-def _known(cfg: dict, fields: set) -> dict:
-    """cfg, if every top-level field of it is among the fields a command
-    reads; else ConfigError naming the first other one."""
+def _known(cfg: dict, fields: set, block: str = "config") -> dict:
+    """cfg, if it is an object and every field of it is among the fields a
+    command reads; else ConfigError naming the block (the top level is
+    "config") and the first other field."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a {block} block must be an object, got {cfg!r}")
     unknown = sorted(set(cfg) - fields)
     if unknown:
-        raise ConfigError(f"unknown config field {unknown[0]!r}; known: {', '.join(sorted(fields))}")
+        raise ConfigError(f"unknown {block} field {unknown[0]!r}; known: {', '.join(sorted(fields))}")
     return cfg
 
 
@@ -113,6 +123,8 @@ def _lifetime(block) -> LifetimeModel:
     """The `lifetime` block as a model, its lambda finite and > 0."""
     if not isinstance(block, dict):
         raise ConfigError(f"config field 'lifetime' must be an object, got {block!r}")
+    keys = {"kind", "lambda", "points"} if block.get("kind") == "tabulated" else {"kind", "lambda"}
+    _known(block, keys, "lifetime")
     _positive("lifetime.lambda", _require(block, "lambda"))
     return model_from_config(block)
 
@@ -156,6 +168,7 @@ def _regime(cfg: dict, d: int):
     )
     if regime is None:
         raise ConfigError("regime.kind must be factorial|exponential")
+    _known(block, {"kind"} | {field.name for field in fields(regime)}, "regime")
     params = []
     for field in fields(regime):
         value = _require(block, field.name, (int, float, str))
@@ -217,7 +230,7 @@ def cmd_solve(args) -> int:
         T = _positive("T", _require(cfg, "T"))
         model = _lifetime(cfg["lifetime"])
         problem = problems.make_problem(name, T)
-        code_cfg = _require(cfg, "code", dict)
+        code_cfg = _known(_require(cfg, "code", dict), {"alpha", "j"}, "code")
         code = Code(
             tuple(_integer("code.alpha", a, 0) for a in code_cfg["alpha"]),
             _integer("code.j", code_cfg["j"], -1),
@@ -229,6 +242,7 @@ def cmd_solve(args) -> int:
         points = _require(cfg, "points", list)
         parsed_points = []
         for row in points:
+            _known(row, {"t", "x"}, "points")
             t = _finite("points.t", row["t"])
             x = [_finite("points.x", v) for v in row["x"]]
             if len(x) != problem.d:
@@ -244,13 +258,20 @@ def cmd_solve(args) -> int:
         offsets = [_integer("seed_offsets", off) for off in offsets]
         n = _size(cfg, "n")
         seed = _integer("seed", cfg["seed"])
+        # the trees read a seed mod 2^64, which is one to one on the int64 range
+        for value in [seed] + [seed + off for off in offsets]:
+            if not -(1 << 63) <= value < 1 << 63:
+                raise ConfigError(
+                    "config field 'seed', and 'seed' plus each of 'seed_offsets', must be "
+                    f"in the int64 range [-2^63, 2^63 - 1], got {value}"
+                )
         workers = _at_least(cfg, "workers", 1)
         if workers != 1:
             raise ConfigError(
                 f"config field 'workers' (or --workers) must be 1, got {workers}: "
                 "sampling runs in one process"
             )
-        caps_cfg = _require(cfg, "caps", dict)
+        caps_cfg = _known(_require(cfg, "caps", dict), {f.name for f in fields(Caps)}, "caps")
         caps = Caps(
             max_branches=_at_least(caps_cfg, "max_branches", 1),
             max_generation=_at_least(caps_cfg, "max_generation", 0),
@@ -338,7 +359,7 @@ def cmd_stability(args) -> int:
         model = _lifetime(cfg.get("lifetime", {"kind": "exponential", "lambda": lam}))
         if model.lam != lam:
             raise ConfigError(f"lifetime.lambda = {model.lam!r} differs from lambda = {lam!r}")
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
@@ -397,7 +418,7 @@ def cmd_progeny(args) -> int:
         exact = cfg.get("exact", True)
         if type(exact) is not bool:
             raise ConfigError(f"config field 'exact' must be true or false, got {exact!r}")
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 

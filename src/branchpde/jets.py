@@ -3,8 +3,8 @@ derivatives of composed univariate functions.
 
 A jet stores coefficients a_0..a_M with a_m = f^{(m)}(x0)/m!, so the
 m-th normalized derivative used by derivative codes is literally a_m.
-Supported closed operations: +, -, *, reciprocal, exp, and log (of a jet
-whose constant term is > 0).
+Supported closed operations: +, -, *, reciprocal, and log (of a jet whose
+constant term is > 0); the jet of e^x itself is exp_jet.
 
 Coefficients are floats, or numpy arrays of one shape holding the jets of
 many expansion points at once; every operation acts elementwise on them, so
@@ -28,13 +28,6 @@ class Jet:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    @staticmethod
-    def variable(x0: float, order: int) -> "Jet":
-        c = [x0] + [0.0] * order
-        if order >= 1:
-            c[1] = 1.0
-        return Jet(c)
 
     def coefficient(self, m: int) -> float:
         """f^{(m)}(x0)/m!."""
@@ -99,15 +92,6 @@ class Jet:
         for n in range(1, M + 1):
             b[n] = -sum(a[k] * b[n - k] for k in range(1, n + 1)) / a[0]
         return Jet(b)
-
-    def exp(self) -> "Jet":
-        a = self.coeffs
-        M = self.order
-        e = [0.0] * (M + 1)
-        e[0] = np.exp(a[0])
-        for n in range(1, M + 1):
-            e[n] = sum(k * a[k] * e[n - k] for k in range(1, n + 1)) / n
-        return Jet(e)
 
     def log(self) -> "Jet":
         a = self.coeffs

@@ -37,12 +37,12 @@ unchanged.
 Both regimes have closed forms for A'_nu(k) at every order, nu = 0
 included.  ahat_log_terms evaluates their logarithms for k = 0..K as one
 numpy array (log k! as a cumulative sum of logs, the factorial regime's
-Gamma ratio through math.lgamma), and the regime's closed_log is the
-scalar reference.  _ahat_series reads the terms of the A' series and its
-tail closure from it, for the one bound (bound_report) and the tail of
-expected_weighted_progeny.  The closed forms run along the first axis,
-and A'_nu = (|nu|!/nu!) A'_{|nu| e_1}.  Each regime's formulas (g,
-radius, closed-form terms) are methods of Factorial and Exponential.
+Gamma ratio through math.lgamma), checked against the scalar closed_log of
+tests/test_progeny.py.  _ahat_series reads the terms of the A' series and
+its tail closure from it, for the one bound (bound_report) and the tail of
+expected_weighted_progeny.  The closed forms run along the first axis, and
+A'_nu = (|nu|!/nu!) A'_{|nu| e_1}.  Each regime's formulas (g, radius,
+closed-form terms) are methods of Factorial and Exponential.
 
 The regimes, the growth sequences (GrowthSequence, g_factorial,
 g_exponential) and the preset (PresetWeights) are defined in stability,
@@ -353,7 +353,7 @@ def check_domination_condition(regime: Factorial | Exponential, d: int = 1) -> D
 
 def ahat_log_terms(params, alpha_abs: int, kmax: int) -> np.ndarray:
     """log A'_{alpha_abs e_1}(k) for k = 0..kmax, as one read-only array
-    (see _ahat_log_terms); params.regime.closed_log is its scalar reference."""
+    (see _ahat_log_terms); its scalar reference is test_progeny.closed_log."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     return _ahat_log_terms(params.regime, params.d, alpha_abs, kmax)

@@ -83,19 +83,6 @@ class Factorial(_Regime):
         """((r+2)k + r + |alpha|) theta, for |alpha| = m."""
         return ((self.r + 2) * k + self.r + m) * self.theta
 
-    def closed_log(self, d: int, alpha: MultiIndex, k: int) -> float:
-        """log of the closed form of progeny.ahat_closed_factorial; safe for large k."""
-        m = mi_abs(alpha)
-        theta, r = float(self.theta), float(self.r)
-        return (
-            k * math.log(2 * d)
-            + (k + 1) * math.log(r)
-            + (2 * k + m) * math.log(theta)
-            - math.log(mi_factorial(alpha))
-            + (math.lgamma((r + 2) * k + r + m) - math.lgamma((r + 1) * (k + 1)))
-            - math.lgamma(k + 2)
-        )
-
     def closed_log_terms(self, logs, m: int, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
         """logs plus the regime part of log A'_{m e_1}(k) over the array k,
         given log j! for j <= max(k) + 1: the Gamma ratio, r^{k+1} and 1/(k+1)!."""
@@ -133,18 +120,6 @@ class Exponential(_Regime):
     def ratio(self, m: int, k: int):
         """(k+1) theta, for |alpha| = m."""
         return (k + 1) * self.theta
-
-    def closed_log(self, d: int, alpha: MultiIndex, k: int) -> float:
-        """log of the closed form of progeny.ahat_closed_exponential; safe for large k."""
-        m = mi_abs(alpha)
-        theta = float(self.theta)
-        return (
-            k * math.log(2 * d)
-            + (2 * k + m) * math.log(theta)
-            - math.log(mi_factorial(alpha))
-            - math.lgamma(k + 1)
-            + (k + m - 2) * math.log(k + 1)
-        )
 
     def closed_log_terms(self, logs, m: int, k: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
         """logs plus the regime part of log A'_{m e_1}(k) over the array k,
@@ -204,7 +179,8 @@ def _growth_sequence(step: Callable[[int], object], exact: bool) -> GrowthSequen
 @dataclass
 class PresetWeights:
     """The branch-weight preset of a growth sequence g (see
-    GrowthParams.build_weights), called by the sampler as a WeightSpec:
+    GrowthParams.build_weights), with the members that the sampler's
+    weighted progenies (tree.weighted_progeny_batch) read:
 
     boundary:  (alpha,-1) -> delta1 g(alpha),
                (alpha,j)  -> delta1 g(alpha)/kappa

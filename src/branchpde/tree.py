@@ -7,19 +7,22 @@ manner of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 (SC'11).  Each branch has a 64-bit key derived from (seed, sample_index,
 label): the root's key is mix(mix(seed), sample_index), and child k of a
 branch with key K has key mix(K, k).  Draw c of a branch is hash(K, c), the
-(c+1)-th output of a splitmix64 stream started at K, read as a uniform in
-[0, 1) with 53 random bits.  A tree is therefore a pure function of (seed,
-sample_index, label), whatever the order, batch or worker in which its
-branches are drawn.  The per-branch draw order is fixed by counter: the
-lifetime uniform is draw 0, the d displacement normals (Box-Muller on the
-consecutive pairs of draws 1, 2, ..., one pair per two normals) follow, and
-the offspring uniform comes right after them.
+(c+1)-th output of a splitmix64 stream started at K (Steele, Lea & Flood,
+OOPSLA 2014), read as a uniform in [0, 1) with 53 random bits.  A tree is
+therefore a pure function of (seed, sample_index, label), whatever the
+order, batch or worker in which its branches are drawn.  The per-branch
+draw order is fixed by counter: the lifetime uniform is draw 0, the d
+displacement normals (Box-Muller on the consecutive pairs of draws 1, 2,
+..., one pair per two normals) follow, and the offspring uniform comes
+right after them.  The key helpers (_fmix, _hash, _mix, _root_keys,
+_uniforms) take keys as 1-d uint64 arrays, which wrap mod 2^64 on their
+own; one branch is an array of one key.
 
 Two samplers share these draws.  `sample_tree` grows one tree of the
 original chain branch by branch, reading each branch's draws from its
-`branch_rng` key at the counters above, and records every branch, with the
-horizon and lifetime model it was grown under;
-`evaluate_functional` (with the exact Fraction mechanism) and
+`branch_rng` key, as an array of one key, at the counters above, and
+records every branch, with the horizon and lifetime model it was grown
+under; `evaluate_functional` (with the exact Fraction mechanism) and
 `weighted_progeny` multiply its factors.  They are the reference that the
 tests use.  `TreeBatch` grows the trees of a range of sample indices
 together, one generation at a time, as arrays, and `evaluate_batch` and
@@ -98,75 +101,48 @@ class TreeSample:
         return len(self.branches)
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Positive weights attached to branches: sigma_boundary(alpha, j>=-1)
-    for branches alive at the horizon, sigma_inner(alpha, j, kind) for
-    branches that split, and the boundary inflation kappa >= 1 used by the
-    dominating chain."""
-
-    sigma_boundary: Callable[[tuple, int], float]
-    sigma_inner: Callable[[tuple, int, int], float]
-    kappa: float = 1.0
-
-    def boundary_dominating(self, alpha, j) -> float:
-        return self.kappa * self.sigma_boundary(alpha, j)
-
-
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # splitmix64's stream increment
 
-# The helpers below take keys either as Python ints (one branch) or as 1-d
-# uint64 arrays (a generation of branches), with the same arithmetic mod
-# 2^64: Python ints are masked, uint64 arrays wrap on their own.
+
+def _fmix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output function; the uint64 array z is left as it was."""
+    shifted = z >> 30  # one scratch array for the three shifts
+    z = z ^ shifted  # a new array, worked on in place from here
+    z *= 0xBF58476D1CE4E5B9
+    z ^= np.right_shift(z, 27, out=shifted)
+    z *= 0x94D049BB133111EB
+    z ^= np.right_shift(z, 31, out=shifted)
+    return z
 
 
-def _fmix(z):
-    """splitmix64's output function."""
-    if isinstance(z, np.ndarray):
-        shifted = z >> 30  # one scratch array for the three shifts
-        z = z ^ shifted  # a new array, worked on in place from here
-        z *= 0xBF58476D1CE4E5B9
-        z ^= np.right_shift(z, 27, out=shifted)
-        z *= 0x94D049BB133111EB
-        z ^= np.right_shift(z, 31, out=shifted)
-        return z
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-def _hash(key, counter):
+def _hash(key: np.ndarray, counter) -> np.ndarray:
     """hash(key, counter): output counter + 1 of a splitmix64 stream started
-    at the key."""
-    if isinstance(counter, np.ndarray):
-        step = counter + 1
-        step *= _GAMMA
-    else:
-        step = ((counter + 1) * _GAMMA) & _MASK
-    z = key + step
-    return _fmix(z if isinstance(z, np.ndarray) else z & _MASK)
+    at each key, for an int counter or a uint64 counter array broadcast
+    against the keys; the step (counter + 1) gamma mod 2^64 is made in place."""
+    step = counter + 1
+    step *= _GAMMA
+    step &= _MASK
+    return _fmix(key + step)
 
 
-def _mix(key, k):
+def _mix(key: np.ndarray, k) -> np.ndarray:
     """mix(key, k): the key of child k of a branch with this key."""
     return _hash(_fmix(key), k)
 
 
-def _root_keys(seed: int, sample_indices):
-    """mix(mix(seed), i) for sample index i, or for each of an array of them."""
-    if isinstance(sample_indices, np.ndarray):
-        sample_indices = sample_indices.astype(np.uint64)
-    return _mix(_fmix(seed & _MASK), sample_indices)
+def _root_keys(seed: int, sample_indices) -> np.ndarray:
+    """mix(mix(seed), i) for each sample index i, read mod 2^64 as the seed
+    is, as a 1-d uint64 array: an int index gives an array of one key."""
+    indices = np.asarray(sample_indices).astype(np.uint64).reshape(-1)
+    return _mix(_fmix(np.array([seed & _MASK], dtype=np.uint64)), indices)
 
 
-def _uniforms(key, counter: int):
-    """Draw `counter` of the key as a float in [0, 1) with 53 random bits."""
+def _uniforms(key: np.ndarray, counter: int) -> np.ndarray:
+    """Draw `counter` of each key as a float in [0, 1) with 53 random bits."""
     bits = _hash(key, counter)
-    if isinstance(bits, np.ndarray):
-        bits >>= 11
-        return bits * 2.0**-53
-    return (bits >> 11) * 2.0**-53
+    bits >>= 11
+    return bits * 2.0**-53
 
 
 def _normal_draws(d: int) -> int:
@@ -189,12 +165,13 @@ def _normals(key, counter: int, d: int) -> list:
 
 def branch_rng(seed: int, sample_index: int, label: Label) -> int:
     """The 64-bit key of one branch of one sample, from (seed,
-    sample_index, label), as a Python int: draw c of the branch is
-    _uniforms(key, c), the draw `TreeBatch` reads from its uint64 key."""
+    sample_index, label), as a Python int.  Draw c of the branch is element
+    0 of _uniforms(np.array([key], dtype=np.uint64), c), the draw
+    `TreeBatch` reads from its row of the key array."""
     key = _root_keys(seed, sample_index)
     for k in label:
         key = _mix(key, k)
-    return key
+    return int(key[0])
 
 
 def _finish(records: list[BranchRecord], T: float, model: LifetimeModel) -> TreeSample:
@@ -257,14 +234,14 @@ def sample_tree(
             raise CapExceeded(f"generation cap {caps.max_generation} exceeded")
         if len(records) >= caps.max_branches:
             raise CapExceeded(f"branch cap {caps.max_branches} exceeded")
-        # the draws at TreeBatch's counters: lifetime, normals, offspring
-        key = branch_rng(seed, sample_index, label)
-        tau = model.inverse_cdf(_uniforms(key, 0))
+        # element 0 of the draws at TreeBatch's counters: lifetime, normals, offspring
+        key = np.array([branch_rng(seed, sample_index, label)], dtype=np.uint64)
+        tau = model.inverse_cdf(_uniforms(key, 0)[0])
         death = birth + tau
-        normals = np.array(_normals(key, 1, d))
+        normals = np.array([z[0] for z in _normals(key, 1, d)])
         died = death <= T
         end = tuple(p + dv for p, dv in zip(pos, normals * math.sqrt(tau if died else T - birth)))
-        entry = sample_offspring(code, _uniforms(key, 1 + _normal_draws(d))) if died else None
+        entry = sample_offspring(code, _uniforms(key, 1 + _normal_draws(d))[0]) if died else None
         records.append(
             BranchRecord(
                 label=label,
@@ -538,14 +515,15 @@ def _row_groups(*columns: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if key.size else []
 
 
-def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
+def weighted_progeny_batch(batch: TreeBatch, w) -> np.ndarray:
     """Multiplicative weighted progeny of every tree of a batch, NaN where
-    capped: sigma_inner(alpha, j, kind) over died branches times
-    sigma_boundary(alpha, j) over survived ones, kappa sigma_boundary on the
-    dominating chain.  Each weight is evaluated once per code and kind (died)
-    or per code (survived), and each tree multiplies its factors in
-    generation and then label order, so its value does not depend on the
-    other trees of the batch."""
+    capped: w.sigma_inner(alpha, j, kind) over died branches times
+    w.sigma_boundary(alpha, j) over survived ones, or on the dominating chain
+    w.boundary_dominating(alpha, j), which is w.kappa sigma_boundary (a
+    stability.PresetWeights has these members).  Each weight is evaluated
+    once per code and kind (died) or per code (survived), and each tree
+    multiplies its factors in generation and then label order, so its value
+    does not depend on the other trees of the batch."""
     boundary = w.boundary_dominating if batch.dominating else w.sigma_boundary
     weights: dict[tuple[Code, int], float] = {}  # per (code, slot): survived, then died by kind
     product = np.ones(len(batch))
@@ -564,9 +542,10 @@ def weighted_progeny_batch(batch: TreeBatch, w: WeightSpec) -> np.ndarray:
     return product
 
 
-def weighted_progeny(tree: TreeSample, w: WeightSpec) -> float:
-    """Multiplicative progeny of an original tree: prod of inner weights over
-    died branches times boundary weights over survived branches."""
+def weighted_progeny(tree: TreeSample, w) -> float:
+    """Multiplicative progeny of an original tree: prod of the inner weights
+    w.sigma_inner(alpha, j, kind) over died branches times the boundary
+    weights w.sigma_boundary(alpha, j) over survived branches."""
     out = 1.0
     for rec in tree.branches:
         alpha, j = rec.code

@@ -1,15 +1,43 @@
-"""Reference implementations that more than one test module checks the
-package against.  They live here, not in `branchpde`, because no command
-uses them."""
+"""Reference implementations and test inputs that more than one test
+module reads.  They live here, not in `branchpde`, because no command uses
+them: the weights `WeightSpec` that the sampler's weighted progenies are
+tested on, the identity jet `variable`, the dominating mechanism as a set,
+derivatives and finite differences, and combinatorial references."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
+from branchpde.jets import Jet
 from branchpde.mechanism import Code, MechanismEntry, offspring_set
 from branchpde.multiindex import MultiIndex
+
+
+@dataclass(frozen=True)
+class WeightSpec:
+    """Positive weights attached to branches, with the members that
+    tree.weighted_progeny and tree.weighted_progeny_batch read:
+    sigma_boundary(alpha, j >= -1) for branches alive at the horizon,
+    sigma_inner(alpha, j, kind) for branches that split, and the boundary
+    inflation kappa >= 1 used by the dominating chain."""
+
+    sigma_boundary: Callable[[tuple, int], float]
+    sigma_inner: Callable[[tuple, int, int], float]
+    kappa: float = 1.0
+
+    def boundary_dominating(self, alpha, j) -> float:
+        return self.kappa * self.sigma_boundary(alpha, j)
+
+
+def variable(x0: float, order: int) -> Jet:
+    """The jet of the identity x at x0: coefficients x0, 1, 0, ..."""
+    c = [x0] + [0.0] * order
+    if order >= 1:
+        c[1] = 1.0
+    return Jet(c)
 
 
 def dominating_offspring_set(alpha: MultiIndex, j: int) -> list[MechanismEntry]:

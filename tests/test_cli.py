@@ -563,6 +563,64 @@ def test_a_field_the_command_does_not_read_exits_3(tmp_path, capsys, command, fi
     assert err.startswith(f"config error: unknown config field {unknown!r}") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, fields, block, unknown", [
+    ("solve", {**SOLVE, "code": {"alpha": [0], "j": -1, "jj": 5}}, "code", "jj"),
+    ("solve", {**SOLVE, "caps": {"max_branches": 12, "max_generation": 200, "max_gen": 0}},
+     "caps", "max_gen"),
+    ("solve", {**SOLVE, "lifetime": {"kind": "exponential", "lambda": 1.0, "points": [[0, 1]]}},
+     "lifetime", "points"),
+    ("stability", {**STABILITY, "lifetime": {"kind": "tabulated", "lambda": 1.0, "lam": 1.0,
+                                             "points": [[0, 1], [1, 1], [2, 0]]}}, "lifetime", "lam"),
+    ("solve", {**SOLVE, "points": [{"t": 0.0, "x": [0.0]}, {"t": 0.0, "x": [0.0], "y": [1.0]}]},
+     "points", "y"),
+    ("progeny", {**PROGENY, "regime": {"kind": "exponential", "theta": 1.5, "r": 1}}, "regime", "r"),
+    ("stability", {**STABILITY, "regime": {"theta": 1.5, "r": 1, "thetta": 2}}, "regime", "thetta"),
+], ids=["code", "caps", "lifetime-exponential", "lifetime-tabulated", "points", "regime-exponential",
+        "regime-factorial"])
+def test_a_key_a_nested_block_does_not_read_exits_3(tmp_path, capsys, command, fields, block, unknown):
+    # each of these used to run without the key and exit 0; the digest
+    # tests run these blocks with the keys they read
+    code, out, err = run_command(tmp_path, capsys, command, fields)
+    assert code == 3 and out == ""
+    assert err.startswith(f"config error: unknown {block} field {unknown!r}; known: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_a_points_row_that_is_not_an_object_exits_3(tmp_path, capsys):
+    # a string row was read as a set of its characters
+    code, out, err = run_solve(tmp_path, capsys, points=["tx"])
+    assert code == 3 and out == ""
+    assert err == "config error: a points block must be an object, got 'tx'\n"
+
+
+INT64 = 1 << 63
+
+
+@pytest.mark.parametrize("fields, argv, value", [
+    ({"seed": INT64}, [], INT64),
+    ({"seed": -INT64 - 1}, [], -INT64 - 1),
+    ({"seed": INT64 - 1, "seed_offsets": [1]}, [], INT64),
+    ({"seed": -INT64, "seed_offsets": [-1]}, [], -INT64 - 1),
+    ({}, ["--seed", str((1 << 64) - 1)], (1 << 64) - 1),
+], ids=["seed-above", "seed-below", "offset-above", "offset-below", "cli-seed"])
+def test_a_seed_outside_the_int64_range_exits_3(tmp_path, capsys, fields, argv, value):
+    # the trees read a seed mod 2^64, so -1 and 2^64 - 1 grew the same trees
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps({**SOLVE, **fields}))
+    code = cli.main(["solve", "--config", str(path)] + argv)
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("config error: config field 'seed'") and err.endswith(f", got {value}\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_seeds_at_the_ends_of_the_int64_range_run(tmp_path, capsys):
+    for seed, offsets in ((INT64 - 1, [0, -1]), (-INT64, [0, 1])):
+        points = [{"t": 0.0, "x": [0.0]}] * 2
+        code, out, _ = run_solve(tmp_path, capsys, n=20, seed=seed, seed_offsets=offsets, points=points)
+        assert code == 0 and len(out.splitlines()) == 3
+
+
 @pytest.mark.parametrize("command, cfg, field", [
     ("solve", SOLVE, "n"), ("progeny", PROGENY, "d"),
 ], ids=["solve-n", "progeny-d"])

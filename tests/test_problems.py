@@ -20,7 +20,7 @@ from branchpde.problems import (
     mild_solution_check,
     zero_f_cosine_problem,
 )
-from oracles import derivative, finite_difference
+from oracles import derivative, finite_difference, variable
 
 
 def zeta_derivative(m: int, x: float) -> float:
@@ -143,7 +143,7 @@ def test_psi_derivative_bound():
     # |psi_l^{(k)}(z)| <= 10 (k+1)! on (0,1), checked by jets for k,l <= 6
     for l in range(7):
         for z in np.linspace(0.05, 0.95, 19):
-            base = Jet.variable(float(z), 6)
+            base = variable(float(z), 6)
             onez = base + 1.0
             rec = onez.reciprocal()
             sgn = (-1.0) ** l

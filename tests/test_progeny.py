@@ -489,7 +489,7 @@ def test_tail_closure_covers_decreasing_ratios(p):
     # |alpha| = 5: A'(k+1)/A'(k) falls toward 1/R from above, so closing the
     # tail with x/R alone undercounts it; the closure must reach the sum
     x = 0.9 * p.radius()
-    longer = sum(math.exp(closed_log(p, 5, k) + k * math.log(x)) for k in range(3000))
+    longer = sum(math.exp(axis_closed_log(p, 5, k) + k * math.log(x)) for k in range(3000))
     assert progeny._ghat_series_value(p, 5, x, ktrunc=40) >= longer
 
 
@@ -541,20 +541,44 @@ ARRAY_PARAMS = [
 def test_ahat_log_terms_match_scalar_reference(regime, d):
     p = stability.GrowthParams(regime, 1.2, 1.2, 1.0, 0.01, d)
     for m in range(1, 6):
-        scalar = [closed_log(p, m, k) for k in range(2001)]
+        scalar = [axis_closed_log(p, m, k) for k in range(2001)]
         np.testing.assert_allclose(progeny.ahat_log_terms(p, m, 2000), scalar, rtol=1e-12, atol=0)
 
 
-def closed_log(p, m, k):
-    """log A'_{m e_1}(k), the scalar closed form ahat_log_terms is checked against."""
-    return p.regime.closed_log(p.d, (m,) + (0,) * (p.d - 1), k)
+def closed_log(regime, d, alpha, k):
+    """log A'_alpha(k) in dimension d, the closed form of
+    ahat_closed_factorial or ahat_closed_exponential, one k at a time: the
+    scalar reference ahat_log_terms is checked against; safe for large k."""
+    m, theta = mi_abs(alpha), float(regime.theta)
+    if isinstance(regime, stability.Factorial):
+        r = float(regime.r)
+        return (
+            k * math.log(2 * d)
+            + (k + 1) * math.log(r)
+            + (2 * k + m) * math.log(theta)
+            - math.log(mi_factorial(alpha))
+            + (math.lgamma((r + 2) * k + r + m) - math.lgamma((r + 1) * (k + 1)))
+            - math.lgamma(k + 2)
+        )
+    return (
+        k * math.log(2 * d)
+        + (2 * k + m) * math.log(theta)
+        - math.log(mi_factorial(alpha))
+        - math.lgamma(k + 1)
+        + (k + m - 2) * math.log(k + 1)
+    )
+
+
+def axis_closed_log(p, m, k):
+    """log A'_{m e_1}(k) at p's regime and dimension."""
+    return closed_log(p.regime, p.d, (m,) + (0,) * (p.d - 1), k)
 
 
 def scalar_series_value(p, m, x, ktrunc):
-    """_ghat_series_value as a scalar loop over closed_log."""
+    """_ghat_series_value as a scalar loop over axis_closed_log."""
     if x == 0:
-        return math.exp(closed_log(p, m, 0))
-    logs = [closed_log(p, m, k) for k in range(ktrunc + 2)]
+        return math.exp(axis_closed_log(p, m, 0))
+    logs = [axis_closed_log(p, m, k) for k in range(ktrunc + 2)]
     total = sum(math.exp(lv + k * math.log(x)) for k, lv in enumerate(logs[:-1]))
     last = math.exp(logs[ktrunc] + ktrunc * math.log(x))
     rho = max(x * math.exp(logs[ktrunc + 1] - logs[ktrunc]), x / p.radius())
@@ -567,13 +591,13 @@ def scalar_tracked_constant(p, m):
     y = 2.0 ** -(float(p.regime.r) + 2) * p.radius()
     log_pref = -m * math.log(2 * float(p.regime.theta) * p.d)
     if m >= 1:
-        logs = [closed_log(p, m, 0)]
+        logs = [axis_closed_log(p, m, 0)]
         for k in range(2000):
-            logs.append(closed_log(p, m, k + 1))
+            logs.append(axis_closed_log(p, m, k + 1))
             if y * max(1.0 / p.radius(), math.exp(logs[k + 1] - logs[k])) <= 1.0:
                 break
         return math.exp(max(lv + (k + 1) * math.log(y) for k, lv in enumerate(logs)) + log_pref)
-    b = [math.exp(closed_log(p, 1, l) + l * math.log(y)) for l in range(400)]
+    b = [math.exp(axis_closed_log(p, 1, l) + l * math.log(y)) for l in range(400)]
     terms = [1.0] + [
         p.d * y * sum(b[l] * b[k - l] for l in range(k + 1)) / (k + 1) for k in range(400)
     ]
@@ -834,7 +858,7 @@ def test_expected_weighted_progeny_tail_is_the_closure_at_theta_star(regime, d):
                 # scalar closed form, whose logs agree with them to rounding
                 # that the closure's 1/(1 - rho) amplifies
                 table = progeny.ahat_log_terms(star, m, ktrunc + 1)
-                scalar = [closed_log(star, m, k) for k in (ktrunc, ktrunc + 1)]
+                scalar = [axis_closed_log(star, m, k) for k in (ktrunc, ktrunc + 1)]
                 for logs, rel in ((table[ktrunc:], 1e-15), (scalar, 1e-11)):
                     last = math.exp(logs[0] + ktrunc * math.log(x))
                     rho = max(x * math.exp(logs[1] - logs[0]), x / star.radius())

@@ -26,7 +26,7 @@ from branchpde import progeny, stability
 from branchpde.mechanism import index_product
 from branchpde.multiindex import MultiIndex, mi_add_unit, mi_enumerate_below, mi_sub
 from branchpde.progeny import a_recursion, ahat_recursion, expected_weighted_progeny
-from branchpde.tree import WeightSpec
+from oracles import WeightSpec
 
 
 @dataclass

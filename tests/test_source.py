@@ -94,18 +94,24 @@ KEPT_UNREFERENCED = {
 }
 
 
+def name_reads(trees: dict) -> list[tuple]:
+    """(key, name, line) of each Name or Attribute node of the parsed
+    modules trees[key]."""
+    return [
+        (key, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for key, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+
+
 def unreferenced_definitions(paths) -> list[str]:
     """module.name of each top-level function, class or assigned name that
     no Name or Attribute node of the modules reads outside the definition
     itself (a docstring mention is no reference).  Dunder names are module
     metadata and not checked."""
     trees = {path.stem: ast.parse(path.read_text()) for path in paths}
-    reads = [
-        (module, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
-        for module, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    ]
+    reads = name_reads(trees)
     out = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -146,6 +152,58 @@ def test_unreferenced_scan_sees_an_unused_definition(tmp_path):
 
 
 BENCH = SRC.parents[1] / "bench"
+# Methods of the package's classes that nothing in the package or bench/
+# reads by name, kept on purpose: Class.method -> the reason.
+KEPT_METHODS: dict[str, str] = {}
+
+
+def unreferenced_methods(defining, reading) -> list[str]:
+    """Class.method of each method of a class in `defining` whose name no
+    Name or Attribute node of `reading` reads outside the method's own
+    definition (a docstring mention is no reference).  Dunder methods are
+    called by the language and not checked."""
+    reads = name_reads({path: ast.parse(path.read_text()) for path in reading})
+    out = []
+    for path in defining:
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    continue
+                if not any(
+                    read == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+                    for where, read, line in reads
+                ):
+                    out.append(f"{cls.name}.{node.name}")
+    return out
+
+
+def test_every_method_is_read_or_kept_on_purpose():
+    modules, bench = sorted(SRC.glob("*.py")), sorted(BENCH.glob("*.py"))
+    assert modules and bench
+    # the allowlist holds nothing that is read or gone
+    assert sorted(unreferenced_methods(modules, modules + bench)) == sorted(KEPT_METHODS)
+
+
+def test_unreferenced_method_scan_sees_an_unused_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Jet:\n    def __init__(self, c):\n        self.c = c\n\n"
+        "    def used(self):\n        return self.c\n\n"
+        "    def recursive(self, n):\n        return self.recursive(n - 1) if n else 0\n\n"
+        "    @property\n    def order(self):\n        return 0\n\n"
+        '    @staticmethod\n    def unused():\n        """unused() is not read by this docstring."""\n'
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import Jet\n\n\ndef caller():\n    return Jet(1).used() + Jet(2).order\n"
+    )
+    assert unreferenced_methods([tmp_path / "a.py"], sorted(tmp_path.glob("*.py"))) == [
+        "Jet.recursive", "Jet.unused"
+    ]
+
+
 # Defaulted parameters that no call in the package or bench/ passes, kept on
 # purpose: name.parameter (a class's name for its __init__) -> the reason.
 KEPT_DEFAULTS = {

@@ -20,7 +20,6 @@ from branchpde.tree import (
     Caps,
     TreeBatch,
     TreeSample,
-    WeightSpec,
     _normals,
     _uniforms,
     branch_rng,
@@ -30,7 +29,7 @@ from branchpde.tree import (
     weighted_progeny,
     weighted_progeny_batch,
 )
-from oracles import dominating_offspring_set
+from oracles import WeightSpec, dominating_offspring_set
 
 MODEL = exponential_model(1.0)
 
@@ -99,11 +98,16 @@ def test_reproducibility_bit_identical():
     assert a != c
 
 
+def one_key(key: int) -> np.ndarray:
+    """A branch_rng key as the one-key array the draw helpers take."""
+    return np.array([key], dtype=np.uint64)
+
+
 def test_branch_rng_streams_are_independent_of_sampling_order():
     k1 = branch_rng(10, 3, (1, 2))
     k2 = branch_rng(10, 3, (1, 2))
-    assert k1 == k2 and _uniforms(k1, 0) == _uniforms(k2, 0)
-    assert _uniforms(branch_rng(10, 3, (1,)), 0) != _uniforms(branch_rng(10, 3, (2,)), 0)
+    assert type(k1) is int and k1 == k2 and _uniforms(one_key(k1), 0) == _uniforms(one_key(k2), 0)
+    assert _uniforms(one_key(branch_rng(10, 3, (1,))), 0) != _uniforms(one_key(branch_rng(10, 3, (2,))), 0)
 
 
 def test_cap_exceeded():
@@ -483,13 +487,13 @@ def test_branch_rng_draws_what_the_batch_draws():
     drawn = entries(gen)
     assert 0 < gen.died.sum() < gen.died.size
     for row, i in enumerate(range(3, 40)):
-        key = branch_rng(4, i, ())
-        tau = model.inverse_cdf(_uniforms(key, 0))
+        key = one_key(branch_rng(4, i, ()))
+        tau = model.inverse_cdf(_uniforms(key, 0)[0])
         assert tau == gen.tau[row]
         scale = math.sqrt(tau if gen.died[row] else T)
-        assert tuple(np.array(_normals(key, 1, 2)) * scale) == tuple(gen.position[row])
+        assert tuple(np.array([z[0] for z in _normals(key, 1, 2)]) * scale) == tuple(gen.position[row])
         if gen.died[row]:
-            entry = sample_offspring(c0, _uniforms(key, 3))
+            entry = sample_offspring(c0, _uniforms(key, 3)[0])
             assert drawn[row][:2] == (entry.kind, entry.beta)
 
 
@@ -528,33 +532,57 @@ def test_batch_caps_the_trees_sample_tree_refuses(monkeypatch, T, caps, budget, 
 from branchpde import mechanism
 
 
+MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix_fmix(z: int) -> int:
+    """splitmix64's output function on a Python int, masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def splitmix_hash(key: int, counter: int) -> int:
+    """Output counter + 1 of the splitmix64 stream started at key."""
+    return splitmix_fmix((key + (counter + 1) * GAMMA) & MASK)
+
+
+def test_hash_gives_splitmix64s_published_outputs():
+    # the first five outputs of splitmix64 at state 1234567
+    want = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+    key = np.array([1234567], dtype=np.uint64)
+    assert [int(tree_module._hash(key, c)[0]) for c in range(5)] == want
+    assert [splitmix_hash(1234567, c) for c in range(5)] == want
+
+
 def test_array_hash_equals_int_hash_at_edge_keys():
-    mask = (1 << 64) - 1
-    gamma = 0x9E3779B97F4A7C15
     # 0, the largest key, and keys whose sum with the counter's increment
     # (counter + 1) * gamma mod 2^64 wraps past 2^64
-    keys = [0, 1, mask, mask - 1, (1 << 63), (1 << 64) - gamma, (1 << 64) - gamma + 1,
-            (1 << 64) - 2 * gamma % (1 << 64), 0x0123456789ABCDEF]
+    keys = [0, 1, MASK, MASK - 1, (1 << 63), (1 << 64) - GAMMA, (1 << 64) - GAMMA + 1,
+            (1 << 64) - 2 * GAMMA % (1 << 64), 0x0123456789ABCDEF]
     for counter in (0, 1, 2, 7):
-        step = ((counter + 1) * gamma) & mask
-        assert any(k + step > mask for k in keys)
+        step = ((counter + 1) * GAMMA) & MASK
+        assert any(k + step > MASK for k in keys)
         got = tree_module._hash(np.array(keys, dtype=np.uint64), counter)
         assert got.dtype == np.uint64
-        assert got.tolist() == [tree_module._hash(k, counter) for k in keys]
+        assert got.tolist() == [splitmix_hash(k, counter) for k in keys]
         # the key array is left as it was
         assert tree_module._hash(np.array(keys, dtype=np.uint64), counter).tolist() == got.tolist()
-    counters = np.array([0, 1, mask - 1, mask], dtype=np.uint64)
+    counters = np.array([0, 1, MASK - 1, MASK], dtype=np.uint64)
     for key in keys:
-        assert tree_module._hash(key, counters).tolist() == [
-            tree_module._hash(key, int(c)) for c in counters
+        # a one-key array broadcasts against an array of counters
+        assert tree_module._hash(one_key(key), counters).tolist() == [
+            splitmix_hash(key, int(c)) for c in counters
         ]
         array = np.array([key] * 4, dtype=np.uint64)
         assert tree_module._mix(array, counters).tolist() == [
-            tree_module._mix(key, int(c)) for c in counters
+            splitmix_hash(splitmix_fmix(key), int(c)) for c in counters
         ]
         assert array.tolist() == [key] * 4
     assert tree_module._fmix(np.array(keys, dtype=np.uint64)).tolist() == [
-        tree_module._fmix(k) for k in keys
+        splitmix_fmix(k) for k in keys
     ]
 
 
@@ -579,7 +607,7 @@ def test_normals_of_a_key_array_equal_the_one_key_normals(d):
     columns = _normals(keys, 1, d)
     assert len(columns) == d
     for row, key in enumerate(keys.tolist()):
-        assert [c[row] for c in columns] == _normals(key, 1, d)
+        assert [c[row] for c in columns] == [z[0] for z in _normals(one_key(key), 1, d)]
 
 
 @pytest.mark.parametrize("name", ["b2-deep", "zero-f-cosine-d2"])
