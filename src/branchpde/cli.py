@@ -14,15 +14,18 @@ config's `lambda`, or a top-level field the command does not read
 block does not read: `code` reads alpha and j, `caps` max_branches and
 max_generation, `lifetime` kind and lambda (and points when the kind is
 tabulated), each `points` row t and x, and `regime` kind and theta (and r
-when the kind is factorial).  So is a solve `n` or progeny `d` past
-sys.maxsize (2^63 - 1), which no range or list can index, and a solve
-`seed` (from the config or --seed), or a seed plus one of its
-`seed_offsets`, outside the int64 range [-2^63, 2^63 - 1], on which the
-trees' seed mod 2^64 is one to one; all are checked before anything is
-allocated.  solve samples in one process, so `workers` (or --workers)
-must be 1; the field stays in the resolved config it echoes.  Its `mean`
-estimator is median-of-means with one group.  Log level comes from the
-BRANCHPDE_LOG environment variable.
+when the kind is factorial), or a nested field that is missing or of the
+wrong type, which the line names with its block ("config field 'points.x'
+is missing", "config field 'code.alpha' must be a list, got 5").  So is a
+solve `n`, or a progeny `d`, `kmax` or `alpha_max`, past sys.maxsize
+(2^63 - 1), which no range or list can index, and a solve `seed` (from
+the config or --seed), or a seed plus one of its `seed_offsets`, outside
+the int64 range [-2^63, 2^63 - 1], on which the trees' seed mod 2^64 is
+one to one; all are checked before anything is allocated.  solve samples
+in one process, so `workers` (or --workers) must be 1; the field stays in
+the resolved config it echoes.  Its `mean` estimator is median-of-means
+with one group.  Log level comes from the BRANCHPDE_LOG environment
+variable.
 
 Each command loads only the half it runs: this module imports neither
 half at the top, and the package's `__init__` imports nothing.
@@ -87,12 +90,18 @@ def _known(cfg: dict, fields: set, block: str = "config") -> dict:
     return cfg
 
 
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
 def _require(cfg: dict, field: str, kind=None):
-    if field not in cfg:
+    """The value of a field, named as its messages name it: "T" at the top
+    level, "points.x" for the key x of a points block."""
+    key = field.rpartition(".")[2]
+    if key not in cfg:
         raise ConfigError(f"config field {field!r} is missing")
-    value = cfg[field]
+    value = cfg[key]
     if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"config field {field!r} has wrong type {type(value).__name__}")
+        raise ConfigError(f"config field {field!r} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -125,7 +134,9 @@ def _lifetime(block) -> LifetimeModel:
         raise ConfigError(f"config field 'lifetime' must be an object, got {block!r}")
     keys = {"kind", "lambda", "points"} if block.get("kind") == "tabulated" else {"kind", "lambda"}
     _known(block, keys, "lifetime")
-    _positive("lifetime.lambda", _require(block, "lambda"))
+    _positive("lifetime.lambda", _require(block, "lifetime.lambda"))
+    if "points" in keys:
+        _require(block, "lifetime.points", list)
     return model_from_config(block)
 
 
@@ -142,13 +153,16 @@ def _integer(field: str, value, low: int | None = None) -> int:
 
 
 def _at_least(cfg: dict, field: str, low: int, default=None) -> int:
-    return _integer(field, cfg.get(field, default), low)
+    """An integer field (named as in _require) >= low; a top-level field
+    with a default may be missing."""
+    value = _require(cfg, field) if default is None else cfg.get(field, default)
+    return _integer(field, value, low)
 
 
-def _size(cfg: dict, field: str, default=None) -> int:
-    """A count that sizes a range or a list: an int from 1 to sys.maxsize,
-    past which Python cannot index it."""
-    value = _at_least(cfg, field, 1, default)
+def _size(cfg: dict, field: str, default=None, low: int = 1) -> int:
+    """A count that sizes a range or a list: an int from low to
+    sys.maxsize, past which Python cannot index it."""
+    value = _at_least(cfg, field, low, default)
     if value > sys.maxsize:
         raise ConfigError(f"config field {field!r} must be <= {sys.maxsize}, got {value}")
     return value
@@ -171,7 +185,7 @@ def _regime(cfg: dict, d: int):
     _known(block, {"kind"} | {field.name for field in fields(regime)}, "regime")
     params = []
     for field in fields(regime):
-        value = _require(block, field.name, (int, float, str))
+        value = _require(block, f"regime.{field.name}")
         try:
             q = Fraction(str(value))
         except (ValueError, ZeroDivisionError):
@@ -232,8 +246,8 @@ def cmd_solve(args) -> int:
         problem = problems.make_problem(name, T)
         code_cfg = _known(_require(cfg, "code", dict), {"alpha", "j"}, "code")
         code = Code(
-            tuple(_integer("code.alpha", a, 0) for a in code_cfg["alpha"]),
-            _integer("code.j", code_cfg["j"], -1),
+            tuple(_integer("code.alpha", a, 0) for a in _require(code_cfg, "code.alpha", list)),
+            _at_least(code_cfg, "code.j", -1),
         )
         if len(code.alpha) != problem.d:
             raise ConfigError(
@@ -243,8 +257,8 @@ def cmd_solve(args) -> int:
         parsed_points = []
         for row in points:
             _known(row, {"t", "x"}, "points")
-            t = _finite("points.t", row["t"])
-            x = [_finite("points.x", v) for v in row["x"]]
+            t = _finite("points.t", _require(row, "points.t"))
+            x = [_finite("points.x", v) for v in _require(row, "points.x", list)]
             if len(x) != problem.d:
                 raise ConfigError(f"point {row} has wrong dimension for d={problem.d}")
             if not 0 <= t <= T:
@@ -273,8 +287,8 @@ def cmd_solve(args) -> int:
             )
         caps_cfg = _known(_require(cfg, "caps", dict), {f.name for f in fields(Caps)}, "caps")
         caps = Caps(
-            max_branches=_at_least(caps_cfg, "max_branches", 1),
-            max_generation=_at_least(caps_cfg, "max_generation", 0),
+            max_branches=_at_least(caps_cfg, "caps.max_branches", 1),
+            max_generation=_at_least(caps_cfg, "caps.max_generation", 0),
         )
         estimator_kind = cfg["estimator"]
         if estimator_kind not in ("mean", "mom"):
@@ -413,8 +427,8 @@ def cmd_progeny(args) -> int:
         cfg = _known(_load_config(args.config), _PROGENY_FIELDS)
         d = _size(cfg, "d", default=1)
         regime = _regime(cfg, d)
-        kmax = _at_least(cfg, "kmax", 0, default=6)
-        alpha_max = _at_least(cfg, "alpha_max", 0, default=3)
+        kmax = _size(cfg, "kmax", default=6, low=0)
+        alpha_max = _size(cfg, "alpha_max", default=3, low=0)
         exact = cfg.get("exact", True)
         if type(exact) is not bool:
             raise ConfigError(f"config field 'exact' must be true or false, got {exact!r}")

@@ -11,9 +11,10 @@ entries arranged in d+1 families:
                children (alpha-beta+1_i, -1), (beta+1_i, j+1)
 
 The canonical entry order is: the kind-0 block with beta lexicographic, then
-the kind-1..d blocks each with beta lexicographic.  Inverse-CDF sampling is
-defined against this order and is evaluated lazily (per digit), never by
-materializing the whole set.
+the kind-1..d blocks each with beta lexicographic.  Inverse-CDF sampling
+over this order is lazy: one digit walk picks the kind block, then beta's
+digits most significant first, uniform at each coordinate but the kind's
+own, i, where digit l weighs (1+l)(1+alpha_i-l).  Kind 0 owns no coordinate.
 
 `offspring_entries` enumerates the entries once, with no Fraction formed,
 and `offspring_set` adds their exact weights: with `offspring_prob` and
@@ -131,23 +132,14 @@ def _check_membership(c: Code, entry: MechanismEntry) -> None:
         raise ValueError(f"entry {entry} not in the offspring set of {c}")
 
 
-def _beta_from_rank(alpha: MultiIndex, rank: int) -> MultiIndex:
-    """rank -> beta in lexicographic order, mixed-radix with last digit fastest."""
-    digits = []
-    for a in reversed(alpha):
-        digits.append(rank % (a + 1))
-        rank //= a + 1
-    return tuple(reversed(digits))
-
-
 def sample_offspring(c: Code, u: float) -> MechanismEntry:
     """Inverse-CDF sample of q_c over the canonical order, lazily, with
     d = len(c.alpha).
 
-    Each of the d+1 kind blocks carries total mass 1/(d+1) exactly; within
-    the kind-0 block beta is uniform, and within a directional block the
-    digits of beta are walked most-significant first with per-digit weights
-    (1+l)(1+alpha_i-l) on coordinate i and uniform elsewhere.
+    Each of the d+1 kind blocks carries mass 1/(d+1) exactly; within one,
+    beta's digits are walked most significant first, uniform at each
+    coordinate but the kind's own i, where digit l weighs (1+l)(1+alpha_i-l).
+    Kind 0 has no coordinate of its own (position 0 names none).
     """
     alpha, j = c
     if j < 0:
@@ -158,14 +150,9 @@ def sample_offspring(c: Code, u: float) -> MechanismEntry:
     v = u * (d + 1)
     kind = min(int(v), d)
     frac = min(v - kind, 1.0)
-    if kind == 0:
-        total = index_product(alpha)
-        beta = _beta_from_rank(alpha, min(int(frac * total), total - 1))
-        return _entry(c, 0, beta, _children(c, 0, beta))
-    i = kind
     beta = []
     for pos, a in enumerate(alpha, start=1):
-        if pos != i:
+        if pos != kind:
             # uniform digit
             val = min(int(frac * (a + 1)), a)
             frac = min(frac * (a + 1) - val, 1.0)
@@ -183,19 +170,20 @@ def sample_offspring(c: Code, u: float) -> MechanismEntry:
                 acc += w
         beta.append(val)
     beta = tuple(beta)
-    return _entry(c, i, beta, _children(c, i, beta))
+    return _entry(c, kind, beta, _children(c, kind, beta))
 
 
 def draw_entries(alpha: np.ndarray, j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The entries that codes (alpha[r], j[r]) take at their deaths, at
     offspring uniforms u[r]: a row of j >= 0 the entry that
     `sample_offspring` picks, by the same digit walk with the same float
-    arithmetic, a row of j = -1 its single entry (kind 0, beta 0).  Per row
-    its kind, its beta and its z1/q, as float(entry.weight /
-    offspring_prob(code, entry)).  alpha is an (n, d) integer array; any
-    other shape, a uniform of a j >= 0 row outside [0, 1), and a j >= 0 code
-    whose law needs integers past the int64 range raise ValueError, the last
-    naming the first such alpha row."""
+    arithmetic (one loop for every kind: uniform at each coordinate but the
+    kind's own, and kind 0 owns none), a row of j = -1 its single entry
+    (kind 0, beta 0).  Per row its kind, its beta and its z1/q, as
+    float(entry.weight / offspring_prob(code, entry)).  alpha is an (n, d)
+    integer array; any other shape, a uniform of a j >= 0 row outside
+    [0, 1), and a j >= 0 code whose law needs integers past the int64 range
+    raise ValueError, the last naming the first such alpha row."""
     alpha = np.asarray(alpha, dtype=np.int64)
     if alpha.ndim != 2:
         raise ValueError(f"alpha must be an (n, d) array, got shape {alpha.shape}")
@@ -223,9 +211,6 @@ def draw_entries(alpha: np.ndarray, j: np.ndarray, u: np.ndarray) -> tuple[np.nd
     # i, so that q of the entry is its weight (1, or (1+beta_i)(1+a-beta_i))
     # over d+1 times the mass
     mass = np.prod(alpha + 1, axis=1)
-    # kind 0: beta is uniform, the mixed-radix digits of its rank
-    zero = np.flatnonzero(walked == 0)
-    rank = np.minimum((frac[zero] * mass[zero]).astype(np.int64), mass[zero] - 1)
     drawn = np.empty_like(alpha)
     for pos in range(1, d + 1):
         a = alpha[:, pos - 1]
@@ -249,11 +234,6 @@ def draw_entries(alpha: np.ndarray, j: np.ndarray, u: np.ndarray) -> tuple[np.nd
             frac = np.minimum(scaled - val, 1.0)
             acc = _weight_sum(aw, vw)
             frac[weighted] = np.minimum((target - acc) / ((1 + vw) * (1 + aw - vw)), 1.0)
-    for pos in range(d, 1, -1):  # the last digit runs fastest
-        radix = alpha[zero, pos - 1] + 1
-        drawn[zero, pos - 1] = rank % radix
-        rank //= radix
-    drawn[zero, 0] = rank
     kind[coded], beta[coded] = walked, drawn
     # z1/q is (d+1) times the block mass for kind 0, and -(d+1)/2 times it
     # for kind i, where z1 is -1/2 times the weight: the integer is rounded

@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
@@ -6,9 +9,12 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from branchpde import cli, verify
 
@@ -622,10 +628,12 @@ def test_seeds_at_the_ends_of_the_int64_range_run(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, cfg, field", [
-    ("solve", SOLVE, "n"), ("progeny", PROGENY, "d"),
-], ids=["solve-n", "progeny-d"])
+    ("solve", SOLVE, "n"), ("progeny", PROGENY, "d"), ("progeny", PROGENY, "kmax"),
+    ("progeny", PROGENY, "alpha_max"),
+], ids=["solve-n", "progeny-d", "progeny-kmax", "progeny-alpha_max"])
 def test_a_size_past_the_index_range_exits_3(tmp_path, capsys, command, cfg, field):
-    # both raised OverflowError where the size first made a range or a list
+    # n and d raised OverflowError where the size first made a range or a
+    # list; kmax and alpha_max went on to size the A-hat tables
     code, out, err = run_command(tmp_path, capsys, command, {**cfg, field: 10**30})
     assert code == 3 and out == ""
     assert err == f"config error: config field {field!r} must be <= {sys.maxsize}, got {10**30}\n"
@@ -644,3 +652,92 @@ def test_stability_refuses_a_bound_past_the_float_range(tmp_path, capsys, fields
     assert code == 3 and out == ""
     assert err.startswith(f"config error: the bound of order {order} at ")
     assert "is not a finite float" in err and len(err.splitlines()) == 1
+
+
+TABULATED = {"kind": "tabulated", "lambda": 1.0, "points": [[0, 1], [1, 1], [2, 0]]}
+
+
+@pytest.mark.parametrize("command, fields, field", [
+    ("solve", {**SOLVE, "points": [{"t": 0}]}, "points.x"),
+    ("solve", {**SOLVE, "points": [{"x": [0.0]}]}, "points.t"),
+    ("solve", {**SOLVE, "points": [{"t": 0, "x": 0.5}]}, "points.x"),
+    ("solve", {**SOLVE, "code": {"alpha": [0]}}, "code.j"),
+    ("solve", {**SOLVE, "code": {"j": 0}}, "code.alpha"),
+    ("solve", {**SOLVE, "code": {"alpha": 5, "j": 0}}, "code.alpha"),
+    ("solve", {**SOLVE, "lifetime": {"kind": "tabulated", "lambda": 1.0}}, "lifetime.points"),
+    ("stability", {**STABILITY, "lifetime": {**TABULATED, "points": 3}}, "lifetime.points"),
+    ("solve", {**SOLVE, "lifetime": {"kind": "exponential"}}, "lifetime.lambda"),
+    ("solve", {**SOLVE, "caps": {"max_branches": 12}}, "caps.max_generation"),
+    ("solve", {**SOLVE, "caps": {"max_generation": 20}}, "caps.max_branches"),
+    ("stability", {**STABILITY, "regime": {"kind": "factorial", "theta": 1.5}}, "regime.r"),
+    ("progeny", {**PROGENY, "regime": {"kind": "exponential"}}, "regime.theta"),
+], ids=["points.x", "points.t", "points.x-float", "code.j", "code.alpha", "code.alpha-int",
+        "lifetime.points", "lifetime.points-int", "lifetime.lambda", "caps.max_generation",
+        "caps.max_branches", "regime.r", "regime.theta"])
+def test_a_missing_or_malformed_nested_field_is_named_with_its_block(tmp_path, capsys, command,
+                                                                     fields, field):
+    # each was named by a bare repr ('x') or by a Python message ('int'
+    # object is not iterable) that did not say which block it came from
+    code, out, err = run_command(tmp_path, capsys, command, fields)
+    assert code == 3 and out == ""
+    assert err.startswith(f"config error: config field {field!r} ") and len(err.splitlines()) == 1
+
+
+# small valid configs of the three commands, and the exit codes each documents
+VALID = {
+    "solve": {**SOLVE, "n": 20, "code": {"alpha": [1], "j": 0},
+              "caps": {"max_branches": 50, "max_generation": 20},
+              "lifetime": {"kind": "exponential", "lambda": 1.0}},
+    "stability": {**STABILITY, "sweep_T": [0.001], "lifetime": TABULATED},
+    "progeny": PROGENY,
+}
+EXITS = {"solve": {0, 2, 3}, "stability": {0, 1, 3}, "progeny": {0, 3}}
+# values of every JSON type, none extreme, so that no mutation allocates much
+SWAPS = ["x", [1], {}, None, True, 1.5, 2]
+
+
+def config_paths(value, path=()):
+    """The path of value and, in order, of every field and item below it."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from config_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw, command):
+    """VALID[command] with one key omitted, one unknown key added, or one
+    value swapped for a value of another type, at any depth."""
+    cfg = copy.deepcopy(VALID[command])
+    path = draw(st.sampled_from(list(config_paths(cfg))))
+    target = reduce(getitem, path, cfg)
+    parent = reduce(getitem, path[:-1], cfg)
+    ops = (["swap"] if path else []) + (["omit"] if path and isinstance(parent, dict) else [])
+    op = draw(st.sampled_from(ops + (["extra"] if isinstance(target, dict) else [])))
+    if op == "omit":
+        del parent[path[-1]]
+    elif op == "extra":
+        target["zz"] = 1
+    else:
+        parent[path[-1]] = draw(st.sampled_from([v for v in SWAPS if type(v) is not type(target)]))
+    return cfg
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_a_mutated_config_exits_as_documented(tmp_path_factory, command):
+    path = tmp_path_factory.mktemp(command) / "config.json"
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(mutated_configs(command))
+    def check(cfg):
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path)])
+        err = err.getvalue()
+        assert code in EXITS[command] and "Traceback" not in err
+        if code == 3:
+            assert len(err.splitlines()) == 1 and err.startswith("config error:")
+
+    check()

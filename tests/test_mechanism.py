@@ -303,6 +303,27 @@ def test_batched_entry_choice_matches_sample_offspring_for_larger_alpha(d, top):
     assert picked(coded_entries(rows, us)) == expected
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_entry_choice_matches_sample_offspring_at_kind_0_block_boundaries(d):
+    # u = (r / prod(1+alpha_k) + eps) / (d+1) puts frac * prod(1+alpha_k)
+    # within a few ulps of the integer r, where one digit walk may part
+    # from another by an ulp; the batch and the reference must still agree
+    rows, us, expected = [], [], []
+    for alpha in product(range(4), repeat=d):
+        c, total = Code(alpha, 0), index_product(alpha)
+        for r in range(total):
+            for eps in (0.0, 2.0**-53, -(2.0**-53), 1e-16, -1e-16):
+                u = (r / total + eps) / (d + 1)
+                if 0.0 <= u < 1.0:
+                    rows.append(alpha)
+                    us.append(u)
+                    entry = sample_offspring(c, u)
+                    expected.append((entry.kind, entry.beta))
+    assert len(us) == {2: 468, 3: 4872}[d]  # 5340 in all
+    assert {kind for kind, _ in expected} == {0}
+    assert picked(coded_entries(rows, us)) == expected
+
+
 def test_a_code_fixes_the_dimension_of_its_offspring_law():
     # d is len(alpha): a d passed beside the code, which gave 8 entries for
     # Code((1, 1), 0) at d = 1, is no parameter any more
