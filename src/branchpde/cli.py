@@ -16,7 +16,9 @@ max_generation, `lifetime` kind and lambda (and points when the kind is
 tabulated), each `points` row t and x, and `regime` kind and theta (and r
 when the kind is factorial), or a nested field that is missing or of the
 wrong type, which the line names with its block ("config field 'points.x'
-is missing", "config field 'code.alpha' must be a list, got 5").  So is a
+is missing", "config field 'code.alpha' must be a list, got 5"), such as
+a `sweep_T` that is not a list, a `regime.kind` that names no regime or a
+`lifetime.points` row that is not an [r, rho] pair.  So is a
 solve `n`, or a progeny `d`, `kmax` or `alpha_max`, past sys.maxsize
 (2^63 - 1), which no range or list can index, and a solve `seed` (from
 the config or --seed), or a seed plus one of its `seed_offsets`, outside
@@ -136,7 +138,11 @@ def _lifetime(block) -> LifetimeModel:
     _known(block, keys, "lifetime")
     _positive("lifetime.lambda", _require(block, "lifetime.lambda"))
     if "points" in keys:
-        _require(block, "lifetime.points", list)
+        for row in _require(block, "lifetime.points", list):
+            if not (isinstance(row, list) and len(row) == 2):
+                raise ConfigError(
+                    f"config field 'lifetime.points' must list [r, rho] pairs, got row {row!r}"
+                )
     return model_from_config(block)
 
 
@@ -177,11 +183,11 @@ def _regime(cfg: dict, d: int):
     from .stability import Exponential, Factorial
 
     block = _require(cfg, "regime", dict)
-    regime = {c.name: c for c in (Factorial, Exponential)}.get(
-        block.get("kind", "factorial")
-    )
-    if regime is None:
-        raise ConfigError("regime.kind must be factorial|exponential")
+    regimes = {c.name: c for c in (Factorial, Exponential)}
+    kind = block.get("kind", "factorial")
+    if not (isinstance(kind, str) and kind in regimes):
+        raise ConfigError(f"config field 'regime.kind' must be factorial|exponential, got {kind!r}")
+    regime = regimes[kind]
     _known(block, {"kind"} | {field.name for field in fields(regime)}, "regime")
     params = []
     for field in fields(regime):
@@ -364,7 +370,8 @@ def cmd_stability(args) -> int:
         delta1 = _positive("delta1", _require(cfg, "delta1"))
         delta2 = _positive("delta2", _require(cfg, "delta2"))
         m_max = _at_least(cfg, "m_max", 0, default=3)
-        sweep = [_finite("sweep_T", TT) for TT in cfg.get("sweep_T") or []]
+        sweep_T = _require(cfg, "sweep_T", list) if "sweep_T" in cfg else []
+        sweep = [_finite("sweep_T", TT) for TT in sweep_T]
         T = _finite("T", cfg["T"]) if "T" in cfg else None
         if T is None and not sweep:
             raise ConfigError("config needs either 'T' or 'sweep_T'")

@@ -40,11 +40,21 @@ a directional entry is (alpha-beta+1_i, 0), not (alpha-beta+1_i, -1), so
 every death spawns two children.  A dominating batch starts at a code
 (alpha, j >= 0) and 0 in R^d with exponential(lam) lifetimes, and ignores
 the positions it draws.
+
+On glibc the first `TreeBatch` made in a process raises malloc's mmap
+threshold to 32 MiB and its trim threshold to 64 MiB (`_keep_heap_mapped`),
+so a batch's per-tree arrays and each of its generation's arrays reuse
+heap pages instead of mapping and faulting in new ones.  The trade-off: the
+process keeps up to 64 MiB of freed heap mapped instead of returning it to
+the OS.  Importing this module sets nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import platform
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -281,6 +291,29 @@ def evaluate_functional(tree: TreeSample, oracle) -> float:
 # holds, so the budget bounds a batch at about 33 MB.
 FRONTIER_BUDGET = 1 << 18
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """On glibc, once per process: allocate blocks of up to 32 MiB (glibc's
+    own dynamic ceiling) on the heap, and return freed heap to the OS only
+    past 64 MiB, twice a batch at FRONTIER_BUDGET.  glibc's dynamic
+    thresholds settle near the size of one generation's arrays, so without
+    this the heap is unmapped after almost every generation and its pages
+    are faulted in again by the next.  On another libc, or where the call
+    fails, it does nothing."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
 
 class FrontierFull(RuntimeError):
     """A generation of a batch of more than one tree passed FRONTIER_BUDGET
@@ -356,6 +389,10 @@ class TreeBatch:
         self.c0, self.t, self.x, self.T = c0, float(t), np.asarray(x, dtype=float), T
         self.model, self.d, self.seed, self.indices, self.caps = model, d, seed, indices, caps
         self.dominating = dominating
+        # trade-off: the process keeps up to 64 MiB of freed heap mapped
+        # rather than returning it, so the per-tree arrays below and each
+        # generation's arrays reuse pages already faulted in
+        _keep_heap_mapped()
         n = len(indices)
         self.branches = np.ones(n, dtype=np.int64)
         self.depth = np.zeros(n, dtype=np.int64)

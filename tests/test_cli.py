@@ -671,13 +671,23 @@ TABULATED = {"kind": "tabulated", "lambda": 1.0, "points": [[0, 1], [1, 1], [2, 
     ("solve", {**SOLVE, "caps": {"max_generation": 20}}, "caps.max_branches"),
     ("stability", {**STABILITY, "regime": {"kind": "factorial", "theta": 1.5}}, "regime.r"),
     ("progeny", {**PROGENY, "regime": {"kind": "exponential"}}, "regime.theta"),
+    ("stability", {**STABILITY, "sweep_T": 2}, "sweep_T"),
+    ("stability", {**STABILITY, "regime": {**STABILITY["regime"], "kind": ["factorial"]}},
+     "regime.kind"),
+    ("progeny", {**PROGENY, "regime": {**PROGENY["regime"], "kind": ["factorial"]}}, "regime.kind"),
+    ("stability", {**STABILITY, "lifetime": {**TABULATED, "points": [3, [1, 1], [2, 0]]}},
+     "lifetime.points"),
+    ("solve", {**SOLVE, "lifetime": {**TABULATED, "points": [[0, 1], [1, 1, 0], [2, 0]]}},
+     "lifetime.points"),
 ], ids=["points.x", "points.t", "points.x-float", "code.j", "code.alpha", "code.alpha-int",
         "lifetime.points", "lifetime.points-int", "lifetime.lambda", "caps.max_generation",
-        "caps.max_branches", "regime.r", "regime.theta"])
+        "caps.max_branches", "regime.r", "regime.theta", "sweep_T-int", "regime.kind-list",
+        "progeny-regime.kind-list", "lifetime.points-row-int", "lifetime.points-row-triple"])
 def test_a_missing_or_malformed_nested_field_is_named_with_its_block(tmp_path, capsys, command,
                                                                      fields, field):
     # each was named by a bare repr ('x') or by a Python message ('int'
-    # object is not iterable) that did not say which block it came from
+    # object is not iterable, unhashable type: 'list', cannot unpack
+    # non-iterable int object) that did not say which field it came from
     code, out, err = run_command(tmp_path, capsys, command, fields)
     assert code == 3 and out == ""
     assert err.startswith(f"config error: config field {field!r} ") and len(err.splitlines()) == 1
