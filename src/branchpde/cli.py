@@ -7,27 +7,19 @@ the contract: solve returns 0 on success, 2 when the lifetime model fails
 validation, 3 on config errors; stability returns 1 when conditions fail
 (the report is still written); verify returns 0 iff every check passes.  A
 config error, a config that is not a JSON object among them, is one stderr
-line "config error: ..." and exit 3, as is a stability bound that is not a
-finite float, or a stability `lifetime` block whose lambda is not the
-config's `lambda`, or a top-level field the command does not read
-(_SOLVE_FIELDS, _STABILITY_FIELDS, _PROGENY_FIELDS), or a key a nested
-block does not read: `code` reads alpha and j, `caps` max_branches and
-max_generation, `lifetime` kind and lambda (and points when the kind is
-tabulated), each `points` row t and x, and `regime` kind and theta (and r
-when the kind is factorial), or a nested field that is missing or of the
-wrong type, which the line names with its block ("config field 'points.x'
-is missing", "config field 'code.alpha' must be a list, got 5"), such as
-a `sweep_T` that is not a list, a `regime.kind` that names no regime or a
-`lifetime.points` row that is not an [r, rho] pair.  So is a
-solve `n`, or a progeny `d`, `kmax` or `alpha_max`, past sys.maxsize
-(2^63 - 1), which no range or list can index, and a solve `seed` (from
-the config or --seed), or a seed plus one of its `seed_offsets`, outside
-the int64 range [-2^63, 2^63 - 1], on which the trees' seed mod 2^64 is
-one to one; all are checked before anything is allocated.  solve samples
-in one process, so `workers` (or --workers) must be 1; the field stays in
-the resolved config it echoes.  Its `mean` estimator is median-of-means
-with one group.  Log level comes from the BRANCHPDE_LOG environment
-variable.
+line "config error: ..." and exit 3.
+
+Each command reads its config through one field table (`cmd_solve`'s,
+`_STABILITY`, `_PROGENY`), and each nested block through its own (`_CODE`,
+`_CAPS`, `_POINT`, and `_LIFETIME` and `_REGIME` by kind): every key the
+block may hold, with its reader and default.  Any other key, a missing
+key and a value its reader refuses are config errors named with their
+block ("config field 'points.x' is missing").  The checks that span fields
+follow the walk, before anything is allocated; a stability bound that is
+not a finite float is a config error too.  solve samples in one process, so `workers` (or --workers) must be 1, and
+the resolved config it echoes appends its defaults.  Its `mean` estimator
+is median-of-means with one group.  Log level comes from the BRANCHPDE_LOG
+environment variable.
 
 Each command loads only the half it runs: this module imports neither
 half at the top, and the package's `__init__` imports nothing.
@@ -46,10 +38,10 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from fractions import Fraction
 
-from .lifetimes import LifetimeModel, model_from_config
+from .lifetimes import LifetimeModel, exponential_model, tabulated_model
 from .multiindex import mi_upto
 
 
@@ -73,163 +65,180 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-# the top-level config fields each command reads; any other is refused
-_SOLVE_FIELDS = {"problem", "T", "lifetime", "code", "points", "seed_offsets", "n", "seed",
-                "workers", "caps", "estimator", "groups", "format"}
-_STABILITY_FIELDS = {"d", "regime", "lambda", "delta1", "delta2", "m_max", "sweep_T", "T", "lifetime"}
-_PROGENY_FIELDS = {"d", "regime", "kmax", "alpha_max", "exact"}
+# A field table maps each key of a config block to (reader, default), where
+# reader(field, value) returns the value as the command uses it or raises a
+# ConfigError naming the field ("T", or "points.x" for the key x of a points
+# row), and the default is read, as a config would give it, when the key is
+# absent.  REQUIRED marks a key with no default; a None default reads as None.
+REQUIRED = object()
 
 
-def _known(cfg: dict, fields: set, block: str = "config") -> dict:
-    """cfg, if it is an object and every field of it is among the fields a
-    command reads; else ConfigError naming the block (the top level is
-    "config") and the first other field."""
+def _fields(cfg, table: dict, block: str = "config") -> dict:
+    """Each key of the table read from the block cfg ("config" is the top
+    level).  A block that is not an object, a key the table does not hold
+    and a missing required key are refused; a key given as null is read,
+    not taken as absent."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"a {block} block must be an object, got {cfg!r}")
-    unknown = sorted(set(cfg) - fields)
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
-        raise ConfigError(f"unknown {block} field {unknown[0]!r}; known: {', '.join(sorted(fields))}")
-    return cfg
+        raise ConfigError(f"unknown {block} field {unknown[0]!r}; known: {', '.join(sorted(table))}")
+    values = {}
+    for key, (read, default) in table.items():
+        field = key if block == "config" else f"{block}.{key}"
+        if key in cfg:
+            values[key] = read(field, cfg[key])
+        elif default is REQUIRED:
+            raise ConfigError(f"config field {field!r} is missing")
+        else:
+            values[key] = None if default is None else read(field, default)
+    return values
 
 
-_KINDS = {str: "a string", list: "a list", dict: "an object"}
+def _number(low=None, strict=False):
+    """The reader of a finite float, >= low (> low if strict) where low is
+    given; a boolean is refused, not read as 0 or 1."""
+
+    def read(field, value) -> float:
+        try:
+            x = float(value) if type(value) in (int, float) else math.nan
+        except OverflowError:
+            x = math.inf
+        if not math.isfinite(x):
+            raise ConfigError(f"config field {field!r} must be a finite number, got {value!r}")
+        if low is not None and (x <= low if strict else x < low):
+            raise ConfigError(
+                f"config field {field!r} must be {'>' if strict else '>='} {low}, got {x}"
+            )
+        return x
+
+    return read
 
 
-def _require(cfg: dict, field: str, kind=None):
-    """The value of a field, named as its messages name it: "T" at the top
-    level, "points.x" for the key x of a points block."""
-    key = field.rpartition(".")[2]
-    if key not in cfg:
-        raise ConfigError(f"config field {field!r} is missing")
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"config field {field!r} must be {_KINDS[kind]}, got {value!r}")
+def _integer(low=None, high=None):
+    """The reader of an int from low to high, where given; an integral float
+    is read as its int, and a non-integral number or a boolean is refused,
+    not truncated.  A count that sizes a range or a list stops at
+    sys.maxsize, past which nothing can index it."""
+
+    def read(field, value) -> int:
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not int:
+            raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ConfigError(f"config field {field!r} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise ConfigError(f"config field {field!r} must be <= {high}, got {value}")
+        return value
+
+    return read
+
+
+def _text(*choices):
+    """The reader of a string among choices."""
+
+    def read(field, value) -> str:
+        if not (isinstance(value, str) and value in choices):
+            raise ConfigError(f"config field {field!r} must be {'|'.join(choices)}, got {value!r}")
+        return value
+
+    return read
+
+
+def _list(item, size=None):
+    """The reader of a list (of size entries, where given) each entry of
+    which item reads under the list's field."""
+
+    def read(field, value) -> list:
+        if not (isinstance(value, list) and size in (None, len(value))):
+            what = "a list" if size is None else f"a list of {size} entries"
+            raise ConfigError(f"config field {field!r} must be {what}, got {value!r}")
+        return [item(field, entry) for entry in value]
+
+    return read
+
+
+def _boolean(field, value) -> bool:
+    if type(value) is not bool:
+        raise ConfigError(f"config field {field!r} must be true or false, got {value!r}")
     return value
 
 
-def _as_float(value) -> float:
-    """float(value), or inf where that overflows."""
+def _ratio(field, value) -> Fraction:
+    """A number or a rational string ("3/2") as a Fraction (float(Fraction(
+    str(x))) == x for a finite float x), > 0 and a float > 0."""
     try:
-        return float(value)
-    except OverflowError:
-        return math.inf
+        q = Fraction(str(value))
+        positive = 0 < float(q) < math.inf
+    except (ValueError, ZeroDivisionError, OverflowError):
+        positive = False
+    if not positive:
+        raise ConfigError(f"config field {field!r} must be a ratio > 0 in float range, got {value!r}")
+    return q
 
 
-def _finite(field: str, value) -> float:
-    """value as a finite float; a boolean is refused, not read as 0 or 1."""
-    x = _as_float(value) if type(value) in (int, float) else math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"config field {field!r} must be a finite number, got {value!r}")
-    return x
+def _block(table):
+    """The reader of a nested block that table reads."""
+    return lambda field, value: _fields(value, table, field)
 
 
-def _positive(field: str, value) -> float:
-    x = _finite(field, value)
-    if x <= 0:
-        raise ConfigError(f"config field {field!r} must be > 0, got {x}")
-    return x
+def _kinded(tables: dict, default: str):
+    """The reader of a block whose keys depend on its kind (default when
+    absent): the block read by the table of that kind, with its kind."""
+    kind = _text(*tables)
+
+    def read(field, value) -> dict:
+        table = {}
+        if isinstance(value, dict):  # else _fields refuses it
+            table = tables[kind(f"{field}.kind", value.get("kind", default))]
+        return _fields(value, {"kind": (kind, default), **table}, field)
+
+    return read
 
 
-def _lifetime(block) -> LifetimeModel:
-    """The `lifetime` block as a model, its lambda finite and > 0."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"config field 'lifetime' must be an object, got {block!r}")
-    keys = {"kind", "lambda", "points"} if block.get("kind") == "tabulated" else {"kind", "lambda"}
-    _known(block, keys, "lifetime")
-    _positive("lifetime.lambda", _require(block, "lifetime.lambda"))
-    if "points" in keys:
-        for row in _require(block, "lifetime.points", list):
-            if not (isinstance(row, list) and len(row) == 2):
-                raise ConfigError(
-                    f"config field 'lifetime.points' must list [r, rho] pairs, got row {row!r}"
-                )
-    return model_from_config(block)
+_CODE = {"alpha": (_list(_integer(0)), REQUIRED), "j": (_integer(-1), REQUIRED)}
+_CAPS = {"max_branches": (_integer(1), REQUIRED), "max_generation": (_integer(0), REQUIRED)}
+_POINT = {"t": (_number(), REQUIRED), "x": (_list(_number()), REQUIRED)}
+_RATE = {"lambda": (_number(0, True), REQUIRED)}
+_LIFETIME = _kinded({
+    "exponential": _RATE,
+    "tabulated": {**_RATE, "points": (_list(_list(_number(), 2)), REQUIRED)},
+}, "exponential")
+_THETA = {"theta": (_ratio, REQUIRED)}
+_REGIME = _kinded({"factorial": {**_THETA, "r": (_ratio, REQUIRED)}, "exponential": _THETA},
+                  "factorial")
 
 
-def _integer(field: str, value, low: int | None = None) -> int:
-    """value as an int (>= low, if given); a non-integral number or a
-    boolean is refused, not truncated."""
-    if type(value) is float and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ConfigError(f"config field {field!r} must be >= {low}, got {value}")
-    return value
+def _lifetime(field, value) -> LifetimeModel:
+    """A lifetime block as its model: exponential, or tabulated by
+    [r, rho] knots."""
+    block = _LIFETIME(field, value)
+    if block["kind"] == "exponential":
+        return exponential_model(block["lambda"])
+    try:
+        return tabulated_model(block["points"], block["lambda"])
+    except ValueError as exc:  # knots that make no density
+        raise ConfigError(f"config field '{field}.points' must tabulate a density: {exc}") from None
 
 
-def _at_least(cfg: dict, field: str, low: int, default=None) -> int:
-    """An integer field (named as in _require) >= low; a top-level field
-    with a default may be missing."""
-    value = _require(cfg, field) if default is None else cfg.get(field, default)
-    return _integer(field, value, low)
-
-
-def _size(cfg: dict, field: str, default=None, low: int = 1) -> int:
-    """A count that sizes a range or a list: an int from low to
-    sys.maxsize, past which Python cannot index it."""
-    value = _at_least(cfg, field, low, default)
-    if value > sys.maxsize:
-        raise ConfigError(f"config field {field!r} must be <= {sys.maxsize}, got {value}")
-    return value
-
-
-def _regime(cfg: dict, d: int):
-    """The `regime` block as Factorial(theta, r) or Exponential(theta).
-    kind defaults to factorial; theta and r are numbers or rational strings
-    ("3/2"), read as Fractions (float(Fraction(str(x))) == x for a finite
-    float x).  Each parameter, as a float, and the radius R(d) must be
-    finite and > 0."""
+def _regime(field, value):
+    """A regime block as Factorial(theta, r) or Exponential(theta)."""
     from .stability import Exponential, Factorial
 
-    block = _require(cfg, "regime", dict)
-    regimes = {c.name: c for c in (Factorial, Exponential)}
-    kind = block.get("kind", "factorial")
-    if not (isinstance(kind, str) and kind in regimes):
-        raise ConfigError(f"config field 'regime.kind' must be factorial|exponential, got {kind!r}")
-    regime = regimes[kind]
-    _known(block, {"kind"} | {field.name for field in fields(regime)}, "regime")
-    params = []
-    for field in fields(regime):
-        value = _require(block, f"regime.{field.name}")
-        try:
-            q = Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"regime.{field.name} must be a finite number or a ratio, got {value!r}"
-            ) from None
-        if q <= 0:
-            raise ConfigError(f"regime.{field.name} must be > 0, got {value!r}")
-        if not 0 < _as_float(q) < math.inf:
-            raise ConfigError(f"regime.{field.name} = {value!r} is outside the float range")
-        params.append(q)
-    regime = regime(*params)
+    params = _REGIME(field, value)
+    return {c.name: c for c in (Factorial, Exponential)}[params.pop("kind")](**params)
+
+
+def _finite_radius(regime, d: int):
+    """regime, if its radius R(d) is a float > 0."""
     try:
         radius = regime.radius(d)
     except (OverflowError, ZeroDivisionError):
         radius = math.nan
     if not 0 < radius < math.inf:
-        raise ConfigError(f"regime {block!r} has no float radius R(d) > 0 at d = {d}")
+        raise ConfigError(f"config field 'regime' has no float radius R(d) > 0 at d = {d}")
     return regime
-
-
-def _resolve_solve_config(cfg: dict, args) -> dict:
-    from .tree import Caps
-
-    resolved = dict(cfg)
-    if args.seed is not None:
-        resolved["seed"] = args.seed
-    if args.workers is not None:
-        resolved["workers"] = args.workers
-    resolved.setdefault("seed", 0)
-    resolved.setdefault("workers", 1)
-    resolved.setdefault("n", 100_000)
-    resolved.setdefault("estimator", "mean")
-    resolved.setdefault("groups", 9)
-    resolved.setdefault("code", {"alpha": [0], "j": -1})
-    resolved.setdefault("lifetime", {"kind": "exponential", "lambda": 1.0})
-    resolved.setdefault("caps", asdict(Caps()))
-    return resolved
 
 
 def cmd_solve(args) -> int:
@@ -244,40 +253,44 @@ def cmd_solve(args) -> int:
     from .tree import Caps
     from . import problems
 
+    table = {
+        "problem": (_text(*problems.REGISTRY), REQUIRED),
+        "T": (_number(0, True), REQUIRED),
+        "points": (_list(_block(_POINT)), REQUIRED),
+        "seed_offsets": (_list(_integer()), None),
+        "format": (_text("csv", "json"), None),
+        # the resolved config appends these defaults in this order
+        "seed": (_integer(), 0),
+        "workers": (_integer(1, 1), 1),
+        "n": (_integer(1, sys.maxsize), 100_000),
+        "estimator": (_text("mean", "mom"), "mean"),
+        "groups": (_integer(1), 9),
+        "code": (_block(_CODE), {"alpha": [0], "j": -1}),
+        "lifetime": (_lifetime, {"kind": "exponential", "lambda": 1.0}),
+        "caps": (_block(_CAPS), asdict(Caps())),
+    }
     try:
-        cfg = _resolve_solve_config(_known(_load_config(args.config), _SOLVE_FIELDS), args)
-        name = _require(cfg, "problem", str)
-        T = _positive("T", _require(cfg, "T"))
-        model = _lifetime(cfg["lifetime"])
-        problem = problems.make_problem(name, T)
-        code_cfg = _known(_require(cfg, "code", dict), {"alpha", "j"}, "code")
-        code = Code(
-            tuple(_integer("code.alpha", a, 0) for a in _require(code_cfg, "code.alpha", list)),
-            _at_least(code_cfg, "code.j", -1),
-        )
-        if len(code.alpha) != problem.d:
-            raise ConfigError(
-                f"code alpha has dimension {len(code.alpha)}, problem wants {problem.d}"
-            )
-        points = _require(cfg, "points", list)
-        parsed_points = []
-        for row in points:
-            _known(row, {"t", "x"}, "points")
-            t = _finite("points.t", _require(row, "points.t"))
-            x = [_finite("points.x", v) for v in _require(row, "points.x", list)]
-            if len(x) != problem.d:
-                raise ConfigError(f"point {row} has wrong dimension for d={problem.d}")
+        cfg = _load_config(args.config)
+        cfg.update((key, arg) for key, arg in (("seed", args.seed), ("workers", args.workers))
+                   if arg is not None)
+        read = _fields(cfg, table)
+        cfg.update((key, default) for key, (_, default) in table.items()
+                   if key not in cfg and default is not None)
+        T, n, seed = read["T"], read["n"], read["seed"]
+        problem = problems.make_problem(read["problem"], T)
+        d = problem.d
+        code = Code(tuple(read["code"]["alpha"]), read["code"]["j"])
+        if len(code.alpha) != d:
+            raise ConfigError(f"config field 'code.alpha' must have {d} entries, got {code.alpha}")
+        points = [(point["t"], point["x"]) for point in read["points"]]
+        for t, x in points:
+            if len(x) != d:
+                raise ConfigError(f"config field 'points.x' must have {d} entries, got {x}")
             if not 0 <= t <= T:
-                raise ConfigError(f"point {row} has t outside [0, T] = [0, {T}]")
-            parsed_points.append((t, x))
-        offsets = cfg.get("seed_offsets", [0] * len(parsed_points))
-        if not isinstance(offsets, list) or len(offsets) != len(parsed_points):
-            raise ConfigError(
-                f"config field 'seed_offsets' must list one offset per point ({len(parsed_points)})"
-            )
-        offsets = [_integer("seed_offsets", off) for off in offsets]
-        n = _size(cfg, "n")
-        seed = _integer("seed", cfg["seed"])
+                raise ConfigError(f"config field 'points.t' = {t} is outside [0, T] = [0, {T}]")
+        offsets = [0] * len(points) if read["seed_offsets"] is None else read["seed_offsets"]
+        if len(offsets) != len(points):
+            raise ConfigError(f"config field 'seed_offsets' needs one entry per point, got {offsets}")
         # the trees read a seed mod 2^64, which is one to one on the int64 range
         for value in [seed] + [seed + off for off in offsets]:
             if not -(1 << 63) <= value < 1 << 63:
@@ -285,36 +298,21 @@ def cmd_solve(args) -> int:
                     "config field 'seed', and 'seed' plus each of 'seed_offsets', must be "
                     f"in the int64 range [-2^63, 2^63 - 1], got {value}"
                 )
-        workers = _at_least(cfg, "workers", 1)
-        if workers != 1:
-            raise ConfigError(
-                f"config field 'workers' (or --workers) must be 1, got {workers}: "
-                "sampling runs in one process"
-            )
-        caps_cfg = _known(_require(cfg, "caps", dict), {f.name for f in fields(Caps)}, "caps")
-        caps = Caps(
-            max_branches=_at_least(caps_cfg, "caps.max_branches", 1),
-            max_generation=_at_least(caps_cfg, "caps.max_generation", 0),
-        )
-        estimator_kind = cfg["estimator"]
-        if estimator_kind not in ("mean", "mom"):
-            raise ConfigError(f"config field 'estimator' must be mean|mom")
-        groups = _at_least(cfg, "groups", 1) if estimator_kind == "mom" else 1
+        groups = read["groups"] if read["estimator"] == "mom" else 1
         if groups % 2 == 0 or groups > n:
             raise ConfigError(
                 f"config field 'groups' must be odd and between 1 and n = {n}, got {groups}"
             )
-        out_fmt = args.format or cfg.get("format", "csv")
-        if out_fmt not in ("csv", "json"):
-            raise ConfigError(f"config field 'format' must be csv|json, got {out_fmt!r}")
+        out_fmt = args.format or read["format"] or "csv"
     except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
-    setup = ProblemSetup(oracle=problem.oracle, model=model, d=problem.d)
+    setup = ProblemSetup(oracle=problem.oracle, model=read["lifetime"], d=d)
+    caps = Caps(**read["caps"])
     rows = []
     try:
-        for (t, x), off in zip(parsed_points, offsets):
+        for (t, x), off in zip(points, offsets):
             est = median_of_means(code, t, x, T, setup, n, groups, seed + off, caps)
             rows.append((t, tuple(x), est))
     except AssumptionHViolated as exc:
@@ -359,25 +357,30 @@ def cmd_solve(args) -> int:
     return 0
 
 
+_STABILITY = {
+    "d": (_integer(1, sys.maxsize), 1),
+    "regime": (_regime, REQUIRED),
+    "lambda": (_number(0, True), REQUIRED),
+    "delta1": (_number(0, True), REQUIRED),
+    "delta2": (_number(0, True), REQUIRED),
+    "m_max": (_integer(0), 3),
+    "T": (_number(0), None),
+    "sweep_T": (_list(_number(0)), []),
+    "lifetime": (_lifetime, None),
+}
+
+
 def cmd_stability(args) -> int:
     from . import progeny, stability
 
     try:
-        cfg = _known(_load_config(args.config), _STABILITY_FIELDS)
-        d = _at_least(cfg, "d", 1, default=1)
-        regime = _regime(cfg, d)
-        lam = _positive("lambda", _require(cfg, "lambda"))
-        delta1 = _positive("delta1", _require(cfg, "delta1"))
-        delta2 = _positive("delta2", _require(cfg, "delta2"))
-        m_max = _at_least(cfg, "m_max", 0, default=3)
-        sweep_T = _require(cfg, "sweep_T", list) if "sweep_T" in cfg else []
-        sweep = [_finite("sweep_T", TT) for TT in sweep_T]
-        T = _finite("T", cfg["T"]) if "T" in cfg else None
+        cfg = _load_config(args.config)
+        read = _fields(cfg, _STABILITY)
+        d, lam, T, sweep = read["d"], read["lambda"], read["T"], read["sweep_T"]
+        regime = _finite_radius(read["regime"], d)
         if T is None and not sweep:
             raise ConfigError("config needs either 'T' or 'sweep_T'")
-        if not all(TT >= 0 for TT in sweep + ([] if T is None else [T])):
-            raise ConfigError("horizons 'T' and 'sweep_T' must be >= 0")
-        model = _lifetime(cfg.get("lifetime", {"kind": "exponential", "lambda": lam}))
+        model = read["lifetime"] or exponential_model(lam)
         if model.lam != lam:
             raise ConfigError(f"lifetime.lambda = {model.lam!r} differs from lambda = {lam!r}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -388,7 +391,7 @@ def cmd_stability(args) -> int:
     overall = True
 
     def conditions_at(TT: float) -> tuple[stability.GrowthParams, dict]:
-        p = stability.GrowthParams(regime=regime, delta1=delta1, delta2=delta2,
+        p = stability.GrowthParams(regime=regime, delta1=read["delta1"], delta2=read["delta2"],
                                    lam=lam, T=TT, d=d)
         rep = stability.check_conditions(p, model)
         return p, {
@@ -408,7 +411,7 @@ def cmd_stability(args) -> int:
             try:
                 x = p.dominating_argument()
                 rows = [progeny.dominating_bound((m,) + (0,) * (d - 1), p, x, 1.0)
-                        for m in range(m_max + 1)]
+                        for m in range(read["m_max"] + 1)]
             except OverflowError as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 3
@@ -427,25 +430,29 @@ def cmd_stability(args) -> int:
     return 0 if overall else 1
 
 
+_PROGENY = {
+    "d": (_integer(1, sys.maxsize), 1),
+    "regime": (_regime, REQUIRED),
+    "kmax": (_integer(0, sys.maxsize), 6),
+    "alpha_max": (_integer(0, sys.maxsize), 3),
+    "exact": (_boolean, True),
+}
+
+
 def cmd_progeny(args) -> int:
     from . import progeny
 
     try:
-        cfg = _known(_load_config(args.config), _PROGENY_FIELDS)
-        d = _size(cfg, "d", default=1)
-        regime = _regime(cfg, d)
-        kmax = _size(cfg, "kmax", default=6, low=0)
-        alpha_max = _size(cfg, "alpha_max", default=3, low=0)
-        exact = cfg.get("exact", True)
-        if type(exact) is not bool:
-            raise ConfigError(f"config field 'exact' must be true or false, got {exact!r}")
+        read = _fields(_load_config(args.config), _PROGENY)
+        d, kmax, exact = read["d"], read["kmax"], read["exact"]
+        regime = _finite_radius(read["regime"], d)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
 
     radius, g = regime.radius(d), regime.g()
     lines = ["alpha,k,value_num,value_den,value_float,regime,radius"]
-    for alpha in mi_upto(alpha_max, d):
+    for alpha in mi_upto(read["alpha_max"], d):
         table = progeny.ahat_recursion(g, d, alpha, kmax)
         alpha_txt = "|".join(str(a) for a in alpha)
         for k in range(kmax + 1):

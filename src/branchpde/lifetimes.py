@@ -187,13 +187,3 @@ def validate_assumption_h(model: LifetimeModel, T: float) -> AssumptionReport:
         rho_star=rho_star, lam=model.lam, ok=not failures, failures=tuple(failures)
     )
 
-
-def model_from_config(cfg: dict) -> LifetimeModel:
-    """Build a model from {"kind": "exponential", "lambda": x} or
-    {"kind": "tabulated", "points": [[r, rho], ...], "lambda": x}."""
-    kind = cfg.get("kind", "exponential")
-    if kind == "exponential":
-        return exponential_model(float(cfg["lambda"]))
-    if kind == "tabulated":
-        return tabulated_model(cfg["points"], float(cfg["lambda"]))
-    raise ValueError(f"unknown lifetime kind {kind!r}")

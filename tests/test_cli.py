@@ -629,11 +629,12 @@ def test_seeds_at_the_ends_of_the_int64_range_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, cfg, field", [
     ("solve", SOLVE, "n"), ("progeny", PROGENY, "d"), ("progeny", PROGENY, "kmax"),
-    ("progeny", PROGENY, "alpha_max"),
-], ids=["solve-n", "progeny-d", "progeny-kmax", "progeny-alpha_max"])
+    ("progeny", PROGENY, "alpha_max"), ("stability", STABILITY, "d"),
+], ids=["solve-n", "progeny-d", "progeny-kmax", "progeny-alpha_max", "stability-d"])
 def test_a_size_past_the_index_range_exits_3(tmp_path, capsys, command, cfg, field):
     # n and d raised OverflowError where the size first made a range or a
-    # list; kmax and alpha_max went on to size the A-hat tables
+    # list; kmax and alpha_max went on to size the A-hat tables, and
+    # stability's d reached a report (exit 1)
     code, out, err = run_command(tmp_path, capsys, command, {**cfg, field: 10**30})
     assert code == 3 and out == ""
     assert err == f"config error: config field {field!r} must be <= {sys.maxsize}, got {10**30}\n"
@@ -679,15 +680,31 @@ TABULATED = {"kind": "tabulated", "lambda": 1.0, "points": [[0, 1], [1, 1], [2, 
      "lifetime.points"),
     ("solve", {**SOLVE, "lifetime": {**TABULATED, "points": [[0, 1], [1, 1, 0], [2, 0]]}},
      "lifetime.points"),
+    ("stability", {**STABILITY, "lifetime": {**TABULATED, "kind": ["tabulated"]}}, "lifetime.kind"),
+    ("stability", {**STABILITY, "lifetime": {**TABULATED, "points": [["a", 1], [1, 0]]}},
+     "lifetime.points"),
+    ("stability", {**STABILITY, "lifetime": {**TABULATED, "points": [[1, 1], [2, 0]]}},
+     "lifetime.points"),
+    ("stability", {**STABILITY, "lifetime": {**TABULATED, "points": [[0, 0], [1, 0]]}},
+     "lifetime.points"),
+    ("solve", {**SOLVE, "lifetime": {**TABULATED, "points": [[0, 1], [1, -1]]}}, "lifetime.points"),
+    ("solve", {**SOLVE, "problem": "b3"}, "problem"),
+    ("solve", {**SOLVE, "points": [{"t": 0.0, "x": [0.0, 0.0]}]}, "points.x"),
+    ("solve", {**SOLVE, "code": {"alpha": [0, 0], "j": -1}}, "code.alpha"),
 ], ids=["points.x", "points.t", "points.x-float", "code.j", "code.alpha", "code.alpha-int",
         "lifetime.points", "lifetime.points-int", "lifetime.lambda", "caps.max_generation",
         "caps.max_branches", "regime.r", "regime.theta", "sweep_T-int", "regime.kind-list",
-        "progeny-regime.kind-list", "lifetime.points-row-int", "lifetime.points-row-triple"])
+        "progeny-regime.kind-list", "lifetime.points-row-int", "lifetime.points-row-triple",
+        "lifetime.kind-list", "lifetime.points-knot-text", "lifetime.points-not-from-0",
+        "lifetime.points-zero-mass", "lifetime.points-negative", "problem-unknown",
+        "points.x-dimension", "code.alpha-dimension"])
 def test_a_missing_or_malformed_nested_field_is_named_with_its_block(tmp_path, capsys, command,
                                                                      fields, field):
-    # each was named by a bare repr ('x') or by a Python message ('int'
+    # each was named by a bare repr ('x'), by a Python message ('int'
     # object is not iterable, unhashable type: 'list', cannot unpack
-    # non-iterable int object) that did not say which field it came from
+    # non-iterable int object) or by a message of the library call behind
+    # the field (need increasing knots starting at r=0, unknown problem
+    # 'b3') that did not say which field it came from
     code, out, err = run_command(tmp_path, capsys, command, fields)
     assert code == 3 and out == ""
     assert err.startswith(f"config error: config field {field!r} ") and len(err.splitlines()) == 1
@@ -704,6 +721,8 @@ VALID = {
 EXITS = {"solve": {0, 2, 3}, "stability": {0, 1, 3}, "progeny": {0, 3}}
 # values of every JSON type, none extreme, so that no mutation allocates much
 SWAPS = ["x", [1], {}, None, True, 1.5, 2]
+# small values of a number's own type past the edge of some field's range
+EDGES = {int: [-1, 0, 0.5], float: [-0.5, 0.0]}
 
 
 def config_paths(value, path=()):
@@ -717,18 +736,22 @@ def config_paths(value, path=()):
 
 @st.composite
 def mutated_configs(draw, command):
-    """VALID[command] with one key omitted, one unknown key added, or one
-    value swapped for a value of another type, at any depth."""
+    """VALID[command] with one key omitted, one unknown key added, one
+    value swapped for a value of another type, or one number swapped for a
+    small one of its type (EDGES), at any depth."""
     cfg = copy.deepcopy(VALID[command])
     path = draw(st.sampled_from(list(config_paths(cfg))))
     target = reduce(getitem, path, cfg)
     parent = reduce(getitem, path[:-1], cfg)
     ops = (["swap"] if path else []) + (["omit"] if path and isinstance(parent, dict) else [])
+    ops += ["edge"] if type(target) in EDGES else []
     op = draw(st.sampled_from(ops + (["extra"] if isinstance(target, dict) else [])))
     if op == "omit":
         del parent[path[-1]]
     elif op == "extra":
         target["zz"] = 1
+    elif op == "edge":
+        parent[path[-1]] = draw(st.sampled_from(EDGES[type(target)]))
     else:
         parent[path[-1]] = draw(st.sampled_from([v for v in SWAPS if type(v) is not type(target)]))
     return cfg

@@ -6,7 +6,6 @@ import pytest
 from branchpde.lifetimes import (
     LifetimeModel,
     exponential_model,
-    model_from_config,
     tabulated_model,
     validate_assumption_h,
 )
@@ -91,17 +90,6 @@ def test_tabulated_model_roundtrip():
     assert m.survival(1.0) == pytest.approx(0.5)
     assert m.rho_star(1.5) == pytest.approx(0.5)
     assert m.inverse_cdf(0.25) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_model_from_config():
-    m = model_from_config({"kind": "exponential", "lambda": 2.0})
-    assert m.kind == "exponential" and m.lam == 2.0
-    m2 = model_from_config(
-        {"kind": "tabulated", "points": [[0.0, 1.0], [2.0, 1.0]], "lambda": 1.0}
-    )
-    assert m2.kind == "tabulated"
-    with pytest.raises(ValueError):
-        model_from_config({"kind": "weibull", "lambda": 1.0})
 
 
 @pytest.mark.parametrize(
